@@ -29,10 +29,9 @@
 //! maintenance).
 
 use std::hint::black_box;
-use std::sync::Mutex;
 use std::time::Instant;
 
-use mem_sim::{AtomicBitmap2L, PageId, PageTable, RUN_PAGES};
+use mem_sim::{PageId, PageTable, RUN_PAGES};
 use viyojit::DirtySet;
 
 /// CI gate: fail if epoch-walk ns/page regresses past this factor over
@@ -228,7 +227,6 @@ struct Cell {
     dirty_count: (f64, f64),
     invariants: (f64, f64),
     fault_flush: (f64, f64),
-    atomic_publish: (f64, f64),
 }
 
 fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
@@ -241,10 +239,10 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
     let mut scalar_pt = ScalarPageTable::new(pages);
     let mut picked: Vec<usize> = Vec::with_capacity(target);
     let mark = |p: usize,
-                    dirty: &mut DirtySet,
-                    pt: &mut PageTable,
-                    sd: &mut ScalarDirtySet,
-                    sp: &mut ScalarPageTable| {
+                dirty: &mut DirtySet,
+                pt: &mut PageTable,
+                sd: &mut ScalarDirtySet,
+                sp: &mut ScalarPageTable| {
         dirty.mark_dirty(PageId(p as u64));
         pt.set_dirty(PageId(p as u64), true);
         sd.mark_dirty(p);
@@ -366,55 +364,6 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
         scalar_dirty.dirty_count
     });
 
-    // Cross-thread dirty publication (the parallel runtime's per-epoch
-    // sweep): push every dirty leaf word into a shared bitmap, read the
-    // global count, retract. The optimized path is what the parallel
-    // engine runs — `AtomicBitmap2L::publish_words`, a shadow-diffed
-    // batch store over the full word range (unchanged chunks skipped,
-    // dense fallback past the diff threshold, summary/run/count updates
-    // batched); the baseline is what you'd do without it — a mutex
-    // around a flat word vector, with every count a full popcount scan.
-    let stride = pages.div_ceil(64);
-    let mut word_bits = vec![0u64; stride];
-    for &p in &picked {
-        word_bits[p / 64] |= 1u64 << (p % 64);
-    }
-    let words: Vec<(usize, u64)> = word_bits
-        .iter()
-        .enumerate()
-        .filter(|(_, &bits)| bits != 0)
-        .map(|(w, &bits)| (w, bits))
-        .collect();
-    let shared = AtomicBitmap2L::new(pages);
-    let zero_bits = vec![0u64; stride];
-    let mut shadow = vec![0u64; stride];
-    let publish_opt = time_ns(reps, || {
-        shared.publish_words(0, &word_bits, &mut shadow);
-        let count = shared.count();
-        shared.publish_words(0, &zero_bits, &mut shadow);
-        count
-    });
-    let mutex_words = Mutex::new(vec![0u64; pages.div_ceil(64)]);
-    let publish_base = time_ns(reps, || {
-        {
-            let mut guard = mutex_words.lock().unwrap();
-            for &(w, bits) in &words {
-                guard[w] = bits;
-            }
-        }
-        let count = {
-            let guard = mutex_words.lock().unwrap();
-            guard.iter().map(|w| u64::from(w.count_ones())).sum()
-        };
-        let mut guard = mutex_words.lock().unwrap();
-        for &(w, _) in &words {
-            guard[w] = 0;
-        }
-        drop(guard);
-        count
-    });
-    assert_eq!(publish_opt.1, publish_base.1, "published counts diverged");
-
     // Cross-check: both models must agree on the population they timed.
     assert_eq!(epoch_opt.1, epoch_base.1, "walk touch counts diverged");
     assert_eq!(
@@ -433,7 +382,6 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
         dirty_count: (count_opt.0, count_base.0),
         invariants: (inv_opt.0, inv_base.0),
         fault_flush: (fault_opt.0, fault_base.0),
-        atomic_publish: (publish_opt.0, publish_base.0),
     }
 }
 
@@ -452,8 +400,7 @@ fn cell_json(c: &Cell) -> String {
          \"discovery_ns_optimized\": {:.1}, \"discovery_ns_baseline\": {:.1}, \"discovery_speedup\": {:.2}, \
          \"dirty_count_ns_optimized\": {:.1}, \"dirty_count_ns_baseline\": {:.1}, \"dirty_count_speedup\": {:.2}, \
          \"invariants_ns_optimized\": {:.1}, \"invariants_ns_baseline\": {:.1}, \"invariants_speedup\": {:.2}, \
-         \"fault_flush_ns_optimized\": {:.1}, \"fault_flush_ns_baseline\": {:.1}, \
-         \"atomic_publish_ns_optimized\": {:.1}, \"atomic_publish_ns_baseline\": {:.1}, \"atomic_publish_speedup\": {:.2}}}",
+         \"fault_flush_ns_optimized\": {:.1}, \"fault_flush_ns_baseline\": {:.1}}}",
         c.pages,
         c.density,
         c.layout.name(),
@@ -472,9 +419,6 @@ fn cell_json(c: &Cell) -> String {
         speedup(c.invariants),
         c.fault_flush.0,
         c.fault_flush.1,
-        c.atomic_publish.0,
-        c.atomic_publish.1,
-        speedup(c.atomic_publish),
     )
 }
 

@@ -22,8 +22,6 @@
 //! balloon identically (the historical implementation was limited to the
 //! software runtime, which alone exposed `set_dirty_budget`).
 
-use telemetry::Profiler;
-
 use crate::engine::{
     apply_budgets, BudgetTree, DirtyTracker, Engine, SoftwareWalk, TenantId, TenantQos,
 };
@@ -148,7 +146,7 @@ impl<B: DirtyTracker> BalloonedCluster<B> {
 
         // Shrink first (freeing pages), then grow, so the instantaneous
         // sum never exceeds the provisioned total.
-        apply_budgets(&mut self.tenants, &targets, &Profiler::disabled(), &[]);
+        apply_budgets(&mut self.tenants, &targets);
 
         // The post-apply stats become the next demand baseline: stalls
         // incurred while shrinking count toward the *next* rebalance.

@@ -111,16 +111,6 @@ pub trait DirtyTracker: Sized + std::fmt::Debug {
 
     /// `true` if every clean mapped page matches its durable SSD copy.
     fn durable_state_consistent(&self, core: &EngineCore) -> bool;
-
-    /// Visits the leaf words of the budget-counted page population
-    /// (dirty plus in-flight), as `f(word_index, bits)`.
-    ///
-    /// Words may be visited in any order and more than once; callers must
-    /// OR the contributions together. Words never visited hold no counted
-    /// pages. The parallel sharded runtime uses this to publish each
-    /// shard's dirty picture into a shared
-    /// [`AtomicBitmap2L`](mem_sim::AtomicBitmap2L) a word at a time.
-    fn for_each_counted_word(&self, _core: &EngineCore, _f: &mut dyn FnMut(usize, u64)) {}
 }
 
 // ----------------------------------------------------------------------
@@ -409,12 +399,6 @@ impl DirtyTracker for SoftwareWalk {
             }
         }
         true
-    }
-
-    fn for_each_counted_word(&self, _core: &EngineCore, f: &mut dyn FnMut(usize, u64)) {
-        self.dirty
-            .dirty_bits()
-            .for_each_word_union(self.dirty.in_flight_bits(), |w, d, i| f(w, d | i));
     }
 }
 
@@ -786,22 +770,6 @@ impl DirtyTracker for MmuAssisted {
         }
         true
     }
-
-    fn for_each_counted_word(&self, core: &EngineCore, f: &mut dyn FnMut(usize, u64)) {
-        // The counted population is the PTE dirty column (which includes
-        // silently-dirtied pages) plus in-flight pages whose completions
-        // have not yet credited the hardware counter. `known_dirty` is a
-        // subset of the PTE column, so two union passes cover everything:
-        // words with discovered state, then PTE-only words.
-        let pte_dirty = core.mmu.page_table().dirty_bits();
-        self.known_dirty
-            .for_each_word_union(&self.in_flight, |w, k, i| f(w, k | i | pte_dirty.word(w)));
-        pte_dirty.for_each_word(|w, bits| {
-            if self.known_dirty.word(w) | self.in_flight.word(w) == 0 {
-                f(w, bits);
-            }
-        });
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -907,27 +875,5 @@ impl DirtyTracker for FullDirty {
         // With no tracking there is no clean-page invariant to check: the
         // baseline treats every page as potentially dirty.
         true
-    }
-
-    fn for_each_counted_word(&self, core: &EngineCore, f: &mut dyn FnMut(usize, u64)) {
-        // Every mapped page is presumed dirty, so publish full words over
-        // each region's page range (edge words get partial masks; callers
-        // OR overlapping contributions).
-        for (_, info) in core.regions.iter() {
-            let start = info.first_page.index();
-            let end = start + info.pages as usize;
-            let mut w = start / 64;
-            while w * 64 < end {
-                let lo = (w * 64).max(start) % 64;
-                let hi = ((w + 1) * 64).min(end) - w * 64;
-                let mask = if hi - lo == 64 {
-                    !0
-                } else {
-                    ((1u64 << (hi - lo)) - 1) << lo
-                };
-                f(w, mask);
-                w += 1;
-            }
-        }
     }
 }

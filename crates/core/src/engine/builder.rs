@@ -1,19 +1,19 @@
 //! Construction of sharded deployments: one builder, two execution modes.
 //!
-//! [`ShardedViyojitBuilder`] replaces the old
-//! `ShardedViyojit::new(...)` + mutable `attach_telemetry` /
-//! `attach_profiler` / `attach_faults` trio. The builder consumes every
-//! attachment *before* anything runs, which is what makes the parallel
-//! mode possible at all: shard threads take ownership of their engines at
-//! spawn time, so there is no window where a half-attached engine is
-//! visible from two threads.
+//! The builder consumes every attachment *before* anything runs, which
+//! is what makes the parallel mode possible at all: shard threads take
+//! ownership of their engines at spawn time, so there is no window where
+//! a half-attached engine is visible from two threads. Both modes build
+//! their engines through the one
+//! [`ShardDriver::build`](super::driver::ShardDriver::build).
 //!
 //! - [`build_sequential`](ShardedViyojitBuilder::build_sequential)
-//!   produces the classic single-threaded [`ShardedViyojit`] frontend —
-//!   bit-identical virtual-time behaviour to the deprecated constructor.
+//!   produces the single-threaded [`ShardedViyojit`] frontend: one driver
+//!   holding every shard, called inline.
 //! - [`build_parallel`](ShardedViyojitBuilder::build_parallel) spawns one
-//!   OS thread per (group of) shard(s) plus an arbiter thread and returns
-//!   the split [`ShardDataHandle`] / [`ShardControlHandle`] pair.
+//!   OS thread per (group of) shard(s), each running a driver behind a
+//!   command loop, and returns the split [`ShardDataHandle`] /
+//!   [`ShardControlHandle`] pair.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use telemetry::{ExporterConfig, FlightRecorder, Profiler, Telemetry};
 use crate::{ViyojitConfig, ViyojitError};
 
 use super::parallel::{spawn_parallel, ShardControlHandle, ShardDataHandle};
-use super::{BudgetTree, DirtyTracker, ShardedViyojit, SoftwareWalk, TenantId, TenantQos};
+use super::{BudgetTree, DirtyTracker, ShardedViyojit, SoftwareWalk, TenantQos};
 
 /// One tenant declared on the builder: a named, contiguous group of
 /// shards with its own QoS envelope and (optionally) its own fault plan.
@@ -213,8 +213,8 @@ impl<B: DirtyTracker> ShardedViyojitBuilder<B> {
     }
 
     /// Lets each parallel worker absorb up to `restarts` panics by
-    /// respawning its shards from durable state (quarantined by the
-    /// arbiter while it recovers) before a panic degrades to the fatal
+    /// respawning its shards from durable state (quarantined for the
+    /// rest of the round it dropped out of) before a panic degrades to the fatal
     /// [`ViyojitError::ShardFailed`]. Default 0: every panic is fatal,
     /// the historical behaviour. Sequential mode ignores this — panics
     /// there unwind to the caller directly.
@@ -369,11 +369,9 @@ impl<B: DirtyTracker> ShardedViyojitBuilder<B> {
         }
     }
 
-    /// Builds the single-threaded sequential frontend.
-    ///
-    /// Construction order (and therefore every virtual-time charge) is
-    /// identical to the deprecated `ShardedViyojit::new` followed by the
-    /// `attach_*` calls, so existing golden outputs are unaffected.
+    /// Builds the single-threaded sequential frontend. Engines are
+    /// constructed in shard order on the shared clock, so every
+    /// virtual-time charge of construction lands where it always has.
     ///
     /// # Errors
     ///
@@ -381,35 +379,13 @@ impl<B: DirtyTracker> ShardedViyojitBuilder<B> {
     /// parameter.
     pub fn build_sequential(self) -> Result<ShardedViyojit<B>, ViyojitError> {
         self.validate()?;
-        let mut nv = ShardedViyojit::assemble(
-            self.tree(),
-            self.pages_per_shard,
-            self.config,
-            self.rebalance_period,
-            self.clock,
-            self.costs,
-            self.ssd_config,
-        );
-        nv.install_telemetry(self.telemetry);
-        nv.install_profiler(self.profiler);
-        if let Some(faults) = self.faults {
-            nv.install_faults(faults);
-        }
-        nv.install_crashes(self.crashes);
-        for (t, spec) in self.tenants.iter().enumerate() {
-            if let Some(faults) = &spec.faults {
-                nv.install_tenant_faults(TenantId(t), faults.clone());
-            }
-        }
-        nv.install_flight(self.flight);
-        nv.install_exporter(self.exporter);
-        Ok(nv)
+        Ok(ShardedViyojit::assemble(self))
     }
 
     /// Spawns the thread-parallel runtime: `min(threads, shards)` shard
-    /// worker threads (each owning its shards' engines outright) plus one
-    /// budget-arbiter thread, and returns the data-plane / control-plane
-    /// handle pair. The runtime shuts down when both handles drop.
+    /// worker threads (each owning its shards' engines outright), and
+    /// returns the data-plane / control-plane handle pair. The runtime
+    /// shuts down when both handles drop.
     ///
     /// # Errors
     ///

@@ -36,8 +36,6 @@ use crate::{InvariantViolation, ViyojitStats};
 use super::arbiter::{divide_with_caps, BudgetArbiter};
 use super::{DirtyTracker, Engine};
 
-use telemetry::Profiler;
-
 /// Identifies a tenant within a budget hierarchy (or the historical
 /// [`BalloonedCluster`](crate::BalloonedCluster), whose tenants are
 /// one-shard tree nodes).
@@ -449,22 +447,12 @@ impl BudgetTree {
 
 /// Applies `targets` to `engines` shrink-first then grow, so the
 /// instantaneous sum of assigned budgets never exceeds the provisioned
-/// total — the one apply loop shared by the sequential sharded frontend
-/// and [`BalloonedCluster`](crate::BalloonedCluster) (the parallel
-/// runtime plays the same two phases over grant messages).
-///
-/// Shrinks run under a per-engine profiler `scope` when `frames` names
-/// one (the shrinking engine may stall flushing down; the span attributes
-/// that virtual time); grows never stall and take no scope.
-pub(crate) fn apply_budgets<B: DirtyTracker>(
-    engines: &mut [Engine<B>],
-    targets: &[u64],
-    profiler: &Profiler,
-    frames: &[&'static str],
-) {
-    for (i, (engine, &target)) in engines.iter_mut().zip(targets).enumerate() {
+/// total — [`BalloonedCluster`](crate::BalloonedCluster)'s apply loop
+/// over the engines it owns directly (the sharded frontends play the
+/// same two phases through their drivers).
+pub(crate) fn apply_budgets<B: DirtyTracker>(engines: &mut [Engine<B>], targets: &[u64]) {
+    for (engine, &target) in engines.iter_mut().zip(targets) {
         if target < engine.dirty_budget() {
-            let _scope = frames.get(i).map(|&f| profiler.scope(f));
             engine.set_dirty_budget(target);
         }
     }

@@ -16,16 +16,28 @@
 //! survive as aliases/wrappers), including each mode's cost charging:
 //! which operations trap, what the walker scans, and what a flush pays.
 //!
-//! On top of the engine, [`sharded::ShardedViyojit`] multiplexes one
-//! battery's budget across N per-region shards through a
+//! On top of the engine, the sharded frontend multiplexes one battery's
+//! budget across N per-region shards through a
 //! [`hierarchy::BudgetTree`] — machine → tenant → shard, each tenant's
 //! shards divided by a per-tenant [`arbiter::BudgetArbiter`] — the
-//! ROADMAP's scale-out and multi-tenant frontend.
+//! ROADMAP's scale-out and multi-tenant frontend. It is one piece of
+//! code with two transports: a `driver::ShardDriver` owns a set of
+//! shard engines (built and wired in one place) and answers everything
+//! one can ask of them; the `coordinator::Coordinator` owns the tree,
+//! the rebalance timeline, the tenant ledger and the metric names, and
+//! implements the round, publication, the governors and the audit — and
+//! through them [`ShardControlPlane`] — once, against "ask the drivers".
+//! [`sharded::ShardedViyojit`] is the coordinator calling one driver
+//! inline; [`ShardDataHandle`] / [`ShardControlHandle`] are the same
+//! coordinator behind a mutex, calling one supervised driver per worker
+//! thread over channels (`parallel`).
 
 mod arbiter;
 mod backend;
 mod builder;
+mod coordinator;
 mod degrade;
+mod driver;
 mod emergency;
 mod hierarchy;
 mod parallel;
@@ -36,10 +48,11 @@ pub use arbiter::BudgetArbiter;
 pub use backend::{DirtyTracker, FullDirty, MmuAssisted, SoftwareWalk};
 pub use builder::ShardedViyojitBuilder;
 pub use degrade::{DegradationConfig, DegradationGovernor, DegradeReason, DegradedMode};
+pub use driver::{BudgetGrant, ShardStats};
 pub use emergency::{FlushObligation, MAX_FLUSH_ATTEMPTS, RETRY_BACKOFF_BASE, RETRY_BACKOFF_MAX};
 pub(crate) use hierarchy::apply_budgets;
 pub use hierarchy::{BudgetTree, TenantId, TenantQos, TenantStats};
-pub use parallel::{BudgetGrant, ShardControlHandle, ShardDataHandle, ShardStats, ROUND_TIMEOUT};
+pub use parallel::{ShardControlHandle, ShardDataHandle, ROUND_TIMEOUT};
 pub use plane::{ShardControlPlane, ShardDataPlane};
 pub use sharded::ShardedViyojit;
 
@@ -188,14 +201,6 @@ impl<B: DirtyTracker> Engine<B> {
     /// Pages currently counted against the dirty budget.
     pub fn dirty_count(&self) -> u64 {
         self.backend.dirty_count(&self.core)
-    }
-
-    /// Visits the leaf words of the budget-counted page population (see
-    /// [`DirtyTracker::for_each_counted_word`]); the parallel sharded
-    /// runtime publishes these words into a shared
-    /// [`AtomicBitmap2L`](mem_sim::AtomicBitmap2L).
-    pub fn for_each_counted_word(&self, mut f: impl FnMut(usize, u64)) {
-        self.backend.for_each_counted_word(&self.core, &mut f);
     }
 
     /// The dirty budget in pages.

@@ -1,57 +1,53 @@
-//! The thread-parallel sharded runtime: one worker per group of shards,
-//! one arbiter thread, message-passing rebalance rounds.
+//! The thread-parallel sharded runtime: one worker thread per group of
+//! shards, each running a [`ShardDriver`] behind a command loop.
 //!
 //! [`ShardedViyojitBuilder::build_parallel`] spawns `min(threads,
 //! shards)` worker threads — each taking *ownership* of its shards'
-//! [`Engine`]s and running them on its own virtual clock — plus one
-//! arbiter thread owning the [`BudgetArbiter`]. The monolithic facade is
-//! split into the two handles the plane traits describe:
+//! driver and running it on its own virtual clock — and returns the two
+//! handles the plane traits describe:
 //!
 //! - [`ShardDataHandle`] implements [`NvHeap`] + [`ShardDataPlane`]:
-//!   writes are validated against a local route mirror and staged per
-//!   worker (batches of [`WRITE_BATCH`]), reads are synchronous
-//!   request/reply, `step` drives the shared driver timeline;
-//! - [`ShardControlHandle`] implements [`ShardControlPlane`]: every call
-//!   is a query or a rebalance round over channels.
+//!   writes are validated against its [`Router`] and staged per worker
+//!   (batches of [`WRITE_BATCH`]) without taking any lock, reads and
+//!   mappings are synchronous request/reply, `step` drives the shared
+//!   driver timeline;
+//! - [`ShardControlHandle`] implements
+//!   [`ShardControlPlane`](super::ShardControlPlane) by locking the one
+//!   [`Coordinator`] both handles share.
 //!
-//! A rebalance **round** replaces the sequential frontend's synchronous
-//! loop with messages, preserving its exact two-phase order: the
-//! initiator broadcasts `Round{id}` to the workers and `StartRound` to
-//! the arbiter; each worker reports a [`ShardStats`] per shard and blocks
-//! on its grant channel; the arbiter plans, sends the *shrink*
-//! [`BudgetGrant`]s, barriers on every worker's `ShrinkDone`, sends the
-//! *grow* grants, collects post-apply stats, commits, publishes the
-//! per-shard gauges, and releases the workers — so the instantaneous sum
-//! of assigned budgets never exceeds the battery, even observed
-//! mid-round. Rounds are serialized by a mutex on the driver timeline, so
-//! the data plane never blocks on the control plane outside an explicit
-//! `step` that crosses a rebalance boundary.
-//!
-//! Cross-thread dirty visibility: each worker publishes its shards'
-//! counted-dirty leaf words (via
-//! [`Engine::for_each_counted_word`]) into one shared
-//! [`AtomicBitmap2L`], shard `s` occupying the word-aligned stride
-//! `[s*W, (s+1)*W)`. Writers touch disjoint words, so the published map
-//! is exact at every `Tick`/`sync`/round boundary.
+//! The coordinator is the same code the sequential frontend runs; what
+//! this module adds is its [`Transport`], [`Workers`]: every "ask driver
+//! `i`" is a [`Request`] sent down worker `i`'s `mpsc` channel and a
+//! `Result<Reply, WorkerDown>` received back, each wait bounded by
+//! [`ROUND_TIMEOUT`]. A round's requests go out to every worker before
+//! any answer is awaited, so workers shrink (and stall) concurrently;
+//! the shrink-before-grow barrier is simply that the coordinator, which
+//! holds the round mutex for the whole round, has every shrink answer in
+//! hand before it sends the first grow.
 //!
 //! Determinism: with [`CostModel::free`] and [`SsdConfig::instant`]
-//! (where clocks move only on explicit `step`), a single driver observes
-//! bit-identical [`ViyojitStats`], power-failure reports, and memory
-//! contents from the sequential frontend and from this runtime at any
-//! thread count — the equivalence property tests assert exactly that.
+//! (where clocks move only on explicit `step`), a single caller observes
+//! bit-identical [`ViyojitStats`](crate::ViyojitStats), power-failure
+//! reports, and memory contents from the sequential frontend and from
+//! this runtime at any thread count: each shard's engine sees the same
+//! calls in the same order on a clock that reads the same, and the tree
+//! plans from the same per-shard reports. The equivalence property tests
+//! assert exactly that.
 //!
-//! Supervision: a worker panic is caught at the command loop. Within the
-//! builder's restart budget the worker reports `ShardPanicked`, runs the
-//! real emergency flush from whatever intermediate state the unwind left
+//! Supervision: a worker panic is caught at the command loop, whose
+//! reply sender sits outside the unwind boundary, so the request in
+//! flight is answered with [`WorkerDown`]. Within the builder's restart
+//! budget the worker then reports `ShardPanicked`, runs the real
+//! emergency flush from whatever intermediate state the unwind left
 //! behind, reloads its shards from durable contents, pins them to the
-//! budget floor, and rejoins (`ShardRespawned`). The arbiter quarantines
-//! the thread in between, substituting floor-pinned zero-demand stats in
-//! rounds so the tree's burst-first reclaim hands the freed budget to
-//! sibling shards until `WorkerRecovered` lifts the quarantine. Beyond
-//! the restart budget a panic degrades to the fatal
-//! [`ViyojitError::ShardFailed`] path, exactly as before supervision.
-//! Every blocking wait on a worker or arbiter reply carries the
-//! [`ROUND_TIMEOUT`] deadline, so a wedged (alive but silent) thread
+//! budget floor, and rejoins (`ShardRespawned`); the coordinator, for
+//! the rest of that round only, plans with floor-pinned zero-demand
+//! stats for its shards, so the tree's burst-first reclaim hands the
+//! freed budget to siblings. Commands are FIFO, so the next round's
+//! first request queues behind the respawn: a recovering worker is never
+//! observed between rounds. Beyond the restart budget a panic is fatal:
+//! the worker exits and everything that needs it fails with
+//! [`ViyojitError::ShardFailed`]. A wedged (alive but silent) worker
 //! surfaces as [`ViyojitError::RoundTimeout`] instead of a hang.
 //!
 //! [`ShardedViyojitBuilder::build_parallel`]:
@@ -59,289 +55,316 @@
 //! [`CostModel::free`]: sim_clock::CostModel::free
 //! [`SsdConfig::instant`]: ssd_sim::SsdConfig::instant
 
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use battery_sim::{Battery, PowerModel};
 use fault_sim::CrashSignal;
-use mem_sim::AtomicBitmap2L;
 use sim_clock::{Clock, SimDuration, SimTime};
 use ssd_sim::SsdStats;
-use telemetry::{
-    intern_metric_name, FlightRecorder, Profiler, Telemetry, TenantMetricNames, TraceEvent,
-    WallKind,
-};
+use telemetry::{FlightRecorder, Telemetry, TraceEvent};
 
-use crate::{
-    FlushOutcome, InvariantViolation, NvHeap, PowerFailureReport, RegionId, ViyojitError,
-    ViyojitStats,
-};
+use crate::{InvariantViolation, NvHeap, PowerFailureReport, RegionId, ViyojitError};
 
 use super::builder::ShardedViyojitBuilder;
-use super::plane::{ShardControlPlane, ShardDataPlane};
-use super::{
-    BudgetTree, DegradationGovernor, DegradedMode, DirtyTracker, Engine, TenantId, TenantQos,
-    TenantStats,
-};
+use super::coordinator::{quarantine_stats, Coordinated, Coordinator, Lost, Router, Transport};
+use super::driver::{BudgetGrant, Phase, Route, ShardDriver, ShardStats};
+use super::plane::ShardDataPlane;
+use super::DirtyTracker;
 
 /// Staged writes per worker before a batch is shipped.
 pub const WRITE_BATCH: usize = 64;
 
-/// Wall-clock deadline for any single wait on a worker or arbiter reply.
-/// Healthy exchanges complete in microseconds; a thread silent this long
-/// is wedged (alive but stuck), and the caller aborts with
+/// Wall-clock deadline for any single wait on a worker's reply. Healthy
+/// exchanges complete in microseconds; a thread silent this long is
+/// wedged (alive but stuck), and the caller aborts with
 /// [`ViyojitError::RoundTimeout`] instead of blocking forever.
 pub const ROUND_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One shard's demand report, sent from its worker thread to the arbiter
-/// at the start of every rebalance round (and again, post-apply, as the
-/// commit baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardStats {
-    /// Global shard index.
-    pub shard: usize,
-    /// The shard engine's runtime counters.
-    pub stats: ViyojitStats,
-    /// Pages the shard currently counts dirty.
-    pub dirty_pages: u64,
-    /// The shard's currently assigned budget.
-    pub budget_pages: u64,
-}
-
-/// A budget assignment for one shard, sent from the arbiter thread back
-/// to the shard's worker during a round (shrink phase first, then grow).
-#[derive(Debug, Clone, Copy)]
-pub struct BudgetGrant {
-    /// Global shard index.
-    pub shard: usize,
-    /// The new budget the shard must adopt.
-    pub budget_pages: u64,
-}
-
+#[derive(Debug)]
 struct StagedWrite {
-    shard: usize,
-    local: RegionId,
+    route: Route,
     offset: u64,
     data: Vec<u8>,
 }
 
-enum ShardCmd {
+/// Everything one can ask of a worker's driver.
+enum Request {
     WriteBatch(Vec<StagedWrite>),
+    Tick(SimDuration),
     Read {
-        shard: usize,
-        local: RegionId,
+        route: Route,
         offset: u64,
         len: usize,
-        reply: Sender<Result<Vec<u8>, ViyojitError>>,
     },
     Map {
         shard: usize,
         len_bytes: u64,
-        reply: Sender<Result<RegionId, ViyojitError>>,
     },
-    Unmap {
-        shard: usize,
-        local: RegionId,
-        reply: Sender<Result<(), ViyojitError>>,
-    },
-    Tick(SimDuration),
-    Round {
-        id: u64,
-    },
-    Sync {
-        reply: Sender<()>,
-    },
-    Query {
-        query: CtrlQuery,
-        reply: Sender<CtrlReply>,
-    },
-}
-
-enum CtrlQuery {
+    Unmap(Route),
+    /// A barrier: answered once everything sent before it was served.
+    Sync,
     Stats,
     SsdStats,
-    PowerFailure,
-    PowerFailurePowered(Box<(Battery, PowerModel)>),
+    Apply(Phase, Vec<BudgetGrant>),
+    PowerFailure(Option<Box<(Battery, PowerModel)>>),
     Recover,
     Invariants,
 }
 
-enum CtrlReply {
-    Stats(Vec<ShardStats>),
-    /// `(global shard index, stats)` per owned shard, so the control
-    /// handle can aggregate per tenant as well as machine-wide.
-    Ssd(Vec<(usize, SsdStats)>),
-    Failure(Vec<PowerFailureReport>),
+enum Reply {
     Done,
-    Invariants {
-        assigned: u64,
-        dirty: u64,
-        violation: Option<InvariantViolation>,
-    },
+    Read(Result<Vec<u8>, ViyojitError>),
+    Mapped(Result<RegionId, ViyojitError>),
+    Unmapped(Result<(), ViyojitError>),
+    Stats(Vec<ShardStats>),
+    Ssd(Vec<(usize, SsdStats)>),
+    Failure(Vec<(usize, PowerFailureReport)>),
+    Invariants(Result<(), InvariantViolation>),
 }
 
-enum GrantMsg {
-    Shrink(u64, Vec<BudgetGrant>),
-    Grow(u64, Vec<BudgetGrant>),
-    Done(u64),
+/// What a worker that panicked serving a request answers it with.
+struct WorkerDown {
+    /// The restart budget is spent: the worker has exited for good.
+    /// Otherwise it is respawning its shards and will serve the next
+    /// request.
+    fatal: bool,
 }
 
-enum RoundKind {
-    Demand,
-    SetTotal(u64),
-    Throttle { tenant: usize, cap: Option<u64> },
+type Answer = Result<Reply, WorkerDown>;
+
+/// Worker and caller live in this file, so a mismatch is a bug here.
+const REPLY_KIND: &str = "a worker answers every request with that request's reply kind";
+
+/// A request and, unless it is fire-and-forget, where to answer it.
+type Command = (Request, Option<Sender<Answer>>);
+
+/// Why a wait on one worker ended without a reply.
+enum WaitError {
+    Down { fatal: bool },
+    Silent,
 }
 
-enum ArbiterMsg {
-    StartRound {
-        id: u64,
-        kind: RoundKind,
-        reply: Sender<Result<(), ViyojitError>>,
-    },
-    Stats {
-        round: u64,
-        stats: ShardStats,
-    },
-    ShrinkDone {
-        round: u64,
-    },
-    CommitStats {
-        round: u64,
-        stats: ShardStats,
-    },
-    Rebalances {
-        reply: Sender<u64>,
-    },
-    ThreadDown {
-        first_shard: usize,
-    },
-    /// A worker caught a panic and is restoring its shards from durable
-    /// state; the arbiter quarantines it until `WorkerRecovered`.
-    WorkerPanicked {
-        thread: usize,
-    },
-    /// The panicked worker finished recovery and rejoined its command
-    /// loop; its shards report real stats again from the next round on.
-    WorkerRecovered {
-        thread: usize,
-    },
-}
-
-/// The driver's view of the shared timeline. Rounds are serialized under
-/// this mutex, which also makes round-id allocation race-free.
-struct RoundState {
-    next_round_id: u64,
-    virtual_now: SimTime,
-    next_rebalance_at: SimTime,
-}
-
-struct Runtime {
-    shard_txs: Vec<Sender<ShardCmd>>,
-    arbiter_tx: Option<Sender<ArbiterMsg>>,
-    rounds: Mutex<RoundState>,
-    error: Arc<Mutex<Option<ViyojitError>>>,
-    dirty_map: Arc<AtomicBitmap2L>,
+/// The channels to the worker threads, shared by both handles. Dropping
+/// the last reference closes the command channels — ending the worker
+/// loops — and joins the threads.
+#[derive(Debug)]
+struct Links {
+    txs: Vec<Sender<Command>>,
     thread_of_shard: Vec<usize>,
-    total_budget: AtomicU64,
-    min_per_shard: u64,
-    shards: usize,
-    rebalance_period: SimDuration,
-    /// Tenant of each global shard (the tree itself lives on the arbiter
-    /// thread; this mirror is immutable routing metadata).
-    tenant_of_shard: Vec<usize>,
-    tenant_names: Vec<String>,
-    tenant_qos: Vec<TenantQos>,
-    tenant_metric_names: Vec<TenantMetricNames>,
-    /// Mirror of each tenant's applied throttle cap (kept in sync by the
-    /// control handle, which is the only throttle initiator).
-    tenant_throttled: Mutex<Vec<Option<u64>>>,
-    /// Pages each tenant has lost to power failures so far.
-    tenant_pages_lost: Mutex<Vec<u64>>,
-    joins: Mutex<Vec<JoinHandle<()>>>,
-    arbiter_join: Mutex<Option<JoinHandle<()>>>,
+    /// The first error a fire-and-forget command hit; surfaced by the
+    /// next `sync` or `step`.
+    error: Arc<Mutex<Option<ViyojitError>>>,
+    joins: Vec<JoinHandle<()>>,
 }
 
-impl Runtime {
-    fn lock_rounds(&self) -> std::sync::MutexGuard<'_, RoundState> {
-        self.rounds.lock().unwrap_or_else(PoisonError::into_inner)
+impl Links {
+    /// Sends a fire-and-forget request to `thread`.
+    fn post(&self, thread: usize, request: Request) -> Result<(), ViyojitError> {
+        self.txs[thread]
+            .send((request, None))
+            .map_err(|_| ViyojitError::ShardFailed { shard: thread })
     }
 
-    /// The error a dead worker thread maps to: its first owned shard.
-    fn thread_failed(&self, thread: usize) -> ViyojitError {
-        ViyojitError::ShardFailed { shard: thread }
+    /// Sends `request` to `thread`, returning where its answer arrives. A
+    /// worker that already exited drops the command — and with it the
+    /// answer's sender — so the loss shows up at [`Links::wait`].
+    fn ask(&self, thread: usize, request: Request) -> Receiver<Answer> {
+        let (tx, rx) = channel();
+        let _ = self.txs[thread].send((request, Some(tx)));
+        rx
     }
 
-    fn send_to_thread(&self, thread: usize, cmd: ShardCmd) -> Result<(), ViyojitError> {
-        self.shard_txs[thread]
-            .send(cmd)
-            .map_err(|_| self.thread_failed(thread))
-    }
-
-    fn arbiter_send(&self, msg: ArbiterMsg) -> Result<(), ViyojitError> {
-        self.arbiter_tx
-            .as_ref()
-            .expect("arbiter sender lives as long as the runtime")
-            .send(msg)
-            .map_err(|_| ViyojitError::ShardFailed { shard: 0 })
-    }
-
-    /// Runs one rebalance round with the timeline lock already held.
-    fn round_locked(&self, rs: &mut RoundState, kind: RoundKind) -> Result<(), ViyojitError> {
-        let id = rs.next_round_id;
-        rs.next_round_id += 1;
-        let (reply_tx, reply_rx) = channel();
-        self.arbiter_send(ArbiterMsg::StartRound {
-            id,
-            kind,
-            reply: reply_tx,
-        })?;
-        // A failed send means that worker died; the arbiter learns of it
-        // through the worker's ThreadDown and aborts the round, so the
-        // reply below still arrives.
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardCmd::Round { id });
+    fn wait(rx: Receiver<Answer>) -> Result<Reply, WaitError> {
+        match rx.recv_timeout(ROUND_TIMEOUT) {
+            Ok(Ok(reply)) => Ok(reply),
+            Ok(Err(WorkerDown { fatal })) => Err(WaitError::Down { fatal }),
+            Err(RecvTimeoutError::Timeout) => Err(WaitError::Silent),
+            // The worker exited without serving the request.
+            Err(RecvTimeoutError::Disconnected) => Err(WaitError::Down { fatal: true }),
         }
-        reply_rx.recv_timeout(ROUND_TIMEOUT).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ViyojitError::RoundTimeout,
-            RecvTimeoutError::Disconnected => ViyojitError::ShardFailed { shard: 0 },
-        })?
+    }
+
+    /// Round-trips a data-plane request to `thread`.
+    fn exchange(&self, thread: usize, request: Request) -> Result<Reply, ViyojitError> {
+        Links::wait(self.ask(thread, request)).map_err(|e| match e {
+            WaitError::Down { .. } => ViyojitError::ShardFailed { shard: thread },
+            WaitError::Silent => ViyojitError::RoundTimeout,
+        })
     }
 
     fn take_async_error(&self) -> Result<(), ViyojitError> {
-        match self
-            .error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
+        let mut slot = self.error.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.take().map_or(Ok(()), Err)
+    }
+}
+
+impl Drop for Links {
+    fn drop(&mut self) {
+        self.txs.clear();
+        for join in self.joins.drain(..) {
+            let _ = join.join();
         }
     }
 }
 
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        // Closing the command channels ends the worker loops; the workers
-        // then drop their arbiter senders, and closing ours ends the
-        // arbiter loop.
-        std::mem::take(&mut self.shard_txs);
-        for j in std::mem::take(self.joins.get_mut().unwrap_or_else(PoisonError::into_inner)) {
-            let _ = j.join();
+/// The threaded transport: one driver per worker thread, reached over
+/// [`Links`]. "Now" is the driver timeline `step` advances; every worker
+/// clock follows it tick for tick.
+#[derive(Debug)]
+pub(super) struct Workers {
+    links: Arc<Links>,
+    now: SimTime,
+    /// The per-shard budget floor a respawning worker pins its shards to,
+    /// and so what their quarantine stats report.
+    floor: u64,
+}
+
+impl Workers {
+    /// Sends `make(thread)` to every worker not in `down` before awaiting
+    /// any answer, then hands each reply to `take`. In a round (`down` is
+    /// given), a worker answering that it is respawning joins `down`;
+    /// any other loss is the caller's error.
+    fn gather(
+        &self,
+        down: Option<&mut Vec<bool>>,
+        mut make: impl FnMut(usize) -> Request,
+        mut take: impl FnMut(Reply),
+    ) -> Result<(), Lost> {
+        let threads = self.links.txs.len();
+        let in_round = down.is_some();
+        let mut outside_a_round = Vec::new();
+        let down = down.unwrap_or(&mut outside_a_round);
+        down.resize(threads, false);
+        let pending: Vec<_> = (0..threads)
+            .filter(|&t| !down[t])
+            .map(|t| (t, self.links.ask(t, make(t))))
+            .collect();
+        for (t, rx) in pending {
+            match Links::wait(rx) {
+                Ok(reply) => take(reply),
+                Err(WaitError::Down { fatal: false }) if in_round => down[t] = true,
+                Err(WaitError::Down { .. }) => return Err(Lost::Down { driver: t }),
+                Err(WaitError::Silent) => return Err(Lost::Silent { driver: t }),
+            }
         }
-        self.arbiter_tx = None;
-        if let Some(j) = self
-            .arbiter_join
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            let _ = j.join();
+        Ok(())
+    }
+
+    fn shards(&self) -> usize {
+        self.links.thread_of_shard.len()
+    }
+}
+
+impl Transport for Workers {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn advance(&mut self, d: SimDuration) -> Result<(), Lost> {
+        self.now += d;
+        for t in 0..self.links.txs.len() {
+            self.links
+                .post(t, Request::Tick(d))
+                .map_err(|_| Lost::Down { driver: t })?;
         }
+        Ok(())
+    }
+
+    fn stats(&self, down: Option<&mut Vec<bool>>) -> Result<Vec<ShardStats>, Lost> {
+        let mut out: Vec<ShardStats> = (0..self.shards())
+            .map(|s| quarantine_stats(s, self.floor))
+            .collect();
+        self.gather(
+            down,
+            |_| Request::Stats,
+            |reply| {
+                let Reply::Stats(stats) = reply else {
+                    unreachable!("{REPLY_KIND}")
+                };
+                for s in stats {
+                    out[s.shard] = s;
+                }
+            },
+        )?;
+        Ok(out)
+    }
+
+    fn ssd_stats(&self) -> Result<Vec<SsdStats>, Lost> {
+        let mut out = vec![SsdStats::default(); self.shards()];
+        self.gather(
+            None,
+            |_| Request::SsdStats,
+            |reply| {
+                let Reply::Ssd(stats) = reply else {
+                    unreachable!("{REPLY_KIND}")
+                };
+                for (shard, s) in stats {
+                    out[shard] = s;
+                }
+            },
+        )?;
+        Ok(out)
+    }
+
+    fn apply(
+        &mut self,
+        phase: Phase,
+        grants: &[BudgetGrant],
+        down: &mut Vec<bool>,
+    ) -> Result<(), Lost> {
+        let thread_of_shard = &self.links.thread_of_shard;
+        // Every worker hears of every phase, grants or not: the shrink
+        // request is what a worker's round begins with.
+        let own = |t: usize| {
+            let grants = grants.iter().filter(|g| thread_of_shard[g.shard] == t);
+            Request::Apply(phase, grants.copied().collect())
+        };
+        self.gather(Some(down), own, |_| {})
+    }
+
+    fn power_failure(
+        &mut self,
+        supply: Option<(&Battery, &PowerModel)>,
+    ) -> Result<Vec<PowerFailureReport>, Lost> {
+        let mut out = vec![None; self.shards()];
+        self.gather(
+            None,
+            |_| Request::PowerFailure(supply.map(|(b, p)| Box::new((b.clone(), p.clone())))),
+            |reply| {
+                let Reply::Failure(reports) = reply else {
+                    unreachable!("{REPLY_KIND}")
+                };
+                for (shard, report) in reports {
+                    out[shard] = Some(report);
+                }
+            },
+        )?;
+        let reports = out.into_iter().map(|r| r.expect("every worker answered"));
+        Ok(reports.collect())
+    }
+
+    fn recover(&mut self) -> Result<(), Lost> {
+        self.gather(None, |_| Request::Recover, |_| {})
+    }
+
+    fn check_engines(&self) -> Result<Result<(), InvariantViolation>, Lost> {
+        let mut first = Ok(());
+        self.gather(
+            None,
+            |_| Request::Invariants,
+            |reply| {
+                let Reply::Invariants(checked) = reply else {
+                    unreachable!("{REPLY_KIND}")
+                };
+                first = first.and(checked);
+            },
+        )?;
+        Ok(first)
     }
 }
 
@@ -359,61 +382,55 @@ fn panic_trigger(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 struct Worker<B: DirtyTracker> {
-    /// `(global shard index, engine)`, ascending by shard index.
-    engines: Vec<(usize, Engine<B>)>,
-    profiler: Profiler,
-    /// Per-engine profiler frame names (`shard{i}`).
-    frames: Vec<&'static str>,
-    rx: Receiver<ShardCmd>,
-    grant_rx: Receiver<GrantMsg>,
-    arbiter_tx: Sender<ArbiterMsg>,
-    clock: Clock,
-    dirty_map: Arc<AtomicBitmap2L>,
-    /// Words per shard in the shared dirty map.
-    stride: usize,
-    /// Last published words, one shadow per engine — diffed so a Tick
-    /// only stores words that changed.
-    shadow: Vec<Vec<u64>>,
-    scratch: Vec<u64>,
+    driver: ShardDriver<B>,
+    rx: Receiver<Command>,
     error: Arc<Mutex<Option<ViyojitError>>>,
-    /// This worker's thread index (the arbiter's quarantine key).
+    /// This worker's thread index — also its first owned shard, which is
+    /// how its events and errors name it.
     thread: usize,
     /// Panics this worker may absorb by respawning from durable state
-    /// before one degrades to the fatal ThreadDown path (0 = every panic
-    /// is fatal, the pre-supervision behaviour).
+    /// before one is fatal (0 = every panic is fatal, the pre-supervision
+    /// behaviour).
     restart_budget: u32,
     restarts: u32,
     /// The cluster's per-shard budget floor: a respawned worker pins its
     /// engines here until the next round replans them.
-    min_per_shard: u64,
+    floor: u64,
     /// This worker's telemetry shard: every record locks only this
     /// thread's own recorder, never a shared one.
     telemetry: Telemetry,
-    /// Black-box writer; a caught panic or round timeout dumps this
-    /// thread's trace window before recovery proceeds.
+    /// Black-box writer; a caught panic dumps this thread's trace window
+    /// before recovery proceeds.
     flight: Option<Arc<FlightRecorder>>,
-    /// The most recent budget round this worker participated in, stamped
-    /// into postmortem dumps.
-    last_round: u64,
+    /// Budget rounds this worker has entered, stamped into postmortem
+    /// dumps.
+    rounds: u64,
 }
 
 impl<B: DirtyTracker> Worker<B> {
     fn run(mut self) {
-        while let Ok(cmd) = self.rx.recv() {
-            let caught = catch_unwind(AssertUnwindSafe(|| self.handle(cmd)));
-            if let Err(payload) = caught {
-                self.dump_black_box(&panic_trigger(payload.as_ref()));
-                if self.restarts < self.restart_budget {
-                    self.restarts += 1;
-                    self.respawn();
-                    continue;
+        while let Ok((request, answer)) = self.rx.recv() {
+            // `answer` stays outside the unwind boundary, so a panic
+            // still answers the request that triggered it.
+            let served = catch_unwind(AssertUnwindSafe(|| self.serve(request)));
+            let (reply, panicked) = match served {
+                Ok(reply) => (Ok(reply), None),
+                Err(payload) => {
+                    self.dump_black_box(&panic_trigger(payload.as_ref()));
+                    let fatal = self.restarts >= self.restart_budget;
+                    (Err(WorkerDown { fatal }), Some(fatal))
                 }
-                let first = self.engines.first().map_or(0, |&(s, _)| s);
-                self.record_error(ViyojitError::ShardFailed { shard: first });
-                let _ = self
-                    .arbiter_tx
-                    .send(ArbiterMsg::ThreadDown { first_shard: first });
-                break;
+            };
+            if let Some(answer) = answer {
+                let _ = answer.send(reply);
+            }
+            match panicked {
+                None => {}
+                Some(false) => self.respawn(),
+                Some(true) => {
+                    self.record_error(ViyojitError::ShardFailed { shard: self.thread });
+                    break;
+                }
             }
         }
     }
@@ -423,43 +440,20 @@ impl<B: DirtyTracker> Worker<B> {
     fn dump_black_box(&self, trigger: &str) {
         if let Some(flight) = &self.flight {
             let label = format!("worker{}", self.thread);
-            let _ = flight.dump(&label, trigger, self.last_round, &self.telemetry);
+            let _ = flight.dump(&label, trigger, self.rounds, &self.telemetry);
         }
     }
 
-    /// Self-recovery after a caught panic: quarantine with the arbiter,
-    /// run the real emergency flush from whatever intermediate state the
-    /// unwind left behind, reload every owned engine from its durable
-    /// contents, pin the budgets to the floor (freeing the remainder for
-    /// sibling shards while quarantined — the tree replans at the next
-    /// round), and rejoin the command loop.
+    /// Self-recovery after a caught panic: power-cycle every owned shard
+    /// at the floor budget and rejoin the command loop.
     fn respawn(&mut self) {
-        let first = self.engines.first().map_or(0, |&(s, _)| s);
-        let restarts = u64::from(self.restarts);
-        self.telemetry.emit(|| TraceEvent::ShardPanicked {
-            shard: first as u64,
-            restarts,
-        });
-        let _ = self.arbiter_tx.send(ArbiterMsg::WorkerPanicked {
-            thread: self.thread,
-        });
-        let mut pages_lost = 0u64;
-        for (_, e) in &mut self.engines {
-            pages_lost += e.power_failure().pages_lost;
-            e.recover();
-            // Free after recovery (nothing is dirty), and it keeps the
-            // cluster-wide sum of assigned budgets under the battery while
-            // the arbiter hands this thread's share to siblings.
-            e.set_dirty_budget(self.min_per_shard);
-        }
-        self.publish_dirty();
-        self.telemetry.emit(|| TraceEvent::ShardRespawned {
-            shard: first as u64,
-            pages_lost,
-        });
-        let _ = self.arbiter_tx.send(ArbiterMsg::WorkerRecovered {
-            thread: self.thread,
-        });
+        self.restarts += 1;
+        let (shard, restarts) = (self.thread as u64, u64::from(self.restarts));
+        self.telemetry
+            .emit(|| TraceEvent::ShardPanicked { shard, restarts });
+        let pages_lost = self.driver.restart_at_floor(self.floor);
+        self.telemetry
+            .emit(|| TraceEvent::ShardRespawned { shard, pages_lost });
     }
 
     fn record_error(&self, e: ViyojitError) {
@@ -469,534 +463,60 @@ impl<B: DirtyTracker> Worker<B> {
             .get_or_insert(e);
     }
 
-    fn engine_idx(&self, shard: usize) -> usize {
-        self.engines
-            .iter()
-            .position(|&(s, _)| s == shard)
-            .expect("commands are routed to the owning worker")
-    }
-
-    fn snapshot(shard: usize, e: &Engine<B>) -> ShardStats {
-        ShardStats {
-            shard,
-            stats: e.stats(),
-            dirty_pages: e.dirty_count(),
-            budget_pages: e.dirty_budget(),
-        }
-    }
-
-    /// Publishes each owned shard's counted-dirty words into the shared
-    /// map as one batched diff against the last publication: unchanged
-    /// 8-word runs are skipped with a single compare, mostly-changed
-    /// slices fall back to straight-line stores, and the popcount /
-    /// summary / run-tier maintenance is amortized over the whole slice
-    /// instead of paying 3–4 RMWs per `store_word`.
-    fn publish_dirty(&mut self) {
-        for (idx, (shard, engine)) in self.engines.iter().enumerate() {
-            self.scratch[..self.stride].fill(0);
-            let scratch = &mut self.scratch;
-            engine.for_each_counted_word(|w, bits| scratch[w] |= bits);
-            let shadow = &mut self.shadow[idx];
-            self.dirty_map.publish_words(
-                shard * self.stride,
-                &self.scratch[..self.stride],
-                &mut shadow[..self.stride],
-            );
-        }
-    }
-
-    fn handle(&mut self, cmd: ShardCmd) {
-        match cmd {
-            ShardCmd::WriteBatch(batch) => {
+    fn serve(&mut self, request: Request) -> Reply {
+        match request {
+            Request::WriteBatch(batch) => {
                 for w in batch {
-                    let idx = self.engine_idx(w.shard);
-                    let _scope = self.profiler.scope(self.frames[idx]);
-                    if let Err(e) = self.engines[idx].1.write(w.local, w.offset, &w.data) {
+                    if let Err(e) = self.driver.write(w.route, w.offset, &w.data) {
                         self.record_error(e);
                     }
                 }
+                Reply::Done
             }
-            ShardCmd::Read {
-                shard,
-                local,
-                offset,
-                len,
-                reply,
-            } => {
-                let idx = self.engine_idx(shard);
+            Request::Tick(d) => {
+                self.driver.clock().advance(d);
+                Reply::Done
+            }
+            Request::Read { route, offset, len } => {
                 let mut buf = vec![0u8; len];
-                let result = {
-                    let _scope = self.profiler.scope(self.frames[idx]);
-                    self.engines[idx].1.read(local, offset, &mut buf)
-                };
-                let _ = reply.send(result.map(|()| buf));
+                let read = self.driver.read(route, offset, &mut buf);
+                Reply::Read(read.map(|()| buf))
             }
-            ShardCmd::Map {
-                shard,
-                len_bytes,
-                reply,
-            } => {
-                let idx = self.engine_idx(shard);
-                let _ = reply.send(self.engines[idx].1.map(len_bytes));
+            Request::Map { shard, len_bytes } => Reply::Mapped(self.driver.map(shard, len_bytes)),
+            Request::Unmap(route) => Reply::Unmapped(self.driver.unmap(route)),
+            Request::Sync => Reply::Done,
+            Request::Stats => Reply::Stats(self.driver.shard_stats().collect()),
+            Request::SsdStats => Reply::Ssd(self.driver.ssd_stats().collect()),
+            Request::Apply(phase, grants) => {
+                if phase == Phase::Shrink {
+                    self.rounds += 1;
+                    // Power cut between the stats upload and the grant
+                    // download: the coordinator planned with this
+                    // worker's demand but no grant was applied.
+                    fault_sim::crashpoint!(self.driver.crashes(), BudgetRound);
+                }
+                self.driver.apply_grants(phase, &grants);
+                Reply::Done
             }
-            ShardCmd::Unmap {
-                shard,
-                local,
-                reply,
-            } => {
-                let idx = self.engine_idx(shard);
-                let _ = reply.send(self.engines[idx].1.unmap(local));
+            Request::PowerFailure(supply) => {
+                let supply = supply.as_deref().map(|(battery, power)| (battery, power));
+                Reply::Failure(self.driver.power_failure(supply))
             }
-            ShardCmd::Tick(d) => {
-                self.clock.advance(d);
-                self.publish_dirty();
+            Request::Recover => {
+                self.driver.recover();
+                Reply::Done
             }
-            ShardCmd::Sync { reply } => {
-                self.publish_dirty();
-                let _ = reply.send(());
-            }
-            ShardCmd::Round { id } => self.participate(id),
-            ShardCmd::Query { query, reply } => {
-                let _ = reply.send(self.query(query));
-            }
+            Request::Invariants => Reply::Invariants(self.driver.check_invariants()),
         }
     }
-
-    fn participate(&mut self, id: u64) {
-        self.last_round = id;
-        let wall = self.telemetry.wall_start();
-        for (shard, e) in &self.engines {
-            let _ = self.arbiter_tx.send(ArbiterMsg::Stats {
-                round: id,
-                stats: Self::snapshot(*shard, e),
-            });
-        }
-        // Power cut between the stats upload and the grant download: the
-        // arbiter holds this worker's demand but no grant was applied.
-        if let Some((_, e)) = self.engines.first() {
-            fault_sim::crashpoint!(e.crashes(), BudgetRound);
-        }
-        loop {
-            match self.grant_rx.recv_timeout(ROUND_TIMEOUT) {
-                Ok(GrantMsg::Shrink(rid, grants)) if rid == id => {
-                    for g in grants {
-                        let idx = self.engine_idx(g.shard);
-                        let _scope = self.profiler.scope(self.frames[idx]);
-                        self.engines[idx].1.set_dirty_budget(g.budget_pages);
-                    }
-                    let _ = self.arbiter_tx.send(ArbiterMsg::ShrinkDone { round: id });
-                }
-                Ok(GrantMsg::Grow(rid, grants)) if rid == id => {
-                    for g in grants {
-                        let idx = self.engine_idx(g.shard);
-                        self.engines[idx].1.set_dirty_budget(g.budget_pages);
-                    }
-                    for (shard, e) in &self.engines {
-                        let _ = self.arbiter_tx.send(ArbiterMsg::CommitStats {
-                            round: id,
-                            stats: Self::snapshot(*shard, e),
-                        });
-                    }
-                }
-                Ok(GrantMsg::Done(rid)) if rid == id => break,
-                Ok(_) => continue, // stale message from an aborted round
-                Err(RecvTimeoutError::Timeout) => {
-                    // The arbiter is wedged: surface it and rejoin the
-                    // command loop rather than hang the data plane.
-                    let thread = self.thread as u64;
-                    self.telemetry
-                        .emit(|| TraceEvent::RoundTimedOut { round: id, thread });
-                    self.telemetry
-                        .metrics(|m| m.counter_add("parallel.round_timeouts", 1));
-                    self.record_error(ViyojitError::RoundTimeout);
-                    self.dump_black_box("round_timeout");
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => break, // shutting down
-            }
-        }
-        self.publish_dirty();
-        self.telemetry.record_wall(WallKind::BudgetRound, wall);
-    }
-
-    fn query(&mut self, query: CtrlQuery) -> CtrlReply {
-        match query {
-            CtrlQuery::Stats => CtrlReply::Stats(
-                self.engines
-                    .iter()
-                    .map(|(s, e)| Self::snapshot(*s, e))
-                    .collect(),
-            ),
-            CtrlQuery::SsdStats => CtrlReply::Ssd(
-                self.engines
-                    .iter()
-                    .map(|(s, e)| (*s, e.ssd_stats()))
-                    .collect(),
-            ),
-            CtrlQuery::PowerFailure => CtrlReply::Failure(
-                self.engines
-                    .iter_mut()
-                    .map(|(_, e)| e.power_failure())
-                    .collect(),
-            ),
-            CtrlQuery::PowerFailurePowered(bp) => {
-                let (battery, power) = &*bp;
-                CtrlReply::Failure(
-                    self.engines
-                        .iter_mut()
-                        .map(|(_, e)| e.power_failure_powered(battery, power))
-                        .collect(),
-                )
-            }
-            CtrlQuery::Recover => {
-                for (_, e) in &mut self.engines {
-                    e.recover();
-                }
-                self.publish_dirty();
-                CtrlReply::Done
-            }
-            CtrlQuery::Invariants => {
-                let mut assigned = 0;
-                let mut dirty = 0;
-                let mut violation = None;
-                for (_, e) in &self.engines {
-                    assigned += e.dirty_budget();
-                    dirty += e.dirty_count();
-                    if violation.is_none() {
-                        violation = e.check_invariants().err();
-                    }
-                }
-                CtrlReply::Invariants {
-                    assigned,
-                    dirty,
-                    violation,
-                }
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// The arbiter thread
-// ----------------------------------------------------------------------
-
-struct ArbiterThread {
-    tree: BudgetTree,
-    rx: Receiver<ArbiterMsg>,
-    grant_txs: Vec<Sender<GrantMsg>>,
-    thread_of_shard: Vec<usize>,
-    telemetry: Telemetry,
-    /// Per-shard `(dirty_pages, budget_pages)` gauge names.
-    gauge_names: Vec<(&'static str, &'static str)>,
-    /// Per-tenant metric names, indexed by tenant.
-    tenant_metric_names: Vec<TenantMetricNames>,
-    /// First shard of a worker thread known to have died; poisons all
-    /// subsequent rounds.
-    dead: Option<usize>,
-    /// Threads quarantined by supervision: panicked, restoring from
-    /// durable state. Their shards take part in rounds with synthesized
-    /// floor-pinned zero-demand stats, so the tree's burst-first reclaim
-    /// hands their budget to siblings until `WorkerRecovered` lifts it.
-    quarantined: Vec<bool>,
-    /// Threads that dropped out of the round currently in flight (they
-    /// panicked after it started): recovery lifts `quarantined`, but a
-    /// rejoined worker only participates again from the *next* round, so
-    /// barrier and stats accounting for this round must still skip it.
-    round_down: Vec<bool>,
-}
-
-impl ArbiterThread {
-    fn run(mut self) {
-        while let Ok(msg) = self.rx.recv() {
-            match msg {
-                ArbiterMsg::StartRound { id, kind, reply } => {
-                    let result = self.run_round(id, kind);
-                    let _ = reply.send(result);
-                }
-                ArbiterMsg::Rebalances { reply } => {
-                    let _ = reply.send(self.tree.rebalances());
-                }
-                ArbiterMsg::ThreadDown { first_shard } => {
-                    self.dead.get_or_insert(first_shard);
-                }
-                ArbiterMsg::WorkerPanicked { thread } => {
-                    self.quarantined[thread] = true;
-                }
-                ArbiterMsg::WorkerRecovered { thread } => {
-                    self.quarantined[thread] = false;
-                }
-                // Stale round traffic from an aborted round.
-                ArbiterMsg::Stats { .. }
-                | ArbiterMsg::ShrinkDone { .. }
-                | ArbiterMsg::CommitStats { .. } => {}
-            }
-        }
-    }
-
-    /// The error a permanently dead worker maps to.
-    fn dead_error(&self) -> ViyojitError {
-        ViyojitError::ShardFailed {
-            shard: self.dead.unwrap_or(0),
-        }
-    }
-
-    /// Releases every worker possibly blocked on its grant channel, then
-    /// hands `err` back for the round's failure.
-    fn abort_round(&mut self, id: u64, err: ViyojitError) -> ViyojitError {
-        for tx in &self.grant_txs {
-            let _ = tx.send(GrantMsg::Done(id));
-        }
-        err
-    }
-
-    /// Synthesized report for a down thread's shard: floor budget, zero
-    /// demand — exactly what its respawning worker pins, and what makes
-    /// the tree's plan reclaim the freed budget for siblings burst-first.
-    fn quarantine_stats(&self, shard: usize) -> ShardStats {
-        ShardStats {
-            shard,
-            stats: ViyojitStats::default(),
-            dirty_pages: 0,
-            budget_pages: self.tree.min_per_shard(),
-        }
-    }
-
-    /// Fills every unanswered slot owned by `thread` with synthesized
-    /// quarantine stats, returning how many were newly filled.
-    fn synthesize_thread(&self, thread: usize, out: &mut [Option<ShardStats>]) -> usize {
-        let mut filled = 0;
-        for (s, slot) in out.iter_mut().enumerate() {
-            if self.thread_of_shard[s] == thread && slot.is_none() {
-                *slot = Some(self.quarantine_stats(s));
-                filled += 1;
-            }
-        }
-        filled
-    }
-
-    /// Marks `thread` down for the in-flight round (and quarantined for
-    /// planning) when its panic arrives mid-round.
-    fn mark_round_down(&mut self, thread: usize) {
-        self.quarantined[thread] = true;
-        self.round_down[thread] = true;
-    }
-
-    /// Collects one `ShardStats` per shard for round `id` (the picked
-    /// message kind), synthesizing down threads' shards and aborting if a
-    /// worker dies outright or stays silent past the deadline.
-    fn collect_stats(&mut self, id: u64, commits: bool) -> Result<Vec<ShardStats>, ViyojitError> {
-        let n = self.tree.members();
-        let mut out: Vec<Option<ShardStats>> = vec![None; n];
-        let mut got = 0;
-        for t in 0..self.grant_txs.len() {
-            if self.round_down[t] {
-                got += self.synthesize_thread(t, &mut out);
-            }
-        }
-        while got < n {
-            match self.rx.recv_timeout(ROUND_TIMEOUT) {
-                Ok(ArbiterMsg::Stats { round, stats }) if !commits && round == id => {
-                    // A down thread's real report (it respawned before
-                    // joining the round) replaces the synthesized one.
-                    if out[stats.shard].replace(stats).is_none() {
-                        got += 1;
-                    }
-                }
-                Ok(ArbiterMsg::CommitStats { round, stats }) if commits && round == id => {
-                    if out[stats.shard].replace(stats).is_none() {
-                        got += 1;
-                    }
-                }
-                Ok(ArbiterMsg::WorkerPanicked { thread }) => {
-                    self.mark_round_down(thread);
-                    got += self.synthesize_thread(thread, &mut out);
-                }
-                Ok(ArbiterMsg::WorkerRecovered { thread }) => {
-                    self.quarantined[thread] = false;
-                }
-                Ok(ArbiterMsg::ThreadDown { first_shard }) => {
-                    self.dead.get_or_insert(first_shard);
-                    let err = self.dead_error();
-                    return Err(self.abort_round(id, err));
-                }
-                Ok(_) => continue, // stale traffic from an aborted round
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.abort_round(id, ViyojitError::RoundTimeout));
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(self.dead_error()),
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect())
-    }
-
-    fn run_round(&mut self, id: u64, kind: RoundKind) -> Result<(), ViyojitError> {
-        if self.dead.is_some() {
-            let err = self.dead_error();
-            return Err(self.abort_round(id, err));
-        }
-        // Threads quarantined at round start are down for the whole round
-        // even if they recover mid-round: a rejoined worker participates
-        // again from the next round on (stale grants are skipped by id).
-        self.round_down.copy_from_slice(&self.quarantined);
-        let before = self.collect_stats(id, false)?;
-        match kind {
-            RoundKind::Demand => {}
-            // Pre-validated by the control handle, so this cannot panic.
-            RoundKind::SetTotal(pages) => self.tree.set_total_budget(pages),
-            RoundKind::Throttle { tenant, cap } => self.tree.throttle(TenantId(tenant), cap),
-        }
-        let before_stats: Vec<ViyojitStats> = before.iter().map(|s| s.stats).collect();
-        let targets = self.tree.plan(&before_stats);
-
-        // Shrink phase: grants where the target is below the pre-round
-        // budget, applied (with stalls) before anyone grows. Down threads
-        // never answer — and never need to: a panicked worker pins its
-        // engines to the floor, so it has nothing to shrink and the
-        // instantaneous budget sum stays under the battery regardless.
-        self.send_grants(id, &before, &targets, true)?;
-        let threads = self.grant_txs.len();
-        let mut done = 0;
-        while done < threads - self.round_down.iter().filter(|&&d| d).count() {
-            match self.rx.recv_timeout(ROUND_TIMEOUT) {
-                Ok(ArbiterMsg::ShrinkDone { round }) if round == id => done += 1,
-                Ok(ArbiterMsg::WorkerPanicked { thread }) => self.mark_round_down(thread),
-                Ok(ArbiterMsg::WorkerRecovered { thread }) => self.quarantined[thread] = false,
-                Ok(ArbiterMsg::ThreadDown { first_shard }) => {
-                    self.dead.get_or_insert(first_shard);
-                    let err = self.dead_error();
-                    return Err(self.abort_round(id, err));
-                }
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.abort_round(id, ViyojitError::RoundTimeout));
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(self.dead_error()),
-            }
-        }
-
-        // Grow phase; workers answer with their post-apply commit stats.
-        self.send_grants(id, &before, &targets, false)?;
-        let after = self.collect_stats(id, true)?;
-        let after_stats: Vec<ViyojitStats> = after.iter().map(|s| s.stats).collect();
-        self.tree.commit(&after_stats);
-        self.publish_metrics(&after);
-        for tx in &self.grant_txs {
-            let _ = tx.send(GrantMsg::Done(id));
-        }
-        Ok(())
-    }
-
-    fn send_grants(
-        &mut self,
-        id: u64,
-        before: &[ShardStats],
-        targets: &[u64],
-        shrink: bool,
-    ) -> Result<(), ViyojitError> {
-        for (t, tx) in self.grant_txs.iter().enumerate() {
-            let grants: Vec<BudgetGrant> = (0..targets.len())
-                .filter(|&s| self.thread_of_shard[s] == t)
-                .filter(|&s| {
-                    if shrink {
-                        targets[s] < before[s].budget_pages
-                    } else {
-                        targets[s] > before[s].budget_pages
-                    }
-                })
-                .map(|s| BudgetGrant {
-                    shard: s,
-                    budget_pages: targets[s],
-                })
-                .collect();
-            let msg = if shrink {
-                GrantMsg::Shrink(id, grants)
-            } else {
-                GrantMsg::Grow(id, grants)
-            };
-            if tx.send(msg).is_err() {
-                self.dead.get_or_insert(t);
-                let err = self.dead_error();
-                return Err(self.abort_round(id, err));
-            }
-        }
-        Ok(())
-    }
-
-    fn publish_metrics(&mut self, after: &[ShardStats]) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let rebalances = self.tree.rebalances();
-        let tree = &self.tree;
-        let tenant_names = &self.tenant_metric_names;
-        self.telemetry.metrics(|m| {
-            m.counter_set("sharded.rebalances", rebalances);
-            for (s, (dirty_name, budget_name)) in after.iter().zip(&self.gauge_names) {
-                m.gauge_set(dirty_name, s.dirty_pages as f64);
-                m.gauge_set(budget_name, s.budget_pages as f64);
-            }
-            for (t, names) in tenant_names.iter().enumerate() {
-                let mut budget = 0u64;
-                let mut dirty = 0u64;
-                let mut stall = 0u64;
-                for s in &after[tree.tenant_shards(TenantId(t))] {
-                    budget += s.budget_pages;
-                    dirty += s.dirty_pages;
-                    stall += s.stats.stall_time.as_nanos();
-                }
-                m.gauge_set(names.budget_pages, budget as f64);
-                m.gauge_set(names.dirty_pages, dirty as f64);
-                m.counter_set(names.stall_nanos, stall);
-            }
-        });
-    }
-}
-
-// ----------------------------------------------------------------------
-// Aggregation helpers (mirror the sequential frontend's sums exactly)
-// ----------------------------------------------------------------------
-
-fn accumulate_ssd(total: &mut SsdStats, s: &SsdStats) {
-    total.writes += s.writes;
-    total.reads += s.reads;
-    total.bytes_written += s.bytes_written;
-    total.bytes_read += s.bytes_read;
-    total.write_errors += s.write_errors;
-}
-
-fn aggregate_failure(reports: impl IntoIterator<Item = PowerFailureReport>) -> PowerFailureReport {
-    let mut total = PowerFailureReport {
-        dirty_pages: 0,
-        pages_flushed: 0,
-        pages_lost: 0,
-        retries: 0,
-        bytes_flushed: 0,
-        flush_time: SimDuration::ZERO,
-        energy_margin_joules: f64::INFINITY,
-        outcome: FlushOutcome::Complete,
-    };
-    for r in reports {
-        total.dirty_pages += r.dirty_pages;
-        total.pages_flushed += r.pages_flushed;
-        total.pages_lost += r.pages_lost;
-        total.retries += r.retries;
-        total.bytes_flushed += r.bytes_flushed;
-        total.flush_time = total.flush_time.max(r.flush_time);
-        total.energy_margin_joules = total.energy_margin_joules.min(r.energy_margin_joules);
-        total.outcome = total.outcome.max(r.outcome);
-    }
-    total
 }
 
 // ----------------------------------------------------------------------
 // Spawning
 // ----------------------------------------------------------------------
 
-/// Spawns the worker and arbiter threads described by `b` and returns the
-/// two plane handles. `b` was already validated.
+/// Spawns the worker threads described by `b` and returns the two plane
+/// handles. `b` was already validated.
 pub(super) fn spawn_parallel<B: DirtyTracker + Send + 'static>(
     b: ShardedViyojitBuilder<B>,
 ) -> (ShardDataHandle, ShardControlHandle) {
@@ -1004,109 +524,31 @@ pub(super) fn spawn_parallel<B: DirtyTracker + Send + 'static>(
     let threads = b.threads.unwrap_or(shards).min(shards);
     let t0 = b.clock.now();
     let tree = b.tree();
-    let initial = tree.initial_shares();
-    let tenant_count = tree.tenant_count();
-    let tenant_of_shard: Vec<usize> = (0..shards).map(|s| tree.tenant_of_shard(s).0).collect();
-    let tenant_names: Vec<String> = (0..tenant_count)
-        .map(|t| tree.tenant_name(TenantId(t)).to_string())
-        .collect();
-    let tenant_qos: Vec<TenantQos> = (0..tenant_count)
-        .map(|t| tree.tenant_qos(TenantId(t)))
-        .collect();
-    let tenant_metric_names: Vec<TenantMetricNames> = (0..tenant_count)
-        .map(TenantMetricNames::for_tenant)
-        .collect();
-    let tenant_fault_plans = if b.tenants.is_empty() {
-        vec![None]
-    } else {
-        b.tenants
-            .iter()
-            .map(|t| t.faults.clone())
-            .collect::<Vec<_>>()
-    };
-
-    let names: Vec<(&'static str, &'static str, &'static str)> = (0..shards)
-        .map(|i| {
-            (
-                intern_metric_name(format!("sharded.shard{i}.dirty_pages")),
-                intern_metric_name(format!("sharded.shard{i}.budget_pages")),
-                intern_metric_name(format!("shard{i}")),
-            )
-        })
-        .collect();
-
-    let stride = b.pages_per_shard.div_ceil(64);
-    let dirty_map = Arc::new(AtomicBitmap2L::new(shards * stride * 64));
     let error = Arc::new(Mutex::new(None));
-    let thread_of_shard: Vec<usize> = (0..shards).map(|s| s % threads).collect();
-
-    let (arb_tx, arb_rx) = channel();
-    let mut shard_txs = Vec::with_capacity(threads);
-    let mut grant_txs = Vec::with_capacity(threads);
+    let mut txs = Vec::with_capacity(threads);
     let mut joins = Vec::with_capacity(threads);
-
     for t in 0..threads {
-        let owned: Vec<usize> = (t..shards).step_by(threads).collect();
         let clock = Clock::new();
         clock.advance_to(t0);
-        let profiler = b.profiler.fork(clock.clone());
         // Each worker thread records into its own telemetry shard: the
         // write path locks a mutex no other thread ever touches, and the
         // parent handle merges shards on demand at snapshot time.
-        let shard_telemetry = b.telemetry.fork_shard(clock.clone());
-        let engines: Vec<(usize, Engine<B>)> = owned
-            .iter()
-            .map(|&s| {
-                let mut cfg = b.config.clone();
-                cfg.dirty_budget_pages = initial[s];
-                let mut e = Engine::new(
-                    b.pages_per_shard,
-                    cfg,
-                    clock.clone(),
-                    b.costs.clone(),
-                    b.ssd_config.clone(),
-                );
-                e.attach_telemetry(shard_telemetry.clone());
-                e.attach_profiler(profiler.clone());
-                if let Some(plan) = tenant_fault_plans[tenant_of_shard[s]]
-                    .as_ref()
-                    .or(b.faults.as_ref())
-                {
-                    e.attach_faults(plan.clone());
-                }
-                // Clones share the schedule's fire-at-most-once latch, so
-                // one cluster-wide crash fires no matter which shard's
-                // seam reaches the armed ordinal first.
-                e.attach_crashes(b.crashes.clone());
-                (s, e)
-            })
-            .collect();
-        let frames: Vec<&'static str> = owned.iter().map(|&s| names[s].2).collect();
-
+        let telemetry = b.telemetry.fork_shard(clock.clone());
+        let profiler = b.profiler.fork(clock.clone());
+        let owned = (t..shards).step_by(threads);
         let (tx, rx) = channel();
-        let (gtx, grx) = channel();
-        shard_txs.push(tx);
-        grant_txs.push(gtx);
+        txs.push(tx);
         let worker = Worker {
-            shadow: vec![vec![0u64; stride]; engines.len()],
-            scratch: vec![0u64; stride],
-            engines,
-            profiler,
-            frames,
+            driver: ShardDriver::build(&b, &tree, owned, clock, &telemetry, profiler),
             rx,
-            grant_rx: grx,
-            arbiter_tx: arb_tx.clone(),
-            clock,
-            dirty_map: Arc::clone(&dirty_map),
-            stride,
             error: Arc::clone(&error),
             thread: t,
             restart_budget: b.restart_budget,
             restarts: 0,
-            min_per_shard: b.min_per_shard,
-            telemetry: shard_telemetry,
+            floor: b.min_per_shard,
+            telemetry,
             flight: b.flight.clone(),
-            last_round: 0,
+            rounds: 0,
         };
         joins.push(
             std::thread::Builder::new()
@@ -1115,143 +557,66 @@ pub(super) fn spawn_parallel<B: DirtyTracker + Send + 'static>(
                 .expect("worker threads must spawn"),
         );
     }
-
-    let arb = ArbiterThread {
-        tree,
-        rx: arb_rx,
-        grant_txs,
-        thread_of_shard: thread_of_shard.clone(),
-        telemetry: b.telemetry.clone(),
-        gauge_names: names.iter().map(|&(d, g, _)| (d, g)).collect(),
-        tenant_metric_names: tenant_metric_names.clone(),
-        dead: None,
-        quarantined: vec![false; threads],
-        round_down: vec![false; threads],
-    };
-    let arbiter_join = std::thread::Builder::new()
-        .name("viyojit-arbiter".to_string())
-        .spawn(move || arb.run())
-        .expect("the arbiter thread must spawn");
-
-    let runtime = Arc::new(Runtime {
-        shard_txs,
-        arbiter_tx: Some(arb_tx),
-        rounds: Mutex::new(RoundState {
-            next_round_id: 1,
-            virtual_now: t0,
-            next_rebalance_at: t0 + b.rebalance_period,
-        }),
+    let links = Arc::new(Links {
+        txs,
+        thread_of_shard: (0..shards).map(|s| s % threads).collect(),
         error,
-        dirty_map,
-        thread_of_shard,
-        total_budget: AtomicU64::new(b.config.dirty_budget_pages),
-        min_per_shard: b.min_per_shard,
-        shards,
-        rebalance_period: b.rebalance_period,
-        tenant_of_shard,
-        tenant_names,
-        tenant_qos,
-        tenant_metric_names,
-        tenant_throttled: Mutex::new(vec![None; tenant_count]),
-        tenant_pages_lost: Mutex::new(vec![0; tenant_count]),
-        joins: Mutex::new(joins),
-        arbiter_join: Mutex::new(Some(arbiter_join)),
+        joins,
     });
-    let staging = (0..threads).map(|_| Vec::new()).collect();
-    let exporter = b
-        .exporter
-        .map(|config| telemetry::spawn_exporter(b.telemetry.clone(), config));
+    let workers = Workers {
+        links: Arc::clone(&links),
+        now: t0,
+        floor: b.min_per_shard,
+    };
+    let shared = Arc::new(Mutex::new(Coordinator::new(workers, tree, b)));
     (
         ShardDataHandle {
-            runtime: Arc::clone(&runtime),
-            routes: Vec::new(),
-            staging,
-            telemetry: b.telemetry.clone(),
+            router: Router::new(shards),
+            staging: (0..threads).map(|_| Vec::new()).collect(),
+            links,
+            coord: Arc::clone(&shared),
         },
-        ShardControlHandle {
-            runtime,
-            telemetry: b.telemetry,
-            flight: b.flight,
-            exporter,
-        },
+        ShardControlHandle { coord: shared },
     )
+}
+
+/// Locks the shared coordinator — the round mutex. Poisoning is ignored:
+/// the coordinator updates its tree and ledger only after a round's
+/// fallible exchanges are done, each in one step, so a panic under the
+/// lock leaves them valid.
+fn lock(coord: &Mutex<Coordinator<Workers>>) -> MutexGuard<'_, Coordinator<Workers>> {
+    coord.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ----------------------------------------------------------------------
 // The data-plane handle
 // ----------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-struct RouteEntry {
-    shard: usize,
-    local: RegionId,
-    len_bytes: u64,
-}
-
 /// The application-facing handle of a parallel sharded deployment:
 /// [`NvHeap`] routing plus [`ShardDataPlane`] time-stepping.
 ///
-/// Writes are bounds-checked against a local route mirror and staged in
+/// Writes are bounds-checked against the route table and staged in
 /// per-worker batches; reads and mappings are synchronous request/reply
 /// exchanges with the owning worker. Asynchronous write errors surface at
 /// the next [`sync`](ShardDataPlane::sync) or
 /// [`step`](ShardDataPlane::step).
+#[derive(Debug)]
 pub struct ShardDataHandle {
-    runtime: Arc<Runtime>,
-    routes: Vec<Option<RouteEntry>>,
+    router: Router,
     staging: Vec<Vec<StagedWrite>>,
-    /// Driver-side handle, used only for wall-clock step timing.
-    telemetry: Telemetry,
-}
-
-impl std::fmt::Debug for ShardDataHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardDataHandle")
-            .field("shards", &self.runtime.shards)
-            .field("routes", &self.routes.iter().flatten().count())
-            .finish_non_exhaustive()
-    }
+    links: Arc<Links>,
+    coord: Arc<Mutex<Coordinator<Workers>>>,
 }
 
 impl ShardDataHandle {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.runtime.shards
+        self.router.shards()
     }
 
     /// The shard a global region handle routes to, if mapped.
     pub fn shard_of(&self, region: RegionId) -> Option<usize> {
-        self.routes
-            .get(region.0 as usize)
-            .and_then(|r| r.as_ref())
-            .map(|e| e.shard)
-    }
-
-    /// Pages currently *published* as dirty in the shared cross-thread
-    /// bitmap. Exact at `Tick`/`sync`/round boundaries; between them it
-    /// lags each worker's private state by at most one publication.
-    pub fn published_dirty_pages(&self) -> u64 {
-        self.runtime.dirty_map.count()
-    }
-
-    /// The shared cross-thread dirty bitmap (shard `s` occupies the
-    /// word-aligned stride `[s*W, (s+1)*W)` for `W = pages_per_shard
-    /// words, rounded up`).
-    pub fn dirty_bitmap(&self) -> &AtomicBitmap2L {
-        &self.runtime.dirty_map
-    }
-
-    fn route(&self, region: RegionId) -> Result<RouteEntry, ViyojitError> {
-        self.routes
-            .get(region.0 as usize)
-            .and_then(|r| *r)
-            .ok_or(ViyojitError::BadRegion(region))
-    }
-
-    /// Same Fibonacci spread as the sequential frontend.
-    fn preferred_shard(&self, slot: usize) -> usize {
-        let hash = (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (hash % self.runtime.shards as u64) as usize
+        self.router.shard_of(region)
     }
 
     fn flush_thread(&mut self, thread: usize) -> Result<(), ViyojitError> {
@@ -1259,30 +624,11 @@ impl ShardDataHandle {
             return Ok(());
         }
         let batch = std::mem::take(&mut self.staging[thread]);
-        self.runtime
-            .send_to_thread(thread, ShardCmd::WriteBatch(batch))
+        self.links.post(thread, Request::WriteBatch(batch))
     }
 
     fn flush_all(&mut self) -> Result<(), ViyojitError> {
-        for t in 0..self.staging.len() {
-            self.flush_thread(t)?;
-        }
-        Ok(())
-    }
-
-    /// Round-trips a request to `thread`, mapping a dead worker to
-    /// [`ViyojitError::ShardFailed`].
-    fn exchange<T>(
-        &mut self,
-        thread: usize,
-        make: impl FnOnce(Sender<T>) -> ShardCmd,
-    ) -> Result<T, ViyojitError> {
-        let (tx, rx) = channel();
-        self.runtime.send_to_thread(thread, make(tx))?;
-        rx.recv_timeout(ROUND_TIMEOUT).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ViyojitError::RoundTimeout,
-            RecvTimeoutError::Disconnected => self.runtime.thread_failed(thread),
-        })
+        (0..self.staging.len()).try_for_each(|t| self.flush_thread(t))
     }
 }
 
@@ -1291,89 +637,50 @@ impl NvHeap for ShardDataHandle {
     /// shards in order when that shard's space is exhausted — identical
     /// placement to the sequential frontend.
     fn map(&mut self, len_bytes: u64) -> Result<RegionId, ViyojitError> {
-        let slot = self
-            .routes
-            .iter()
-            .position(|r| r.is_none())
-            .unwrap_or(self.routes.len());
-        let preferred = self.preferred_shard(slot);
-        let n = self.runtime.shards;
-        let mut last_err = None;
-        for probe in 0..n {
-            let shard = (preferred + probe) % n;
-            let thread = self.runtime.thread_of_shard[shard];
-            match self.exchange(thread, |reply| ShardCmd::Map {
-                shard,
-                len_bytes,
-                reply,
-            })? {
-                Ok(local) => {
-                    let route = Some(RouteEntry {
-                        shard,
-                        local,
-                        len_bytes,
-                    });
-                    if slot == self.routes.len() {
-                        self.routes.push(route);
-                    } else {
-                        self.routes[slot] = route;
-                    }
-                    return Ok(RegionId(slot as u32));
-                }
-                Err(e) => last_err = Some(e),
+        let links = &self.links;
+        self.router.map(len_bytes, |shard| {
+            let request = Request::Map { shard, len_bytes };
+            match links.exchange(links.thread_of_shard[shard], request)? {
+                Reply::Mapped(mapped) => mapped,
+                _ => unreachable!("{REPLY_KIND}"),
             }
-        }
-        Err(last_err.expect("at least one shard was probed"))
+        })
     }
 
     fn unmap(&mut self, region: RegionId) -> Result<(), ViyojitError> {
-        let entry = self.route(region)?;
-        let thread = self.runtime.thread_of_shard[entry.shard];
+        let route = self.router.route(region)?;
+        let thread = self.links.thread_of_shard[route.shard];
         self.flush_thread(thread)?;
-        self.exchange(thread, |reply| ShardCmd::Unmap {
-            shard: entry.shard,
-            local: entry.local,
-            reply,
-        })??;
-        self.routes[region.0 as usize] = None;
+        let Reply::Unmapped(unmapped) = self.links.exchange(thread, Request::Unmap(route))? else {
+            unreachable!("{REPLY_KIND}")
+        };
+        unmapped?;
+        self.router.unmap(region);
         Ok(())
     }
 
     fn read(&mut self, region: RegionId, offset: u64, buf: &mut [u8]) -> Result<(), ViyojitError> {
-        let entry = self.route(region)?;
-        let thread = self.runtime.thread_of_shard[entry.shard];
+        let route = self.router.route(region)?;
+        let thread = self.links.thread_of_shard[route.shard];
         self.flush_thread(thread)?;
-        let data = self.exchange(thread, |reply| ShardCmd::Read {
-            shard: entry.shard,
-            local: entry.local,
+        let request = Request::Read {
+            route,
             offset,
             len: buf.len(),
-            reply,
-        })??;
-        buf.copy_from_slice(&data);
+        };
+        let Reply::Read(read) = self.links.exchange(thread, request)? else {
+            unreachable!("{REPLY_KIND}")
+        };
+        buf.copy_from_slice(&read?);
         Ok(())
     }
 
     fn write(&mut self, region: RegionId, offset: u64, data: &[u8]) -> Result<(), ViyojitError> {
-        let entry = self.route(region)?;
-        // The same bounds rule as RegionTable::resolve, evaluated against
-        // the route mirror so staging never defers a validation error;
-        // the error names the shard-local region, as the sequential
-        // frontend's does.
-        if offset
-            .checked_add(data.len() as u64)
-            .is_none_or(|end| end > entry.len_bytes)
-        {
-            return Err(ViyojitError::OutOfRange {
-                region: entry.local,
-                offset,
-                len: data.len(),
-            });
-        }
-        let thread = self.runtime.thread_of_shard[entry.shard];
+        let route = self.router.route(region)?;
+        route.check(offset, data.len())?;
+        let thread = self.links.thread_of_shard[route.shard];
         self.staging[thread].push(StagedWrite {
-            shard: entry.shard,
-            local: entry.local,
+            route,
             offset,
             data: data.to_vec(),
         });
@@ -1384,44 +691,28 @@ impl NvHeap for ShardDataHandle {
     }
 
     fn region_len(&self, region: RegionId) -> Result<u64, ViyojitError> {
-        Ok(self.route(region)?.len_bytes)
+        Ok(self.router.route(region)?.len_bytes)
     }
 }
 
 impl ShardDataPlane for ShardDataHandle {
-    /// Flushes staged writes, broadcasts the tick (each worker advances
-    /// its own clock), and — when the driver timeline crosses a rebalance
-    /// boundary — runs one message-passing round, then fast-forwards the
-    /// boundary past "now" exactly as the sequential frontend does.
+    /// Flushes staged writes, ticks every worker's clock, and — when the
+    /// driver timeline crosses a rebalance boundary — runs one round,
+    /// exactly as the sequential frontend does.
     fn step(&mut self, d: SimDuration) -> Result<(), ViyojitError> {
-        let wall = self.telemetry.wall_start();
         self.flush_all()?;
-        let runtime = Arc::clone(&self.runtime);
-        let mut rs = runtime.lock_rounds();
-        rs.virtual_now += d;
-        for (t, tx) in runtime.shard_txs.iter().enumerate() {
-            tx.send(ShardCmd::Tick(d))
-                .map_err(|_| runtime.thread_failed(t))?;
-        }
-        if rs.virtual_now >= rs.next_rebalance_at {
-            runtime.round_locked(&mut rs, RoundKind::Demand)?;
-            while rs.next_rebalance_at <= rs.virtual_now {
-                rs.next_rebalance_at += runtime.rebalance_period;
-            }
-        }
-        drop(rs);
-        self.telemetry.record_wall(WallKind::Step, wall);
-        runtime.take_async_error()
+        lock(&self.coord).step(d)?;
+        self.links.take_async_error()
     }
 
-    /// Flushes staged writes, barriers on every worker (forcing a dirty
-    /// publication), and surfaces any asynchronous write error.
+    /// Flushes staged writes, barriers on every worker, and surfaces any
+    /// asynchronous write error.
     fn sync(&mut self) -> Result<(), ViyojitError> {
         self.flush_all()?;
-        for t in 0..self.runtime.shard_txs.len() {
-            self.exchange(t, |reply| ShardCmd::Sync { reply })?;
+        for t in 0..self.staging.len() {
+            self.links.exchange(t, Request::Sync)?;
         }
-        self.runtime.take_async_error()
+        self.links.take_async_error()
     }
 }
 
@@ -1430,355 +721,35 @@ impl ShardDataPlane for ShardDataHandle {
 // ----------------------------------------------------------------------
 
 /// The operator-facing handle of a parallel sharded deployment: budget
-/// rounds, failure simulation, recovery, audits — every call a message
-/// exchange with the worker and arbiter threads.
+/// rounds, failure simulation, recovery, audits — the shared coordinator
+/// behind its round mutex, every call a message exchange with the worker
+/// threads.
+#[derive(Debug)]
 pub struct ShardControlHandle {
-    runtime: Arc<Runtime>,
-    telemetry: Telemetry,
-    flight: Option<Arc<FlightRecorder>>,
-    /// Keeps the background exporter alive for the deployment's lifetime;
-    /// dropped (stopping the thread after a final render) with the handle.
-    #[allow(dead_code)]
-    exporter: Option<telemetry::ExporterHandle>,
+    coord: Arc<Mutex<Coordinator<Workers>>>,
 }
 
-impl std::fmt::Debug for ShardControlHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardControlHandle")
-            .field("shards", &self.runtime.shards)
-            .field(
-                "total_budget",
-                &self.runtime.total_budget.load(Ordering::Relaxed),
-            )
-            .finish_non_exhaustive()
+impl Coordinated for ShardControlHandle {
+    type Transport = Workers;
+
+    fn coordinator(&self) -> impl Deref<Target = Coordinator<Workers>> {
+        lock(&self.coord)
+    }
+
+    fn coordinator_mut(&mut self) -> impl DerefMut<Target = Coordinator<Workers>> {
+        lock(&self.coord)
     }
 }
 
 impl ShardControlHandle {
-    /// Sends `query` to every worker and collects the replies in thread
-    /// order.
-    fn query_all(
-        &mut self,
-        mut make: impl FnMut() -> CtrlQuery,
-    ) -> Result<Vec<CtrlReply>, ViyojitError> {
-        let mut pending = Vec::with_capacity(self.runtime.shard_txs.len());
-        for t in 0..self.runtime.shard_txs.len() {
-            let (tx, rx) = channel();
-            self.runtime.send_to_thread(
-                t,
-                ShardCmd::Query {
-                    query: make(),
-                    reply: tx,
-                },
-            )?;
-            pending.push((t, rx));
-        }
-        pending
-            .into_iter()
-            .map(|(t, rx)| {
-                rx.recv_timeout(ROUND_TIMEOUT).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ViyojitError::RoundTimeout,
-                    RecvTimeoutError::Disconnected => self.runtime.thread_failed(t),
-                })
-            })
-            .collect()
-    }
-
     /// One [`ShardStats`] per shard, ascending by shard index — the same
-    /// per-shard view the arbiter collects at the start of a round.
+    /// per-shard view a round starts from.
     pub fn shard_stats(&mut self) -> Result<Vec<ShardStats>, ViyojitError> {
-        let mut all = Vec::with_capacity(self.runtime.shards);
-        for reply in self.query_all(|| CtrlQuery::Stats)? {
-            if let CtrlReply::Stats(mut s) = reply {
-                all.append(&mut s);
-            }
-        }
-        all.sort_by_key(|s| s.shard);
-        Ok(all)
-    }
-
-    fn run_failure(
-        &mut self,
-        mut make: impl FnMut() -> CtrlQuery,
-    ) -> Result<PowerFailureReport, ViyojitError> {
-        let shards = self.runtime.shards;
-        let threads = self.runtime.shard_txs.len();
-        let mut reports = Vec::with_capacity(shards);
-        let mut lost = vec![0u64; self.runtime.tenant_names.len()];
-        // Worker `t` owns shards `(t..shards).step_by(threads)` and
-        // reports them in ascending order, so the global shard index of
-        // each per-worker report is reconstructible without protocol
-        // changes.
-        for (t, reply) in self.query_all(&mut make)?.into_iter().enumerate() {
-            if let CtrlReply::Failure(r) = reply {
-                for (shard, report) in (t..shards).step_by(threads).zip(&r) {
-                    lost[self.runtime.tenant_of_shard[shard]] += report.pages_lost;
-                }
-                reports.extend(r);
-            }
-        }
-        let totals: Vec<u64> = {
-            let mut mirror = self
-                .runtime
-                .tenant_pages_lost
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (m, l) in mirror.iter_mut().zip(&lost) {
-                *m += l;
-            }
-            mirror.clone()
-        };
-        self.telemetry.metrics(|m| {
-            for (names, &v) in self.runtime.tenant_metric_names.iter().zip(&totals) {
-                m.counter_set(names.pages_lost, v);
-            }
-        });
-        Ok(aggregate_failure(reports))
-    }
-
-    /// SSD counters summed over every shard, or over one tenant's shards.
-    fn ssd_stats_filtered(&mut self, tenant: Option<usize>) -> Result<SsdStats, ViyojitError> {
-        let mut total = SsdStats::default();
-        for reply in self.query_all(|| CtrlQuery::SsdStats)? {
-            if let CtrlReply::Ssd(per_shard) = reply {
-                for (shard, s) in per_shard {
-                    if tenant.is_none_or(|t| self.runtime.tenant_of_shard[shard] == t) {
-                        accumulate_ssd(&mut total, &s);
-                    }
-                }
-            }
-        }
-        Ok(total)
+        lock(&self.coord).shard_stats()
     }
 
     /// Aggregated SSD counters across all shards.
     pub fn ssd_stats(&mut self) -> Result<SsdStats, ViyojitError> {
-        self.ssd_stats_filtered(None)
-    }
-}
-
-impl ShardControlPlane for ShardControlHandle {
-    fn rebalance(&mut self) -> Result<(), ViyojitError> {
-        let runtime = Arc::clone(&self.runtime);
-        let mut rs = runtime.lock_rounds();
-        runtime.round_locked(&mut rs, RoundKind::Demand)
-    }
-
-    fn set_total_budget(&mut self, pages: u64) -> Result<(), ViyojitError> {
-        if self.runtime.min_per_shard * self.runtime.shards as u64 > pages {
-            return Err(ViyojitError::InvalidConfig(
-                "per-shard floors exceed the re-provisioned budget",
-            ));
-        }
-        let runtime = Arc::clone(&self.runtime);
-        let mut rs = runtime.lock_rounds();
-        runtime.round_locked(&mut rs, RoundKind::SetTotal(pages))?;
-        drop(rs);
-        runtime.total_budget.store(pages, Ordering::Release);
-        Ok(())
-    }
-
-    fn govern_degradation(
-        &mut self,
-        governor: &mut DegradationGovernor,
-        reported_health: f64,
-    ) -> Result<Option<u64>, ViyojitError> {
-        let ssd = self.ssd_stats()?;
-        let Some(budget) = governor.observe(reported_health, &ssd) else {
-            return Ok(None);
-        };
-        let degraded = matches!(governor.mode(), DegradedMode::Degraded(_));
-        self.telemetry.emit(|| TraceEvent::DegradedModeChanged {
-            degraded,
-            budget_pages: budget,
-        });
-        if degraded {
-            if let Some(flight) = &self.flight {
-                let last_round = self.runtime.lock_rounds().next_round_id.saturating_sub(1);
-                let _ = flight.dump("control", "degraded_mode", last_round, &self.telemetry);
-            }
-        }
-        self.set_total_budget(budget)?;
-        Ok(Some(budget))
-    }
-
-    fn power_failure(&mut self) -> Result<PowerFailureReport, ViyojitError> {
-        self.run_failure(|| CtrlQuery::PowerFailure)
-    }
-
-    fn power_failure_powered(
-        &mut self,
-        battery: &Battery,
-        power: &PowerModel,
-    ) -> Result<PowerFailureReport, ViyojitError> {
-        self.run_failure(|| {
-            CtrlQuery::PowerFailurePowered(Box::new((battery.clone(), power.clone())))
-        })
-    }
-
-    fn recover(&mut self) -> Result<(), ViyojitError> {
-        self.query_all(|| CtrlQuery::Recover)?;
-        let mut rs = self.runtime.lock_rounds();
-        rs.next_rebalance_at = rs.virtual_now + self.runtime.rebalance_period;
-        Ok(())
-    }
-
-    fn stats(&mut self) -> Result<ViyojitStats, ViyojitError> {
-        let mut total = ViyojitStats::default();
-        for s in self.shard_stats()? {
-            total.accumulate(&s.stats);
-        }
-        Ok(total)
-    }
-
-    fn dirty_count(&mut self) -> Result<u64, ViyojitError> {
-        Ok(self.shard_stats()?.iter().map(|s| s.dirty_pages).sum())
-    }
-
-    fn total_budget_pages(&self) -> u64 {
-        self.runtime.total_budget.load(Ordering::Acquire)
-    }
-
-    fn rebalances(&mut self) -> Result<u64, ViyojitError> {
-        let runtime = Arc::clone(&self.runtime);
-        let _rs = runtime.lock_rounds();
-        let (tx, rx) = channel();
-        runtime.arbiter_send(ArbiterMsg::Rebalances { reply: tx })?;
-        rx.recv_timeout(ROUND_TIMEOUT).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ViyojitError::RoundTimeout,
-            RecvTimeoutError::Disconnected => ViyojitError::ShardFailed { shard: 0 },
-        })
-    }
-
-    fn check_invariants(&mut self) -> Result<(), ViyojitError> {
-        let mut assigned = 0;
-        let mut dirty = 0;
-        let mut first = None;
-        for reply in self.query_all(|| CtrlQuery::Invariants)? {
-            if let CtrlReply::Invariants {
-                assigned: a,
-                dirty: d,
-                violation,
-            } = reply
-            {
-                assigned += a;
-                dirty += d;
-                if first.is_none() {
-                    first = violation;
-                }
-            }
-        }
-        let total = self.total_budget_pages();
-        if assigned > total {
-            return Err(InvariantViolation::OverCommit {
-                assigned,
-                provisioned: total,
-            }
-            .into());
-        }
-        if dirty > total {
-            return Err(InvariantViolation::BudgetExceeded {
-                dirty,
-                budget: total,
-            }
-            .into());
-        }
-        match first {
-            Some(v) => Err(v.into()),
-            None => Ok(()),
-        }
-    }
-
-    fn tenant_stats(&mut self) -> Result<Vec<TenantStats>, ViyojitError> {
-        let per_shard = self.shard_stats()?;
-        let throttled = self
-            .runtime
-            .tenant_throttled
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let lost = self
-            .runtime
-            .tenant_pages_lost
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let mut out: Vec<TenantStats> = self
-            .runtime
-            .tenant_names
-            .iter()
-            .enumerate()
-            .map(|(t, name)| TenantStats {
-                tenant: TenantId(t),
-                name: name.clone(),
-                budget_pages: 0,
-                dirty_pages: 0,
-                stats: ViyojitStats::default(),
-                pages_lost: lost[t],
-                throttled: throttled[t].is_some(),
-            })
-            .collect();
-        for s in &per_shard {
-            let t = self.runtime.tenant_of_shard[s.shard];
-            out[t].budget_pages += s.budget_pages;
-            out[t].dirty_pages += s.dirty_pages;
-            out[t].stats.accumulate(&s.stats);
-        }
-        Ok(out)
-    }
-
-    fn throttle_tenant(&mut self, tenant: TenantId, cap: Option<u64>) -> Result<(), ViyojitError> {
-        if tenant.0 >= self.runtime.tenant_names.len() {
-            return Err(ViyojitError::InvalidConfig("tenant id out of range"));
-        }
-        // The same clamp the tree applies: a cap can never squeeze a
-        // tenant below its shards' floors.
-        let shards_t = self
-            .runtime
-            .tenant_of_shard
-            .iter()
-            .filter(|&&t| t == tenant.0)
-            .count() as u64;
-        let clamped = cap.map(|c| c.max(self.runtime.min_per_shard * shards_t));
-        let runtime = Arc::clone(&self.runtime);
-        {
-            let mut rs = runtime.lock_rounds();
-            runtime.round_locked(
-                &mut rs,
-                RoundKind::Throttle {
-                    tenant: tenant.0,
-                    cap: clamped,
-                },
-            )?;
-        }
-        runtime
-            .tenant_throttled
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)[tenant.0] = clamped;
-        let cap_pages = clamped.unwrap_or_else(|| self.runtime.tenant_qos[tenant.0].capacity());
-        self.telemetry.emit(|| TraceEvent::TenantThrottled {
-            tenant: tenant.0 as u64,
-            throttled: clamped.is_some(),
-            cap_pages,
-        });
-        Ok(())
-    }
-
-    fn govern_tenant_degradation(
-        &mut self,
-        tenant: TenantId,
-        governor: &mut DegradationGovernor,
-        reported_health: f64,
-    ) -> Result<Option<u64>, ViyojitError> {
-        if tenant.0 >= self.runtime.tenant_names.len() {
-            return Err(ViyojitError::InvalidConfig("tenant id out of range"));
-        }
-        let ssd = self.ssd_stats_filtered(Some(tenant.0))?;
-        let Some(budget) = governor.observe(reported_health, &ssd) else {
-            return Ok(None);
-        };
-        let throttled = matches!(governor.mode(), DegradedMode::Degraded(_));
-        self.throttle_tenant(tenant, throttled.then_some(budget))?;
-        Ok(Some(budget))
+        lock(&self.coord).ssd_stats(None)
     }
 }

@@ -17,7 +17,11 @@
 //! ([`ShardDataHandle`](super::ShardDataHandle) /
 //! [`ShardControlHandle`](super::ShardControlHandle)) implement these
 //! traits, so experiments can swap execution modes without touching
-//! workload code. See DESIGN.md "Threading model & plane split".
+//! workload code. The control plane has a single implementation — the
+//! coordinator's — which the sequential frontend reaches directly and
+//! the control handle by locking it; the data planes differ by nature
+//! (inline calls versus staged batches). See DESIGN.md "Threading model
+//! & plane split".
 //!
 //! [`step`]: ShardDataPlane::step
 //! [`sync`]: ShardDataPlane::sync
@@ -66,8 +70,9 @@ pub trait ShardDataPlane: NvHeap {
 ///
 /// Every method takes `&mut self` and returns `Result` — on the parallel
 /// runtime each call is a message exchange with shard threads that can
-/// fail with [`ViyojitError::ShardFailed`]; the sequential frontend never
-/// fails except where documented.
+/// fail with [`ViyojitError::ShardFailed`] (a dead worker) or
+/// [`ViyojitError::RoundTimeout`] (a wedged one); the sequential
+/// frontend never fails except where documented.
 pub trait ShardControlPlane {
     /// Forces a demand-driven budget rebalance now.
     ///
@@ -147,7 +152,7 @@ pub trait ShardControlPlane {
     ///
     /// # Errors
     ///
-    /// [`ViyojitError::ShardFailed`] if the arbiter is unreachable.
+    /// None today; `Result` for symmetry with the other queries.
     fn rebalances(&mut self) -> Result<u64, ViyojitError>;
 
     /// Checks the cluster-wide invariants (assigned budgets fit the

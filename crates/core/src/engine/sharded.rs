@@ -1,11 +1,11 @@
-//! The sharded multi-tenant frontend: N per-shard engines multiplexing
-//! one battery's dirty budget.
+//! The sequential sharded frontend: one inline driver holding every
+//! shard.
 //!
 //! The ROADMAP's scale-out story: a large NV-DRAM space is split into
 //! shards, each running its own [`Engine`] over its own slice of memory
-//! and SSD, while a [`BudgetTree`] periodically re-divides the single
-//! battery's dirty budget among them in proportion to observed demand —
-//! first across tenants (honouring each tenant's
+//! and SSD, while a [`BudgetTree`](super::BudgetTree) periodically
+//! re-divides the single battery's dirty budget among them in proportion
+//! to observed demand — first across tenants (honouring each tenant's
 //! [`TenantQos`](super::TenantQos) guarantee and burst cap), then across
 //! each tenant's shards. Regions hash to shards at `map` time, so
 //! independent working sets land on independent control loops; the
@@ -17,48 +17,101 @@
 //! Durability composes the same way it does in
 //! [`BalloonedCluster`](crate::BalloonedCluster): every shard enforces
 //! its assigned bound at every instant, budgets are shrunk (stalling the
-//! shrinking shard down) before any shard grows, and the arbiter never
+//! shrinking shard down) before any shard grows, and the tree never
 //! assigns more than the battery provisions — so the cluster-wide dirty
 //! population never exceeds the global budget.
+//!
+//! [`ShardedViyojit`] is the coordinator (see [`super::coordinator`])
+//! over the [`Inline`] transport.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
 use battery_sim::{Battery, PowerModel};
-use fault_sim::FaultPlan;
+use fault_sim::{Crashpoint, FaultPlan};
 use mem_sim::MmuStats;
-use sim_clock::{Clock, CostModel, SimDuration, SimTime};
-use ssd_sim::{SsdConfig, SsdStats};
-use telemetry::{
-    intern_metric_name, ExporterHandle, FlightRecorder, Profiler, Telemetry, TenantMetricNames,
-    TraceEvent, WallKind,
-};
+use sim_clock::{Clock, SimDuration, SimTime};
+use ssd_sim::SsdStats;
+use telemetry::{Profiler, Telemetry};
 
-use crate::{
-    FlushOutcome, InvariantViolation, NvHeap, PowerFailureReport, RegionId, ViyojitConfig,
-    ViyojitError, ViyojitStats,
-};
+use crate::{InvariantViolation, NvHeap, PowerFailureReport, RegionId, ViyojitError, ViyojitStats};
 
-use super::hierarchy::apply_budgets;
-use super::plane::{ShardControlPlane, ShardDataPlane};
-use super::{
-    BudgetTree, DegradationGovernor, DegradedMode, DirtyTracker, Engine, SoftwareWalk, TenantId,
-    TenantStats,
-};
+use super::builder::ShardedViyojitBuilder;
+use super::coordinator::{Coordinated, Coordinator, Lost, Router, Transport};
+use super::driver::{BudgetGrant, Phase, ShardDriver, ShardStats};
+use super::plane::ShardDataPlane;
+use super::{DegradationGovernor, DirtyTracker, Engine, SoftwareWalk, TenantId, TenantStats};
 
-/// Per-shard metric names, interned once at construction (the registry
-/// keys on `&'static str`).
+/// The inline transport: the coordinator's calls land on the one driver
+/// directly, over borrowed slices. "Now" is the shared clock — checked
+/// after every routed access, because calibrated costs move it — and a
+/// panic unwinds to the caller, so no call here can lose its driver.
 #[derive(Debug)]
-struct ShardMetricNames {
-    dirty_pages: &'static str,
-    budget_pages: &'static str,
-    /// Profiler frame name (`shard{i}`) for per-shard span attribution.
-    frame: &'static str,
+pub(super) struct Inline<B: DirtyTracker>(ShardDriver<B>);
+
+impl<B: DirtyTracker> Transport for Inline<B> {
+    fn now(&self) -> SimTime {
+        self.0.clock().now()
+    }
+
+    fn advance(&mut self, d: SimDuration) -> Result<(), Lost> {
+        self.0.clock().advance(d);
+        Ok(())
+    }
+
+    fn seam(&self, point: Crashpoint) {
+        self.0.crashes().check(point);
+    }
+
+    fn stats(&self, _down: Option<&mut Vec<bool>>) -> Result<Vec<ShardStats>, Lost> {
+        Ok(self.0.shard_stats().collect())
+    }
+
+    fn ssd_stats(&self) -> Result<Vec<SsdStats>, Lost> {
+        Ok(self.0.ssd_stats().map(|(_, s)| s).collect())
+    }
+
+    fn apply(
+        &mut self,
+        phase: Phase,
+        grants: &[BudgetGrant],
+        _down: &mut Vec<bool>,
+    ) -> Result<(), Lost> {
+        self.0.apply_grants(phase, grants);
+        Ok(())
+    }
+
+    fn power_failure(
+        &mut self,
+        supply: Option<(&Battery, &PowerModel)>,
+    ) -> Result<Vec<PowerFailureReport>, Lost> {
+        let reports = self.0.power_failure(supply);
+        Ok(reports.into_iter().map(|(_, r)| r).collect())
+    }
+
+    fn recover(&mut self) -> Result<(), Lost> {
+        self.0.recover();
+        Ok(())
+    }
+
+    fn check_engines(&self) -> Result<Result<(), InvariantViolation>, Lost> {
+        Ok(self.0.check_invariants())
+    }
+}
+
+/// Unwraps a control-plane result the inline transport cannot fail: what
+/// is left is the documented panic of the inherent methods (a budget
+/// below the floors, a tenant out of range).
+fn inline<T>(result: Result<T, ViyojitError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// N Viyojit shards sharing one battery's dirty budget.
 ///
 /// Generic over the same [`DirtyTracker`] backends as [`Engine`]; the
 /// default is the software walker, matching [`Viyojit`](crate::Viyojit).
+/// The inherent methods are the infallible spelling of the
+/// [`ShardControlPlane`](super::ShardControlPlane) this type also
+/// implements: nothing can fail between the caller and an inline shard.
 ///
 /// # Examples
 ///
@@ -78,93 +131,54 @@ struct ShardMetricNames {
 /// ```
 #[derive(Debug)]
 pub struct ShardedViyojit<B: DirtyTracker = SoftwareWalk> {
-    shards: Vec<Engine<B>>,
-    tree: BudgetTree,
-    /// Global region handle -> (shard index, shard-local region id).
-    /// Freed slots are `None` and reused.
-    routes: Vec<Option<(usize, RegionId)>>,
-    clock: Clock,
-    rebalance_period: SimDuration,
-    next_rebalance_at: SimTime,
-    telemetry: Telemetry,
-    profiler: Profiler,
-    metric_names: Vec<ShardMetricNames>,
-    tenant_metric_names: Vec<TenantMetricNames>,
-    /// Pages each tenant lost to emergency flushes, cumulative across
-    /// power failures (the per-shard reports are attributed here).
-    tenant_pages_lost: Vec<u64>,
-    /// Black-box recorder; sequential mode dumps on degraded-mode entry.
-    flight: Option<Arc<FlightRecorder>>,
-    /// Live metrics exporter; stopped (with a final render) on drop.
-    exporter: Option<ExporterHandle>,
+    coord: Coordinator<Inline<B>>,
+    router: Router,
+}
+
+impl<B: DirtyTracker> Coordinated for ShardedViyojit<B> {
+    type Transport = Inline<B>;
+
+    fn coordinator(&self) -> impl Deref<Target = Coordinator<Inline<B>>> {
+        &self.coord
+    }
+
+    fn coordinator_mut(&mut self) -> impl DerefMut<Target = Coordinator<Inline<B>>> {
+        &mut self.coord
+    }
 }
 
 impl<B: DirtyTracker> ShardedViyojit<B> {
     /// Construction body of
-    /// [`ShardedViyojitBuilder::build_sequential`]: one engine per shard
-    /// of the (already validated) budget hierarchy, each starting at its
-    /// tenant's even initial share. The tree re-divides the budget by
-    /// demand every `rebalance_period` of virtual time.
-    ///
-    /// [`ShardedViyojitBuilder::build_sequential`]:
-    ///     super::ShardedViyojitBuilder::build_sequential
-    pub(super) fn assemble(
-        tree: BudgetTree,
-        pages_per_shard: usize,
-        config: ViyojitConfig,
-        rebalance_period: SimDuration,
-        clock: Clock,
-        costs: CostModel,
-        ssd_config: SsdConfig,
-    ) -> Self {
-        let shards = tree.members();
-        let initial = tree.initial_shares();
-        let engines: Vec<Engine<B>> = initial
-            .iter()
-            .map(|&share| {
-                let mut shard_config = config.clone();
-                shard_config.dirty_budget_pages = share;
-                Engine::new(
-                    pages_per_shard,
-                    shard_config,
-                    clock.clone(),
-                    costs.clone(),
-                    ssd_config.clone(),
-                )
-            })
-            .collect();
-        let metric_names = (0..shards)
-            .map(|i| ShardMetricNames {
-                dirty_pages: intern_metric_name(format!("sharded.shard{i}.dirty_pages")),
-                budget_pages: intern_metric_name(format!("sharded.shard{i}.budget_pages")),
-                frame: intern_metric_name(format!("shard{i}")),
-            })
-            .collect();
-        let tenant_metric_names = (0..tree.tenant_count())
-            .map(TenantMetricNames::for_tenant)
-            .collect();
-        let tenant_pages_lost = vec![0; tree.tenant_count()];
-        let next_rebalance_at = clock.now() + rebalance_period;
+    /// [`ShardedViyojitBuilder::build_sequential`]: one driver owning
+    /// every shard of the (already validated) deployment, on the shared
+    /// clock.
+    pub(super) fn assemble(b: ShardedViyojitBuilder<B>) -> Self {
+        let tree = b.tree();
+        let driver = ShardDriver::build(
+            &b,
+            &tree,
+            0..b.shards,
+            b.clock.clone(),
+            &b.telemetry,
+            b.profiler.clone(),
+        );
         ShardedViyojit {
-            shards: engines,
-            tree,
-            routes: Vec::new(),
-            clock,
-            rebalance_period,
-            next_rebalance_at,
-            telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
-            metric_names,
-            tenant_metric_names,
-            tenant_pages_lost,
-            flight: None,
-            exporter: None,
+            router: Router::new(b.shards),
+            coord: Coordinator::new(Inline(driver), tree, b),
         }
+    }
+
+    fn driver(&self) -> &ShardDriver<B> {
+        &self.coord.transport.0
+    }
+
+    fn driver_mut(&mut self) -> &mut ShardDriver<B> {
+        &mut self.coord.transport.0
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.router.shards()
     }
 
     /// Shared access to one shard's engine.
@@ -173,23 +187,23 @@ impl<B: DirtyTracker> ShardedViyojit<B> {
     ///
     /// Panics if `idx` is out of range.
     pub fn shard(&self, idx: usize) -> &Engine<B> {
-        &self.shards[idx]
+        self.driver().engine(idx)
     }
 
     /// The shared virtual clock.
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        self.driver().clock()
     }
 
     /// The provisioned global budget.
     pub fn total_budget_pages(&self) -> u64 {
-        self.tree.total_budget_pages()
+        self.coord.tree().total_budget_pages()
     }
 
     /// Number of tenants in the budget hierarchy (one for a build with no
     /// declared tenants).
     pub fn tenant_count(&self) -> usize {
-        self.tree.tenant_count()
+        self.coord.tree().tenant_count()
     }
 
     /// The tenant owning shard `shard`.
@@ -198,165 +212,89 @@ impl<B: DirtyTracker> ShardedViyojit<B> {
     ///
     /// Panics if `shard` is out of range.
     pub fn tenant_of_shard(&self, shard: usize) -> TenantId {
-        self.tree.tenant_of_shard(shard)
+        self.coord.tree().tenant_of_shard(shard)
+    }
+
+    /// The shard a global region handle routes to, if mapped.
+    pub fn shard_of(&self, region: RegionId) -> Option<usize> {
+        self.router.shard_of(region)
     }
 
     /// Sum of budgets currently assigned to shards. At most the global
     /// budget at every instant.
     pub fn total_assigned(&self) -> u64 {
-        self.shards.iter().map(|s| s.dirty_budget()).sum()
+        self.driver().engines().map(|e| e.dirty_budget()).sum()
     }
 
     /// Pages counted dirty across all shards.
     pub fn dirty_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.dirty_count()).sum()
+        inline(self.coord.dirty_count())
     }
 
     /// Budget rebalances performed so far.
     pub fn rebalances(&self) -> u64 {
-        self.tree.rebalances()
+        self.coord.tree().rebalances()
     }
 
     /// Aggregated runtime counters (field-wise sum over shards).
     pub fn stats(&self) -> ViyojitStats {
-        let mut total = ViyojitStats::default();
-        for s in &self.shards {
-            total.accumulate(&s.stats());
-        }
-        total
+        inline(self.coord.stats())
     }
 
     /// Per-tenant accounting: each tenant's summed counters, current
     /// budget and dirty population, cumulative pages lost to power
     /// failures, and whether a degraded-mode throttle is active.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        (0..self.tree.tenant_count())
-            .map(|t| {
-                let tenant = TenantId(t);
-                let mut stats = ViyojitStats::default();
-                let mut budget_pages = 0;
-                let mut dirty_pages = 0;
-                for shard in &self.shards[self.tree.tenant_shards(tenant)] {
-                    stats.accumulate(&shard.stats());
-                    budget_pages += shard.dirty_budget();
-                    dirty_pages += shard.dirty_count();
-                }
-                TenantStats {
-                    tenant,
-                    name: self.tree.tenant_name(tenant).to_string(),
-                    budget_pages,
-                    dirty_pages,
-                    stats,
-                    pages_lost: self.tenant_pages_lost[t],
-                    throttled: self.tree.throttle_of(tenant).is_some(),
-                }
-            })
-            .collect()
+        inline(self.coord.tenant_stats())
     }
 
     /// Aggregated MMU access counters.
     pub fn mmu_stats(&self) -> MmuStats {
         let mut total = MmuStats::default();
-        for s in self.shards.iter().map(|s| s.mmu_stats()) {
-            total.reads += s.reads;
-            total.writes += s.writes;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.write_faults += s.write_faults;
-            total.pte_dirtied += s.pte_dirtied;
+        for e in self.driver().engines() {
+            total.accumulate(&e.mmu_stats());
         }
         total
     }
 
     /// Aggregated SSD counters.
     pub fn ssd_stats(&self) -> SsdStats {
-        let mut total = SsdStats::default();
-        for s in self.shards.iter().map(|s| s.ssd_stats()) {
-            total.writes += s.writes;
-            total.reads += s.reads;
-            total.bytes_written += s.bytes_written;
-            total.bytes_read += s.bytes_read;
-            total.write_errors += s.write_errors;
-        }
-        total
+        inline(self.coord.ssd_stats(None))
     }
 
-    /// Attaches telemetry to the frontend and every shard.
-    ///
-    /// All shards publish the standard `viyojit.*` metrics into the one
-    /// registry; since counters only move up under `counter_set`, those
-    /// read as the *maximum* across shards. The per-shard truth lives in
-    /// the `sharded.shardN.*` gauges (and the `sharded.tenantN.*` tenant
-    /// aggregates) this frontend publishes at each rebalance.
+    /// Attaches telemetry to the frontend and every shard after the fact
+    /// (the [`NvStore`](crate::NvStore) surface; prefer the builder).
     pub(crate) fn install_telemetry(&mut self, telemetry: Telemetry) {
-        for shard in &mut self.shards {
-            shard.attach_telemetry(telemetry.clone());
+        for engine in self.driver_mut().engines_mut() {
+            engine.attach_telemetry(telemetry.clone());
         }
-        self.telemetry = telemetry;
+        self.coord.telemetry = telemetry;
     }
 
-    /// Attaches a virtual-time profiler to the frontend and every shard.
-    ///
-    /// Shard entry points (routed reads/writes, rebalance budget moves)
-    /// are wrapped in per-shard `shard{i}` scopes, so one flamegraph shows
-    /// which shard's control loop the virtual time went to — the engine's
-    /// own spans nest underneath (`app;shard2;wp_trap;...`).
+    /// Attaches a virtual-time profiler to the frontend and every shard
+    /// after the fact.
     pub(crate) fn install_profiler(&mut self, profiler: Profiler) {
-        for shard in &mut self.shards {
-            shard.attach_profiler(profiler.clone());
+        for engine in self.driver_mut().engines_mut() {
+            engine.attach_profiler(profiler.clone());
         }
-        self.profiler = profiler;
+        self.driver_mut().set_profiler(profiler);
     }
 
-    /// Attaches one fault plan to every shard (shards share the plan's
-    /// RNG stream; shard order is deterministic, so runs stay reproducible
-    /// from the seed).
+    /// Attaches one fault plan to every shard after the fact.
     pub(crate) fn install_faults(&mut self, faults: FaultPlan) {
-        for shard in &mut self.shards {
-            shard.attach_faults(faults.clone());
+        for engine in self.driver_mut().engines_mut() {
+            engine.attach_faults(faults.clone());
         }
-    }
-
-    /// Attaches a fault plan to one tenant's shards only (a per-tenant
-    /// fault profile from the builder overrides any global plan for that
-    /// tenant's range).
-    pub(crate) fn install_tenant_faults(&mut self, tenant: TenantId, faults: FaultPlan) {
-        for i in self.tree.tenant_shards(tenant) {
-            self.shards[i].attach_faults(faults.clone());
-        }
-    }
-
-    /// Attaches one crash schedule to every shard (clones share the one
-    /// armed `(point, hit)` pair, so the whole cluster crashes at most
-    /// once).
-    pub(crate) fn install_crashes(&mut self, crashes: fault_sim::CrashSchedule) {
-        for shard in &mut self.shards {
-            shard.attach_crashes(crashes.clone());
-        }
-    }
-
-    /// Arms the flight recorder (sequential mode dumps a `control` black
-    /// box when the degradation governor enters degraded mode; panics
-    /// unwind to the caller here, so there is no panic seam to hook).
-    pub(crate) fn install_flight(&mut self, flight: Option<Arc<FlightRecorder>>) {
-        self.flight = flight;
-    }
-
-    /// Starts the live metrics exporter over this frontend's telemetry.
-    pub(crate) fn install_exporter(&mut self, config: Option<telemetry::ExporterConfig>) {
-        self.exporter = config.map(|c| telemetry::spawn_exporter(self.telemetry.clone(), c));
     }
 
     /// Simulates a global power failure: every shard flushes its counted
-    /// dirty pages. The battery obligation is the page *sum* but the drain
-    /// *time* is the slowest shard — shards flush to independent SSDs in
-    /// parallel.
+    /// dirty pages; the report sums pages and keeps the slowest shard's
+    /// flush time.
     pub fn power_failure(&mut self) -> PowerFailureReport {
-        self.aggregate_power_failure(|shard| shard.power_failure())
+        inline(self.coord.power_failure(None))
     }
 
-    /// Simulates a global power failure racing one shared battery: each
-    /// shard executes its emergency flush against the draining supply (see
+    /// Simulates a global power failure racing one shared battery (see
     /// [`Engine::power_failure_powered`]); the aggregate keeps the worst
     /// outcome and the smallest energy margin across shards.
     pub fn power_failure_powered(
@@ -364,81 +302,23 @@ impl<B: DirtyTracker> ShardedViyojit<B> {
         battery: &Battery,
         power: &PowerModel,
     ) -> PowerFailureReport {
-        self.aggregate_power_failure(|shard| shard.power_failure_powered(battery, power))
-    }
-
-    fn aggregate_power_failure(
-        &mut self,
-        mut failure: impl FnMut(&mut Engine<B>) -> PowerFailureReport,
-    ) -> PowerFailureReport {
-        let mut total = PowerFailureReport {
-            dirty_pages: 0,
-            pages_flushed: 0,
-            pages_lost: 0,
-            retries: 0,
-            bytes_flushed: 0,
-            flush_time: SimDuration::ZERO,
-            energy_margin_joules: f64::INFINITY,
-            outcome: FlushOutcome::Complete,
-        };
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let r = failure(shard);
-            self.tenant_pages_lost[self.tree.tenant_of_shard(i).0] += r.pages_lost;
-            total.dirty_pages += r.dirty_pages;
-            total.pages_flushed += r.pages_flushed;
-            total.pages_lost += r.pages_lost;
-            total.retries += r.retries;
-            total.bytes_flushed += r.bytes_flushed;
-            total.flush_time = total.flush_time.max(r.flush_time);
-            total.energy_margin_joules = total.energy_margin_joules.min(r.energy_margin_joules);
-            total.outcome = total.outcome.max(r.outcome);
-        }
-        // The loss ledger is published here as well as at rebalance so a
-        // power failure before the first budget round still leaves the
-        // per-tenant counters in the registry — the parallel runtime
-        // publishes at this point, and the merged view must match.
-        self.telemetry.metrics(|m| {
-            for (names, &lost) in self.tenant_metric_names.iter().zip(&self.tenant_pages_lost) {
-                m.counter_set(names.pages_lost, lost);
-            }
-        });
-        total
-    }
-
-    /// Re-provisions the global budget at runtime (a §8 re-derivation or
-    /// a degradation transition): the arbiter's total changes, then an
-    /// immediate rebalance shrinks losers before growing winners, so the
-    /// cluster-wide dirty population fits the new budget on return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-shard floors no longer fit `pages`.
-    pub fn set_total_budget(&mut self, pages: u64) {
-        self.tree.set_total_budget(pages);
-        self.rebalance();
+        inline(self.coord.power_failure(Some((battery, power))))
     }
 
     /// Caps one tenant's allocation at `cap` pages (clamped up to its
-    /// shard floors), or lifts the cap with `None`, then rebalances so the
-    /// change takes effect immediately — the freed pages flow to sibling
-    /// tenants' burst pools.
+    /// shard floors), or lifts the cap with `None`, effective immediately.
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is out of range.
     pub fn throttle_tenant(&mut self, tenant: TenantId, cap: Option<u64>) {
-        self.tree.throttle(tenant, cap);
-        self.emit_throttle(tenant);
-        self.rebalance();
+        inline(self.coord.throttle_tenant(tenant, cap));
     }
 
     /// Feeds a *per-tenant* degradation governor that tenant's signals
-    /// (reported battery health plus the tenant's shards' SSD error
-    /// counters) and, on a mode transition, squeezes the tenant's
-    /// allocation through [`ShardedViyojit::throttle_tenant`] — entering
-    /// degraded mode caps the tenant at the governor's prescribed budget,
-    /// recovery lifts the cap — while sibling tenants keep their QoS.
-    /// Returns the prescribed tenant budget if a transition happened.
+    /// and, on a mode transition, throttles (or un-throttles) only that
+    /// tenant. Returns the prescribed tenant budget if a transition
+    /// happened.
     ///
     /// # Panics
     ///
@@ -449,70 +329,17 @@ impl<B: DirtyTracker> ShardedViyojit<B> {
         governor: &mut DegradationGovernor,
         reported_health: f64,
     ) -> Option<u64> {
-        let mut ssd = SsdStats::default();
-        for shard in &self.shards[self.tree.tenant_shards(tenant)] {
-            let s = shard.ssd_stats();
-            ssd.writes += s.writes;
-            ssd.reads += s.reads;
-            ssd.bytes_written += s.bytes_written;
-            ssd.bytes_read += s.bytes_read;
-            ssd.write_errors += s.write_errors;
-        }
-        let budget = governor.observe(reported_health, &ssd)?;
-        let throttled = matches!(governor.mode(), DegradedMode::Degraded(_));
-        self.throttle_tenant(tenant, throttled.then_some(budget));
-        Some(budget)
-    }
-
-    fn emit_throttle(&mut self, tenant: TenantId) {
-        let throttle = self.tree.throttle_of(tenant);
-        let cap_pages = throttle.unwrap_or_else(|| self.tree.tenant_qos(tenant).capacity());
-        self.telemetry.emit(|| TraceEvent::TenantThrottled {
-            tenant: tenant.0 as u64,
-            throttled: throttle.is_some(),
-            cap_pages,
-        });
-    }
-
-    /// Feeds the degradation governor the cluster-wide signals (reported
-    /// battery health plus the summed shard SSD error counters) and, on a
-    /// mode transition, applies the prescribed budget through
-    /// [`ShardedViyojit::set_total_budget`]. Returns the applied global
-    /// budget if a transition happened.
-    pub fn govern_degradation(
-        &mut self,
-        governor: &mut DegradationGovernor,
-        reported_health: f64,
-    ) -> Option<u64> {
-        let ssd = self.ssd_stats();
-        let budget = governor.observe(reported_health, &ssd)?;
-        let degraded = matches!(governor.mode(), DegradedMode::Degraded(_));
-        self.telemetry.emit(|| TraceEvent::DegradedModeChanged {
-            degraded,
-            budget_pages: budget,
-        });
-        self.set_total_budget(budget);
-        if degraded {
-            if let Some(flight) = &self.flight {
-                let _ = flight.dump(
-                    "control",
-                    "degraded_mode",
-                    self.tree.rebalances(),
-                    &self.telemetry,
-                );
-            }
-        }
-        Some(budget)
+        inline(
+            self.coord
+                .govern_tenant_degradation(tenant, governor, reported_health),
+        )
     }
 
     /// Recovers every shard from its SSD after a power cycle. Routes
     /// survive (region metadata lives in the flushed superblock, as in
     /// [`Engine::recover`]).
     pub fn recover(&mut self) {
-        for shard in &mut self.shards {
-            shard.recover();
-        }
-        self.next_rebalance_at = self.clock.now() + self.rebalance_period;
+        inline(self.coord.recover());
     }
 
     /// Checks the cluster-wide invariants: assigned budgets fit the
@@ -523,108 +350,13 @@ impl<B: DirtyTracker> ShardedViyojit<B> {
     ///
     /// The first [`InvariantViolation`] found.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        self.tree.check_assignment(self.total_assigned())?;
-        let dirty = self.dirty_count();
-        if dirty > self.total_budget_pages() {
-            return Err(InvariantViolation::BudgetExceeded {
-                dirty,
-                budget: self.total_budget_pages(),
-            });
-        }
-        for shard in &self.shards {
-            shard.check_invariants()?;
-        }
-        Ok(())
-    }
-
-    /// Panicking wrapper over [`ShardedViyojit::check_invariants`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violation's `Display` text on any violation.
-    pub fn validate(&self) {
-        if let Err(violation) = self.check_invariants() {
-            panic!("{violation}");
-        }
-    }
-
-    /// The shard a global region handle routes to, if mapped.
-    pub fn shard_of(&self, region: RegionId) -> Option<usize> {
-        self.routes
-            .get(region.0 as usize)
-            .and_then(|r| r.as_ref())
-            .map(|&(shard, _)| shard)
-    }
-
-    /// Preferred shard for the `n`-th mapping (Fibonacci hashing keeps
-    /// consecutive handles well spread).
-    fn preferred_shard(&self, slot: usize) -> usize {
-        let hash = (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    fn route(&self, region: RegionId) -> Result<(usize, RegionId), ViyojitError> {
-        self.routes
-            .get(region.0 as usize)
-            .and_then(|r| *r)
-            .ok_or(ViyojitError::BadRegion(region))
-    }
-
-    /// Runs a rebalance if the virtual clock crossed the boundary, then
-    /// fast-forwards the boundary past "now" (one rebalance per gap; the
-    /// arbiter sees cumulative demand either way).
-    fn maybe_rebalance(&mut self) {
-        let now = self.clock.now();
-        if now < self.next_rebalance_at {
-            return;
-        }
-        self.rebalance();
-        while self.next_rebalance_at <= self.clock.now() {
-            self.next_rebalance_at += self.rebalance_period;
-        }
-    }
-
-    /// Re-divides the global budget by demand: plan through the tenant
-    /// hierarchy from current stats, shrink the losers (stalling them down
-    /// to their new bound), grow the winners, commit the post-apply stats
-    /// as the next baseline.
-    pub fn rebalance(&mut self) {
-        let wall = self.telemetry.wall_start();
-        let before: Vec<ViyojitStats> = self.shards.iter().map(|s| s.stats()).collect();
-        let targets = self.tree.plan(&before);
-        // Power cut mid-rebalance: targets planned, no engine touched yet
-        // (the shrink/grow seam inside apply_budgets is a second, later
-        // crashpoint).
-        if let Some(shard) = self.shards.first() {
-            fault_sim::crashpoint!(shard.crashes(), Rebalance);
-        }
-        let frames: Vec<&'static str> = self.metric_names.iter().map(|n| n.frame).collect();
-        apply_budgets(&mut self.shards, &targets, &self.profiler, &frames);
-        let after: Vec<ViyojitStats> = self.shards.iter().map(|s| s.stats()).collect();
-        self.tree.commit(&after);
-        self.publish_shard_metrics();
-        self.telemetry.record_wall(WallKind::BudgetRound, wall);
-    }
-
-    fn publish_shard_metrics(&mut self) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let rebalances = self.tree.rebalances();
-        let tenants: Vec<TenantStats> = ShardedViyojit::tenant_stats(self);
-        self.telemetry.metrics(|m| {
-            m.counter_set("sharded.rebalances", rebalances);
-            for (shard, names) in self.shards.iter().zip(&self.metric_names) {
-                m.gauge_set(names.dirty_pages, shard.dirty_count() as f64);
-                m.gauge_set(names.budget_pages, shard.dirty_budget() as f64);
+        match self.coord.check_invariants() {
+            Err(ViyojitError::Invariant(violation)) => Err(violation),
+            other => {
+                inline(other);
+                Ok(())
             }
-            for (t, names) in tenants.iter().zip(&self.tenant_metric_names) {
-                m.gauge_set(names.budget_pages, t.budget_pages as f64);
-                m.gauge_set(names.dirty_pages, t.dirty_pages as f64);
-                m.counter_set(names.stall_nanos, t.stats.stall_time.as_nanos());
-                m.counter_set(names.pages_lost, t.pages_lost);
-            }
-        });
+        }
     }
 }
 
@@ -632,62 +364,32 @@ impl<B: DirtyTracker> NvHeap for ShardedViyojit<B> {
     /// Maps a region on the preferred (hashed) shard, probing the other
     /// shards in order when that shard's space is exhausted.
     fn map(&mut self, len_bytes: u64) -> Result<RegionId, ViyojitError> {
-        let slot = self
-            .routes
-            .iter()
-            .position(|r| r.is_none())
-            .unwrap_or(self.routes.len());
-        let preferred = self.preferred_shard(slot);
-        let n = self.shards.len();
-        let mut last_err = None;
-        for probe in 0..n {
-            let shard = (preferred + probe) % n;
-            match self.shards[shard].map(len_bytes) {
-                Ok(local) => {
-                    let route = Some((shard, local));
-                    if slot == self.routes.len() {
-                        self.routes.push(route);
-                    } else {
-                        self.routes[slot] = route;
-                    }
-                    return Ok(RegionId(slot as u32));
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("at least one shard was probed"))
+        let driver = &mut self.coord.transport.0;
+        self.router
+            .map(len_bytes, |shard| driver.map(shard, len_bytes))
     }
 
     fn unmap(&mut self, region: RegionId) -> Result<(), ViyojitError> {
-        let (shard, local) = self.route(region)?;
-        self.shards[shard].unmap(local)?;
-        self.routes[region.0 as usize] = None;
+        let route = self.router.route(region)?;
+        self.driver_mut().unmap(route)?;
+        self.router.unmap(region);
         Ok(())
     }
 
     fn read(&mut self, region: RegionId, offset: u64, buf: &mut [u8]) -> Result<(), ViyojitError> {
-        let (shard, local) = self.route(region)?;
-        {
-            let _scope = self.profiler.scope(self.metric_names[shard].frame);
-            self.shards[shard].read(local, offset, buf)?;
-        }
-        self.maybe_rebalance();
-        Ok(())
+        let route = self.router.route(region)?;
+        self.driver_mut().read(route, offset, buf)?;
+        self.coord.maybe_rebalance()
     }
 
     fn write(&mut self, region: RegionId, offset: u64, data: &[u8]) -> Result<(), ViyojitError> {
-        let (shard, local) = self.route(region)?;
-        {
-            let _scope = self.profiler.scope(self.metric_names[shard].frame);
-            self.shards[shard].write(local, offset, data)?;
-        }
-        self.maybe_rebalance();
-        Ok(())
+        let route = self.router.route(region)?;
+        self.driver_mut().write(route, offset, data)?;
+        self.coord.maybe_rebalance()
     }
 
     fn region_len(&self, region: RegionId) -> Result<u64, ViyojitError> {
-        let (shard, local) = self.route(region)?;
-        self.shards[shard].region_len(local)
+        Ok(self.router.route(region)?.len_bytes)
     }
 }
 
@@ -696,11 +398,7 @@ impl<B: DirtyTracker> ShardDataPlane for ShardedViyojit<B> {
     /// period boundary was crossed — equivalent to the historical pattern
     /// of `clock.advance(d)` followed by the next routed access.
     fn step(&mut self, d: SimDuration) -> Result<(), ViyojitError> {
-        let wall = self.telemetry.wall_start();
-        self.clock.advance(d);
-        self.maybe_rebalance();
-        self.telemetry.record_wall(WallKind::Step, wall);
-        Ok(())
+        self.coord.step(d)
     }
 
     /// The sequential frontend buffers nothing; always `Ok`.
@@ -709,105 +407,11 @@ impl<B: DirtyTracker> ShardDataPlane for ShardedViyojit<B> {
     }
 }
 
-impl<B: DirtyTracker> ShardControlPlane for ShardedViyojit<B> {
-    fn rebalance(&mut self) -> Result<(), ViyojitError> {
-        ShardedViyojit::rebalance(self);
-        Ok(())
-    }
-
-    fn set_total_budget(&mut self, pages: u64) -> Result<(), ViyojitError> {
-        if self.tree.min_per_shard() * self.shards.len() as u64 > pages {
-            return Err(ViyojitError::InvalidConfig(
-                "per-shard floors exceed the re-provisioned budget",
-            ));
-        }
-        ShardedViyojit::set_total_budget(self, pages);
-        Ok(())
-    }
-
-    fn govern_degradation(
-        &mut self,
-        governor: &mut DegradationGovernor,
-        reported_health: f64,
-    ) -> Result<Option<u64>, ViyojitError> {
-        Ok(ShardedViyojit::govern_degradation(
-            self,
-            governor,
-            reported_health,
-        ))
-    }
-
-    fn power_failure(&mut self) -> Result<PowerFailureReport, ViyojitError> {
-        Ok(ShardedViyojit::power_failure(self))
-    }
-
-    fn power_failure_powered(
-        &mut self,
-        battery: &Battery,
-        power: &PowerModel,
-    ) -> Result<PowerFailureReport, ViyojitError> {
-        Ok(ShardedViyojit::power_failure_powered(self, battery, power))
-    }
-
-    fn recover(&mut self) -> Result<(), ViyojitError> {
-        ShardedViyojit::recover(self);
-        Ok(())
-    }
-
-    fn stats(&mut self) -> Result<ViyojitStats, ViyojitError> {
-        Ok(ShardedViyojit::stats(self))
-    }
-
-    fn dirty_count(&mut self) -> Result<u64, ViyojitError> {
-        Ok(ShardedViyojit::dirty_count(self))
-    }
-
-    fn total_budget_pages(&self) -> u64 {
-        ShardedViyojit::total_budget_pages(self)
-    }
-
-    fn rebalances(&mut self) -> Result<u64, ViyojitError> {
-        Ok(ShardedViyojit::rebalances(self))
-    }
-
-    fn check_invariants(&mut self) -> Result<(), ViyojitError> {
-        ShardedViyojit::check_invariants(self).map_err(ViyojitError::from)
-    }
-
-    fn tenant_stats(&mut self) -> Result<Vec<TenantStats>, ViyojitError> {
-        Ok(ShardedViyojit::tenant_stats(self))
-    }
-
-    fn throttle_tenant(&mut self, tenant: TenantId, cap: Option<u64>) -> Result<(), ViyojitError> {
-        if tenant.0 >= self.tree.tenant_count() {
-            return Err(ViyojitError::InvalidConfig("tenant id out of range"));
-        }
-        ShardedViyojit::throttle_tenant(self, tenant, cap);
-        Ok(())
-    }
-
-    fn govern_tenant_degradation(
-        &mut self,
-        tenant: TenantId,
-        governor: &mut DegradationGovernor,
-        reported_health: f64,
-    ) -> Result<Option<u64>, ViyojitError> {
-        if tenant.0 >= self.tree.tenant_count() {
-            return Err(ViyojitError::InvalidConfig("tenant id out of range"));
-        }
-        Ok(ShardedViyojit::govern_tenant_degradation(
-            self,
-            tenant,
-            governor,
-            reported_health,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{ShardedViyojitBuilder, TenantQos};
+    use super::super::{ShardControlPlane, TenantQos};
     use super::*;
+    use crate::ViyojitConfig;
     use mem_sim::PAGE_SIZE;
 
     fn cluster(shards: usize, budget: u64) -> Result<ShardedViyojit, ViyojitError> {
@@ -884,7 +488,7 @@ mod tests {
         for i in 0..32u64 {
             nv.write(r, i * PAGE_SIZE as u64, &[1])?;
         }
-        nv.rebalance();
+        ShardControlPlane::rebalance(&mut nv)?;
         assert_eq!(nv.total_assigned(), 64);
         assert!(nv.rebalances() >= 1);
         nv.check_invariants().map_err(ViyojitError::from)

@@ -90,7 +90,7 @@ pub use error::{InvariantViolation, ViyojitError};
 pub use heap::NvHeap;
 pub use history::UpdateHistory;
 pub use hw::MmuAssistedViyojit;
-pub use mem_sim::{AtomicBitmap2L, Bitmap2L};
+pub use mem_sim::Bitmap2L;
 pub use policy::{TargetPolicy, VictimSelector};
 pub use pressure::PressureEstimator;
 pub use region::{RegionId, RegionInfo, RegionTable};

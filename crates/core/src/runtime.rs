@@ -94,6 +94,22 @@ impl PowerFailureReport {
     pub fn all_pages_accounted(&self) -> bool {
         self.pages_flushed + self.pages_lost == self.dirty_pages
     }
+
+    /// Folds `other` — the report of a member flushing in parallel to its
+    /// own SSD off the same battery — into `self`: the obligation (pages,
+    /// retries, bytes) sums, the hold-up time is the slowest member's,
+    /// and the aggregate keeps the worst outcome and the smallest energy
+    /// margin.
+    pub fn merge(&mut self, other: &PowerFailureReport) {
+        self.dirty_pages += other.dirty_pages;
+        self.pages_flushed += other.pages_flushed;
+        self.pages_lost += other.pages_lost;
+        self.retries += other.retries;
+        self.bytes_flushed += other.bytes_flushed;
+        self.flush_time = self.flush_time.max(other.flush_time);
+        self.energy_margin_joules = self.energy_margin_joules.min(other.energy_margin_joules);
+        self.outcome = self.outcome.max(other.outcome);
+    }
 }
 
 /// The Viyojit NV-DRAM manager (the paper's primary contribution).
@@ -124,3 +140,44 @@ impl PowerFailureReport {
 /// See [`NvHeap`](crate::NvHeap) for the write/read surface and
 /// [`Engine::power_failure`] for the durability path.
 pub type Viyojit = Engine<SoftwareWalk>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merge_sums_the_obligation_and_keeps_the_worst_member() {
+        let quick = PowerFailureReport {
+            dirty_pages: 4,
+            pages_flushed: 4,
+            pages_lost: 0,
+            retries: 1,
+            bytes_flushed: 4 * 4096,
+            flush_time: SimDuration::from_micros(10),
+            energy_margin_joules: f64::INFINITY,
+            outcome: FlushOutcome::Complete,
+        };
+        let lossy = PowerFailureReport {
+            dirty_pages: 3,
+            pages_flushed: 1,
+            pages_lost: 2,
+            retries: 7,
+            bytes_flushed: 4096,
+            flush_time: SimDuration::from_micros(90),
+            energy_margin_joules: -0.5,
+            outcome: FlushOutcome::BatteryExhausted,
+        };
+        for (mut total, other) in [(quick, lossy), (lossy, quick)] {
+            total.merge(&other);
+            assert_eq!(total.dirty_pages, 7);
+            assert_eq!(total.pages_flushed, 5);
+            assert_eq!(total.pages_lost, 2);
+            assert_eq!(total.retries, 8);
+            assert_eq!(total.bytes_flushed, 5 * 4096);
+            assert_eq!(total.flush_time, SimDuration::from_micros(90), "slowest");
+            assert_eq!(total.energy_margin_joules, -0.5, "smallest margin");
+            assert_eq!(total.outcome, FlushOutcome::BatteryExhausted, "worst");
+            assert!(total.all_pages_accounted());
+        }
+    }
+}

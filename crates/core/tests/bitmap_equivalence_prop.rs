@@ -14,9 +14,7 @@
 //! and proving contents survive a power cycle. If a word-level scan ever
 //! skipped or double-visited a page, these are the assertions that break.
 
-use mem_sim::{
-    AtomicBitmap2L, Bitmap2L, PageId, PageTable, RunClass, ScanPath, PAGE_SIZE, RUN_PAGES,
-};
+use mem_sim::{Bitmap2L, PageId, PageTable, RunClass, ScanPath, PAGE_SIZE, RUN_PAGES};
 use proptest::prelude::*;
 use sim_clock::{Clock, CostModel, SimDuration};
 use ssd_sim::SsdConfig;
@@ -368,7 +366,12 @@ fn assert_paths_agree(b: &Bitmap2L, pages: &[usize]) -> Result<(), TestCaseError
             clone.set(p);
         }
         clone.drain_words_with(path, |w, bits| drained.push((w, bits)));
-        prop_assert_eq!(&drained, &scalar_words, "drain harvest diverged on {:?}", path);
+        prop_assert_eq!(
+            &drained,
+            &scalar_words,
+            "drain harvest diverged on {:?}",
+            path
+        );
         prop_assert_eq!(clone.count(), 0, "drain left bits behind on {:?}", path);
         clone
             .check_consistency()
@@ -395,43 +398,6 @@ fn assert_paths_agree(b: &Bitmap2L, pages: &[usize]) -> Result<(), TestCaseError
     Ok(())
 }
 
-/// Round-trips the same population through the shared atomic map's batch
-/// publication and checks count / run popcounts / per-word contents, then
-/// retracts and checks it is empty again — at every density band this
-/// covers the chunk-skip, straight-line, and run-batched RMW paths.
-fn assert_atomic_publish_agrees(pages: &[usize]) -> Result<(), TestCaseError> {
-    let stride = STRATA_PAGES.div_ceil(64);
-    let mut word_bits = vec![0u64; stride];
-    for &p in pages {
-        word_bits[p / 64] |= 1u64 << (p % 64);
-    }
-    let shared = AtomicBitmap2L::new(STRATA_PAGES);
-    let mut shadow = vec![0u64; stride];
-    let stored = shared.publish_words(0, &word_bits, &mut shadow);
-    prop_assert_eq!(
-        stored,
-        word_bits.iter().filter(|&&w| w != 0).count(),
-        "publish stored a different word count than the population holds"
-    );
-    prop_assert_eq!(shared.count(), pages.len() as u64);
-    for r in 0..shared.runs() {
-        let lo = r * RUN_PAGES;
-        let hi = (lo + RUN_PAGES).min(STRATA_PAGES);
-        let pop = pages.iter().filter(|&&p| p >= lo && p < hi).count();
-        prop_assert_eq!(shared.run_pop(r) as usize, pop, "shared run {} diverged", r);
-    }
-    shared
-        .check_consistency()
-        .map_err(|e| TestCaseError::fail(format!("shared map inconsistent: {e}")))?;
-    let zero = vec![0u64; stride];
-    shared.publish_words(0, &zero, &mut shadow);
-    prop_assert_eq!(shared.count(), 0, "retraction left bits published");
-    for r in 0..shared.runs() {
-        prop_assert_eq!(shared.run_pop(r), 0, "retraction left run {} popcount", r);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -446,7 +412,6 @@ proptest! {
         }
         prop_assert_eq!(b.scan_path(), expected, "dispatcher left its density band");
         assert_paths_agree(&b, &pages)?;
-        assert_atomic_publish_agrees(&pages)?;
     }
 
     /// Uniform whole runs: the huge tier must classify every chosen run
@@ -472,7 +437,6 @@ proptest! {
             prop_assert_eq!(b.huge().class(r), want, "run {} class diverged", r);
         }
         assert_paths_agree(&b, &pages)?;
-        assert_atomic_publish_agrees(&pages)?;
     }
 }
 

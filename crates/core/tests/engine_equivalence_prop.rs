@@ -12,10 +12,10 @@ use proptest::prelude::*;
 use sim_clock::{Clock, CostModel, SimDuration};
 use ssd_sim::SsdConfig;
 use viyojit::{
-    DegradationConfig, DegradationGovernor, MmuAssisted, MmuAssistedViyojit, NvHeap,
-    PowerFailureReport, ShardControlHandle, ShardControlPlane, ShardDataHandle, ShardDataPlane,
-    ShardedViyojit, ShardedViyojitBuilder, SoftwareWalk, TenantId, TenantQos, Viyojit,
-    ViyojitConfig, ViyojitError, ViyojitStats,
+    DegradationConfig, DegradationGovernor, DirtyTracker, MmuAssisted, MmuAssistedViyojit, NvHeap,
+    PowerFailureReport, RegionId, ShardControlHandle, ShardControlPlane, ShardDataHandle,
+    ShardDataPlane, ShardedViyojit, ShardedViyojitBuilder, SoftwareWalk, TenantId, TenantQos,
+    TenantStats, Viyojit, ViyojitConfig, ViyojitError, ViyojitStats,
 };
 
 const PAGE: u64 = PAGE_SIZE as u64;
@@ -23,18 +23,49 @@ const REGION_PAGES: u64 = 24;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write { offset: u64, len: u16, fill: u8 },
-    Idle { micros: u16 },
-    SetBudget { pages: u64 },
+    Write {
+        offset: u64,
+        len: u16,
+        fill: u8,
+    },
+    Idle {
+        micros: u16,
+    },
+    SetBudget {
+        pages: u64,
+    },
+    /// Read back mid-run and compare against the model.
+    Read {
+        offset: u64,
+        len: u16,
+    },
+    /// A write straddling the end of its region: a typed error, no effect.
+    OutOfRange {
+        past: u16,
+    },
+    /// Cluster only: unmap a region and map it afresh.
+    Remap {
+        fill: u8,
+    },
+    /// Cluster only: cap (or un-cap) one tenant's allocation.
+    Throttle {
+        tenant: usize,
+        cap: Option<u64>,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let max_off = REGION_PAGES * PAGE - u16::MAX as u64;
     prop_oneof![
-        6 => (0..max_off, 1..2048u16, any::<u8>())
+        12 => (0..max_off, 1..2048u16, any::<u8>())
             .prop_map(|(offset, len, fill)| Op::Write { offset, len, fill }),
-        2 => (1..2000u16).prop_map(|micros| Op::Idle { micros }),
-        1 => (2..14u64).prop_map(|pages| Op::SetBudget { pages }),
+        4 => (1..2000u16).prop_map(|micros| Op::Idle { micros }),
+        2 => (2..14u64).prop_map(|pages| Op::SetBudget { pages }),
+        3 => (0..max_off, 1..2048u16).prop_map(|(offset, len)| Op::Read { offset, len }),
+        1 => (1..64u16).prop_map(|past| Op::OutOfRange { past }),
+        1 => any::<u8>().prop_map(|fill| Op::Remap { fill }),
+        1 => (0..3usize, 0..24u64)
+            .prop_map(|(tenant, cap)| Op::Throttle { tenant, cap: (cap > 0).then_some(cap) }),
     ]
 }
 
@@ -91,6 +122,24 @@ proptest! {
                     sw.set_dirty_budget(pages);
                     hw.set_dirty_budget(pages);
                 }
+                Op::Read { offset, len } => {
+                    let (mut a, mut b) = (vec![0u8; len as usize], vec![0u8; len as usize]);
+                    sw.read(rs, offset, &mut a).unwrap();
+                    hw.read(rh, offset, &mut b).unwrap();
+                    let want = &model[offset as usize..offset as usize + len as usize];
+                    prop_assert_eq!(&a[..], want, "software read diverged from the model");
+                    prop_assert_eq!(&b[..], want, "hardware read diverged from the model");
+                }
+                Op::OutOfRange { past } => {
+                    let offset = REGION_PAGES * PAGE - 1;
+                    let data = vec![0xEE; past as usize + 1];
+                    let len = data.len();
+                    let refused = |region| Err(ViyojitError::OutOfRange { region, offset, len });
+                    prop_assert_eq!(sw.write(rs, offset, &data), refused(rs));
+                    prop_assert_eq!(hw.write(rh, offset, &data), refused(rh));
+                }
+                // Routing and tenancy exist only on the sharded frontend.
+                Op::Remap { .. } | Op::Throttle { .. } => {}
             }
             if sw.stats().flushes_issued() == 0 && hw.stats().flushes_issued() == 0 {
                 prop_assert_eq!(
@@ -158,9 +207,20 @@ proptest! {
                 Op::Idle { micros } => {
                     nv.clock().advance(SimDuration::from_micros(micros as u64));
                 }
-                Op::SetBudget { .. } => {
-                    // The sharded frontend owns its shards' budgets; a
-                    // burst of idle time triggers rebalances instead.
+                Op::Read { offset, len } => {
+                    let region = i % regions.len();
+                    let off = offset as usize % (region_bytes - len as usize);
+                    let mut buf = vec![0u8; len as usize];
+                    nv.read(regions[region], off as u64, &mut buf).unwrap();
+                    prop_assert_eq!(&buf[..], &model[region][off..off + len as usize]);
+                }
+                // The sharded frontend owns its shards' budgets; a burst
+                // of idle time triggers rebalances instead (the mode
+                // equivalence property below drives the remaining ops).
+                Op::SetBudget { .. }
+                | Op::OutOfRange { .. }
+                | Op::Remap { .. }
+                | Op::Throttle { .. } => {
                     nv.clock().advance(SimDuration::from_micros(700));
                 }
             }
@@ -189,28 +249,20 @@ proptest! {
 /// frontend (one object implementing both planes) and the parallel
 /// runtime (a data handle and a control handle) without duplicating the
 /// workload logic the equivalence property depends on.
-enum Cluster {
-    Sequential(Box<ShardedViyojit>),
+enum Cluster<B: DirtyTracker = SoftwareWalk> {
+    Sequential(Box<ShardedViyojit<B>>),
     Parallel(ShardDataHandle, ShardControlHandle),
 }
 
-impl Cluster {
-    fn sequential(shards: usize, budget: u64) -> Result<Cluster, ViyojitError> {
-        Cluster::sequential_from(equivalence_builder(shards, budget))
-    }
-
-    fn parallel(shards: usize, budget: u64, threads: usize) -> Result<Cluster, ViyojitError> {
-        Cluster::parallel_from(equivalence_builder(shards, budget), threads)
-    }
-
-    fn sequential_from(builder: ShardedViyojitBuilder) -> Result<Cluster, ViyojitError> {
+impl<B: DirtyTracker + Send + 'static> Cluster<B> {
+    fn sequential_from(builder: ShardedViyojitBuilder<B>) -> Result<Self, ViyojitError> {
         Ok(Cluster::Sequential(Box::new(builder.build_sequential()?)))
     }
 
     fn parallel_from(
-        builder: ShardedViyojitBuilder,
+        builder: ShardedViyojitBuilder<B>,
         threads: usize,
-    ) -> Result<Cluster, ViyojitError> {
+    ) -> Result<Self, ViyojitError> {
         let (data, ctrl) = builder.threads(threads).build_parallel()?;
         Ok(Cluster::Parallel(data, ctrl))
     }
@@ -228,6 +280,13 @@ impl Cluster {
             Cluster::Parallel(_, ctrl) => ctrl,
         }
     }
+
+    fn shard_of(&self, region: RegionId) -> Option<usize> {
+        match self {
+            Cluster::Sequential(nv) => nv.shard_of(region),
+            Cluster::Parallel(data, _) => data.shard_of(region),
+        }
+    }
 }
 
 /// Free writes and an instant SSD freeze the clock between [`step`]s, so
@@ -235,13 +294,40 @@ impl Cluster {
 /// precondition for bit-equal virtual-time results across modes.
 ///
 /// [`step`]: ShardDataPlane::step
-fn equivalence_builder(shards: usize, budget: u64) -> ShardedViyojitBuilder {
+fn equivalence_builder<B: DirtyTracker>(shards: usize, budget: u64) -> ShardedViyojitBuilder<B> {
     ShardedViyojitBuilder::new(shards, 64, ViyojitConfig::with_budget_pages(budget))
+        .backend::<B>()
         .min_per_shard(2)
         .rebalance_period(SimDuration::from_micros(500))
         .clock(Clock::new())
         .cost_model(CostModel::free())
         .ssd(SsdConfig::instant())
+}
+
+/// The equivalence deployment, split on request into two tenants (when
+/// it has the shards for it), each guaranteed exactly its shard floors:
+/// the first bursts by at most 8 pages, the second without bound.
+fn tenanted_builder<B: DirtyTracker>(
+    tenants: bool,
+    shards: usize,
+    budget: u64,
+) -> ShardedViyojitBuilder<B> {
+    let builder = equivalence_builder(shards, budget);
+    if !tenants || shards < 2 {
+        return builder;
+    }
+    let first = shards / 2;
+    builder
+        .tenant(
+            "first",
+            first,
+            TenantQos::guaranteed(2 * first as u64).burst(8),
+        )
+        .tenant(
+            "second",
+            shards - first,
+            TenantQos::guaranteed(2 * (shards - first) as u64),
+        )
 }
 
 /// Everything the equivalence property compares across execution modes.
@@ -252,30 +338,74 @@ struct ClusterOutcome {
     budget: u64,
     rebalances: u64,
     floor_rejections: u32,
+    /// Where every `Remap` landed: the reused handle and its shard.
+    placements: Vec<(RegionId, Option<usize>)>,
+    /// The typed error of every `OutOfRange` write.
+    refusals: Vec<ViyojitError>,
+    throttles_applied: u32,
+    throttle_rejections: u32,
+    tenants: Vec<TenantStats>,
     report: PowerFailureReport,
     contents: Vec<Vec<u8>>,
     model: Vec<Vec<u8>>,
 }
 
-/// Drives one deployment through the shared workload: routed writes,
-/// explicit [`ShardDataPlane::step`]s, and mid-run budget re-provisioning
-/// through the control plane, then a power cycle and a full audit read.
-fn drive_cluster(mut nv: Cluster, ops: &[Op]) -> Result<ClusterOutcome, ViyojitError> {
+/// Drives one deployment through the shared workload: routed writes and
+/// reads, refused writes, remaps, explicit [`ShardDataPlane::step`]s, and
+/// mid-run budget re-provisioning and tenant throttling through the
+/// control plane, then a power cycle and a full audit read.
+fn drive_cluster<B: DirtyTracker + Send + 'static>(
+    mut nv: Cluster<B>,
+    ops: &[Op],
+) -> Result<ClusterOutcome, ViyojitError> {
     let region_bytes = (REGION_PAGES / 4 * PAGE) as usize;
-    let regions = (0..4)
+    let mut regions = (0..4)
         .map(|_| nv.data().map(region_bytes as u64))
         .collect::<Result<Vec<_>, _>>()?;
     let mut model = vec![vec![0u8; region_bytes]; regions.len()];
     let mut floor_rejections = 0u32;
+    let mut placements = Vec::new();
+    let mut refusals = Vec::new();
+    let (mut throttles_applied, mut throttle_rejections) = (0u32, 0u32);
 
     for (i, op) in ops.iter().enumerate() {
+        let region = i % regions.len();
         match *op {
             Op::Write { offset, len, fill } => {
-                let region = i % regions.len();
                 let off = offset as usize % (region_bytes - len as usize);
                 nv.data()
                     .write(regions[region], off as u64, &vec![fill; len as usize])?;
                 model[region][off..off + len as usize].fill(fill);
+            }
+            Op::Read { offset, len } => {
+                let off = offset as usize % (region_bytes - len as usize);
+                let mut buf = vec![0u8; len as usize];
+                nv.data().read(regions[region], off as u64, &mut buf)?;
+                assert_eq!(
+                    &buf[..],
+                    &model[region][off..off + len as usize],
+                    "a mid-run read must see every earlier write"
+                );
+            }
+            Op::OutOfRange { past } => {
+                let data = vec![0xEE; past as usize + 1];
+                let refused = nv
+                    .data()
+                    .write(regions[region], region_bytes as u64 - 1, &data)
+                    .expect_err("a write past the end of its region is refused");
+                assert!(matches!(refused, ViyojitError::OutOfRange { .. }));
+                refusals.push(refused);
+            }
+            Op::Remap { fill } => {
+                nv.data().unmap(regions[region])?;
+                let fresh = nv.data().map(region_bytes as u64)?;
+                assert_eq!(fresh, regions[region], "the freed slot is reused");
+                placements.push((fresh, nv.shard_of(fresh)));
+                regions[region] = fresh;
+                // The old contents died with the mapping; a full rewrite
+                // makes the new one's model exact again.
+                nv.data().write(fresh, 0, &vec![fill; region_bytes])?;
+                model[region].fill(fill);
             }
             Op::Idle { micros } => {
                 nv.data().step(SimDuration::from_micros(micros as u64))?;
@@ -292,6 +422,14 @@ fn drive_cluster(mut nv: Cluster, ops: &[Op]) -> Result<ClusterOutcome, ViyojitE
                     Err(e) => return Err(e),
                 }
             }
+            Op::Throttle { tenant, cap } => {
+                nv.data().sync()?;
+                match nv.ctrl().throttle_tenant(TenantId(tenant), cap) {
+                    Ok(()) => throttles_applied += 1,
+                    Err(ViyojitError::InvalidConfig(_)) => throttle_rejections += 1,
+                    Err(e) => return Err(e),
+                }
+            }
         }
     }
 
@@ -302,6 +440,7 @@ fn drive_cluster(mut nv: Cluster, ops: &[Op]) -> Result<ClusterOutcome, ViyojitE
     let budget = nv.ctrl().total_budget_pages();
     let rebalances = nv.ctrl().rebalances()?;
     let report = nv.ctrl().power_failure()?;
+    let tenants = nv.ctrl().tenant_stats()?;
     nv.ctrl().recover()?;
     let mut contents = Vec::with_capacity(regions.len());
     for &region in &regions {
@@ -315,10 +454,49 @@ fn drive_cluster(mut nv: Cluster, ops: &[Op]) -> Result<ClusterOutcome, ViyojitE
         budget,
         rebalances,
         floor_rejections,
+        placements,
+        refusals,
+        throttles_applied,
+        throttle_rejections,
+        tenants,
         report,
         contents,
         model,
     })
+}
+
+/// The mode-equivalence check for one backend: the sequential outcome,
+/// then 1, 2 and 4 worker threads (counts above the shard count clamp).
+fn check_modes_agree<B: DirtyTracker + Send + 'static>(
+    builder: impl Fn() -> ShardedViyojitBuilder<B>,
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    let seq = drive_cluster(
+        Cluster::sequential_from(builder()).expect("a valid sequential configuration"),
+        ops,
+    )
+    .expect("the sequential run must not fail");
+    prop_assert_eq!(
+        &seq.contents,
+        &seq.model,
+        "{}: sequential contents must survive the power cycle",
+        B::SYSTEM
+    );
+    for threads in [1usize, 2, 4] {
+        let par = drive_cluster(
+            Cluster::parallel_from(builder(), threads).expect("a valid parallel configuration"),
+            ops,
+        )
+        .expect("the parallel run must not fail");
+        prop_assert_eq!(
+            &par,
+            &seq,
+            "{}: {} threads must replay the sequential outcome exactly",
+            B::SYSTEM,
+            threads
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -328,50 +506,30 @@ proptest! {
     /// runtime is an *implementation* of the sharded frontend, not a
     /// variant of it. With writes free and the SSD instant, the same
     /// operation sequence driven through [`ShardDataPlane`] /
-    /// [`ShardControlPlane`] must produce identical aggregated stats,
-    /// dirty populations, rebalance counts, power-failure reports, and
-    /// post-recovery memory images at every thread count — including
-    /// thread counts above the shard count (which clamp).
+    /// [`ShardControlPlane`] must produce identical aggregated and
+    /// per-tenant stats, dirty populations, rebalance counts, placements,
+    /// typed refusals, power-failure reports, and post-recovery memory
+    /// images at every thread count, on both tracking backends, with and
+    /// without declared tenants.
     #[test]
     fn parallel_and_sequential_sharding_are_equivalent(
         ops in prop::collection::vec(op_strategy(), 1..80),
         shards in 1..5usize,
         budget in 8..40u64,
+        tenants in any::<bool>(),
     ) {
-        let seq = drive_cluster(
-            Cluster::sequential(shards, budget).expect("a valid sequential configuration"),
-            &ops,
-        )
-        .expect("the sequential run must not fail");
-        prop_assert_eq!(
-            &seq.contents,
-            &seq.model,
-            "sequential contents must survive the power cycle"
-        );
-        for &threads in &[1usize, 2, 4] {
-            let par = drive_cluster(
-                Cluster::parallel(shards, budget, threads)
-                    .expect("a valid parallel configuration"),
-                &ops,
-            )
-            .expect("the parallel run must not fail");
-            prop_assert_eq!(
-                &par,
-                &seq,
-                "{} threads must replay the sequential outcome exactly",
-                threads
-            );
-        }
+        check_modes_agree::<SoftwareWalk>(|| tenanted_builder(tenants, shards, budget), &ops)?;
+        check_modes_agree::<MmuAssisted>(|| tenanted_builder(tenants, shards, budget), &ops)?;
     }
 }
 
 /// One explicitly declared tenant spanning every shard, with its
 /// guarantee exactly at the shard floors and an unbounded burst — the
 /// hierarchy configuration that must be indistinguishable from the flat
-/// (no-tenant) arbiter.
+/// (no-tenant) arbiter, down to the implicit tenant's name.
 fn whole_machine_tenant_builder(shards: usize, budget: u64) -> ShardedViyojitBuilder {
     equivalence_builder(shards, budget).tenant(
-        "whole-machine",
+        "default",
         shards,
         TenantQos::guaranteed(2 * shards as u64),
     )
@@ -394,7 +552,8 @@ proptest! {
         budget in 8..40u64,
     ) {
         let flat = drive_cluster(
-            Cluster::sequential(shards, budget).expect("a valid flat configuration"),
+            Cluster::sequential_from(equivalence_builder::<SoftwareWalk>(shards, budget))
+                .expect("a valid flat configuration"),
             &ops,
         )
         .expect("the flat run must not fail");
@@ -489,9 +648,10 @@ fn tenant_throttles_agree_across_execution_modes() -> Result<(), ViyojitError> {
 }
 
 /// Guards the property above against vacuity: a handcrafted workload
-/// must actually cross rebalance boundaries, dirty pages, and exercise
-/// both outcomes of a mid-run re-provisioning — in parallel mode — or
-/// the equivalence comparison would be comparing idle clusters.
+/// must actually cross rebalance boundaries, dirty pages, remap a region,
+/// throttle a tenant, and exercise both outcomes of a mid-run
+/// re-provisioning — in parallel mode — or the equivalence comparison
+/// would be comparing idle clusters.
 #[test]
 fn the_equivalence_workload_exercises_rounds_and_reprovisioning() {
     let mut ops = Vec::new();
@@ -503,6 +663,26 @@ fn the_equivalence_workload_exercises_rounds_and_reprovisioning() {
         });
     }
     ops.push(Op::Idle { micros: 600 });
+    ops.push(Op::Read {
+        offset: PAGE,
+        len: 16,
+    });
+    ops.push(Op::Remap { fill: 0x5A });
+    ops.push(Op::OutOfRange { past: 3 });
+    // Squeeze the first tenant to its floors, then release it; a tenant
+    // that does not exist is refused.
+    ops.push(Op::Throttle {
+        tenant: 0,
+        cap: Some(4),
+    });
+    ops.push(Op::Throttle {
+        tenant: 0,
+        cap: None,
+    });
+    ops.push(Op::Throttle {
+        tenant: 2,
+        cap: None,
+    });
     // Four shards with a floor of 2: 7 pages must be rejected, 8 applied.
     ops.push(Op::SetBudget { pages: 7 });
     ops.push(Op::SetBudget { pages: 8 });
@@ -516,7 +696,8 @@ fn the_equivalence_workload_exercises_rounds_and_reprovisioning() {
     ops.push(Op::Idle { micros: 1200 });
 
     let outcome = drive_cluster(
-        Cluster::parallel(4, 16, 2).expect("a valid parallel configuration"),
+        Cluster::parallel_from(tenanted_builder::<SoftwareWalk>(true, 4, 16), 2)
+            .expect("a valid parallel configuration"),
         &ops,
     )
     .expect("the workload must complete");
@@ -524,13 +705,19 @@ fn the_equivalence_workload_exercises_rounds_and_reprovisioning() {
     assert!(outcome.stats.pages_dirtied > 0, "no page was ever dirtied");
     assert_eq!(outcome.floor_rejections, 1, "the floor check never fired");
     assert_eq!(outcome.budget, 8, "the accepted re-provisioning stuck");
+    assert_eq!(outcome.placements.len(), 1, "no region was ever remapped");
+    assert!(outcome.placements[0].1.is_some(), "the remap must route");
+    assert_eq!(outcome.refusals.len(), 1, "no write was ever refused");
+    assert_eq!(outcome.throttles_applied, 2, "no throttle was ever applied");
+    assert_eq!(outcome.throttle_rejections, 1, "tenant 2 does not exist");
+    assert_eq!(outcome.tenants.len(), 2);
     assert_eq!(&outcome.contents, &outcome.model);
 }
 
 /// The backend consts are part of the public contract benchmarks key on.
 #[test]
 fn backend_system_names_are_stable() {
-    use viyojit::{DirtyTracker, FullDirty};
+    use viyojit::FullDirty;
     assert_eq!(SoftwareWalk::SYSTEM, "Viyojit");
     assert_eq!(MmuAssisted::SYSTEM, "Viyojit-MMU");
     assert_eq!(FullDirty::SYSTEM, "NV-DRAM");

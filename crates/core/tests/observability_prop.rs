@@ -12,6 +12,10 @@
 //!    `postmortem-<thread>.jsonl` every time: the flight recorder
 //!    captures only per-thread virtual-time data (no wall clock), so a
 //!    crash report is reproducible evidence, not a race snapshot.
+//! 3. **Mode-blind control black box** — entering degraded mode leaves
+//!    the same `control` dump whichever execution mode runs the
+//!    deployment: taken before the shrinking round, stamped with the
+//!    last completed round.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -23,9 +27,9 @@ use sim_clock::{Clock, CostModel, SimDuration};
 use ssd_sim::SsdConfig;
 use telemetry::{FlightRecorder, RunMeta};
 use viyojit::{
-    CrashSchedule, CrashSignal, Crashpoint, FaultConfig, FaultPlan, NvHeap, ShardControlHandle,
-    ShardControlPlane, ShardDataHandle, ShardDataPlane, ShardedViyojit, ShardedViyojitBuilder,
-    SoftwareWalk, Telemetry, ViyojitConfig, ViyojitError,
+    CrashSchedule, CrashSignal, Crashpoint, DegradationConfig, DegradationGovernor, FaultConfig,
+    FaultPlan, NvHeap, ShardControlHandle, ShardControlPlane, ShardDataHandle, ShardDataPlane,
+    ShardedViyojit, ShardedViyojitBuilder, SoftwareWalk, Telemetry, ViyojitConfig, ViyojitError,
 };
 
 const PAGE: u64 = PAGE_SIZE as u64;
@@ -331,6 +335,103 @@ fn flight_recorder_dumps_are_deterministic_under_the_fault_seed() {
     );
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// Drives one deployment through two idle budget rounds and then into
+/// degraded mode; returns its `control` black box's header `last_round`
+/// and the kinds of the events the box retained.
+fn degraded_mode_dump(threads: Option<usize>) -> (u64, Vec<String>) {
+    let dir = temp_dir(&format!("degraded-{}", threads.unwrap_or(0)));
+    let meta = RunMeta::new("observability_prop", "Viyojit", "shards=4 budget=32", None);
+    let flight = FlightRecorder::new(&dir, meta).expect("create flight recorder");
+    let telemetry = Telemetry::recording(Clock::new());
+    let builder = observed_builder(4, 32, telemetry.clone()).flight_recorder(flight);
+    let mut nv = match threads {
+        None => Cluster::Sequential(Box::new(
+            builder.build_sequential().expect("a valid configuration"),
+        )),
+        Some(t) => {
+            let (data, ctrl) = builder
+                .threads(t)
+                .build_parallel()
+                .expect("a valid configuration");
+            Cluster::Parallel(data, ctrl)
+        }
+    };
+    for _ in 0..2 {
+        nv.data()
+            .step(SimDuration::from_micros(600))
+            .expect("an idle step crosses one rebalance boundary");
+    }
+    assert_eq!(nv.ctrl().rebalances().expect("rounds"), 2);
+
+    // A collapsing battery gauge: degraded fraction 0.5 of the nominal 32.
+    let mut governor = DegradationGovernor::new(32, DegradationConfig::default());
+    let applied = nv
+        .ctrl()
+        .govern_degradation(&mut governor, 0.1)
+        .expect("the degradation round must complete");
+    assert_eq!(applied, Some(16), "an unhealthy battery must degrade");
+    assert_eq!(nv.ctrl().total_budget_pages(), 16);
+    assert_eq!(
+        nv.ctrl().rebalances().expect("rounds"),
+        3,
+        "the transition shrinks through one more round"
+    );
+    assert!(
+        telemetry
+            .events()
+            .iter()
+            .any(|e| e.event.kind() == "battery_recalc"),
+        "the shrinking round must have re-budgeted the shards"
+    );
+
+    let text = std::fs::read_to_string(dir.join("postmortem-control.jsonl"))
+        .expect("degraded-mode entry must leave a control black box");
+    let _ = std::fs::remove_dir_all(&dir);
+    let field = |line: &str, key: &str| -> String {
+        let start = line.find(key).expect("the field is present") + key.len();
+        let rest = &line[start..];
+        rest[..rest.find(['"', ',', '}']).expect("the field ends")].to_string()
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        lines[1].contains("\"label\":\"control\"")
+            && lines[1].contains("\"trigger\":\"degraded_mode\""),
+        "the dump must name its side and its trigger: {}",
+        lines[1]
+    );
+    let last_round = field(lines[1], "\"last_round\":")
+        .parse()
+        .expect("last_round is a number");
+    let kinds = lines
+        .iter()
+        .filter(|l| l.starts_with("{\"type\":\"event\""))
+        .map(|l| field(l, "\"kind\":\""))
+        .collect();
+    (last_round, kinds)
+}
+
+/// The control black box is mode-blind: both execution modes dump on
+/// degraded-mode entry *before* the shrinking round — so the box holds
+/// the state that tripped the governor, not the shrink's own
+/// re-budgeting — and stamp it with the last *completed* round.
+#[test]
+fn degraded_mode_black_boxes_agree_across_execution_modes() {
+    let seq = degraded_mode_dump(None);
+    assert_eq!(seq.0, 2, "the header names the last completed round");
+    assert_eq!(
+        seq.1,
+        ["degraded_mode_changed"],
+        "the box is taken before the shrink re-budgets any shard"
+    );
+    for threads in [1usize, 2] {
+        assert_eq!(
+            degraded_mode_dump(Some(threads)),
+            seq,
+            "{threads} threads must leave the sequential frontend's black box"
+        );
+    }
 }
 
 /// Guards the merge property against vacuity: a handcrafted workload in

@@ -435,18 +435,10 @@ impl Bitmap2L {
     }
 
     /// Calls `f(word_index, word)` for every non-zero leaf word in
-    /// ascending order, dispatching on density ([`Bitmap2L::scan_path`]).
-    /// Bit `b` of the passed word is page `word_index * 64 + b`.
-    pub fn for_each_word(&self, f: impl FnMut(usize, u64)) {
-        let path = self.scan_path();
-        crate::dispatch::record(path);
-        self.for_each_word_with(path, f);
-    }
-
-    /// [`Bitmap2L::for_each_word`] with the scan path forced — the
-    /// equivalence tests use this to exercise each path regardless of
-    /// density. All paths visit the same non-zero words in the same
-    /// ascending order.
+    /// ascending order along the given scan path (bit `b` of the passed
+    /// word is page `word_index * 64 + b`) — the equivalence tests use
+    /// this to exercise each path regardless of density. All paths visit
+    /// the same non-zero words in the same ascending order.
     pub fn for_each_word_with(&self, path: ScanPath, mut f: impl FnMut(usize, u64)) {
         match path {
             ScanPath::Skip => {

@@ -33,7 +33,6 @@
 //! assert!(mmu.page_table().flags(PageId(0)).is_dirty());
 //! ```
 
-pub mod atomic_bitmap;
 pub mod bitmap;
 pub mod dispatch;
 mod mmu;
@@ -41,7 +40,6 @@ mod page;
 mod page_table;
 mod tlb;
 
-pub use atomic_bitmap::AtomicBitmap2L;
 pub use bitmap::{Bitmap2L, HugeBitmap, RunClass, ScanPath, RUN_PAGES, RUN_WORDS};
 pub use dispatch::DispatchCounts;
 pub use mmu::{AccessError, Mmu, MmuStats, WalkOptions, SECTOR_BYTES};

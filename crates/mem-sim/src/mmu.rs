@@ -115,6 +115,19 @@ pub struct MmuStats {
     pub pte_dirtied: u64,
 }
 
+impl MmuStats {
+    /// Adds `other`'s counters field-wise into `self` (the fold a
+    /// multi-MMU frontend aggregates through).
+    pub fn accumulate(&mut self, other: &MmuStats) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.write_faults += other.write_faults;
+        self.pte_dirtied += other.pte_dirtied;
+    }
+}
+
 /// The simulated MMU for one NV-DRAM region: page table + TLB + backing
 /// bytes + virtual-time cost accounting.
 ///
@@ -592,6 +605,31 @@ mod tests {
 
     fn mmu(pages: usize) -> Mmu {
         Mmu::new(pages, Clock::new(), CostModel::free())
+    }
+
+    #[test]
+    fn accumulate_sums_every_counter() {
+        let a = MmuStats {
+            reads: 1,
+            writes: 2,
+            bytes_read: 3,
+            bytes_written: 4,
+            write_faults: 5,
+            pte_dirtied: 6,
+        };
+        let mut total = a;
+        total.accumulate(&a);
+        assert_eq!(
+            total,
+            MmuStats {
+                reads: 2,
+                writes: 4,
+                bytes_read: 6,
+                bytes_written: 8,
+                write_faults: 10,
+                pte_dirtied: 12,
+            }
+        );
     }
 
     #[test]

@@ -106,6 +106,19 @@ pub struct SsdStats {
     pub write_errors: u64,
 }
 
+impl SsdStats {
+    /// Adds `other`'s counters field-wise into `self` — the one fold every
+    /// multi-device aggregate (a sharded cluster, one tenant's shards)
+    /// goes through.
+    pub fn accumulate(&mut self, other: &SsdStats) {
+        self.writes += other.writes;
+        self.reads += other.reads;
+        self.bytes_written += other.bytes_written;
+        self.bytes_read += other.bytes_read;
+        self.write_errors += other.write_errors;
+    }
+}
+
 /// A transiently failed write submission.
 ///
 /// The failed attempt still occupied a channel and consumed program energy
@@ -439,6 +452,30 @@ mod tests {
 
     fn page(fill: u8) -> Vec<u8> {
         vec![fill; PAGE_SIZE]
+    }
+
+    #[test]
+    fn accumulate_sums_every_counter() {
+        let a = SsdStats {
+            writes: 1,
+            reads: 2,
+            bytes_written: 3,
+            bytes_read: 4,
+            write_errors: 5,
+        };
+        let mut total = a;
+        total.accumulate(&a);
+        total.accumulate(&SsdStats::default());
+        assert_eq!(
+            total,
+            SsdStats {
+                writes: 2,
+                reads: 4,
+                bytes_written: 6,
+                bytes_read: 8,
+                write_errors: 10,
+            }
+        );
     }
 
     #[test]

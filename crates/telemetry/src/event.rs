@@ -197,14 +197,13 @@ pub enum TraceEvent {
         /// Pages lost across the thread's shards during the crash flush.
         pages_lost: u64,
     },
-    /// A budget-round participant gave up waiting for a grant decision:
-    /// the arbiter (or a peer it was waiting on) went silent past the
-    /// round timeout, so the worker abandoned the round with
+    /// The coordinator gave up waiting for a worker's reply: the worker
+    /// went silent past the round timeout, so the call was abandoned with
     /// `ViyojitError::RoundTimeout`.
     RoundTimedOut {
-        /// The round the worker was participating in when it timed out.
+        /// The round in flight (or next to run) when the wait timed out.
         round: u64,
-        /// Index of the worker thread that gave up.
+        /// Index of the worker thread that stayed silent.
         thread: u64,
     },
     /// An executed emergency flush finished (successfully or not).
