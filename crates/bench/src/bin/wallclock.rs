@@ -16,22 +16,22 @@
 //!
 //! `--quick` runs the small CI configuration: 1M pages at the 0.1%
 //! legacy gate density, at 10% (the fault/flush density gate), and a
-//! uniform-runs layout cell (whole 512-page runs dirty, exercising the
-//! huge-tier run fast paths).
-//! `--check FILE` additionally enforces three gates and exits non-zero
+//! uniform-runs layout cell (whole 512-page clusters dirty, so every
+//! touched leaf word is all-ones).
+//! `--check FILE` additionally enforces four gates and exits non-zero
 //! on any failure: the fresh optimized epoch-walk ns/page at 0.1%
 //! density must be within [`REGRESSION_FACTOR`]× of the committed
-//! artifact; the fresh epoch walk must be at least 1.0× the in-run
-//! scalar baseline at *every* cell (density-adaptive dispatch must never
-//! lose to the byte-per-page model); and the fresh fault/flush lifecycle
-//! must stay within [`FAULT_FLUSH_FACTOR`]× of the scalar baseline at
-//! 10% density (the per-page mark path must not drown in bitmap-tier
-//! maintenance).
+//! artifact; the fresh epoch walk and the fresh discovery scan must each
+//! be at least 1.0× the in-run scalar baseline at *every* cell
+//! (density-adaptive dispatch must never lose to the byte-per-page
+//! model); and the fresh fault/flush lifecycle must stay within
+//! [`FAULT_FLUSH_FACTOR`]× of the scalar baseline at 10% density (the
+//! per-page mark path must not drown in bitmap maintenance).
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use mem_sim::{PageId, PageTable, RUN_PAGES};
+use mem_sim::{PageId, PageTable};
 use viyojit::DirtySet;
 
 /// CI gate: fail if epoch-walk ns/page regresses past this factor over
@@ -51,16 +51,17 @@ const GATE_DENSITY: f64 = 0.001;
 const FAULT_GATE_DENSITY: f64 = 0.1;
 /// Density of the uniform-runs layout cell.
 const UNIFORM_DENSITY: f64 = 0.25;
+/// Pages per cluster of the uniform-runs layout: 2 MiB at 4 KiB pages.
+const CLUSTER_PAGES: usize = 512;
 
 /// How the dirty population is laid out in the address space.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Layout {
     /// Uniformly random distinct pages (the historical sweep).
     Random,
-    /// Whole 512-page runs dirtied wholesale: the huge tier classifies
-    /// every touched run `Full` and every other run `Empty`, so run
-    /// fast paths (wholesale collection, O(1) clean-run skips) carry
-    /// the entire scan.
+    /// Whole aligned 512-page clusters dirtied wholesale: every leaf
+    /// word is all-ones or zero, the shape a large sequential write
+    /// leaves behind and the best case for 64-page range appends.
     UniformRuns,
 }
 
@@ -260,15 +261,15 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
             }
         }
         Layout::UniformRuns => {
-            let runs = pages / RUN_PAGES;
-            let want = (target / RUN_PAGES).max(1);
+            let runs = pages / CLUSTER_PAGES;
+            let want = (target / CLUSTER_PAGES).max(1);
             let mut chosen = 0;
             while chosen < want {
                 let r = (xorshift(&mut rng) % runs as u64) as usize;
-                if dirty.dirty_bits().test(r * RUN_PAGES) {
+                if dirty.dirty_bits().test(r * CLUSTER_PAGES) {
                     continue;
                 }
-                for p in r * RUN_PAGES..(r + 1) * RUN_PAGES {
+                for p in r * CLUSTER_PAGES..(r + 1) * CLUSTER_PAGES {
                     mark(p, &mut dirty, &mut pt, &mut scalar_dirty, &mut scalar_pt);
                     picked.push(p);
                 }
@@ -328,8 +329,14 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
         (total as f64 / f64::from(reps), checksum)
     };
 
-    // Discovery scan (§5.4 hardware mode): find every PTE-dirty page.
-    let discovery_opt = time_ns(reps, || pt.iter_dirty_pages().map(|p| p.0).sum());
+    // Discovery scan (§5.4 hardware mode): find every PTE-dirty page
+    // through the range collection `hw_discover` runs, into a fresh
+    // buffer per scan as it (and the scalar side) allocates one.
+    let discovery_opt = time_ns(reps, || {
+        let mut raw: Vec<usize> = Vec::new();
+        pt.dirty_bits().collect_range_into(0, pages, &mut raw);
+        raw.iter().map(|&i| i as u64).sum()
+    });
     let discovery_base = time_ns(reps, || scalar_pt.collect_dirty().iter().sum());
 
     // Budget check: how many pages are dirty right now.
@@ -571,26 +578,29 @@ fn main() {
             failed = true;
         }
         // Density-adaptive dispatch must never lose to the scalar model:
-        // every cell's epoch walk, against its own in-run baseline (so
-        // runner speed cancels), must be at least break-even.
+        // every cell's epoch walk and discovery scan, against its own
+        // in-run baseline (so runner speed cancels), must be at least
+        // break-even.
         for c in &cells {
-            let s = speedup(c.epoch_walk);
-            eprintln!(
-                "gate: epoch-walk speedup {s:.2}x at density {} ({}) (limit >= 1.0x)",
-                c.density,
-                c.layout.name()
-            );
-            if s < 1.0 {
+            for (scan, pair) in [("epoch walk", c.epoch_walk), ("discovery", c.discovery)] {
+                let s = speedup(pair);
                 eprintln!(
-                    "FAIL: epoch walk slower than the scalar baseline at density {} ({})",
+                    "gate: {scan} speedup {s:.2}x at density {} ({}) (limit >= 1.0x)",
                     c.density,
                     c.layout.name()
                 );
-                failed = true;
+                if s < 1.0 {
+                    eprintln!(
+                        "FAIL: {scan} slower than the scalar baseline at density {} ({})",
+                        c.density,
+                        c.layout.name()
+                    );
+                    failed = true;
+                }
             }
         }
-        // The per-page mark path must not drown in bitmap-tier
-        // maintenance at high density.
+        // The per-page mark path must not drown in bitmap maintenance
+        // at high density.
         let fault = cells
             .iter()
             .find(|c| c.density == FAULT_GATE_DENSITY && c.layout == Layout::Random)

@@ -25,7 +25,7 @@
 use crate::engine::{
     apply_budgets, BudgetTree, DirtyTracker, Engine, SoftwareWalk, TenantId, TenantQos,
 };
-use crate::{InvariantViolation, ViyojitError, ViyojitStats};
+use crate::{InvariantViolation, ViyojitStats};
 
 /// A set of Viyojit tenants multiplexing one battery's dirty budget.
 ///
@@ -193,9 +193,6 @@ impl<B: DirtyTracker> BalloonedCluster<B> {
         self.tenants
     }
 }
-
-/// Errors from cluster construction helpers (reserved for future use).
-pub type BalloonResult<T> = Result<T, ViyojitError>;
 
 #[cfg(test)]
 mod tests {

@@ -170,60 +170,21 @@ impl DirtySet {
         self.dirty.iter_ones().map(|i| PageId(i as u64))
     }
 
-    /// Iterates over every page counted against the budget, in ascending
-    /// order.
-    pub fn iter_counted(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.dirty
-            .iter_ones_union(&self.in_flight)
-            .map(|i| PageId(i as u64))
-    }
-
     /// Appends the `Dirty`-state pages to `out` in ascending order — the
-    /// eager, density-dispatched walk behind [`DirtySet::iter_dirty`]:
-    /// the scan path follows the maintained density, and uniformly dirty
-    /// 512-page runs are appended through the huge tier without touching
-    /// leaf words.
+    /// eager, density-dispatched walk behind [`DirtySet::iter_dirty`].
     pub fn collect_dirty_into(&self, out: &mut Vec<PageId>) {
         self.dirty.collect_into_map(out, |i| PageId(i as u64));
     }
 
     /// Appends every page counted against the budget (dirty ∪ in-flight)
-    /// to `out` in ascending order. The two bitmaps are disjoint, so a
-    /// run whose popcounts sum to the run length is uniformly counted and
-    /// is appended wholesale in O(1); empty runs are skipped without
-    /// touching leaf words; only mixed runs pay a word-union walk. This
-    /// is the emergency obligation-collection scan: O(runs + mixed
-    /// words), not O(words).
+    /// to `out` in ascending order: one word-union walk over the two
+    /// disjoint bitmaps, dispatched on their combined density. This is
+    /// the emergency obligation-collection scan.
     pub fn collect_counted_into(&self, out: &mut Vec<PageId>) {
-        use mem_sim::bitmap::{extend_from_word, RUN_PAGES, RUN_WORDS};
-        mem_sim::dispatch::record(Bitmap2L::path_for(
-            (self.dirty_count + self.in_flight_count) as usize,
-            self.dirty.len().max(1),
-        ));
         out.reserve(self.dirty_count as usize);
-        let (d, f) = (&self.dirty, &self.in_flight);
-        let (hd, hf) = (d.huge(), f.huge());
-        let to_page = |i: usize| PageId(i as u64);
-        for r in 0..hd.runs() {
-            let pop = hd.run_pop(r) + hf.run_pop(r);
-            if pop == 0 {
-                continue;
-            }
-            let base = r * RUN_PAGES;
-            let run_len = hd.run_len(r);
-            if pop == run_len {
-                out.extend((base..base + run_len).map(to_page));
-                continue;
-            }
-            let w0 = r * RUN_WORDS;
-            let w1 = (w0 + RUN_WORDS).min(d.word_count());
-            for w in w0..w1 {
-                let bits = d.word(w) | f.word(w);
-                if bits != 0 {
-                    extend_from_word(out, w, bits, to_page);
-                }
-            }
-        }
+        self.dirty.for_each_word_union(&self.in_flight, |w, d, f| {
+            mem_sim::bitmap::extend_from_word(out, w, d | f, |i| PageId(i as u64));
+        });
     }
 
     /// The `Dirty`-state pages as a bitmap, for word-level scans.
@@ -300,6 +261,12 @@ impl DirtySet {
 mod tests {
     use super::*;
 
+    fn counted(s: &DirtySet) -> Vec<PageId> {
+        let mut out = Vec::new();
+        s.collect_counted_into(&mut out);
+        out
+    }
+
     #[test]
     fn lifecycle_clean_dirty_inflight_clean() {
         let mut s = DirtySet::new(2);
@@ -333,10 +300,7 @@ mod tests {
         s.mark_dirty(PageId(2));
         s.mark_in_flight(PageId(0));
         assert_eq!(s.iter_dirty().collect::<Vec<_>>(), vec![PageId(2)]);
-        assert_eq!(
-            s.iter_counted().collect::<Vec<_>>(),
-            vec![PageId(0), PageId(2)]
-        );
+        assert_eq!(counted(&s), vec![PageId(0), PageId(2)]);
     }
 
     #[test]
@@ -373,17 +337,14 @@ mod tests {
             s.iter_dirty().collect::<Vec<_>>(),
             vec![PageId(63), PageId(130)]
         );
-        assert_eq!(
-            s.iter_counted().collect::<Vec<_>>(),
-            vec![PageId(63), PageId(64), PageId(130)]
-        );
+        assert_eq!(counted(&s), vec![PageId(63), PageId(64), PageId(130)]);
         s.validate();
     }
 
     #[test]
-    fn collect_matches_iter_across_run_classes() {
-        // Run 0 uniformly counted (dirty + in-flight sum to 512), run 1
-        // mixed, run 2 empty: the collection walks all three classes.
+    fn collect_spans_full_sparse_and_empty_stretches() {
+        // Pages 0..512 all counted (dirty and in-flight interleaved, so
+        // every union word is all-ones), 512..1024 sparse, the rest empty.
         let mut s = DirtySet::new(3 * 512);
         for i in 0..512u64 {
             s.mark_dirty(PageId(i));
@@ -397,10 +358,11 @@ mod tests {
         let mut dirty = Vec::new();
         s.collect_dirty_into(&mut dirty);
         assert_eq!(dirty, s.iter_dirty().collect::<Vec<_>>());
-        let mut counted = Vec::new();
-        s.collect_counted_into(&mut counted);
-        assert_eq!(counted, s.iter_counted().collect::<Vec<_>>());
-        assert_eq!(counted.len(), 512 + 512usize.div_ceil(17));
+        let want: Vec<PageId> = (0..512u64)
+            .chain((512..1024u64).step_by(17))
+            .map(PageId)
+            .collect();
+        assert_eq!(counted(&s), want);
         s.validate();
     }
 

@@ -231,7 +231,7 @@ impl DirtyTracker for SoftwareWalk {
     fn epoch_walk(core: &mut EngineCore, backend: &mut Self) -> (u64, u64) {
         // Density-dispatched collection: the same ascending pages
         // `iter_dirty` yields, gathered with the scan path matched to the
-        // dirty population and uniform runs taken through the huge tier.
+        // dirty population.
         let mut walk_set: Vec<PageId> = Vec::new();
         backend.dirty.collect_dirty_into(&mut walk_set);
         let options = WalkOptions {
@@ -305,9 +305,8 @@ impl DirtyTracker for SoftwareWalk {
     }
 
     fn failure_obligation(core: &mut EngineCore, backend: &mut Self) -> FlushObligation {
-        // Emergency collection is O(runs + mixed words): uniformly
-        // counted 512-page runs are taken wholesale through the huge
-        // tier, in the same ascending order `iter_counted` yields.
+        // Emergency collection is one dispatched word-union walk over
+        // dirty ∪ in-flight, in ascending page order.
         let mut pages: Vec<PageId> = Vec::new();
         backend.dirty.collect_counted_into(&mut pages);
         let mut items = Vec::with_capacity(pages.len());
@@ -383,22 +382,12 @@ impl DirtyTracker for SoftwareWalk {
     }
 
     fn durable_state_consistent(&self, core: &EngineCore) -> bool {
+        // Dirty and in-flight pages are legitimately ahead of the SSD;
+        // the word mask excludes them 64 at a time.
         let (dirty, in_flight) = (self.dirty.dirty_bits(), self.dirty.in_flight_bits());
-        // The two bitmaps are disjoint, so a run whose popcounts sum to
-        // the run length holds no settled-clean pages: skip it whole.
-        let (hd, hf) = (dirty.huge(), in_flight.huge());
-        for (_, info) in core.regions.iter() {
-            let ok = clean_pages_match(
-                core,
-                &info,
-                |r| hd.run_pop(r) + hf.run_pop(r) == hd.run_len(r),
-                |w| dirty.word(w) | in_flight.word(w),
-            );
-            if !ok {
-                return false;
-            }
-        }
-        true
+        core.regions
+            .iter()
+            .all(|(_, info)| clean_pages_match(core, &info, |w| dirty.word(w) | in_flight.word(w)))
     }
 }
 
@@ -418,24 +407,16 @@ fn page_range(maps: &[&Bitmap2L], start: usize, end: usize) -> Vec<PageId> {
 /// Checks [`page_matches_durable`] for every page of `info` whose bit is
 /// *clear* in the word-level `skip_word` mask (bit `b` of `skip_word(w)`
 /// covers page `w * 64 + b`), returning `false` on the first mismatch.
-/// The mask lets callers exclude legitimately-ahead pages 64 at a time;
-/// `skip_run` excludes uniformly-ahead 512-page runs in O(1) each, so
-/// dense regions cost O(runs), not O(words).
+/// The mask lets callers exclude legitimately-ahead pages 64 at a time.
 fn clean_pages_match(
     core: &EngineCore,
     info: &RegionInfo,
-    skip_run: impl Fn(usize) -> bool,
     skip_word: impl Fn(usize) -> u64,
 ) -> bool {
-    use mem_sim::bitmap::RUN_PAGES;
     let start = info.first_page.index();
     let end = start + info.pages as usize;
     let mut p = start;
     while p < end {
-        if p % RUN_PAGES == 0 && p + RUN_PAGES <= end && skip_run(p / RUN_PAGES) {
-            p += RUN_PAGES;
-            continue;
-        }
         let w = p / 64;
         let word_end = ((w + 1) * 64).min(end);
         let mut bits = !skip_word(w) & (!0u64 << (p % 64));
@@ -495,10 +476,9 @@ pub struct MmuAssisted {
 fn hw_discover(core: &mut EngineCore, hw: &mut MmuAssisted) -> u64 {
     let mut candidates: Vec<PageId> = Vec::new();
     {
-        // Run-classified range collection: uniformly dirty runs of the
-        // PTE column arrive as whole ranges, empty runs are skipped, and
-        // the already-known filter runs over the collected positions —
-        // the same ascending order the word-skipping iterator produced.
+        // Dispatched range collection over the PTE dirty column; the
+        // already-known filter runs over the collected positions, so
+        // candidates keep ascending order within each region.
         let pte_dirty = core.mmu.page_table().dirty_bits();
         let mut raw: Vec<usize> = Vec::new();
         for (_, info) in core.regions.iter() {
@@ -681,9 +661,8 @@ impl DirtyTracker for MmuAssisted {
 
     fn failure_obligation(core: &mut EngineCore, _backend: &mut Self) -> FlushObligation {
         // Everything with the PTE dirty bit set — discovered or not — is
-        // ahead of the SSD. The dispatched collection enumerates exactly
-        // the pages `iter_dirty_pages` yields, in the same ascending
-        // order, taking uniformly dirty runs through the huge tier.
+        // ahead of the SSD. The dispatched collection enumerates the
+        // PTE dirty column in ascending page order.
         let mut items: Vec<ObligationItem> = Vec::new();
         core.mmu
             .page_table()
@@ -746,29 +725,11 @@ impl DirtyTracker for MmuAssisted {
         // settled-clean pages must match, and the word-level mask skips
         // the rest 64 pages at a time.
         let pte_dirty = core.mmu.page_table().dirty_bits();
-        // Any one of the three masks covering a whole run means the run
-        // holds no settled-clean pages (the masks are OR-ed, so a Full
-        // class in any of them skips the run outright).
-        let (hk, hi, hp) = (
-            self.known_dirty.huge(),
-            self.in_flight.huge(),
-            pte_dirty.huge(),
-        );
-        for (_, info) in core.regions.iter() {
-            let ok = clean_pages_match(
-                core,
-                &info,
-                |r| {
-                    use mem_sim::RunClass::Full;
-                    hp.class(r) == Full || hk.class(r) == Full || hi.class(r) == Full
-                },
-                |w| self.known_dirty.word(w) | self.in_flight.word(w) | pte_dirty.word(w),
-            );
-            if !ok {
-                return false;
-            }
-        }
-        true
+        core.regions.iter().all(|(_, info)| {
+            clean_pages_match(core, &info, |w| {
+                self.known_dirty.word(w) | self.in_flight.word(w) | pte_dirty.word(w)
+            })
+        })
     }
 }
 

@@ -63,9 +63,7 @@ pub struct FlushObligation {
 
 impl FlushObligation {
     /// An obligation whose every item ships a full page — the hardware
-    /// and baseline backends, whose collections arrive run-batched from
-    /// the huge tier (uniformly dirty 512-page runs taken wholesale,
-    /// empty runs skipped) with no per-page payload computation.
+    /// and baseline backends, which compute no per-page payload.
     pub(crate) fn full_pages(items: Vec<ObligationItem>) -> Self {
         let obligation_pages = items.len() as u64;
         FlushObligation {

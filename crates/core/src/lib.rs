@@ -74,7 +74,7 @@ mod runtime;
 mod stats;
 mod store;
 
-pub use balloon::{BalloonResult, BalloonedCluster};
+pub use balloon::BalloonedCluster;
 pub use baseline::{NvdramBaseline, PeriodicCountTracker};
 pub use codec::{rle_decode, rle_encode, FlushCodec};
 pub use config::{ThresholdPolicy, ViyojitConfig, ViyojitConfigBuilder};

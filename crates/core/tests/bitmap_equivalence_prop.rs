@@ -5,7 +5,9 @@
 //! representation the bitmaps replaced) through random
 //! dirty/protect/flush/discard/epoch sequences and asserts the two stay
 //! observationally identical: same per-page states, same counts, same
-//! iteration order, same epoch-drain harvests.
+//! iteration and collection order. Part 1b pins populations to each
+//! density band and checks every forced scan path, the dispatched range
+//! collect and the dispatched union collect against the scalar order.
 //!
 //! Part 2 is the end-to-end check: three seeded workloads drive all three
 //! engine backends — [`Viyojit`] (SoftwareWalk), [`MmuAssistedViyojit`]
@@ -14,7 +16,7 @@
 //! and proving contents survive a power cycle. If a word-level scan ever
 //! skipped or double-visited a page, these are the assertions that break.
 
-use mem_sim::{Bitmap2L, PageId, PageTable, RunClass, ScanPath, PAGE_SIZE, RUN_PAGES};
+use mem_sim::{Bitmap2L, PageId, PageTable, ScanPath, PAGE_SIZE};
 use proptest::prelude::*;
 use sim_clock::{Clock, CostModel, SimDuration};
 use ssd_sim::SsdConfig;
@@ -72,24 +74,6 @@ impl ScalarPageTable {
             .filter(|&i| self.flags[i] & S_DIRTY != 0)
             .collect()
     }
-
-    fn drain_dirty(&mut self) -> Vec<usize> {
-        let pages = self.dirty_pages();
-        for &p in &pages {
-            self.flags[p] &= !S_DIRTY;
-        }
-        pages
-    }
-
-    fn drain_shadow(&mut self) -> Vec<usize> {
-        let pages: Vec<usize> = (0..self.flags.len())
-            .filter(|&i| self.flags[i] & S_SHADOW != 0)
-            .collect();
-        for &p in &pages {
-            self.flags[p] &= !S_SHADOW;
-        }
-        pages
-    }
 }
 
 struct ScalarDirtySet {
@@ -142,10 +126,6 @@ enum ModelOp {
     /// Test-and-clear one page's dirty / shadow-dirty bit (the fault and
     /// stale-walk paths).
     TakeDirty { page: usize, shadow: bool },
-    /// Word-level epoch drain of the whole dirty (or shadow) bitmap — the
-    /// hot path the tentpole optimised. Harvest order must match a full
-    /// ascending scan of the scalar table.
-    EpochDrain { shadow: bool },
     /// Advance one page through the DirtySet lifecycle: whatever state the
     /// page is in, move it one legal step (clean→dirty→in-flight→clean).
     LifecycleStep { page: usize },
@@ -163,7 +143,6 @@ fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
             .prop_map(|(page, bit, on)| ModelOp::SetFlag { page, bit, on }),
         3 => (0..MODEL_PAGES, any::<bool>())
             .prop_map(|(page, shadow)| ModelOp::TakeDirty { page, shadow }),
-        1 => any::<bool>().prop_map(|shadow| ModelOp::EpochDrain { shadow }),
         6 => (0..MODEL_PAGES).prop_map(|page| ModelOp::LifecycleStep { page }),
         2 => (0..MODEL_PAGES).prop_map(|page| ModelOp::Discard { page }),
         1 => Just(ModelOp::Reset),
@@ -194,7 +173,7 @@ fn assert_states_agree(
     }
     prop_assert_eq!(pt.dirty_count(), spt.dirty_pages().len());
     prop_assert_eq!(
-        pt.iter_dirty_pages().map(|p| p.index()).collect::<Vec<_>>(),
+        pt.dirty_bits().iter_ones().collect::<Vec<_>>(),
         spt.dirty_pages(),
         "PageTable dirty iteration order diverged"
     );
@@ -205,10 +184,12 @@ fn assert_states_agree(
         sds.iter_dirty(),
         "DirtySet dirty iteration order diverged"
     );
+    let mut counted = Vec::new();
+    ds.collect_counted_into(&mut counted);
     prop_assert_eq!(
-        ds.iter_counted().map(|p| p.index()).collect::<Vec<_>>(),
+        counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
         sds.iter_counted(),
-        "DirtySet counted iteration order diverged"
+        "DirtySet counted collection order diverged"
     );
     ds.check_invariants()
         .map_err(|v| TestCaseError::fail(format!("bitmap invariants broke: {v}")))?;
@@ -252,23 +233,6 @@ proptest! {
                     };
                     prop_assert_eq!(got, want, "take_dirty result diverged at page {}", page);
                 }
-                ModelOp::EpochDrain { shadow } => {
-                    let mut harvested: Vec<usize> = Vec::new();
-                    fn unpack(out: &mut Vec<usize>, base: u64, mut bits: u64) {
-                        while bits != 0 {
-                            out.push((base + bits.trailing_zeros() as u64) as usize);
-                            bits &= bits - 1;
-                        }
-                    }
-                    let want = if shadow {
-                        pt.take_shadow_dirty_words(|base, word| unpack(&mut harvested, base, word));
-                        spt.drain_shadow()
-                    } else {
-                        pt.take_dirty_words(|base, word| unpack(&mut harvested, base, word));
-                        spt.drain_dirty()
-                    };
-                    prop_assert_eq!(harvested, want, "epoch drain harvest diverged");
-                }
                 ModelOp::LifecycleStep { page } => {
                     let id = PageId(page as u64);
                     match ds.state(id) {
@@ -310,90 +274,110 @@ proptest! {
 // maintained popcount, so a uniform random population would almost never
 // exercise the sparse or dense extremes. These generators stratify the
 // population by density band so every case pins the dispatcher to a known
-// path, then assert all three paths — and the huge-tier run
-// classification above them — agree on states, counts, and iteration
-// order with the scalar model.
+// path, then assert all three forced paths, the dispatched range collect
+// and (through `DirtySet`) the dispatched union collect agree with the
+// scalar model on counts and order.
 // ---------------------------------------------------------------------------
 
-/// Three full 512-page runs plus a partial tail run, so run-boundary and
-/// partial-run arithmetic is always in play.
-const STRATA_PAGES: usize = 3 * RUN_PAGES + 137;
+/// An aligned 2 MiB stretch of 4 KiB pages: the whole-cluster stratum
+/// fills these wholesale, so every touched leaf word is all-ones.
+const CLUSTER_PAGES: usize = 512;
+
+/// Three full clusters plus a partial tail, so cluster-boundary and
+/// partial-last-word arithmetic is always in play.
+const STRATA_PAGES: usize = 3 * CLUSTER_PAGES + 137;
 
 const ALL_PATHS: [ScanPath; 3] = [ScanPath::Skip, ScanPath::Dense, ScanPath::Unrolled];
 
 /// A population pinned to one dispatch band. Band edges for 1673 bits:
 /// Skip below 7 ones (density < 1/256), Dense below 210 (< 1/8),
-/// Unrolled from 210 up; the ranges stay clear of the edges so the
-/// expected path is unambiguous.
+/// Unrolled from 210 up; the random strata stay clear of the edges so
+/// the expected path is unambiguous. The last stratum dirties whole
+/// clusters: the 137-page tail alone is Dense, anything more Unrolled.
 fn stratified_population() -> impl Strategy<Value = (ScanPath, Vec<usize>)> {
     let all: Vec<usize> = (0..STRATA_PAGES).collect();
     prop_oneof![
         proptest::sample::subsequence(all.clone(), 1..=6).prop_map(|v| (ScanPath::Skip, v)),
         proptest::sample::subsequence(all.clone(), 8..=200).prop_map(|v| (ScanPath::Dense, v)),
         proptest::sample::subsequence(all, 220..=800).prop_map(|v| (ScanPath::Unrolled, v)),
+        proptest::collection::btree_set(0usize..4, 1..=4).prop_map(|clusters| {
+            let pages: Vec<usize> = clusters
+                .iter()
+                .flat_map(|c| c * CLUSTER_PAGES..((c + 1) * CLUSTER_PAGES).min(STRATA_PAGES))
+                .collect();
+            let path = if pages.len() < 210 {
+                ScanPath::Dense
+            } else {
+                ScanPath::Unrolled
+            };
+            (path, pages)
+        }),
     ]
 }
 
+/// The sorted scalar population packed as `(word, first, second)`
+/// triples — what a word-level walk over one bitmap (`second` all false)
+/// or a union walk over two must harvest. The flag says which of the two
+/// bitmaps holds the page.
+fn scalar_words(pages: impl IntoIterator<Item = (usize, bool)>) -> Vec<(usize, u64, u64)> {
+    let mut words: Vec<(usize, u64, u64)> = Vec::new();
+    for (p, in_second) in pages {
+        if words.last().map(|w| w.0) != Some(p / 64) {
+            words.push((p / 64, 0, 0));
+        }
+        let last = words.last_mut().expect("just pushed");
+        let bit = 1u64 << (p % 64);
+        if in_second {
+            last.2 |= bit;
+        } else {
+            last.1 |= bit;
+        }
+    }
+    words
+}
+
 /// Asserts the bitmap and the sorted scalar population are
-/// observationally identical on every scan path: same dispatch choice,
-/// same counts, same iteration order, same word harvest, same drain, and
-/// a huge tier that matches a per-run recount.
-fn assert_paths_agree(b: &Bitmap2L, pages: &[usize]) -> Result<(), TestCaseError> {
+/// observationally identical on every scan path — same counts, same
+/// collection order, same word harvest — and that the dispatched range
+/// collect returns exactly the scalar pages inside each range.
+fn assert_paths_agree(
+    b: &Bitmap2L,
+    pages: &[usize],
+    ranges: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(b.count(), pages.len());
     prop_assert_eq!(b.recount(), pages.len());
     b.check_consistency()
         .map_err(|e| TestCaseError::fail(format!("bitmap inconsistent: {e}")))?;
+    prop_assert_eq!(&b.iter_ones().collect::<Vec<_>>(), pages);
 
-    let mut scalar_words: Vec<(usize, u64)> = Vec::new();
-    for &p in pages {
-        match scalar_words.last_mut() {
-            Some((w, bits)) if *w == p / 64 => *bits |= 1u64 << (p % 64),
-            _ => scalar_words.push((p / 64, 1u64 << (p % 64))),
-        }
-    }
+    let want_words = scalar_words(pages.iter().map(|&p| (p, false)));
     for path in ALL_PATHS {
         let mut collected = Vec::new();
         b.collect_into_with(path, &mut collected);
         prop_assert_eq!(&collected, pages, "collect order diverged on {:?}", path);
 
         let mut words = Vec::new();
-        b.for_each_word_with(path, |w, bits| words.push((w, bits)));
-        prop_assert_eq!(&words, &scalar_words, "word harvest diverged on {:?}", path);
-
-        let mut drained = Vec::new();
-        let mut clone = Bitmap2L::new(STRATA_PAGES);
-        for &p in pages {
-            clone.set(p);
-        }
-        clone.drain_words_with(path, |w, bits| drained.push((w, bits)));
-        prop_assert_eq!(
-            &drained,
-            &scalar_words,
-            "drain harvest diverged on {:?}",
-            path
-        );
-        prop_assert_eq!(clone.count(), 0, "drain left bits behind on {:?}", path);
-        clone
-            .check_consistency()
-            .map_err(|e| TestCaseError::fail(format!("post-drain inconsistent: {e}")))?;
+        b.for_each_word_with(path, |w, bits| words.push((w, bits, 0)));
+        prop_assert_eq!(&words, &want_words, "word harvest diverged on {:?}", path);
     }
 
-    // Huge tier: every run's maintained popcount and class must match a
-    // recount of the pages that landed in it.
-    let huge = b.huge();
-    for r in 0..huge.runs() {
-        let lo = r * RUN_PAGES;
-        let hi = (lo + RUN_PAGES).min(STRATA_PAGES);
-        let pop = pages.iter().filter(|&&p| p >= lo && p < hi).count();
-        prop_assert_eq!(huge.run_pop(r), pop, "run {} popcount diverged", r);
-        let want = if pop == 0 {
-            RunClass::Empty
-        } else if pop == hi - lo {
-            RunClass::Full
-        } else {
-            RunClass::Mixed
-        };
-        prop_assert_eq!(huge.class(r), want, "run {} class diverged", r);
+    for &(start, end) in ranges {
+        let want: Vec<usize> = pages
+            .iter()
+            .copied()
+            .filter(|&p| p >= start && p < end)
+            .collect();
+        let mut got = Vec::new();
+        b.collect_range_into(start, end, &mut got);
+        prop_assert_eq!(&got, &want, "range collect {}..{} diverged", start, end);
+        prop_assert_eq!(
+            &b.iter_ones_in(start, end).collect::<Vec<_>>(),
+            &want,
+            "range iteration {}..{} diverged",
+            start,
+            end
+        );
     }
     Ok(())
 }
@@ -402,41 +386,87 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Stratified equivalence: each density band pins the dispatcher to
-    /// its expected path, and all three forced paths agree with the
-    /// scalar model on states, counts, and iteration order.
+    /// its expected path; all three forced paths and the dispatched range
+    /// collect (whole, mid-word, empty, inverted and past-the-end ranges)
+    /// agree with the scalar model.
     #[test]
-    fn scan_paths_agree_at_every_density((expected, pages) in stratified_population()) {
-        let mut b = Bitmap2L::new(STRATA_PAGES);
+    fn scan_paths_agree_at_every_density(
+        (expected, pages) in stratified_population(),
+        (a, b) in (0..STRATA_PAGES + 70, 0..STRATA_PAGES + 70),
+    ) {
+        let mut bits = Bitmap2L::new(STRATA_PAGES);
         for &p in &pages {
-            b.set(p);
+            bits.set(p);
         }
-        prop_assert_eq!(b.scan_path(), expected, "dispatcher left its density band");
-        assert_paths_agree(&b, &pages)?;
+        prop_assert_eq!(bits.scan_path(), expected, "dispatcher left its density band");
+        let ranges = [
+            (0, STRATA_PAGES),
+            (0, usize::MAX),
+            (a, b),
+            (b, a),
+            (a, a),
+            (a.min(b), a.max(b) + 1),
+            (CLUSTER_PAGES - 1, 2 * CLUSTER_PAGES + 1),
+        ];
+        assert_paths_agree(&bits, &pages, &ranges)?;
     }
 
-    /// Uniform whole runs: the huge tier must classify every chosen run
-    /// `Full` and the rest `Empty`, and all three scan paths must still
-    /// agree — this is the band the 2 MiB tier exists for.
+    /// The `DirtySet` union collect dispatches on the combined density of
+    /// its two bitmaps: in each band, with a share of the population in
+    /// flight, `collect_counted_into` is the scalar dirty ∪ in-flight
+    /// order, `collect_dirty_into` the scalar dirty order, and every
+    /// forced union walk harvests the scalar word pairs.
     #[test]
-    fn uniform_runs_classify_full_and_agree(
-        runs in proptest::collection::btree_set(0usize..4, 1..=4),
+    fn dirty_set_collects_agree_at_every_density(
+        (expected, pages) in stratified_population(),
+        stride in 1usize..5,
     ) {
-        let mut b = Bitmap2L::new(STRATA_PAGES);
-        let mut pages = Vec::new();
-        for &r in &runs {
-            let lo = r * RUN_PAGES;
-            let hi = (lo + RUN_PAGES).min(STRATA_PAGES);
-            for p in lo..hi {
-                b.set(p);
-                pages.push(p);
+        let mut ds = DirtySet::new(STRATA_PAGES);
+        let mut sds = ScalarDirtySet::new(STRATA_PAGES);
+        for (n, &p) in pages.iter().enumerate() {
+            ds.mark_dirty(PageId(p as u64));
+            sds.states[p] = PageState::Dirty;
+            if n % stride == 0 {
+                ds.mark_in_flight(PageId(p as u64));
+                sds.states[p] = PageState::InFlight;
             }
         }
-        pages.sort_unstable();
-        for r in 0..b.huge().runs() {
-            let want = if runs.contains(&r) { RunClass::Full } else { RunClass::Empty };
-            prop_assert_eq!(b.huge().class(r), want, "run {} class diverged", r);
+        prop_assert_eq!(
+            Bitmap2L::path_for(
+                ds.dirty_bits().count() + ds.in_flight_bits().count(),
+                STRATA_PAGES
+            ),
+            expected,
+            "union dispatcher left its density band"
+        );
+        ds.check_invariants()
+            .map_err(|v| TestCaseError::fail(format!("bitmap invariants broke: {v}")))?;
+
+        let mut counted = Vec::new();
+        ds.collect_counted_into(&mut counted);
+        prop_assert_eq!(
+            counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
+            sds.iter_counted(),
+            "counted collection order diverged"
+        );
+        let mut dirty = Vec::new();
+        ds.collect_dirty_into(&mut dirty);
+        prop_assert_eq!(
+            dirty.iter().map(|p| p.index()).collect::<Vec<_>>(),
+            sds.iter_dirty(),
+            "dirty collection order diverged"
+        );
+
+        let want = scalar_words(
+            pages.iter().map(|&p| (p, sds.states[p] == PageState::InFlight)),
+        );
+        for path in ALL_PATHS {
+            let mut words = Vec::new();
+            ds.dirty_bits().for_each_word_union_with(ds.in_flight_bits(), path, |w, d, f| {
+                words.push((w, d, f));
+            });
+            prop_assert_eq!(&words, &want, "union harvest diverged on {:?}", path);
         }
-        assert_paths_agree(&b, &pages)?;
     }
 }
 

@@ -1,5 +1,5 @@
-//! Bit-packed hierarchical bitmaps for page-state tracking, with
-//! density-adaptive scan dispatch and a 2 MiB huge-page summary tier.
+//! Bit-packed two-level bitmaps for page-state tracking, with
+//! density-adaptive scan dispatch.
 //!
 //! The simulator's hot loops — the §5.2 epoch walk, the hardware
 //! discovery scan, dirty-set iteration — must be O(dirty), not O(DRAM):
@@ -15,13 +15,13 @@
 //! a straight-line walk. Every scan primitive therefore *dispatches* on
 //! the maintained density ([`Bitmap2L::scan_path`]) between the word-skip
 //! path, a straight-line full-word walk, and a 4-wide unrolled walk whose
-//! inner loop autovectorizes (no unsafe intrinsics).
+//! inner loop autovectorizes (no unsafe intrinsics). All-ones words are
+//! appended as 64-page ranges ([`extend_from_word`]), which is what keeps
+//! collection cheap over uniformly set stretches.
 //!
-//! On top of the leaf words sits a huge-page tier ([`HugeBitmap`]): one
-//! maintained popcount per 512-page run (2 MiB at 4 KiB pages). Uniformly
-//! clean runs are skipped and uniformly dirty runs are taken wholesale in
-//! O(runs), without touching leaf words — the fix for scans over
-//! mid/high-density state.
+//! A single-bit transition touches the leaf word, the summary word only
+//! when the leaf word crosses zero, and the running popcount — nothing
+//! else is maintained per bit.
 //!
 //! # Examples
 //!
@@ -35,12 +35,6 @@
 //! assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3, 9_999]);
 //! assert_eq!(b.next_one_from(4), Some(9_999));
 //! ```
-
-/// Pages per huge-tier run: 2 MiB at 4 KiB pages.
-pub const RUN_PAGES: usize = 512;
-
-/// Leaf words per huge-tier run.
-pub const RUN_WORDS: usize = RUN_PAGES / 64;
 
 /// The scan strategy picked per scan from the maintained density.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,123 +50,12 @@ pub enum ScanPath {
     Unrolled,
 }
 
-/// Classification of one 512-page run by its maintained popcount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunClass {
-    /// No bit set in the run: skip it without touching leaf words.
-    Empty,
-    /// Some bits set: the run's leaf words must be walked.
-    Mixed,
-    /// Every addressable bit in the run is set: take it wholesale.
-    Full,
-}
-
-/// The 2 MiB huge-page summary tier: one maintained popcount per
-/// 512-page run.
-///
-/// Budget accounting, clean-page mask checks, and emergency obligation
-/// collection use [`HugeBitmap::class`] to classify runs in O(runs) —
-/// uniformly clean runs are skipped and uniformly dirty runs are taken
-/// as whole ranges, so only mixed runs pay a leaf-word walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HugeBitmap {
-    /// Number of addressable bits in the owning bitmap.
-    len: usize,
-    /// Per-run popcounts; values in `0..=RUN_PAGES`.
-    pop: Vec<u16>,
-}
-
-impl HugeBitmap {
-    fn new(len: usize) -> Self {
-        HugeBitmap {
-            len,
-            pop: vec![0; len.div_ceil(RUN_PAGES)],
-        }
-    }
-
-    fn filled(len: usize) -> Self {
-        let mut h = Self::new(len);
-        for (r, pop) in h.pop.iter_mut().enumerate() {
-            *pop = ((len - r * RUN_PAGES).min(RUN_PAGES)) as u16;
-        }
-        h
-    }
-
-    /// Number of 512-page runs (the last may be partial).
-    pub fn runs(&self) -> usize {
-        self.pop.len()
-    }
-
-    /// Addressable bits in run `r`: `RUN_PAGES`, or fewer for a trailing
-    /// partial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is past the last run.
-    #[inline]
-    pub fn run_len(&self, r: usize) -> usize {
-        assert!(r < self.pop.len(), "run index {r} out of range");
-        (self.len - r * RUN_PAGES).min(RUN_PAGES)
-    }
-
-    /// Maintained popcount of run `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is past the last run.
-    #[inline]
-    pub fn run_pop(&self, r: usize) -> usize {
-        self.pop[r] as usize
-    }
-
-    /// Classifies run `r` from its maintained popcount, in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is past the last run.
-    #[inline]
-    pub fn class(&self, r: usize) -> RunClass {
-        let pop = self.pop[r] as usize;
-        if pop == 0 {
-            RunClass::Empty
-        } else if pop == self.run_len(r) {
-            RunClass::Full
-        } else {
-            RunClass::Mixed
-        }
-    }
-
-    /// Calls `f(run_index, class)` for every run in ascending order.
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, RunClass)) {
-        for r in 0..self.pop.len() {
-            f(r, self.class(r));
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, i: usize) {
-        self.pop[i / RUN_PAGES] += 1;
-    }
-
-    #[inline]
-    fn sub(&mut self, i: usize) {
-        self.pop[i / RUN_PAGES] -= 1;
-    }
-
-    #[inline]
-    fn sub_word(&mut self, w: usize, bits: u32) {
-        self.pop[w / RUN_WORDS] -= bits as u16;
-    }
-}
-
-/// A fixed-size bitmap with a one-bit-per-word summary level and a
-/// per-512-page-run popcount tier.
+/// A fixed-size bitmap with a one-bit-per-word summary level.
 ///
 /// All index arguments must be `< len`; out-of-range indices panic, like
-/// slice indexing. Mutating operations keep the summary, the run
-/// popcounts, and the running total popcount consistent, so
-/// [`Bitmap2L::count`] is O(1), every scan primitive can dispatch on
-/// density, and run classification never touches leaf words.
+/// slice indexing. Mutating operations keep the summary and the running
+/// popcount consistent, so [`Bitmap2L::count`] is O(1) and every scan
+/// primitive can dispatch on density.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap2L {
     /// Number of addressable bits.
@@ -182,9 +65,7 @@ pub struct Bitmap2L {
     /// Summary level: bit `w % 64` of `summary[w / 64]` is set iff
     /// `words[w] != 0`.
     summary: Vec<u64>,
-    /// Huge-page tier: per-512-page-run popcounts.
-    huge: HugeBitmap,
-    /// Running popcount, maintained by `set`/`clear`/`drain_words`.
+    /// Running popcount, maintained by `set`/`clear`/`clear_all`.
     ones: usize,
 }
 
@@ -196,33 +77,8 @@ impl Bitmap2L {
             len,
             words: vec![0; n_words],
             summary: vec![0; n_words.div_ceil(64)],
-            huge: HugeBitmap::new(len),
             ones: 0,
         }
-    }
-
-    /// Creates an all-ones bitmap over `len` bits.
-    pub fn filled(len: usize) -> Self {
-        let mut b = Self::new(len);
-        for (w, word) in b.words.iter_mut().enumerate() {
-            let bits_here = (len - w * 64).min(64);
-            *word = if bits_here == 64 {
-                !0
-            } else {
-                (1u64 << bits_here) - 1
-            };
-        }
-        for (s, sword) in b.summary.iter_mut().enumerate() {
-            let words_here = (b.words.len() - s * 64).min(64);
-            *sword = if words_here == 64 {
-                !0
-            } else {
-                (1u64 << words_here) - 1
-            };
-        }
-        b.huge = HugeBitmap::filled(len);
-        b.ones = len;
-        b
     }
 
     /// Number of addressable bits.
@@ -244,13 +100,6 @@ impl Bitmap2L {
     /// ground truth `count()` must agree with.
     pub fn recount(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The huge-page summary tier: per-512-page-run popcounts and
-    /// classification.
-    #[inline]
-    pub fn huge(&self) -> &HugeBitmap {
-        &self.huge
     }
 
     /// Picks the scan strategy for the maintained density.
@@ -318,7 +167,6 @@ impl Bitmap2L {
         if word == 0 {
             self.summary[w / 64] |= 1u64 << (w % 64);
         }
-        self.huge.add(i);
         self.ones += 1;
         true
     }
@@ -342,7 +190,6 @@ impl Bitmap2L {
         if new == 0 {
             self.summary[w / 64] &= !(1u64 << (w % 64));
         }
-        self.huge.sub(i);
         self.ones -= 1;
         true
     }
@@ -351,7 +198,6 @@ impl Bitmap2L {
     pub fn clear_all(&mut self) {
         self.words.fill(0);
         self.summary.fill(0);
-        self.huge.pop.fill(0);
         self.ones = 0;
     }
 
@@ -363,11 +209,6 @@ impl Bitmap2L {
     #[inline]
     pub fn word(&self, w: usize) -> u64 {
         self.words[w]
-    }
-
-    /// Number of leaf words.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
     }
 
     /// The position of the first set bit at or after `start`, skipping
@@ -382,56 +223,63 @@ impl Bitmap2L {
         if bits != 0 {
             return Some(w * 64 + bits.trailing_zeros() as usize);
         }
-        self.next_one_in_word_from(w + 1)
+        let w = self.next_nonzero_word(w + 1)?;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
     }
 
-    /// First set bit in any word at or after `from_word`.
-    fn next_one_in_word_from(&self, from_word: usize) -> Option<usize> {
+    /// Index of the first non-zero leaf word at or after `from_word`,
+    /// found through the summary level.
+    fn next_nonzero_word(&self, from_word: usize) -> Option<usize> {
         if from_word >= self.words.len() {
             return None;
         }
-        let first_s = from_word / 64;
-        for s in first_s..self.summary.len() {
-            let mut sbits = self.summary[s];
-            if s == first_s {
-                sbits &= !0u64 << (from_word % 64);
-            }
-            if sbits != 0 {
-                let w = s * 64 + sbits.trailing_zeros() as usize;
-                return Some(w * 64 + self.words[w].trailing_zeros() as usize);
-            }
+        let mut s = from_word / 64;
+        let mut sbits = self.summary[s] & (!0u64 << (from_word % 64));
+        while sbits == 0 {
+            s += 1;
+            sbits = *self.summary.get(s)?;
         }
-        None
+        Some(s * 64 + sbits.trailing_zeros() as usize)
+    }
+
+    /// The one bit iterator: set bits at or after `start`, ascending. It
+    /// holds the unread bits of the current leaf word, so a bit costs one
+    /// `trailing_zeros`; the summary is consulted once per non-zero word,
+    /// not once per bit.
+    fn ones_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = start / 64;
+        // Bits past `len` are never set, so a `start` inside the last
+        // word's padding (or past the end) simply finds nothing.
+        let mut pending = match self.words.get(first) {
+            Some(&word) => word & (!0u64 << (start % 64)),
+            None => 0,
+        };
+        let mut base = first * 64;
+        let mut next_word = first + 1;
+        std::iter::from_fn(move || {
+            if pending == 0 {
+                let w = self.next_nonzero_word(next_word)?;
+                pending = self.words[w];
+                base = w * 64;
+                next_word = w + 1;
+            }
+            let b = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            Some(base + b)
+        })
     }
 
     /// Iterates the positions of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut next = 0usize;
-        std::iter::from_fn(move || {
-            let i = self.next_one_from(next)?;
-            next = i + 1;
-            Some(i)
-        })
+        self.ones_from(0)
     }
 
     /// Iterates set bits within `start..end` in ascending order.
     ///
-    /// `end` is clamped to `len`; an inverted range yields nothing.
+    /// `end` past `len` is harmless (no bit is set there); an inverted
+    /// range yields nothing.
     pub fn iter_ones_in(&self, start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
-        let end = end.min(self.len);
-        let mut next = start;
-        std::iter::from_fn(move || {
-            if next >= end {
-                return None;
-            }
-            let i = self.next_one_from(next)?;
-            if i >= end {
-                next = end;
-                return None;
-            }
-            next = i + 1;
-            Some(i)
-        })
+        self.ones_from(start).take_while(move |&i| i < end)
     }
 
     /// Calls `f(word_index, word)` for every non-zero leaf word in
@@ -491,92 +339,6 @@ impl Bitmap2L {
         }
     }
 
-    /// Reads and clears every non-zero leaf word: `f(word_index, word)`
-    /// is called with the word's prior value, in ascending order, and the
-    /// word (with its summary bit, run popcount, and total-popcount
-    /// share) is cleared. The word-granularity analogue of a
-    /// read-and-clear epoch walk. Dispatches on density.
-    pub fn drain_words(&mut self, f: impl FnMut(usize, u64)) {
-        let path = self.scan_path();
-        crate::dispatch::record(path);
-        self.drain_words_with(path, f);
-    }
-
-    /// [`Bitmap2L::drain_words`] with the scan path forced.
-    pub fn drain_words_with(&mut self, path: ScanPath, mut f: impl FnMut(usize, u64)) {
-        match path {
-            ScanPath::Skip => {
-                for s in 0..self.summary.len() {
-                    let mut sbits = std::mem::take(&mut self.summary[s]);
-                    while sbits != 0 {
-                        let j = sbits.trailing_zeros() as usize;
-                        sbits &= sbits - 1;
-                        let w = s * 64 + j;
-                        let word = std::mem::take(&mut self.words[w]);
-                        let pop = word.count_ones();
-                        self.huge.sub_word(w, pop);
-                        self.ones -= pop as usize;
-                        f(w, word);
-                    }
-                }
-            }
-            ScanPath::Dense | ScanPath::Unrolled => {
-                // The walk drains everything, so the summary, run
-                // popcounts, and total are wiped wholesale afterwards.
-                if path == ScanPath::Dense {
-                    for w in 0..self.words.len() {
-                        let word = self.words[w];
-                        if word != 0 {
-                            self.words[w] = 0;
-                            f(w, word);
-                        }
-                    }
-                } else {
-                    let n = self.words.len();
-                    let mut w = 0;
-                    while w + 4 <= n {
-                        let (a, b, c, d) = (
-                            self.words[w],
-                            self.words[w + 1],
-                            self.words[w + 2],
-                            self.words[w + 3],
-                        );
-                        if a | b | c | d != 0 {
-                            self.words[w] = 0;
-                            self.words[w + 1] = 0;
-                            self.words[w + 2] = 0;
-                            self.words[w + 3] = 0;
-                            if a != 0 {
-                                f(w, a);
-                            }
-                            if b != 0 {
-                                f(w + 1, b);
-                            }
-                            if c != 0 {
-                                f(w + 2, c);
-                            }
-                            if d != 0 {
-                                f(w + 3, d);
-                            }
-                        }
-                        w += 4;
-                    }
-                    while w < n {
-                        let word = self.words[w];
-                        if word != 0 {
-                            self.words[w] = 0;
-                            f(w, word);
-                        }
-                        w += 1;
-                    }
-                }
-                self.summary.fill(0);
-                self.huge.pop.fill(0);
-                self.ones = 0;
-            }
-        }
-    }
-
     /// Calls `f(word_index, self_word, other_word)` for every leaf word
     /// that is non-zero in *either* bitmap, in ascending order,
     /// dispatching on the combined density. The two bitmaps must have the
@@ -585,6 +347,9 @@ impl Bitmap2L {
     /// # Panics
     ///
     /// Panics if the lengths differ.
+    // Inlined so each caller's closure folds into the walk: without it a
+    // second instantiation ran `DirtySet::check_invariants` 25-40% slower.
+    #[inline]
     pub fn for_each_word_union(&self, other: &Bitmap2L, f: impl FnMut(usize, u64, u64)) {
         assert_eq!(self.len, other.len, "bitmap lengths differ");
         let path = Self::path_for(self.ones + other.ones, self.len.max(1));
@@ -597,6 +362,7 @@ impl Bitmap2L {
     /// # Panics
     ///
     /// Panics if the lengths differ.
+    #[inline]
     pub fn for_each_word_union_with(
         &self,
         other: &Bitmap2L,
@@ -659,9 +425,7 @@ impl Bitmap2L {
     }
 
     /// Appends every set bit position, ascending, to `out`. Dispatches on
-    /// density; the dense paths additionally consult the huge tier, so
-    /// empty runs are skipped and full runs are appended as straight
-    /// ranges without touching leaf words.
+    /// density.
     pub fn collect_into(&self, out: &mut Vec<usize>) {
         self.collect_into_map(out, |i| i);
     }
@@ -687,61 +451,15 @@ impl Bitmap2L {
         f: impl Fn(usize) -> T + Copy,
     ) {
         out.reserve(self.ones);
-        match path {
-            ScanPath::Skip => {
-                self.for_each_word_with(ScanPath::Skip, |w, bits| {
-                    extend_from_word(out, w, bits, f)
-                });
-            }
-            ScanPath::Dense | ScanPath::Unrolled => {
-                for r in 0..self.huge.runs() {
-                    match self.huge.class(r) {
-                        RunClass::Empty => {}
-                        RunClass::Full => {
-                            let base = r * RUN_PAGES;
-                            out.extend((base..base + self.huge.run_len(r)).map(f));
-                        }
-                        RunClass::Mixed => {
-                            let w0 = r * RUN_WORDS;
-                            let w1 = (w0 + RUN_WORDS).min(self.words.len());
-                            if path == ScanPath::Dense {
-                                for w in w0..w1 {
-                                    extend_from_word(out, w, self.words[w], f);
-                                }
-                            } else {
-                                let mut w = w0;
-                                while w + 4 <= w1 {
-                                    let (a, b, c, d) = (
-                                        self.words[w],
-                                        self.words[w + 1],
-                                        self.words[w + 2],
-                                        self.words[w + 3],
-                                    );
-                                    if a | b | c | d != 0 {
-                                        extend_from_word(out, w, a, f);
-                                        extend_from_word(out, w + 1, b, f);
-                                        extend_from_word(out, w + 2, c, f);
-                                        extend_from_word(out, w + 3, d, f);
-                                    }
-                                    w += 4;
-                                }
-                                while w < w1 {
-                                    extend_from_word(out, w, self.words[w], f);
-                                    w += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_word_with(path, |w, bits| extend_from_word(out, w, bits, f));
     }
 
     /// Appends every set bit in `start..end`, ascending, to `out`.
-    /// `end` is clamped to `len`. Runs entirely inside the range are
-    /// classified through the huge tier (skipped when empty, appended as
-    /// ranges when full); only mixed runs and partial edge words pay a
-    /// leaf-word walk. Bit order matches `iter_ones_in` exactly.
+    /// `end` is clamped to `len`. Dispatches on density like every other
+    /// scan: a sparse bitmap takes the summary-guided iterator, so the
+    /// scan is O(w/64 + d) rather than O(words in range); the two
+    /// straight-line bands share one word walk with the edge words
+    /// masked. Bit order matches `iter_ones_in` exactly.
     pub fn collect_range_into(&self, start: usize, end: usize, out: &mut Vec<usize>) {
         self.collect_range_into_map(start, end, out, |i| i);
     }
@@ -759,29 +477,15 @@ impl Bitmap2L {
         if start >= end {
             return;
         }
-        crate::dispatch::record(self.scan_path());
+        let path = self.scan_path();
+        crate::dispatch::record(path);
+        if path == ScanPath::Skip {
+            out.extend(self.iter_ones_in(start, end).map(f));
+            return;
+        }
         let first_w = start / 64;
         let last_w = (end - 1) / 64;
-        let mut w = first_w;
-        while w <= last_w {
-            // A run-aligned word starting a run wholly inside [start, end)
-            // can be classified through the huge tier.
-            if w % RUN_WORDS == 0 && w * 64 >= start && (w + RUN_WORDS) * 64 <= end {
-                let r = w / RUN_WORDS;
-                match self.huge.class(r) {
-                    RunClass::Empty => {
-                        w += RUN_WORDS;
-                        continue;
-                    }
-                    RunClass::Full => {
-                        let base = r * RUN_PAGES;
-                        out.extend((base..base + RUN_PAGES).map(f));
-                        w += RUN_WORDS;
-                        continue;
-                    }
-                    RunClass::Mixed => {}
-                }
-            }
+        for w in first_w..=last_w {
             let mut bits = self.words[w];
             if w == first_w {
                 bits &= !0u64 << (start % 64);
@@ -790,49 +494,11 @@ impl Bitmap2L {
                 bits &= (1u64 << (end % 64)) - 1;
             }
             extend_from_word(out, w, bits, f);
-            w += 1;
         }
     }
 
-    /// Iterates, in ascending order, the positions set in `self` *or*
-    /// `other`. Both bitmaps must have the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn iter_ones_union<'a>(&'a self, other: &'a Bitmap2L) -> impl Iterator<Item = usize> + 'a {
-        assert_eq!(self.len, other.len, "bitmap lengths differ");
-        let mut pending: u64 = 0;
-        let mut base = 0usize;
-        let mut next_word = 0usize;
-        std::iter::from_fn(move || loop {
-            if pending != 0 {
-                let b = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                return Some(base + b);
-            }
-            // Find the next word non-zero in either bitmap via the
-            // summaries.
-            let w = loop {
-                if next_word >= self.words.len() {
-                    return None;
-                }
-                let s = next_word / 64;
-                let sbits = (self.summary[s] | other.summary[s]) & (!0u64 << (next_word % 64));
-                if sbits != 0 {
-                    break s * 64 + sbits.trailing_zeros() as usize;
-                }
-                next_word = (s + 1) * 64;
-            };
-            pending = self.words[w] | other.words[w];
-            base = w * 64;
-            next_word = w + 1;
-        })
-    }
-
-    /// Verifies internal consistency: the summary mirrors the leaf words,
-    /// the run popcounts mirror per-run recounts, and the maintained
-    /// popcount matches a recount.
+    /// Verifies internal consistency: the summary mirrors the leaf words
+    /// and the maintained popcount matches a recount.
     ///
     /// # Errors
     ///
@@ -842,17 +508,6 @@ impl Bitmap2L {
             let summarized = self.summary[w / 64] & (1u64 << (w % 64)) != 0;
             if summarized != (word != 0) {
                 return Err("summary bit out of sync with leaf word");
-            }
-        }
-        for r in 0..self.huge.runs() {
-            let w0 = r * RUN_WORDS;
-            let w1 = (w0 + RUN_WORDS).min(self.words.len());
-            let pop: usize = self.words[w0..w1]
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum();
-            if pop != self.huge.run_pop(r) {
-                return Err("run popcount out of sync with leaf words");
             }
         }
         if self.recount() != self.ones {
@@ -886,6 +541,18 @@ mod tests {
 
     const ALL_PATHS: [ScanPath; 3] = [ScanPath::Skip, ScanPath::Dense, ScanPath::Unrolled];
 
+    /// A 2 MiB cluster of 4 KiB pages: the stretch the dense tests fill
+    /// wholesale so all-ones words sit next to sparse and empty ones.
+    const CLUSTER: usize = 512;
+
+    fn with_bits(len: usize, bits: impl IntoIterator<Item = usize>) -> Bitmap2L {
+        let mut b = Bitmap2L::new(len);
+        for i in bits {
+            b.set(i);
+        }
+        b
+    }
+
     #[test]
     fn empty_bitmap_has_nothing() {
         let b = Bitmap2L::new(0);
@@ -893,7 +560,7 @@ mod tests {
         assert_eq!(b.count(), 0);
         assert_eq!(b.next_one_from(0), None);
         assert_eq!(b.iter_ones().count(), 0);
-        assert_eq!(b.huge().runs(), 0);
+        assert_eq!(b.iter_ones_in(0, 10).count(), 0);
         b.check_consistency().unwrap();
     }
 
@@ -913,10 +580,7 @@ mod tests {
 
     #[test]
     fn word_boundaries_63_64_65() {
-        let mut b = Bitmap2L::new(130);
-        for i in [63usize, 64, 65] {
-            b.set(i);
-        }
+        let mut b = with_bits(130, [63, 64, 65]);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![63, 64, 65]);
         assert_eq!(b.next_one_from(0), Some(63));
         assert_eq!(b.next_one_from(64), Some(64));
@@ -927,102 +591,9 @@ mod tests {
         b.check_consistency().unwrap();
     }
 
-    /// Satellite: huge-tier analogue of `word_boundaries_63_64_65` — bits
-    /// at the 511/512/513 run boundary land in the right runs and the run
-    /// popcounts track set/clear exactly.
-    #[test]
-    fn run_boundaries_511_512_513() {
-        let mut b = Bitmap2L::new(3 * RUN_PAGES);
-        for i in [511usize, 512, 513] {
-            b.set(i);
-        }
-        assert_eq!(b.huge().runs(), 3);
-        assert_eq!(b.huge().run_pop(0), 1, "bit 511 is the last of run 0");
-        assert_eq!(b.huge().run_pop(1), 2, "bits 512 and 513 open run 1");
-        assert_eq!(b.huge().run_pop(2), 0);
-        assert_eq!(b.huge().class(0), RunClass::Mixed);
-        assert_eq!(b.huge().class(2), RunClass::Empty);
-        b.clear(512);
-        assert_eq!(b.huge().run_pop(1), 1);
-        b.clear(511);
-        assert_eq!(b.huge().run_pop(0), 0);
-        assert_eq!(b.huge().class(0), RunClass::Empty);
-        b.check_consistency().unwrap();
-        let mut collected = Vec::new();
-        b.collect_into(&mut collected);
-        assert_eq!(collected, vec![513]);
-    }
-
-    /// Satellite: a trailing partial run classifies as Full at its
-    /// *partial* length, never at 512.
-    #[test]
-    fn partial_trailing_run_classifies_at_its_own_length() {
-        // 513 bits: run 0 is full-length, run 1 holds a single bit.
-        let mut b = Bitmap2L::new(RUN_PAGES + 1);
-        assert_eq!(b.huge().runs(), 2);
-        assert_eq!(b.huge().run_len(0), RUN_PAGES);
-        assert_eq!(b.huge().run_len(1), 1);
-        b.set(RUN_PAGES);
-        assert_eq!(b.huge().class(1), RunClass::Full, "1/1 bits set");
-        assert_eq!(b.huge().class(0), RunClass::Empty);
-        // A 511-bit bitmap is a single partial run.
-        let full = Bitmap2L::filled(RUN_PAGES - 1);
-        assert_eq!(full.huge().runs(), 1);
-        assert_eq!(full.huge().run_len(0), RUN_PAGES - 1);
-        assert_eq!(full.huge().class(0), RunClass::Full);
-        full.check_consistency().unwrap();
-        // Collection through the huge tier honours the partial length.
-        let mut collected = Vec::new();
-        full.collect_into_with(ScanPath::Unrolled, &mut collected);
-        assert_eq!(collected, (0..RUN_PAGES - 1).collect::<Vec<_>>());
-    }
-
-    /// Satellite: filled() and drain/clear keep the run tier consistent
-    /// across whole-run and partial-run edges.
-    #[test]
-    fn run_tier_tracks_fill_drain_and_clear_all() {
-        let mut b = Bitmap2L::filled(2 * RUN_PAGES + 100);
-        assert_eq!(b.huge().runs(), 3);
-        for r in 0..3 {
-            assert_eq!(b.huge().class(r), RunClass::Full);
-        }
-        let mut seen_pop = 0usize;
-        b.drain_words(|_, bits| seen_pop += bits.count_ones() as usize);
-        assert_eq!(seen_pop, 2 * RUN_PAGES + 100);
-        for r in 0..3 {
-            assert_eq!(b.huge().class(r), RunClass::Empty);
-        }
-        b.check_consistency().unwrap();
-        let mut c = Bitmap2L::filled(RUN_PAGES + 7);
-        c.clear_all();
-        assert_eq!(c.huge().run_pop(0), 0);
-        assert_eq!(c.huge().run_pop(1), 0);
-        c.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn for_each_run_reports_classes_in_order() {
-        let mut b = Bitmap2L::new(3 * RUN_PAGES);
-        for i in 0..RUN_PAGES {
-            b.set(RUN_PAGES + i);
-        }
-        b.set(2 * RUN_PAGES + 9);
-        let mut seen = Vec::new();
-        b.huge().for_each_run(|r, class| seen.push((r, class)));
-        assert_eq!(
-            seen,
-            vec![
-                (0, RunClass::Empty),
-                (1, RunClass::Full),
-                (2, RunClass::Mixed)
-            ]
-        );
-    }
-
     #[test]
     fn last_partial_word_is_addressable() {
-        let mut b = Bitmap2L::new(65);
-        b.set(64);
+        let b = with_bits(65, [64]);
         assert_eq!(b.count(), 1);
         assert_eq!(b.next_one_from(0), Some(64));
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![64]);
@@ -1030,8 +601,8 @@ mod tests {
     }
 
     #[test]
-    fn filled_bitmap_is_full() {
-        let b = Bitmap2L::filled(130);
+    fn fully_set_bitmap_is_full() {
+        let b = with_bits(130, 0..130);
         assert_eq!(b.count(), 130);
         assert_eq!(b.recount(), 130);
         assert!(b.test(0) && b.test(129));
@@ -1053,17 +624,16 @@ mod tests {
         let mut b = Bitmap2L::new(1 << 20);
         b.set((1 << 20) - 1);
         assert_eq!(b.next_one_from(0), Some((1 << 20) - 1));
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![(1 << 20) - 1]);
         b.clear((1 << 20) - 1);
         assert_eq!(b.next_one_from(0), None);
+        assert_eq!(b.iter_ones().next(), None);
         b.check_consistency().unwrap();
     }
 
     #[test]
     fn iter_ones_in_respects_bounds() {
-        let mut b = Bitmap2L::new(256);
-        for i in [0usize, 63, 64, 127, 128, 255] {
-            b.set(i);
-        }
+        let b = with_bits(256, [0, 63, 64, 127, 128, 255]);
         assert_eq!(
             b.iter_ones_in(1, 128).collect::<Vec<_>>(),
             vec![63, 64, 127]
@@ -1073,13 +643,34 @@ mod tests {
             vec![128, 255]
         );
         assert_eq!(b.iter_ones_in(10, 10).count(), 0);
+        assert_eq!(b.iter_ones_in(200, 100).count(), 0, "inverted range");
+        assert_eq!(b.iter_ones_in(256, usize::MAX).count(), 0, "past the end");
+        assert_eq!(b.iter_ones_in(usize::MAX, usize::MAX).count(), 0);
+    }
+
+    /// The pending-word iterator and the per-bit `next_one_from` probe
+    /// are two implementations of the same order.
+    #[test]
+    fn iterator_matches_next_one_from_chain() {
+        let b = with_bits(
+            4 * CLUSTER + 77,
+            (CLUSTER..2 * CLUSTER).chain((0..4 * CLUSTER + 77).step_by(131)),
+        );
+        for start in [0, 1, 63, 64, 65, CLUSTER - 1, CLUSTER, 4 * CLUSTER + 76] {
+            let mut want = Vec::new();
+            let mut next = start;
+            while let Some(i) = b.next_one_from(next) {
+                want.push(i);
+                next = i + 1;
+            }
+            let got: Vec<usize> = b.iter_ones_in(start, usize::MAX).collect();
+            assert_eq!(got, want, "from {start}");
+        }
     }
 
     #[test]
     fn for_each_word_visits_only_nonzero_words_on_every_path() {
-        let mut b = Bitmap2L::new(64 * 100);
-        b.set(64 * 3 + 5);
-        b.set(64 * 97);
+        let b = with_bits(64 * 100, [64 * 3 + 5, 64 * 97]);
         for path in ALL_PATHS {
             let mut seen = Vec::new();
             b.for_each_word_with(path, |w, bits| seen.push((w, bits)));
@@ -1088,54 +679,37 @@ mod tests {
     }
 
     #[test]
-    fn drain_words_clears_and_reports_on_every_path() {
-        for path in ALL_PATHS {
-            let mut b = Bitmap2L::new(200);
-            b.set(1);
-            b.set(65);
-            b.set(66);
-            let mut seen = Vec::new();
-            b.drain_words_with(path, |w, bits| seen.push((w, bits)));
-            assert_eq!(seen, vec![(0, 2), (1, 0b110)], "path {path:?}");
-            assert_eq!(b.count(), 0);
-            assert_eq!(b.next_one_from(0), None);
-            b.check_consistency().unwrap();
-        }
-    }
-
-    #[test]
-    fn union_iteration_merges_in_order() {
-        let mut a = Bitmap2L::new(300);
-        let mut b = Bitmap2L::new(300);
-        a.set(2);
-        b.set(70);
-        a.set(131);
-        b.set(131);
-        b.set(299);
-        assert_eq!(
-            a.iter_ones_union(&b).collect::<Vec<_>>(),
-            vec![2, 70, 131, 299]
-        );
+    fn union_walk_visits_words_set_in_either_on_every_path() {
+        let a = with_bits(300, [2, 131]);
+        let b = with_bits(300, [70, 131, 299]);
         for path in ALL_PATHS {
             let mut words = Vec::new();
             a.for_each_word_union_with(&b, path, |w, wa, wb| words.push((w, wa, wb)));
-            assert_eq!(words.len(), 4, "words 0, 1, 2, 4 on path {path:?}");
-            assert_eq!(words[0], (0, 1 << 2, 0));
+            assert_eq!(
+                words,
+                vec![
+                    (0, 1 << 2, 0),
+                    (1, 0, 1 << 6),
+                    (2, 1 << 3, 1 << 3),
+                    (4, 0, 1 << 43)
+                ],
+                "path {path:?}"
+            );
         }
     }
 
     #[test]
     fn collect_matches_iter_on_every_path() {
-        let mut b = Bitmap2L::new(4 * RUN_PAGES + 77);
-        // Empty run 0, full run 1, mixed runs 2-3, partial tail.
-        for i in RUN_PAGES..2 * RUN_PAGES {
-            b.set(i);
-        }
-        for i in (2 * RUN_PAGES..3 * RUN_PAGES).step_by(7) {
-            b.set(i);
-        }
-        b.set(4 * RUN_PAGES + 76);
+        // Empty cluster 0, full cluster 1, sparse clusters 2-3, partial
+        // tail: all-ones words, mixed words and zero words side by side.
+        let b = with_bits(
+            4 * CLUSTER + 77,
+            (CLUSTER..2 * CLUSTER)
+                .chain((2 * CLUSTER..3 * CLUSTER).step_by(7))
+                .chain([4 * CLUSTER + 76]),
+        );
         let want: Vec<usize> = b.iter_ones().collect();
+        assert_eq!(want.len(), b.count());
         for path in ALL_PATHS {
             let mut got = Vec::new();
             b.collect_into_with(path, &mut got);
@@ -1145,27 +719,37 @@ mod tests {
 
     #[test]
     fn collect_range_matches_iter_ones_in() {
-        let mut b = Bitmap2L::new(4 * RUN_PAGES);
-        for i in RUN_PAGES..2 * RUN_PAGES {
-            b.set(i);
-        }
-        for i in (0..4 * RUN_PAGES).step_by(131) {
-            b.set(i);
-        }
-        for (start, end) in [
-            (0, 4 * RUN_PAGES),
-            (1, 4 * RUN_PAGES - 1),
-            (RUN_PAGES, 2 * RUN_PAGES),
-            (RUN_PAGES - 1, 2 * RUN_PAGES + 1),
-            (RUN_PAGES + 63, RUN_PAGES + 65),
-            (100, 100),
-            (513, 511),
-            (0, usize::MAX),
-        ] {
-            let want: Vec<usize> = b.iter_ones_in(start, end).collect();
-            let mut got = Vec::new();
-            b.collect_range_into(start, end, &mut got);
-            assert_eq!(got, want, "range {start}..{end}");
+        // One input per side of the range dispatch: a full cluster plus a
+        // sprinkle (word walk), and a handful of bits (`Skip` band, the
+        // summary-guided iterator).
+        let dense = with_bits(
+            4 * CLUSTER,
+            (CLUSTER..2 * CLUSTER).chain((0..4 * CLUSTER).step_by(131)),
+        );
+        let sparse = with_bits(
+            4 * CLUSTER,
+            [5, CLUSTER + 63, CLUSTER + 64, 4 * CLUSTER - 1],
+        );
+        assert_ne!(dense.scan_path(), ScanPath::Skip);
+        assert_eq!(sparse.scan_path(), ScanPath::Skip);
+        for b in [&dense, &sparse] {
+            for (start, end) in [
+                (0, 4 * CLUSTER),
+                (1, 4 * CLUSTER - 1),
+                (6, 4 * CLUSTER - 1),
+                (CLUSTER, 2 * CLUSTER),
+                (CLUSTER - 1, 2 * CLUSTER + 1),
+                (CLUSTER + 63, CLUSTER + 65),
+                (CLUSTER + 64, CLUSTER + 64),
+                (100, 100),
+                (513, 511),
+                (0, usize::MAX),
+            ] {
+                let want: Vec<usize> = b.iter_ones_in(start, end).collect();
+                let mut got = Vec::new();
+                b.collect_range_into(start, end, &mut got);
+                assert_eq!(got, want, "range {start}..{end} on {:?}", b.scan_path());
+            }
         }
     }
 
@@ -1185,7 +769,7 @@ mod tests {
 
     #[test]
     fn clear_all_resets_everything() {
-        let mut b = Bitmap2L::filled(100);
+        let mut b = with_bits(CLUSTER + 7, 0..CLUSTER + 7);
         b.clear_all();
         assert_eq!(b.count(), 0);
         assert_eq!(b.next_one_from(0), None);

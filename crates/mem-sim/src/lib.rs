@@ -40,7 +40,7 @@ mod page;
 mod page_table;
 mod tlb;
 
-pub use bitmap::{Bitmap2L, HugeBitmap, RunClass, ScanPath, RUN_PAGES, RUN_WORDS};
+pub use bitmap::{Bitmap2L, ScanPath};
 pub use dispatch::DispatchCounts;
 pub use mmu::{AccessError, Mmu, MmuStats, WalkOptions, SECTOR_BYTES};
 pub use page::{page_count, PageId, PAGE_SIZE};

@@ -128,13 +128,14 @@ impl fmt::Display for PteFlags {
 /// entries directly; the [`Mmu`](crate::Mmu) consults and updates them on
 /// every access that misses the TLB.
 ///
-/// Internally the table is stored column-wise: one [`Bitmap2L`] per flag
-/// rather than a `Vec<PteFlags>` row per page. The per-entry API below is
-/// unchanged, but scans that care about one flag — the epoch walk reading
-/// dirty bits, the discovery scan, `dirty_count` — use the word-level
-/// primitives (`iter_dirty_pages`, `take_dirty_words`, ...) and skip
-/// clean space through the bitmap summary level instead of touching every
-/// entry.
+/// Internally the table is stored column-wise: one [`Bitmap2L`] per
+/// mutable flag rather than a `Vec<PteFlags>` row per page. Scans that
+/// care about one flag — the discovery scan, the shadow walk,
+/// `dirty_count` — borrow that column (`dirty_bits`, `shadow_dirty_bits`,
+/// `writable_bits`) and run the bitmap's density-dispatched collectors
+/// over it instead of touching every entry. Every entry is present for
+/// the table's whole life (the simulated region is never swapped out), so
+/// that bit is a constant of [`PageTable::flags`], not a column.
 ///
 /// # Examples
 ///
@@ -148,7 +149,6 @@ impl fmt::Display for PteFlags {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    present: Bitmap2L,
     writable: Bitmap2L,
     dirty: Bitmap2L,
     accessed: Bitmap2L,
@@ -160,7 +160,6 @@ impl PageTable {
     /// the state Viyojit establishes at startup (Fig. 6 step 1).
     pub fn new(pages: usize) -> Self {
         PageTable {
-            present: Bitmap2L::filled(pages),
             writable: Bitmap2L::new(pages),
             dirty: Bitmap2L::new(pages),
             accessed: Bitmap2L::new(pages),
@@ -170,12 +169,12 @@ impl PageTable {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.present.len()
+        self.dirty.len()
     }
 
     /// `true` if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
+        self.dirty.is_empty()
     }
 
     /// The flags of `page`, reassembled from the per-flag bitmaps.
@@ -185,16 +184,11 @@ impl PageTable {
     /// Panics if `page` is out of range.
     pub fn flags(&self, page: PageId) -> PteFlags {
         let i = page.index();
-        let mut f = if self.present.test(i) {
-            PteFlags::present()
-        } else {
-            PteFlags::not_present()
-        };
-        f = f
+        PteFlags::present()
             .with_writable(self.writable.test(i))
             .with_dirty(self.dirty.test(i))
-            .with_accessed(self.accessed.test(i));
-        f.with_shadow_dirty(self.shadow.test(i))
+            .with_accessed(self.accessed.test(i))
+            .with_shadow_dirty(self.shadow.test(i))
     }
 
     /// Sets the writable bit of `page`.
@@ -297,26 +291,6 @@ impl PageTable {
         self.dirty.count()
     }
 
-    /// Iterates the pages whose dirty bit is set, in ascending order,
-    /// skipping clean space through the bitmap summary level.
-    pub fn iter_dirty_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.dirty.iter_ones().map(|i| PageId(i as u64))
-    }
-
-    /// Reads and clears the dirty bits 64 entries at a time: `f` receives
-    /// `(first_page_index, word)` for every non-zero word, where bit `b`
-    /// of `word` is page `first_page_index + b`. Clean space is skipped
-    /// via the summary level — the word-granularity epoch-walk primitive.
-    pub fn take_dirty_words(&mut self, mut f: impl FnMut(u64, u64)) {
-        self.dirty.drain_words(|w, word| f(w as u64 * 64, word));
-    }
-
-    /// Reads and clears the shadow dirty bits 64 entries at a time; see
-    /// [`PageTable::take_dirty_words`].
-    pub fn take_shadow_dirty_words(&mut self, mut f: impl FnMut(u64, u64)) {
-        self.shadow.drain_words(|w, word| f(w as u64 * 64, word));
-    }
-
     /// Clears every dirty bit. O(words), regardless of how many are set.
     pub fn clear_all_dirty(&mut self) {
         self.dirty.clear_all();
@@ -404,28 +378,6 @@ mod tests {
             PteFlags::present().with_shadow_dirty(true).to_string(),
             "P---S"
         );
-    }
-
-    #[test]
-    fn iter_dirty_pages_is_ascending_and_exact() {
-        let mut pt = PageTable::new(200);
-        for i in [130u64, 2, 64, 63] {
-            pt.set_dirty(PageId(i), true);
-        }
-        let pages: Vec<u64> = pt.iter_dirty_pages().map(|p| p.0).collect();
-        assert_eq!(pages, vec![2, 63, 64, 130]);
-    }
-
-    #[test]
-    fn take_dirty_words_reads_and_clears() {
-        let mut pt = PageTable::new(200);
-        pt.set_dirty(PageId(1), true);
-        pt.set_dirty(PageId(65), true);
-        let mut seen = Vec::new();
-        pt.take_dirty_words(|base, word| seen.push((base, word)));
-        assert_eq!(seen, vec![(0, 2), (64, 2)]);
-        assert_eq!(pt.dirty_count(), 0);
-        assert!(!pt.flags(PageId(1)).is_dirty());
     }
 
     #[test]

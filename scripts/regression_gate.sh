@@ -19,7 +19,7 @@ cargo build --release -p viyojit-bench --bins
 
 # The committed wall-clock artifact must carry the density sweep the
 # CI gate compares against: the high-density cells and the uniform-runs
-# layout that exercises the 2 MiB huge-page tier. An artifact blessed
+# layout (whole 512-page clusters dirty). An artifact blessed
 # before the density-adaptive dispatch landed lacks them, and the gate
 # would silently check nothing — fail loudly instead.
 artifact=BENCH_wallclock.json
