@@ -57,7 +57,7 @@ fn main() {
             CostModel::calibrated(),
             SsdConfig::datacenter(),
         );
-        let result = viyojit_bench::run_prepared(&cfg, nv, Some(budget));
+        let result = viyojit_bench::run_on(&cfg, nv, Some(budget));
         let stats = result.stats.expect("viyojit run");
         let reduction =
             100.0 * (1.0 - stats.physical_bytes_flushed as f64 / stats.bytes_flushed.max(1) as f64);

@@ -52,17 +52,21 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// One parsed exposition render: bare-name sample values plus each
 /// declared metric's kind.
+#[derive(Debug)]
 struct Exposition {
     values: BTreeMap<String, f64>,
     kinds: BTreeMap<String, String>,
 }
 
 /// Parses one exposition render: `# TYPE <name> <kind>` declarations and
-/// `<name>[{labels}] <value>` samples. Returns the first grammar
-/// violation as an error.
+/// `<name>[{labels}] <value>` samples. Returns the first violation as an
+/// error: bad grammar, a metric family declared twice, or a histogram
+/// whose cumulative `_bucket` counts decrease.
 fn parse_exposition(text: &str) -> Result<Exposition, String> {
     let mut values = BTreeMap::new();
     let mut kinds = BTreeMap::new();
+    // The family and cumulative count of the previous `_bucket` sample.
+    let mut last_bucket: Option<(&str, f64)> = None;
     for (i, line) in text.lines().enumerate() {
         let n = i + 1;
         if line.is_empty() {
@@ -82,19 +86,26 @@ fn parse_exposition(text: &str) -> Result<Exposition, String> {
             {
                 return Err(format!("line {n}: name outside the alphabet: {name}"));
             }
-            kinds.insert(name.to_string(), kind.to_string());
+            if kinds.insert(name.to_string(), kind.to_string()).is_some() {
+                return Err(format!("line {n}: family '{name}' declared twice"));
+            }
             continue;
         }
         let Some((name, value)) = line.rsplit_once(' ') else {
             return Err(format!("line {n}: sample without a value: {line}"));
         };
-        if value.parse::<f64>().is_err() && !matches!(value, "NaN" | "+Inf" | "-Inf") {
+        let parsed = value.parse::<f64>();
+        if parsed.is_err() && !matches!(value, "NaN" | "+Inf" | "-Inf") {
             return Err(format!("line {n}: unparseable sample value: {line}"));
         }
-        if !name.contains('{') {
-            if let Ok(v) = value.parse::<f64>() {
-                values.insert(name.to_string(), v);
+        let Ok(v) = parsed else { continue };
+        if let Some((family, _)) = name.split_once("_bucket{le=") {
+            if last_bucket.is_some_and(|(f, count)| f == family && v < count) {
+                return Err(format!("line {n}: cumulative bucket decreases: {line}"));
             }
+            last_bucket = Some((family, v));
+        } else if !name.contains('{') {
+            values.insert(name.to_string(), v);
         }
     }
     Ok(Exposition { values, kinds })
@@ -310,5 +321,25 @@ fn main() {
 
     if !ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_exposition;
+
+    const GOOD: &str = "# TYPE a counter\na 1\n# TYPE h histogram\n\
+        h_bucket{le=\"7\"} 1\nh_bucket{le=\"911\"} 3\nh_bucket{le=\"+Inf\"} 3\nh_sum 9\nh_count 3\n";
+
+    #[test]
+    fn the_gate_rejects_duplicate_families_and_shrinking_buckets() {
+        let good = parse_exposition(GOOD).expect("a well-formed render parses");
+        assert_eq!(good.values.get("h_count"), Some(&3.0));
+        let twice = format!("{GOOD}# TYPE a counter\na 2\n");
+        assert!(parse_exposition(&twice).unwrap_err().contains("twice"));
+        let shrinking = GOOD.replace("h_bucket{le=\"911\"} 3", "h_bucket{le=\"911\"} 0");
+        assert!(parse_exposition(&shrinking)
+            .unwrap_err()
+            .contains("decreases"));
     }
 }

@@ -288,17 +288,6 @@ pub fn run_on<H: NvStore>(cfg: &ExperimentConfig, nv: H, budget: Option<u64>) ->
     }
 }
 
-/// Runs the measured YCSB phase against a caller-constructed store
-/// (for non-default configurations: codecs, policies, epochs, sharded
-/// frontends). Any [`NvStore`] works.
-pub fn run_prepared<H: NvStore>(
-    cfg: &ExperimentConfig,
-    nv: H,
-    dirty_budget_pages: Option<u64>,
-) -> ExperimentResult {
-    run_on(cfg, nv, dirty_budget_pages)
-}
-
 /// Builds the validated store configuration for one experiment run.
 fn store_config(cfg: &ExperimentConfig, dirty_budget_pages: u64) -> ViyojitConfig {
     ViyojitConfig::builder(dirty_budget_pages)

@@ -33,9 +33,9 @@ pub mod profile;
 mod report;
 
 pub use driver::{
-    gb_units_to_pages, run_baseline, run_mmu_assisted, run_on, run_prepared, run_viyojit,
-    ExperimentConfig, ExperimentResult, OpLatencies, BUDGET_SWEEP_GB, DEFAULT_OPS,
-    DEFAULT_RECORDS_PER_GB_UNIT, PAGES_PER_GB_UNIT, VALUE_BYTES,
+    gb_units_to_pages, run_baseline, run_mmu_assisted, run_on, run_viyojit, ExperimentConfig,
+    ExperimentResult, OpLatencies, BUDGET_SWEEP_GB, DEFAULT_OPS, DEFAULT_RECORDS_PER_GB_UNIT,
+    PAGES_PER_GB_UNIT, VALUE_BYTES,
 };
 pub use profile::{ProfileCapture, PROFILE_ENV};
 pub use report::{csv_stdout, meta_json, CsvSink, JsonlSink, NullSink, Report, Sink};

@@ -235,8 +235,8 @@ impl<B: DirtyTracker> ShardedViyojitBuilder<B> {
     }
 
     /// Enables the live metrics exporter: a background thread
-    /// periodically renders the merged telemetry registry (plus
-    /// wall-clock histograms) in Prometheus text exposition format to
+    /// periodically renders the merged telemetry registry (plus the
+    /// wall-plane registry) in Prometheus text exposition format to
     /// `config.path`, and optionally answers HTTP scrapes when
     /// `config.listen` is set. Stops (after a final render) when the
     /// deployment is dropped.

@@ -20,7 +20,6 @@ use sim_clock::{SimDuration, SimTime};
 use ssd_sim::SsdStats;
 use telemetry::{
     intern_metric_name, ExporterHandle, FlightRecorder, Telemetry, TenantMetricNames, TraceEvent,
-    WallKind,
 };
 
 use crate::{InvariantViolation, PowerFailureReport, RegionId, ViyojitError, ViyojitStats};
@@ -29,6 +28,11 @@ use super::builder::ShardedViyojitBuilder;
 use super::driver::{BudgetGrant, Phase, Route, ShardStats};
 use super::plane::ShardControlPlane;
 use super::{BudgetTree, DegradationGovernor, DegradedMode, DirtyTracker, TenantId, TenantStats};
+
+/// Wall-plane histograms (`Telemetry::record_wall`): host time of one
+/// data-plane `step` and of one budget round.
+const WALL_STEP_NANOS: &str = "viyojit.wall.step_nanos";
+const WALL_BUDGET_ROUND_NANOS: &str = "viyojit.wall.budget_round_nanos";
 
 /// A driver that did not answer a request (threaded transport only: the
 /// inline driver cannot be lost, a panic there unwinds to the caller).
@@ -221,7 +225,7 @@ impl<T: Transport> Coordinator<T> {
         let wall = self.telemetry.wall_start();
         self.transport.advance(d).map_err(|l| self.lost(l))?;
         self.maybe_rebalance()?;
-        self.telemetry.record_wall(WallKind::Step, wall);
+        self.telemetry.record_wall(WALL_STEP_NANOS, wall);
         Ok(())
     }
 
@@ -292,7 +296,7 @@ impl<T: Transport> Coordinator<T> {
         let baseline: Vec<ViyojitStats> = after.iter().map(|s| s.stats).collect();
         self.tree.commit(&baseline);
         self.publish(&after);
-        self.telemetry.record_wall(WallKind::BudgetRound, wall);
+        self.telemetry.record_wall(WALL_BUDGET_ROUND_NANOS, wall);
         Ok(())
     }
 

@@ -61,13 +61,18 @@ use fault_sim::{crashpoint, CrashSchedule, FaultPlan};
 use mem_sim::{AccessError, Mmu, MmuStats, PageId, TlbStats, PAGE_SIZE};
 use sim_clock::{Clock, CostModel, SimTime};
 use ssd_sim::{Ssd, SsdConfig, SsdStats};
-use telemetry::{CostClass, FlushReason, Profiler, Telemetry, TraceEvent, WallKind};
+use telemetry::{CostClass, FlushReason, Profiler, Telemetry, TraceEvent};
 
 use crate::{
     InvariantViolation, NvHeap, PowerFailureReport, PressureEstimator, RegionId, RegionInfo,
     RegionTable, ThresholdPolicy, UpdateHistory, VictimSelector, ViyojitConfig, ViyojitError,
     ViyojitStats,
 };
+
+/// Wall-plane histograms (`Telemetry::record_wall`): host time of one
+/// flush issue and of one emergency flush.
+const WALL_FLUSH_NANOS: &str = "viyojit.wall.flush_nanos";
+const WALL_EMERGENCY_NANOS: &str = "viyojit.wall.emergency_nanos";
 
 /// The backend-independent state of one NV-DRAM manager: the simulated
 /// substrates (MMU, SSD, clock), the region table, the recency/pressure
@@ -354,7 +359,7 @@ impl<B: DirtyTracker> Engine<B> {
         let wall = self.core.telemetry.wall_start();
         let obligation = B::failure_obligation(&mut self.core, &mut self.backend);
         let report = emergency::execute(&mut self.core, obligation, None);
-        self.core.telemetry.record_wall(WallKind::Emergency, wall);
+        self.core.telemetry.record_wall(WALL_EMERGENCY_NANOS, wall);
         report
     }
 
@@ -374,7 +379,7 @@ impl<B: DirtyTracker> Engine<B> {
         let wall = self.core.telemetry.wall_start();
         let obligation = B::failure_obligation(&mut self.core, &mut self.backend);
         let report = emergency::execute(&mut self.core, obligation, Some((battery, power)));
-        self.core.telemetry.record_wall(WallKind::Emergency, wall);
+        self.core.telemetry.record_wall(WALL_EMERGENCY_NANOS, wall);
         report
     }
 
@@ -688,7 +693,7 @@ pub(crate) fn issue_flush<B: DirtyTracker>(
         FlushReason::Proactive => core.stats.proactive_flushes += 1,
         FlushReason::Forced => core.stats.forced_flushes += 1,
     }
-    core.telemetry.record_wall(WallKind::Flush, wall);
+    core.telemetry.record_wall(WALL_FLUSH_NANOS, wall);
 }
 
 /// Stalls (advancing the virtual clock through SSD completions) until at
@@ -793,8 +798,9 @@ pub(crate) fn publish_metrics<B: DirtyTracker>(core: &mut EngineCore, backend: &
         m.gauge_set("viyojit.predicted_pressure", predicted);
     });
     // Dispatch-path totals are host-side (which scan path a run took is a
-    // wall fact, not a virtual one), so they go to the wall plane, never
-    // the registry — snapshots and goldens stay byte-identical.
+    // wall fact, not a virtual one), so they go to the wall-plane
+    // registry, never the virtual one — snapshots and goldens stay
+    // byte-identical.
     let dispatch = mem_sim::dispatch::snapshot();
     core.telemetry
         .set_wall_counter("bitmap.dispatch.skip", dispatch.skip);

@@ -148,17 +148,35 @@ impl Histogram {
         self.max
     }
 
-    /// Occupied buckets as `(bucket_lower_bound_nanos, count)` pairs,
-    /// ascending. Two histograms with equal bucket sequences hold
-    /// identical distributions at the histogram's resolution, so this is
-    /// the comparison surface for bucket-for-bucket conservation tests
-    /// and for exposition-format export.
-    pub fn bucket_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_value(i), c))
+            .map(|(i, &c)| (i, c))
+    }
+
+    /// Occupied buckets as `(bucket_lower_bound_nanos, count)` pairs,
+    /// ascending. Two histograms with equal bucket sequences hold
+    /// identical distributions at the histogram's resolution, so this is
+    /// the comparison surface for bucket-for-bucket conservation tests.
+    pub fn bucket_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.occupied().map(|(i, c)| (Self::bucket_value(i), c))
+    }
+
+    /// Occupied buckets as `(inclusive_upper_bound_nanos, count)` pairs,
+    /// ascending: the largest sample each bucket can hold, i.e. the next
+    /// bucket's lower bound minus one (`u64::MAX` for the saturating last
+    /// bucket). This is the `le` label of exposition-format export.
+    pub fn bucket_upper_bounds(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.occupied().map(|(i, c)| {
+            let upper = if i + 1 < self.counts.len() {
+                Self::bucket_value(i + 1) - 1
+            } else {
+                u64::MAX
+            };
+            (upper, c)
+        })
     }
 
     /// Merges another histogram's samples into this one.
@@ -326,6 +344,24 @@ mod tests {
         b.record(SimDuration::from_nanos(3));
         let diverged: Vec<(u64, u64)> = b.bucket_counts().collect();
         assert_ne!(got, diverged);
+    }
+
+    #[test]
+    fn upper_bounds_contain_their_samples() {
+        let mut h = Histogram::new();
+        let samples = [0, 17, 900, 70_000, u64::MAX];
+        for &n in &samples {
+            h.record(SimDuration::from_nanos(n));
+        }
+        let lower: Vec<u64> = h.bucket_counts().map(|(b, _)| b).collect();
+        let upper: Vec<u64> = h.bucket_upper_bounds().map(|(b, _)| b).collect();
+        assert_eq!(upper.len(), samples.len());
+        for ((&n, &lo), &hi) in samples.iter().zip(&lower).zip(&upper) {
+            assert!(lo <= n && n <= hi, "{n} outside its bucket [{lo}, {hi}]");
+        }
+        // Exact below the linear range; 900 ns sits in [896, 911].
+        assert_eq!(&upper[..3], &[0, 17, 911]);
+        assert_eq!(upper[4], u64::MAX);
     }
 
     #[test]

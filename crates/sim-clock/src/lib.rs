@@ -8,7 +8,6 @@
 //! - [`Clock`]: a shareable, monotonically advancing virtual clock,
 //! - [`CostModel`]: named per-event costs, calibrated from the measurements
 //!   the Viyojit paper reports (trap handling, TLB flush, PTE updates, ...),
-//! - [`EventQueue`]: a deterministic time-ordered event queue,
 //! - [`Histogram`]: a log-bucketed latency histogram for percentile
 //!   reporting in the figure harnesses.
 //!
@@ -23,11 +22,9 @@
 //! ```
 
 mod cost;
-mod events;
 mod histogram;
 mod time;
 
 pub use cost::CostModel;
-pub use events::EventQueue;
 pub use histogram::Histogram;
 pub use time::{Clock, SimDuration, SimTime};

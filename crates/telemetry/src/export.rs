@@ -18,7 +18,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::Telemetry;
+use crate::{MetricsRegistry, Telemetry};
 
 /// Where and how often the exporter publishes.
 #[derive(Debug, Clone)]
@@ -66,13 +66,8 @@ fn render_f64(v: f64) -> String {
     }
 }
 
-/// Renders the merged registry and wall-clock histograms of `telemetry`
-/// in Prometheus text exposition format. Disabled handles render empty.
-pub fn render_prometheus(telemetry: &Telemetry) -> String {
-    let mut out = String::new();
-    let Some(registry) = telemetry.merged_registry() else {
-        return out;
-    };
+/// Appends one registry in Prometheus text exposition format.
+fn render_registry(out: &mut String, registry: &MetricsRegistry) {
     for (name, value) in registry.counters() {
         let name = sanitize(name);
         let _ = writeln!(out, "# TYPE {name} counter");
@@ -87,33 +82,28 @@ pub fn render_prometheus(telemetry: &Telemetry) -> String {
         let name = sanitize(name);
         let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cumulative = 0u64;
-        for (bound, count) in hist.bucket_counts() {
+        // `le` is an inclusive upper bound: the bucket's largest sample.
+        for (upper, count) in hist.bucket_upper_bounds() {
             cumulative += count;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+            let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
         }
         let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.len());
         let _ = writeln!(out, "{name}_sum {}", hist.sum_nanos());
         let _ = writeln!(out, "{name}_count {}", hist.len());
     }
-    for (name, value) in telemetry.wall_counters() {
-        let name = sanitize(name);
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
-    }
-    for (kind, hist) in telemetry.wall_histograms() {
-        if hist.is_empty() {
-            continue;
-        }
-        let name = format!("viyojit_wall_{}_nanos", kind.name());
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cumulative = 0u64;
-        for (bound, count) in hist.bucket_counts() {
-            cumulative += count;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.len());
-        let _ = writeln!(out, "{name}_sum {}", hist.sum_nanos());
-        let _ = writeln!(out, "{name}_count {}", hist.len());
+}
+
+/// Renders the merged virtual-plane registry of `telemetry`, then its
+/// merged wall-plane registry, in Prometheus text exposition format.
+/// Disabled handles render empty.
+pub fn render_prometheus(telemetry: &Telemetry) -> String {
+    let mut out = String::new();
+    let planes = [
+        telemetry.merged_registry(),
+        telemetry.merged_wall_registry(),
+    ];
+    for registry in planes.iter().flatten() {
+        render_registry(&mut out, registry);
     }
     out
 }
@@ -215,7 +205,6 @@ pub fn spawn_exporter(telemetry: Telemetry, config: ExporterConfig) -> ExporterH
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WallKind;
     use sim_clock::{Clock, SimDuration};
 
     #[test]
@@ -232,7 +221,7 @@ mod tests {
         let shard = telemetry.fork_shard(clock);
         shard.metrics(|m| m.counter_add("viyojit.write_faults", 2));
         let wall = telemetry.wall_start();
-        telemetry.record_wall(WallKind::Step, wall);
+        telemetry.record_wall("viyojit.wall.step_nanos", wall);
         telemetry.set_wall_counter("bitmap.dispatch.skip", 11);
 
         let text = render_prometheus(&telemetry);
@@ -247,6 +236,22 @@ mod tests {
         assert!(text.contains("# TYPE viyojit_wall_step_nanos histogram"));
         assert!(text.contains("viyojit_wall_step_nanos_count 1"));
         assert!(render_prometheus(&Telemetry::disabled()).is_empty());
+    }
+
+    #[test]
+    fn bucket_le_is_an_inclusive_upper_bound() {
+        let telemetry = Telemetry::recording(Clock::new());
+        telemetry.metrics(|m| {
+            m.histogram_record("lat", SimDuration::from_nanos(17));
+            m.histogram_record("lat", SimDuration::from_nanos(900));
+        });
+        let text = render_prometheus(&telemetry);
+        let (le, _) = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("lat_bucket{le=\"")?.split_once("\"} "))
+            .find(|&(_, cumulative)| cumulative == "2")
+            .expect("a bucket holding both samples");
+        assert!(le.parse::<u64>().unwrap() >= 900, "le={le} excludes 900 ns");
     }
 
     #[test]

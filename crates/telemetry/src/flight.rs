@@ -17,8 +17,8 @@
 //!    never perturbs later real snapshot deltas) carrying the thread's
 //!    dirty/budget gauges and counters at the moment of the dump.
 //!
-//! Everything in the dump is virtual-time data; wall-clock histograms
-//! are deliberately excluded so dumps are byte-comparable across runs.
+//! Everything in the dump is virtual-time data; the wall-plane registry
+//! is deliberately excluded so dumps are byte-comparable across runs.
 
 use std::fmt::Write as _;
 use std::fs;

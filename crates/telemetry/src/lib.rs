@@ -1,6 +1,6 @@
 //! Virtual-time telemetry for the Viyojit simulation stack.
 //!
-//! Three pieces, all driven by the shared virtual clock and free of
+//! Four pieces, all driven by the shared virtual clock and free of
 //! external dependencies (plain `std::fmt`, no serde):
 //!
 //! - **Trace events** ([`TraceEvent`]) — typed steps of the Fig. 6
@@ -11,7 +11,14 @@
 //! - **Metrics** ([`MetricsRegistry`]) — named counters/gauges/histograms
 //!   into which `ViyojitStats`, SSD wear/queue state, and battery state
 //!   publish, with per-epoch snapshotting ([`EpochSnapshot`]) whose
-//!   counter deltas sum back to the end-of-run totals.
+//!   counter deltas sum back to the end-of-run totals. A handle holds
+//!   two instances of this one type: the virtual-plane registry above,
+//!   and a wall-plane registry for host-time facts
+//!   ([`Telemetry::record_wall`], [`Telemetry::set_wall_counter`]). They
+//!   share every write and merge rule; what differs is who may read
+//!   them — only the exporter and [`Telemetry::merged_wall_registry`]
+//!   see the wall plane, never the ring, snapshots, drains or flight
+//!   dumps, which must stay byte-identical between runs.
 //! - **Sinks** ([`Sink`]) — [`CsvSink`] (the historical figure layout,
 //!   byte for byte), [`JsonlSink`], and [`NullSink`], plus the shared
 //!   [`Report`] writer used by every bench binary.
@@ -52,7 +59,6 @@ mod profile;
 mod report;
 mod ring;
 mod sink;
-mod wall;
 
 pub use event::{FaultKind, FlushReason, TraceEvent, TracedEvent};
 pub use export::{render_prometheus, spawn_exporter, ExporterConfig, ExporterHandle};
@@ -65,14 +71,11 @@ pub use profile::{fnv1a_64, CostClass, ProfileReport, Profiler, RunMeta, SpanGua
 pub use report::Report;
 pub use ring::{TraceRing, DEFAULT_RING_CAPACITY};
 pub use sink::{csv_stdout, CsvSink, JsonlSink, NullSink, Sink};
-pub use wall::{WallHistogram, WallKind};
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sim_clock::{Clock, SimTime};
-
-use wall::WallStats;
+use sim_clock::{Clock, SimDuration, SimTime};
 
 /// Tuning knobs for a recording [`Telemetry`] handle.
 #[derive(Debug, Clone, Copy)]
@@ -97,8 +100,9 @@ struct Recorder {
     snapshots: Vec<EpochSnapshot>,
     /// Ring capacity this recorder was built with, inherited by shards.
     ring_capacity: usize,
-    /// Wall-clock histograms — host time, never part of traces/snapshots.
-    wall: WallStats,
+    /// The wall plane: host-time histograms and host-side totals in a
+    /// second registry that is never snapshotted, drained or dumped.
+    wall: MetricsRegistry,
     /// Telemetry shards forked off this recorder ([`Telemetry::fork_shard`]),
     /// in fork order. Read paths merge them on demand; the write path of a
     /// shard touches only its own (uncontended) mutex.
@@ -113,7 +117,7 @@ impl Recorder {
             registry: MetricsRegistry::new(),
             snapshots: Vec::new(),
             ring_capacity,
-            wall: WallStats::default(),
+            wall: MetricsRegistry::new(),
             shards: Vec::new(),
         }
     }
@@ -158,10 +162,10 @@ impl Telemetry {
 
     /// Forks a per-thread telemetry shard driven by `clock`.
     ///
-    /// The shard is a full recording handle — its own trace ring,
-    /// registry, and wall histograms — whose write path locks only its
-    /// own mutex, so a worker thread recording into its shard never
-    /// contends with other workers or with the parent. The parent keeps
+    /// The shard is a full recording handle — its own trace ring and
+    /// both registries — whose write path locks only its own mutex, so a
+    /// worker thread recording into its shard never contends with other
+    /// workers or with the parent. The parent keeps
     /// the shard registered (in fork order) and its read paths
     /// ([`Telemetry::events`], [`Telemetry::counter`],
     /// [`Telemetry::snapshots`], [`Telemetry::drain_into`], the exporter)
@@ -179,12 +183,28 @@ impl Telemetry {
         }
     }
 
-    /// The shard recorders registered on this handle, in fork order.
-    fn shard_arcs(&self) -> Vec<Arc<Mutex<Recorder>>> {
-        match &self.recorder {
-            Some(recorder) => recorder.lock().expect("telemetry poisoned").shards.clone(),
-            None => Vec::new(),
+    /// The one read-side walk: folds `f` over this handle's recorder
+    /// (rank 0), then every forked shard's in fork order (rank 1..), each
+    /// under its own lock and never two at once. `None` when disabled.
+    fn fold<A>(&self, init: A, mut f: impl FnMut(A, usize, &Recorder) -> A) -> Option<A> {
+        let recorder = self.recorder.as_ref()?;
+        let (mut acc, shards) = {
+            let rec = recorder.lock().expect("telemetry poisoned");
+            (f(init, 0, &rec), rec.shards.clone())
+        };
+        for (i, shard) in shards.iter().enumerate() {
+            acc = f(acc, i + 1, &shard.lock().expect("telemetry poisoned"));
         }
+        Some(acc)
+    }
+
+    /// One plane's registry merged parent-then-shards under the per-kind
+    /// rules of [`MetricsRegistry::merge_from`].
+    fn merged(&self, plane: impl Fn(&Recorder) -> &MetricsRegistry) -> Option<MetricsRegistry> {
+        self.fold(MetricsRegistry::new(), |mut merged, _, rec| {
+            merged.merge_from(plane(rec));
+            merged
+        })
     }
 
     /// Records an event stamped with the current virtual time.
@@ -251,33 +271,23 @@ impl Telemetry {
     /// `seq` invariant the trace checker enforces. Without shards this is
     /// exactly the handle's own ring, byte for byte.
     pub fn events(&self) -> Vec<TracedEvent> {
-        let Some(recorder) = &self.recorder else {
-            return Vec::new();
-        };
-        let shards = self.shard_arcs();
-        if shards.is_empty() {
-            return recorder.lock().expect("telemetry poisoned").ring.to_vec();
-        }
-        // (at, fork rank, local seq) is a unique total order, so the
-        // merged stream is deterministic for a deterministic workload.
-        let mut keyed: Vec<(SimTime, usize, u64, TracedEvent)> = Vec::new();
-        {
-            let rec = recorder.lock().expect("telemetry poisoned");
-            keyed.extend(rec.ring.iter().map(|e| (e.at, 0usize, e.seq, *e)));
-        }
-        for (rank, shard) in shards.iter().enumerate() {
-            let rec = shard.lock().expect("telemetry poisoned");
-            keyed.extend(rec.ring.iter().map(|e| (e.at, rank + 1, e.seq, *e)));
-        }
-        keyed.sort_by_key(|&(at, rank, seq, _)| (at, rank, seq));
-        keyed
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, _, _, mut event))| {
-                event.seq = i as u64;
-                event
+        let mut shards = 0;
+        let mut keyed = self
+            .fold(Vec::new(), |mut keyed, rank, rec| {
+                shards = rank;
+                keyed.extend(rec.ring.iter().map(|e| (rank, *e)));
+                keyed
             })
-            .collect()
+            .unwrap_or_default();
+        if shards > 0 {
+            // (at, fork rank, local seq) is a unique total order, so the
+            // merged stream is deterministic for a deterministic workload.
+            keyed.sort_by_key(|&(rank, e)| (e.at, rank, e.seq));
+            for (i, (_, event)) in keyed.iter_mut().enumerate() {
+                event.seq = i as u64;
+            }
+        }
+        keyed.into_iter().map(|(_, event)| event).collect()
     }
 
     /// This handle's own retained events, without merging shards.
@@ -294,78 +304,42 @@ impl Telemetry {
 
     /// Events evicted because a ring was full, summed across shards.
     pub fn dropped_events(&self) -> u64 {
-        let Some(recorder) = &self.recorder else {
-            return 0;
-        };
-        let own = recorder.lock().expect("telemetry poisoned").ring.dropped();
-        own + self
-            .shard_arcs()
-            .iter()
-            .map(|s| s.lock().expect("telemetry poisoned").ring.dropped())
-            .sum::<u64>()
+        self.fold(0, |n, _, rec| n + rec.ring.dropped())
+            .unwrap_or(0)
     }
 
     /// Total events ever recorded, retained or not, across shards.
     pub fn recorded_events(&self) -> u64 {
-        let Some(recorder) = &self.recorder else {
-            return 0;
-        };
-        let own = recorder.lock().expect("telemetry poisoned").ring.recorded();
-        own + self
-            .shard_arcs()
-            .iter()
-            .map(|s| s.lock().expect("telemetry poisoned").ring.recorded())
-            .sum::<u64>()
+        self.fold(0, |n, _, rec| n + rec.ring.recorded())
+            .unwrap_or(0)
     }
 
     /// Copies out all per-epoch snapshots taken so far: this handle's
     /// own, then each shard's, in fork order.
     pub fn snapshots(&self) -> Vec<EpochSnapshot> {
-        let Some(recorder) = &self.recorder else {
-            return Vec::new();
-        };
-        let mut snaps = recorder
-            .lock()
-            .expect("telemetry poisoned")
-            .snapshots
-            .clone();
-        for shard in self.shard_arcs() {
-            snaps.extend(
-                shard
-                    .lock()
-                    .expect("telemetry poisoned")
-                    .snapshots
-                    .iter()
-                    .cloned(),
-            );
-        }
-        snaps
+        self.fold(Vec::new(), |mut snaps, _, rec| {
+            snaps.extend(rec.snapshots.iter().cloned());
+            snaps
+        })
+        .unwrap_or_default()
     }
 
     /// Current cumulative value of a counter (zero when disabled),
     /// merged across shards by the counter's [`CounterKind`].
     pub fn counter(&self, name: &str) -> u64 {
-        let shards = self.shard_arcs();
-        if shards.is_empty() {
-            return self.metrics(|m| m.counter(name)).unwrap_or(0);
-        }
-        self.merged_registry().map(|m| m.counter(name)).unwrap_or(0)
+        self.merged_registry().map_or(0, |m| m.counter(name))
     }
 
     /// A merged view of this registry plus every shard's, applying the
     /// per-kind merge rules ([`MetricsRegistry::merge_from`]).
     pub fn merged_registry(&self) -> Option<MetricsRegistry> {
-        let recorder = self.recorder.as_ref()?;
-        let mut merged = recorder
-            .lock()
-            .expect("telemetry poisoned")
-            .registry
-            .clone();
-        for shard in self.shard_arcs() {
-            let rec = shard.lock().expect("telemetry poisoned");
-            merged.merge_from(&rec.registry);
-        }
-        Some(merged)
+        self.merged(|rec| &rec.registry)
+    }
+
+    /// The wall plane merged the same way: host-time histograms add
+    /// bucket-wise, republished host-side totals keep the maximum.
+    pub fn merged_wall_registry(&self) -> Option<MetricsRegistry> {
+        self.merged(|rec| &rec.wall)
     }
 
     /// Starts a wall-clock measurement, or `None` when disabled (no
@@ -375,68 +349,35 @@ impl Telemetry {
     }
 
     /// Records the host time elapsed since a [`Telemetry::wall_start`]
-    /// into this handle's histogram for `kind`.
+    /// into the wall-plane histogram `name`.
     ///
-    /// Wall durations never enter the registry, the trace ring, or
-    /// snapshots, so virtual-time output stays byte-identical whether or
-    /// not the host is slow.
-    pub fn record_wall(&self, kind: WallKind, start: Option<Instant>) {
+    /// The wall plane never reaches the trace ring, snapshots, drains or
+    /// flight dumps, so virtual-time output stays byte-identical whether
+    /// or not the host is slow.
+    pub fn record_wall(&self, name: &'static str, start: Option<Instant>) {
         if let (Some(recorder), Some(start)) = (&self.recorder, start) {
-            let elapsed = start.elapsed();
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             recorder
                 .lock()
                 .expect("telemetry poisoned")
                 .wall
-                .record(kind, elapsed);
+                .histogram_record(name, SimDuration::from_nanos(nanos));
         }
     }
 
     /// Publishes a wall-plane counter: a named monotone host-side total
-    /// (e.g. scan-dispatch counts). Set semantics — each call overwrites
-    /// with the latest total, and merging keeps the maximum — so
-    /// republishing the same process-global figure from several shards
-    /// never inflates it.
-    ///
-    /// Like wall durations, these never enter the registry, the trace
-    /// ring, or snapshots: virtual-time output stays byte-identical no
-    /// matter which scan paths the host actually took.
+    /// (e.g. scan-dispatch counts) with [`CounterKind::Cumulative`]
+    /// semantics, so republishing the same process-global figure from
+    /// several shards never inflates it. Which scan paths the host took
+    /// is as invisible to virtual-time output as how long it took.
     pub fn set_wall_counter(&self, name: &'static str, value: u64) {
         if let Some(recorder) = &self.recorder {
             recorder
                 .lock()
                 .expect("telemetry poisoned")
                 .wall
-                .set_counter(name, value);
+                .counter_set(name, value);
         }
-    }
-
-    /// Wall-plane counters merged across shards, sorted by name.
-    pub fn wall_counters(&self) -> Vec<(&'static str, u64)> {
-        let Some(recorder) = &self.recorder else {
-            return Vec::new();
-        };
-        let mut merged = recorder.lock().expect("telemetry poisoned").wall.clone();
-        for shard in self.shard_arcs() {
-            let rec = shard.lock().expect("telemetry poisoned");
-            merged.merge_from(&rec.wall);
-        }
-        merged.counters().collect()
-    }
-
-    /// The wall-clock histogram for each kind, merged across shards.
-    pub fn wall_histograms(&self) -> Vec<(WallKind, WallHistogram)> {
-        let Some(recorder) = &self.recorder else {
-            return Vec::new();
-        };
-        let mut merged = recorder.lock().expect("telemetry poisoned").wall.clone();
-        for shard in self.shard_arcs() {
-            let rec = shard.lock().expect("telemetry poisoned");
-            merged.merge_from(&rec.wall);
-        }
-        WallKind::ALL
-            .iter()
-            .map(|&k| (k, merged.histogram(k).clone()))
-            .collect()
     }
 
     /// The current virtual instant of this handle's clock, when enabled.
@@ -573,6 +514,31 @@ mod tests {
         // Shard handles stay plain recording handles for their owner.
         assert_eq!(a.local_events().len(), 1);
         assert_eq!(parent.recorded_events(), 3);
+
+        // The wall plane merges by the same rules: histograms add
+        // bucket-wise, and a process-global total republished (staler)
+        // from a shard keeps the max instead of inflating.
+        a.record_wall("viyojit.wall.step_nanos", a.wall_start());
+        a.record_wall("viyojit.wall.step_nanos", a.wall_start());
+        b.record_wall("viyojit.wall.step_nanos", b.wall_start());
+        parent.set_wall_counter("bitmap.dispatch.skip", 25);
+        a.set_wall_counter("bitmap.dispatch.skip", 20);
+        b.set_wall_counter("bitmap.dispatch.dense", 7);
+        let wall = parent.merged_wall_registry().unwrap();
+        let step = wall.histogram("viyojit.wall.step_nanos").unwrap();
+        assert_eq!(step.len(), 3);
+        assert_eq!(step.bucket_counts().map(|(_, c)| c).sum::<u64>(), 3);
+        let shard_sums = [&a, &b].map(|t| {
+            let own = t.merged_wall_registry().unwrap();
+            own.histogram("viyojit.wall.step_nanos")
+                .unwrap()
+                .sum_nanos()
+        });
+        assert_eq!(step.sum_nanos(), shard_sums.iter().sum::<u128>());
+        assert_eq!(
+            wall.counters().collect::<Vec<_>>(),
+            vec![("bitmap.dispatch.dense", 7), ("bitmap.dispatch.skip", 25)]
+        );
     }
 
     #[test]
@@ -586,7 +552,7 @@ mod tests {
         let disabled = Telemetry::disabled();
         assert!(!disabled.fork_shard(clock).is_enabled());
         assert!(disabled.merged_registry().is_none());
-        assert!(disabled.wall_histograms().is_empty());
+        assert!(disabled.merged_wall_registry().is_none());
     }
 
     #[test]
@@ -609,21 +575,28 @@ mod tests {
         let clock = Clock::new();
         let parent = Telemetry::recording(clock.clone());
         let shard = parent.fork_shard(Clock::new());
-        parent.record_wall(WallKind::Step, parent.wall_start());
-        shard.record_wall(WallKind::Step, shard.wall_start());
-        shard.record_wall(WallKind::Emergency, shard.wall_start());
-        let merged = parent.wall_histograms();
-        let step = merged
-            .iter()
-            .find(|(k, _)| *k == WallKind::Step)
-            .map(|(_, h)| h.len());
-        assert_eq!(step, Some(2));
+        parent.record_wall("viyojit.wall.step_nanos", parent.wall_start());
+        shard.record_wall("viyojit.wall.step_nanos", shard.wall_start());
+        shard.record_wall("viyojit.wall.emergency_nanos", shard.wall_start());
+        shard.set_wall_counter("bitmap.dispatch.skip", 3);
+        let merged = parent.merged_wall_registry().unwrap();
+        let step = merged.histogram("viyojit.wall.step_nanos");
+        assert_eq!(step.map(|h| h.len()), Some(2));
         // Nothing wall-clock leaks into the virtual-time surfaces.
         assert!(parent.events().is_empty());
         assert!(parent.snapshots().is_empty());
+        assert_eq!(parent.merged_registry().unwrap().counters().count(), 0);
         let mut sink = CsvSink::new(Vec::new());
         parent.drain_into(&mut sink);
         assert!(String::from_utf8(sink.into_inner()).unwrap().is_empty());
+        // ... nor into a flight dump, which snapshots the virtual plane.
+        let dir = std::env::temp_dir().join(format!("viyojit-wall-dump-{}", std::process::id()));
+        let meta = RunMeta::new("wall_test", "Viyojit", "", None);
+        let flight = FlightRecorder::new(&dir, meta).unwrap();
+        let dump = std::fs::read_to_string(flight.dump("w", "panic", 0, &shard).unwrap()).unwrap();
+        assert!(dump.contains("\"type\":\"snapshot\""), "{dump}");
+        assert!(!dump.contains("viyojit.wall.") && !dump.contains("bitmap.dispatch."));
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(Telemetry::disabled().wall_start(), None);
     }
 

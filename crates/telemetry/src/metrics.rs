@@ -191,11 +191,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Names of all counters, sorted.
-    pub fn counter_names(&self) -> Vec<&'static str> {
-        self.counters.keys().copied().collect()
-    }
-
     /// All counters as `(name, value)` pairs, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&n, &v)| (n, v))
