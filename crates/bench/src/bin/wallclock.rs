@@ -279,11 +279,12 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
     }
     let target = picked.len();
 
-    // Epoch walk (§5.2 software mode): enumerate the dirty set through
-    // the density-dispatched production collection (what SoftwareWalk
-    // actually runs), then read-and-clear each page's PTE dirty bit;
-    // restore untimed. The buffer is reused across reps, as the engine
-    // reuses its walk set.
+    // Epoch walk (§5.2 software mode): `PageTable::take_dirty_in`, the
+    // masked word drain behind `Mmu::walk_and_clear_dirty_in` (what
+    // SoftwareWalk actually runs) — each non-zero word of the dirty set
+    // read-and-clears the PTE dirty column, and the pages found dirty are
+    // materialised; restore untimed.
+    // Every dirty page here is PTE-dirty, the walk's worst case.
     // The PTE re-dirty between reps is bench plumbing (production never
     // undoes a walk), so it runs outside the timed window on both sides.
     let mut walk_buf: Vec<PageId> = Vec::new();
@@ -293,13 +294,8 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
         for _ in 0..reps {
             walk_buf.clear();
             let start = Instant::now();
-            dirty.collect_dirty_into(&mut walk_buf);
-            let mut touched = 0u64;
-            for &p in &walk_buf {
-                if pt.take_dirty(p) {
-                    touched += 1;
-                }
-            }
+            pt.take_dirty_in(dirty.dirty_bits(), &mut walk_buf);
+            let touched = walk_buf.len() as u64;
             total += start.elapsed().as_nanos();
             checksum = checksum.wrapping_add(black_box(touched));
             for &p in &walk_buf {

@@ -229,23 +229,23 @@ impl DirtyTracker for SoftwareWalk {
     }
 
     fn epoch_walk(core: &mut EngineCore, backend: &mut Self) -> (u64, u64) {
-        // Density-dispatched collection: the same ascending pages
-        // `iter_dirty` yields, gathered with the scan path matched to the
-        // dirty population.
-        let mut walk_set: Vec<PageId> = Vec::new();
-        backend.dirty.collect_dirty_into(&mut walk_set);
+        // The dirty set's bitmap is the walk's mask: each of its non-zero
+        // words is one read-and-clear of the PTE dirty column, and only the
+        // pages found updated come back — ascending, as `iter_dirty` would
+        // have listed them.
+        let known = backend.dirty.dirty_bits();
         let options = WalkOptions {
             flush_tlb: core.config.tlb_flush_on_walk,
             charge_costs: false, // the walker runs off the app's critical path
         };
-        for page in core.mmu.walk_and_clear_dirty(&walk_set, options) {
+        for page in core.mmu.walk_and_clear_dirty_in(known, options) {
             core.history.touch(page);
             core.selector.on_touch(page, &core.history);
             core.stats.walk_touches += 1;
         }
         let new_dirty = backend.new_dirty_this_epoch;
         backend.new_dirty_this_epoch = 0;
-        (walk_set.len() as u64, new_dirty)
+        (known.count() as u64, new_dirty)
     }
 
     fn on_epochs_skipped(&mut self) {
@@ -255,8 +255,7 @@ impl DirtyTracker for SoftwareWalk {
     fn mark_in_flight(core: &mut EngineCore, backend: &mut Self, victim: PageId) {
         // Clear the PTE dirty bit so post-flush tracking starts clean; the
         // protect just performed already invalidated the TLB entry.
-        core.mmu
-            .walk_and_clear_dirty(&[victim], WalkOptions::stale());
+        core.mmu.take_dirty(victim);
         backend.dirty.mark_in_flight(victim);
     }
 
@@ -563,29 +562,32 @@ impl DirtyTracker for MmuAssisted {
         // touching the counter. No full TLB flush is required for
         // correctness here — the shadow bit is only advisory — but the
         // walk flushes when configured, like the software mode.
-        let mut known: Vec<PageId> = Vec::new();
-        for (_, info) in core.regions.iter() {
-            let start = info.first_page.index();
-            backend.known_dirty.collect_range_into_map(
-                start,
-                start + info.pages as usize,
-                &mut known,
-                |i| PageId(i as u64),
-            );
-        }
         let options = WalkOptions {
             flush_tlb: core.config.tlb_flush_on_walk,
             charge_costs: false,
         };
-        for page in core.mmu.walk_and_clear_shadow(&known, options) {
-            core.history.touch(page);
-            core.selector.on_touch(page, &core.history);
-            core.stats.walk_touches += 1;
+        let updated = core
+            .mmu
+            .walk_and_clear_shadow_in(&backend.known_dirty, options);
+        // Recency stamps follow region slot order, pages ascending within
+        // each region. Known-dirty pages are all mapped (an invariant), so
+        // the per-region slices of the ascending walk cover every hit.
+        for (_, info) in core.regions.iter() {
+            let start = info.first_page.index();
+            let end = start + info.pages as usize;
+            let lo = updated.partition_point(|p| p.index() < start);
+            let hi = updated.partition_point(|p| p.index() < end);
+            for &page in &updated[lo..hi] {
+                core.history.touch(page);
+                core.selector.on_touch(page, &core.history);
+                core.stats.walk_touches += 1;
+            }
         }
         // The discovery scan still covers every mapped page (the summary
         // level just skips clean space), so the walked count it reports is
         // unchanged.
-        (core.regions.mapped_pages() + known.len() as u64, discovered)
+        let known = backend.known_dirty.count() as u64;
+        (core.regions.mapped_pages() + known, discovered)
     }
 
     fn mark_in_flight(_core: &mut EngineCore, backend: &mut Self, victim: PageId) {
@@ -714,6 +716,24 @@ impl DirtyTracker for MmuAssisted {
             return Err(InvariantViolation::InFlightListMismatch {
                 ios: core.inflight.len() as u64,
                 pages: self.in_flight.count() as u64,
+            });
+        }
+        // Known-dirty pages all lie in mapped regions: the shadow walk
+        // drains the whole bitmap and reports its popcount as walked.
+        let mapped_known: usize = core
+            .regions
+            .iter()
+            .map(|(_, info)| {
+                let start = info.first_page.index();
+                let end = start + info.pages as usize;
+                self.known_dirty.iter_ones_in(start, end).count()
+            })
+            .sum();
+        if mapped_known != self.known_dirty.count() {
+            return Err(InvariantViolation::CounterOutOfSync {
+                counter: "known-dirty",
+                counted: mapped_known as u64,
+                recorded: self.known_dirty.count() as u64,
             });
         }
         Ok(())

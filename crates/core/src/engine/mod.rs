@@ -110,6 +110,9 @@ pub struct EngineCore {
     /// default, in which case each `crashpoint!` check is a null test
     /// charging zero virtual time.
     pub(crate) crashes: CrashSchedule,
+    /// The page snapshot `issue_flush` hands the SSD, kept between flushes
+    /// so each one reuses the 4 KiB instead of allocating it.
+    pub(crate) flush_snapshot: Vec<u8>,
 }
 
 /// One NV-DRAM manager: the shared Fig. 6 state machine parameterised by
@@ -184,6 +187,7 @@ impl<B: DirtyTracker> Engine<B> {
                 profiler: Profiler::disabled(),
                 faults: FaultPlan::none(),
                 crashes: CrashSchedule::none(),
+                flush_snapshot: Vec::new(),
                 config,
                 clock,
                 mmu,
@@ -652,7 +656,9 @@ pub(crate) fn issue_flush<B: DirtyTracker>(
     core.mmu.protect_page(victim);
     B::mark_in_flight(core, backend, victim);
     core.selector.on_removed(victim);
-    let data = core.mmu.page_data(victim).to_vec();
+    let mut data = std::mem::take(&mut core.flush_snapshot);
+    data.clear();
+    data.extend_from_slice(core.mmu.page_data(victim));
     let physical = B::flush_payload(core, backend, victim, &data);
     // Copier writes go through the fallible submit so an active fault
     // plan can inject transient errors; each failed attempt occupies its
@@ -681,6 +687,7 @@ pub(crate) fn issue_flush<B: DirtyTracker>(
             }
         }
     };
+    core.flush_snapshot = data;
     core.inflight.push((done, victim));
     // Power cut with the IO just submitted: the page is write-protected
     // and in flight but nothing has retired it.

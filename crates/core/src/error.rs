@@ -65,7 +65,7 @@ pub enum InvariantViolation {
     },
     /// A running counter disagrees with a recount of the per-page states.
     CounterOutOfSync {
-        /// Which counter ("dirty" or "in-flight").
+        /// Which counter ("dirty", "in-flight" or "known-dirty").
         counter: &'static str,
         /// Value obtained by recounting states.
         counted: u64,

@@ -12,7 +12,7 @@
 //!
 //! [`MmuAssistedViyojit`] is that design on the simulated MMU's
 //! [`dirty-limit`](mem_sim::Mmu::set_dirty_limit) and
-//! [shadow-walk](mem_sim::Mmu::walk_and_clear_shadow) extensions. It
+//! [shadow-walk](mem_sim::Mmu::walk_and_clear_shadow_in) extensions. It
 //! enforces the same durability bound as the software manager — the
 //! hardware counter *is* the bound — while removing first-write faults
 //! and epoch TLB flushes from the application's path. The tracking

@@ -7,7 +7,8 @@
 //! observationally identical: same per-page states, same counts, same
 //! iteration and collection order. Part 1b pins populations to each
 //! density band and checks every forced scan path, the dispatched range
-//! collect and the dispatched union collect against the scalar order.
+//! collect and the dispatched union collect against the scalar order, and
+//! the masked word-level epoch walks against the per-page walk.
 //!
 //! Part 2 is the end-to-end check: three seeded workloads drive all three
 //! engine backends — [`Viyojit`] (SoftwareWalk), [`MmuAssistedViyojit`]
@@ -16,7 +17,7 @@
 //! and proving contents survive a power cycle. If a word-level scan ever
 //! skipped or double-visited a page, these are the assertions that break.
 
-use mem_sim::{Bitmap2L, PageId, PageTable, ScanPath, PAGE_SIZE};
+use mem_sim::{Bitmap2L, Mmu, PageId, PageTable, ScanPath, WalkOptions, PAGE_SIZE};
 use proptest::prelude::*;
 use sim_clock::{Clock, CostModel, SimDuration};
 use ssd_sim::SsdConfig;
@@ -409,6 +410,58 @@ proptest! {
             (CLUSTER_PAGES - 1, 2 * CLUSTER_PAGES + 1),
         ];
         assert_paths_agree(&bits, &pages, &ranges)?;
+    }
+
+    /// The word-level epoch walks (`take_word` per non-zero word of the
+    /// known-dirty mask) against the per-page walk over the collected
+    /// mask, in each band: same pages in the same order, same column left
+    /// behind. Only every `stride`-th known page is written, so the mask
+    /// has bits the PTE columns lack, and the strays give the columns
+    /// bits the mask lacks.
+    #[test]
+    fn masked_walks_match_the_per_page_walk_at_every_density(
+        (expected, known_pages) in stratified_population(),
+        stride in 1usize..5,
+        strays in prop::collection::vec(0..STRATA_PAGES, 0..40),
+    ) {
+        let mut known = Bitmap2L::new(STRATA_PAGES);
+        for &p in &known_pages {
+            known.set(p);
+        }
+        prop_assert_eq!(known.scan_path(), expected, "dispatcher left its density band");
+        let mut mmu = Mmu::new(STRATA_PAGES, Clock::new(), CostModel::free());
+        for &p in known_pages.iter().step_by(stride).chain(&strays) {
+            mmu.write((p * PAGE_SIZE) as u64, &[1]).unwrap();
+        }
+
+        let mut slow = mmu.page_table().clone();
+        let mut collected = Vec::new();
+        known.collect_into_map(&mut collected, |i| PageId(i as u64));
+        let want_dirty: Vec<PageId> =
+            collected.iter().copied().filter(|&p| slow.take_dirty(p)).collect();
+        let want_shadow: Vec<PageId> =
+            collected.iter().copied().filter(|&p| slow.take_shadow_dirty(p)).collect();
+        // The per-page walk itself finds exactly known ∩ written.
+        let written: std::collections::BTreeSet<usize> =
+            known_pages.iter().step_by(stride).chain(&strays).copied().collect();
+        let hits: Vec<PageId> = known_pages
+            .iter()
+            .filter(|p| written.contains(p))
+            .map(|&p| PageId(p as u64))
+            .collect();
+        prop_assert_eq!(&want_dirty, &hits);
+        prop_assert_eq!(&want_shadow, &hits);
+
+        prop_assert_eq!(mmu.walk_and_clear_dirty_in(&known, WalkOptions::exact()), want_dirty);
+        prop_assert_eq!(mmu.walk_and_clear_shadow_in(&known, WalkOptions::stale()), want_shadow);
+        for (got, want) in [
+            (mmu.page_table().dirty_bits(), slow.dirty_bits()),
+            (mmu.page_table().shadow_dirty_bits(), slow.shadow_dirty_bits()),
+        ] {
+            prop_assert_eq!(got, want, "the walks left different columns behind");
+            got.check_consistency()
+                .map_err(|e| TestCaseError::fail(format!("column inconsistent: {e}")))?;
+        }
     }
 
     /// The `DirtySet` union collect dispatches on the combined density of

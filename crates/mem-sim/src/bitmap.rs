@@ -65,7 +65,7 @@ pub struct Bitmap2L {
     /// Summary level: bit `w % 64` of `summary[w / 64]` is set iff
     /// `words[w] != 0`.
     summary: Vec<u64>,
-    /// Running popcount, maintained by `set`/`clear`/`clear_all`.
+    /// Running popcount, maintained by every mutating operation.
     ones: usize,
 }
 
@@ -192,6 +192,29 @@ impl Bitmap2L {
         }
         self.ones -= 1;
         true
+    }
+
+    /// Clears the bits of leaf word `w` selected by `mask` and returns the
+    /// ones that were set (`words[w] & mask`) — the masked drain a
+    /// word-level walk is built from. O(1), with the summary bit and the
+    /// popcount kept consistent; bits of `mask` the word lacks are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is past the last word.
+    #[inline]
+    pub fn take_word(&mut self, w: usize, mask: u64) -> u64 {
+        let word = self.words[w];
+        let hits = word & mask;
+        if hits != 0 {
+            let rest = word & !mask;
+            self.words[w] = rest;
+            if rest == 0 {
+                self.summary[w / 64] &= !(1u64 << (w % 64));
+            }
+            self.ones -= hits.count_ones() as usize;
+        }
+        hits
     }
 
     /// Clears every bit. O(words).
@@ -751,6 +774,21 @@ mod tests {
                 assert_eq!(got, want, "range {start}..{end} on {:?}", b.scan_path());
             }
         }
+    }
+
+    #[test]
+    fn take_word_drains_only_masked_set_bits() {
+        let mut b = with_bits(200, [64, 66, 127, 130]);
+        // Mask bit 65 is not set in the word; word bit 127 is not in the mask.
+        assert_eq!(b.take_word(1, 0b111), 0b101);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![127, 130]);
+        assert_eq!(b.take_word(1, 0b111), 0, "already drained");
+        assert_eq!(b.take_word(0, !0), 0, "empty word");
+        // Draining a word's last bit clears its summary bit.
+        assert_eq!(b.take_word(1, !0), 1 << 63);
+        assert_eq!(b.next_one_from(0), Some(130));
+        assert_eq!(b.count(), 1);
+        b.check_consistency().unwrap();
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use std::error::Error;
 use std::fmt;
 
-use sim_clock::{Clock, CostModel};
+use sim_clock::{Clock, CostModel, SimDuration};
 use telemetry::{CostClass, Profiler};
 
-use crate::{PageId, PageTable, Tlb, PAGE_SIZE};
+use crate::{Bitmap2L, PageId, PageTable, Tlb, PAGE_SIZE};
 
 /// Sub-page tracking granularity (§7's Mondrian-style extension): one
 /// cache line.
@@ -134,7 +134,7 @@ impl MmuStats {
 /// All application accesses go through [`Mmu::read`] / [`Mmu::write`];
 /// privileged software (Viyojit) manipulates protection with
 /// [`Mmu::protect_page`] / [`Mmu::unprotect_page`] and performs epoch walks
-/// with [`Mmu::walk_and_clear_dirty`]. DMA-style access for the flusher and
+/// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style access for the flusher and
 /// recovery bypasses translation via [`Mmu::page_data`] /
 /// [`Mmu::page_data_mut`].
 ///
@@ -317,27 +317,40 @@ impl Mmu {
         Ok(())
     }
 
-    /// Translates `page`, charging TLB hit/miss costs and filling on miss.
-    /// Returns the effective (possibly cached) `(writable, dirty, shadow)`
-    /// view.
-    fn translate(&mut self, page: PageId) -> (bool, bool, bool) {
+    /// Translates `page`, filling the TLB on a miss. Returns the effective
+    /// (possibly cached) `(writable, dirty, shadow)` view and the cost the
+    /// caller owes the clock for it.
+    #[inline]
+    fn translate(&mut self, page: PageId) -> ((bool, bool, bool), CostClass, SimDuration) {
         if let Some(entry) = self.tlb.lookup(page) {
             let view = (entry.writable, entry.dirty, entry.shadow);
-            self.clock.advance(self.costs.tlb_hit);
-            self.profiler.charge(CostClass::TlbHit, self.costs.tlb_hit);
-            view
+            (view, CostClass::TlbHit, self.costs.tlb_hit)
         } else {
-            self.clock.advance(self.costs.tlb_miss);
-            self.profiler
-                .charge(CostClass::TlbMiss, self.costs.tlb_miss);
             let flags = self.page_table.flags(page);
             self.page_table.set_accessed(page, true);
             self.tlb.fill(page, flags);
-            (
+            let view = (
                 flags.is_writable(),
                 flags.is_dirty(),
                 flags.is_shadow_dirty(),
-            )
+            );
+            (view, CostClass::TlbMiss, self.costs.tlb_miss)
+        }
+    }
+
+    /// Accounts one cost of an access. With a profiler attached it is
+    /// charged at once — advance, then attribute, per class, so the
+    /// watermark credits each class its own interval. Without one it only
+    /// joins `owed`, which the access settles with a single
+    /// [`Clock::advance`] before returning: nothing reads the clock
+    /// mid-access, so the sum lands on the same instant.
+    #[inline]
+    fn account(&mut self, owed: &mut SimDuration, class: CostClass, cost: SimDuration) {
+        if self.profiler.is_enabled() {
+            self.clock.advance(cost);
+            self.profiler.charge(class, cost);
+        } else {
+            *owed += cost;
         }
     }
 
@@ -350,20 +363,22 @@ impl Mmu {
     /// Returns [`AccessError::OutOfRange`] if the range exceeds the region.
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), AccessError> {
         self.check_range(addr, buf.len())?;
+        let mut owed = SimDuration::ZERO;
         let mut off = addr;
         let mut remaining: &mut [u8] = buf;
         while !remaining.is_empty() {
             let page = PageId::containing(off);
             let in_page = (PAGE_SIZE - (off as usize % PAGE_SIZE)).min(remaining.len());
-            self.translate(page);
+            let (_, class, cost) = self.translate(page);
+            self.account(&mut owed, class, cost);
             let (chunk, rest) = remaining.split_at_mut(in_page);
             chunk.copy_from_slice(&self.memory[off as usize..off as usize + in_page]);
             let cost = self.costs.dram_access(in_page);
-            self.clock.advance(cost);
-            self.profiler.charge(CostClass::DramAccess, cost);
+            self.account(&mut owed, CostClass::DramAccess, cost);
             remaining = rest;
             off += in_page as u64;
         }
+        self.clock.advance(owed);
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
         Ok(())
@@ -394,61 +409,64 @@ impl Mmu {
             return Ok(());
         }
         let page = PageId::containing(addr);
-        let (writable, cached_dirty, cached_shadow) = self.translate(page);
-        if !writable {
-            self.stats.write_faults += 1;
-            self.clock.advance(self.costs.write_fault);
-            self.profiler
-                .charge(CostClass::WpTrap, self.costs.write_fault);
-            return Err(AccessError::WriteProtected(page));
-        }
-        // Hardware dirty-bit protocol: only a write through a translation
-        // whose cached dirty bit is clear updates the PTE dirty bit.
-        if !cached_dirty {
-            let newly_dirty = !self.page_table.is_dirty(page);
-            if newly_dirty {
-                if let Some(limit) = self.dirty_limit {
-                    if self.dirty_counted >= limit {
-                        // §5.4: the MMU raises a dirty-limit interrupt
-                        // instead of completing the write.
-                        self.stats.write_faults += 1;
-                        self.clock.advance(self.costs.write_fault);
-                        self.profiler
-                            .charge(CostClass::WpTrap, self.costs.write_fault);
-                        return Err(AccessError::DirtyLimitReached(page));
+        let mut owed = SimDuration::ZERO;
+        let ((writable, cached_dirty, cached_shadow), class, cost) = self.translate(page);
+        self.account(&mut owed, class, cost);
+        // Every exit from the block leaves what it cost in `owed`, for the
+        // one clock charge below.
+        let result = 'access: {
+            if !writable {
+                self.stats.write_faults += 1;
+                self.account(&mut owed, CostClass::WpTrap, self.costs.write_fault);
+                break 'access Err(AccessError::WriteProtected(page));
+            }
+            // Hardware dirty-bit protocol: only a write through a translation
+            // whose cached dirty bit is clear updates the PTE dirty bit.
+            if !cached_dirty {
+                let newly_dirty = !self.page_table.is_dirty(page);
+                if newly_dirty {
+                    if let Some(limit) = self.dirty_limit {
+                        if self.dirty_counted >= limit {
+                            // §5.4: the MMU raises a dirty-limit interrupt
+                            // instead of completing the write.
+                            self.stats.write_faults += 1;
+                            self.account(&mut owed, CostClass::WpTrap, self.costs.write_fault);
+                            break 'access Err(AccessError::DirtyLimitReached(page));
+                        }
+                        self.dirty_counted += 1;
                     }
-                    self.dirty_counted += 1;
+                }
+                self.page_table.set_dirty(page, true);
+                self.stats.pte_dirtied += 1;
+                if let Some(entry) = self.tlb.lookup(page) {
+                    entry.dirty = true;
                 }
             }
-            self.page_table.set_dirty(page, true);
-            self.stats.pte_dirtied += 1;
-            if let Some(entry) = self.tlb.lookup(page) {
-                entry.dirty = true;
+            // The shadow bit (§5.4) is cached and updated independently, so
+            // clearing it for recency sampling does not disturb the dirty bit
+            // or the hardware counter.
+            if !cached_shadow {
+                self.page_table.set_shadow_dirty(page, true);
+                if let Some(entry) = self.tlb.lookup(page) {
+                    entry.shadow = true;
+                }
             }
-        }
-        // The shadow bit (§5.4) is cached and updated independently, so
-        // clearing it for recency sampling does not disturb the dirty bit
-        // or the hardware counter.
-        if !cached_shadow {
-            self.page_table.set_shadow_dirty(page, true);
-            if let Some(entry) = self.tlb.lookup(page) {
-                entry.shadow = true;
+            self.memory[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+            // Mondrian-style sector tracking (§7): mark every 64 B sector the
+            // write touched.
+            let first_sector = (addr as usize % PAGE_SIZE) / SECTOR_BYTES;
+            let last_sector = ((addr as usize + data.len() - 1) % PAGE_SIZE) / SECTOR_BYTES;
+            for sector in first_sector..=last_sector {
+                self.sector_masks[page.index()] |= 1 << sector;
             }
-        }
-        self.memory[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        // Mondrian-style sector tracking (§7): mark every 64 B sector the
-        // write touched.
-        let first_sector = (addr as usize % PAGE_SIZE) / SECTOR_BYTES;
-        let last_sector = ((addr as usize + data.len() - 1) % PAGE_SIZE) / SECTOR_BYTES;
-        for sector in first_sector..=last_sector {
-            self.sector_masks[page.index()] |= 1 << sector;
-        }
-        let cost = self.costs.dram_access(data.len());
-        self.clock.advance(cost);
-        self.profiler.charge(CostClass::DramAccess, cost);
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(())
+            let cost = self.costs.dram_access(data.len());
+            self.account(&mut owed, CostClass::DramAccess, cost);
+            self.stats.writes += 1;
+            self.stats.bytes_written += data.len() as u64;
+            Ok(())
+        };
+        self.clock.advance(owed);
+        result
     }
 
     /// The §7 sub-page dirty mask of `page`: bit *i* set means sector *i*
@@ -519,14 +537,7 @@ impl Mmu {
     /// application's critical path, so only the TLB-state fallout (misses
     /// after the flush) is visible to the application timeline.
     pub fn walk_and_clear_dirty(&mut self, pages: &[PageId], options: WalkOptions) -> Vec<PageId> {
-        if options.flush_tlb {
-            self.tlb.flush();
-            if options.charge_costs {
-                self.clock.advance(self.costs.tlb_flush);
-                self.profiler
-                    .charge(CostClass::TlbFlush, self.costs.tlb_flush);
-            }
-        }
+        self.flush_for_walk(options);
         let mut dirty = Vec::new();
         for &page in pages {
             if options.charge_costs {
@@ -545,10 +556,9 @@ impl Mmu {
         dirty
     }
 
-    /// Shadow-bit epoch walk (§5.4): reads and clears the *shadow* dirty
-    /// bit of each page, returning those that were updated, without
-    /// touching the real dirty bits the hardware counter depends on.
-    pub fn walk_and_clear_shadow(&mut self, pages: &[PageId], options: WalkOptions) -> Vec<PageId> {
+    /// The TLB flush that opens an exact walk, charged if the walk is a
+    /// foreground one.
+    fn flush_for_walk(&mut self, options: WalkOptions) {
         if options.flush_tlb {
             self.tlb.flush();
             if options.charge_costs {
@@ -557,20 +567,67 @@ impl Mmu {
                     .charge(CostClass::TlbFlush, self.costs.tlb_flush);
             }
         }
-        let mut updated = Vec::new();
-        for &page in pages {
-            if options.charge_costs {
-                self.clock.advance(self.costs.pte_walk);
-            }
-            if self.page_table.take_shadow_dirty(page) {
-                updated.push(page);
-            }
-        }
+    }
+
+    /// [`Mmu::walk_and_clear_dirty`] over the pages set in `known`, a word
+    /// at a time ([`PageTable::take_dirty_in`]): the walker hands over its
+    /// known-dirty bitmap instead of a page list, and only the pages found
+    /// dirty are materialised. Same pages, same ascending order, same bits
+    /// cleared and same costs as collecting `known` and walking the list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `known` has a page set past this MMU's last word of pages.
+    pub fn walk_and_clear_dirty_in(
+        &mut self,
+        known: &Bitmap2L,
+        options: WalkOptions,
+    ) -> Vec<PageId> {
+        self.walk_column_in(known, options, PageTable::take_dirty_in)
+    }
+
+    /// Shadow-bit epoch walk (§5.4): [`Mmu::walk_and_clear_dirty_in`] over
+    /// the *shadow* dirty column, returning the pages of `known` updated
+    /// since the last walk without touching the real dirty bits the
+    /// hardware counter depends on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `known` has a page set past this MMU's last word of pages.
+    pub fn walk_and_clear_shadow_in(
+        &mut self,
+        known: &Bitmap2L,
+        options: WalkOptions,
+    ) -> Vec<PageId> {
+        self.walk_column_in(known, options, PageTable::take_shadow_dirty_in)
+    }
+
+    fn walk_column_in(
+        &mut self,
+        known: &Bitmap2L,
+        options: WalkOptions,
+        take_in: impl FnOnce(&mut PageTable, &Bitmap2L, &mut Vec<PageId>),
+    ) -> Vec<PageId> {
+        self.flush_for_walk(options);
+        let mut hits = Vec::new();
+        take_in(&mut self.page_table, known, &mut hits);
         if options.charge_costs {
-            self.profiler
-                .charge(CostClass::PteWalk, self.costs.pte_walk * pages.len() as u64);
+            let cost = self.costs.pte_walk * known.count() as u64;
+            self.clock.advance(cost);
+            self.profiler.charge(CostClass::PteWalk, cost);
         }
-        updated
+        hits
+    }
+
+    /// Reads and clears the PTE dirty bit of one page, leaving the TLB and
+    /// the clock alone — what the flush path does to a victim it has just
+    /// re-protected (the protect already invalidated the TLB entry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn take_dirty(&mut self, page: PageId) -> bool {
+        self.page_table.take_dirty(page)
     }
 
     /// Direct (DMA-style) read of one page's bytes, bypassing translation
@@ -885,12 +942,21 @@ mod tests {
         assert_eq!(m.dirty_counted(), 1, "post-credit rewrite must recount");
     }
 
+    /// A bitmap over `pages` pages with exactly `set` set.
+    fn known(pages: usize, set: &[usize]) -> Bitmap2L {
+        let mut b = Bitmap2L::new(pages);
+        for &i in set {
+            b.set(i);
+        }
+        b
+    }
+
     #[test]
     fn shadow_walk_tracks_recency_without_disturbing_dirty_bits() {
         let mut m = mmu(4);
         m.write(0, b"a").unwrap();
-        let pages = [PageId(0)];
-        let updated = m.walk_and_clear_shadow(&pages, WalkOptions::exact());
+        let pages = known(4, &[0]);
+        let updated = m.walk_and_clear_shadow_in(&pages, WalkOptions::exact());
         assert_eq!(updated, vec![PageId(0)]);
         assert!(
             m.page_table().flags(PageId(0)).is_dirty(),
@@ -899,13 +965,49 @@ mod tests {
         // A rewrite re-sets the shadow bit (after the flush emptied the TLB).
         m.write(1, b"b").unwrap();
         assert_eq!(
-            m.walk_and_clear_shadow(&pages, WalkOptions::exact()).len(),
+            m.walk_and_clear_shadow_in(&pages, WalkOptions::exact())
+                .len(),
             1
         );
         // No rewrite: next walk sees nothing.
         assert!(m
-            .walk_and_clear_shadow(&pages, WalkOptions::exact())
+            .walk_and_clear_shadow_in(&pages, WalkOptions::exact())
             .is_empty());
+    }
+
+    #[test]
+    fn masked_walk_leaves_pages_outside_the_mask_dirty() {
+        let mut m = mmu(130);
+        for page in [1u64, 64, 65, 129] {
+            m.write(page * PAGE_SIZE as u64, b"x").unwrap();
+        }
+        // Page 2 is known but clean; page 65 is dirty but not known.
+        let pages = known(130, &[1, 2, 64, 129]);
+        let dirty = m.walk_and_clear_dirty_in(&pages, WalkOptions::exact());
+        assert_eq!(dirty, vec![PageId(1), PageId(64), PageId(129)]);
+        assert!(m.page_table().is_dirty(PageId(65)));
+        assert_eq!(m.page_table().dirty_count(), 1);
+        assert!(m.take_dirty(PageId(65)));
+        assert!(!m.take_dirty(PageId(65)));
+    }
+
+    #[test]
+    fn masked_foreground_walk_charges_like_the_list_walk() {
+        let costs = CostModel::free()
+            .with_tlb_flush(SimDuration::from_micros(12))
+            .with_pte_walk(SimDuration::from_nanos(60));
+        let (by_list, by_mask) = (Clock::new(), Clock::new());
+        let mut a = Mmu::new(8, by_list.clone(), costs.clone());
+        let mut b = Mmu::new(8, by_mask.clone(), costs);
+        let profiler = telemetry::Profiler::enabled(by_mask.clone());
+        b.attach_profiler(profiler.clone());
+        let pages = [PageId(1), PageId(5), PageId(6)];
+        a.walk_and_clear_dirty(&pages, WalkOptions::exact_foreground());
+        b.walk_and_clear_dirty_in(&known(8, &[1, 5, 6]), WalkOptions::exact_foreground());
+        assert_eq!(by_mask.now(), by_list.now());
+        let report = profiler.report().unwrap();
+        assert!(report.is_conserved());
+        assert_eq!(report.class_nanos("pte_walk"), 3 * 60);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::bitmap::Bitmap2L;
+use crate::bitmap::{extend_from_word, Bitmap2L};
 use crate::PageId;
 
 /// Permission and status bits of one page-table entry.
@@ -242,6 +242,22 @@ impl PageTable {
         self.dirty.clear(page.index())
     }
 
+    /// Reads and clears the dirty bit of every page set in `known`, a word
+    /// at a time, appending the pages found dirty to `out` in ascending
+    /// order — §5.2's epoch walk with the walker's known-dirty bitmap as
+    /// the mask. Each non-zero word of `known` (found along its
+    /// density-dispatched scan path, recorded in
+    /// [`dispatch`](crate::dispatch)) is one [`Bitmap2L::take_word`] on the
+    /// column, so the walk costs O(non-zero words of `known` + pages
+    /// appended), not O(pages in `known`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `known` has a page set past this table's last word.
+    pub fn take_dirty_in(&mut self, known: &Bitmap2L, out: &mut Vec<PageId>) {
+        take_column_in(&mut self.dirty, known, out);
+    }
+
     /// Sets the shadow dirty bit of `page` (hardware mirror of the dirty
     /// bit, §5.4).
     ///
@@ -265,6 +281,15 @@ impl PageTable {
     /// Panics if `page` is out of range.
     pub fn take_shadow_dirty(&mut self, page: PageId) -> bool {
         self.shadow.clear(page.index())
+    }
+
+    /// [`PageTable::take_dirty_in`] over the shadow dirty column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `known` has a page set past this table's last word.
+    pub fn take_shadow_dirty_in(&mut self, known: &Bitmap2L, out: &mut Vec<PageId>) {
+        take_column_in(&mut self.shadow, known, out);
     }
 
     /// `true` if the dirty bit of `page` is set, without assembling the
@@ -315,6 +340,15 @@ impl PageTable {
     pub fn writable_bits(&self) -> &Bitmap2L {
         &self.writable
     }
+}
+
+/// The masked word drain behind the `take_*_in` walks.
+fn take_column_in(column: &mut Bitmap2L, known: &Bitmap2L, out: &mut Vec<PageId>) {
+    let path = known.scan_path();
+    crate::dispatch::record(path);
+    known.for_each_word_with(path, |w, mask| {
+        extend_from_word(out, w, column.take_word(w, mask), |i| PageId(i as u64));
+    });
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Property tests of the MMU model: memory behaves like flat bytes, write
-//! protection is exact, and the hardware dirty counter never diverges from
-//! the page-table ground truth.
+//! protection is exact, the hardware dirty counter never diverges from
+//! the page-table ground truth, and an attached profiler changes how an
+//! access is charged but nothing it charges.
 
 use mem_sim::{AccessError, Mmu, PageId, WalkOptions, PAGE_SIZE};
 use proptest::prelude::*;
 use sim_clock::{Clock, CostModel};
+use telemetry::Profiler;
 
 const PAGES: usize = 16;
 
@@ -144,5 +146,59 @@ proptest! {
                 mmu.page_table().dirty_count() as u64
             );
         }
+    }
+
+    /// An access settles its costs with one clock charge when no profiler
+    /// is attached and class by class when one is. The same stream —
+    /// faults, dirty-limit interrupts and page-spanning reads included —
+    /// must end both ways on the same instant, counters and PTE bits, and
+    /// the profiled run must attribute every nanosecond it charged.
+    #[test]
+    fn profiled_and_unprofiled_accesses_charge_the_same(
+        ops in prop::collection::vec(op_strategy(), 1..150),
+        limit in prop_oneof![Just(None), (1..=PAGES as u64).prop_map(Some)],
+    ) {
+        let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
+        let drive = |mmu: &mut Mmu| -> Vec<Result<(), AccessError>> {
+            mmu.set_dirty_limit(limit);
+            ops.iter().map(|op| match *op {
+                Op::Write { addr, len, fill } => {
+                    let in_page = PAGE_SIZE - (addr as usize % PAGE_SIZE);
+                    mmu.write(addr, &vec![fill; (len as usize).min(in_page)])
+                }
+                Op::Read { addr, len } => mmu.read(addr, &mut vec![0u8; len as usize]),
+                Op::Protect { page } => { mmu.protect_page(PageId(page as u64)); Ok(()) }
+                Op::Unprotect { page } => { mmu.unprotect_page(PageId(page as u64)); Ok(()) }
+                Op::WalkExact => {
+                    mmu.walk_and_clear_dirty(&all_pages, WalkOptions::exact_foreground());
+                    Ok(())
+                }
+                Op::WalkStale => {
+                    mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
+                    Ok(())
+                }
+            }).collect()
+        };
+        let mut plain = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
+        let clock = Clock::new();
+        let mut profiled = Mmu::new(PAGES, clock.clone(), CostModel::calibrated());
+        let profiler = Profiler::enabled(clock);
+        profiled.attach_profiler(profiler.clone());
+
+        prop_assert_eq!(drive(&mut plain), drive(&mut profiled));
+        prop_assert_eq!(plain.clock().now(), profiled.clock().now());
+        prop_assert_eq!(plain.stats(), profiled.stats());
+        prop_assert_eq!(plain.tlb_stats(), profiled.tlb_stats());
+        prop_assert_eq!(plain.dirty_counted(), profiled.dirty_counted());
+        for &page in &all_pages {
+            prop_assert_eq!(
+                plain.page_table().flags(page),
+                profiled.page_table().flags(page),
+                "PTE bits of {} diverged", page
+            );
+        }
+        let report = profiler.report().expect("the profiler is enabled");
+        prop_assert!(report.is_conserved());
+        prop_assert_eq!(report.elapsed.as_nanos(), profiled.clock().now().as_nanos());
     }
 }

@@ -5,7 +5,8 @@
 //! time. This crate provides:
 //!
 //! - [`SimTime`] / [`SimDuration`]: nanosecond-precision instants and spans,
-//! - [`Clock`]: a shareable, monotonically advancing virtual clock,
+//! - [`Clock`]: a shareable, monotonically advancing virtual clock — one
+//!   advancing thread per timeline, any number of readers,
 //! - [`CostModel`]: named per-event costs, calibrated from the measurements
 //!   the Viyojit paper reports (trap handling, TLB flush, PTE updates, ...),
 //! - [`Histogram`]: a log-bucketed latency histogram for percentile

@@ -242,6 +242,20 @@ impl Div<u64> for SimDuration {
 /// "now". The clock only moves when some component explicitly charges time
 /// to it, which keeps runs bit-for-bit deterministic.
 ///
+/// # Single writer
+///
+/// A timeline has **one advancing thread at a time**: any number of
+/// handles on any number of threads may call [`Clock::now`], but
+/// [`Clock::advance`] belongs to the thread driving the simulation (an
+/// engine built on one thread and then moved to a worker is fine — the
+/// move is the hand-off). That is how every clock in this workspace is
+/// used — the inline engines have one driver, each parallel worker owns a
+/// fresh `Clock`, telemetry and exporter threads only read — and it lets
+/// `advance` publish with a plain store instead of a locked
+/// read-modify-write on every simulated memory access. Builds with
+/// `debug_assertions` (tier-1 `cargo test`, the TSan job) check the rule:
+/// there `advance` is a compare-exchange that panics on a lost update.
+///
 /// # Examples
 ///
 /// ```
@@ -269,8 +283,34 @@ impl Clock {
     }
 
     /// Advances the clock by `d` and returns the new instant.
+    ///
+    /// Only the timeline's single advancing thread may call this (see the
+    /// type-level docs). The `Release` store pairs with the `Acquire` load
+    /// in [`Clock::now`], so a reader that observes the new instant also
+    /// observes everything the writer did before charging it — the same
+    /// edge the `AcqRel` read-modify-write this replaces gave readers.
+    ///
+    /// # Panics
+    ///
+    /// In builds with `debug_assertions`, panics if another thread moved
+    /// the clock between this call's load and its publish.
+    #[inline]
     pub fn advance(&self, d: SimDuration) -> SimTime {
-        SimTime(self.now_nanos.fetch_add(d.as_nanos(), Ordering::AcqRel) + d.as_nanos())
+        // Relaxed: the single writer reads back its own last store.
+        let prev = self.now_nanos.load(Ordering::Relaxed);
+        let next = prev + d.as_nanos();
+        if cfg!(debug_assertions) {
+            let published =
+                self.now_nanos
+                    .compare_exchange(prev, next, Ordering::AcqRel, Ordering::Relaxed);
+            assert!(
+                published.is_ok(),
+                "two threads advanced one Clock timeline concurrently"
+            );
+        } else {
+            self.now_nanos.store(next, Ordering::Release);
+        }
+        SimTime(next)
     }
 
     /// Advances the clock to `t` if `t` is in the future; never moves the
@@ -320,6 +360,27 @@ mod tests {
         b.advance(SimDuration::from_nanos(5));
         assert_eq!(a.now(), SimTime::from_nanos(15));
         assert_eq!(b.now(), SimTime::from_nanos(15));
+    }
+
+    #[test]
+    fn a_timeline_can_be_handed_to_another_thread() {
+        // Built and first charged here, then driven by a worker while this
+        // thread only reads: one advancing thread at a time.
+        let clock = Clock::new();
+        clock.advance(SimDuration::from_nanos(3));
+        let worker = clock.clone();
+        let end = std::thread::scope(|s| {
+            s.spawn(move || {
+                (0..1_000).fold(SimTime::ZERO, |_, _| {
+                    worker.advance(SimDuration::from_nanos(2))
+                })
+            })
+            .join()
+            .expect("the single writer never loses an update")
+        });
+        assert_eq!(end, SimTime::from_nanos(2_003));
+        assert_eq!(clock.now(), end);
+        assert_eq!(clock.advance_to(SimTime::from_nanos(10)), end);
     }
 
     #[test]
