@@ -8,9 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kvstore::KvStore;
 use mem_sim::{Mmu, PageId, WalkOptions};
 use pheap::PHeap;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sim_clock::{Clock, CostModel, Histogram, SimDuration};
+use sim_clock::{Clock, CostModel, Histogram, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
     DirtySet, NvHeap, NvdramBaseline, TargetPolicy, UpdateHistory, VictimSelector, Viyojit,
@@ -110,7 +108,7 @@ fn bench_workloads(c: &mut Criterion) {
     let mut g = c.benchmark_group("workloads");
     g.bench_function("zipf_sample", |b| {
         let zipf = ZipfGenerator::new(1_000_000, 0.99);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         b.iter(|| black_box(zipf.sample_scrambled(&mut rng)));
     });
     g.bench_function("ycsb_a_next_op", |b| {

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use telemetry::{note, row, Report, Sink, TraceEvent, TracedEvent};
 use viyojit::{
@@ -33,14 +33,6 @@ const REGION_PAGES: u64 = 128;
 const BUDGET: u64 = 32;
 const WRITES: u64 = 1_024;
 const STORM_RATE: f64 = 0.02;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn storm_battery(seed: u64, ssd: &SsdConfig, power: &PowerModel) -> Battery {
     let needed = ssd.drain_time(BUDGET * PAGE).as_secs_f64() * power.total_watts();
@@ -72,12 +64,12 @@ fn engine_torture<B: DirtyTracker>(seed: u64, point: Crashpoint, hit: u64) -> Ou
     nv.attach_crashes(crashes.clone());
     let region = nv.map(REGION_PAGES * PAGE).expect("map");
 
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     let workload = catch_unwind(AssertUnwindSafe(|| {
         for _ in 0..WRITES {
-            let page = splitmix64(&mut rng) % REGION_PAGES;
-            let offset = splitmix64(&mut rng) % (PAGE - 8);
-            let fill = splitmix64(&mut rng) as u8;
+            let page = rng.below(REGION_PAGES);
+            let offset = rng.below(PAGE - 8);
+            let fill = rng.next_u64() as u8;
             nv.write(region, page * PAGE + offset, &[fill; 8])
                 .expect("write");
         }
@@ -138,12 +130,12 @@ fn sharded_torture(seed: u64, point: Crashpoint, hit: u64) -> Outcome {
         .expect("a valid sharded configuration");
     let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
 
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     let workload = catch_unwind(AssertUnwindSafe(|| {
         for _ in 0..WRITES {
-            let region = regions[(splitmix64(&mut rng) % 4) as usize];
-            let page = splitmix64(&mut rng) % 32;
-            nv.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 8])
+            let region = regions[rng.below(4) as usize];
+            let page = rng.below(32);
+            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
                 .expect("write");
         }
     }));
@@ -213,10 +205,10 @@ fn parallel_torture(seed: u64, threads: usize) -> Outcome {
             .build_parallel()
             .expect("a valid supervised configuration");
     let regions: Vec<_> = (0..4).map(|_| data.map(64 * PAGE).expect("map")).collect();
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     for &region in &regions {
         for page in 0..4u64 {
-            data.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 64])
+            data.write(region, page * PAGE, &[rng.next_u64() as u8; 64])
                 .expect("write");
         }
     }

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use mem_sim::PAGE_SIZE;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use telemetry::{render_prometheus, ExporterConfig, FlightRecorder, Report, RunMeta};
 use viyojit::{
@@ -41,14 +41,6 @@ const PAGES_PER_SHARD: usize = 64;
 const BUDGET: u64 = 32;
 const SEED: u64 = 42;
 const FAULT_RATE: f64 = 0.02;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One parsed exposition render: bare-name sample values plus each
 /// declared metric's kind.
@@ -200,10 +192,10 @@ fn main() {
     let regions: Vec<_> = (0..SHARDS)
         .map(|_| data.map(8 * PAGE).expect("map"))
         .collect();
-    let mut rng = SEED;
+    let mut rng = SplitMix64::new(SEED);
     for &region in &regions {
         for page in 0..8u64 {
-            data.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 64])
+            data.write(region, page * PAGE, &[rng.next_u64() as u8; 64])
                 .expect("write");
         }
     }
@@ -219,7 +211,7 @@ fn main() {
     // samples), another round, and an emergency flush.
     for &region in &regions {
         for page in 0..8u64 {
-            data.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 64])
+            data.write(region, page * PAGE, &[rng.next_u64() as u8; 64])
                 .expect("post-respawn write");
         }
         data.step(SimDuration::from_millis(5)).expect("step");

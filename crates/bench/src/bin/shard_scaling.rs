@@ -11,7 +11,7 @@
 //! the global bound held regardless of shard count.
 
 use mem_sim::PAGE_SIZE;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{NvHeap, ShardedViyojit, ShardedViyojitBuilder, ViyojitConfig};
 use viyojit_bench::{note, row, ProfileCapture, Report};
@@ -25,17 +25,6 @@ const REGION_PAGES: u64 = 256;
 const OPS: u64 = 60_000;
 /// Writes between 1 ms clock advances (the epoch/rebalance heartbeat).
 const OPS_PER_TICK: u64 = 200;
-
-/// Deterministic xorshift64*; the bench must not depend on ambient
-/// randomness.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
 
 fn run(shards: usize) -> (u64, u64, u64, u64, u64, bool) {
     let clock = Clock::new();
@@ -73,9 +62,9 @@ fn run(shards: usize) -> (u64, u64, u64, u64, u64, bool) {
         .map(|_| nv.map(REGION_PAGES * PAGE).expect("map region"))
         .collect();
 
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rng = SplitMix64::new(0x9E37_79B9_7F4A_7C15);
     for op in 0..OPS {
-        let r = xorshift(&mut rng);
+        let r = rng.next_u64();
         // 80% of writes land on the 3 hot regions, the rest spread cold.
         let region_idx = if r % 10 < 8 {
             (r >> 8) % 3

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use mem_sim::PAGE_SIZE;
-use sim_clock::SimDuration;
+use sim_clock::{SimDuration, SplitMix64};
 use viyojit::{
     NvHeap, ShardControlPlane, ShardDataPlane, ShardedViyojitBuilder, ViyojitConfig, ViyojitError,
 };
@@ -46,17 +46,6 @@ const OPS_PER_TICK: u64 = 200;
 const FULL_OPS: u64 = 400_000;
 const QUICK_OPS: u64 = 60_000;
 
-/// Deterministic xorshift64*; the bench must not depend on ambient
-/// randomness.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 fn builder() -> ShardedViyojitBuilder {
     ShardedViyojitBuilder::new(
         SHARDS,
@@ -77,10 +66,10 @@ fn drive<D: NvHeap + ShardDataPlane>(nv: &mut D, ops: u64) -> Result<f64, Viyoji
     let regions: Vec<_> = (0..REGIONS)
         .map(|_| nv.map(REGION_PAGES * PAGE))
         .collect::<Result<_, _>>()?;
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rng = SplitMix64::new(0x9E37_79B9_7F4A_7C15);
     let start = Instant::now();
     for op in 0..ops {
-        let r = xorshift(&mut rng);
+        let r = rng.next_u64();
         let region_idx = if r % 10 < 8 {
             (r >> 8) % 3
         } else {

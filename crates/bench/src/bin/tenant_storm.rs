@@ -14,9 +14,7 @@
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
     DegradationConfig, DegradationGovernor, FaultConfig, FaultPlan, NvHeap, PowerFailureReport,
@@ -152,14 +150,14 @@ fn run_once(seed: u64) -> StormOutcome {
         })
         .collect();
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let tenant_zipf = ZipfGenerator::new(TENANTS.len() as u64, TENANT_THETA);
     let page_zipf = ZipfGenerator::new(REGION_PAGES, PAGE_THETA);
     for op in 0..OPS {
         // Zipf rank 0 (the hottest) is tenant 0 — the faulty one.
         let tenant = tenant_zipf.sample(&mut rng) as usize;
         let bucket = &regions[tenant];
-        let region = bucket[rng.gen_range(0..bucket.len())];
+        let region = bucket[rng.below(bucket.len() as u64) as usize];
         let page = page_zipf.sample(&mut rng);
         nv.write(region, page * PAGE, &[(op % 251) as u8; 64])
             .expect("write");

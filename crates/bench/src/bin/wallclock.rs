@@ -32,6 +32,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mem_sim::{PageId, PageTable};
+use sim_clock::SplitMix64;
 use viyojit::DirtySet;
 
 /// CI gate: fail if epoch-walk ns/page regresses past this factor over
@@ -72,17 +73,6 @@ impl Layout {
             Layout::UniformRuns => "uniform_runs",
         }
     }
-}
-
-/// Deterministic xorshift64*; the harness must not depend on ambient
-/// randomness.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 // ----------------------------------------------------------------------
@@ -233,7 +223,7 @@ struct Cell {
 fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
     // Deterministic dirty population, identical for both models.
     let target = ((pages as f64 * density) as usize).max(1);
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (pages as u64) ^ (target as u64);
+    let mut rng = SplitMix64::new(0x9E37_79B9_7F4A_7C15 ^ (pages as u64) ^ (target as u64));
     let mut dirty = DirtySet::new(pages);
     let mut pt = PageTable::new(pages);
     let mut scalar_dirty = ScalarDirtySet::new(pages);
@@ -252,7 +242,7 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
     match layout {
         Layout::Random => {
             while picked.len() < target {
-                let p = (xorshift(&mut rng) % pages as u64) as usize;
+                let p = rng.below(pages as u64) as usize;
                 if dirty.dirty_bits().test(p) {
                     continue;
                 }
@@ -265,7 +255,7 @@ fn measure_cell(pages: usize, density: f64, layout: Layout, reps: u32) -> Cell {
             let want = (target / CLUSTER_PAGES).max(1);
             let mut chosen = 0;
             while chosen < want {
-                let r = (xorshift(&mut rng) % runs as u64) as usize;
+                let r = rng.below(runs as u64) as usize;
                 if dirty.dirty_bits().test(r * CLUSTER_PAGES) {
                     continue;
                 }

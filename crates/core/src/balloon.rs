@@ -9,9 +9,8 @@
 //! provisioned battery budget. The cluster is expressed on the same
 //! [`BudgetTree`] hierarchy the sharded frontends plan through — each
 //! balloon tenant is a single-shard tenant whose guarantee equals its
-//! floor and whose burst is unbounded, which makes the tree's plan
-//! algebraically identical to the historical flat
-//! [`BudgetArbiter`](crate::engine::BudgetArbiter) division: budget moves
+//! floor and whose burst is unbounded, which makes the tree's plan a
+//! flat demand-proportional division: budget moves
 //! in proportion to each tenant's observed *demand* (write stalls and
 //! fresh dirty pages since the last rebalance), subject to the floor.
 //! Durability composes: every tenant enforces its own bound, and the

@@ -92,12 +92,7 @@ pub(crate) fn encoded_page_bytes(codec: FlushCodec, data: &[u8]) -> usize {
 
 /// FNV-1a over a whole page, for dedup content addressing.
 pub(crate) fn page_content_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    sim_clock::fnv1a_64(data)
 }
 
 #[cfg(test)]

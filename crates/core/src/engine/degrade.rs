@@ -11,7 +11,7 @@
 //! The governor is pure policy: it owns no engine state and returns the
 //! budget the engine *should* run with; callers apply it through the
 //! existing [`set_dirty_budget`](crate::Engine::set_dirty_budget) /
-//! `BudgetArbiter` paths, which already stall writers until the dirty
+//! [`BudgetTree`](super::BudgetTree) paths, which already stall writers until the dirty
 //! population fits the shrunk budget.
 
 use ssd_sim::SsdStats;

@@ -2,7 +2,11 @@
 //!
 //! One server, many tenants, one battery (ROADMAP open item 3; the
 //! paper's §5.1 budget derivation promoted to a cloud-operator scenario).
-//! [`BudgetTree`] generalises the flat [`BudgetArbiter`] into two levels:
+//! [`BudgetTree`] is the pure redistribution policy: it sees only each
+//! shard's [`ViyojitStats`], and leaves the *application* of the new
+//! budgets (and the shrink-before-grow ordering that keeps the
+//! instantaneous sum under the battery) to the caller. It divides on two
+//! levels:
 //!
 //! - the **machine** level divides the battery's provisioned dirty budget
 //!   among tenants, honouring each tenant's [`TenantQos`] — a
@@ -12,16 +16,15 @@
 //!   the guarantees) the burst pool collapses *first* and the guarantees
 //!   themselves then scale proportionally, never below the per-shard
 //!   floors — the weighted-reclaim rule;
-//! - the **shard** level is each tenant's private [`BudgetArbiter`],
-//!   dividing the tenant's allocation among its shards exactly as the
-//!   flat arbiter always has.
+//! - the **shard** level divides each tenant's allocation among its
+//!   shards in proportion to the demand observed since the last
+//!   rebalance (write stalls and dirty-page churn), with a per-shard
+//!   floor.
 //!
-//! Both levels run the same largest-remainder division as the flat
-//! arbiter always has, and a tenant's demand is
-//! the *sum* of its shards' demand scores — so a tree with one tenant
-//! owning every shard plans byte-identically to the flat arbiter it
-//! replaced. The equivalence property in `engine_equivalence_prop.rs`
-//! pins that down.
+//! Both levels run the same largest-remainder division, and a tenant's
+//! demand is the *sum* of its shards' demand scores — so a tree with one
+//! tenant owning every shard ([`BudgetTree::single`]) is a flat
+//! demand-proportional division of the whole total.
 //!
 //! Degraded-mode policy composes per tenant: a [`throttle`]
 //! (typically set by a per-tenant
@@ -33,8 +36,86 @@
 
 use crate::{InvariantViolation, ViyojitStats};
 
-use super::arbiter::{divide_with_caps, BudgetArbiter};
 use super::{DirtyTracker, Engine};
+
+/// Largest-remainder division of `distributable` pages in proportion to
+/// `demands`: floor shares first, then the remainder awarded one page at a
+/// time cycling over members from highest demand down (stable order for
+/// ties). Conserves the total exactly.
+///
+/// This is *the* division every level of the budget hierarchy uses — the
+/// tenant level, the shard level and the weighted-reclaim path.
+///
+/// # Panics
+///
+/// Panics if `demands` is empty or sums to zero while `distributable` is
+/// nonzero (callers guarantee every demand is at least 1).
+fn divide_proportionally(distributable: u64, demands: &[u64]) -> Vec<u64> {
+    let n = demands.len();
+    let total_demand: u64 = demands.iter().sum();
+    let mut shares: Vec<u64> = demands
+        .iter()
+        .map(|&d| distributable * d / total_demand)
+        .collect();
+    let mut leftover = distributable - shares.iter().sum::<u64>();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(demands[i]));
+    for &i in order.iter().cycle().take(leftover as usize) {
+        shares[i] += 1;
+        leftover -= 1;
+        if leftover == 0 {
+            break;
+        }
+    }
+    shares
+}
+
+/// [`divide_proportionally`] with a per-member ceiling: members whose
+/// proportional share overflows their cap are pinned to it and the excess
+/// is re-divided among the uncapped members, iterating until no cap binds.
+/// When every member is capped, the residue stays unallocated (the caller
+/// keeps it — budgets may undershoot the total, never overshoot).
+///
+/// When no cap binds this is exactly one pass of [`divide_proportionally`].
+fn divide_with_caps(distributable: u64, demands: &[u64], caps: &[u64]) -> Vec<u64> {
+    debug_assert_eq!(demands.len(), caps.len());
+    let n = demands.len();
+    let mut out = vec![0u64; n];
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut remaining = distributable;
+    while remaining > 0 && !active.is_empty() {
+        let local: Vec<u64> = active.iter().map(|&i| demands[i]).collect();
+        let shares = divide_proportionally(remaining, &local);
+        let mut next_active = Vec::with_capacity(active.len());
+        let mut any_capped = false;
+        for (&i, &share) in active.iter().zip(&shares) {
+            let room = caps[i] - out[i];
+            if share >= room {
+                out[i] = caps[i];
+                remaining -= room;
+                any_capped = true;
+            } else {
+                next_active.push(i);
+            }
+        }
+        if !any_capped {
+            for (&i, &share) in active.iter().zip(&shares) {
+                out[i] += share;
+            }
+            break;
+        }
+        active = next_active;
+    }
+    out
+}
+
+/// The counters one shard's demand is measured from, as of the last
+/// committed rebalance.
+#[derive(Debug, Clone, Copy, Default)]
+struct DemandSnapshot {
+    budget_stalls: u64,
+    pages_dirtied: u64,
+}
 
 /// Identifies a tenant within a budget hierarchy (or the historical
 /// [`BalloonedCluster`](crate::BalloonedCluster), whose tenants are
@@ -117,14 +198,37 @@ struct TenantNode {
     qos: TenantQos,
     /// Degraded-mode cap on the tenant's allocation; `None` when nominal.
     throttle: Option<u64>,
-    /// The tenant's private shard-level arbiter (holds the per-shard
-    /// demand baselines).
-    inner: BudgetArbiter,
+    /// Per-shard demand baselines: stalls incurred *while shrinking*
+    /// count toward the shard's demand at the next rebalance, not this one.
+    last_seen: Vec<DemandSnapshot>,
 }
 
 impl TenantNode {
     fn shards(&self) -> usize {
-        self.inner.members()
+        self.last_seen.len()
+    }
+
+    /// The contiguous shard range the tenant owns.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.first_shard..self.first_shard + self.shards()
+    }
+
+    /// Demand score per shard against the committed baseline: stalls hurt
+    /// most (a writer blocked on the SSD), dirty-page churn indicates an
+    /// active write working set. `stats` is the tenant's own slice.
+    fn demands(&self, stats: &[ViyojitStats]) -> Vec<u64> {
+        self.last_seen
+            .iter()
+            .zip(stats)
+            .map(|(prev, s)| {
+                // Saturating: a quarantined shard's synthesized report (all
+                // zeros) can sit below the committed baseline; that is zero
+                // new demand, not an underflow.
+                let stalls = s.budget_stalls.saturating_sub(prev.budget_stalls);
+                let dirtied = s.pages_dirtied.saturating_sub(prev.pages_dirtied);
+                10 * stalls + dirtied + 1 // +1 keeps idle shards from starving the score
+            })
+            .collect()
     }
 
     /// The tenant's absolute floor: its shards' per-shard minima.
@@ -154,10 +258,15 @@ impl TenantNode {
 /// The two-level budget hierarchy dividing one battery's dirty budget
 /// across tenants, and each tenant's allocation across its shards.
 ///
-/// Replaces the flat [`BudgetArbiter`] in the sharded frontends; the flat
-/// arbiter survives as the per-tenant inner node. The same
-/// `plan` / apply shrink-first / `commit` cycle applies, now producing
-/// one target per *shard* with tenant QoS enforced in between.
+/// A rebalance is a `plan` / apply / `commit` cycle:
+///
+/// 1. [`BudgetTree::plan`] computes one target per *shard* from current
+///    stats, with tenant QoS enforced in between;
+/// 2. the caller applies them shrink-first, then grow (so the assigned
+///    sum never exceeds the provisioned total at any instant — shrinking
+///    shards may stall flushing down, which is the point);
+/// 3. [`BudgetTree::commit`] records the post-apply stats as the new
+///    demand baseline.
 #[derive(Debug)]
 pub struct BudgetTree {
     total_budget_pages: u64,
@@ -170,8 +279,8 @@ pub struct BudgetTree {
 
 impl BudgetTree {
     /// The degenerate hierarchy: one tenant owning all `shards`, with its
-    /// guarantee at the shard floors and unbounded burst — plans
-    /// byte-identically to `BudgetArbiter::new(shards, total, min)`.
+    /// guarantee at the shard floors and unbounded burst — a flat
+    /// demand-proportional division of `total_budget_pages`.
     ///
     /// # Panics
     ///
@@ -216,17 +325,13 @@ impl BudgetTree {
                 qos.guaranteed_pages >= min_per_shard * shards as u64,
                 "tenant {name:?}'s guarantee is below its shard floors"
             );
-            // The inner arbiter's own floor check runs against the
-            // guarantee (the least the tenant can be allocated under
-            // nominal totals).
-            let inner = BudgetArbiter::new(shards, qos.guaranteed_pages, min_per_shard);
             shard_tenant.extend(std::iter::repeat_n(t, shards));
             nodes.push(TenantNode {
                 name,
                 first_shard,
                 qos,
                 throttle: None,
-                inner,
+                last_seen: vec![DemandSnapshot::default(); shards],
             });
             first_shard += shards;
         }
@@ -283,8 +388,7 @@ impl BudgetTree {
     ///
     /// Panics if `t` is out of range.
     pub fn tenant_shards(&self, t: TenantId) -> std::ops::Range<usize> {
-        let node = &self.nodes[t.0];
-        node.first_shard..node.first_shard + node.shards()
+        self.nodes[t.0].range()
     }
 
     /// Tenant `t`'s configured name.
@@ -374,35 +478,37 @@ impl BudgetTree {
     }
 
     /// Computes one target budget per shard: tenant-level division of the
-    /// machine total, then each tenant's inner largest-remainder division
-    /// of its allocation.
+    /// machine total, then a largest-remainder division of each tenant's
+    /// allocation above its shard floors, remainders awarded to the
+    /// highest-demand shards first.
     ///
     /// # Panics
     ///
     /// Panics if `stats` does not have one entry per shard.
     pub fn plan(&self, stats: &[ViyojitStats]) -> Vec<u64> {
         assert_eq!(stats.len(), self.members(), "one stats snapshot per shard");
-        let tenant_demands: Vec<u64> = self
+        let min = self.min_per_shard;
+        let shard_demands: Vec<Vec<u64>> = self
             .nodes
             .iter()
-            .map(|n| {
-                let range = n.first_shard..n.first_shard + n.shards();
-                n.inner.demands(&stats[range]).iter().sum()
-            })
+            .map(|n| n.demands(&stats[n.range()]))
             .collect();
+        let tenant_demands: Vec<u64> = shard_demands.iter().map(|d| d.iter().sum()).collect();
         let allocs = self.tenant_allocations(&tenant_demands);
         let mut targets = Vec::with_capacity(self.members());
-        for (node, &alloc) in self.nodes.iter().zip(&allocs) {
-            let range = node.first_shard..node.first_shard + node.shards();
-            targets.extend(node.inner.plan_with_total(alloc, &stats[range]));
+        for ((node, demands), &alloc) in self.nodes.iter().zip(&shard_demands).zip(&allocs) {
+            // `tenant_allocations` never grants below the shard floors.
+            let shares = divide_proportionally(alloc - node.base(min), demands);
+            targets.extend(shares.iter().map(|s| s + min));
         }
         targets
     }
 
     /// The initial per-shard division before any demand is observed:
     /// tenant allocations under uniform demand, spread evenly inside each
-    /// tenant (raised to the floor) — for a single tenant this reproduces
-    /// the flat arbiter's `initial_share` exactly.
+    /// tenant (raised to the floor). (The even shares may sum above the
+    /// total when the floor dominates; construction asserts the floors
+    /// themselves fit.)
     pub fn initial_shares(&self) -> Vec<u64> {
         let uniform: Vec<u64> = self.nodes.iter().map(|n| n.shards() as u64).collect();
         let allocs = self.tenant_allocations(&uniform);
@@ -423,8 +529,13 @@ impl BudgetTree {
     pub fn commit(&mut self, stats: &[ViyojitStats]) {
         assert_eq!(stats.len(), self.members(), "one stats snapshot per shard");
         for node in &mut self.nodes {
-            let range = node.first_shard..node.first_shard + node.shards();
-            node.inner.commit(&stats[range]);
+            let range = node.range();
+            for (seen, s) in node.last_seen.iter_mut().zip(&stats[range]) {
+                *seen = DemandSnapshot {
+                    budget_stalls: s.budget_stalls,
+                    pages_dirtied: s.pages_dirtied,
+                };
+            }
         }
         self.rebalances += 1;
     }
@@ -492,25 +603,143 @@ mod tests {
     }
 
     #[test]
-    fn single_tenant_tree_plans_like_the_flat_arbiter() {
-        let mut tree = BudgetTree::single(3, 100, 5);
-        let mut flat = BudgetArbiter::new(3, 100, 5);
-        let snapshots = [
-            vec![stats(0, 7), stats(3, 50), stats(0, 0)],
-            vec![stats(1, 80), stats(3, 50), stats(2, 9)],
-            vec![stats(4, 81), stats(3, 50), stats(2, 200)],
-        ];
+    fn plan_conserves_the_total() {
+        let tree = BudgetTree::single(3, 100, 5);
+        let targets = tree.plan(&[stats(0, 7), stats(3, 50), stats(0, 0)]);
+        assert_eq!(targets.iter().sum::<u64>(), 100);
+        assert!(targets.iter().all(|&t| t >= 5));
+    }
+
+    #[test]
+    fn demand_is_proportional_and_deltas_reset_on_commit() {
+        let mut tree = BudgetTree::single(2, 64, 4);
+        let busy = [stats(10, 200), stats(0, 0)];
+        let t1 = tree.plan(&busy);
+        assert!(t1[0] > t1[1], "the stalling shard gets the larger share");
+        tree.commit(&busy);
+        // Demand is measured since the last commit: with no new activity
+        // the shards are equally (un)deserving.
+        let t2 = tree.plan(&busy);
+        assert_eq!(t2[0], t2[1]);
+        assert_eq!(tree.rebalances(), 1);
+    }
+
+    #[test]
+    fn remainders_go_to_the_highest_demand_shards() {
+        let tree = BudgetTree::single(3, 10, 1);
+        // distributable = 7 over demands 2:2:3 leaves no leftover; 1:1:2
+        // is uneven enough to force remainders.
+        let targets = tree.plan(&[stats(0, 1), stats(0, 1), stats(0, 2)]);
+        assert_eq!(targets.iter().sum::<u64>(), 10);
+        assert!(targets[2] >= targets[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "floors exceed")]
+    fn overcommitted_floors_panic() {
+        BudgetTree::single(4, 10, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "floors exceed")]
+    fn zero_total_budget_is_rejected() {
+        // A zero total cannot cover even one shard's floor.
+        BudgetTree::single(1, 0, 1);
+    }
+
+    #[test]
+    fn overcommit_check_reports_the_violation() {
+        let tree = BudgetTree::single(2, 10, 1);
+        assert!(tree.check_assignment(10).is_ok());
         assert_eq!(
-            tree.initial_shares(),
-            vec![flat.initial_share(); 3],
-            "initial division must match the flat even rule"
+            tree.check_assignment(11),
+            Err(InvariantViolation::OverCommit {
+                assigned: 11,
+                provisioned: 10,
+            })
         );
-        for snap in &snapshots {
-            assert_eq!(tree.plan(snap), flat.plan(snap));
-            tree.commit(snap);
-            flat.commit(snap);
-        }
-        assert_eq!(tree.rebalances(), flat.rebalances());
+    }
+
+    #[test]
+    fn single_shard_always_receives_the_whole_total() {
+        let mut tree = BudgetTree::single(1, 37, 1);
+        // Idle, busy, or stalling: one shard is the only destination.
+        assert_eq!(tree.plan(&[stats(0, 0)]), vec![37]);
+        assert_eq!(tree.plan(&[stats(9, 400)]), vec![37]);
+        tree.commit(&[stats(9, 400)]);
+        assert_eq!(tree.plan(&[stats(9, 400)]), vec![37]);
+        assert_eq!(tree.initial_shares(), vec![37]);
+    }
+
+    #[test]
+    fn initial_shares_are_even_and_raised_to_the_floor() {
+        assert_eq!(BudgetTree::single(3, 100, 5).initial_shares(), vec![33; 3]);
+        assert_eq!(BudgetTree::single(3, 16, 5).initial_shares(), vec![5; 3]);
+    }
+
+    #[test]
+    fn shrink_below_assigned_mid_run_replans_under_the_new_total() {
+        let mut tree = BudgetTree::single(2, 64, 4);
+        let busy = [stats(5, 100), stats(0, 0)];
+        let t1 = tree.plan(&busy);
+        assert_eq!(t1.iter().sum::<u64>(), 64);
+        tree.commit(&busy);
+        // The operator shrinks the total below what is currently assigned;
+        // the next plan must fit the new total and the old assignment must
+        // now register as an overcommit until the caller applies it.
+        tree.set_total_budget(16);
+        assert_eq!(
+            tree.check_assignment(t1.iter().sum()),
+            Err(InvariantViolation::OverCommit {
+                assigned: 64,
+                provisioned: 16,
+            })
+        );
+        let t2 = tree.plan(&busy);
+        assert_eq!(t2.iter().sum::<u64>(), 16);
+        assert!(t2.iter().all(|&t| t >= 4));
+        assert!(tree.check_assignment(t2.iter().sum()).is_ok());
+    }
+
+    #[test]
+    fn floor_rejection_keeps_the_previous_total() {
+        let mut tree = BudgetTree::single(4, 64, 4);
+        // 4 shards x 4 floor = 16 > 15: the re-provisioning must panic
+        // (callers route this through a validating error path) without
+        // having touched the total.
+        let reject =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tree.set_total_budget(15)));
+        assert!(reject.is_err(), "15 pages cannot cover 4 floors of 4");
+        assert_eq!(
+            tree.total_budget_pages(),
+            64,
+            "a rejected re-provisioning must not change the total"
+        );
+        assert_eq!(tree.rebalances(), 0, "rejection is not a rebalance");
+        // The tree still plans consistently under the old total.
+        let t = tree.plan(&[ViyojitStats::default(); 4]);
+        assert_eq!(t.iter().sum::<u64>(), 64);
+    }
+
+    #[test]
+    fn capped_division_matches_uncapped_when_no_cap_binds() {
+        let demands = [3u64, 7, 1, 9];
+        assert_eq!(
+            divide_with_caps(100, &demands, &[u64::MAX; 4]),
+            divide_proportionally(100, &demands)
+        );
+    }
+
+    #[test]
+    fn capped_division_pins_overflow_and_redistributes() {
+        // Member 1 demands most but is capped at 5; its excess flows to
+        // the others. Totals conserve exactly while caps hold.
+        let out = divide_with_caps(30, &[1, 100, 1], &[u64::MAX, 5, u64::MAX]);
+        assert_eq!(out[1], 5);
+        assert_eq!(out.iter().sum::<u64>(), 30);
+        // Everyone capped: the residue stays unallocated, never oversubscribed.
+        let tight = divide_with_caps(30, &[1, 1], &[4, 4]);
+        assert_eq!(tight, vec![4, 4]);
     }
 
     #[test]

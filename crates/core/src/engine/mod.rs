@@ -18,9 +18,9 @@
 //!
 //! On top of the engine, the sharded frontend multiplexes one battery's
 //! budget across N per-region shards through a
-//! [`hierarchy::BudgetTree`] — machine → tenant → shard, each tenant's
-//! shards divided by a per-tenant [`arbiter::BudgetArbiter`] — the
-//! ROADMAP's scale-out and multi-tenant frontend. It is one piece of
+//! [`hierarchy::BudgetTree`] — machine → tenant → shard, both levels one
+//! demand-proportional largest-remainder division — the ROADMAP's
+//! scale-out and multi-tenant frontend. It is one piece of
 //! code with two transports: a `driver::ShardDriver` owns a set of
 //! shard engines (built and wired in one place) and answers everything
 //! one can ask of them; the `coordinator::Coordinator` owns the tree,
@@ -32,7 +32,6 @@
 //! coordinator behind a mutex, calling one supervised driver per worker
 //! thread over channels (`parallel`).
 
-mod arbiter;
 mod backend;
 mod builder;
 mod coordinator;
@@ -44,7 +43,6 @@ mod parallel;
 mod plane;
 mod sharded;
 
-pub use arbiter::BudgetArbiter;
 pub use backend::{DirtyTracker, FullDirty, MmuAssisted, SoftwareWalk};
 pub use builder::ShardedViyojitBuilder;
 pub use degrade::{DegradationConfig, DegradationGovernor, DegradeReason, DegradedMode};

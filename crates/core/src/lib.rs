@@ -24,7 +24,7 @@
 //! - [`NvdramBaseline`] — the full-battery comparison system of Figs. 7-8
 //!   (the engine with the [`FullDirty`] backend, which tracks nothing);
 //! - [`ShardedViyojit`] — N per-shard engines multiplexing one battery's
-//!   budget through a [`BudgetArbiter`], with [`BalloonedCluster`] doing
+//!   budget through a [`BudgetTree`], with [`BalloonedCluster`] doing
 //!   the same across whole tenants (§6.3);
 //! - [`PeriodicCountTracker`] — the flawed periodic-counting design §4.1
 //!   rejects, kept to demonstrate *why* synchronous tracking is required.
@@ -80,8 +80,8 @@ pub use codec::{rle_decode, rle_encode, FlushCodec};
 pub use config::{ThresholdPolicy, ViyojitConfig, ViyojitConfigBuilder};
 pub use dirty::{DirtySet, PageState};
 pub use engine::{
-    BudgetArbiter, BudgetGrant, BudgetTree, DegradationConfig, DegradationGovernor, DegradeReason,
-    DegradedMode, DirtyTracker, Engine, EngineCore, FullDirty, MmuAssisted, ShardControlHandle,
+    BudgetGrant, BudgetTree, DegradationConfig, DegradationGovernor, DegradeReason, DegradedMode,
+    DirtyTracker, Engine, EngineCore, FullDirty, MmuAssisted, ShardControlHandle,
     ShardControlPlane, ShardDataHandle, ShardDataPlane, ShardStats, ShardedViyojit,
     ShardedViyojitBuilder, SoftwareWalk, TenantId, TenantQos, TenantStats, MAX_FLUSH_ATTEMPTS,
     RETRY_BACKOFF_BASE, RETRY_BACKOFF_MAX, ROUND_TIMEOUT,

@@ -17,6 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mem_sim::PageId;
+use sim_clock::SplitMix64;
 
 use crate::UpdateHistory;
 
@@ -79,7 +80,7 @@ pub struct VictimSelector {
     /// Pages with a key, i.e. live heap entries up to duplicates.
     live: usize,
     fifo_seq: u64,
-    rng_state: u64,
+    rng: SplitMix64,
 }
 
 impl VictimSelector {
@@ -92,7 +93,7 @@ impl VictimSelector {
             key_of: vec![None; pages],
             live: 0,
             fifo_seq: 0,
-            rng_state: seed | 1,
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -111,16 +112,6 @@ impl VictimSelector {
         self.live == 0
     }
 
-    fn next_random(&mut self) -> u64 {
-        // xorshift64*: deterministic, seed-stable victim randomization.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     fn key(&mut self, page: PageId, history: &UpdateHistory) -> u64 {
         match self.policy {
             TargetPolicy::LeastRecentlyUpdated => history.last_touch_seq(page),
@@ -133,7 +124,7 @@ impl VictimSelector {
                 self.fifo_seq += 1;
                 self.fifo_seq
             }
-            TargetPolicy::Random => self.next_random(),
+            TargetPolicy::Random => self.rng.next_u64(),
         }
     }
 
@@ -348,7 +339,7 @@ mod tests {
         ordered: BTreeSet<(u64, PageId)>,
         key_of: Vec<Option<u64>>,
         fifo_seq: u64,
-        rng_state: u64,
+        rng: SplitMix64,
     }
 
     impl OrderedModel {
@@ -358,7 +349,7 @@ mod tests {
                 ordered: BTreeSet::new(),
                 key_of: vec![None; pages],
                 fifo_seq: 0,
-                rng_state: seed | 1,
+                rng: SplitMix64::new(seed),
             }
         }
 
@@ -373,14 +364,7 @@ mod tests {
                     self.fifo_seq += 1;
                     self.fifo_seq
                 }
-                TargetPolicy::Random => {
-                    let mut x = self.rng_state;
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    self.rng_state = x;
-                    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-                }
+                TargetPolicy::Random => self.rng.next_u64(),
             }
         }
 

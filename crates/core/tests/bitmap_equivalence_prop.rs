@@ -19,7 +19,7 @@
 
 use mem_sim::{Bitmap2L, Mmu, PageId, PageTable, ScanPath, WalkOptions, PAGE_SIZE};
 use proptest::prelude::*;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
     DirtySet, MmuAssistedViyojit, NvHeap, NvdramBaseline, PageState, Viyojit, ViyojitConfig,
@@ -533,15 +533,6 @@ const BUDGET: u64 = 12;
 const SEEDS: [u64; 3] = [1, 7, 42];
 const STEPS: usize = 400;
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 /// One seeded workload, applied identically to all three backends: random
 /// writes (skewed toward a hot fraction of the region so the victim
 /// selector has recency to exploit), idles, and occasional budget changes.
@@ -575,19 +566,19 @@ fn drive_all_backends(seed: u64) {
     let rb = base.map(REGION_PAGES * page).unwrap();
     let mut model = vec![0u8; (REGION_PAGES * page) as usize];
 
-    let mut rng = seed | 1;
+    let mut rng = SplitMix64::new(seed);
     for step in 0..STEPS {
-        match xorshift(&mut rng) % 10 {
+        match rng.below(10) {
             0..=6 => {
                 // 80/20 skew: most writes land in the first quarter.
-                let span = if xorshift(&mut rng) % 10 < 8 {
+                let span = if rng.below(10) < 8 {
                     REGION_PAGES * page / 4
                 } else {
                     REGION_PAGES * page
                 };
-                let len = 1 + (xorshift(&mut rng) % 4096);
-                let offset = xorshift(&mut rng) % (span.saturating_sub(len).max(1));
-                let fill = (xorshift(&mut rng) & 0xff) as u8;
+                let len = 1 + rng.below(4096);
+                let offset = rng.below(span.saturating_sub(len).max(1));
+                let fill = rng.next_u64() as u8;
                 let data = vec![fill; len as usize];
                 sw.write(rs, offset, &data).unwrap();
                 hw.write(rh, offset, &data).unwrap();
@@ -595,13 +586,13 @@ fn drive_all_backends(seed: u64) {
                 model[offset as usize..(offset + len) as usize].fill(fill);
             }
             7 | 8 => {
-                let micros = 1 + xorshift(&mut rng) % 1500;
+                let micros = 1 + rng.below(1500);
                 sw.clock().advance(SimDuration::from_micros(micros));
                 hw.clock().advance(SimDuration::from_micros(micros));
                 base.clock().advance(SimDuration::from_micros(micros));
             }
             _ => {
-                let budget = 4 + xorshift(&mut rng) % 12;
+                let budget = 4 + rng.below(12);
                 sw.set_dirty_budget(budget);
                 hw.set_dirty_budget(budget);
             }

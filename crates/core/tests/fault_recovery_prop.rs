@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
     CrashSchedule, CrashSignal, DegradationConfig, DegradationGovernor, DegradedMode, DirtyTracker,
@@ -40,16 +40,6 @@ fn seeds() -> Vec<u64> {
         Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
         Err(_) => (0..SEEDS_PER_PROPERTY).collect(),
     }
-}
-
-/// The same splitmix64 the fault plans replay from, reused to derive the
-/// workload so the whole scenario is one seed.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Everything one storm scenario produced, kept around so a failed check
@@ -111,11 +101,11 @@ fn storm_scenario<B: DirtyTracker>(seed: u64, battery_pages: u64) -> Run {
     nv.attach_faults(FaultPlan::seeded(seed, FaultConfig::storm(STORM_RATE)));
     let region = nv.map(REGION_PAGES * PAGE).expect("map");
 
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     for _ in 0..WRITES {
-        let page = splitmix64(&mut rng) % REGION_PAGES;
-        let offset = splitmix64(&mut rng) % (PAGE - 8);
-        let fill = splitmix64(&mut rng) as u8;
+        let page = rng.below(REGION_PAGES);
+        let offset = rng.below(PAGE - 8);
+        let fill = rng.next_u64() as u8;
         nv.write(region, page * PAGE + offset, &[fill; 8])
             .expect("write");
     }
@@ -251,12 +241,12 @@ fn crash_storm_scenario(seed: u64) -> (Option<CrashSignal>, PowerFailureReport, 
     nv.attach_crashes(crashes.clone());
     let region = nv.map(REGION_PAGES * PAGE).expect("map");
 
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     let workload = catch_unwind(AssertUnwindSafe(|| {
         for _ in 0..WRITES {
-            let page = splitmix64(&mut rng) % REGION_PAGES;
-            let offset = splitmix64(&mut rng) % (PAGE - 8);
-            let fill = splitmix64(&mut rng) as u8;
+            let page = rng.below(REGION_PAGES);
+            let offset = rng.below(PAGE - 8);
+            let fill = rng.next_u64() as u8;
             nv.write(region, page * PAGE + offset, &[fill; 8])
                 .expect("write");
         }
@@ -325,11 +315,11 @@ fn sharded_aggregate_accounts_every_page_under_faults() {
             .expect("a valid sharded configuration");
         let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
 
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..WRITES {
-            let region = regions[(splitmix64(&mut rng) % 4) as usize];
-            let page = splitmix64(&mut rng) % 32;
-            nv.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 8])
+            let region = regions[rng.below(4) as usize];
+            let page = rng.below(32);
+            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
                 .expect("write");
         }
 
@@ -377,10 +367,10 @@ fn governor_restores_budget_invariant_after_capacity_drop() {
         );
         nv.attach_telemetry(telemetry.clone());
         let region = nv.map(REGION_PAGES * PAGE).expect("map");
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..WRITES {
-            let page = splitmix64(&mut rng) % REGION_PAGES;
-            nv.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 8])
+            let page = rng.below(REGION_PAGES);
+            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
                 .expect("write");
         }
 

@@ -9,7 +9,7 @@
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
     DirtyTracker, Engine, FaultConfig, FaultPlan, FullDirty, MmuAssisted, NvHeap, ProfileReport,
@@ -29,14 +29,6 @@ fn seeds() -> Vec<u64> {
         Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
         Err(_) => (0..SEEDS_PER_PROPERTY).collect(),
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// What one engine scenario produced: the final virtual instant, the
@@ -73,16 +65,16 @@ fn engine_scenario<B: DirtyTracker>(seed: u64, profiled: bool, faults: bool) -> 
     }
     let region = nv.map(REGION_PAGES * PAGE).expect("map");
 
-    let mut rng = seed;
+    let mut rng = SplitMix64::new(seed);
     let mut buf = [0u8; 8];
     for op in 0..OPS {
-        let page = splitmix64(&mut rng) % REGION_PAGES;
-        let offset = splitmix64(&mut rng) % (PAGE - 8);
-        if splitmix64(&mut rng).is_multiple_of(4) {
+        let page = rng.below(REGION_PAGES);
+        let offset = rng.below(PAGE - 8);
+        if rng.next_u64().is_multiple_of(4) {
             nv.read(region, page * PAGE + offset, &mut buf)
                 .expect("read");
         } else {
-            let fill = splitmix64(&mut rng) as u8;
+            let fill = rng.next_u64() as u8;
             nv.write(region, page * PAGE + offset, &[fill; 8])
                 .expect("write");
         }
@@ -191,11 +183,11 @@ fn sharded_manager_attributes_every_nanosecond_per_shard() {
         // before any shard scope existed; that time stays at the root.
         let setup_nanos = clock.now().as_nanos();
         let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..OPS {
-            let region = regions[(splitmix64(&mut rng) % 4) as usize];
-            let page = splitmix64(&mut rng) % 32;
-            nv.write(region, page * PAGE, &[splitmix64(&mut rng) as u8; 8])
+            let region = regions[rng.below(4) as usize];
+            let page = rng.below(32);
+            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
                 .expect("write");
         }
         let report = profiler.report().expect("enabled profiler reports");

@@ -32,9 +32,8 @@
 
 use std::sync::{Arc, Mutex};
 
+use sim_clock::SplitMix64;
 use telemetry::{Telemetry, TraceEvent};
-
-use crate::rng::FaultRng;
 
 /// The named state-mutation seams the engine is instrumented at.
 ///
@@ -165,9 +164,9 @@ impl CrashSchedule {
     /// a uniform crashpoint and a hit ordinal in `1..=4`. The same seed
     /// always arms the same pair.
     pub fn seeded(seed: u64) -> Self {
-        let mut rng = FaultRng::new(seed);
-        let point = Crashpoint::ALL[(rng.next_u64() % 7) as usize];
-        let hit = 1 + rng.next_u64() % 4;
+        let mut rng = SplitMix64::new(seed);
+        let point = Crashpoint::ALL[rng.below(7) as usize];
+        let hit = 1 + rng.below(4);
         CrashSchedule {
             seed: Some(seed),
             ..CrashSchedule::armed(point, hit)

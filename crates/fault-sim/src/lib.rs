@@ -3,7 +3,7 @@
 //! Viyojit's durability argument (§5.1 of the paper) assumes the emergency
 //! flush races a draining battery against an SSD that may misbehave at the
 //! worst moment. This crate supplies the misbehaviour: a [`FaultPlan`] is a
-//! reproducible schedule, derived from a single `u64` seed via splitmix64,
+//! reproducible schedule, derived from a single `u64` seed via [`sim_clock::SplitMix64`],
 //! of transient SSD write errors, latency spikes, and whole-device stalls,
 //! plus battery-side state-of-charge misreports, abrupt capacity drops, and
 //! hold-up shortfalls.
@@ -32,8 +32,6 @@
 
 mod crash;
 mod plan;
-mod rng;
 
 pub use crash::{CrashSchedule, CrashSignal, Crashpoint};
 pub use plan::{FaultConfig, FaultPlan, FaultStats, SsdWriteFault};
-pub use rng::FaultRng;

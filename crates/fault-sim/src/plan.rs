@@ -9,10 +9,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use sim_clock::SimDuration;
+use sim_clock::{SimDuration, SplitMix64};
 use telemetry::{FaultKind, Telemetry, TraceEvent};
-
-use crate::rng::FaultRng;
 
 /// Injection rates and magnitudes for one fault schedule.
 ///
@@ -157,7 +155,7 @@ impl FaultStats {
 
 #[derive(Debug)]
 struct PlanState {
-    rng: FaultRng,
+    rng: SplitMix64,
     config: FaultConfig,
     telemetry: Telemetry,
     stats: FaultStats,
@@ -225,7 +223,7 @@ impl FaultPlan {
         FaultPlan {
             seed: Some(seed),
             state: Some(Arc::new(Mutex::new(PlanState {
-                rng: FaultRng::new(seed),
+                rng: SplitMix64::new(seed),
                 config,
                 telemetry: Telemetry::disabled(),
                 stats: FaultStats::default(),

@@ -39,10 +39,10 @@
 //! ```
 
 mod error;
-mod hash;
 mod index;
 mod store;
 
 pub use error::KvError;
-pub use hash::fnv1a_64;
+/// FNV-1a 64-bit hash, used for bucket selection and fast key comparison.
+pub use sim_clock::fnv1a_64;
 pub use store::{KvStats, KvStore, ScanResults};

@@ -10,7 +10,9 @@
 //! - [`CostModel`]: named per-event costs, calibrated from the measurements
 //!   the Viyojit paper reports (trap handling, TLB flush, PTE updates, ...),
 //! - [`Histogram`]: a log-bucketed latency histogram for percentile
-//!   reporting in the figure harnesses.
+//!   reporting in the figure harnesses,
+//! - [`SplitMix64`] / [`fnv1a_64`]: the one seeded generator every workload,
+//!   fault schedule and test stream draws from, and the one byte hash.
 //!
 //! # Examples
 //!
@@ -24,8 +26,10 @@
 
 mod cost;
 mod histogram;
+mod rng;
 mod time;
 
 pub use cost::CostModel;
 pub use histogram::Histogram;
+pub use rng::{fnv1a_64, SplitMix64};
 pub use time::{Clock, SimDuration, SimTime};

@@ -532,14 +532,7 @@ impl RunMeta {
 /// 64-bit FNV-1a. Stable across platforms and Rust versions, unlike
 /// `DefaultHasher`, so config hashes written into traces stay comparable
 /// between runs of different builds.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use sim_clock::fnv1a_64;
 
 #[cfg(test)]
 mod tests {
@@ -663,13 +656,5 @@ mod tests {
         b.sync();
         let report = b.report().unwrap();
         assert_eq!(report.nanos_for("app;copy_out_io"), 8);
-    }
-
-    #[test]
-    fn fnv_hash_is_stable() {
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"viyojit"), fnv1a_64(b"viyojit"));
-        assert_ne!(fnv1a_64(b"seed=1"), fnv1a_64(b"seed=2"));
     }
 }

@@ -18,9 +18,7 @@
 //! volumes write <15% of their capacity per hour, and skewed volumes need
 //! only a small page fraction to cover 99% of writes.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sim_clock::{SimDuration, SimTime};
+use sim_clock::{SimDuration, SimTime, SplitMix64};
 
 use crate::ZipfGenerator;
 
@@ -116,7 +114,7 @@ pub struct TraceEvent {
 /// ```
 #[derive(Debug)]
 pub struct TraceGenerator {
-    rng: StdRng,
+    rng: SplitMix64,
     write_zipf: ZipfGenerator,
     read_zipf: ZipfGenerator,
     pages: u64,
@@ -141,7 +139,7 @@ impl TraceGenerator {
             "degenerate volume spec"
         );
         TraceGenerator {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             write_zipf: ZipfGenerator::new(spec.pages, spec.write_theta),
             read_zipf: ZipfGenerator::new(spec.pages, 0.9),
             pages: spec.pages,
@@ -166,13 +164,11 @@ impl Iterator for TraceGenerator {
         self.remaining -= 1;
         // Jittered arrival: uniform within the slot keeps bursts mild but
         // times strictly ordered.
-        let jitter = self
-            .rng
-            .gen_range(0..self.interarrival_nanos.max(2) / 2 + 1);
+        let jitter = self.rng.below(self.interarrival_nanos.max(2) / 2 + 1);
         let at = SimTime::from_nanos(self.now_nanos + jitter);
         self.now_nanos += self.interarrival_nanos;
 
-        let is_write = self.rng.gen::<f64>() < self.write_fraction;
+        let is_write = self.rng.next_f64() < self.write_fraction;
         let page = if is_write {
             if self.unique_writes {
                 let p = self.next_unique_page % self.pages;
@@ -180,10 +176,10 @@ impl Iterator for TraceGenerator {
                 p
             } else if let Some((hot_pages, hot_writes)) = self.hot_mixture {
                 let hot_count = ((self.pages as f64 * hot_pages) as u64).max(1);
-                if self.rng.gen::<f64>() < hot_writes {
-                    self.rng.gen_range(0..hot_count)
+                if self.rng.next_f64() < hot_writes {
+                    self.rng.below(hot_count)
                 } else {
-                    self.rng.gen_range(hot_count..self.pages.max(hot_count + 1))
+                    hot_count + self.rng.below(self.pages.max(hot_count + 1) - hot_count)
                 }
             } else {
                 self.write_zipf.sample(&mut self.rng)
@@ -306,6 +302,87 @@ mod tests {
 
     fn sample_spec() -> VolumeSpec {
         vol("T", 10_000, 50_000, 0.3, 0.95, false)
+    }
+
+    /// The first events fig3/fig4 replay from one volume per application,
+    /// chosen to cover reads and all three write paths (Zipf, unique,
+    /// hot mixture). An edit that changes the traffic must fail here.
+    #[test]
+    fn first_events_are_pinned() {
+        let first = |app: AppKind, volume: &str| -> Vec<(u64, u64, bool)> {
+            let suite = paper_trace_suite();
+            let spec = suite.iter().find(|s| s.app == app).unwrap();
+            let vi = spec.volumes.iter().position(|v| v.name == volume).unwrap();
+            TraceGenerator::new(&spec.volumes[vi], spec.duration, 0xF163 + vi as u64)
+                .take(8)
+                .map(|e| (e.at.as_nanos(), e.page, e.is_write))
+                .collect()
+        };
+        assert_eq!(
+            first(AppKind::AzureBlob, "G"),
+            [
+                (102246055, 26869, false),
+                (566421517, 19261, false),
+                (1076931348, 27360, false),
+                (1508414881, 3653, false),
+                (1864283588, 21717, false),
+                (2205260640, 33223, false),
+                (2663675059, 32123, false),
+                (3138718708, 29720, false),
+            ]
+        );
+        assert_eq!(
+            first(AppKind::Cosmos, "E"),
+            [
+                (3759358, 11375, false),
+                (25362140, 31141, false),
+                (49402398, 0, true),
+                (73197084, 1, true),
+                (94081753, 2, true),
+                (111234480, 3, true),
+                (134894972, 22848, false),
+                (155641213, 4, true),
+            ]
+        );
+        assert_eq!(
+            first(AppKind::Cosmos, "F"),
+            [
+                (6104080, 302, true),
+                (25392235, 2314, true),
+                (36275888, 22687, false),
+                (60162978, 16041, false),
+                (80851430, 2582, true),
+                (98995079, 39459, false),
+                (113603595, 33223, false),
+                (129348409, 2469, true),
+            ]
+        );
+        assert_eq!(
+            first(AppKind::PageRank, "D"),
+            [
+                (134307918, 58, true),
+                (338743557, 21190, false),
+                (608926258, 1684, false),
+                (951133946, 4564, false),
+                (1248259964, 27485, false),
+                (1561219585, 3086, false),
+                (1871592099, 28343, false),
+                (2121489508, 30405, false),
+            ]
+        );
+        assert_eq!(
+            first(AppKind::SearchIndex, "D"),
+            [
+                (14178672, 15770, false),
+                (305755333, 21190, false),
+                (500259915, 1684, false),
+                (723119356, 4564, false),
+                (967313620, 27485, false),
+                (1138249875, 3086, false),
+                (1354121172, 28343, false),
+                (1579277976, 30405, false),
+            ]
+        );
     }
 
     #[test]

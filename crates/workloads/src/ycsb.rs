@@ -2,8 +2,7 @@
 //! (workloads A, B, C, D, and F; E needs cross-key scans the paper's store
 //! does not support).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use sim_clock::SplitMix64;
 
 use crate::{LatestGenerator, ZipfGenerator};
 
@@ -119,7 +118,7 @@ impl YcsbOp {
 #[derive(Debug)]
 pub struct YcsbGenerator {
     workload: YcsbWorkload,
-    rng: StdRng,
+    rng: SplitMix64,
     zipf: ZipfGenerator,
     latest: LatestGenerator,
     record_count: u64,
@@ -135,7 +134,7 @@ impl YcsbGenerator {
         assert!(records > 0, "datasets must contain at least one record");
         YcsbGenerator {
             workload,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             zipf: ZipfGenerator::new(records, YCSB_THETA),
             latest: LatestGenerator::new(records, YCSB_THETA),
             record_count: records,
@@ -163,7 +162,7 @@ impl YcsbGenerator {
 
     /// Draws the next operation.
     pub fn next_op(&mut self) -> YcsbOp {
-        let roll: f64 = self.rng.gen();
+        let roll = self.rng.next_f64();
         match self.workload {
             YcsbWorkload::A => {
                 let k = self.zipf_key();
@@ -196,7 +195,7 @@ impl YcsbGenerator {
             YcsbWorkload::E => {
                 if roll < 0.95 {
                     let start = self.zipf_key();
-                    let len = self.rng.gen_range(1..=YcsbWorkload::MAX_SCAN_LEN);
+                    let len = 1 + self.rng.below(u64::from(YcsbWorkload::MAX_SCAN_LEN)) as u16;
                     YcsbOp::Scan(start, len)
                 } else {
                     let id = self.record_count;
@@ -221,6 +220,64 @@ impl YcsbGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first operations of Figs. 7-10's streams (Fig. 7's 13 405
+    /// records, the bench driver's default seed). An edit that changes
+    /// the traffic must fail here, before it reaches a figure run.
+    #[test]
+    fn first_ops_are_pinned() {
+        use YcsbOp::{Read, ReadModifyWrite as Rmw, Scan, Update};
+        let first = |workload| {
+            let mut gen = YcsbGenerator::new(workload, 13_405, 0x5c1_e4ce);
+            std::array::from_fn::<YcsbOp, 8, _>(|_| gen.next_op())
+        };
+        let keys = [12180, 12224, 4374, 2946, 10007, 4983, 7596, 4496];
+        assert_eq!(
+            first(YcsbWorkload::A),
+            [
+                Update(12180),
+                Update(12224),
+                Read(4374),
+                Update(2946),
+                Read(10007),
+                Update(4983),
+                Read(7596),
+                Update(4496),
+            ]
+        );
+        assert_eq!(first(YcsbWorkload::B), keys.map(Read));
+        assert_eq!(first(YcsbWorkload::C), keys.map(Read));
+        assert_eq!(
+            first(YcsbWorkload::D),
+            [12902, 10219, 13365, 13128, 13268, 13402, 13265, 12848].map(Read)
+        );
+        assert_eq!(
+            first(YcsbWorkload::E),
+            [
+                Scan(12180, 69),
+                Scan(6785, 86),
+                Scan(2946, 56),
+                Scan(11407, 83),
+                Scan(7596, 38),
+                Scan(4176, 3),
+                Scan(6126, 30),
+                Scan(8460, 10),
+            ]
+        );
+        assert_eq!(
+            first(YcsbWorkload::F),
+            [
+                Rmw(12180),
+                Rmw(12224),
+                Read(4374),
+                Rmw(2946),
+                Read(10007),
+                Rmw(4983),
+                Read(7596),
+                Rmw(4496),
+            ]
+        );
+    }
 
     fn mix(workload: YcsbWorkload, ops: usize) -> (usize, usize, usize, usize) {
         let mut gen = YcsbGenerator::new(workload, 1_000, 99);

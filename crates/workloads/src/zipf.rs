@@ -2,7 +2,7 @@
 //! after Gray et al.'s quickly-generating-billion-record algorithm — the
 //! same generator family YCSB uses.
 
-use rand::Rng;
+use sim_clock::{fnv1a_64, SplitMix64};
 
 /// A Zipfian item generator over `0..n` with exponent `theta`.
 ///
@@ -13,10 +13,10 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use rand::SeedableRng;
+/// use sim_clock::SplitMix64;
 /// use workloads::ZipfGenerator;
 ///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut rng = SplitMix64::new(1);
 /// let zipf = ZipfGenerator::new(1_000, 0.99);
 /// let hits = (0..10_000).filter(|_| zipf.sample(&mut rng) == 0).count();
 /// assert!(hits > 500, "rank 0 must dominate: {hits}");
@@ -80,8 +80,8 @@ impl ZipfGenerator {
     }
 
     /// Draws a rank (0 = most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+        let u = rng.next_f64();
         let uz = u * self.zeta_n;
         if uz < 1.0 {
             return 0;
@@ -98,15 +98,8 @@ impl ZipfGenerator {
     /// Draws a rank and scrambles it across the keyspace with an FNV-1a
     /// hash, as YCSB's `ScrambledZipfianGenerator` does, so popular keys
     /// are not clustered at low ids.
-    pub fn sample_scrambled<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let rank = self.sample(rng);
-        // FNV-1a over the rank's bytes.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in rank.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash % self.n
+    pub fn sample_scrambled(&self, rng: &mut SplitMix64) -> u64 {
+        fnv1a_64(&self.sample(rng).to_le_bytes()) % self.n
     }
 
     /// Fraction of total request mass received by the `k` most popular
@@ -157,10 +150,10 @@ pub fn zipf_coverage_fraction(n: u64, theta: f64, percentile: f64) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use rand::SeedableRng;
+/// use sim_clock::SplitMix64;
 /// use workloads::LatestGenerator;
 ///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+/// let mut rng = SplitMix64::new(2);
 /// let mut latest = LatestGenerator::new(100, 0.99);
 /// latest.observe_insert(); // now 101 items
 /// let k = latest.sample(&mut rng);
@@ -192,7 +185,7 @@ impl LatestGenerator {
     }
 
     /// Draws an item id, biased toward the most recent.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
         let rank = self.zipf.sample(rng);
         self.zipf.n() - 1 - rank
     }
@@ -201,11 +194,18 @@ impl LatestGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0xD15EA5E)
+    fn rng() -> SplitMix64 {
+        SplitMix64::new(0xD15EA5E)
+    }
+
+    #[test]
+    fn scrambled_keys_are_pinned() {
+        // Fig. 7's keyspace and seed, YCSB's exponent.
+        let z = ZipfGenerator::new(13_405, 0.99);
+        let mut r = SplitMix64::new(0x5c1_e4ce);
+        let keys: [u64; 8] = std::array::from_fn(|_| z.sample_scrambled(&mut r));
+        assert_eq!(keys, [8517, 12180, 12711, 12224, 6785, 4374, 7608, 2946]);
     }
 
     #[test]

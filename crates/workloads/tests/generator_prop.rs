@@ -2,7 +2,7 @@
 //! determinism under arbitrary parameters.
 
 use proptest::prelude::*;
-use sim_clock::SimDuration;
+use sim_clock::{SimDuration, SplitMix64};
 use workloads::{TraceGenerator, VolumeSpec, YcsbGenerator, YcsbOp, YcsbWorkload, ZipfGenerator};
 
 proptest! {
@@ -14,9 +14,8 @@ proptest! {
         theta in 0.01..0.999f64,
         seed in any::<u64>(),
     ) {
-        use rand::SeedableRng;
         let zipf = ZipfGenerator::new(n, theta);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..200 {
             prop_assert!(zipf.sample(&mut rng) < n);
             prop_assert!(zipf.sample_scrambled(&mut rng) < n);

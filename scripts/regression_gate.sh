@@ -1,21 +1,60 @@
 #!/usr/bin/env bash
-# Byte-identical regression gate for the virtual-time benches.
+# Byte-identical regression gate over every committed output.
 #
-# The page-state bitmaps (and any future wall-clock optimisation of the
-# simulator) must be observationally invisible: same virtual time, same
-# victim order, same stats. This script reruns the benches whose
-# outputs are committed as goldens and fails on any byte difference.
+# Every figure and extension experiment is a deterministic function of
+# seeded `sim_clock::SplitMix64` streams, so any host-side change to the
+# simulator must be observationally invisible: same virtual time, same
+# victim order, same stats. This script reruns every binary whose stdout is
+# committed under results/ and fails on any byte difference, on a file in
+# results/ that no run produces, and on a run whose file is missing.
+# EXPERIMENTS.md compares each output with the paper.
 #
-# Regenerate the goldens (only after an *intentional* semantic change):
-#   scripts/regression_gate.sh --bless
+#   scripts/regression_gate.sh [--bless] [cargo build arguments...]
+#
+# `--bless` rewrites results/ from this run instead of comparing (only
+# after an *intentional* semantic change; refresh the numbers EXPERIMENTS.md,
+# README.md and DESIGN.md quote in the same commit). Anything else is handed
+# to `cargo build`, e.g. `--offline --config 'patch.crates-io….path="…"'`
+# in a container with no registry. CARGO_TARGET_DIR is honoured.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-golden=results/golden
-out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
+results=results
+bless=0
+if [[ "${1:-}" == "--bless" ]]; then
+    bless=1
+    shift
+fi
 
-cargo build --release -p viyojit-bench --bins
+# The one (csv, binary, arguments) table, longest first: fig7-10, ycsb_e
+# and trace_replay take 15-20 s each, the rest a few seconds or less.
+runs=(
+    "fig7.csv fig7"
+    "fig8.csv fig8"
+    "fig9.csv fig9"
+    "fig10.csv fig10"
+    "ycsb_e.csv ycsb_e"
+    "trace_replay.csv trace_replay"
+    "fs_replay.csv fs_replay"
+    "fig1.csv fig1"
+    "fig2.csv fig2"
+    "fig3.csv fig3"
+    "fig4.csv fig4"
+    "fig5.csv fig5"
+    "ablation_tlb.csv ablation_tlb"
+    "ablation_pressure.csv ablation_pressure"
+    "ablation_mmu.csv ablation_mmu"
+    "ablation_codec.csv ablation_codec"
+    "ballooning.csv ballooning"
+    "battery_fluctuation.csv battery_fluctuation"
+    "shutdown_time.csv shutdown_time"
+    "fault_storm_5.csv fault_storm 5"
+    "shard_scaling.csv shard_scaling"
+    "tenant_storm.csv tenant_storm 42 --check"
+)
+
+cargo build --release -p viyojit-bench --bins "$@"
+bin="${CARGO_TARGET_DIR:-target}/release"
 
 # The committed wall-clock artifact must carry the density sweep the
 # CI gate compares against: the high-density cells and the uniform-runs
@@ -33,30 +72,60 @@ for needle in '"schema_version": 2' '"layout": "uniform_runs"' '"density": 0.5' 
 done
 echo "gate: $artifact carries the full density sweep"
 
-./target/release/fault_storm 5 >"$out/fault_storm_5.csv"
-./target/release/shard_scaling >"$out/shard_scaling.csv"
-./target/release/fig7 >"$out/fig7.csv"
-./target/release/tenant_storm 42 --check >"$out/tenant_storm.csv"
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 
-if [[ "${1:-}" == "--bless" ]]; then
-    cp "$out"/*.csv "$golden"/
-    echo "blessed: goldens updated from this run"
+# One run per core at a time.
+slots=$(nproc)
+for run in "${runs[@]}"; do
+    read -r csv name args <<<"$run"
+    while (( $(jobs -rp | wc -l) >= slots )); do
+        wait -n || true
+    done
+    # shellcheck disable=SC2086 # args is a word list by construction
+    ( "$bin/$name" $args >"$out/$csv" 2>"$out/$csv.err" || echo "exit $?" >"$out/$csv.failed" ) &
+done
+wait
+
+status=0
+for run in "${runs[@]}"; do
+    read -r csv name _ <<<"$run"
+    if [[ -f "$out/$csv.failed" ]]; then
+        echo "gate: $name FAILED ($(cat "$out/$csv.failed")):" >&2
+        tail -n 20 "$out/$csv.err" >&2
+        status=1
+    fi
+done
+[[ $status == 0 ]] || exit $status
+
+if (( bless )); then
+    mkdir -p "$results"
+    rm -f "$results"/*.csv
+    for run in "${runs[@]}"; do
+        read -r csv _ <<<"$run"
+        cp "$out/$csv" "$results/$csv"
+    done
+    echo "blessed: $results/ rewritten from this run (${#runs[@]} files)"
     exit 0
 fi
 
-status=0
-for f in fault_storm_5.csv shard_scaling.csv fig7.csv tenant_storm.csv; do
-    if [[ ! -f "$golden/$f" ]]; then
-        echo "gate: MISSING golden $golden/$f — run scripts/regression_gate.sh --bless" \
-             "after reviewing the new bench output" >&2
+for run in "${runs[@]}"; do
+    read -r csv _ <<<"$run"
+    if [[ ! -f "$results/$csv" ]]; then
+        echo "gate: MISSING $results/$csv — run scripts/regression_gate.sh --bless" \
+             "after reviewing the new output" >&2
         status=1
-        continue
-    fi
-    if cmp -s "$golden/$f" "$out/$f"; then
-        echo "gate: $f identical"
+    elif cmp -s "$results/$csv" "$out/$csv"; then
+        echo "gate: $csv identical"
     else
-        echo "gate: $f DIFFERS from $golden/$f:"
-        diff "$golden/$f" "$out/$f" | head -20 || true
+        echo "gate: $csv DIFFERS from $results/$csv:"
+        diff "$results/$csv" "$out/$csv" | head -20 || true
+        status=1
+    fi
+done
+for committed in "$results"/*; do
+    if [[ ! -f "$out/$(basename "$committed")" ]]; then
+        echo "gate: $committed is produced by no run in this script" >&2
         status=1
     fi
 done
