@@ -238,7 +238,7 @@ impl DirtyTracker for SoftwareWalk {
             flush_tlb: core.config.tlb_flush_on_walk,
             charge_costs: false, // the walker runs off the app's critical path
         };
-        for page in core.mmu.walk_and_clear_dirty_in(known, options) {
+        for &page in core.mmu.walk_and_clear_dirty_in(known, options) {
             core.history.touch(page);
             core.selector.on_touch(page, &core.history);
             core.stats.walk_touches += 1;

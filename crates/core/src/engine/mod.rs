@@ -92,6 +92,11 @@ pub struct EngineCore {
     /// Pending flush IOs as `(completion instant, page)`.
     pub(crate) inflight: Vec<(SimTime, PageId)>,
     pub(crate) next_epoch_at: SimTime,
+    /// Gate of [`poll`]: no flush IO completes and no epoch boundary falls
+    /// before this instant, so a poll that finds the clock short of it has
+    /// nothing to do. Never later than the earliest of those events; it
+    /// may be earlier (stale), which costs one poll that finds nothing due.
+    pub(crate) next_due: SimTime,
     /// Proactive-copy threshold computed at the last epoch boundary; the
     /// background copier tops up toward it continuously between epochs.
     pub(crate) current_threshold: u64,
@@ -179,6 +184,7 @@ impl<B: DirtyTracker> Engine<B> {
                 regions: RegionTable::new(total_pages as u64),
                 inflight: Vec::new(),
                 next_epoch_at,
+                next_due: SimTime::ZERO,
                 current_threshold: config.dirty_budget_pages,
                 stats: ViyojitStats::default(),
                 telemetry: Telemetry::disabled(),
@@ -425,6 +431,8 @@ impl<B: DirtyTracker> Engine<B> {
             self.core.inflight.clear();
             self.core.next_epoch_at = self.core.clock.now() + self.core.config.epoch;
         }
+        // The next poll re-derives it from the restarted trackers.
+        self.core.next_due = SimTime::ZERO;
     }
 
     /// Checks every internal invariant, most importantly the paper's
@@ -536,28 +544,61 @@ pub(crate) fn retire_completions<B: DirtyTracker>(core: &mut EngineCore, backend
     }
 }
 
-/// Processes any epoch boundaries the virtual clock has crossed.
-/// Called from every read/write; cheap when nothing is pending.
+/// The earliest instant at which [`poll`] has work: the first pending
+/// flush completion or, for a backend with a control loop, the next epoch
+/// boundary. What `next_due` is re-derived from, and the slow model its
+/// fast path is checked against.
+fn earliest_due<B: DirtyTracker>(core: &EngineCore) -> SimTime {
+    let horizon = if B::HAS_CONTROL_LOOP {
+        core.next_epoch_at
+    } else {
+        SimTime::from_nanos(u64::MAX)
+    };
+    let completions = core.inflight.iter().map(|&(done, _)| done);
+    completions.fold(horizon, SimTime::min)
+}
+
+/// Retires due flush IOs and processes any epoch boundaries the virtual
+/// clock has crossed. Called before and after every read/write, so the
+/// common case — nothing due yet — is one compare against `next_due`,
+/// inlined into the access; the work stays out of line.
+#[inline]
+pub(crate) fn poll<B: DirtyTracker>(core: &mut EngineCore, backend: &mut B) {
+    if core.clock.now() < core.next_due {
+        debug_assert!(
+            core.clock.now() < earliest_due::<B>(core),
+            "next_due {:?} is later than a due event",
+            core.next_due
+        );
+        return;
+    }
+    run_due(core, backend);
+}
+
+/// [`poll`]'s work once something may be due; re-derives `next_due`.
+#[inline(never)]
+fn run_due<B: DirtyTracker>(core: &mut EngineCore, backend: &mut B) {
+    retire_completions(core, backend);
+    if B::HAS_CONTROL_LOOP && core.clock.now() >= core.next_epoch_at {
+        cross_epoch_boundaries(core, backend);
+    }
+    core.next_due = earliest_due::<B>(core);
+}
+
+/// Runs the epochs whose boundaries the clock has passed.
 ///
 /// Proactive copies are issued only at epoch boundaries, as in the
 /// paper (§5.3 is explicitly "an epoch based approach"); the EWMA
 /// threshold exists precisely to leave enough budget slack to absorb
 /// the new dirty pages that arrive *between* boundaries.
-pub(crate) fn poll<B: DirtyTracker>(core: &mut EngineCore, backend: &mut B) {
-    retire_completions(core, backend);
-    if !B::HAS_CONTROL_LOOP {
-        return;
-    }
-    let now = core.clock.now();
-    if now < core.next_epoch_at {
-        return;
-    }
+fn cross_epoch_boundaries<B: DirtyTracker>(core: &mut EngineCore, backend: &mut B) {
     // Fast-forward long idle gaps. Only the first epoch after the gap
     // observes new dirty bits, and the copier needs at most
     // budget/outstanding epochs to drain to its threshold, so epochs
     // beyond `cap` before "now" are no-ops: age the recency history in
     // one step and let the pressure prediction decay to zero, exactly
     // as processing them individually would.
+    let now = core.clock.now();
     let pending = (now - core.next_epoch_at).as_nanos() / core.config.epoch.as_nanos() + 1;
     let cap = core.config.history_epochs as u64
         + core.config.dirty_budget_pages / core.config.max_outstanding_ios as u64
@@ -687,6 +728,7 @@ pub(crate) fn issue_flush<B: DirtyTracker>(
     };
     core.flush_snapshot = data;
     core.inflight.push((done, victim));
+    core.next_due = core.next_due.min(done);
     // Power cut with the IO just submitted: the page is write-protected
     // and in flight but nothing has retired it.
     crashpoint!(core.crashes, FlushInFlight);
@@ -814,4 +856,142 @@ pub(crate) fn publish_metrics<B: DirtyTracker>(core: &mut EngineCore, backend: &
     core.telemetry
         .set_wall_counter("bitmap.dispatch.unrolled", dispatch.unrolled);
     core.ssd.publish_metrics();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_clock::SimDuration;
+
+    /// `next_due` may be stale-early, never late.
+    #[track_caller]
+    fn assert_gate_sound<B: DirtyTracker>(nv: &Engine<B>, after: &str) {
+        let (gate, due) = (nv.core.next_due, earliest_due::<B>(&nv.core));
+        assert!(gate <= due, "after {after}: next_due {gate:?} > {due:?}");
+    }
+
+    fn engine<B: DirtyTracker>(budget: u64) -> (Engine<B>, RegionId) {
+        let mut nv = Engine::<B>::new(
+            64,
+            // One page of slack: the copier runs at every epoch that finds
+            // the budget full, and still leaves dirty pages to flush by hand.
+            ViyojitConfig::with_budget_pages(budget)
+                .with_threshold_policy(ThresholdPolicy::FixedSlack(1)),
+            Clock::new(),
+            CostModel::calibrated(),
+            SsdConfig::datacenter(),
+        );
+        let region = nv.map(32 * PAGE_SIZE as u64).unwrap();
+        (nv, region)
+    }
+
+    fn write_page<B: DirtyTracker>(nv: &mut Engine<B>, region: RegionId, page: u64) {
+        nv.write(region, page * PAGE_SIZE as u64, &[page as u8; 64])
+            .unwrap();
+    }
+
+    fn next_due_is_never_later_than_the_earliest_due_event<B: DirtyTracker>() {
+        let (mut nv, region) = engine::<B>(4);
+        assert_gate_sound(&nv, "new");
+
+        // Faults past the budget: forced flushes through the stall loop,
+        // which issues, waits and retires outside `poll`.
+        for page in 0..12 {
+            write_page(&mut nv, region, page);
+            assert_gate_sound(&nv, "a faulting write");
+        }
+        assert!(nv.stats().forced_flushes > 0);
+
+        // `issue_flush` on its own lowers the gate to the new completion...
+        issue_one(&mut nv, region, FlushReason::Proactive);
+        assert_gate_sound(&nv, "issue_flush");
+        let (done, _) = nv.core.inflight[0];
+        assert!(done > nv.core.clock.now(), "the IO is still pending");
+        // ...so the first access past that instant retires it.
+        nv.core.clock.advance_to(done);
+        nv.read(region, 0, &mut [0u8; 8]).unwrap();
+        assert!(nv.core.inflight.is_empty(), "a due IO hid behind the gate");
+        assert_gate_sound(&nv, "a poll that retired an IO");
+        assert!(nv.core.next_due > nv.core.clock.now(), "gate re-armed");
+
+        // `retire_completions` outside `poll` leaves the gate stale-early.
+        issue_one(&mut nv, region, FlushReason::Forced);
+        retire_all(&mut nv);
+        assert_gate_sound(&nv, "retire_completions");
+
+        // The §8 budget hook stalls down to the new budget.
+        nv.set_dirty_budget(2);
+        assert!(nv.dirty_count() <= 2);
+        assert_gate_sound(&nv, "set_dirty_budget");
+        write_page(&mut nv, region, 20);
+        assert_gate_sound(&nv, "a write under the shrunk budget");
+
+        // A long idle gap: `poll` fast-forwards the epochs it skipped.
+        nv.core.clock.advance(SimDuration::from_secs(10));
+        nv.read(region, 0, &mut [0u8; 8]).unwrap();
+        assert!(nv.stats().epochs_fast_forwarded > 0);
+        assert_gate_sound(&nv, "the idle fast-forward");
+        assert!(nv.core.next_due > nv.core.clock.now(), "gate re-armed");
+
+        // Power failure with an IO in flight, then recovery.
+        write_page(&mut nv, region, 21);
+        issue_one(&mut nv, region, FlushReason::Forced);
+        assert!(!nv.core.inflight.is_empty());
+        nv.power_failure();
+        assert_gate_sound(&nv, "power_failure");
+        nv.recover();
+        assert_gate_sound(&nv, "recover");
+        for page in 0..8 {
+            write_page(&mut nv, region, page);
+            assert_gate_sound(&nv, "a write after recovery");
+        }
+        nv.validate();
+    }
+
+    /// Issues one flush by hand, outside `poll`, with the gate armed (past
+    /// "now"), so that only `issue_flush` lowering it keeps it sound. The
+    /// victim comes from the selector, which the hardware backend only
+    /// fills at an epoch walk, so an epoch boundary is crossed first.
+    fn issue_one<B: DirtyTracker>(nv: &mut Engine<B>, region: RegionId, reason: FlushReason) {
+        nv.core.clock.advance(nv.core.config.epoch);
+        loop {
+            nv.read(region, 0, &mut [0u8; 8]).unwrap();
+            if nv.core.inflight.is_empty() {
+                break;
+            }
+            retire_all(nv);
+        }
+        assert!(nv.core.next_due > nv.core.clock.now(), "gate armed");
+        let victim = nv.core.selector.peek().expect("a flushable dirty page");
+        issue_flush(&mut nv.core, &mut nv.backend, victim, reason);
+    }
+
+    /// Drains every pending IO the way the stall loop does: advance to
+    /// each completion, retire outside `poll`.
+    fn retire_all<B: DirtyTracker>(nv: &mut Engine<B>) {
+        while let Some(done) = nv.core.inflight.iter().map(|&(t, _)| t).max() {
+            nv.core.clock.advance_to(done);
+            retire_completions(&mut nv.core, &mut nv.backend);
+        }
+    }
+
+    #[test]
+    fn next_due_is_sound_on_the_software_walk() {
+        next_due_is_never_later_than_the_earliest_due_event::<SoftwareWalk>();
+    }
+
+    #[test]
+    fn next_due_is_sound_on_the_mmu_assisted_backend() {
+        next_due_is_never_later_than_the_earliest_due_event::<MmuAssisted>();
+    }
+
+    #[test]
+    fn the_baseline_never_has_anything_due() {
+        let (mut nv, region) = engine::<FullDirty>(4);
+        write_page(&mut nv, region, 0);
+        assert_eq!(nv.core.next_due, SimTime::from_nanos(u64::MAX));
+        nv.core.clock.advance(SimDuration::from_secs(10));
+        write_page(&mut nv, region, 1);
+        assert_eq!(nv.stats().epochs, 0);
+    }
 }

@@ -145,14 +145,30 @@ impl VictimSelector {
     /// it held before can have left copies). A rebuild leaves `len()`
     /// entries, so the next is at least `len() / 2 + 32` pushes or removals
     /// away and the amortised cost per operation stays `O(log n)`.
+    ///
+    /// The rebuild is linear: one `retain`, then a heapify. Distinct pages
+    /// never tie on `(key, page)`, so the pop order cannot depend on how
+    /// the entries happen to be laid out.
     fn bound_heap(&mut self) {
         if self.heap.len() <= 2 * self.live + STALE_SLACK {
             return;
         }
         let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|&Reverse((key, page))| self.is_live(key, page));
-        entries.sort_unstable();
-        entries.dedup();
+        // A page's key slot doubles as its seen mark: the first live entry
+        // of a page takes the key out, so a later copy of that entry reads
+        // as stale. Every kept entry then puts its key back.
+        let key_of = &mut self.key_of;
+        entries.retain(|&Reverse((key, page))| {
+            let slot = &mut key_of[page.index()];
+            let first_live = *slot == Some(key);
+            if first_live {
+                *slot = None;
+            }
+            first_live
+        });
+        for &Reverse((key, page)) in &entries {
+            key_of[page.index()] = Some(key);
+        }
         debug_assert_eq!(entries.len(), self.live);
         self.heap = BinaryHeap::from(entries);
     }

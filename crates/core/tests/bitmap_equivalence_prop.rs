@@ -8,7 +8,10 @@
 //! iteration and collection order. Part 1b pins populations to each
 //! density band and checks every forced scan path, the dispatched range
 //! collect and the dispatched union collect against the scalar order, and
-//! the masked word-level epoch walks against the per-page walk.
+//! the masked word-level epoch walks against the per-page walk. Part 1c
+//! does the same for the one fast path in `mem-sim` that is not a bitmap:
+//! the TLB's last-translation memo against a TLB that scans its set on
+//! every lookup.
 //!
 //! Part 2 is the end-to-end check: three seeded workloads drive all three
 //! engine backends — [`Viyojit`] (SoftwareWalk), [`MmuAssistedViyojit`]
@@ -17,7 +20,10 @@
 //! and proving contents survive a power cycle. If a word-level scan ever
 //! skipped or double-visited a page, these are the assertions that break.
 
-use mem_sim::{Bitmap2L, Mmu, PageId, PageTable, ScanPath, WalkOptions, PAGE_SIZE};
+use mem_sim::{
+    Bitmap2L, Mmu, PageId, PageTable, PteFlags, ScanPath, Tlb, TlbEntry, TlbStats, WalkOptions,
+    PAGE_SIZE,
+};
 use proptest::prelude::*;
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
@@ -519,6 +525,263 @@ proptest! {
                 words.push((w, d, f));
             });
             prop_assert_eq!(&words, &want, "union harvest diverged on {:?}", path);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Part 1c: the TLB's last-translation memo against a scan-only TLB.
+//
+// `Tlb::lookup` answers a repeated lookup of one page from a remembered
+// slot instead of scanning the set. The memo is a host-side shortcut, not
+// part of the model, so the reference below is the model alone: every
+// lookup scans. Geometries are tiny and the page domain barely larger, so
+// the remembered slot is evicted, invalidated, flushed and refilled all the
+// time, and fills of a page that is already cached (two copies in one set,
+// which the MMU never produces but the type allows) are in the mix.
+// ---------------------------------------------------------------------------
+
+/// What the scan-only reference keeps per way: a [`TlbEntry`] with the
+/// stamp readable.
+#[derive(Debug, Clone, Copy)]
+struct ScanEntry {
+    page: PageId,
+    writable: bool,
+    dirty: bool,
+    shadow: bool,
+    stamp: u64,
+}
+
+/// `mem_sim::Tlb` as it was before the memo: set scan on every lookup.
+struct ScanTlb {
+    sets: usize,
+    ways: usize,
+    entries: Vec<Option<ScanEntry>>,
+    next_stamp: u64,
+    stats: TlbStats,
+}
+
+impl ScanTlb {
+    fn new(sets: usize, ways: usize) -> Self {
+        ScanTlb {
+            sets,
+            ways,
+            entries: vec![None; sets * ways],
+            next_stamp: 0,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn set_of(&mut self, page: PageId) -> &mut [Option<ScanEntry>] {
+        let set = page.index() & (self.sets - 1);
+        &mut self.entries[set * self.ways..(set + 1) * self.ways]
+    }
+
+    fn stamp(&mut self) -> u64 {
+        self.next_stamp += 1;
+        self.next_stamp - 1
+    }
+
+    fn lookup(&mut self, page: PageId) -> Option<&mut ScanEntry> {
+        let stamp = self.stamp();
+        let hit = self
+            .set_of(page)
+            .iter()
+            .position(|e| e.is_some_and(|e| e.page == page));
+        match hit {
+            Some(way) => {
+                self.stats.hits += 1;
+                let entry = self.set_of(page)[way].as_mut().expect("way just matched");
+                entry.stamp = stamp;
+                Some(entry)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn peek(&mut self, page: PageId) -> Option<ScanEntry> {
+        self.set_of(page)
+            .iter()
+            .flatten()
+            .find(|e| e.page == page)
+            .copied()
+    }
+
+    fn fill(&mut self, page: PageId, flags: PteFlags) {
+        let stamp = self.stamp();
+        let entry = ScanEntry {
+            page,
+            writable: flags.is_writable(),
+            dirty: flags.is_dirty(),
+            shadow: flags.is_shadow_dirty(),
+            stamp,
+        };
+        let set = self.set_of(page);
+        let way = set.iter().position(|e| e.is_none()).unwrap_or_else(|| {
+            let oldest = set
+                .iter()
+                .flatten()
+                .map(|e| e.stamp)
+                .min()
+                .expect("ways > 0");
+            set.iter()
+                .position(|e| e.is_some_and(|e| e.stamp == oldest))
+                .expect("just found")
+        });
+        set[way] = Some(entry);
+    }
+
+    fn invalidate(&mut self, page: PageId) {
+        self.stats.invalidations += 1;
+        for e in self.set_of(page) {
+            if e.is_some_and(|e| e.page == page) {
+                *e = None;
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        self.stats.flushes += 1;
+        self.entries.fill(None);
+    }
+}
+
+/// Pages the TLB ops draw from: more than any geometry below holds, few
+/// enough that the same page comes up again and again.
+const TLB_PAGES: u64 = 10;
+
+/// `(sets, ways)`: direct-mapped, fully associative, and in between.
+const TLB_GEOMETRIES: [(usize, usize); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 4)];
+
+#[derive(Debug, Clone)]
+enum TlbOp {
+    /// Look `page` up and, on a hit, OR the two bits into the cached dirty
+    /// and shadow flags through the returned entry, as `Mmu::write` does.
+    Lookup {
+        page: u64,
+        dirty: bool,
+        shadow: bool,
+    },
+    /// `Lookup`, then `Fill` from `flags` on a miss: `Mmu::translate`.
+    Translate {
+        page: u64,
+        flags: (bool, bool, bool),
+    },
+    Fill {
+        page: u64,
+        flags: (bool, bool, bool),
+    },
+    Invalidate {
+        page: u64,
+    },
+    Flush,
+}
+
+fn tlb_op_strategy() -> impl Strategy<Value = TlbOp> {
+    let flags = || (any::<bool>(), any::<bool>(), any::<bool>());
+    prop_oneof![
+        8 => (0..TLB_PAGES, any::<bool>(), any::<bool>())
+            .prop_map(|(page, dirty, shadow)| TlbOp::Lookup { page, dirty, shadow }),
+        6 => (0..TLB_PAGES, flags()).prop_map(|(page, flags)| TlbOp::Translate { page, flags }),
+        2 => (0..TLB_PAGES, flags()).prop_map(|(page, flags)| TlbOp::Fill { page, flags }),
+        2 => (0..TLB_PAGES).prop_map(|page| TlbOp::Invalidate { page }),
+        1 => Just(TlbOp::Flush),
+    ]
+}
+
+fn pte_flags((writable, dirty, shadow): (bool, bool, bool)) -> PteFlags {
+    PteFlags::present()
+        .with_writable(writable)
+        .with_dirty(dirty)
+        .with_shadow_dirty(shadow)
+}
+
+/// The flags a caller sees through an entry.
+fn seen(e: &TlbEntry) -> (PageId, bool, bool, bool) {
+    (e.page, e.writable, e.dirty, e.shadow)
+}
+
+fn seen_by_scan(e: &ScanEntry) -> (PageId, bool, bool, bool) {
+    (e.page, e.writable, e.dirty, e.shadow)
+}
+
+/// One lookup on both sides: same hit or miss, same flags behind the
+/// returned entry, and the same flag update applied through it.
+fn lookup_both(
+    tlb: &mut Tlb,
+    model: &mut ScanTlb,
+    page: PageId,
+    dirty: bool,
+    shadow: bool,
+) -> Result<bool, TestCaseError> {
+    let (got, want) = (tlb.lookup(page), model.lookup(page));
+    prop_assert_eq!(
+        got.as_deref().map(seen),
+        want.as_deref().map(seen_by_scan),
+        "lookup of {} diverged",
+        page
+    );
+    let hit = got.is_some();
+    if let (Some(got), Some(want)) = (got, want) {
+        got.dirty |= dirty;
+        got.shadow |= shadow;
+        want.dirty |= dirty;
+        want.shadow |= shadow;
+    }
+    Ok(hit)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The memoised TLB and the scan-only one are indistinguishable under
+    /// any op sequence: every lookup's outcome, the counters, and after
+    /// every op what each page's `peek` shows — so every eviction took the
+    /// same victim — and how many ways are occupied.
+    #[test]
+    fn tlb_memo_replays_the_set_scan(
+        geometry in 0..TLB_GEOMETRIES.len(),
+        ops in prop::collection::vec(tlb_op_strategy(), 1..400),
+    ) {
+        let (sets, ways) = TLB_GEOMETRIES[geometry];
+        let mut tlb = Tlb::new(sets, ways);
+        let mut model = ScanTlb::new(sets, ways);
+        for op in &ops {
+            match *op {
+                TlbOp::Lookup { page, dirty, shadow } => {
+                    lookup_both(&mut tlb, &mut model, PageId(page), dirty, shadow)?;
+                }
+                TlbOp::Translate { page, flags } => {
+                    if !lookup_both(&mut tlb, &mut model, PageId(page), false, false)? {
+                        tlb.fill(PageId(page), pte_flags(flags));
+                        model.fill(PageId(page), pte_flags(flags));
+                    }
+                }
+                TlbOp::Fill { page, flags } => {
+                    tlb.fill(PageId(page), pte_flags(flags));
+                    model.fill(PageId(page), pte_flags(flags));
+                }
+                TlbOp::Invalidate { page } => {
+                    tlb.invalidate(PageId(page));
+                    model.invalidate(PageId(page));
+                }
+                TlbOp::Flush => {
+                    tlb.flush();
+                    model.flush();
+                }
+            }
+            prop_assert_eq!(tlb.stats(), model.stats, "counters diverged after {:?}", op);
+            prop_assert_eq!(tlb.occupancy(), model.entries.iter().flatten().count());
+            for page in (0..TLB_PAGES).map(PageId) {
+                prop_assert_eq!(
+                    tlb.peek(page).as_ref().map(seen),
+                    model.peek(page).as_ref().map(seen_by_scan),
+                    "{} cached differently after {:?}", page, op
+                );
+            }
         }
     }
 }

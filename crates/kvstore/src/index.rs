@@ -14,6 +14,8 @@
 //! DRAM semantics: a power failure flushes the whole dirty image, so
 //! in-place pointer updates are safe without logging.
 
+use std::cmp::Ordering;
+
 use pheap::{PHeap, PPtr};
 use viyojit::NvHeap;
 
@@ -29,6 +31,33 @@ const IDX_ENTRY: u64 = 8; // u64: hash-table entry header (0 = head)
 const IDX_NEXT: u64 = 16; // u64 x level
 const fn key_offset(level: usize) -> u64 {
     IDX_NEXT + (level as u64) * 8
+}
+
+/// Longest stored key compared through a stack buffer.
+const INLINE_KEY: usize = 64;
+
+/// Orders the `klen` key bytes stored at byte `at` of `node` against
+/// `key`. The stored key is read where it is compared — the one read of
+/// `klen` bytes a caller fetching the key would issue — into a stack
+/// buffer, or a heap one past [`INLINE_KEY`] bytes.
+pub(crate) fn cmp_stored_key<H: NvHeap>(
+    heap: &mut PHeap<H>,
+    node: PPtr,
+    at: u64,
+    klen: usize,
+    key: &[u8],
+) -> Result<Ordering, KvError> {
+    let mut inline = [0u8; INLINE_KEY];
+    let mut spilled = Vec::new();
+    let stored = match inline.get_mut(..klen) {
+        Some(stored) => stored,
+        None => {
+            spilled.resize(klen, 0);
+            &mut spilled[..]
+        }
+    };
+    heap.read(node, at, stored)?;
+    Ok((*stored).cmp(key))
 }
 
 /// Deterministic tower height for `key` (p = 1/4 per extra level).
@@ -101,6 +130,18 @@ impl SkipIndex {
         Ok(key)
     }
 
+    /// Orders `node`'s key against `key`: [`SkipIndex::key_of`]'s three
+    /// reads, without its allocation.
+    fn cmp_key<H: NvHeap>(
+        heap: &mut PHeap<H>,
+        node: PPtr,
+        key: &[u8],
+    ) -> Result<Ordering, KvError> {
+        let klen = Self::node_u32(heap, node, IDX_KEY_LEN)? as usize;
+        let level = Self::node_u32(heap, node, IDX_LEVEL)? as usize;
+        cmp_stored_key(heap, node, key_offset(level), klen, key)
+    }
+
     /// Finds the last node strictly before `key` at every level.
     fn find_predecessors<H: NvHeap>(
         &self,
@@ -116,7 +157,7 @@ impl SkipIndex {
                     break;
                 }
                 let next_ptr = PPtr::from_offset(next);
-                if Self::key_of(heap, next_ptr)?.as_slice() < key {
+                if Self::cmp_key(heap, next_ptr, key)? == Ordering::Less {
                     cur = next_ptr;
                 } else {
                     break;
@@ -170,7 +211,7 @@ impl SkipIndex {
             return Ok(false);
         }
         let node = PPtr::from_offset(candidate);
-        if Self::key_of(heap, node)? != key {
+        if Self::cmp_key(heap, node, key)? != Ordering::Equal {
             return Ok(false);
         }
         let level = Self::node_u32(heap, node, IDX_LEVEL)? as usize;

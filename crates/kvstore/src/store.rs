@@ -3,7 +3,7 @@
 use pheap::{PHeap, PPtr, MAX_ALLOC};
 use viyojit::NvHeap;
 
-use crate::index::SkipIndex;
+use crate::index::{cmp_stored_key, SkipIndex};
 use crate::{fnv1a_64, KvError};
 
 /// Identifies a formatted store ("REDISNVM" in spirit).
@@ -203,11 +203,12 @@ impl<H: NvHeap> KvStore<H> {
         Ok(u32::from_le_bytes(buf))
     }
 
-    fn node_key(&mut self, node: PPtr) -> Result<Vec<u8>, KvError> {
+    /// Whether `node` holds `key`: one length read and one read of the
+    /// stored key, compared in place.
+    fn node_holds(&mut self, node: PPtr, key: &[u8]) -> Result<bool, KvError> {
         let klen = self.node_u32(node, NODE_KEY_LEN)? as usize;
-        let mut key = vec![0u8; klen];
-        self.heap.read(node, NODE_HEADER as u64, &mut key)?;
-        Ok(key)
+        let order = cmp_stored_key(&mut self.heap, node, NODE_HEADER as u64, klen, key)?;
+        Ok(order.is_eq())
     }
 
     /// Finds the node holding `key`, returning `(predecessor, node)` where
@@ -220,7 +221,7 @@ impl<H: NvHeap> KvStore<H> {
         let mut prev: Option<PPtr> = None;
         while cur != 0 {
             let node = PPtr::from_offset(cur);
-            if self.node_u64(node, NODE_HASH)? == hash && self.node_key(node)? == key {
+            if self.node_u64(node, NODE_HASH)? == hash && self.node_holds(node, key)? {
                 return Ok(Some((prev, node)));
             }
             prev = Some(node);
@@ -501,6 +502,72 @@ mod tests {
             let expect = (i % 3 != 0).then(|| format!("v{i}").into_bytes());
             assert_eq!(kv.get(format!("k{i}").as_bytes()).unwrap(), expect);
         }
+    }
+
+    /// Stored keys are compared where they are read, through a 64-byte
+    /// stack buffer or a heap one: keys on both sides of that size, two of
+    /// them telling apart only past their 64th byte, chained in one bucket
+    /// (every `find` compares its way past the others) and ordered by the
+    /// skip index (every insert, remove and scan start does the same).
+    #[test]
+    fn keys_longer_than_the_inline_compare_buffer() {
+        let mut kv = store(256, 1);
+        let shared = vec![b'p'; 64];
+        let keys = [
+            vec![b'a'; 64],
+            vec![b'b'; 65],
+            vec![b'c'; 300],
+            [&shared[..], b"-left"].concat(),
+            [&shared[..], b"-right"].concat(),
+            shared.clone(),
+            b"short".to_vec(),
+        ];
+        let value = |i: usize| vec![i as u8 + 1; 24];
+        for (i, key) in keys.iter().enumerate() {
+            kv.set(key, &value(i)).unwrap();
+        }
+        assert_eq!(kv.len().unwrap(), keys.len() as u64);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(kv.get(key).unwrap(), Some(value(i)), "key {i}");
+        }
+        // Same length and same first 64 bytes as a stored key, but absent.
+        let absent = [&shared[..], b"-lefs"].concat();
+        assert_eq!(kv.get(&absent).unwrap(), None);
+        assert!(!kv.delete(&absent).unwrap());
+
+        let mut sorted = keys.to_vec();
+        sorted.sort();
+        let scanned: Vec<Vec<u8>> = kv
+            .scan(b"", 16)
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(scanned, sorted, "skip-index order is byte order");
+        let from = [&shared[..], b"-m"].concat();
+        let hits = kv.scan(&from, 1).unwrap();
+        assert_eq!(hits[0].0, keys[4], "scan start between the two long keys");
+
+        // An update finds the node it wrote; a delete unlinks only its own.
+        kv.set(&keys[3], b"rewritten").unwrap();
+        assert_eq!(
+            kv.get(&keys[3]).unwrap().as_deref(),
+            Some(&b"rewritten"[..])
+        );
+        assert_eq!(kv.get(&keys[4]).unwrap(), Some(value(4)));
+        let deleted = [3, 1, 5];
+        for gone in deleted {
+            assert!(kv.delete(&keys[gone]).unwrap());
+            assert!(
+                !kv.delete(&keys[gone]).unwrap(),
+                "double delete of key {gone}"
+            );
+        }
+        for (i, key) in keys.iter().enumerate() {
+            let expect = (!deleted.contains(&i)).then(|| value(i));
+            assert_eq!(kv.get(key).unwrap(), expect, "key {i} after the deletes");
+        }
+        assert_eq!(kv.audit_index().unwrap(), 4);
     }
 
     #[test]

@@ -170,6 +170,9 @@ pub struct Mmu {
     /// page, set by every write, read-and-cleared by the flush path so
     /// copies can ship only the modified sectors.
     sector_masks: Vec<u64>,
+    /// The pages the last masked epoch walk found updated, kept between
+    /// walks so each one refills the buffer instead of allocating it.
+    walk_hits: Vec<PageId>,
 }
 
 impl Mmu {
@@ -219,6 +222,7 @@ impl Mmu {
             dirty_limit: None,
             dirty_counted: 0,
             sector_masks: vec![0; pages],
+            walk_hits: Vec::new(),
         }
     }
 
@@ -361,8 +365,31 @@ impl Mmu {
     /// # Errors
     ///
     /// Returns [`AccessError::OutOfRange`] if the range exceeds the region.
+    #[inline]
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), AccessError> {
         self.check_range(addr, buf.len())?;
+        let start = addr as usize;
+        let one_page = (1..=PAGE_SIZE - start % PAGE_SIZE).contains(&buf.len());
+        if !one_page || self.profiler.is_enabled() {
+            self.read_chunked(addr, buf);
+            return Ok(());
+        }
+        // Within one page and nobody attributing per class: the chunking
+        // loop would run exactly once, so do its one pass directly — one
+        // translation, one copy, one charge of the two costs summed.
+        let (_, _, tlb_cost) = self.translate(PageId::containing(addr));
+        buf.copy_from_slice(&self.memory[start..start + buf.len()]);
+        self.clock
+            .advance(tlb_cost + self.costs.dram_access(buf.len()));
+        self.stats.reads += 1;
+        self.stats.bytes_read += buf.len() as u64;
+        Ok(())
+    }
+
+    /// [`Mmu::read`] of a range already checked, page by page, each cost
+    /// accounted for by class.
+    #[inline(never)]
+    fn read_chunked(&mut self, addr: u64, buf: &mut [u8]) {
         let mut owed = SimDuration::ZERO;
         let mut off = addr;
         let mut remaining: &mut [u8] = buf;
@@ -381,7 +408,6 @@ impl Mmu {
         self.clock.advance(owed);
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
-        Ok(())
     }
 
     /// Writes `data` starting at byte offset `addr`. The write must not
@@ -574,15 +600,12 @@ impl Mmu {
     /// known-dirty bitmap instead of a page list, and only the pages found
     /// dirty are materialised. Same pages, same ascending order, same bits
     /// cleared and same costs as collecting `known` and walking the list.
+    /// The hits are lent from a buffer the next masked walk overwrites.
     ///
     /// # Panics
     ///
     /// Panics if `known` has a page set past this MMU's last word of pages.
-    pub fn walk_and_clear_dirty_in(
-        &mut self,
-        known: &Bitmap2L,
-        options: WalkOptions,
-    ) -> Vec<PageId> {
+    pub fn walk_and_clear_dirty_in(&mut self, known: &Bitmap2L, options: WalkOptions) -> &[PageId] {
         self.walk_column_in(known, options, PageTable::take_dirty_in)
     }
 
@@ -598,7 +621,7 @@ impl Mmu {
         &mut self,
         known: &Bitmap2L,
         options: WalkOptions,
-    ) -> Vec<PageId> {
+    ) -> &[PageId] {
         self.walk_column_in(known, options, PageTable::take_shadow_dirty_in)
     }
 
@@ -607,16 +630,16 @@ impl Mmu {
         known: &Bitmap2L,
         options: WalkOptions,
         take_in: impl FnOnce(&mut PageTable, &Bitmap2L, &mut Vec<PageId>),
-    ) -> Vec<PageId> {
+    ) -> &[PageId] {
         self.flush_for_walk(options);
-        let mut hits = Vec::new();
-        take_in(&mut self.page_table, known, &mut hits);
+        self.walk_hits.clear();
+        take_in(&mut self.page_table, known, &mut self.walk_hits);
         if options.charge_costs {
             let cost = self.costs.pte_walk * known.count() as u64;
             self.clock.advance(cost);
             self.profiler.charge(CostClass::PteWalk, cost);
         }
-        hits
+        &self.walk_hits
     }
 
     /// Reads and clears the PTE dirty bit of one page, leaving the TLB and

@@ -5,6 +5,14 @@
 //! does **not** update the PTE. Software that clears PTE dirty bits without
 //! flushing the TLB will therefore read stale values on the next epoch walk
 //! — the exact effect the paper measures in its TLB-flush ablation (§6.3).
+//!
+//! The last-translation memo (`Tlb::memo`) is **not** part of the model. It
+//! is a host-side shortcut past the set scan for a repeated lookup of one
+//! page — a block-header read followed by the payload access, or the up
+//! to three lookups of one `Mmu::write` — and replays exactly what the
+//! scan would have done: the same stamp consumed, the same counter bumped,
+//! the same entry returned. A property test drives it against a scan-only
+//! reference.
 
 use crate::{PageId, PteFlags};
 
@@ -57,6 +65,10 @@ pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
     next_stamp: u64,
     stats: TlbStats,
+    /// `(page, index into entries)` of the slot a scan for `page` would
+    /// stop at, or `None` when unknown. Set by a hit or a fill; dropped by
+    /// anything that can empty or repurpose that slot.
+    memo: Option<(PageId, usize)>,
 }
 
 impl Tlb {
@@ -77,6 +89,7 @@ impl Tlb {
             entries: vec![None; sets * ways],
             next_stamp: 0,
             stats: TlbStats::default(),
+            memo: None,
         }
     }
 
@@ -99,18 +112,19 @@ impl Tlb {
     /// stamp is refreshed and a mutable reference is returned so the MMU can
     /// update the cached dirty bit.
     pub fn lookup(&mut self, page: PageId) -> Option<&mut TlbEntry> {
-        let range = self.set_range(page);
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        let slot = self.entries[range.clone()]
-            .iter()
-            .position(|e| e.is_some_and(|e| e.page == page));
+        let slot = match self.memo {
+            Some((memo_page, slot)) if memo_page == page => Some(slot),
+            _ => self
+                .scan(page)
+                .inspect(|&slot| self.memo = Some((page, slot))),
+        };
         match slot {
-            Some(i) => {
+            Some(slot) => {
                 self.stats.hits += 1;
-                let entry = self.entries[range.start + i]
-                    .as_mut()
-                    .expect("slot checked non-empty");
+                let entry = self.entries[slot].as_mut().expect("slot checked non-empty");
+                debug_assert_eq!(entry.page, page);
                 entry.stamp = stamp;
                 Some(entry)
             }
@@ -119,6 +133,16 @@ impl Tlb {
                 None
             }
         }
+    }
+
+    /// Index of the first way of `page`'s set that caches it: the model's
+    /// lookup, which the memo stands in for.
+    fn scan(&self, page: PageId) -> Option<usize> {
+        let range = self.set_range(page);
+        self.entries[range.clone()]
+            .iter()
+            .position(|e| e.is_some_and(|e| e.page == page))
+            .map(|way| range.start + way)
     }
 
     /// Checks whether `page` is cached without affecting stats or LRU order.
@@ -146,21 +170,27 @@ impl Tlb {
         };
         // Prefer an empty way; otherwise evict the LRU way.
         let slots = &mut self.entries[range];
-        if let Some(empty) = slots.iter_mut().find(|e| e.is_none()) {
-            *empty = Some(entry);
-            return;
-        }
-        let victim = slots
-            .iter_mut()
-            .min_by_key(|e| e.map(|e| e.stamp).unwrap_or(0))
-            .expect("ways > 0");
-        *victim = Some(entry);
+        let way = slots.iter().position(|e| e.is_none()).unwrap_or_else(|| {
+            let lru = slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.map(|e| e.stamp));
+            lru.expect("ways > 0").0
+        });
+        slots[way] = Some(entry);
+        // Whatever the memo named may just have been evicted. Repoint it
+        // at this page, through a scan: filling a page that is already
+        // cached leaves two copies, and a lookup stops at the first.
+        self.memo = self.scan(page).map(|slot| (page, slot));
     }
 
     /// Invalidates the entry for `page`, if cached. Required after any PTE
     /// permission change (the paper's kernel module does this per page).
     pub fn invalidate(&mut self, page: PageId) {
         self.stats.invalidations += 1;
+        if self.memo.is_some_and(|(memo_page, _)| memo_page == page) {
+            self.memo = None;
+        }
         let range = self.set_range(page);
         for e in &mut self.entries[range] {
             if e.is_some_and(|e| e.page == page) {
@@ -173,6 +203,7 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.stats.flushes += 1;
         self.entries.fill(None);
+        self.memo = None;
     }
 
     /// Number of currently valid entries.

@@ -1,7 +1,8 @@
 //! Property tests of the MMU model: memory behaves like flat bytes, write
 //! protection is exact, the hardware dirty counter never diverges from
 //! the page-table ground truth, and an attached profiler changes how an
-//! access is charged but nothing it charges.
+//! access is charged (and keeps a one-page read in the chunking loop) but
+//! nothing it charges or returns.
 
 use mem_sim::{AccessError, Mmu, PageId, WalkOptions, PAGE_SIZE};
 use proptest::prelude::*;
@@ -12,8 +13,8 @@ const PAGES: usize = 16;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write { addr: u64, len: u8, fill: u8 },
-    Read { addr: u64, len: u8 },
+    Write { addr: u64, len: u16, fill: u8 },
+    Read { addr: u64, len: u16 },
     Protect { page: u8 },
     Unprotect { page: u8 },
     WalkExact,
@@ -23,13 +24,40 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     let max_addr = (PAGES * PAGE_SIZE) as u64 - 256;
     prop_oneof![
-        4 => (0..max_addr, 1..=255u8, any::<u8>())
+        4 => (0..max_addr, 1..=255u16, any::<u8>())
             .prop_map(|(addr, len, fill)| Op::Write { addr, len, fill }),
-        3 => (0..max_addr, 1..=255u8).prop_map(|(addr, len)| Op::Read { addr, len }),
+        3 => (0..max_addr, 1..=255u16).prop_map(|(addr, len)| Op::Read { addr, len }),
         1 => (0..PAGES as u8).prop_map(|page| Op::Protect { page }),
         1 => (0..PAGES as u8).prop_map(|page| Op::Unprotect { page }),
         1 => Just(Op::WalkExact),
         1 => Just(Op::WalkStale),
+    ]
+}
+
+/// Reads on each side of the condition `Mmu::read`'s one-page path tests:
+/// inside a page, ending on a page's last byte, one byte longer than that,
+/// and running on into the next page or the one after.
+fn read_shape_strategy() -> impl Strategy<Value = Op> {
+    const PAGE: u64 = PAGE_SIZE as u64;
+    // The longest read starts on `page` and ends on `page + 2`.
+    let page = || 0..PAGES as u64 - 2;
+    prop_oneof![
+        (page(), 0..PAGE, 1..=PAGE as u16).prop_map(|(page, at, len)| Op::Read {
+            addr: page * PAGE + at,
+            len: len.min((PAGE - at) as u16),
+        }),
+        (page(), 1..=PAGE as u16).prop_map(|(page, len)| Op::Read {
+            addr: (page + 1) * PAGE - len as u64,
+            len,
+        }),
+        (page(), 1..=300u16).prop_map(|(page, before)| Op::Read {
+            addr: (page + 1) * PAGE - before as u64,
+            len: before + 1,
+        }),
+        (page(), 1..=300u16, 1..=PAGE as u16 + 100).prop_map(|(page, before, past)| Op::Read {
+            addr: (page + 1) * PAGE - before as u64,
+            len: before + past,
+        }),
     ]
 }
 
@@ -149,33 +177,40 @@ proptest! {
     }
 
     /// An access settles its costs with one clock charge when no profiler
-    /// is attached and class by class when one is. The same stream —
-    /// faults, dirty-limit interrupts and page-spanning reads included —
-    /// must end both ways on the same instant, counters and PTE bits, and
-    /// the profiled run must attribute every nanosecond it charged.
+    /// is attached and class by class when one is, and a read that fits one
+    /// page skips the chunking loop only while none is: the profiled `Mmu`
+    /// is the slow model of the plain one. The same stream — faults,
+    /// dirty-limit interrupts, and reads inside a page, up to its last byte
+    /// and across pages — must return the same bytes and end both ways on
+    /// the same instant, counters and PTE bits, and the profiled run must
+    /// attribute every nanosecond it charged.
     #[test]
     fn profiled_and_unprofiled_accesses_charge_the_same(
-        ops in prop::collection::vec(op_strategy(), 1..150),
+        ops in prop::collection::vec(prop_oneof![op_strategy(), read_shape_strategy()], 1..150),
         limit in prop_oneof![Just(None), (1..=PAGES as u64).prop_map(Some)],
     ) {
         let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
-        let drive = |mmu: &mut Mmu| -> Vec<Result<(), AccessError>> {
+        // Each op's outcome and, for a read, the bytes it returned.
+        let drive = |mmu: &mut Mmu| -> Vec<(Result<(), AccessError>, Vec<u8>)> {
             mmu.set_dirty_limit(limit);
             ops.iter().map(|op| match *op {
                 Op::Write { addr, len, fill } => {
                     let in_page = PAGE_SIZE - (addr as usize % PAGE_SIZE);
-                    mmu.write(addr, &vec![fill; (len as usize).min(in_page)])
+                    (mmu.write(addr, &vec![fill; (len as usize).min(in_page)]), Vec::new())
                 }
-                Op::Read { addr, len } => mmu.read(addr, &mut vec![0u8; len as usize]),
-                Op::Protect { page } => { mmu.protect_page(PageId(page as u64)); Ok(()) }
-                Op::Unprotect { page } => { mmu.unprotect_page(PageId(page as u64)); Ok(()) }
+                Op::Read { addr, len } => {
+                    let mut buf = vec![0u8; len as usize];
+                    (mmu.read(addr, &mut buf), buf)
+                }
+                Op::Protect { page } => { mmu.protect_page(PageId(page as u64)); (Ok(()), Vec::new()) }
+                Op::Unprotect { page } => { mmu.unprotect_page(PageId(page as u64)); (Ok(()), Vec::new()) }
                 Op::WalkExact => {
                     mmu.walk_and_clear_dirty(&all_pages, WalkOptions::exact_foreground());
-                    Ok(())
+                    (Ok(()), Vec::new())
                 }
                 Op::WalkStale => {
                     mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
-                    Ok(())
+                    (Ok(()), Vec::new())
                 }
             }).collect()
         };

@@ -247,11 +247,8 @@ impl<H: NvHeap> PHeap<H> {
     ///
     /// [`PHeapError::BadPointer`] / [`PHeapError::OutOfBounds`].
     pub fn write(&mut self, ptr: PPtr, offset: u64, data: &[u8]) -> Result<(), PHeapError> {
-        let size = self.usable_size(ptr)? as u64;
-        if offset + data.len() as u64 > size {
-            return Err(PHeapError::OutOfBounds);
-        }
-        self.heap.write(self.region, ptr.0 + offset, data)?;
+        let at = self.locate(ptr, offset, data.len())?;
+        self.heap.write(self.region, at, data)?;
         Ok(())
     }
 
@@ -261,12 +258,22 @@ impl<H: NvHeap> PHeap<H> {
     ///
     /// [`PHeapError::BadPointer`] / [`PHeapError::OutOfBounds`].
     pub fn read(&mut self, ptr: PPtr, offset: u64, buf: &mut [u8]) -> Result<(), PHeapError> {
+        let at = self.locate(ptr, offset, buf.len())?;
+        self.heap.read(self.region, at, buf)?;
+        Ok(())
+    }
+
+    /// The region offset of byte `offset` of the allocation at `ptr`, once
+    /// `offset..offset + len` is known to lie inside it. Both sums are
+    /// checked: a wrapped one would pass the bound and land the access
+    /// below the allocation, across its block header.
+    fn locate(&mut self, ptr: PPtr, offset: u64, len: usize) -> Result<u64, PHeapError> {
         let size = self.usable_size(ptr)? as u64;
-        if offset + buf.len() as u64 > size {
+        let end = offset.checked_add(len as u64);
+        if end.is_none_or(|end| end > size) {
             return Err(PHeapError::OutOfBounds);
         }
-        self.heap.read(self.region, ptr.0 + offset, buf)?;
-        Ok(())
+        ptr.0.checked_add(offset).ok_or(PHeapError::OutOfBounds)
     }
 
     /// Stores a pointer in root slot `slot` (or clears it with `None`).
@@ -400,6 +407,30 @@ mod tests {
         assert!(h.write(p, 0, &[0u8; 32]).is_ok());
         assert_eq!(h.write(p, 0, &[0u8; 33]), Err(PHeapError::OutOfBounds));
         assert_eq!(h.read(p, 30, &mut [0u8; 3]), Err(PHeapError::OutOfBounds));
+    }
+
+    /// `offset + len` wraps to 4 here. Taken unchecked (release) it passes
+    /// the bound and `ptr + offset` wraps to four bytes *below* the
+    /// allocation, so the access straddles the block header; in debug the
+    /// sum panics. Both profiles must report `OutOfBounds` and touch nothing.
+    #[test]
+    fn offsets_that_wrap_are_out_of_bounds() {
+        let mut h = pheap_pages(16);
+        let p = h.alloc(32).unwrap();
+        h.write(p, 0, &[7u8; 32]).unwrap();
+        let offset = u64::MAX - 3;
+        assert_eq!(
+            h.read(p, offset, &mut [0u8; 8]),
+            Err(PHeapError::OutOfBounds)
+        );
+        assert_eq!(
+            h.write(p, offset, &[0xFFu8; 8]),
+            Err(PHeapError::OutOfBounds)
+        );
+        assert_eq!(h.usable_size(p), Ok(32), "block header left intact");
+        let mut buf = [0u8; 32];
+        h.read(p, 0, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 32], "payload left intact");
     }
 
     #[test]

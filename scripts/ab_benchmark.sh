@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# Host-time A/B of the repo benchmark: a parent revision against the
+# working tree.
+#
+# `host_ops_per_s` on a shared 2-core host drifts by more between minutes
+# than most changes move it, so the only fair comparison alternates the two
+# builds run by run. This script clones the parent revision, builds its
+# benchmark/ and the working tree's into two target directories of their
+# own, and then, per workload, runs N pairs of end-to-end runs — which side
+# goes first alternates from pair to pair — before handing the two result
+# files to `viyojit-benchmark compare` (a = parent, b = working tree). It
+# edits nothing under benchmark/. Run nothing else on the machine meanwhile.
+#
+#   scripts/ab_benchmark.sh [-n pairs] [-s seed] [-t 0|1] [-d dir] <parent-rev> [workload...]
+#
+#   -n  pairs per workload (default 10, the fewest a gain may be claimed on)
+#   -s  traffic seed (default 42; a claim must also hold on one not used
+#       while the change was written, e.g. 1000)
+#   -t  1 for traced runs: the per-layer table instead of the end-to-end one
+#   -d  where the clone, the two target directories and the result files
+#       go (default: a fresh `mktemp -d`; name one to reuse its builds)
+#
+# No workload named means all of BENCHMARK.json's (that lookup needs `jq`).
+set -euo pipefail
+usage="usage: $0 [-n pairs] [-s seed] [-t 0|1] [-d dir] <parent-rev> [workload...]"
+
+pairs=10
+seed=42
+trace=0
+dir=
+while getopts "n:s:t:d:" opt; do
+    case "$opt" in
+        n) pairs=$OPTARG ;;
+        s) seed=$OPTARG ;;
+        t) trace=$OPTARG ;;
+        d) dir=$OPTARG ;;
+        *) echo "$usage" >&2; exit 2 ;;
+    esac
+done
+shift $((OPTIND - 1))
+[ $# -ge 1 ] || { echo "$usage" >&2; exit 2; }
+rev=$1
+shift
+
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+if [ $# -gt 0 ]; then
+    workloads=("$@")
+else
+    mapfile -t workloads < <(jq -r '.workloads[].name' "$repo/BENCHMARK.json")
+fi
+[ ${#workloads[@]} -gt 0 ] || { echo "ab: no workloads to run" >&2; exit 1; }
+
+if [ -z "$dir" ]; then
+    dir=$(mktemp -d)
+fi
+mkdir -p "$dir"
+dir="$(cd "$dir" && pwd)"
+
+[ -d "$dir/parent/.git" ] || git clone --quiet "$repo" "$dir/parent"
+git -C "$dir/parent" fetch --quiet origin
+git -C "$dir/parent" checkout --quiet --detach "$(git -C "$repo" rev-parse "$rev^{commit}")"
+
+build() { # <checkout> <target dir>
+    cargo build --release --offline --quiet \
+        --manifest-path "$1/benchmark/Cargo.toml" --target-dir "$2" >&2
+}
+build "$dir/parent" "$dir/target-a"
+build "$repo" "$dir/target-b"
+
+# What benchmark/run.sh exports before it execs the binary.
+BENCH_RUSTC="$(rustc --version 2>/dev/null || echo unknown)"
+export BENCH_RUSTC
+export MALLOC_MMAP_THRESHOLD_=1048576
+rev_a="$(git -C "$dir/parent" rev-parse --short HEAD)"
+rev_b="$(git -C "$repo" rev-parse --short HEAD)+worktree"
+
+out_a="$dir/a.seed$seed.trace$trace.jsonl"
+out_b="$dir/b.seed$seed.trace$trace.jsonl"
+rm -f "$out_a" "$out_b"
+
+run() { # <a|b> <workload>
+    local out rev
+    if [ "$1" = a ]; then out=$out_a rev=$rev_a; else out=$out_b rev=$rev_b; fi
+    # A run that fails an operation exits non-zero and stops the script.
+    BENCH_GIT_REV=$rev "$dir/target-$1/release/viyojit-benchmark" \
+        --workload "$2" --seed "$seed" --seconds 10 --trace "$trace" --out "$out" |
+        awk -v side="$1" -v w="$2" \
+            '$1 == "host_ops_per_s" || $1 == "untraced_op_ns" { print "ab:", side, w, $1, $2 }'
+}
+
+for workload in "${workloads[@]}"; do
+    for ((pair = 0; pair < pairs; pair++)); do
+        if ((pair % 2 == 0)); then
+            run a "$workload"
+            run b "$workload"
+        else
+            run b "$workload"
+            run a "$workload"
+        fi
+    done
+done
+
+echo "ab: a = $rev_a ($out_a)"
+echo "ab: b = $rev_b ($out_b)"
+"$dir/target-b/release/viyojit-benchmark" compare --a "$out_a" --b "$out_b"
