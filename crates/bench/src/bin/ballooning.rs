@@ -2,14 +2,23 @@
 //!
 //! Two co-located tenants with anti-correlated write phases share one
 //! battery. A static 50/50 split wastes the idle tenant's share exactly
-//! when the busy tenant needs it; the ballooning broker reallocates the
-//! dirty budget each rebalance period and harvests the statistical
-//! multiplexing the paper predicts.
+//! when the busy tenant needs it; ballooning re-divides the dirty budget
+//! each rebalance period and harvests the statistical multiplexing the
+//! paper predicts.
+//!
+//! The deployment is the sharded frontend with two single-shard tenants
+//! whose guarantee is their floor and whose burst is unbounded, so a
+//! budget round is a flat demand-proportional division between them. The
+//! static scheme is the same deployment with no round ever run: each
+//! tenant keeps its even initial share.
 
 use mem_sim::PAGE_SIZE;
-use sim_clock::{Clock, CostModel, SimDuration};
+use sim_clock::{CostModel, SimDuration};
 use ssd_sim::SsdConfig;
-use viyojit::{BalloonedCluster, NvHeap, TenantId, Viyojit, ViyojitConfig};
+use viyojit::{
+    NvHeap, ShardControlPlane, ShardDataPlane, ShardedViyojit, ShardedViyojitBuilder, TenantQos,
+    ViyojitConfig,
+};
 use viyojit_bench::{note, row, Report};
 
 const PAGE: u64 = PAGE_SIZE as u64;
@@ -23,41 +32,34 @@ const EPOCHS_PER_PHASE: u64 = 25;
 /// Rebalance period in epochs.
 const REBALANCE_EVERY: u64 = 5;
 
-fn make_tenant(clock: &Clock) -> Viyojit {
-    Viyojit::new(
-        4096,
-        // The broker assigns the real share after construction.
-        ViyojitConfig::builder(1)
-            .total_pages(4096)
-            .build()
-            .expect("valid tenant configuration"),
-        clock.clone(),
-        CostModel::calibrated(),
-        SsdConfig::datacenter(),
-    )
+fn make_cluster() -> ShardedViyojit {
+    ShardedViyojitBuilder::new(2, 4096, ViyojitConfig::with_budget_pages(TOTAL_BUDGET))
+        .min_per_shard(16)
+        .tenant("tenant0", 1, TenantQos::guaranteed(16))
+        .tenant("tenant1", 1, TenantQos::guaranteed(16))
+        // Longer than the run: rounds happen only where `run` asks for one.
+        .rebalance_period(SimDuration::from_secs(3600))
+        .cost_model(CostModel::calibrated())
+        .ssd(SsdConfig::datacenter())
+        .build_sequential()
+        .expect("valid two-tenant deployment")
 }
 
 /// Runs the anti-correlated two-tenant workload; returns per-tenant
 /// (stalls, stall time) and the virtual duration.
 fn run(rebalance: bool) -> ([u64; 2], [SimDuration; 2], SimDuration) {
-    let clock = Clock::new();
-    let mut cluster = BalloonedCluster::new(
-        vec![make_tenant(&clock), make_tenant(&clock)],
-        TOTAL_BUDGET,
-        16,
-    );
-    let regions = [
-        cluster
-            .tenant_mut(TenantId(0))
-            .map(PAGE * 3000)
-            .expect("map 0"),
-        cluster
-            .tenant_mut(TenantId(1))
-            .map(PAGE * 3000)
-            .expect("map 1"),
-    ];
+    let mut cluster = make_cluster();
+    let regions = [0, 1].map(|tenant| {
+        let region = cluster.map(PAGE * 3000).expect("map");
+        assert_eq!(
+            cluster.shard_of(region),
+            Some(tenant),
+            "each tenant's region lives on its own shard"
+        );
+        region
+    });
 
-    let t0 = clock.now();
+    let t0 = cluster.clock().now();
     let mut trickle = [0u64; 2];
     let mut epoch_count = 0u64;
     for phase in 0..PHASES {
@@ -67,7 +69,6 @@ fn run(rebalance: bool) -> ([u64; 2], [SimDuration; 2], SimDuration) {
             // only if the whole set can remain dirty.
             for page in 0..HOT_SET {
                 cluster
-                    .tenant_mut(TenantId(busy))
                     .write(regions[busy], page * PAGE, &[phase as u8; 64])
                     .expect("busy write");
             }
@@ -76,27 +77,25 @@ fn run(rebalance: bool) -> ([u64; 2], [SimDuration; 2], SimDuration) {
             let page = HOT_SET + trickle[idle] % 2000;
             trickle[idle] += 1;
             cluster
-                .tenant_mut(TenantId(idle))
                 .write(regions[idle], page * PAGE, &[phase as u8; 64])
                 .expect("idle write");
-            clock.advance(SimDuration::from_millis(1));
+            cluster.step(SimDuration::from_millis(1)).expect("step");
             epoch_count += 1;
             if rebalance && epoch_count.is_multiple_of(REBALANCE_EVERY) {
-                cluster.rebalance();
-                cluster.validate();
+                cluster.rebalance().expect("rebalance");
+                cluster
+                    .check_invariants()
+                    .unwrap_or_else(|violation| panic!("{violation}"));
             }
         }
     }
-    let duration = clock.now() - t0;
-    let stalls = [
-        cluster.tenant(TenantId(0)).stats().budget_stalls,
-        cluster.tenant(TenantId(1)).stats().budget_stalls,
-    ];
-    let stall_time = [
-        cluster.tenant(TenantId(0)).stats().stall_time,
-        cluster.tenant(TenantId(1)).stats().stall_time,
-    ];
-    (stalls, stall_time, duration)
+    let duration = cluster.clock().now() - t0;
+    let stats = [0, 1].map(|tenant| cluster.shard(tenant).stats());
+    (
+        stats.map(|s| s.budget_stalls),
+        stats.map(|s| s.stall_time),
+        duration,
+    )
 }
 
 fn main() {

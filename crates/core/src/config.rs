@@ -108,18 +108,7 @@ impl ViyojitConfig {
     /// Panics if `pages` is zero: a zero budget would forbid every write.
     pub fn with_budget_pages(pages: u64) -> Self {
         assert!(pages > 0, "dirty budget must allow at least one dirty page");
-        ViyojitConfig {
-            dirty_budget_pages: pages,
-            epoch: SimDuration::from_millis(1),
-            max_outstanding_ios: 16,
-            tlb_flush_on_walk: true,
-            pressure_alpha: 0.75,
-            threshold_policy: ThresholdPolicy::Adaptive,
-            history_epochs: 64,
-            target_policy: TargetPolicy::LeastRecentlyUpdated,
-            flush_codec: FlushCodec::Raw,
-            sector_flush: false,
-        }
+        Self::builder(pages).cfg
     }
 
     /// Paper-default configuration with the budget derived from a real
@@ -136,72 +125,6 @@ impl ViyojitConfig {
     ) -> Self {
         let budget = DirtyBudget::derive(battery, power, flush_bandwidth_bytes_per_sec);
         Self::with_budget_pages(budget.pages())
-    }
-
-    /// Returns `self` with a different epoch length.
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        assert!(!epoch.is_zero(), "epoch must be positive");
-        self.epoch = epoch;
-        self
-    }
-
-    /// Returns `self` with a different outstanding-IO cap.
-    #[must_use]
-    pub fn with_max_outstanding_ios(mut self, ios: usize) -> Self {
-        assert!(ios > 0, "at least one outstanding IO is required to flush");
-        self.max_outstanding_ios = ios;
-        self
-    }
-
-    /// Returns `self` with TLB flushing on walks enabled or disabled.
-    #[must_use]
-    pub fn with_tlb_flush_on_walk(mut self, flush: bool) -> Self {
-        self.tlb_flush_on_walk = flush;
-        self
-    }
-
-    /// Returns `self` with a different EWMA weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_pressure_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "pressure alpha must be in (0,1], got {alpha}"
-        );
-        self.pressure_alpha = alpha;
-        self
-    }
-
-    /// Returns `self` with a different victim-selection policy.
-    #[must_use]
-    pub fn with_target_policy(mut self, policy: TargetPolicy) -> Self {
-        self.target_policy = policy;
-        self
-    }
-
-    /// Returns `self` with a different threshold policy.
-    #[must_use]
-    pub fn with_threshold_policy(mut self, policy: ThresholdPolicy) -> Self {
-        self.threshold_policy = policy;
-        self
-    }
-
-    /// Returns `self` with a different copy-out payload codec.
-    #[must_use]
-    pub fn with_flush_codec(mut self, codec: FlushCodec) -> Self {
-        self.flush_codec = codec;
-        self
-    }
-
-    /// Returns `self` with sub-page sector flushing enabled or disabled.
-    #[must_use]
-    pub fn with_sector_flush(mut self, enabled: bool) -> Self {
-        self.sector_flush = enabled;
-        self
     }
 }
 
@@ -364,12 +287,6 @@ mod tests {
     #[should_panic(expected = "at least one dirty page")]
     fn zero_budget_panics() {
         let _ = ViyojitConfig::with_budget_pages(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn bad_alpha_panics() {
-        let _ = ViyojitConfig::with_budget_pages(1).with_pressure_alpha(0.0);
     }
 
     #[test]

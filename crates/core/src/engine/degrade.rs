@@ -11,8 +11,9 @@
 //! The governor is pure policy: it owns no engine state and returns the
 //! budget the engine *should* run with; callers apply it through the
 //! existing [`set_dirty_budget`](crate::Engine::set_dirty_budget) /
-//! [`BudgetTree`](super::BudgetTree) paths, which already stall writers until the dirty
-//! population fits the shrunk budget.
+//! [`set_total_budget`](super::ShardControlPlane::set_total_budget) paths,
+//! which already stall writers until the dirty population fits the shrunk
+//! budget.
 
 use ssd_sim::SsdStats;
 

@@ -39,11 +39,11 @@ pub struct ShardStats {
 /// A budget assignment for one shard, handed to the shard's driver during
 /// a round (shrink phase first, then grow).
 #[derive(Debug, Clone, Copy)]
-pub struct BudgetGrant {
+pub(super) struct BudgetGrant {
     /// Global shard index.
-    pub shard: usize,
+    pub(super) shard: usize,
     /// The new budget the shard must adopt.
-    pub budget_pages: u64,
+    pub(super) budget_pages: u64,
 }
 
 /// Where a global region handle lives.
@@ -253,7 +253,8 @@ impl<B: DirtyTracker> ShardDriver<B> {
         self.engines.iter().map(|(s, e)| (*s, e.ssd_stats()))
     }
 
-    /// Applies one phase's grants to the owned shards they name. A
+    /// Applies one phase's grants to the owned shards they name — the
+    /// one place a planned budget reaches a shard engine. A
     /// shrinking engine may stall flushing down to its new bound, so
     /// shrinks run under the shard's profiler frame to attribute that
     /// virtual time; grows never stall and take no frame.

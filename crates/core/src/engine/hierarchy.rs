@@ -5,8 +5,9 @@
 //! [`BudgetTree`] is the pure redistribution policy: it sees only each
 //! shard's [`ViyojitStats`], and leaves the *application* of the new
 //! budgets (and the shrink-before-grow ordering that keeps the
-//! instantaneous sum under the battery) to the caller. It divides on two
-//! levels:
+//! instantaneous sum under the battery) to its one caller, the
+//! coordinator's round, which hands them to the shard drivers as grants.
+//! It divides on two levels:
 //!
 //! - the **machine** level divides the battery's provisioned dirty budget
 //!   among tenants, honouring each tenant's [`TenantQos`] — a
@@ -24,7 +25,9 @@
 //! Both levels run the same largest-remainder division, and a tenant's
 //! demand is the *sum* of its shards' demand scores — so a tree with one
 //! tenant owning every shard ([`BudgetTree::single`]) is a flat
-//! demand-proportional division of the whole total.
+//! demand-proportional division of the whole total, and so is a tree of
+//! single-shard tenants whose guarantee is their floor and whose burst is
+//! unbounded: §6.3's ballooning between co-located tenants.
 //!
 //! Degraded-mode policy composes per tenant: a [`throttle`]
 //! (typically set by a per-tenant
@@ -35,8 +38,6 @@
 //! [`throttle`]: BudgetTree::throttle
 
 use crate::{InvariantViolation, ViyojitStats};
-
-use super::{DirtyTracker, Engine};
 
 /// Largest-remainder division of `distributable` pages in proportion to
 /// `demands`: floor shares first, then the remainder awarded one page at a
@@ -117,9 +118,7 @@ struct DemandSnapshot {
     pages_dirtied: u64,
 }
 
-/// Identifies a tenant within a budget hierarchy (or the historical
-/// [`BalloonedCluster`](crate::BalloonedCluster), whose tenants are
-/// one-shard tree nodes).
+/// Identifies a tenant within a budget hierarchy, in declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub usize);
 
@@ -262,13 +261,13 @@ impl TenantNode {
 ///
 /// 1. [`BudgetTree::plan`] computes one target per *shard* from current
 ///    stats, with tenant QoS enforced in between;
-/// 2. the caller applies them shrink-first, then grow (so the assigned
-///    sum never exceeds the provisioned total at any instant — shrinking
-///    shards may stall flushing down, which is the point);
+/// 2. the coordinator applies them shrink-first, then grow (so the
+///    assigned sum never exceeds the provisioned total at any instant —
+///    shrinking shards may stall flushing down, which is the point);
 /// 3. [`BudgetTree::commit`] records the post-apply stats as the new
 ///    demand baseline.
 #[derive(Debug)]
-pub struct BudgetTree {
+pub(super) struct BudgetTree {
     total_budget_pages: u64,
     min_per_shard: u64,
     nodes: Vec<TenantNode>,
@@ -553,29 +552,6 @@ impl BudgetTree {
             });
         }
         Ok(())
-    }
-}
-
-/// Applies `targets` to `engines` shrink-first then grow, so the
-/// instantaneous sum of assigned budgets never exceeds the provisioned
-/// total — [`BalloonedCluster`](crate::BalloonedCluster)'s apply loop
-/// over the engines it owns directly (the sharded frontends play the
-/// same two phases through their drivers).
-pub(crate) fn apply_budgets<B: DirtyTracker>(engines: &mut [Engine<B>], targets: &[u64]) {
-    for (engine, &target) in engines.iter_mut().zip(targets) {
-        if target < engine.dirty_budget() {
-            engine.set_dirty_budget(target);
-        }
-    }
-    // Power cut between the phases: donors already shrunk, receivers not
-    // yet grown — the total is under-assigned but never over-assigned.
-    if let Some(engine) = engines.first() {
-        fault_sim::crashpoint!(engine.core.crashes, BudgetShrinkGrow);
-    }
-    for (engine, &target) in engines.iter_mut().zip(targets) {
-        if target > engine.dirty_budget() {
-            engine.set_dirty_budget(target);
-        }
     }
 }
 

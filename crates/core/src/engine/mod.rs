@@ -18,7 +18,7 @@
 //!
 //! On top of the engine, the sharded frontend multiplexes one battery's
 //! budget across N per-region shards through a
-//! [`hierarchy::BudgetTree`] — machine → tenant → shard, both levels one
+//! `hierarchy::BudgetTree` — machine → tenant → shard, both levels one
 //! demand-proportional largest-remainder division — the ROADMAP's
 //! scale-out and multi-tenant frontend. It is one piece of
 //! code with two transports: a `driver::ShardDriver` owns a set of
@@ -46,10 +46,10 @@ mod sharded;
 pub use backend::{DirtyTracker, FullDirty, MmuAssisted, SoftwareWalk};
 pub use builder::ShardedViyojitBuilder;
 pub use degrade::{DegradationConfig, DegradationGovernor, DegradeReason, DegradedMode};
-pub use driver::{BudgetGrant, ShardStats};
+pub use driver::ShardStats;
 pub use emergency::{FlushObligation, MAX_FLUSH_ATTEMPTS, RETRY_BACKOFF_BASE, RETRY_BACKOFF_MAX};
-pub(crate) use hierarchy::apply_budgets;
-pub use hierarchy::{BudgetTree, TenantId, TenantQos, TenantStats};
+use hierarchy::BudgetTree;
+pub use hierarchy::{TenantId, TenantQos, TenantStats};
 pub use parallel::{ShardControlHandle, ShardDataHandle, ROUND_TIMEOUT};
 pub use plane::{ShardControlPlane, ShardDataPlane};
 pub use sharded::ShardedViyojit;
@@ -875,8 +875,10 @@ mod tests {
             64,
             // One page of slack: the copier runs at every epoch that finds
             // the budget full, and still leaves dirty pages to flush by hand.
-            ViyojitConfig::with_budget_pages(budget)
-                .with_threshold_policy(ThresholdPolicy::FixedSlack(1)),
+            ViyojitConfig::builder(budget)
+                .threshold_policy(ThresholdPolicy::FixedSlack(1))
+                .build()
+                .unwrap(),
             Clock::new(),
             CostModel::calibrated(),
             SsdConfig::datacenter(),

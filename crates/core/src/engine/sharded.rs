@@ -3,7 +3,7 @@
 //!
 //! The ROADMAP's scale-out story: a large NV-DRAM space is split into
 //! shards, each running its own [`Engine`] over its own slice of memory
-//! and SSD, while a [`BudgetTree`](super::BudgetTree) periodically
+//! and SSD, while the budget tree (`hierarchy`) periodically
 //! re-divides the single battery's dirty budget among them in proportion
 //! to observed demand — first across tenants (honouring each tenant's
 //! [`TenantQos`](super::TenantQos) guarantee and burst cap), then across
@@ -12,14 +12,15 @@
 //! statistical-multiplexing win of §6.3's ballooning accrues both between
 //! tenants and between *shards of one tenant*. A build with no declared
 //! tenants is the degenerate one-tenant tree, byte-identical to the
-//! historical flat arbiter.
+//! historical flat arbiter; a build of single-shard tenants, each
+//! guaranteed its floor with unbounded burst, is §6.3's ballooning
+//! between co-located tenants (the `ballooning` bench binary).
 //!
-//! Durability composes the same way it does in
-//! [`BalloonedCluster`](crate::BalloonedCluster): every shard enforces
-//! its assigned bound at every instant, budgets are shrunk (stalling the
-//! shrinking shard down) before any shard grows, and the tree never
-//! assigns more than the battery provisions — so the cluster-wide dirty
-//! population never exceeds the global budget.
+//! Durability composes: every shard enforces its assigned bound at every
+//! instant, budgets are shrunk (stalling the shrinking shard down) before
+//! any shard grows, and the tree never assigns more than the battery
+//! provisions — so the cluster-wide dirty population never exceeds the
+//! global budget.
 //!
 //! [`ShardedViyojit`] is the coordinator (see [`super::coordinator`])
 //! over the [`Inline`] transport.
@@ -409,7 +410,7 @@ impl<B: DirtyTracker> ShardDataPlane for ShardedViyojit<B> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ShardControlPlane, TenantQos};
+    use super::super::{MmuAssisted, ShardControlPlane, TenantQos};
     use super::*;
     use crate::ViyojitConfig;
     use mem_sim::PAGE_SIZE;
@@ -590,5 +591,92 @@ mod tests {
             .expect_err("tenant 2 does not exist");
         assert!(matches!(err, ViyojitError::InvalidConfig(_)));
         nv.check_invariants().map_err(ViyojitError::from)
+    }
+
+    /// §6.3's ballooning between co-located tenants: two single-shard
+    /// tenants, each guaranteed its floor with unbounded burst, so a round
+    /// is a flat division of `total` by demand. Rounds run only on request.
+    fn two_tenants<B: DirtyTracker>(
+        total: u64,
+    ) -> Result<(ShardedViyojit<B>, [RegionId; 2]), ViyojitError> {
+        let mut nv = ShardedViyojitBuilder::new(2, 512, ViyojitConfig::with_budget_pages(total))
+            .backend::<B>()
+            .min_per_shard(4)
+            .rebalance_period(SimDuration::from_secs(3600))
+            .tenant("tenant0", 1, TenantQos::guaranteed(4))
+            .tenant("tenant1", 1, TenantQos::guaranteed(4))
+            .build_sequential()?;
+        let regions = [
+            nv.map(PAGE_SIZE as u64 * 200)?,
+            nv.map(PAGE_SIZE as u64 * 200)?,
+        ];
+        assert_eq!(regions.map(|r| nv.shard_of(r)), [Some(0), Some(1)]);
+        Ok((nv, regions))
+    }
+
+    fn dirty_pages<B: DirtyTracker>(
+        nv: &mut ShardedViyojit<B>,
+        region: RegionId,
+        pages: u64,
+    ) -> Result<(), ViyojitError> {
+        (0..pages).try_for_each(|page| nv.write(region, page * PAGE_SIZE as u64, &[1]))
+    }
+
+    fn budget_follows_demand<B: DirtyTracker>() -> Result<(), ViyojitError> {
+        let (mut nv, [r0, r1]) = two_tenants::<B>(64)?;
+        let budgets = |nv: &ShardedViyojit<B>| [0, 1].map(|i| nv.shard(i).dirty_budget());
+        assert_eq!(budgets(&nv), [32, 32], "the initial division is even");
+        // Tenant 0 writes far beyond its share; tenant 1 sleeps.
+        dirty_pages(&mut nv, r0, 200)?;
+        ShardControlPlane::rebalance(&mut nv)?;
+        let [busy, idle] = budgets(&nv);
+        assert!(busy > idle * 3, "busy {busy} vs idle {idle}");
+        assert!(idle >= 4, "the floor protects the idle tenant");
+        assert_eq!(nv.total_assigned(), 64);
+        // Demand flips; so must the division.
+        dirty_pages(&mut nv, r1, 200)?;
+        ShardControlPlane::rebalance(&mut nv)?;
+        let [was_busy, now_busy] = budgets(&nv);
+        assert!(
+            now_busy > was_busy,
+            "{now_busy} must follow demand past {was_busy}"
+        );
+        assert_eq!(nv.total_assigned(), 64);
+        assert_eq!(nv.rebalances(), 2);
+        nv.check_invariants().map_err(ViyojitError::from)
+    }
+
+    fn a_shrinking_tenant_flushes_down<B: DirtyTracker>() -> Result<(), ViyojitError> {
+        let (mut nv, [r0, r1]) = two_tenants::<B>(40)?;
+        // Tenant 0 fills its whole initial share with dirty pages, then
+        // tenant 1 becomes the hot one.
+        dirty_pages(&mut nv, r0, 20)?;
+        assert_eq!(nv.shard(0).dirty_count(), 20);
+        dirty_pages(&mut nv, r1, 60)?;
+        ShardControlPlane::rebalance(&mut nv)?;
+        assert!(nv.shard(0).dirty_budget() < 20, "tenant 0's share shrank");
+        assert!(nv.shard(1).dirty_budget() > 20, "tenant 1's share grew");
+        for shard in 0..2 {
+            let engine = nv.shard(shard);
+            assert!(engine.dirty_count() <= engine.dirty_budget());
+        }
+        assert_eq!(nv.total_assigned(), 40);
+        nv.check_invariants().map_err(ViyojitError::from)
+    }
+
+    #[test]
+    fn budget_follows_the_busy_tenant_and_flips_with_demand() -> Result<(), ViyojitError> {
+        budget_follows_demand::<SoftwareWalk>()
+    }
+
+    #[test]
+    fn a_tenant_whose_share_shrinks_has_flushed_down_to_it() -> Result<(), ViyojitError> {
+        a_shrinking_tenant_flushes_down::<SoftwareWalk>()
+    }
+
+    #[test]
+    fn mmu_assisted_tenants_balloon_the_same_way() -> Result<(), ViyojitError> {
+        budget_follows_demand::<MmuAssisted>()?;
+        a_shrinking_tenant_flushes_down::<MmuAssisted>()
     }
 }

@@ -24,8 +24,9 @@
 //! - [`NvdramBaseline`] — the full-battery comparison system of Figs. 7-8
 //!   (the engine with the [`FullDirty`] backend, which tracks nothing);
 //! - [`ShardedViyojit`] — N per-shard engines multiplexing one battery's
-//!   budget through a [`BudgetTree`], with [`BalloonedCluster`] doing
-//!   the same across whole tenants (§6.3);
+//!   budget through the machine → tenant → shard budget hierarchy; §6.3's
+//!   ballooning between co-located tenants is the same frontend with one
+//!   single-shard tenant each ([`TenantQos`]);
 //! - [`PeriodicCountTracker`] — the flawed periodic-counting design §4.1
 //!   rejects, kept to demonstrate *why* synchronous tracking is required.
 //!
@@ -57,7 +58,6 @@
 //! # Ok::<(), viyojit::ViyojitError>(())
 //! ```
 
-mod balloon;
 mod baseline;
 mod codec;
 mod config;
@@ -74,17 +74,16 @@ mod runtime;
 mod stats;
 mod store;
 
-pub use balloon::BalloonedCluster;
 pub use baseline::{NvdramBaseline, PeriodicCountTracker};
 pub use codec::{rle_decode, rle_encode, FlushCodec};
 pub use config::{ThresholdPolicy, ViyojitConfig, ViyojitConfigBuilder};
 pub use dirty::{DirtySet, PageState};
 pub use engine::{
-    BudgetGrant, BudgetTree, DegradationConfig, DegradationGovernor, DegradeReason, DegradedMode,
-    DirtyTracker, Engine, EngineCore, FullDirty, MmuAssisted, ShardControlHandle,
-    ShardControlPlane, ShardDataHandle, ShardDataPlane, ShardStats, ShardedViyojit,
-    ShardedViyojitBuilder, SoftwareWalk, TenantId, TenantQos, TenantStats, MAX_FLUSH_ATTEMPTS,
-    RETRY_BACKOFF_BASE, RETRY_BACKOFF_MAX, ROUND_TIMEOUT,
+    DegradationConfig, DegradationGovernor, DegradeReason, DegradedMode, DirtyTracker, Engine,
+    EngineCore, FullDirty, MmuAssisted, ShardControlHandle, ShardControlPlane, ShardDataHandle,
+    ShardDataPlane, ShardStats, ShardedViyojit, ShardedViyojitBuilder, SoftwareWalk, TenantId,
+    TenantQos, TenantStats, MAX_FLUSH_ATTEMPTS, RETRY_BACKOFF_BASE, RETRY_BACKOFF_MAX,
+    ROUND_TIMEOUT,
 };
 pub use error::{InvariantViolation, ViyojitError};
 pub use heap::NvHeap;

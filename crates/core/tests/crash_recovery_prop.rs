@@ -16,7 +16,7 @@
 //! - every engine invariant holds after recovery.
 //!
 //! The parallel tests exercise the supervised runtime instead: a worker
-//! panicking between its `ShardStats` upload and its `BudgetGrant`
+//! panicking between its `ShardStats` upload and its budget-grant
 //! download is quarantined, respawned from its shards' durable state,
 //! and rejoined — siblings untouched, quarantined budget returned at the
 //! next round — while a zero restart budget degrades to the fatal typed

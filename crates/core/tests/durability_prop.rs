@@ -35,7 +35,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn build(budget: u64, policy: TargetPolicy) -> Viyojit {
     Viyojit::new(
         32,
-        ViyojitConfig::with_budget_pages(budget).with_target_policy(policy),
+        ViyojitConfig::builder(budget)
+            .target_policy(policy)
+            .build()
+            .unwrap(),
         Clock::new(),
         CostModel::calibrated(),
         SsdConfig::datacenter(),

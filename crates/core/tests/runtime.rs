@@ -308,7 +308,10 @@ fn stale_tlb_walks_degrade_victim_quality() {
     let run = |flush: bool| -> u64 {
         let mut v = Viyojit::new(
             64,
-            ViyojitConfig::with_budget_pages(16).with_tlb_flush_on_walk(flush),
+            ViyojitConfig::builder(16)
+                .tlb_flush_on_walk(flush)
+                .build()
+                .unwrap(),
             Clock::new(),
             CostModel::calibrated(),
             SsdConfig::datacenter(),
@@ -341,7 +344,10 @@ fn policies_differ_in_victim_choice() {
     let run = |policy: TargetPolicy| -> u64 {
         let mut v = Viyojit::new(
             64,
-            ViyojitConfig::with_budget_pages(4).with_target_policy(policy),
+            ViyojitConfig::builder(4)
+                .target_policy(policy)
+                .build()
+                .unwrap(),
             Clock::new(),
             CostModel::calibrated(),
             SsdConfig::datacenter(),
@@ -431,7 +437,10 @@ fn flush_codecs_shrink_physical_traffic_without_changing_data() {
     let run = |codec: FlushCodec| {
         let mut v = Viyojit::new(
             64,
-            ViyojitConfig::with_budget_pages(4).with_flush_codec(codec),
+            ViyojitConfig::builder(4)
+                .flush_codec(codec)
+                .build()
+                .unwrap(),
             Clock::new(),
             CostModel::free(),
             SsdConfig::instant(),
@@ -465,7 +474,10 @@ fn sector_flush_ships_only_modified_sectors() {
     let run = |sector: bool| {
         let mut v = Viyojit::new(
             64,
-            ViyojitConfig::with_budget_pages(2).with_sector_flush(sector),
+            ViyojitConfig::builder(2)
+                .sector_flush(sector)
+                .build()
+                .unwrap(),
             Clock::new(),
             CostModel::free(),
             SsdConfig::instant(),

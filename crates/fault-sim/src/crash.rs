@@ -61,7 +61,7 @@ pub enum Crashpoint {
     /// completion can retire it.
     FlushInFlight,
     /// Inside a parallel budget round, between the `ShardStats` upload and
-    /// the `BudgetGrant` download: the arbiter owns this worker's stats but
+    /// the budget-grant download: the arbiter owns this worker's stats but
     /// the worker never learns its grant.
     BudgetRound,
 }

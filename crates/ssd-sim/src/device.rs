@@ -297,6 +297,12 @@ impl Ssd {
         let busy = latency + self.config.transfer_time(bytes);
         let done = start + busy;
         self.channel_free[idx] = done;
+        // Nothing else prunes while telemetry is off. Doing it only when
+        // the list is full keeps a submit amortised O(1), same-instant
+        // bursts included, and bounds the list by the deepest queue seen.
+        if self.inflight.len() == self.inflight.capacity() {
+            self.prune_inflight();
+        }
         self.inflight.push(done);
         let wait = start.saturating_since(now);
         if !wait.is_zero() {
@@ -558,6 +564,27 @@ mod tests {
         let earliest = ssd.earliest_completion().unwrap();
         clock.advance_to(earliest);
         assert_eq!(ssd.outstanding(), 0, "all IOs complete at the same instant");
+    }
+
+    #[test]
+    fn completed_ios_do_not_accumulate_without_an_observer() {
+        // Telemetry off, nobody asking `outstanding()`: the shape of every
+        // figure binary and benchmark run.
+        let clock = Clock::new();
+        let cfg = SsdConfig::datacenter();
+        let channels = cfg.channels;
+        let mut ssd = Ssd::new(8, cfg, clock.clone());
+        for i in 0..100_000u64 {
+            let done = ssd.submit_write(PageId(i % 8), &page(i as u8));
+            clock.advance_to(done);
+        }
+        assert!(
+            ssd.inflight.capacity() <= 4 * channels,
+            "{} completions kept for {channels} channels",
+            ssd.inflight.capacity()
+        );
+        assert_eq!(ssd.outstanding(), 0);
+        assert_eq!(ssd.stats().writes, 100_000);
     }
 
     #[test]
