@@ -8,9 +8,11 @@
 //!
 //! - [`ShardDataHandle`] implements [`NvHeap`] + [`ShardDataPlane`]:
 //!   writes are validated against its [`Router`] and staged per worker
-//!   (batches of [`WRITE_BATCH`]) without taking any lock, reads and
-//!   mappings are synchronous request/reply, `step` drives the shared
-//!   driver timeline;
+//!   without taking any lock — one flat batch per worker, shipped at
+//!   [`WRITE_BATCH`] writes or a payload-byte cap and handed back empty
+//!   by the worker, so a steady-state `write` allocates nothing — reads
+//!   and mappings are synchronous request/reply, `step` drives the
+//!   shared driver timeline;
 //! - [`ShardControlHandle`] implements
 //!   [`ShardControlPlane`](super::ShardControlPlane) by locking the one
 //!   [`Coordinator`] both handles share.
@@ -24,6 +26,16 @@
 //! the shrink-before-grow barrier is simply that the coordinator, which
 //! holds the round mutex for the whole round, has every shrink answer in
 //! hand before it sends the first grow.
+//!
+//! A round is four such rendezvous, and what they cost is not the channel
+//! hops but the sleeps: a thread parked in a futex costs its peer a wake
+//! call and itself a wake-up latency. So both ends wait the same way
+//! (`receive`): poll the channel with a spin hint, then poll
+//! yielding the core, and only then block — the caller until the deadline
+//! it took on entry, the worker's command loop indefinitely. A healthy
+//! exchange completes within the polls and nobody sleeps; an idle worker
+//! or a long flush ends up parked as before; with more waiters than cores
+//! the yields hand the core to whoever has work.
 //!
 //! Determinism: with [`CostModel::free`] and [`SsdConfig::instant`]
 //! (where clocks move only on explicit `step`), a single caller observes
@@ -57,10 +69,12 @@
 
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use battery_sim::{Battery, PowerModel};
 use fault_sim::CrashSignal;
@@ -85,16 +99,73 @@ pub const WRITE_BATCH: usize = 64;
 /// [`ViyojitError::RoundTimeout`] instead of blocking forever.
 pub const ROUND_TIMEOUT: Duration = Duration::from_secs(10);
 
-#[derive(Debug)]
-struct StagedWrite {
-    route: Route,
-    offset: u64,
-    data: Vec<u8>,
+/// The most payload one batch carries, whatever its write count — a
+/// single larger write travels alone — and the most a buffer may have
+/// carried for its worker to hand it back: staging memory stays bounded
+/// however large the writes are.
+const BATCH_BYTES: usize = 16 * 1024;
+
+/// Served batches a worker's return channel holds; one handed back to a
+/// full channel is dropped instead.
+const RETURN_DEPTH: usize = 32;
+
+/// A wait polls its channel this many times with a spin hint, then up to
+/// [`YIELD_POLLS`] more times yielding the core in between, before it
+/// parks. Parking costs the peer a futex wake and this side a wake-up
+/// latency — tens of microseconds on a virtualised host, four times per
+/// budget round — while a healthy peer answers within the polls.
+const SPIN_POLLS: u32 = 128;
+const YIELD_POLLS: u32 = 2_000;
+
+/// Receives from `rx`, polling before parking. The deadline is taken on
+/// entry, so the polls never extend a bounded wait.
+fn receive<T>(rx: &Receiver<T>, timeout: Option<Duration>) -> Result<T, RecvTimeoutError> {
+    let deadline = timeout.map(|timeout| Instant::now() + timeout);
+    for poll in 0..SPIN_POLLS + YIELD_POLLS {
+        match rx.try_recv() {
+            Ok(message) => return Ok(message),
+            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) if poll < SPIN_POLLS => std::hint::spin_loop(),
+            // With more waiters than cores, the core goes to whoever has
+            // work instead of to this loop.
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    match deadline {
+        Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+    }
+}
+
+/// One worker's staged writes, flat: `(route, offset, len)` per write in
+/// program order, the payloads back to back in `bytes`. The worker slices
+/// it, clears it and hands it back, so both buffers keep their capacity
+/// and a steady-state `write` allocates nothing.
+#[derive(Debug, Default)]
+struct WriteBatch {
+    writes: Vec<(Route, u64, usize)>,
+    bytes: Vec<u8>,
+}
+
+impl WriteBatch {
+    fn push(&mut self, route: Route, offset: u64, data: &[u8]) {
+        self.writes.push((route, offset, data.len()));
+        self.bytes.extend_from_slice(data);
+    }
+
+    /// Whether `len` more payload bytes stay within [`BATCH_BYTES`].
+    fn fits(&self, len: usize) -> bool {
+        self.bytes.len() + len <= BATCH_BYTES
+    }
+
+    fn is_full(&self) -> bool {
+        self.writes.len() >= WRITE_BATCH || self.bytes.len() >= BATCH_BYTES
+    }
 }
 
 /// Everything one can ask of a worker's driver.
 enum Request {
-    WriteBatch(Vec<StagedWrite>),
+    WriteBatch(WriteBatch),
     Tick(SimDuration),
     Read {
         route: Route,
@@ -180,7 +251,7 @@ impl Links {
     }
 
     fn wait(rx: Receiver<Answer>) -> Result<Reply, WaitError> {
-        match rx.recv_timeout(ROUND_TIMEOUT) {
+        match receive(&rx, Some(ROUND_TIMEOUT)) {
             Ok(Ok(reply)) => Ok(reply),
             Ok(Err(WorkerDown { fatal })) => Err(WaitError::Down { fatal }),
             Err(RecvTimeoutError::Timeout) => Err(WaitError::Silent),
@@ -189,12 +260,17 @@ impl Links {
         }
     }
 
-    /// Round-trips a data-plane request to `thread`.
-    fn exchange(&self, thread: usize, request: Request) -> Result<Reply, ViyojitError> {
-        Links::wait(self.ask(thread, request)).map_err(|e| match e {
+    /// Awaits `thread`'s answer to a data-plane request.
+    fn answer(thread: usize, rx: Receiver<Answer>) -> Result<Reply, ViyojitError> {
+        Links::wait(rx).map_err(|e| match e {
             WaitError::Down { .. } => ViyojitError::ShardFailed { shard: thread },
             WaitError::Silent => ViyojitError::RoundTimeout,
         })
+    }
+
+    /// Round-trips a data-plane request to `thread`.
+    fn exchange(&self, thread: usize, request: Request) -> Result<Reply, ViyojitError> {
+        Links::answer(thread, self.ask(thread, request))
     }
 
     fn take_async_error(&self) -> Result<(), ViyojitError> {
@@ -384,6 +460,8 @@ fn panic_trigger(payload: &(dyn std::any::Any + Send)) -> String {
 struct Worker<B: DirtyTracker> {
     driver: ShardDriver<B>,
     rx: Receiver<Command>,
+    /// Where served write batches go back to the data handle.
+    served: SyncSender<WriteBatch>,
     error: Arc<Mutex<Option<ViyojitError>>>,
     /// This worker's thread index — also its first owned shard, which is
     /// how its events and errors name it.
@@ -409,7 +487,7 @@ struct Worker<B: DirtyTracker> {
 
 impl<B: DirtyTracker> Worker<B> {
     fn run(mut self) {
-        while let Ok((request, answer)) = self.rx.recv() {
+        while let Ok((request, answer)) = receive(&self.rx, None) {
             // `answer` stays outside the unwind boundary, so a panic
             // still answers the request that triggered it.
             let served = catch_unwind(AssertUnwindSafe(|| self.serve(request)));
@@ -465,11 +543,20 @@ impl<B: DirtyTracker> Worker<B> {
 
     fn serve(&mut self, request: Request) -> Reply {
         match request {
-            Request::WriteBatch(batch) => {
-                for w in batch {
-                    if let Err(e) = self.driver.write(w.route, w.offset, &w.data) {
+            Request::WriteBatch(mut batch) => {
+                let mut payload = batch.bytes.as_slice();
+                for &(route, offset, len) in &batch.writes {
+                    let (data, rest) = payload.split_at(len);
+                    payload = rest;
+                    if let Err(e) = self.driver.write(route, offset, data) {
                         self.record_error(e);
                     }
+                }
+                if batch.bytes.len() <= BATCH_BYTES {
+                    batch.writes.clear();
+                    batch.bytes.clear();
+                    // A full channel (or a dropped data handle) frees it.
+                    let _ = self.served.try_send(batch);
                 }
                 Reply::Done
             }
@@ -526,6 +613,7 @@ pub(super) fn spawn_parallel<B: DirtyTracker + Send + 'static>(
     let tree = b.tree();
     let error = Arc::new(Mutex::new(None));
     let mut txs = Vec::with_capacity(threads);
+    let mut recycled = Vec::with_capacity(threads);
     let mut joins = Vec::with_capacity(threads);
     for t in 0..threads {
         let clock = Clock::new();
@@ -538,9 +626,12 @@ pub(super) fn spawn_parallel<B: DirtyTracker + Send + 'static>(
         let owned = (t..shards).step_by(threads);
         let (tx, rx) = channel();
         txs.push(tx);
+        let (served, back) = sync_channel(RETURN_DEPTH);
+        recycled.push(Mutex::new(back));
         let worker = Worker {
             driver: ShardDriver::build(&b, &tree, owned, clock, &telemetry, profiler),
             rx,
+            served,
             error: Arc::clone(&error),
             thread: t,
             restart_budget: b.restart_budget,
@@ -572,7 +663,8 @@ pub(super) fn spawn_parallel<B: DirtyTracker + Send + 'static>(
     (
         ShardDataHandle {
             router: Router::new(shards),
-            staging: (0..threads).map(|_| Vec::new()).collect(),
+            staging: (0..threads).map(|_| WriteBatch::default()).collect(),
+            recycled,
             links,
             coord: Arc::clone(&shared),
         },
@@ -599,11 +691,15 @@ fn lock(coord: &Mutex<Coordinator<Workers>>) -> MutexGuard<'_, Coordinator<Worke
 /// per-worker batches; reads and mappings are synchronous request/reply
 /// exchanges with the owning worker. Asynchronous write errors surface at
 /// the next [`sync`](ShardDataPlane::sync) or
-/// [`step`](ShardDataPlane::step).
+/// [`step`](ShardDataPlane::step). Dropping the handle ships what is
+/// still staged, but has nowhere to report an error to.
 #[derive(Debug)]
 pub struct ShardDataHandle {
     router: Router,
-    staging: Vec<Vec<StagedWrite>>,
+    staging: Vec<WriteBatch>,
+    /// Per worker, the served batches it handed back for reuse. The
+    /// mutex is never locked (`get_mut`): it keeps the handle `Sync`.
+    recycled: Vec<Mutex<Receiver<WriteBatch>>>,
     links: Arc<Links>,
     coord: Arc<Mutex<Coordinator<Workers>>>,
 }
@@ -620,10 +716,13 @@ impl ShardDataHandle {
     }
 
     fn flush_thread(&mut self, thread: usize) -> Result<(), ViyojitError> {
-        if self.staging[thread].is_empty() {
+        if self.staging[thread].writes.is_empty() {
             return Ok(());
         }
-        let batch = std::mem::take(&mut self.staging[thread]);
+        let recycled = self.recycled[thread].get_mut();
+        let recycled = recycled.unwrap_or_else(PoisonError::into_inner);
+        let spare = recycled.try_recv().unwrap_or_default();
+        let batch = std::mem::replace(&mut self.staging[thread], spare);
         self.links.post(thread, Request::WriteBatch(batch))
     }
 
@@ -679,12 +778,11 @@ impl NvHeap for ShardDataHandle {
         let route = self.router.route(region)?;
         route.check(offset, data.len())?;
         let thread = self.links.thread_of_shard[route.shard];
-        self.staging[thread].push(StagedWrite {
-            route,
-            offset,
-            data: data.to_vec(),
-        });
-        if self.staging[thread].len() >= WRITE_BATCH {
+        if !self.staging[thread].fits(data.len()) {
+            self.flush_thread(thread)?;
+        }
+        self.staging[thread].push(route, offset, data);
+        if self.staging[thread].is_full() {
             self.flush_thread(thread)?;
         }
         Ok(())
@@ -705,14 +803,25 @@ impl ShardDataPlane for ShardDataHandle {
         self.links.take_async_error()
     }
 
-    /// Flushes staged writes, barriers on every worker, and surfaces any
-    /// asynchronous write error.
+    /// Flushes staged writes, barriers on every worker — all asked before
+    /// any is awaited — and surfaces any asynchronous write error.
     fn sync(&mut self) -> Result<(), ViyojitError> {
         self.flush_all()?;
-        for t in 0..self.staging.len() {
-            self.links.exchange(t, Request::Sync)?;
+        let pending: Vec<_> = (0..self.staging.len())
+            .map(|t| self.links.ask(t, Request::Sync))
+            .collect();
+        for (t, rx) in pending.into_iter().enumerate() {
+            Links::answer(t, rx)?;
         }
         self.links.take_async_error()
+    }
+}
+
+impl Drop for ShardDataHandle {
+    /// Writes that returned `Ok` must reach their shards even if only the
+    /// control handle lives on to `power_failure()` and `recover()`.
+    fn drop(&mut self) {
+        let _ = self.flush_all();
     }
 }
 
@@ -751,5 +860,197 @@ impl ShardControlHandle {
     /// Aggregated SSD counters across all shards.
     pub fn ssd_stats(&mut self) -> Result<SsdStats, ViyojitError> {
         lock(&self.coord).ssd_stats(None)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::ShardControlPlane;
+    use super::*;
+    use crate::ViyojitConfig;
+    use fault_sim::{CrashSchedule, Crashpoint};
+    use mem_sim::PAGE_SIZE;
+
+    const PAGE: u64 = PAGE_SIZE as u64;
+
+    /// One shard of 64 pages: every write goes to worker 0.
+    fn one_shard(budget: u64) -> ShardedViyojitBuilder {
+        ShardedViyojitBuilder::new(1, 64, ViyojitConfig::with_budget_pages(budget))
+    }
+
+    fn contents<H: NvHeap>(nv: &mut H, region: RegionId, pages: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; (pages * PAGE) as usize];
+        nv.read(region, 0, &mut buf).expect("an in-range read");
+        buf
+    }
+
+    #[test]
+    fn a_batch_of_mixed_length_writes_reads_back_as_the_sequential_frontend() {
+        let long = [4u8; 200];
+        let writes: [(u64, &[u8]); 7] = [
+            (0, &[]),
+            (5, &[1]),
+            (100, &[2; 64]),
+            (PAGE - 100, &long), // spans pages 0 and 1
+            (2 * PAGE + 300, &[5; 16]),
+            (2 * PAGE + 310, &[6; 16]), // overlaps the write before it
+            (2 * PAGE + 320, &[7; 3]),
+        ];
+        let mut seq = one_shard(16).build_sequential().expect("valid");
+        let (mut data, mut ctrl) = one_shard(16).build_parallel().expect("valid");
+        let (rs, rp) = (seq.map(4 * PAGE).unwrap(), data.map(4 * PAGE).unwrap());
+        for (offset, bytes) in writes {
+            seq.write(rs, offset, bytes).unwrap();
+            data.write(rp, offset, bytes).unwrap();
+        }
+        assert_eq!(data.staging[0].writes.len(), writes.len(), "one batch");
+        assert_eq!(contents(&mut data, rp, 4), contents(&mut seq, rs, 4));
+        assert!(data.staging[0].writes.is_empty(), "a read drains the batch");
+        assert_eq!(ctrl.dirty_count().unwrap(), seq.dirty_count());
+    }
+
+    #[test]
+    fn the_byte_cap_closes_a_batch_early_and_an_oversized_buffer_is_not_kept() {
+        let (mut data, _ctrl) = one_shard(16).build_parallel().expect("valid");
+        let region = data.map(16 * PAGE).unwrap();
+        let chunk = vec![9u8; BATCH_BYTES / 3 - 100];
+        for i in 0..3 {
+            assert_eq!(data.staging[0].writes.len(), i);
+            data.write(region, i as u64 * 2 * PAGE, &chunk).unwrap();
+        }
+        data.write(region, 6 * PAGE, &chunk).unwrap();
+        assert_eq!(
+            data.staging[0].writes.len(),
+            1,
+            "a fourth would cross the cap: three ship, far short of WRITE_BATCH"
+        );
+        data.sync().unwrap();
+
+        // One write of twice the cap is a batch of its own; its buffer is
+        // freed by the worker instead of travelling back.
+        let big = vec![3u8; 2 * BATCH_BYTES];
+        data.write(region, 0, &big).unwrap();
+        assert!(data.staging[0].writes.is_empty());
+        data.sync().unwrap();
+        let back = data.recycled[0].get_mut().unwrap();
+        assert!(back
+            .try_iter()
+            .chain([std::mem::take(&mut data.staging[0])])
+            .all(|batch| batch.bytes.capacity() < big.len()));
+        assert_eq!(contents(&mut data, region, 8), big);
+
+        // Small batches do come back: after a sync the staging buffer is a
+        // served one, capacity intact.
+        for _ in 0..2 * WRITE_BATCH {
+            data.write(region, 0, &[1; 64]).unwrap();
+        }
+        data.sync().unwrap();
+        data.write(region, 0, &[1; 64]).unwrap();
+        data.flush_all().unwrap();
+        assert!(data.staging[0].bytes.capacity() >= WRITE_BATCH * 64);
+    }
+
+    #[test]
+    fn an_asynchronous_write_error_surfaces_at_the_next_sync_and_later_batches_land() {
+        let (mut data, _ctrl) = one_shard(16).build_parallel().expect("valid");
+        let region = data.map(PAGE).unwrap();
+        // `write` validates against the router, so only a route the
+        // worker's engine does not know can fail behind it.
+        let route = data.router.route(region).unwrap();
+        let unknown = RegionId(route.local.0 + 7);
+        let stale = Route {
+            local: unknown,
+            ..route
+        };
+        data.staging[0].push(stale, 0, &[1]);
+        data.flush_all().unwrap();
+        data.write(region, 8, &[2; 8]).unwrap();
+        assert_eq!(data.sync(), Err(ViyojitError::BadRegion(unknown)));
+        let mut buf = [0u8; 8];
+        data.read(region, 8, &mut buf).unwrap();
+        assert_eq!(buf, [2; 8], "the batch behind the failed one was served");
+        assert_eq!(data.sync(), Ok(()), "an error is reported once");
+    }
+
+    #[test]
+    fn a_worker_that_panics_mid_batch_respawns_and_staging_goes_on() {
+        // Budget 4, eight pages: the fifth write forces a flush, and the
+        // armed seam fires inside it — inside the worker's `WriteBatch`.
+        let crashes = CrashSchedule::armed(Crashpoint::FlushInFlight, 1);
+        let (mut data, mut ctrl) = one_shard(4)
+            .crashes(crashes.clone())
+            .restart_budget(1)
+            .build_parallel()
+            .expect("valid");
+        let region = data.map(8 * PAGE).unwrap();
+        for page in 0..8 {
+            data.write(region, page * PAGE, &[1; 64]).unwrap();
+        }
+        data.sync().expect("the barrier queues behind the respawn");
+        assert_eq!(
+            crashes.fired().map(|signal| signal.point),
+            Some(Crashpoint::FlushInFlight)
+        );
+        let back = data.recycled[0].get_mut().unwrap();
+        assert!(back.try_recv().is_err(), "the unwind dropped the batch");
+
+        for page in 0..8 {
+            data.write(region, page * PAGE, &[2; 64]).unwrap();
+        }
+        data.sync().unwrap();
+        let mut buf = [0u8; 64];
+        for page in 0..8 {
+            data.read(region, page * PAGE, &mut buf).unwrap();
+            assert_eq!(buf, [2; 64]);
+        }
+        assert!(ctrl.dirty_count().unwrap() <= 4);
+    }
+
+    #[test]
+    fn eight_workers_on_fewer_cores_complete_two_hundred_rounds() {
+        let config = ViyojitConfig::with_budget_pages(64);
+        let (mut data, mut ctrl) = ShardedViyojitBuilder::new(8, 64, config)
+            .min_per_shard(2)
+            .rebalance_period(SimDuration::from_millis(1))
+            .build_parallel()
+            .expect("valid");
+        // One region, so one worker has the writes and seven only wait.
+        let region = data.map(16 * PAGE).unwrap();
+        for round in 0..200u64 {
+            for page in 0..16 {
+                data.write(region, page * PAGE, &[round as u8; 64]).unwrap();
+            }
+            data.step(SimDuration::from_millis(1)).unwrap();
+        }
+        assert_eq!(ctrl.rebalances().unwrap(), 200);
+    }
+
+    #[test]
+    fn dropping_the_data_handle_ships_what_is_still_staged() {
+        let mut seq = one_shard(16).build_sequential().expect("valid");
+        let (mut data, mut ctrl) = one_shard(16).build_parallel().expect("valid");
+        let (rs, rp) = (seq.map(4 * PAGE).unwrap(), data.map(4 * PAGE).unwrap());
+        for page in 0..3 {
+            seq.write(rs, page * PAGE, &[page as u8 + 1; 64]).unwrap();
+            data.write(rp, page * PAGE, &[page as u8 + 1; 64]).unwrap();
+        }
+        let route = data.router.route(rp).unwrap();
+        drop(data);
+        assert_eq!(ctrl.dirty_count().unwrap(), seq.dirty_count());
+        assert_eq!(ctrl.power_failure().unwrap(), seq.power_failure());
+        ctrl.recover().unwrap();
+        seq.recover();
+
+        // Only the data handle reads; ask the worker as it would have.
+        let request = Request::Read {
+            route,
+            offset: 0,
+            len: 4 * PAGE_SIZE,
+        };
+        let links = Arc::clone(&lock(&ctrl.coord).transport.links);
+        let Ok(Reply::Read(Ok(recovered))) = links.exchange(0, request) else {
+            panic!("the worker serves reads after recovery");
+        };
+        assert_eq!(recovered, contents(&mut seq, rs, 4));
     }
 }
