@@ -66,13 +66,9 @@ pub trait DirtyTracker: Sized + std::fmt::Debug {
     fn mark_in_flight(core: &mut EngineCore, backend: &mut Self, victim: PageId);
 
     /// The physical bytes one flush of `victim` ships (the §7
-    /// reductions); full pages when the backend does not track payloads.
-    fn flush_payload(
-        core: &mut EngineCore,
-        backend: &mut Self,
-        victim: PageId,
-        data: &[u8],
-    ) -> usize;
+    /// reductions), priced from the page's bytes where they lie; full
+    /// pages when the backend does not track payloads.
+    fn flush_payload(core: &mut EngineCore, backend: &mut Self, victim: PageId) -> usize;
 
     /// A flush IO for `page` completed: move it clean and release its
     /// budget slot.
@@ -128,39 +124,6 @@ pub struct SoftwareWalk {
     /// Content hashes of pages durable on the SSD (dedup codec only).
     dedup_hashes: std::collections::HashSet<u64>,
     new_dirty_this_epoch: u64,
-}
-
-/// The physical payload one page flush costs under the configured §7
-/// reductions: sector-granular shipping (when a durable base exists to
-/// patch), compression, or a dedup reference when the whole content is
-/// already durable. When both sector flushing and a codec are enabled,
-/// the cheaper of the two applies.
-fn physical_flush_bytes(
-    core: &mut EngineCore,
-    sw: &mut SoftwareWalk,
-    page: PageId,
-    data: &[u8],
-) -> usize {
-    let codec_bytes = match core.config.flush_codec {
-        FlushCodec::Raw => PAGE_SIZE,
-        FlushCodec::Rle => encoded_page_bytes(FlushCodec::Rle, data),
-        FlushCodec::RleDedup => {
-            let hash = page_content_hash(data);
-            if sw.dedup_hashes.insert(hash) {
-                encoded_page_bytes(FlushCodec::Rle, data)
-            } else {
-                DEDUP_RECORD_BYTES
-            }
-        }
-    };
-    if core.config.sector_flush && core.ssd.contains(page) {
-        // Clean sectors already match the durable base copy, so only
-        // the modified sectors (plus an 8 B mask) need shipping.
-        let sector_bytes = core.mmu.dirty_sector_bytes(page) + 8;
-        codec_bytes.min(sector_bytes.min(PAGE_SIZE))
-    } else {
-        codec_bytes
-    }
 }
 
 /// The write-protection fault handler (Fig. 6 steps 3-8).
@@ -259,14 +222,35 @@ impl DirtyTracker for SoftwareWalk {
         backend.dirty.mark_in_flight(victim);
     }
 
-    fn flush_payload(
-        core: &mut EngineCore,
-        backend: &mut Self,
-        victim: PageId,
-        data: &[u8],
-    ) -> usize {
-        let physical = physical_flush_bytes(core, backend, victim, data);
-        core.mmu.clear_sector_mask(victim);
+    /// The physical payload one page flush costs under the configured §7
+    /// reductions: sector-granular shipping (when a durable base exists to
+    /// patch), compression, or a dedup reference when the whole content is
+    /// already durable. When both sector flushing and a codec are enabled,
+    /// the cheaper of the two applies. Pricing a page also clears its §7
+    /// sector mask: the next flush ships what is written from here on.
+    fn flush_payload(core: &mut EngineCore, sw: &mut Self, page: PageId) -> usize {
+        let data = core.mmu.page_data(page);
+        let codec_bytes = match core.config.flush_codec {
+            FlushCodec::Raw => PAGE_SIZE,
+            FlushCodec::Rle => encoded_page_bytes(FlushCodec::Rle, data),
+            FlushCodec::RleDedup => {
+                let hash = page_content_hash(data);
+                if sw.dedup_hashes.insert(hash) {
+                    encoded_page_bytes(FlushCodec::Rle, data)
+                } else {
+                    DEDUP_RECORD_BYTES
+                }
+            }
+        };
+        let physical = if core.config.sector_flush && core.ssd.contains(page) {
+            // Clean sectors already match the durable base copy, so only
+            // the modified sectors (plus an 8 B mask) need shipping.
+            let sector_bytes = core.mmu.dirty_sector_bytes(page) + 8;
+            codec_bytes.min(sector_bytes.min(PAGE_SIZE))
+        } else {
+            codec_bytes
+        };
+        core.mmu.clear_sector_mask(page);
         physical
     }
 
@@ -311,9 +295,7 @@ impl DirtyTracker for SoftwareWalk {
         let mut items = Vec::with_capacity(pages.len());
         let mut physical = 0u64;
         for &p in &pages {
-            let data = core.mmu.page_data(p).to_vec();
-            let payload = physical_flush_bytes(core, backend, p, &data);
-            core.mmu.clear_sector_mask(p);
+            let payload = Self::flush_payload(core, backend, p);
             physical += payload as u64;
             items.push(ObligationItem { page: p, payload });
         }
@@ -327,13 +309,7 @@ impl DirtyTracker for SoftwareWalk {
     fn recover_memory(core: &mut EngineCore, backend: &mut Self) {
         for i in 0..core.mmu.pages() {
             let page = PageId(i as u64);
-            match core.ssd.page_data(page) {
-                Some(durable) => {
-                    let durable = durable.to_vec();
-                    core.mmu.page_data_mut(page).copy_from_slice(&durable);
-                }
-                None => core.mmu.page_data_mut(page).fill(0),
-            }
+            reload_page(core, page);
             core.mmu.protect_page(page);
             core.mmu.clear_sector_mask(page);
         }
@@ -440,7 +416,23 @@ fn page_matches_durable(core: &EngineCore, page: PageId) -> bool {
     let mem = core.mmu.page_data(page);
     match core.ssd.page_data(page) {
         Some(durable) => durable == mem,
-        None => mem.iter().all(|&b| b == 0),
+        None => is_zero(mem),
+    }
+}
+
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == 0)
+}
+
+/// Recovery's reload of one page: the device's copy, which leaves the page
+/// in sync with the device, or zeroes for a page never flushed. A page
+/// that is zero already is only read, so recovery does not first-touch
+/// memory the run never did.
+fn reload_page(core: &mut EngineCore, page: PageId) {
+    match core.ssd.page_data(page) {
+        Some(durable) => core.mmu.load_page(page, durable),
+        None if is_zero(core.mmu.page_data(page)) => {}
+        None => core.mmu.page_data_mut(page).fill(0),
     }
 }
 
@@ -596,12 +588,7 @@ impl DirtyTracker for MmuAssisted {
         backend.in_flight.set(victim.index());
     }
 
-    fn flush_payload(
-        _core: &mut EngineCore,
-        _backend: &mut Self,
-        _victim: PageId,
-        _data: &[u8],
-    ) -> usize {
+    fn flush_payload(_core: &mut EngineCore, _backend: &mut Self, _victim: PageId) -> usize {
         // The hardware mode ships full pages (no codec integration).
         PAGE_SIZE
     }
@@ -679,13 +666,7 @@ impl DirtyTracker for MmuAssisted {
     fn recover_memory(core: &mut EngineCore, backend: &mut Self) {
         for i in 0..core.mmu.pages() {
             let page = PageId(i as u64);
-            match core.ssd.page_data(page) {
-                Some(durable) => {
-                    let durable = durable.to_vec();
-                    core.mmu.page_data_mut(page).copy_from_slice(&durable);
-                }
-                None => core.mmu.page_data_mut(page).fill(0),
-            }
+            reload_page(core, page);
             core.mmu.unprotect_page(page);
         }
         core.mmu.set_dirty_limit(None);
@@ -794,12 +775,7 @@ impl DirtyTracker for FullDirty {
         unreachable!("the baseline issues no flushes")
     }
 
-    fn flush_payload(
-        _core: &mut EngineCore,
-        _backend: &mut Self,
-        _victim: PageId,
-        _data: &[u8],
-    ) -> usize {
+    fn flush_payload(_core: &mut EngineCore, _backend: &mut Self, _victim: PageId) -> usize {
         PAGE_SIZE
     }
 
@@ -837,14 +813,7 @@ impl DirtyTracker for FullDirty {
 
     fn recover_memory(core: &mut EngineCore, _backend: &mut Self) {
         for i in 0..core.mmu.pages() {
-            let page = PageId(i as u64);
-            match core.ssd.page_data(page) {
-                Some(durable) => {
-                    let durable = durable.to_vec();
-                    core.mmu.page_data_mut(page).copy_from_slice(&durable);
-                }
-                None => core.mmu.page_data_mut(page).fill(0),
-            }
+            reload_page(core, PageId(i as u64));
         }
     }
 

@@ -23,7 +23,7 @@ use telemetry::{CostClass, TraceEvent};
 
 use crate::{FlushOutcome, PowerFailureReport};
 
-use super::EngineCore;
+use super::{hand_to_device, EngineCore};
 
 /// Write retry policy for transient SSD errors during the emergency flush.
 /// Backoff doubles from `RETRY_BACKOFF_BASE` per attempt, capped at
@@ -118,8 +118,7 @@ pub(crate) fn execute(
     // analytical flush exactly (same submissions, same report).
     if supply.is_none() && !core.faults.is_active() {
         for item in &items {
-            let data = core.mmu.page_data(item.page).to_vec();
-            core.ssd.submit_write_sized(item.page, &data, item.payload);
+            hand_to_device(core, item.page, item.payload, 0);
         }
         let flush_time = core.ssd.config().drain_time(obligation_bytes);
         core.profiler
@@ -204,8 +203,9 @@ pub(crate) fn execute(
             attempt += 1;
         };
         if flushed {
-            let data = core.mmu.page_data(item.page).to_vec();
-            core.ssd.submit_write_sized(item.page, &data, item.payload);
+            // The attempts above drew this page's faults; a lost page
+            // never gets here and keeps its unsynced sectors.
+            hand_to_device(core, item.page, item.payload, 0);
             bytes_flushed += item.payload as u64;
             pages_flushed += 1;
         } else {

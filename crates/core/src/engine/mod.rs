@@ -113,9 +113,6 @@ pub struct EngineCore {
     /// default, in which case each `crashpoint!` check is a null test
     /// charging zero virtual time.
     pub(crate) crashes: CrashSchedule,
-    /// The page snapshot `issue_flush` hands the SSD, kept between flushes
-    /// so each one reuses the 4 KiB instead of allocating it.
-    pub(crate) flush_snapshot: Vec<u8>,
 }
 
 /// One NV-DRAM manager: the shared Fig. 6 state machine parameterised by
@@ -191,7 +188,6 @@ impl<B: DirtyTracker> Engine<B> {
                 profiler: Profiler::disabled(),
                 faults: FaultPlan::none(),
                 crashes: CrashSchedule::none(),
-                flush_snapshot: Vec::new(),
                 config,
                 clock,
                 mmu,
@@ -677,9 +673,51 @@ pub(crate) fn issue_proactive_down_to<B: DirtyTracker>(
     }
 }
 
-/// Re-protects `victim`, snapshots it, and submits its flush (Fig. 6
-/// steps 6-7). Write-protecting *before* the SSD write is what makes
-/// the snapshot safe against concurrent updates (§5.1).
+/// Hands `page`'s bytes to the device, in place — the one point where
+/// NV-DRAM contents reach the SSD, for the copier and the emergency flush
+/// alike — and returns the write's completion instant. The page's
+/// unsynced sectors are taken here, once: the device copies those and
+/// already holds the rest.
+///
+/// The first `fallible_attempts` submissions consult the fault plan; each
+/// injected error occupies its channel (naturally serialising the retry
+/// behind it), and every retry carries the same sectors, since a failed
+/// attempt copied none. After them the write is forced through — a copy
+/// that is handed over must land. The emergency executor passes 0: it has
+/// drawn the page's faults on its own timeline before it gets here. With
+/// an inactive plan the fallible submit never errs and is byte-identical
+/// to the plain one.
+pub(crate) fn hand_to_device(
+    core: &mut EngineCore,
+    page: PageId,
+    physical: usize,
+    fallible_attempts: u32,
+) -> SimTime {
+    let unsynced = core.mmu.take_unsynced(page);
+    let data = core.mmu.page_data(page);
+    for attempt in 1..=fallible_attempts {
+        match core
+            .ssd
+            .try_submit_write_sized(page, data, physical, unsynced)
+        {
+            Ok(done) => return done,
+            Err(err) => {
+                core.stats.flush_retries += 1;
+                let backoff = err.retry_after.saturating_since(core.clock.now());
+                core.telemetry.emit(|| TraceEvent::FlushRetry {
+                    page: page.0,
+                    attempt,
+                    backoff_nanos: backoff.as_nanos(),
+                });
+            }
+        }
+    }
+    core.ssd.submit_write_sized(page, data, physical, unsynced)
+}
+
+/// Re-protects `victim` and submits its flush (Fig. 6 steps 6-7).
+/// Write-protecting *before* the SSD write is what makes the page's bytes
+/// a stable snapshot where they lie (§5.1), so none is taken.
 pub(crate) fn issue_flush<B: DirtyTracker>(
     core: &mut EngineCore,
     backend: &mut B,
@@ -695,38 +733,11 @@ pub(crate) fn issue_flush<B: DirtyTracker>(
     core.mmu.protect_page(victim);
     B::mark_in_flight(core, backend, victim);
     core.selector.on_removed(victim);
-    let mut data = std::mem::take(&mut core.flush_snapshot);
-    data.clear();
-    data.extend_from_slice(core.mmu.page_data(victim));
-    let physical = B::flush_payload(core, backend, victim, &data);
-    // Copier writes go through the fallible submit so an active fault
-    // plan can inject transient errors; each failed attempt occupies its
-    // channel (naturally serialising the retry behind it) and is retried
-    // up to the emergency executor's attempt cap, after which the write
-    // is forced through — a runtime copy must eventually land, only the
-    // emergency flush is allowed to abandon pages. With an inactive plan
-    // the fallible path never errs and is byte-identical to the plain
-    // submit.
-    let mut attempt = 1u32;
-    let done = loop {
-        match core.ssd.try_submit_write_sized(victim, &data, physical) {
-            Ok(done) => break done,
-            Err(err) => {
-                core.stats.flush_retries += 1;
-                let backoff = err.retry_after.saturating_since(core.clock.now());
-                core.telemetry.emit(|| TraceEvent::FlushRetry {
-                    page: victim.0,
-                    attempt,
-                    backoff_nanos: backoff.as_nanos(),
-                });
-                if attempt >= MAX_FLUSH_ATTEMPTS {
-                    break core.ssd.submit_write_sized(victim, &data, physical);
-                }
-                attempt += 1;
-            }
-        }
-    };
-    core.flush_snapshot = data;
+    let physical = B::flush_payload(core, backend, victim);
+    // A runtime copy retries injected errors up to the emergency
+    // executor's attempt cap and is then forced through: only the
+    // emergency flush is allowed to abandon pages.
+    let done = hand_to_device(core, victim, physical, MAX_FLUSH_ATTEMPTS);
     core.inflight.push((done, victim));
     core.next_due = core.next_due.min(done);
     // Power cut with the IO just submitted: the page is write-protected

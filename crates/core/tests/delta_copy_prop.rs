@@ -1,0 +1,311 @@
+//! Seeded property test for the host-side delta copy: the device image
+//! after sector-masked copies must be the image whole-page copies would
+//! have left.
+//!
+//! A flush hands `Ssd` the page's bytes in place plus the `Mmu`'s
+//! unsynced-sector mask, and only the masked 64 B sectors are copied into
+//! the image. The slow model is the copy that ignores the mask. Debug
+//! builds run it inside `Ssd` after every delta copy; this test runs it
+//! from outside, in release builds too: it keeps its own image of NV-DRAM
+//! and, from the `SsdSubmit` events of each step, the image a device that
+//! always copied whole pages would hold, and compares the real one against
+//! it after every step, next to `durable_state_consistent`.
+//!
+//! Hand-rolled property loops in the shape of `fault_recovery_prop.rs`:
+//! every life is a pure function of a `u64` seed through `SplitMix64`. A
+//! failure prints its seed; `FAULT_SEED=<n>` replays that seed alone.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use battery_sim::{Battery, BatteryConfig, PowerModel};
+use mem_sim::{PageId, PAGE_SIZE};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
+use ssd_sim::SsdConfig;
+use viyojit::{
+    DirtyTracker, Engine, FaultConfig, FaultPlan, FullDirty, MmuAssisted, NvHeap, RegionId,
+    SoftwareWalk, Telemetry, TraceEvent, ViyojitConfig,
+};
+
+const PAGE: u64 = PAGE_SIZE as u64;
+const TOTAL_PAGES: usize = 64;
+const REGIONS: usize = 3;
+const REGION_PAGES: u64 = 12;
+const BUDGET: u64 = 8;
+const STEPS: usize = 160;
+const SEEDS_PER_BACKEND: u64 = 24;
+const WRITE_ERROR_RATE: f64 = 0.2;
+/// Non-vacuity: every life must make at least this many copies of fewer
+/// than 64 sectors, or the property compared whole-page copies to
+/// whole-page copies.
+const MIN_PARTIAL_COPIES: u64 = 32;
+
+fn for_each_seed(life: impl Fn(u64)) {
+    let seeds: Vec<u64> = match std::env::var("FAULT_SEED") {
+        Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
+        Err(_) => (0..SEEDS_PER_BACKEND).collect(),
+    };
+    for seed in seeds {
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| life(seed))) {
+            eprintln!("delta_copy_prop: seed {seed} failed; replay with FAULT_SEED={seed}");
+            resume_unwind(panic);
+        }
+    }
+}
+
+struct Life<B: DirtyTracker> {
+    nv: Engine<B>,
+    rng: SplitMix64,
+    telemetry: Telemetry,
+    /// `seq` of the first trace event not looked at yet.
+    next_seq: u64,
+    regions: Vec<RegionId>,
+    /// What NV-DRAM holds, every page of it: recovery reloads unmapped
+    /// pages too.
+    memory: Vec<u8>,
+    /// What a device that copied the whole page at every submit holds.
+    reference: Vec<Option<Vec<u8>>>,
+    step: usize,
+}
+
+fn page_of(image: &[u8], page: usize) -> &[u8] {
+    &image[page * PAGE_SIZE..(page + 1) * PAGE_SIZE]
+}
+
+impl<B: DirtyTracker> Life<B> {
+    fn new(seed: u64) -> Self {
+        let clock = Clock::new();
+        let telemetry = Telemetry::recording(clock.clone());
+        let config = ViyojitConfig::builder(BUDGET)
+            .sector_flush(seed % 2 == 1)
+            .build()
+            .expect("a valid configuration");
+        let mut nv = Engine::<B>::new(
+            TOTAL_PAGES,
+            config,
+            clock,
+            CostModel::calibrated(),
+            SsdConfig::datacenter(),
+        );
+        nv.attach_telemetry(telemetry.clone());
+        // One life in four runs fault-free, which is what takes the
+        // emergency flush's analytical fast path.
+        if seed % 4 != 0 {
+            let mut faults = FaultConfig::none();
+            faults.ssd_write_error_rate = WRITE_ERROR_RATE;
+            nv.attach_faults(FaultPlan::seeded(seed, faults));
+        }
+        let regions = (0..REGIONS)
+            .map(|_| nv.map(REGION_PAGES * PAGE).expect("map"))
+            .collect();
+        Life {
+            nv,
+            rng: SplitMix64::new(seed ^ 0xde17_ac09),
+            telemetry,
+            next_seq: 0,
+            regions,
+            memory: vec![0; TOTAL_PAGES * PAGE_SIZE],
+            reference: vec![None; TOTAL_PAGES],
+            step: 0,
+        }
+    }
+
+    fn first_page(&self, region: usize) -> usize {
+        let (_, info) = self
+            .nv
+            .regions()
+            .find(|&(id, _)| id == self.regions[region])
+            .expect("a live region");
+        info.first_page.index()
+    }
+
+    /// Pages submitted to the device since the last call, in order.
+    fn submitted(&mut self) -> Vec<usize> {
+        assert_eq!(self.telemetry.dropped_events(), 0, "trace ring overflowed");
+        let fresh: Vec<usize> = self
+            .telemetry
+            .events()
+            .iter()
+            .filter(|e| e.seq >= self.next_seq)
+            .filter_map(|e| match e.event {
+                TraceEvent::SsdSubmit { page, .. } => Some(page as usize),
+                _ => None,
+            })
+            .collect();
+        self.next_seq = self.telemetry.recorded_events();
+        fresh
+    }
+
+    /// Closes one step: brings the reference up to date with what the step
+    /// submitted and checks the device image against it. `written` names
+    /// the one page the step changed in memory and its bytes before: a
+    /// submit of that page carried its bytes from before the write or from
+    /// after, and the events do not say which, so either whole page is
+    /// accepted — a page made of some sectors of each is not.
+    fn settle(&mut self, what: &str, written: Option<(usize, &[u8])>) {
+        let step = self.step;
+        for page in self.submitted() {
+            let now = page_of(&self.memory, page);
+            let held = self.nv.ssd().page_data(PageId(page as u64));
+            self.reference[page] = match written {
+                Some((changed, before)) if changed == page && held == Some(before) => {
+                    Some(before.to_vec())
+                }
+                _ => Some(now.to_vec()),
+            };
+        }
+        for page in 0..TOTAL_PAGES {
+            let held = self.nv.ssd().page_data(PageId(page as u64));
+            assert!(
+                held == self.reference[page].as_deref(),
+                "step {step} ({what}): the device's page {page} is not what whole-page copies leave"
+            );
+        }
+        for region in 0..REGIONS {
+            let at = self.first_page(region) * PAGE_SIZE;
+            let mut seen = vec![0u8; (REGION_PAGES * PAGE) as usize];
+            self.nv
+                .peek(self.regions[region], 0, &mut seen)
+                .expect("peek");
+            assert!(
+                seen == self.memory[at..at + seen.len()],
+                "step {step} ({what}): the test's image of region {region} went stale"
+            );
+        }
+        self.nv.validate();
+    }
+
+    fn assert_clean_pages_are_durable(&self, what: &str) {
+        assert!(
+            self.nv.durable_state_consistent(),
+            "step {} ({what}): a clean mapped page differs from its device copy",
+            self.step
+        );
+    }
+
+    /// One write of 1..=`longest` bytes that stays inside `page`.
+    fn write_in_page(&mut self, region: usize, page: u64, longest: u64) {
+        let offset = self.rng.below(PAGE);
+        let len = (1 + self.rng.below(longest)).min(PAGE - offset) as usize;
+        let fill = self.rng.next_u64() as u8;
+        let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+        let frame = self.first_page(region) + page as usize;
+        let before = page_of(&self.memory, frame).to_vec();
+        self.nv
+            .write(self.regions[region], page * PAGE + offset, &data)
+            .expect("write");
+        let at = frame * PAGE_SIZE + offset as usize;
+        self.memory[at..at + len].copy_from_slice(&data);
+        self.settle("write", Some((frame, &before)));
+    }
+
+    fn power_cycle(&mut self) {
+        let report = if self.rng.chance(0.5) {
+            self.nv.power_failure()
+        } else {
+            // Hold-up for fewer pages than may be owed, so some are lost.
+            let owed = if B::HAS_CONTROL_LOOP {
+                BUDGET
+            } else {
+                TOTAL_PAGES as u64
+            };
+            let power = PowerModel::datacenter_server(0.064);
+            let pages = 1 + self.rng.below(owed);
+            let drain = self.nv.ssd().config().drain_time(pages * PAGE);
+            let joules = drain.as_secs_f64() * power.total_watts();
+            let battery = Battery::new(
+                BatteryConfig::with_capacity_joules(joules).with_depth_of_discharge(1.0),
+            );
+            self.nv.power_failure_powered(&battery, &power)
+        };
+        assert!(report.all_pages_accounted(), "{report:?}");
+        self.settle("power_failure", None);
+        self.nv.recover();
+        // Memory is now the device image: a lost page is back at its last
+        // snapshot, a page never flushed at zeroes.
+        for page in 0..TOTAL_PAGES {
+            let frame = &mut self.memory[page * PAGE_SIZE..(page + 1) * PAGE_SIZE];
+            match &self.reference[page] {
+                Some(held) => frame.copy_from_slice(held),
+                None => frame.fill(0),
+            }
+        }
+        self.settle("recover", None);
+    }
+
+    /// Unmaps a region with whatever dirty pages it has, maps it again and
+    /// rewrites a little of every page: the discarded pages' bytes are
+    /// still in memory and mostly stay there.
+    fn remap(&mut self, region: usize) {
+        self.nv.unmap(self.regions[region]).expect("unmap");
+        self.regions[region] = self.nv.map(REGION_PAGES * PAGE).expect("map");
+        for page in 0..REGION_PAGES {
+            self.write_in_page(region, page, 64);
+        }
+    }
+
+    fn run(mut self) -> u64 {
+        for step in 0..STEPS {
+            self.step = step;
+            let region = self.rng.below(REGIONS as u64) as usize;
+            match self.rng.below(100) {
+                0..=69 => {
+                    let longest = [64, 64, 512, PAGE][self.rng.below(4) as usize];
+                    let page = self.rng.below(REGION_PAGES);
+                    self.write_in_page(region, page, longest);
+                }
+                70..=81 => {
+                    // Cross an epoch boundary or three: walks and proactive copies.
+                    let idle = SimDuration::from_micros(200 + self.rng.below(3_000));
+                    self.nv.clock().advance(idle);
+                    self.nv
+                        .read(self.regions[region], 0, &mut [0u8; 8])
+                        .expect("read");
+                    self.settle("idle", None);
+                }
+                82..=87 => {
+                    // Shrinking the budget forces flushes down to it.
+                    self.nv.set_dirty_budget(2 + self.rng.below(BUDGET - 1));
+                    self.settle("set_dirty_budget", None);
+                }
+                88..=93 => self.remap(region),
+                _ => self.power_cycle(),
+            }
+            self.assert_clean_pages_are_durable("after the step");
+        }
+        // A loss-free failure brings every page home: the last `settle`
+        // finds memory as the test's image had it before the failure.
+        self.step = STEPS;
+        let report = self.nv.power_failure();
+        assert_eq!(report.pages_lost, 0, "{report:?}");
+        self.settle("the last power_failure", None);
+        self.nv.recover();
+        self.settle("the last recover", None);
+        self.assert_clean_pages_are_durable("after the last recovery");
+        self.nv.ssd().partial_copies()
+    }
+}
+
+fn delta_copies_leave_the_whole_page_image<B: DirtyTracker>() {
+    for_each_seed(|seed| {
+        let partial = Life::<B>::new(seed).run();
+        assert!(
+            partial >= MIN_PARTIAL_COPIES,
+            "only {partial} copies of fewer than 64 sectors: the property went vacuous"
+        );
+    });
+}
+
+#[test]
+fn software_walk_delta_copies_leave_the_whole_page_image() {
+    delta_copies_leave_the_whole_page_image::<SoftwareWalk>();
+}
+
+#[test]
+fn mmu_assisted_delta_copies_leave_the_whole_page_image() {
+    delta_copies_leave_the_whole_page_image::<MmuAssisted>();
+}
+
+#[test]
+fn full_dirty_delta_copies_leave_the_whole_page_image() {
+    delta_copies_leave_the_whole_page_image::<FullDirty>();
+}

@@ -136,7 +136,7 @@ impl MmuStats {
 /// [`Mmu::protect_page`] / [`Mmu::unprotect_page`] and performs epoch walks
 /// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style access for the flusher and
 /// recovery bypasses translation via [`Mmu::page_data`] /
-/// [`Mmu::page_data_mut`].
+/// [`Mmu::page_data_mut`] / [`Mmu::load_page`].
 ///
 /// # Examples
 ///
@@ -166,13 +166,31 @@ pub struct Mmu {
     /// to dirty a new page at the limit.
     dirty_limit: Option<u64>,
     dirty_counted: u64,
-    /// Mondrian-style sub-page tracking (§7): one bit per 64 B sector per
-    /// page, set by every write, read-and-cleared by the flush path so
-    /// copies can ship only the modified sectors.
-    sector_masks: Vec<u64>,
+    /// Two bits per 64 B sector per page, both set by every write: the §7
+    /// model mask and the host's copy shortcut (see [`SectorMasks`]).
+    sector_masks: Vec<SectorMasks>,
     /// The pages the last masked epoch walk found updated, kept between
     /// walks so each one refills the buffer instead of allocating it.
     walk_hits: Vec<PageId>,
+}
+
+/// One page's sector masks: bit *i* covers the page's *i*-th 64 B sector.
+/// [`Mmu::write`] sets the same bits in both; they differ in who clears
+/// them.
+#[derive(Debug, Clone, Copy, Default)]
+struct SectorMasks {
+    /// Mondrian-style sub-page tracking (§7), part of the simulated system:
+    /// what a sector-granular flush would *ship*. Cleared by policy — when
+    /// the flush path prices a page, and when a dying mapping's dirty page
+    /// is discarded.
+    shipped: u64,
+    /// Host-side only: sectors whose bytes may differ from what was last
+    /// handed to the device, so the simulator's own copy of a flushed page
+    /// can skip the rest. Cleared only by handing the bytes over
+    /// ([`Mmu::take_unsynced`]) or loading the device's
+    /// ([`Mmu::load_page`]), never by policy: a discarded page's garbage is
+    /// still in memory.
+    unsynced: u64,
 }
 
 impl Mmu {
@@ -221,7 +239,7 @@ impl Mmu {
             stats: MmuStats::default(),
             dirty_limit: None,
             dirty_counted: 0,
-            sector_masks: vec![0; pages],
+            sector_masks: vec![SectorMasks::default(); pages],
             walk_hits: Vec::new(),
         }
     }
@@ -478,13 +496,16 @@ impl Mmu {
                 }
             }
             self.memory[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-            // Mondrian-style sector tracking (§7): mark every 64 B sector the
-            // write touched.
+            // Mark every 64 B sector the write touched, for the §7 model
+            // and for the host's copy shortcut alike. `span` is 1..=64, so
+            // the right shift is by 0..=63.
             let first_sector = (addr as usize % PAGE_SIZE) / SECTOR_BYTES;
             let last_sector = ((addr as usize + data.len() - 1) % PAGE_SIZE) / SECTOR_BYTES;
-            for sector in first_sector..=last_sector {
-                self.sector_masks[page.index()] |= 1 << sector;
-            }
+            let span = last_sector - first_sector + 1;
+            let touched = (u64::MAX >> (64 - span)) << first_sector;
+            let masks = &mut self.sector_masks[page.index()];
+            masks.shipped |= touched;
+            masks.unsynced |= touched;
             let cost = self.costs.dram_access(data.len());
             self.account(&mut owed, CostClass::DramAccess, cost);
             self.stats.writes += 1;
@@ -502,7 +523,7 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn sector_mask(&self, page: PageId) -> u64 {
-        self.sector_masks[page.index()]
+        self.sector_masks[page.index()].shipped
     }
 
     /// Clears the sector mask of `page` (the flush path does this when it
@@ -512,13 +533,27 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn clear_sector_mask(&mut self, page: PageId) {
-        self.sector_masks[page.index()] = 0;
+        self.sector_masks[page.index()].shipped = 0;
     }
 
     /// Bytes of `page` modified since its mask was cleared (sector
     /// granularity).
     pub fn dirty_sector_bytes(&self, page: PageId) -> usize {
-        self.sector_masks[page.index()].count_ones() as usize * SECTOR_BYTES
+        self.sector_mask(page).count_ones() as usize * SECTOR_BYTES
+    }
+
+    /// Reads and clears the host-side mask of `page`: bit *i* set means
+    /// sector *i* may differ from the bytes last handed to the device, so
+    /// whoever takes the mask must hand over at least those sectors of
+    /// [`Mmu::page_data`]. Unlike [`Mmu::sector_mask`] this is no part of
+    /// the simulated system: it only spares the simulator copying bytes
+    /// the device image already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn take_unsynced(&mut self, page: PageId) -> u64 {
+        std::mem::take(&mut self.sector_masks[page.index()].unsynced)
     }
 
     /// Write-protects `page`, invalidating its TLB entry (the paper's
@@ -666,15 +701,28 @@ impl Mmu {
     }
 
     /// Direct (DMA-style) write of one page's bytes, bypassing translation,
-    /// permission checks, and dirty tracking. Used by recovery to reload a
-    /// region from the backing SSD.
+    /// permission checks, and dirty tracking. The caller may change any
+    /// byte, so the whole page counts as unsynced afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range.
     pub fn page_data_mut(&mut self, page: PageId) -> &mut [u8] {
+        self.sector_masks[page.index()].unsynced = u64::MAX;
         let start = page.base_addr() as usize;
         &mut self.memory[start..start + PAGE_SIZE]
+    }
+
+    /// Recovery's reload of `page` from `durable`, the device's copy of
+    /// it: [`Mmu::page_data_mut`], except that the page ends in sync with
+    /// the device instead of wholly unsynced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range or `durable` is not one page.
+    pub fn load_page(&mut self, page: PageId, durable: &[u8]) {
+        self.page_data_mut(page).copy_from_slice(durable);
+        self.sector_masks[page.index()].unsynced = 0;
     }
 }
 
@@ -1061,6 +1109,38 @@ mod tests {
         m.write(PAGE_SIZE as u64 + 4000, &[1u8; 96]).unwrap();
         assert_eq!(m.sector_mask(PageId(0)), 0);
         assert_eq!(m.dirty_sector_bytes(PageId(1)), 128);
+    }
+
+    #[test]
+    fn unsynced_mask_is_cleared_by_copies_never_by_policy() {
+        let mut m = mmu(2);
+        let page = PageId(1);
+        let base = page.base_addr();
+        m.write(base, &[1]).unwrap(); // sector 0
+        m.write(base + PAGE_SIZE as u64 - 1, &[2]).unwrap(); // sector 63
+        m.write(base + 100, &[3; 100]).unwrap(); // sectors 1..=3
+        let touched = 1 | 1 << 63 | 0b1110;
+        assert_eq!(m.sector_mask(page), touched);
+        m.clear_sector_mask(page);
+        assert_eq!(m.sector_mask(page), 0);
+        assert_eq!(m.take_unsynced(page), touched, "policy left it alone");
+        assert_eq!(m.take_unsynced(page), 0, "the take cleared it");
+        assert_eq!(m.take_unsynced(PageId(0)), 0, "masks are per page");
+
+        // A whole-page write is the span-64 case of the shift.
+        m.write(base, &[4; PAGE_SIZE]).unwrap();
+        assert_eq!(m.sector_mask(page), u64::MAX);
+        assert_eq!(m.take_unsynced(page), u64::MAX);
+
+        // DMA may change any byte; a load from the device changes every
+        // byte to what the device holds.
+        m.page_data_mut(page)[0] = 5;
+        assert_eq!(m.take_unsynced(page), u64::MAX);
+        m.write(base, &[6]).unwrap();
+        m.load_page(page, &[7; PAGE_SIZE]);
+        assert_eq!(m.page_data(page), &[7; PAGE_SIZE]);
+        assert_eq!(m.take_unsynced(page), 0);
+        assert_eq!(m.sector_mask(page), u64::MAX, "DMA is outside the §7 model");
     }
 
     #[test]

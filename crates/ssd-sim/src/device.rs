@@ -1,7 +1,7 @@
 //! The SSD device: content store, service-time model, and statistics.
 
 use fault_sim::FaultPlan;
-use mem_sim::{PageId, PAGE_SIZE};
+use mem_sim::{PageId, PAGE_SIZE, SECTOR_BYTES};
 use sim_clock::{Clock, SimDuration, SimTime};
 use telemetry::{CostClass, Profiler, Telemetry, TraceEvent};
 
@@ -151,6 +151,8 @@ pub struct Ssd {
     channel_free: Vec<SimTime>,
     inflight: Vec<SimTime>,
     stats: SsdStats,
+    /// Host-side: submissions that copied fewer than 64 sectors.
+    partial_copies: u64,
     wear: WearTracker,
     telemetry: Telemetry,
     profiler: Profiler,
@@ -169,6 +171,7 @@ impl Ssd {
             page_present: vec![false; pages],
             inflight: Vec::new(),
             stats: SsdStats::default(),
+            partial_copies: 0,
             wear,
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
@@ -194,6 +197,13 @@ impl Ssd {
     /// Wear accounting.
     pub fn wear(&self) -> &WearTracker {
         &self.wear
+    }
+
+    /// Writes whose `unsynced` mask spared the simulator part of the copy
+    /// into the image. A host-side figure, not a device statistic: what
+    /// the simulated device was charged is in [`Ssd::stats`].
+    pub fn partial_copies(&self) -> u64 {
+        self.partial_copies
     }
 
     /// Attaches a telemetry handle; subsequent submissions emit
@@ -321,7 +331,7 @@ impl Ssd {
     ///
     /// Panics if `page` is out of range or `data` is not exactly one page.
     pub fn submit_write(&mut self, page: PageId, data: &[u8]) -> SimTime {
-        self.submit_write_sized(page, data, PAGE_SIZE)
+        self.submit_write_sized(page, data, PAGE_SIZE, u64::MAX)
     }
 
     /// Submits a page write whose on-wire/programmed payload is only
@@ -329,6 +339,14 @@ impl Ssd {
     /// flushes — the §7 traffic reductions). The full logical snapshot is
     /// stored; bandwidth, byte counters, and wear are charged for the
     /// physical payload.
+    ///
+    /// `unsynced` is the caller's promise about the snapshot, and changes
+    /// nothing the device is charged: every 64 B sector of `data` whose bit
+    /// is clear equals what this device already holds for `page`, so only
+    /// the set sectors are copied into the image. All ones promises
+    /// nothing; a page the device does not hold yet is copied whole
+    /// whatever the mask. Debug builds check the promise against the whole
+    /// page.
     ///
     /// # Panics
     ///
@@ -339,9 +357,10 @@ impl Ssd {
         page: PageId,
         data: &[u8],
         physical_bytes: usize,
+        unsynced: u64,
     ) -> SimTime {
         let latency = self.config.write_latency;
-        self.submit_with_latency(page, data, physical_bytes, latency)
+        self.submit_with_latency(page, data, physical_bytes, unsynced, latency)
     }
 
     /// Fault-aware submission: consults the attached [`FaultPlan`] for a
@@ -361,6 +380,7 @@ impl Ssd {
         page: PageId,
         data: &[u8],
         physical_bytes: usize,
+        unsynced: u64,
     ) -> Result<SimTime, SsdWriteError> {
         assert_eq!(data.len(), PAGE_SIZE, "SSD writes are page-granularity");
         assert!(
@@ -385,7 +405,7 @@ impl Ssd {
                 retry_after,
             });
         }
-        Ok(self.submit_with_latency(page, data, physical_bytes, latency))
+        Ok(self.submit_with_latency(page, data, physical_bytes, unsynced, latency))
     }
 
     fn submit_with_latency(
@@ -393,6 +413,7 @@ impl Ssd {
         page: PageId,
         data: &[u8],
         physical_bytes: usize,
+        unsynced: u64,
         latency: SimDuration,
     ) -> SimTime {
         assert_eq!(data.len(), PAGE_SIZE, "SSD writes are page-granularity");
@@ -401,8 +422,23 @@ impl Ssd {
             "physical payload cannot exceed the logical page"
         );
         let start = page.base_addr() as usize;
-        self.store[start..start + PAGE_SIZE].copy_from_slice(data);
-        self.page_present[page.index()] = true;
+        let held = &mut self.store[start..start + PAGE_SIZE];
+        if unsynced == u64::MAX || !self.page_present[page.index()] {
+            held.copy_from_slice(data);
+            self.page_present[page.index()] = true;
+        } else {
+            let mut rest = unsynced;
+            while rest != 0 {
+                let at = rest.trailing_zeros() as usize * SECTOR_BYTES;
+                held[at..at + SECTOR_BYTES].copy_from_slice(&data[at..at + SECTOR_BYTES]);
+                rest &= rest - 1;
+            }
+            self.partial_copies += 1;
+            debug_assert!(
+                held == data,
+                "{page}: a sector outside {unsynced:#018x} differs from the image"
+            );
+        }
         self.stats.writes += 1;
         self.stats.bytes_written += physical_bytes as u64;
         self.wear
@@ -643,6 +679,107 @@ mod tests {
         assert_eq!(ssd.wear().logical_bytes_written(), 2 * PAGE_SIZE as u64);
     }
 
+    /// `data` with sector `i` filled with `fill` for each set bit `i`.
+    fn patched(data: &[u8], fill: u8, sectors: u64) -> Vec<u8> {
+        let mut data = data.to_vec();
+        for (i, sector) in data.chunks_mut(SECTOR_BYTES).enumerate() {
+            if sectors >> i & 1 == 1 {
+                sector.fill(fill);
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn an_absent_page_is_copied_whole_whatever_the_mask() {
+        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
+        ssd.submit_write_sized(PageId(1), &page(9), PAGE_SIZE, 0);
+        assert_eq!(ssd.page_data(PageId(1)), Some(&page(9)[..]));
+        ssd.submit_write_sized(PageId(2), &page(8), PAGE_SIZE, 1 << 5);
+        assert_eq!(ssd.page_data(PageId(2)), Some(&page(8)[..]));
+        assert_eq!(ssd.partial_copies(), 0);
+    }
+
+    #[test]
+    fn a_held_page_takes_only_the_sectors_in_the_mask() {
+        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
+        ssd.submit_write(PageId(0), &page(1));
+        for (copies, sectors) in [1, 1 << 63, 1 | 1 << 63, 0b0110 << 20, u64::MAX >> 1]
+            .into_iter()
+            .enumerate()
+        {
+            let held = ssd.page_data(PageId(0)).unwrap();
+            let next = patched(held, 10 + copies as u8, sectors);
+            ssd.submit_write_sized(PageId(0), &next, PAGE_SIZE, sectors);
+            assert_eq!(ssd.page_data(PageId(0)), Some(&next[..]), "{sectors:#x}");
+            assert_eq!(ssd.partial_copies(), copies as u64 + 1);
+        }
+        // All 64 bits is the whole-page copy, and promises nothing about
+        // what the device held.
+        ssd.submit_write_sized(PageId(0), &page(77), PAGE_SIZE, u64::MAX);
+        assert_eq!(ssd.page_data(PageId(0)), Some(&page(77)[..]));
+        assert_eq!(ssd.partial_copies(), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "differs from the image")]
+    fn a_mask_that_misses_a_changed_sector_is_caught_in_debug_builds() {
+        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
+        ssd.submit_write(PageId(0), &page(1));
+        ssd.submit_write_sized(PageId(0), &patched(&page(1), 2, 0b11), PAGE_SIZE, 0b01);
+    }
+
+    #[test]
+    fn an_empty_mask_copies_nothing_and_is_charged_like_any_write() {
+        let cfg = SsdConfig {
+            write_latency: SimDuration::from_micros(100),
+            read_latency: SimDuration::from_micros(50),
+            bandwidth_bytes_per_sec: PAGE_SIZE as u64 * 1_000, // 1 page per ms
+            channels: 1,
+            pages_per_block: 64,
+            write_amplification: 1.0,
+        };
+        let mut whole = Ssd::new(4, cfg.clone(), Clock::new());
+        let mut empty = Ssd::new(4, cfg, Clock::new());
+        for ssd in [&mut whole, &mut empty] {
+            ssd.submit_write(PageId(3), &page(4));
+        }
+        let done_whole = whole.submit_write_sized(PageId(3), &page(4), 2048, u64::MAX);
+        let done_empty = empty.submit_write_sized(PageId(3), &page(4), 2048, 0);
+        assert_eq!(
+            done_empty, done_whole,
+            "channel time follows physical_bytes"
+        );
+        assert_eq!(done_empty.as_micros(), 2 * 100 + 1_000 + 500);
+        assert_eq!(empty.stats(), whole.stats());
+        assert_eq!(empty.stats().bytes_written, PAGE_SIZE as u64 + 2048);
+        assert_eq!(
+            empty.wear().logical_bytes_written(),
+            whole.wear().logical_bytes_written()
+        );
+        assert_eq!(empty.wear().total_erases(), whole.wear().total_erases());
+        assert_eq!(empty.page_data(PageId(3)), whole.page_data(PageId(3)));
+        assert_eq!((empty.partial_copies(), whole.partial_copies()), (1, 0));
+    }
+
+    #[test]
+    fn a_failed_attempt_leaves_the_image_for_the_retry() {
+        use fault_sim::FaultConfig;
+        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
+        ssd.submit_write(PageId(0), &page(1));
+        let mut config = FaultConfig::none();
+        config.ssd_write_error_rate = 1.0;
+        ssd.attach_faults(FaultPlan::seeded(3, config));
+        let next = patched(&page(1), 2, 1 << 7);
+        ssd.try_submit_write_sized(PageId(0), &next, PAGE_SIZE, 1 << 7)
+            .unwrap_err();
+        assert_eq!(ssd.page_data(PageId(0)), Some(&page(1)[..]));
+        // The retry must carry the same sectors: the failure copied none.
+        ssd.submit_write_sized(PageId(0), &next, PAGE_SIZE, 1 << 7);
+        assert_eq!(ssd.page_data(PageId(0)), Some(&next[..]));
+    }
+
     #[test]
     fn faulty_submit_errors_occupy_channel_and_charge_wear() {
         use fault_sim::FaultConfig;
@@ -660,7 +797,7 @@ mod tests {
         config.ssd_write_error_rate = 1.0;
         ssd.attach_faults(FaultPlan::seeded(3, config));
         let err = ssd
-            .try_submit_write_sized(PageId(0), &page(7), PAGE_SIZE)
+            .try_submit_write_sized(PageId(0), &page(7), PAGE_SIZE, u64::MAX)
             .unwrap_err();
         assert_eq!(err.page, 0);
         assert_eq!(err.retry_after.as_micros(), 10, "error held the channel");
@@ -676,8 +813,10 @@ mod tests {
         let clock_b = Clock::new();
         let mut a = Ssd::new(4, SsdConfig::datacenter(), clock_a);
         let mut b = Ssd::new(4, SsdConfig::datacenter(), clock_b);
-        let done_a = a.try_submit_write_sized(PageId(1), &page(5), 512).unwrap();
-        let done_b = b.submit_write_sized(PageId(1), &page(5), 512);
+        let done_a = a
+            .try_submit_write_sized(PageId(1), &page(5), 512, 1)
+            .unwrap();
+        let done_b = b.submit_write_sized(PageId(1), &page(5), 512, 1);
         assert_eq!(done_a, done_b);
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.page_data(PageId(1)), b.page_data(PageId(1)));
@@ -701,7 +840,7 @@ mod tests {
         config.ssd_latency_spike_factor = 4;
         ssd.attach_faults(FaultPlan::seeded(9, config));
         let done = ssd
-            .try_submit_write_sized(PageId(0), &page(1), PAGE_SIZE)
+            .try_submit_write_sized(PageId(0), &page(1), PAGE_SIZE, u64::MAX)
             .unwrap();
         assert_eq!(done.as_micros(), 40);
         assert!(ssd.contains(PageId(0)));
@@ -725,7 +864,7 @@ mod tests {
         config.ssd_stall = SimDuration::from_millis(1);
         ssd.attach_faults(FaultPlan::seeded(2, config));
         let done = ssd
-            .try_submit_write_sized(PageId(0), &page(1), PAGE_SIZE)
+            .try_submit_write_sized(PageId(0), &page(1), PAGE_SIZE, u64::MAX)
             .unwrap();
         assert_eq!(
             done.as_micros(),
