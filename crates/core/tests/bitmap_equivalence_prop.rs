@@ -530,15 +530,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1c: the TLB's last-translation memo against a scan-only TLB.
+// Part 1c: the TLB's host-side layout against the model alone.
 //
-// `Tlb::lookup` answers a repeated lookup of one page from a remembered
-// slot instead of scanning the set. The memo is a host-side shortcut, not
-// part of the model, so the reference below is the model alone: every
-// lookup scans. Geometries are tiny and the page domain barely larger, so
-// the remembered slot is evicted, invalidated, flushed and refilled all the
-// time, and fills of a page that is already cached (two copies in one set,
-// which the MMU never produces but the type allows) are in the mix.
+// `Tlb` finds a page by comparing the `u64` tags of its set and answers a
+// repeated lookup of one page from a remembered slot. Neither is part of
+// the model, so the reference below has neither: one `Option` per way, and
+// every lookup scans them. Geometries are tiny and the page domain barely
+// larger, so the remembered slot is evicted, invalidated, flushed and
+// refilled all the time, and fills of a page that is already cached (two
+// copies in one set, which the MMU never produces but the type allows) are
+// in the mix. One page of the domain is numbered `u64::MAX - 1`, a single
+// bit away from the tag of an empty way.
 // ---------------------------------------------------------------------------
 
 /// What the scan-only reference keeps per way: a [`TlbEntry`] with the
@@ -552,7 +554,8 @@ struct ScanEntry {
     stamp: u64,
 }
 
-/// `mem_sim::Tlb` as it was before the memo: set scan on every lookup.
+/// `mem_sim::Tlb` with neither tags nor memo: a scan of the set's
+/// `Option`s on every lookup.
 struct ScanTlb {
     sets: usize,
     ways: usize,
@@ -653,6 +656,16 @@ impl ScanTlb {
 /// enough that the same page comes up again and again.
 const TLB_PAGES: u64 = 10;
 
+/// The `i`th page of that domain; the last one is the largest page number
+/// a TLB can cache.
+fn tlb_page(i: u64) -> PageId {
+    if i == TLB_PAGES - 1 {
+        PageId(u64::MAX - 1)
+    } else {
+        PageId(i)
+    }
+}
+
 /// `(sets, ways)`: direct-mapped, fully associative, and in between.
 const TLB_GEOMETRIES: [(usize, usize); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 4)];
 
@@ -737,10 +750,11 @@ fn lookup_both(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The memoised TLB and the scan-only one are indistinguishable under
-    /// any op sequence: every lookup's outcome, the counters, and after
-    /// every op what each page's `peek` shows — so every eviction took the
-    /// same victim — and how many ways are occupied.
+    /// The tagged, memoised TLB and the scan-only one are indistinguishable
+    /// under any op sequence: every lookup's outcome, the counters, and
+    /// after every op — a flush included — what each page's `peek` shows,
+    /// so every eviction took the same victim, and how many ways are
+    /// occupied.
     #[test]
     fn tlb_memo_replays_the_set_scan(
         geometry in 0..TLB_GEOMETRIES.len(),
@@ -752,21 +766,21 @@ proptest! {
         for op in &ops {
             match *op {
                 TlbOp::Lookup { page, dirty, shadow } => {
-                    lookup_both(&mut tlb, &mut model, PageId(page), dirty, shadow)?;
+                    lookup_both(&mut tlb, &mut model, tlb_page(page), dirty, shadow)?;
                 }
                 TlbOp::Translate { page, flags } => {
-                    if !lookup_both(&mut tlb, &mut model, PageId(page), false, false)? {
-                        tlb.fill(PageId(page), pte_flags(flags));
-                        model.fill(PageId(page), pte_flags(flags));
+                    if !lookup_both(&mut tlb, &mut model, tlb_page(page), false, false)? {
+                        tlb.fill(tlb_page(page), pte_flags(flags));
+                        model.fill(tlb_page(page), pte_flags(flags));
                     }
                 }
                 TlbOp::Fill { page, flags } => {
-                    tlb.fill(PageId(page), pte_flags(flags));
-                    model.fill(PageId(page), pte_flags(flags));
+                    tlb.fill(tlb_page(page), pte_flags(flags));
+                    model.fill(tlb_page(page), pte_flags(flags));
                 }
                 TlbOp::Invalidate { page } => {
-                    tlb.invalidate(PageId(page));
-                    model.invalidate(PageId(page));
+                    tlb.invalidate(tlb_page(page));
+                    model.invalidate(tlb_page(page));
                 }
                 TlbOp::Flush => {
                     tlb.flush();
@@ -775,7 +789,7 @@ proptest! {
             }
             prop_assert_eq!(tlb.stats(), model.stats, "counters diverged after {:?}", op);
             prop_assert_eq!(tlb.occupancy(), model.entries.iter().flatten().count());
-            for page in (0..TLB_PAGES).map(PageId) {
+            for page in (0..TLB_PAGES).map(tlb_page) {
                 prop_assert_eq!(
                     tlb.peek(page).as_ref().map(seen),
                     model.peek(page).as_ref().map(seen_by_scan),

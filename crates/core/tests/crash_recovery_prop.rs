@@ -43,13 +43,30 @@ const WRITES: u64 = 1_024;
 const STORM_RATE: f64 = 0.02;
 const SEEDS_PER_PROPERTY: u64 = 16;
 
-/// Seeds to sweep: the fixed default set, or the single seed named by
-/// `FAULT_SEED` when replaying a reported failure.
+/// The single seed named by `FAULT_SEED`, when replaying a reported
+/// failure or running one leg of CI's seed matrix.
+fn replayed_seed() -> Option<u64> {
+    let seed = std::env::var("FAULT_SEED").ok()?;
+    Some(seed.parse().expect("FAULT_SEED must be a u64"))
+}
+
+/// Seeds to sweep: the fixed default set, or the one being replayed.
 fn seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED") {
-        Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
-        Err(_) => (0..SEEDS_PER_PROPERTY).collect(),
+    match replayed_seed() {
+        Some(seed) => vec![seed],
+        None => (0..SEEDS_PER_PROPERTY).collect(),
     }
+}
+
+/// Every seam must fire somewhere in the full sweep (a seam no seed reaches
+/// is dead instrumentation, not a passing test). One replayed seed owes
+/// only the oracle: most seeds never reach the rarer seams.
+fn assert_reachable(point: Crashpoint, fired: u32) {
+    assert!(
+        fired > 0 || replayed_seed().is_some(),
+        "crashpoint {} never fired across the sweep — the seam is unreachable",
+        point.name()
+    );
 }
 
 fn mismatched_pages(a: &[u8], b: &[u8]) -> u64 {
@@ -190,8 +207,7 @@ fn check_bounded_loss(run: &CrashRun) {
 }
 
 /// Sweeps `points` over the seed set on backend `B`, checking the oracle
-/// on every run and that every seam actually fired at least once (a seam
-/// no seed reaches is dead instrumentation, not a passing test).
+/// on every run and that every seam is reachable.
 fn sweep_engine_crashpoints<B: DirtyTracker>(points: &[Crashpoint]) {
     for &point in points {
         let mut fired = 0u32;
@@ -212,11 +228,7 @@ fn sweep_engine_crashpoints<B: DirtyTracker>(points: &[Crashpoint]) {
             }
             check_bounded_loss(&run);
         }
-        assert!(
-            fired > 0,
-            "crashpoint {} never fired across the sweep — the seam is unreachable",
-            point.name()
-        );
+        assert_reachable(point, fired);
     }
 }
 
@@ -313,11 +325,7 @@ fn sharded_survives_rebalance_and_shrink_grow_crashes() {
                 report.pages_lost
             );
         }
-        assert!(
-            fired > 0,
-            "crashpoint {} never fired across the sweep — the seam is unreachable",
-            point.name()
-        );
+        assert_reachable(point, fired);
     }
 }
 

@@ -6,13 +6,20 @@
 //! flushing the TLB will therefore read stale values on the next epoch walk
 //! — the exact effect the paper measures in its TLB-flush ablation (§6.3).
 //!
-//! The last-translation memo (`Tlb::memo`) is **not** part of the model. It
-//! is a host-side shortcut past the set scan for a repeated lookup of one
-//! page — a block-header read followed by the payload access, or the up
-//! to three lookups of one `Mmu::write` — and replays exactly what the
-//! scan would have done: the same stamp consumed, the same counter bumped,
-//! the same entry returned. A property test drives it against a scan-only
-//! reference.
+//! Two things below are **not** part of the model; both are host-side
+//! layout, and a property test drives the pair against a reference that has
+//! neither (`Option<TlbEntry>` slots, a scan on every lookup).
+//!
+//! - The tag array (`Tlb::tags`): the page number of every way, or `EMPTY`,
+//!   in a `Vec<u64>` beside the entries. A set's ways are adjacent words,
+//!   so finding a page or a free way compares a few `u64`s instead of
+//!   walking 24-byte `Option`s, and a flush is one `fill` over the tags;
+//!   the entries behind emptied tags are left as they are and never read.
+//! - The last-translation memo (`Tlb::memo`): a shortcut past the set scan
+//!   for a repeated lookup of one page — a block-header read followed by
+//!   the payload access, or the up to three lookups of one `Mmu::write` —
+//!   that replays exactly what the scan would have done: the same stamp
+//!   consumed, the same counter bumped, the same entry returned.
 
 use crate::{PageId, PteFlags};
 
@@ -46,6 +53,10 @@ pub struct TlbStats {
     pub invalidations: u64,
 }
 
+/// The tag of a way that caches nothing. No page can carry it: `fill`
+/// refuses the one page number that would.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative TLB.
 ///
 /// # Examples
@@ -62,7 +73,10 @@ pub struct TlbStats {
 pub struct Tlb {
     sets: usize,
     ways: usize,
-    entries: Vec<Option<TlbEntry>>,
+    /// `tags[i]` is the page number `entries[i]` caches, or `EMPTY`; an
+    /// entry is only ever read after its tag matched.
+    tags: Vec<u64>,
+    entries: Vec<TlbEntry>,
     next_stamp: u64,
     stats: TlbStats,
     /// `(page, index into entries)` of the slot a scan for `page` would
@@ -83,10 +97,18 @@ impl Tlb {
             "TLB set count must be a power of two"
         );
         assert!(ways > 0, "TLB must have at least one way");
+        let vacant = TlbEntry {
+            page: PageId(EMPTY),
+            writable: false,
+            dirty: false,
+            shadow: false,
+            stamp: 0,
+        };
         Tlb {
             sets,
             ways,
-            entries: vec![None; sets * ways],
+            tags: vec![EMPTY; sets * ways],
+            entries: vec![vacant; sets * ways],
             next_stamp: 0,
             stats: TlbStats::default(),
             memo: None,
@@ -123,7 +145,7 @@ impl Tlb {
         match slot {
             Some(slot) => {
                 self.stats.hits += 1;
-                let entry = self.entries[slot].as_mut().expect("slot checked non-empty");
+                let entry = &mut self.entries[slot];
                 debug_assert_eq!(entry.page, page);
                 entry.stamp = stamp;
                 Some(entry)
@@ -138,26 +160,30 @@ impl Tlb {
     /// Index of the first way of `page`'s set that caches it: the model's
     /// lookup, which the memo stands in for.
     fn scan(&self, page: PageId) -> Option<usize> {
+        if page.0 == EMPTY {
+            return None;
+        }
         let range = self.set_range(page);
-        self.entries[range.clone()]
+        self.tags[range.clone()]
             .iter()
-            .position(|e| e.is_some_and(|e| e.page == page))
+            .position(|&tag| tag == page.0)
             .map(|way| range.start + way)
     }
 
     /// Checks whether `page` is cached without affecting stats or LRU order.
     pub fn peek(&self, page: PageId) -> Option<TlbEntry> {
-        let range = self.set_range(page);
-        self.entries[range]
-            .iter()
-            .flatten()
-            .find(|e| e.page == page)
-            .copied()
+        self.scan(page).map(|slot| self.entries[slot])
     }
 
     /// Inserts a translation for `page` from its PTE flags, evicting the
     /// least-recently-used entry in the set if necessary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is `PageId(u64::MAX)`, which no address space can
+    /// map.
     pub fn fill(&mut self, page: PageId, flags: PteFlags) {
+        assert_ne!(page.0, EMPTY, "{page} cannot be cached");
         let range = self.set_range(page);
         let stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -169,15 +195,19 @@ impl Tlb {
             stamp,
         };
         // Prefer an empty way; otherwise evict the LRU way.
-        let slots = &mut self.entries[range];
-        let way = slots.iter().position(|e| e.is_none()).unwrap_or_else(|| {
-            let lru = slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.map(|e| e.stamp));
-            lru.expect("ways > 0").0
-        });
-        slots[way] = Some(entry);
+        let tags = &self.tags[range.clone()];
+        let way = tags
+            .iter()
+            .position(|&tag| tag == EMPTY)
+            .unwrap_or_else(|| {
+                let lru = self.entries[range.clone()]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.stamp);
+                lru.expect("ways > 0").0
+            });
+        self.tags[range.start + way] = page.0;
+        self.entries[range.start + way] = entry;
         // Whatever the memo named may just have been evicted. Repoint it
         // at this page, through a scan: filling a page that is already
         // cached leaves two copies, and a lookup stops at the first.
@@ -192,9 +222,9 @@ impl Tlb {
             self.memo = None;
         }
         let range = self.set_range(page);
-        for e in &mut self.entries[range] {
-            if e.is_some_and(|e| e.page == page) {
-                *e = None;
+        for tag in &mut self.tags[range] {
+            if *tag == page.0 {
+                *tag = EMPTY;
             }
         }
     }
@@ -202,13 +232,13 @@ impl Tlb {
     /// Flushes every entry (the full shootdown the epoch walker performs).
     pub fn flush(&mut self) {
         self.stats.flushes += 1;
-        self.entries.fill(None);
+        self.tags.fill(EMPTY);
         self.memo = None;
     }
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.tags.iter().filter(|&&tag| tag != EMPTY).count()
     }
 }
 
@@ -288,6 +318,28 @@ mod tests {
             tlb.fill(PageId(i), flags_rw());
         }
         assert_eq!(tlb.occupancy(), 4);
+    }
+
+    #[test]
+    fn the_empty_tag_matches_no_page() {
+        let mut tlb = Tlb::new(2, 2);
+        tlb.fill(PageId(u64::MAX - 1), flags_rw());
+        tlb.fill(PageId(1), flags_rw());
+        // Two ways still carry the empty tag, and after the flush all do.
+        for _ in 0..2 {
+            assert!(tlb.peek(PageId(u64::MAX)).is_none());
+            assert!(tlb.lookup(PageId(u64::MAX)).is_none());
+            tlb.invalidate(PageId(u64::MAX));
+            tlb.flush();
+        }
+        assert_eq!(tlb.stats().hits, 0);
+        assert_eq!(tlb.occupancy(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be cached")]
+    fn filling_the_empty_tag_panics() {
+        Tlb::new(2, 2).fill(PageId(u64::MAX), flags_rw());
     }
 
     #[test]

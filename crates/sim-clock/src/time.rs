@@ -299,6 +299,14 @@ impl Clock {
         // Relaxed: the single writer reads back its own last store.
         let prev = self.now_nanos.load(Ordering::Relaxed);
         let next = prev + d.as_nanos();
+        self.publish(prev, next);
+        SimTime(next)
+    }
+
+    /// The writing half of [`Clock::advance`]: moves the timeline from
+    /// `prev`, which the caller just read, to `next`.
+    #[inline]
+    fn publish(&self, prev: u64, next: u64) {
         if cfg!(debug_assertions) {
             let published =
                 self.now_nanos
@@ -310,7 +318,6 @@ impl Clock {
         } else {
             self.now_nanos.store(next, Ordering::Release);
         }
-        SimTime(next)
     }
 
     /// Advances the clock to `t` if `t` is in the future; never moves the
@@ -387,10 +394,47 @@ mod tests {
     fn advance_to_never_moves_backwards() {
         let c = Clock::new();
         c.advance(SimDuration::from_nanos(100));
-        c.advance_to(SimTime::from_nanos(50));
-        assert_eq!(c.now(), SimTime::from_nanos(100));
-        c.advance_to(SimTime::from_nanos(150));
+        // Into the past and onto the present: `now()`, unchanged.
+        for t in [50, 100] {
+            assert_eq!(
+                c.advance_to(SimTime::from_nanos(t)),
+                SimTime::from_nanos(100)
+            );
+            assert_eq!(c.now(), SimTime::from_nanos(100));
+        }
+        assert_eq!(
+            c.advance_to(SimTime::from_nanos(150)),
+            SimTime::from_nanos(150)
+        );
         assert_eq!(c.now(), SimTime::from_nanos(150));
+    }
+
+    /// Two advancing threads, with the interleaving forced at the seam the
+    /// check guards: this thread has read the instant it will advance from
+    /// when another thread moves the timeline, and only then publishes.
+    #[test]
+    fn a_second_advancing_thread_is_caught_under_debug_assertions() {
+        let clock = Clock::new();
+        clock.advance(SimDuration::from_nanos(10));
+        let prev = clock.now_nanos.load(Ordering::Relaxed);
+        let other = clock.clone();
+        std::thread::scope(|s| {
+            s.spawn(move || other.advance(SimDuration::from_nanos(5)))
+                .join()
+                .expect("the other thread found the timeline where it read it");
+        });
+        let publish = std::panic::catch_unwind(|| clock.publish(prev, 12));
+        if cfg!(debug_assertions) {
+            let panic = publish.expect_err("the lost update must be caught");
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("two threads advanced"), "{message}");
+            assert_eq!(clock.now(), SimTime::from_nanos(15));
+        } else {
+            // Unchecked in release: the later store wins, which is why the
+            // rule is a rule.
+            publish.expect("release builds do not check the rule");
+            assert_eq!(clock.now(), SimTime::from_nanos(12));
+        }
     }
 
     #[test]
