@@ -25,8 +25,8 @@ use crate::{fnv1a_64, KvError};
 pub(crate) const MAX_LEVEL: usize = 12;
 
 /// Node field offsets.
-const IDX_KEY_LEN: u64 = 0; // u32
-const IDX_LEVEL: u64 = 4; // u32
+const IDX_KEY_LEN: u64 = 0; // u32, low half of the word `shape_of` reads
+const IDX_LEVEL: u64 = 4; // u32, its high half
 const IDX_ENTRY: u64 = 8; // u64: hash-table entry header (0 = head)
 const IDX_NEXT: u64 = 16; // u64 x level
 const fn key_offset(level: usize) -> u64 {
@@ -96,12 +96,6 @@ impl SkipIndex {
         self.head
     }
 
-    fn node_u32<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr, field: u64) -> Result<u32, KvError> {
-        let mut buf = [0u8; 4];
-        heap.read(node, field, &mut buf)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-
     fn node_u64<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr, field: u64) -> Result<u64, KvError> {
         let mut buf = [0u8; 8];
         heap.read(node, field, &mut buf)?;
@@ -122,23 +116,28 @@ impl SkipIndex {
         Ok(())
     }
 
+    /// `(key length, tower height)` of `node`: two `u32`s sharing one
+    /// word, read in one access.
+    fn shape_of<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr) -> Result<(usize, usize), KvError> {
+        let word = Self::node_u64(heap, node, IDX_KEY_LEN)?;
+        Ok((word as u32 as usize, (word >> 32) as usize))
+    }
+
     fn key_of<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr) -> Result<Vec<u8>, KvError> {
-        let klen = Self::node_u32(heap, node, IDX_KEY_LEN)? as usize;
-        let level = Self::node_u32(heap, node, IDX_LEVEL)? as usize;
+        let (klen, level) = Self::shape_of(heap, node)?;
         let mut key = vec![0u8; klen];
         heap.read(node, key_offset(level), &mut key)?;
         Ok(key)
     }
 
-    /// Orders `node`'s key against `key`: [`SkipIndex::key_of`]'s three
+    /// Orders `node`'s key against `key`: [`SkipIndex::key_of`]'s two
     /// reads, without its allocation.
     fn cmp_key<H: NvHeap>(
         heap: &mut PHeap<H>,
         node: PPtr,
         key: &[u8],
     ) -> Result<Ordering, KvError> {
-        let klen = Self::node_u32(heap, node, IDX_KEY_LEN)? as usize;
-        let level = Self::node_u32(heap, node, IDX_LEVEL)? as usize;
+        let (klen, level) = Self::shape_of(heap, node)?;
         cmp_stored_key(heap, node, key_offset(level), klen, key)
     }
 
@@ -214,7 +213,7 @@ impl SkipIndex {
         if Self::cmp_key(heap, node, key)? != Ordering::Equal {
             return Ok(false);
         }
-        let level = Self::node_u32(heap, node, IDX_LEVEL)? as usize;
+        let (_, level) = Self::shape_of(heap, node)?;
         for l in 0..level {
             if Self::next_of(heap, preds[l], l)? == node.offset() {
                 let succ = Self::next_of(heap, node, l)?;

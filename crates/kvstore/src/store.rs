@@ -44,6 +44,17 @@ const NODE_FLAGS: u64 = 48;
 const NODE_RESERVED: u64 = 56;
 const NODE_HEADER: usize = 128;
 
+/// The fields of an entry header that a probe, a hit or an unlink needs,
+/// decoded from one read of `NODE_NEXT..NODE_EXPIRE`.
+#[derive(Debug, Clone, Copy)]
+struct NodeHead {
+    next: u64,
+    hash: u64,
+    key_len: usize,
+    val_len: usize,
+    val_ptr: PPtr,
+}
+
 /// A batch of `(key, value)` pairs returned by [`KvStore::scan`].
 pub type ScanResults = Vec<(Vec<u8>, Vec<u8>)>;
 
@@ -191,29 +202,35 @@ impl<H: NvHeap> KvStore<H> {
         Ok((PPtr::from_offset(u64::from_le_bytes(buf)), within * 8))
     }
 
-    fn node_u64(&mut self, node: PPtr, field: u64) -> Result<u64, KvError> {
-        let mut buf = [0u8; 8];
-        self.heap.read(node, field, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+    /// Reads `node`'s probe fields — everything up to and including the
+    /// value pointer — in one access: they are neighbours within a cache
+    /// line or two, and an access is priced by the lines it covers.
+    fn node_head(&mut self, node: PPtr) -> Result<NodeHead, KvError> {
+        let mut image = [0u8; NODE_EXPIRE as usize];
+        self.heap.read(node, 0, &mut image)?;
+        fn field<const N: usize>(image: &[u8], at: u64) -> [u8; N] {
+            image[at as usize..][..N]
+                .try_into()
+                .expect("inside the image")
+        }
+        Ok(NodeHead {
+            next: u64::from_le_bytes(field(&image, NODE_NEXT)),
+            hash: u64::from_le_bytes(field(&image, NODE_HASH)),
+            key_len: u32::from_le_bytes(field(&image, NODE_KEY_LEN)) as usize,
+            val_len: u32::from_le_bytes(field(&image, NODE_VAL_LEN)) as usize,
+            val_ptr: PPtr::from_offset(u64::from_le_bytes(field(&image, NODE_VAL_PTR))),
+        })
     }
 
-    fn node_u32(&mut self, node: PPtr, field: u64) -> Result<u32, KvError> {
-        let mut buf = [0u8; 4];
-        self.heap.read(node, field, &mut buf)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    /// Whether `node` holds `key`: one length read and one read of the
-    /// stored key, compared in place.
-    fn node_holds(&mut self, node: PPtr, key: &[u8]) -> Result<bool, KvError> {
-        let klen = self.node_u32(node, NODE_KEY_LEN)? as usize;
-        let order = cmp_stored_key(&mut self.heap, node, NODE_HEADER as u64, klen, key)?;
-        Ok(order.is_eq())
-    }
-
-    /// Finds the node holding `key`, returning `(predecessor, node)` where
-    /// the predecessor is `None` for chain heads.
-    fn find(&mut self, hash: u64, key: &[u8]) -> Result<Option<(Option<PPtr>, PPtr)>, KvError> {
+    /// Finds the node holding `key`, returning `(predecessor, node, the
+    /// node's head)` where the predecessor is `None` for chain heads. Each
+    /// chain node costs one head read, plus one read of the stored key —
+    /// compared in place — when its hash matches.
+    fn find(
+        &mut self,
+        hash: u64,
+        key: &[u8],
+    ) -> Result<Option<(Option<PPtr>, PPtr, NodeHead)>, KvError> {
         let (seg, slot) = self.bucket_slot(hash)?;
         let mut buf = [0u8; 8];
         self.heap.read(seg, slot, &mut buf)?;
@@ -221,11 +238,15 @@ impl<H: NvHeap> KvStore<H> {
         let mut prev: Option<PPtr> = None;
         while cur != 0 {
             let node = PPtr::from_offset(cur);
-            if self.node_u64(node, NODE_HASH)? == hash && self.node_holds(node, key)? {
-                return Ok(Some((prev, node)));
+            let head = self.node_head(node)?;
+            if head.hash == hash
+                && cmp_stored_key(&mut self.heap, node, NODE_HEADER as u64, head.key_len, key)?
+                    .is_eq()
+            {
+                return Ok(Some((prev, node, head)));
             }
             prev = Some(node);
-            cur = self.node_u64(node, NODE_NEXT)?;
+            cur = head.next;
         }
         Ok(None)
     }
@@ -280,8 +301,7 @@ impl<H: NvHeap> KvStore<H> {
         let hash = fnv1a_64(key);
         let stamp = self.next_stamp()?;
 
-        if let Some((_, node)) = self.find(hash, key)? {
-            let val_ptr = PPtr::from_offset(self.node_u64(node, NODE_VAL_PTR)?);
+        if let Some((_, node, NodeHead { val_ptr, .. })) = self.find(hash, key)? {
             if value.len() <= self.heap.usable_size(val_ptr)? {
                 // In-place value overwrite; header gets length + stamp.
                 self.heap.write(val_ptr, 0, value)?;
@@ -326,14 +346,12 @@ impl<H: NvHeap> KvStore<H> {
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let hash = fnv1a_64(key);
         let stamp = self.next_stamp()?;
-        let Some((_, node)) = self.find(hash, key)? else {
+        let Some((_, node, head)) = self.find(hash, key)? else {
             return Ok(None);
         };
         self.heap.write(node, NODE_STAMP, &stamp.to_le_bytes())?;
-        let vlen = self.node_u32(node, NODE_VAL_LEN)? as usize;
-        let val_ptr = PPtr::from_offset(self.node_u64(node, NODE_VAL_PTR)?);
-        let mut value = vec![0u8; vlen];
-        self.heap.read(val_ptr, 0, &mut value)?;
+        let mut value = vec![0u8; head.val_len];
+        self.heap.read(head.val_ptr, 0, &mut value)?;
         Ok(Some(value))
     }
 
@@ -345,10 +363,9 @@ impl<H: NvHeap> KvStore<H> {
     pub fn delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
         let hash = fnv1a_64(key);
         self.next_stamp()?;
-        let Some((prev, node)) = self.find(hash, key)? else {
+        let Some((prev, node, NodeHead { next, val_ptr, .. })) = self.find(hash, key)? else {
             return Ok(false);
         };
-        let next = self.node_u64(node, NODE_NEXT)?;
         match prev {
             Some(p) => self.heap.write(p, NODE_NEXT, &next.to_le_bytes())?,
             None => {
@@ -356,7 +373,6 @@ impl<H: NvHeap> KvStore<H> {
                 self.heap.write(seg, slot, &next.to_le_bytes())?;
             }
         }
-        let val_ptr = PPtr::from_offset(self.node_u64(node, NODE_VAL_PTR)?);
         let index = self.index;
         index.remove(&mut self.heap, key)?;
         self.heap.free(val_ptr)?;
@@ -381,10 +397,9 @@ impl<H: NvHeap> KvStore<H> {
         let mut out = Vec::with_capacity(hits.len());
         for (key, node) in hits {
             self.heap.write(node, NODE_STAMP, &stamp.to_le_bytes())?;
-            let vlen = self.node_u32(node, NODE_VAL_LEN)? as usize;
-            let val_ptr = PPtr::from_offset(self.node_u64(node, NODE_VAL_PTR)?);
-            let mut value = vec![0u8; vlen];
-            self.heap.read(val_ptr, 0, &mut value)?;
+            let head = self.node_head(node)?;
+            let mut value = vec![0u8; head.val_len];
+            self.heap.read(head.val_ptr, 0, &mut value)?;
             out.push((key, value));
         }
         Ok(out)
@@ -445,7 +460,7 @@ mod tests {
     use super::*;
     use sim_clock::{Clock, CostModel};
     use ssd_sim::SsdConfig;
-    use viyojit::{NvdramBaseline, Viyojit, ViyojitConfig};
+    use viyojit::{NvdramBaseline, RegionId, Viyojit, ViyojitConfig, ViyojitError};
 
     fn store(pages: usize, buckets: u64) -> KvStore<NvdramBaseline> {
         let nv = NvdramBaseline::new(pages, Clock::new(), CostModel::free(), SsdConfig::instant());
@@ -714,6 +729,112 @@ mod tests {
             .map(|(k, _)| String::from_utf8(k.clone()).unwrap())
             .collect();
         assert_eq!(keys, ["p10", "p11", "p12", "p13", "p14"]);
+    }
+
+    /// An `NvHeap` that counts the calls passing through it and digests
+    /// every write (offset, length, bytes), in order.
+    struct Counting {
+        inner: NvdramBaseline,
+        reads: u64,
+        writes: u64,
+        write_digest: u64,
+    }
+
+    impl NvHeap for Counting {
+        fn map(&mut self, len_bytes: u64) -> Result<RegionId, ViyojitError> {
+            self.inner.map(len_bytes)
+        }
+
+        fn unmap(&mut self, region: RegionId) -> Result<(), ViyojitError> {
+            self.inner.unmap(region)
+        }
+
+        fn read(
+            &mut self,
+            region: RegionId,
+            offset: u64,
+            buf: &mut [u8],
+        ) -> Result<(), ViyojitError> {
+            self.reads += 1;
+            self.inner.read(region, offset, buf)
+        }
+
+        fn write(
+            &mut self,
+            region: RegionId,
+            offset: u64,
+            data: &[u8],
+        ) -> Result<(), ViyojitError> {
+            self.writes += 1;
+            for chunk in [
+                &offset.to_le_bytes()[..],
+                &data.len().to_le_bytes()[..],
+                data,
+            ] {
+                self.write_digest =
+                    fnv1a_64(&[&self.write_digest.to_le_bytes()[..], chunk].concat());
+            }
+            self.inner.write(region, offset, data)
+        }
+
+        fn region_len(&self, region: RegionId) -> Result<u64, ViyojitError> {
+            self.inner.region_len(region)
+        }
+    }
+
+    /// `(reads, writes)` the `NvHeap` saw while `op` ran.
+    fn calls<T>(
+        kv: &mut KvStore<Counting>,
+        op: impl FnOnce(&mut KvStore<Counting>) -> T,
+    ) -> (u64, u64) {
+        let before = {
+            let nv = kv.heap().heap();
+            (nv.reads, nv.writes)
+        };
+        op(kv);
+        let nv = kv.heap().heap();
+        (nv.reads - before.0, nv.writes - before.1)
+    }
+
+    /// What each operation costs in `NvHeap` calls, as literals: the next
+    /// extra read turns this red. Eight 24-byte values over four buckets,
+    /// so probes walk chains, not just their heads. The write counts and
+    /// the digest of the whole write stream were captured on the allocator
+    /// that read a block header before every access: a dereference lost
+    /// that read and a node's adjacent fields are read together, but not
+    /// one write moved.
+    #[test]
+    fn nvheap_calls_per_operation_are_pinned() {
+        let nv = Counting {
+            inner: NvdramBaseline::new(64, Clock::new(), CostModel::free(), SsdConfig::instant()),
+            reads: 0,
+            writes: 0,
+            write_digest: 0,
+        };
+        let mut kv = KvStore::create(PHeap::format(nv, 62 * 4096).unwrap(), 4).unwrap();
+        for i in 0..8u8 {
+            kv.set(format!("key{i:02}").as_bytes(), &[i; 24]).unwrap();
+        }
+
+        let get_hit = calls(&mut kv, |kv| assert!(kv.get(b"key03").unwrap().is_some()));
+        let get_miss = calls(&mut kv, |kv| assert!(kv.get(b"absent").unwrap().is_none()));
+        let set_in_place = calls(&mut kv, |kv| kv.set(b"key03", &[0xAA; 24]).unwrap());
+        let insert = calls(&mut kv, |kv| kv.set(b"key08", &[8; 24]).unwrap());
+        let delete = calls(&mut kv, |kv| assert!(kv.delete(b"key05").unwrap()));
+        let scan = calls(&mut kv, |kv| {
+            assert_eq!(kv.scan(b"key02", 3).unwrap().len(), 3)
+        });
+
+        assert_eq!(
+            [get_hit, get_miss, set_in_place, insert, delete, scan],
+            [(7, 2), (5, 1), (6, 4), (42, 19), (44, 19), (44, 4)],
+            "(reads, writes) of get hit, get miss, in-place set, insert, delete, 3-entry scan"
+        );
+        assert_eq!(
+            kv.heap().heap().write_digest,
+            0x7359_f2f2_561b_ccab,
+            "the write stream moved"
+        );
     }
 
     #[test]

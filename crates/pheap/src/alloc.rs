@@ -11,6 +11,28 @@ use crate::layout::{
     OFF_ROOTS, OFF_RUN_CURSOR, OFF_RUN_END, OFF_VERSION, RUN_BYTES, VERSION,
 };
 
+/// Runs are carved and recorded in whole pages of this size.
+const PAGE_BYTES: u64 = 4096;
+/// Payloads start on multiples of this, so liveness takes one bit per unit.
+const LIVE_UNIT: u64 = 8;
+/// Region bytes one `u64` of the liveness map covers; divides a page.
+const LIVE_WORD_BYTES: u64 = LIVE_UNIT * 64;
+/// [`PHeap::run_class`] entry of a page no run covers.
+const NO_RUN: u8 = u8::MAX;
+
+/// `(block bytes, run bytes)` of size class `class`: blocks are a header
+/// plus the class payload, and a run is [`RUN_BYTES`] or, for a block
+/// larger than that, the block rounded up to whole pages.
+fn run_geometry(class: usize) -> (u64, u64) {
+    let block = HEADER_BYTES + class_size(class) as u64;
+    let run_bytes = if block <= RUN_BYTES {
+        RUN_BYTES
+    } else {
+        block.div_ceil(PAGE_BYTES) * PAGE_BYTES
+    };
+    (block, run_bytes)
+}
+
 /// A persistent pointer: the region offset of an allocation's payload.
 ///
 /// `PPtr` is stable across power cycles — persistent data structures store
@@ -53,10 +75,23 @@ pub struct PHeapStats {
 /// A persistent size-class heap over one NV-DRAM region.
 ///
 /// See the [crate-level docs](crate) for design and an example.
+///
+/// Beside the persistent image the handle keeps volatile, host-side state
+/// (as libpmemobj keeps its runtime state in DRAM): which size class each
+/// page's run belongs to and where live payloads start. Every question
+/// about a pointer — is it live, how large is it — is answered from there,
+/// so an access costs the one NV-DRAM access it asks for. [`PHeap::open`]
+/// rebuilds that state from the block headers.
 #[derive(Debug)]
 pub struct PHeap<H> {
     heap: H,
     region: RegionId,
+    /// Per 4 KiB page below the bump pointer: the size class of the run
+    /// covering it (runs are page-aligned page multiples), or [`NO_RUN`].
+    run_class: Vec<u8>,
+    /// One bit per [`LIVE_UNIT`] bytes below the bump pointer: set where
+    /// the payload of a live allocation starts.
+    live: Vec<u64>,
 }
 
 impl<H: NvHeap> PHeap<H> {
@@ -72,7 +107,7 @@ impl<H: NvHeap> PHeap<H> {
             return Err(PHeapError::OutOfMemory);
         }
         let region = heap.map(bytes)?;
-        let mut this = PHeap { heap, region };
+        let mut this = PHeap::with_empty_maps(heap, region);
         this.put_u64(OFF_MAGIC, MAGIC)?;
         this.put_u64(OFF_VERSION, VERSION)?;
         this.put_u64(OFF_REGION_LEN, bytes)?;
@@ -91,22 +126,103 @@ impl<H: NvHeap> PHeap<H> {
     }
 
     /// Opens an already-formatted heap (after recovery, or a second
-    /// handle). Verifies the superblock.
+    /// handle). Verifies the superblock, then rebuilds the volatile state
+    /// by walking the carved runs: each run's first block header names its
+    /// class, each block header says whether the block is live. Recovery
+    /// pays those reads; the steady state reads no header again.
     ///
     /// # Errors
     ///
-    /// [`PHeapError::BadMagic`] if the region was never formatted.
-    pub fn open(mut heap: H, region: RegionId) -> Result<Self, PHeapError> {
-        let mut buf = [0u8; 8];
-        heap.read(region, OFF_MAGIC, &mut buf)?;
-        if u64::from_le_bytes(buf) != MAGIC {
-            return Err(PHeapError::BadMagic);
+    /// [`PHeapError::BadImage`] if the region was never formatted, or its
+    /// superblock or block headers contradict the region or each other.
+    pub fn open(heap: H, region: RegionId) -> Result<Self, PHeapError> {
+        let mut this = PHeap::with_empty_maps(heap, region);
+        if this.get_u64(OFF_MAGIC)? != MAGIC || this.get_u64(OFF_VERSION)? != VERSION {
+            return Err(PHeapError::BadImage);
         }
-        heap.read(region, OFF_VERSION, &mut buf)?;
-        if u64::from_le_bytes(buf) != VERSION {
-            return Err(PHeapError::BadMagic);
+        let (region_len, bump) = (this.get_u64(OFF_REGION_LEN)?, this.get_u64(OFF_BUMP)?);
+        if region_len != this.heap.region_len(region)?
+            || !(DATA_START..=region_len).contains(&bump)
+            || bump % PAGE_BYTES != 0
+        {
+            return Err(PHeapError::BadImage);
         }
-        Ok(PHeap { heap, region })
+        let mut run = DATA_START;
+        while run < bump {
+            let class = (this.get_u64(run)? & !ALLOC_FLAG) as usize;
+            if class >= NUM_CLASSES {
+                return Err(PHeapError::BadImage);
+            }
+            let (block, run_bytes) = run_geometry(class);
+            if run_bytes > bump - run {
+                return Err(PHeapError::BadImage);
+            }
+            this.record_run(run, run_bytes, class);
+            for slot in 0..run_bytes / block {
+                let at = run + slot * block;
+                let header = this.get_u64(at)?;
+                if header == class as u64 | ALLOC_FLAG {
+                    this.set_live(at + HEADER_BYTES, true);
+                } else if header != class as u64 && header != 0 {
+                    // Neither a freed block of this run nor a never-carved slot.
+                    return Err(PHeapError::BadImage);
+                }
+            }
+            run += run_bytes;
+        }
+        Ok(this)
+    }
+
+    /// A handle whose volatile maps cover the superblock page alone: no
+    /// run recorded, nothing live.
+    fn with_empty_maps(heap: H, region: RegionId) -> Self {
+        PHeap {
+            heap,
+            region,
+            run_class: vec![NO_RUN; (DATA_START / PAGE_BYTES) as usize],
+            live: vec![0; (DATA_START / LIVE_WORD_BYTES) as usize],
+        }
+    }
+
+    /// Extends the maps over the run just carved at `run`. Runs are carved
+    /// off the bump pointer, so the maps always cover exactly `0..bump`.
+    fn record_run(&mut self, run: u64, run_bytes: u64, class: usize) {
+        debug_assert_eq!(run, self.run_class.len() as u64 * PAGE_BYTES);
+        let end = run + run_bytes;
+        self.run_class
+            .resize((end / PAGE_BYTES) as usize, class as u8);
+        self.live.resize((end / LIVE_WORD_BYTES) as usize, 0);
+    }
+
+    fn set_live(&mut self, payload: u64, live: bool) {
+        let unit = payload / LIVE_UNIT;
+        let (word, bit) = ((unit / 64) as usize, 1u64 << (unit % 64));
+        if live {
+            self.live[word] |= bit;
+        } else {
+            self.live[word] &= !bit;
+        }
+    }
+
+    /// Whether a live allocation's payload starts at region offset
+    /// `payload`; `false` for offsets off the [`LIVE_UNIT`] grid or past
+    /// the bump pointer.
+    fn is_live(&self, payload: u64) -> bool {
+        let unit = payload / LIVE_UNIT;
+        payload % LIVE_UNIT == 0
+            && self
+                .live
+                .get((unit / 64) as usize)
+                .is_some_and(|word| word >> (unit % 64) & 1 == 1)
+    }
+
+    /// The size class of the live allocation at `ptr`, from the volatile
+    /// maps alone.
+    fn live_class(&self, ptr: PPtr) -> Result<usize, PHeapError> {
+        if !self.is_live(ptr.0) {
+            return Err(PHeapError::BadPointer);
+        }
+        Ok(self.run_class[(ptr.0 / PAGE_BYTES) as usize] as usize)
     }
 
     /// The region this heap lives in.
@@ -141,18 +257,6 @@ impl<H: NvHeap> PHeap<H> {
         Ok(())
     }
 
-    fn header_of(&mut self, ptr: PPtr) -> Result<(usize, bool), PHeapError> {
-        if ptr.0 < DATA_START + HEADER_BYTES {
-            return Err(PHeapError::BadPointer);
-        }
-        let header = self.get_u64(ptr.0 - HEADER_BYTES)?;
-        let class = (header & 0xFF) as usize;
-        if class >= NUM_CLASSES {
-            return Err(PHeapError::BadPointer);
-        }
-        Ok((class, header & ALLOC_FLAG != 0))
-    }
-
     /// Allocates `len` payload bytes, reusing a freed block of the same
     /// size class when one exists.
     ///
@@ -165,6 +269,14 @@ impl<H: NvHeap> PHeap<H> {
         let head_off = OFF_FREE_HEADS + (class as u64) * 8;
         let head = self.get_u64(head_off)?;
         let payload = if head != 0 {
+            // A head that is not a dead block in one of this class's runs
+            // comes from a stale superblock page; popping it would hand
+            // out memory that is live or not a block at all.
+            let in_class_run =
+                self.run_class.get((head / PAGE_BYTES) as usize) == Some(&(class as u8));
+            if !in_class_run || head % LIVE_UNIT != 0 || self.is_live(head) {
+                return Err(PHeapError::BadImage);
+            }
             // Pop the free list: the freed block stores the next pointer in
             // its first payload word.
             let next = self.get_u64(head)?;
@@ -175,17 +287,12 @@ impl<H: NvHeap> PHeap<H> {
             // run, carving a fresh page-aligned run from the wilderness
             // when the run is exhausted. Per-class runs keep small
             // metadata blocks densely packed, away from large blobs.
-            let block = HEADER_BYTES + class_size(class) as u64;
+            let (block, run_bytes) = run_geometry(class);
             let cursor_off = OFF_RUN_CURSOR + (class as u64) * 8;
             let end_off = OFF_RUN_END + (class as u64) * 8;
             let mut cursor = self.get_u64(cursor_off)?;
             let end = self.get_u64(end_off)?;
             if cursor == 0 || cursor + block > end {
-                let run_bytes = if block <= RUN_BYTES {
-                    RUN_BYTES
-                } else {
-                    block.div_ceil(4096) * 4096
-                };
                 let bump = self.get_u64(OFF_BUMP)?;
                 let region_len = self.get_u64(OFF_REGION_LEN)?;
                 if bump + run_bytes > region_len {
@@ -193,12 +300,14 @@ impl<H: NvHeap> PHeap<H> {
                 }
                 self.put_u64(OFF_BUMP, bump + run_bytes)?;
                 self.put_u64(end_off, bump + run_bytes)?;
+                self.record_run(bump, run_bytes, class);
                 cursor = bump;
             }
             self.put_u64(cursor_off, cursor + block)?;
             cursor + HEADER_BYTES
         };
         self.put_u64(payload - HEADER_BYTES, class as u64 | ALLOC_FLAG)?;
+        self.set_live(payload, true);
         let count = self.get_u64(OFF_ALLOC_COUNT)?;
         self.put_u64(OFF_ALLOC_COUNT, count + 1)?;
         let bytes = self.get_u64(OFF_ALLOC_BYTES)?;
@@ -212,11 +321,9 @@ impl<H: NvHeap> PHeap<H> {
     ///
     /// [`PHeapError::BadPointer`] for wild pointers and double frees.
     pub fn free(&mut self, ptr: PPtr) -> Result<(), PHeapError> {
-        let (class, allocated) = self.header_of(ptr)?;
-        if !allocated {
-            return Err(PHeapError::BadPointer);
-        }
+        let class = self.live_class(ptr)?;
         self.put_u64(ptr.0 - HEADER_BYTES, class as u64)?; // clear ALLOC_FLAG
+        self.set_live(ptr.0, false);
         let head_off = OFF_FREE_HEADS + (class as u64) * 8;
         let head = self.get_u64(head_off)?;
         self.put_u64(ptr.0, head)?;
@@ -234,11 +341,7 @@ impl<H: NvHeap> PHeap<H> {
     ///
     /// [`PHeapError::BadPointer`] if `ptr` is not a live allocation.
     pub fn usable_size(&mut self, ptr: PPtr) -> Result<usize, PHeapError> {
-        let (class, allocated) = self.header_of(ptr)?;
-        if !allocated {
-            return Err(PHeapError::BadPointer);
-        }
-        Ok(class_size(class))
+        Ok(class_size(self.live_class(ptr)?))
     }
 
     /// Writes `data` at byte `offset` within the allocation.
@@ -289,10 +392,7 @@ impl<H: NvHeap> PHeap<H> {
             return Err(PHeapError::BadPointer);
         }
         if let Some(p) = ptr {
-            let (_, allocated) = self.header_of(p)?;
-            if !allocated {
-                return Err(PHeapError::BadPointer);
-            }
+            self.live_class(p)?;
         }
         self.put_u64(OFF_ROOTS + (slot as u64) * 8, ptr.map_or(0, |p| p.0))
     }
@@ -492,7 +592,178 @@ mod tests {
     fn open_rejects_unformatted_regions() {
         let mut nv = NvdramBaseline::new(8, Clock::new(), CostModel::free(), SsdConfig::instant());
         let region = nv.map(8 * 4096).unwrap();
-        assert!(matches!(PHeap::open(nv, region), Err(PHeapError::BadMagic)));
+        assert!(matches!(PHeap::open(nv, region), Err(PHeapError::BadImage)));
+    }
+
+    /// Where [`reopen_doctored`]'s heap ends: three four-page runs and the
+    /// nine pages of the 32 KiB class's.
+    const DOCTORED_BUMP: u64 = DATA_START + 3 * RUN_BYTES + 9 * 4096;
+
+    /// A heap with live and freed blocks in four runs, reopened after
+    /// `word` was written over the image at `offset` (`None`: untouched).
+    fn reopen_doctored(doctor: Option<(u64, u64)>) -> Result<PHeap<NvdramBaseline>, PHeapError> {
+        let mut h = pheap_pages(32);
+        let region = h.region();
+        let small: Vec<PPtr> = (0..3).map(|_| h.alloc(64).unwrap()).collect();
+        h.alloc(1000).unwrap();
+        h.alloc(20_000).unwrap();
+        h.alloc(5000).unwrap();
+        h.free(small[1]).unwrap();
+        if let Some((offset, word)) = doctor {
+            h.heap_mut()
+                .write(region, offset, &word.to_le_bytes())
+                .unwrap();
+        }
+        PHeap::open(h.into_inner(), region)
+    }
+
+    /// `open` sizes its walk from the superblock and believes each run's
+    /// first header, so every one of those words is checked against the
+    /// region and against its neighbours before it is used.
+    #[test]
+    fn open_rejects_a_superblock_or_header_that_contradicts_the_image() {
+        let region_len = 31 * 4096;
+        let mut intact = reopen_doctored(None).expect("the undoctored image opens");
+        let bump = intact.stats().unwrap().bump;
+        assert_eq!(bump, DOCTORED_BUMP);
+        let block_64 = HEADER_BYTES + 64;
+        let doctored = [
+            ("magic", OFF_MAGIC, 0),
+            ("version", OFF_VERSION, VERSION + 1),
+            (
+                "region length past the mapping",
+                OFF_REGION_LEN,
+                region_len + 4096,
+            ),
+            (
+                "region length short of the mapping",
+                OFF_REGION_LEN,
+                region_len - 4096,
+            ),
+            ("bump inside the superblock", OFF_BUMP, 0),
+            ("bump past the region", OFF_BUMP, region_len + 4096),
+            ("bump far past the region", OFF_BUMP, !4095u64),
+            ("bump off the page grid", OFF_BUMP, bump + 8),
+            ("bump past the last run", OFF_BUMP, bump + 4096),
+            ("bump inside the last run", OFF_BUMP, bump - 4096),
+            ("run header of no class", DATA_START, NUM_CLASSES as u64),
+            ("run header with stray bits", DATA_START, 2 | 1 << 40),
+            (
+                "run header of a class whose run overshoots",
+                DOCTORED_BUMP - RUN_BYTES,
+                12 | ALLOC_FLAG,
+            ),
+            (
+                "block header of another run's class",
+                DATA_START + block_64,
+                6 | ALLOC_FLAG,
+            ),
+        ];
+        for (what, offset, word) in doctored {
+            assert!(
+                matches!(
+                    reopen_doctored(Some((offset, word))),
+                    Err(PHeapError::BadImage)
+                ),
+                "{what}: {offset:#x} <- {word:#x} must not open"
+            );
+        }
+    }
+
+    /// A superblock page older than the block headers can name a live
+    /// block, or no block, as a free-list head.
+    #[test]
+    fn alloc_rejects_a_free_list_head_that_is_not_a_dead_block() {
+        let live_64 = DATA_START + HEADER_BYTES;
+        let mid_block = live_64 + 8;
+        let in_the_1k_run = DATA_START + RUN_BYTES + HEADER_BYTES;
+        let past_bump = DOCTORED_BUMP + HEADER_BYTES;
+        for head in [live_64, mid_block + 1, in_the_1k_run, past_bump, u64::MAX] {
+            let head_of_64 = OFF_FREE_HEADS + 2 * 8;
+            let mut h = reopen_doctored(Some((head_of_64, head))).expect("heads are not walked");
+            assert_eq!(h.alloc(64), Err(PHeapError::BadImage), "head {head:#x}");
+        }
+    }
+
+    /// Pointers beside a live payload — its header, its second word, its
+    /// middle — and pointers to freed blocks are not allocations, whatever
+    /// bytes sit eight below them.
+    #[test]
+    fn only_payload_starts_of_live_blocks_are_pointers() {
+        let mut h = pheap_pages(16);
+        let p = h.alloc(64).unwrap();
+        h.write(p, 0, &(2 | ALLOC_FLAG).to_le_bytes()).unwrap(); // a header look-alike
+        for off in [-8i64, 8, 32, 1] {
+            let near = PPtr::from_offset(p.offset().wrapping_add_signed(off));
+            assert_eq!(h.usable_size(near), Err(PHeapError::BadPointer), "{off:+}");
+            assert_eq!(h.free(near), Err(PHeapError::BadPointer), "{off:+}");
+            assert_eq!(h.set_root(0, Some(near)), Err(PHeapError::BadPointer));
+        }
+        h.free(p).unwrap();
+        assert_eq!(h.read(p, 0, &mut [0u8; 8]), Err(PHeapError::BadPointer));
+        assert_eq!(h.write(p, 0, &[0u8; 8]), Err(PHeapError::BadPointer));
+        assert_eq!(h.set_root(0, Some(p)), Err(PHeapError::BadPointer));
+    }
+
+    /// The on-NV layout is `VERSION` 1's, byte for byte: this image is
+    /// written word by word at literal offsets, as the allocator that kept
+    /// no volatile state wrote it, and must open and carry on.
+    #[test]
+    fn opens_an_image_written_word_by_word_in_the_version_1_layout() {
+        const ALLOCATED: u64 = 1 << 63;
+        let mut nv = NvdramBaseline::new(16, Clock::new(), CostModel::free(), SsdConfig::instant());
+        let len = 14 * 4096;
+        let region = nv.map(len).unwrap();
+        let mut put = |offset: u64, word: u64| {
+            nv.write(region, offset, &word.to_le_bytes()).unwrap();
+        };
+        // Superblock: magic, version, region length, bump, live count and bytes.
+        put(0, 0x5649_594f_4a49_5431);
+        put(8, 1);
+        put(16, len);
+        put(24, 4096 + 2 * 16_384);
+        put(32, 2);
+        put(40, 64 + 1024);
+        // A run of 64 B blocks (class 2, 72 B apart) at page 1: slot 0 live,
+        // slot 1 freed and heading the class's free list, the rest never carved.
+        put(4096, 2 | ALLOCATED);
+        put(4096 + 8, 0xFEED);
+        put(4096 + 72, 2);
+        put(4096 + 72 + 8, 0); // end of the free list
+        put(48 + 2 * 8, 4096 + 72 + 8); // free-list head, class 2
+        put(280 + 2 * 8, 4096 + 2 * 72); // run cursor, class 2
+        put(384 + 2 * 8, 4096 + 16_384); // run end, class 2
+                                         // A run of 1 KiB blocks (class 6, 1032 B apart) behind it: slot 0 live.
+        put(20_480, 6 | ALLOCATED);
+        put(280 + 6 * 8, 20_480 + 1032);
+        put(384 + 6 * 8, 20_480 + 16_384);
+        put(152, 4096 + 8); // root slot 0
+
+        let mut h = PHeap::open(nv, region).unwrap();
+        let (small, large) = (PPtr(4096 + 8), PPtr(20_480 + 8));
+        assert_eq!(h.root(0).unwrap(), Some(small));
+        assert_eq!(h.usable_size(small), Ok(64));
+        assert_eq!(h.usable_size(large), Ok(1024));
+        let mut word = [0u8; 8];
+        h.read(small, 0, &mut word).unwrap();
+        assert_eq!(u64::from_le_bytes(word), 0xFEED);
+        let freed = PPtr(4096 + 72 + 8);
+        assert_eq!(h.usable_size(freed), Err(PHeapError::BadPointer));
+        assert_eq!(h.alloc(64), Ok(freed), "the free list is popped first");
+        assert_eq!(h.alloc(64), Ok(PPtr(4096 + 2 * 72 + 8)), "then the cursor");
+        assert_eq!(h.alloc(1000), Ok(PPtr(20_480 + 1032 + 8)));
+        assert_eq!(
+            h.alloc(100),
+            Ok(PPtr(4096 + 2 * 16_384 + 8)),
+            "a run off the bump"
+        );
+        h.free(small).unwrap();
+        assert_eq!(h.free(small), Err(PHeapError::BadPointer));
+        let stats = h.stats().unwrap();
+        assert_eq!(
+            (stats.live_allocs, stats.live_bytes),
+            (5, 64 * 2 + 1024 * 2 + 128)
+        );
     }
 
     #[test]

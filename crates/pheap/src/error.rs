@@ -20,9 +20,10 @@ pub enum PHeapError {
     BadPointer,
     /// The access exceeds the allocation's size.
     OutOfBounds,
-    /// The superblock magic did not verify: the region does not hold a
-    /// formatted heap.
-    BadMagic,
+    /// The image did not verify: the region does not hold a formatted
+    /// heap, or its superblock, block headers or free lists contradict the
+    /// region or each other (a stale or partly lost image).
+    BadImage,
     /// The underlying NV-DRAM layer failed.
     Heap(ViyojitError),
 }
@@ -39,7 +40,9 @@ impl fmt::Display for PHeapError {
             PHeapError::OutOfMemory => write!(f, "persistent region exhausted"),
             PHeapError::BadPointer => write!(f, "pointer does not reference a live allocation"),
             PHeapError::OutOfBounds => write!(f, "access exceeds the allocation size"),
-            PHeapError::BadMagic => write!(f, "region does not contain a formatted heap"),
+            PHeapError::BadImage => {
+                write!(f, "region does not contain a consistent formatted heap")
+            }
             PHeapError::Heap(e) => write!(f, "NV-DRAM layer error: {e}"),
         }
     }
@@ -71,7 +74,7 @@ mod tests {
             PHeapError::OutOfMemory,
             PHeapError::BadPointer,
             PHeapError::OutOfBounds,
-            PHeapError::BadMagic,
+            PHeapError::BadImage,
             PHeapError::Heap(ViyojitError::EmptyMapping),
         ];
         for v in variants {

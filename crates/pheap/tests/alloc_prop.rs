@@ -1,13 +1,21 @@
 //! Property tests of the persistent allocator: model-based equivalence
 //! under random alloc/free/write sequences, including across power cycles.
+//!
+//! The allocator answers "is this a live allocation, and how large?" from
+//! volatile maps; the block headers on NV-DRAM are the slow model of those
+//! maps. Three heaps take the same operations — one on `Viyojit` and one
+//! on `NvdramBaseline` that lose power and are reopened (their maps
+//! rebuilt from the headers), one that lives through the whole sequence —
+//! and must hand out the same pointers and give the same answers, which
+//! must be the headers' and the model's.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-use pheap::{PHeap, PHeapError, PPtr, MAX_ALLOC};
+use pheap::{class_size, size_class, PHeap, PHeapError, PPtr, MAX_ALLOC};
 use proptest::prelude::*;
 use sim_clock::{Clock, CostModel};
 use ssd_sim::SsdConfig;
-use viyojit::{Viyojit, ViyojitConfig};
+use viyojit::{NvHeap, NvdramBaseline, Viyojit, ViyojitConfig};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,12 +36,129 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let len = prop_oneof![9 => 1..2048usize, 1 => 4096..20_000usize];
     prop_oneof![
-        5 => (1..2048usize, any::<u8>()).prop_map(|(len, fill)| Op::Alloc { len, fill }),
+        5 => (len, any::<u8>()).prop_map(|(len, fill)| Op::Alloc { len, fill }),
         2 => any::<usize>().prop_map(|nth| Op::Free { nth }),
         3 => (any::<usize>(), any::<u8>()).prop_map(|(nth, fill)| Op::Rewrite { nth, fill }),
         1 => Just(Op::PowerCycle),
     ]
+}
+
+/// Every case opens with these, so that none is vacuous: a block of a
+/// multi-page class, freed, handed out again, then a reopen.
+fn prologue() -> [Op; 4] {
+    let multi_page = Op::Alloc { len: 5000, fill: 1 };
+    [
+        multi_page.clone(),
+        Op::Free { nth: 0 },
+        multi_page,
+        Op::PowerCycle,
+    ]
+}
+
+/// A store that can lose power and come back.
+trait Store: NvHeap + Sized {
+    fn power_cycle(&mut self);
+
+    fn reopened(heap: PHeap<Self>) -> PHeap<Self> {
+        let region = heap.region();
+        let mut nv = heap.into_inner();
+        nv.power_cycle();
+        PHeap::open(nv, region).expect("the image the heap left behind opens")
+    }
+}
+
+impl Store for Viyojit {
+    fn power_cycle(&mut self) {
+        self.power_failure();
+        self.recover();
+    }
+}
+
+impl Store for NvdramBaseline {
+    fn power_cycle(&mut self) {
+        self.power_failure();
+        self.recover();
+    }
+}
+
+/// An operation with its target resolved, so that three heaps can take it.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Alloc { len: usize, fill: u8 },
+    Free(PPtr),
+    Rewrite { ptr: PPtr, len: usize, fill: u8 },
+}
+
+fn take<H: NvHeap>(heap: &mut PHeap<H>, step: Step) -> Result<Option<PPtr>, PHeapError> {
+    match step {
+        Step::Alloc { len, fill } => {
+            let ptr = heap.alloc(len)?;
+            heap.write(ptr, 0, &vec![fill; len])?;
+            Ok(Some(ptr))
+        }
+        Step::Free(ptr) => heap.free(ptr).map(|()| None),
+        Step::Rewrite { ptr, len, fill } => heap.write(ptr, 0, &vec![fill; len]).map(|()| None),
+    }
+}
+
+/// The usable size the block header eight bytes below `ptr` records, if
+/// it marks the block live: what the allocator read before every access
+/// when it kept no volatile state. Read around the allocator.
+fn header_says<H: NvHeap>(heap: &mut PHeap<H>, ptr: PPtr) -> Option<usize> {
+    let region = heap.region();
+    let mut word = [0u8; 8];
+    heap.heap_mut()
+        .read(region, ptr.offset() - 8, &mut word)
+        .expect("a pointer once handed out stays inside the region");
+    let header = u64::from_le_bytes(word);
+    (header >> 63 == 1).then(|| class_size((header & 0xFF) as usize))
+}
+
+/// The volatile answer for every pointer ever handed out is the header's
+/// and the model's, its neighbours inside the block are no pointers, and
+/// every live allocation reads back what was last written to it.
+fn audit<H: NvHeap>(
+    heap: &mut PHeap<H>,
+    ever: &BTreeSet<PPtr>,
+    model: &HashMap<PPtr, (usize, u8)>,
+) -> Result<(), TestCaseError> {
+    for &ptr in ever {
+        let volatile = heap.usable_size(ptr).ok();
+        let modelled = model
+            .get(&ptr)
+            .map(|&(len, _)| class_size(size_class(len).expect("allocated")));
+        prop_assert_eq!(
+            volatile,
+            header_says(heap, ptr),
+            "{} against its header",
+            ptr
+        );
+        prop_assert_eq!(volatile, modelled, "{} against the model", ptr);
+        // The header, the second word (the smallest block has one) and,
+        // of a live block, the middle.
+        let middle = modelled.unwrap_or(16) as u64 / 2;
+        for near in [ptr.offset() - 8, ptr.offset() + 8, ptr.offset() + middle] {
+            let near = PPtr::from_offset(near);
+            prop_assert_eq!(
+                heap.usable_size(near),
+                Err(PHeapError::BadPointer),
+                "{} beside {} is not a payload start",
+                near,
+                ptr
+            );
+        }
+    }
+    for (&ptr, &(len, fill)) in model {
+        let mut buf = vec![0u8; len];
+        heap.read(ptr, 0, &mut buf).unwrap();
+        prop_assert!(
+            buf.iter().all(|&b| b == fill),
+            "allocation {ptr} corrupted (expected fill {fill})"
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -43,62 +168,82 @@ proptest! {
     fn allocator_matches_model_across_power_cycles(
         ops in prop::collection::vec(op_strategy(), 1..80)
     ) {
-        let nv = Viyojit::new(
-            96,
-            ViyojitConfig::with_budget_pages(8),
-            Clock::new(),
-            CostModel::free(),
-            SsdConfig::instant(),
-        );
-        let mut h = PHeap::format(nv, 80 * 4096).unwrap();
-        let region = h.region();
+        const REGION: u64 = 80 * 4096;
+        let baseline = || NvdramBaseline::new(96, Clock::new(), CostModel::free(), SsdConfig::instant());
+        let mut on_viyojit = PHeap::format(
+            Viyojit::new(
+                96,
+                ViyojitConfig::with_budget_pages(8),
+                Clock::new(),
+                CostModel::free(),
+                SsdConfig::instant(),
+            ),
+            REGION,
+        )
+        .unwrap();
+        let mut on_baseline = PHeap::format(baseline(), REGION).unwrap();
+        // Never reopened: its maps are the ones `alloc` and `free` kept.
+        let mut lived = PHeap::format(baseline(), REGION).unwrap();
+
         // Model: live pointer -> (requested len, fill byte).
         let mut model: HashMap<PPtr, (usize, u8)> = HashMap::new();
         let mut order: Vec<PPtr> = Vec::new();
+        let mut ever: BTreeSet<PPtr> = BTreeSet::new();
+        let (mut reuses, mut multi_page, mut reopens) = (0u32, 0u32, 0u32);
 
-        for op in &ops {
-            match *op {
-                Op::Alloc { len, fill } => match h.alloc(len) {
-                    Ok(p) => {
-                        h.write(p, 0, &vec![fill; len]).unwrap();
-                        prop_assert!(model.insert(p, (len, fill)).is_none(),
-                            "allocator returned a live pointer twice");
-                        order.push(p);
-                    }
-                    Err(PHeapError::OutOfMemory) => {}
-                    Err(e) => return Err(TestCaseError::fail(format!("alloc: {e}"))),
-                },
-                Op::Free { nth } => {
-                    if order.is_empty() { continue; }
-                    let p = order.swap_remove(nth % order.len());
-                    h.free(p).unwrap();
-                    model.remove(&p);
-                }
+        for op in prologue().iter().chain(&ops) {
+            let step = match *op {
+                Op::Alloc { len, fill } => Step::Alloc { len, fill },
+                Op::Free { .. } | Op::Rewrite { .. } if order.is_empty() => continue,
+                Op::Free { nth } => Step::Free(order.swap_remove(nth % order.len())),
                 Op::Rewrite { nth, fill } => {
-                    if order.is_empty() { continue; }
-                    let p = order[nth % order.len()];
-                    let (len, _) = model[&p];
-                    h.write(p, 0, &vec![fill; len]).unwrap();
-                    model.insert(p, (len, fill));
+                    let ptr = order[nth % order.len()];
+                    Step::Rewrite { ptr, len: model[&ptr].0, fill }
                 }
                 Op::PowerCycle => {
-                    let mut nv = h.into_inner();
-                    nv.power_failure();
-                    nv.recover();
-                    h = PHeap::open(nv, region).unwrap();
+                    on_viyojit = Store::reopened(on_viyojit);
+                    on_baseline = Store::reopened(on_baseline);
+                    reopens += 1;
+                    audit(&mut on_viyojit, &ever, &model)?;
+                    audit(&mut on_baseline, &ever, &model)?;
+                    continue;
+                }
+            };
+            let outcome = take(&mut lived, step);
+            prop_assert_eq!(take(&mut on_viyojit, step), outcome, "{:?} on Viyojit", step);
+            prop_assert_eq!(take(&mut on_baseline, step), outcome, "{:?} on the baseline", step);
+            match (step, outcome) {
+                (Step::Alloc { len, fill }, Ok(Some(ptr))) => {
+                    prop_assert!(model.insert(ptr, (len, fill)).is_none(),
+                        "allocator returned a live pointer twice");
+                    order.push(ptr);
+                    reuses += u32::from(!ever.insert(ptr));
+                    multi_page += u32::from(len > 4096);
+                }
+                (Step::Alloc { .. }, Err(PHeapError::OutOfMemory)) => {}
+                (Step::Free(ptr), Ok(None)) => {
+                    model.remove(&ptr);
+                }
+                (Step::Rewrite { ptr, len, fill }, Ok(None)) => {
+                    model.insert(ptr, (len, fill));
+                }
+                (step, outcome) => {
+                    return Err(TestCaseError::fail(format!("{step:?}: {outcome:?}")));
                 }
             }
-            // Every live allocation still reads back exactly.
-            for (&p, &(len, fill)) in &model {
-                let mut buf = vec![0u8; len];
-                h.read(p, 0, &mut buf).unwrap();
-                prop_assert!(buf.iter().all(|&b| b == fill),
-                    "allocation {p} corrupted (expected fill {fill})");
-            }
+            audit(&mut lived, &ever, &model)?;
+            audit(&mut on_viyojit, &ever, &model)?;
+            audit(&mut on_baseline, &ever, &model)?;
         }
 
-        let stats = h.stats().unwrap();
-        prop_assert_eq!(stats.live_allocs, model.len() as u64);
+        for stats in [lived.stats(), on_viyojit.stats(), on_baseline.stats()] {
+            prop_assert_eq!(stats.unwrap().live_allocs, model.len() as u64);
+        }
+        prop_assert!(
+            reuses >= 1 && multi_page >= 1 && reopens >= 1,
+            "vacuous case: {} reuses, {} multi-page blocks, {} reopens",
+            reuses, multi_page, reopens
+        );
     }
 
     #[test]

@@ -123,7 +123,7 @@ for run in "${runs[@]}"; do
         status=1
     fi
 done
-for committed in "$results"/*; do
+for committed in "$results"/*.csv; do
     if [[ ! -f "$out/$(basename "$committed")" ]]; then
         echo "gate: $committed is produced by no run in this script" >&2
         status=1
