@@ -255,11 +255,9 @@ impl VictimSelector {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
     use std::collections::BTreeSet;
 
-    use proptest::prelude::*;
-    use proptest::test_runner::TestRunner;
+    use propcheck::{check, int, vec_of, weighted};
 
     use super::*;
 
@@ -434,7 +432,7 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Clone)]
+    #[derive(Debug)]
     enum Op {
         /// Index the page if it is not indexed; `observe` stamps the
         /// history first, as the fault handler does — without it the page
@@ -461,24 +459,30 @@ mod tests {
     /// victim and cross the rebuild bound several times per case.
     const PROP_PAGES: u64 = 16;
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            60 => (0..PROP_PAGES, any::<bool>())
-                .prop_map(|(page, observe)| Op::Dirty { page, observe }),
-            300 => (0..PROP_PAGES, any::<bool>())
-                .prop_map(|(page, observe)| Op::Touch { page, observe }),
-            10 => (0..PROP_PAGES).prop_map(|page| Op::Removed { page }),
-            3 => Just(Op::Evict),
-            20 => Just(Op::AdvanceEpoch),
-            1 => Just(Op::Reset),
-        ]
+    fn gen_op(rng: &mut SplitMix64) -> Op {
+        match weighted(rng, &[60, 300, 10, 3, 20, 1]) {
+            0 => Op::Dirty {
+                page: int(rng, 0..PROP_PAGES),
+                observe: rng.chance(0.5),
+            },
+            1 => Op::Touch {
+                page: int(rng, 0..PROP_PAGES),
+                observe: rng.chance(0.5),
+            },
+            2 => Op::Removed {
+                page: int(rng, 0..PROP_PAGES),
+            },
+            3 => Op::Evict,
+            4 => Op::AdvanceEpoch,
+            _ => Op::Reset,
+        }
     }
 
     /// Replays `ops` on the lazy queue and on the ordered set under
     /// `policy`: the same victim after every step, `len()` the live count,
     /// and a queue that never outgrows `2 * len() + 64` entries. Returns
     /// how many entries had to be inserted in front of a larger one.
-    fn replay(ops: &[Op], policy: TargetPolicy, seed: u64) -> Result<usize, TestCaseError> {
+    fn replay(ops: &[Op], policy: TargetPolicy, seed: u64) -> usize {
         let pages = PROP_PAGES as usize;
         let mut history = UpdateHistory::new(pages, 8);
         let mut lazy = VictimSelector::new(pages, policy, seed);
@@ -536,23 +540,23 @@ mod tests {
             // Peek a copy: only `Evict` lets the selector under test shed
             // stale entries, as in the engine, where many re-keys pass
             // between two victim picks.
-            prop_assert_eq!(
+            assert_eq!(
                 lazy.clone().peek(),
                 model.ordered.first().map(|&(_, p)| p),
                 "victims diverged under {:?} after {:?}",
                 policy,
                 op
             );
-            prop_assert_eq!(lazy.len(), model.ordered.len());
-            prop_assert_eq!(lazy.is_empty(), model.ordered.is_empty());
-            prop_assert!(
+            assert_eq!(lazy.len(), model.ordered.len());
+            assert_eq!(lazy.is_empty(), model.ordered.is_empty());
+            assert!(
                 lazy.queue.len() <= 2 * lazy.len() + STALE_SLACK,
                 "{} queue entries for {} live pages",
                 lazy.queue.len(),
                 lazy.len()
             );
         }
-        Ok(out_of_order)
+        out_of_order
     }
 
     const PROP_CASES: u32 = 48;
@@ -565,26 +569,22 @@ mod tests {
     /// least must have done that. FIFO's counter never can.
     #[test]
     fn lazy_queue_matches_an_ordered_set() {
-        let lru_cases_out_of_order = Cell::new(0u32);
-        let mut runner = TestRunner::new(ProptestConfig::with_cases(PROP_CASES));
-        let cases = (prop::collection::vec(op_strategy(), 1..1500), any::<u64>());
-        let outcome = runner.run(&cases, |(ops, seed)| {
-            let lru = replay(&ops, TargetPolicy::LeastRecentlyUpdated, seed)?;
-            lru_cases_out_of_order.set(lru_cases_out_of_order.get() + u32::from(lru > 0));
-            replay(&ops, TargetPolicy::LeastFrequentlyUpdated, seed)?;
-            let fifo = replay(&ops, TargetPolicy::Fifo, seed)?;
-            prop_assert_eq!(fifo, 0, "a FIFO key arrived out of order");
-            replay(&ops, TargetPolicy::Random, seed)?;
-            Ok(())
+        let mut lru_cases_out_of_order = 0u32;
+        check("lazy_queue_matches_an_ordered_set", PROP_CASES, |rng| {
+            let ops = vec_of(rng, 1..1500, gen_op);
+            let seed = rng.next_u64();
+            let lru = replay(&ops, TargetPolicy::LeastRecentlyUpdated, seed);
+            lru_cases_out_of_order += u32::from(lru > 0);
+            replay(&ops, TargetPolicy::LeastFrequentlyUpdated, seed);
+            let fifo = replay(&ops, TargetPolicy::Fifo, seed);
+            assert_eq!(fifo, 0, "a FIFO key arrived out of order");
+            replay(&ops, TargetPolicy::Random, seed);
         });
-        if let Err(failure) = outcome {
-            panic!("{failure}");
-        }
+        // One replayed case owes only the agreement, not the sweep's share.
         assert!(
-            lru_cases_out_of_order.get() >= PROP_CASES / 2,
-            "only {} of {PROP_CASES} cases queued a least-recently-updated key out of order: \
-             the sorted insert went untested",
-            lru_cases_out_of_order.get()
+            lru_cases_out_of_order >= PROP_CASES / 2 || propcheck::replayed_seed().is_some(),
+            "only {lru_cases_out_of_order} of {PROP_CASES} cases queued a \
+             least-recently-updated key out of order: the sorted insert went untested"
         );
     }
 }

@@ -24,7 +24,7 @@ use mem_sim::{
     Bitmap2L, Mmu, PageId, PageTable, PteFlags, ScanPath, Tlb, TlbEntry, TlbStats, WalkOptions,
     PAGE_SIZE,
 };
-use proptest::prelude::*;
+use propcheck::{btree_set, check, int, subsequence, vec_of, weighted};
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
@@ -125,7 +125,7 @@ impl ScalarDirtySet {
 // Part 1: random op sequences, bitmap structures vs scalar models.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum ModelOp {
     /// Toggle one PTE flag bit (writable/accessed, and the raw dirty /
     /// shadow-dirty setters the MMU write path uses).
@@ -142,77 +142,73 @@ enum ModelOp {
     Reset,
 }
 
-fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
-    prop_oneof![
-        5 => (0..MODEL_PAGES, prop_oneof![
-                Just(S_WRITABLE), Just(S_DIRTY), Just(S_ACCESSED), Just(S_SHADOW)
-            ], any::<bool>())
-            .prop_map(|(page, bit, on)| ModelOp::SetFlag { page, bit, on }),
-        3 => (0..MODEL_PAGES, any::<bool>())
-            .prop_map(|(page, shadow)| ModelOp::TakeDirty { page, shadow }),
-        6 => (0..MODEL_PAGES).prop_map(|page| ModelOp::LifecycleStep { page }),
-        2 => (0..MODEL_PAGES).prop_map(|page| ModelOp::Discard { page }),
-        1 => Just(ModelOp::Reset),
-    ]
+fn gen_model_op(rng: &mut SplitMix64) -> ModelOp {
+    let arm = weighted(rng, &[5, 3, 6, 2, 1]);
+    let page = int(rng, 0..MODEL_PAGES as u64) as usize;
+    match arm {
+        0 => ModelOp::SetFlag {
+            page,
+            bit: [S_WRITABLE, S_DIRTY, S_ACCESSED, S_SHADOW][int(rng, 0..4) as usize],
+            on: rng.chance(0.5),
+        },
+        1 => ModelOp::TakeDirty {
+            page,
+            shadow: rng.chance(0.5),
+        },
+        2 => ModelOp::LifecycleStep { page },
+        3 => ModelOp::Discard { page },
+        _ => ModelOp::Reset,
+    }
 }
 
 /// Full observational comparison: every per-page state, every count, and
 /// every iteration order the engine relies on.
-fn assert_states_agree(
-    pt: &PageTable,
-    spt: &ScalarPageTable,
-    ds: &DirtySet,
-    sds: &ScalarDirtySet,
-) -> Result<(), TestCaseError> {
+fn assert_states_agree(pt: &PageTable, spt: &ScalarPageTable, ds: &DirtySet, sds: &ScalarDirtySet) {
     for i in 0..MODEL_PAGES {
         let flags = pt.flags(PageId(i as u64));
-        prop_assert_eq!(
+        assert_eq!(
             flags.is_writable(),
             spt.flags[i] & S_WRITABLE != 0,
             "writable bit diverged at page {}",
             i
         );
-        prop_assert_eq!(flags.is_dirty(), spt.flags[i] & S_DIRTY != 0);
-        prop_assert_eq!(flags.is_accessed(), spt.flags[i] & S_ACCESSED != 0);
-        prop_assert_eq!(flags.is_shadow_dirty(), spt.flags[i] & S_SHADOW != 0);
-        prop_assert_eq!(pt.is_dirty(PageId(i as u64)), spt.flags[i] & S_DIRTY != 0);
-        prop_assert_eq!(ds.state(PageId(i as u64)), sds.states[i]);
+        assert_eq!(flags.is_dirty(), spt.flags[i] & S_DIRTY != 0);
+        assert_eq!(flags.is_accessed(), spt.flags[i] & S_ACCESSED != 0);
+        assert_eq!(flags.is_shadow_dirty(), spt.flags[i] & S_SHADOW != 0);
+        assert_eq!(pt.is_dirty(PageId(i as u64)), spt.flags[i] & S_DIRTY != 0);
+        assert_eq!(ds.state(PageId(i as u64)), sds.states[i]);
     }
-    prop_assert_eq!(pt.dirty_count(), spt.dirty_pages().len());
-    prop_assert_eq!(
+    assert_eq!(pt.dirty_count(), spt.dirty_pages().len());
+    assert_eq!(
         pt.dirty_bits().iter_ones().collect::<Vec<_>>(),
         spt.dirty_pages(),
         "PageTable dirty iteration order diverged"
     );
-    prop_assert_eq!(ds.dirty_count(), sds.dirty_count());
-    prop_assert_eq!(ds.in_flight_count(), sds.in_flight_count());
-    prop_assert_eq!(
+    assert_eq!(ds.dirty_count(), sds.dirty_count());
+    assert_eq!(ds.in_flight_count(), sds.in_flight_count());
+    assert_eq!(
         ds.iter_dirty().map(|p| p.index()).collect::<Vec<_>>(),
         sds.iter_dirty(),
         "DirtySet dirty iteration order diverged"
     );
     let mut counted = Vec::new();
     ds.collect_counted_into(&mut counted);
-    prop_assert_eq!(
+    assert_eq!(
         counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
         sds.iter_counted(),
         "DirtySet counted collection order diverged"
     );
     ds.check_invariants()
-        .map_err(|v| TestCaseError::fail(format!("bitmap invariants broke: {v}")))?;
-    Ok(())
+        .unwrap_or_else(|v| panic!("bitmap invariants broke: {v}"));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The structure-level equivalence property: the bit-packed
-    /// `PageTable` + `DirtySet` and the byte-per-page scalar models are
-    /// indistinguishable under any op sequence.
-    #[test]
-    fn bitmap_structures_match_scalar_model(
-        ops in prop::collection::vec(model_op_strategy(), 1..200),
-    ) {
+/// The structure-level equivalence property: the bit-packed
+/// `PageTable` + `DirtySet` and the byte-per-page scalar models are
+/// indistinguishable under any op sequence.
+#[test]
+fn bitmap_structures_match_scalar_model() {
+    check("bitmap_structures_match_scalar_model", 64, |rng| {
+        let ops = vec_of(rng, 1..200, gen_model_op);
         let mut pt = PageTable::new(MODEL_PAGES);
         let mut spt = ScalarPageTable::new(MODEL_PAGES);
         let mut ds = DirtySet::new(MODEL_PAGES);
@@ -238,7 +234,7 @@ proptest! {
                     } else {
                         (pt.take_dirty(id), spt.take_dirty(page))
                     };
-                    prop_assert_eq!(got, want, "take_dirty result diverged at page {}", page);
+                    assert_eq!(got, want, "take_dirty result diverged at page {}", page);
                 }
                 ModelOp::LifecycleStep { page } => {
                     let id = PageId(page as u64);
@@ -269,9 +265,9 @@ proptest! {
                     sds.states.fill(PageState::Clean);
                 }
             }
-            assert_states_agree(&pt, &spt, &ds, &sds)?;
+            assert_states_agree(&pt, &spt, &ds, &sds);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -301,13 +297,14 @@ const ALL_PATHS: [ScanPath; 3] = [ScanPath::Skip, ScanPath::Dense, ScanPath::Unr
 /// Unrolled from 210 up; the random strata stay clear of the edges so
 /// the expected path is unambiguous. The last stratum dirties whole
 /// clusters: the 137-page tail alone is Dense, anything more Unrolled.
-fn stratified_population() -> impl Strategy<Value = (ScanPath, Vec<usize>)> {
+fn stratified_population(rng: &mut SplitMix64) -> (ScanPath, Vec<usize>) {
     let all: Vec<usize> = (0..STRATA_PAGES).collect();
-    prop_oneof![
-        proptest::sample::subsequence(all.clone(), 1..=6).prop_map(|v| (ScanPath::Skip, v)),
-        proptest::sample::subsequence(all.clone(), 8..=200).prop_map(|v| (ScanPath::Dense, v)),
-        proptest::sample::subsequence(all, 220..=800).prop_map(|v| (ScanPath::Unrolled, v)),
-        proptest::collection::btree_set(0usize..4, 1..=4).prop_map(|clusters| {
+    match int(rng, 0..4) {
+        0 => (ScanPath::Skip, subsequence(rng, &all, 1..=6)),
+        1 => (ScanPath::Dense, subsequence(rng, &all, 8..=200)),
+        2 => (ScanPath::Unrolled, subsequence(rng, &all, 220..=800)),
+        _ => {
+            let clusters = btree_set(rng, 1..=4, |rng| int(rng, 0..4) as usize);
             let pages: Vec<usize> = clusters
                 .iter()
                 .flat_map(|c| c * CLUSTER_PAGES..((c + 1) * CLUSTER_PAGES).min(STRATA_PAGES))
@@ -318,8 +315,8 @@ fn stratified_population() -> impl Strategy<Value = (ScanPath, Vec<usize>)> {
                 ScanPath::Unrolled
             };
             (path, pages)
-        }),
-    ]
+        }
+    }
 }
 
 /// The sorted scalar population packed as `(word, first, second)`
@@ -347,26 +344,22 @@ fn scalar_words(pages: impl IntoIterator<Item = (usize, bool)>) -> Vec<(usize, u
 /// observationally identical on every scan path — same counts, same
 /// collection order, same word harvest — and that the dispatched range
 /// collect returns exactly the scalar pages inside each range.
-fn assert_paths_agree(
-    b: &Bitmap2L,
-    pages: &[usize],
-    ranges: &[(usize, usize)],
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(b.count(), pages.len());
-    prop_assert_eq!(b.recount(), pages.len());
+fn assert_paths_agree(b: &Bitmap2L, pages: &[usize], ranges: &[(usize, usize)]) {
+    assert_eq!(b.count(), pages.len());
+    assert_eq!(b.recount(), pages.len());
     b.check_consistency()
-        .map_err(|e| TestCaseError::fail(format!("bitmap inconsistent: {e}")))?;
-    prop_assert_eq!(&b.iter_ones().collect::<Vec<_>>(), pages);
+        .unwrap_or_else(|e| panic!("bitmap inconsistent: {e}"));
+    assert_eq!(&b.iter_ones().collect::<Vec<_>>(), pages);
 
     let want_words = scalar_words(pages.iter().map(|&p| (p, false)));
     for path in ALL_PATHS {
         let mut collected = Vec::new();
         b.collect_into_with(path, &mut collected);
-        prop_assert_eq!(&collected, pages, "collect order diverged on {:?}", path);
+        assert_eq!(&collected, pages, "collect order diverged on {:?}", path);
 
         let mut words = Vec::new();
         b.for_each_word_with(path, |w, bits| words.push((w, bits, 0)));
-        prop_assert_eq!(&words, &want_words, "word harvest diverged on {:?}", path);
+        assert_eq!(&words, &want_words, "word harvest diverged on {:?}", path);
     }
 
     for &(start, end) in ranges {
@@ -377,8 +370,8 @@ fn assert_paths_agree(
             .collect();
         let mut got = Vec::new();
         b.collect_range_into(start, end, &mut got);
-        prop_assert_eq!(&got, &want, "range collect {}..{} diverged", start, end);
-        prop_assert_eq!(
+        assert_eq!(&got, &want, "range collect {}..{} diverged", start, end);
+        assert_eq!(
             &b.iter_ones_in(start, end).collect::<Vec<_>>(),
             &want,
             "range iteration {}..{} diverged",
@@ -386,26 +379,27 @@ fn assert_paths_agree(
             end
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Stratified equivalence: each density band pins the dispatcher to
-    /// its expected path; all three forced paths and the dispatched range
-    /// collect (whole, mid-word, empty, inverted and past-the-end ranges)
-    /// agree with the scalar model.
-    #[test]
-    fn scan_paths_agree_at_every_density(
-        (expected, pages) in stratified_population(),
-        (a, b) in (0..STRATA_PAGES + 70, 0..STRATA_PAGES + 70),
-    ) {
+/// Stratified equivalence: each density band pins the dispatcher to
+/// its expected path; all three forced paths and the dispatched range
+/// collect (whole, mid-word, empty, inverted and past-the-end ranges)
+/// agree with the scalar model.
+#[test]
+fn scan_paths_agree_at_every_density() {
+    check("scan_paths_agree_at_every_density", 64, |rng| {
+        let (expected, pages) = stratified_population(rng);
+        let a = int(rng, 0..STRATA_PAGES as u64 + 70) as usize;
+        let b = int(rng, 0..STRATA_PAGES as u64 + 70) as usize;
         let mut bits = Bitmap2L::new(STRATA_PAGES);
         for &p in &pages {
             bits.set(p);
         }
-        prop_assert_eq!(bits.scan_path(), expected, "dispatcher left its density band");
+        assert_eq!(
+            bits.scan_path(),
+            expected,
+            "dispatcher left its density band"
+        );
         let ranges = [
             (0, STRATA_PAGES),
             (0, usize::MAX),
@@ -415,71 +409,100 @@ proptest! {
             (a.min(b), a.max(b) + 1),
             (CLUSTER_PAGES - 1, 2 * CLUSTER_PAGES + 1),
         ];
-        assert_paths_agree(&bits, &pages, &ranges)?;
-    }
+        assert_paths_agree(&bits, &pages, &ranges);
+    });
+}
 
-    /// The word-level epoch walks (`take_word` per non-zero word of the
-    /// known-dirty mask) against the per-page walk over the collected
-    /// mask, in each band: same pages in the same order, same column left
-    /// behind. Only every `stride`-th known page is written, so the mask
-    /// has bits the PTE columns lack, and the strays give the columns
-    /// bits the mask lacks.
-    #[test]
-    fn masked_walks_match_the_per_page_walk_at_every_density(
-        (expected, known_pages) in stratified_population(),
-        stride in 1usize..5,
-        strays in prop::collection::vec(0..STRATA_PAGES, 0..40),
-    ) {
-        let mut known = Bitmap2L::new(STRATA_PAGES);
-        for &p in &known_pages {
-            known.set(p);
-        }
-        prop_assert_eq!(known.scan_path(), expected, "dispatcher left its density band");
-        let mut mmu = Mmu::new(STRATA_PAGES, Clock::new(), CostModel::free());
-        for &p in known_pages.iter().step_by(stride).chain(&strays) {
-            mmu.write((p * PAGE_SIZE) as u64, &[1]).unwrap();
-        }
+/// The word-level epoch walks (`take_word` per non-zero word of the
+/// known-dirty mask) against the per-page walk over the collected
+/// mask, in each band: same pages in the same order, same column left
+/// behind. Only every `stride`-th known page is written, so the mask
+/// has bits the PTE columns lack, and the strays give the columns
+/// bits the mask lacks.
+#[test]
+fn masked_walks_match_the_per_page_walk_at_every_density() {
+    check(
+        "masked_walks_match_the_per_page_walk_at_every_density",
+        64,
+        |rng| {
+            let (expected, known_pages) = stratified_population(rng);
+            let stride = int(rng, 1..5) as usize;
+            let strays = vec_of(rng, 0..40, |rng| int(rng, 0..STRATA_PAGES as u64) as usize);
+            let mut known = Bitmap2L::new(STRATA_PAGES);
+            for &p in &known_pages {
+                known.set(p);
+            }
+            assert_eq!(
+                known.scan_path(),
+                expected,
+                "dispatcher left its density band"
+            );
+            let mut mmu = Mmu::new(STRATA_PAGES, Clock::new(), CostModel::free());
+            for &p in known_pages.iter().step_by(stride).chain(&strays) {
+                mmu.write((p * PAGE_SIZE) as u64, &[1]).unwrap();
+            }
 
-        let mut slow = mmu.page_table().clone();
-        let mut collected = Vec::new();
-        known.collect_into_map(&mut collected, |i| PageId(i as u64));
-        let want_dirty: Vec<PageId> =
-            collected.iter().copied().filter(|&p| slow.take_dirty(p)).collect();
-        let want_shadow: Vec<PageId> =
-            collected.iter().copied().filter(|&p| slow.take_shadow_dirty(p)).collect();
-        // The per-page walk itself finds exactly known ∩ written.
-        let written: std::collections::BTreeSet<usize> =
-            known_pages.iter().step_by(stride).chain(&strays).copied().collect();
-        let hits: Vec<PageId> = known_pages
-            .iter()
-            .filter(|p| written.contains(p))
-            .map(|&p| PageId(p as u64))
-            .collect();
-        prop_assert_eq!(&want_dirty, &hits);
-        prop_assert_eq!(&want_shadow, &hits);
+            let mut slow = mmu.page_table().clone();
+            let mut collected = Vec::new();
+            known.collect_into_map(&mut collected, |i| PageId(i as u64));
+            let want_dirty: Vec<PageId> = collected
+                .iter()
+                .copied()
+                .filter(|&p| slow.take_dirty(p))
+                .collect();
+            let want_shadow: Vec<PageId> = collected
+                .iter()
+                .copied()
+                .filter(|&p| slow.take_shadow_dirty(p))
+                .collect();
+            // The per-page walk itself finds exactly known ∩ written.
+            let written: std::collections::BTreeSet<usize> = known_pages
+                .iter()
+                .step_by(stride)
+                .chain(&strays)
+                .copied()
+                .collect();
+            let hits: Vec<PageId> = known_pages
+                .iter()
+                .filter(|p| written.contains(p))
+                .map(|&p| PageId(p as u64))
+                .collect();
+            assert_eq!(&want_dirty, &hits);
+            assert_eq!(&want_shadow, &hits);
 
-        prop_assert_eq!(mmu.walk_and_clear_dirty_in(&known, WalkOptions::exact()), want_dirty);
-        prop_assert_eq!(mmu.walk_and_clear_shadow_in(&known, WalkOptions::stale()), want_shadow);
-        for (got, want) in [
-            (mmu.page_table().dirty_bits(), slow.dirty_bits()),
-            (mmu.page_table().shadow_dirty_bits(), slow.shadow_dirty_bits()),
-        ] {
-            prop_assert_eq!(got, want, "the walks left different columns behind");
-            got.check_consistency()
-                .map_err(|e| TestCaseError::fail(format!("column inconsistent: {e}")))?;
-        }
-    }
+            assert_eq!(
+                mmu.walk_and_clear_dirty_in(&known, WalkOptions::exact()),
+                want_dirty
+            );
+            assert_eq!(
+                mmu.walk_and_clear_shadow_in(&known, WalkOptions::stale()),
+                want_shadow
+            );
+            for (got, want) in [
+                (mmu.page_table().dirty_bits(), slow.dirty_bits()),
+                (
+                    mmu.page_table().shadow_dirty_bits(),
+                    slow.shadow_dirty_bits(),
+                ),
+            ] {
+                assert_eq!(got, want, "the walks left different columns behind");
+                got.check_consistency()
+                    .unwrap_or_else(|e| panic!("column inconsistent: {e}"));
+            }
+        },
+    );
+}
 
-    /// The `DirtySet` union collect dispatches on the combined density of
-    /// its two bitmaps: in each band, with a share of the population in
-    /// flight, `collect_counted_into` is the scalar dirty ∪ in-flight
-    /// order, `collect_dirty_into` the scalar dirty order, and every
-    /// forced union walk harvests the scalar word pairs.
-    #[test]
-    fn dirty_set_collects_agree_at_every_density(
-        (expected, pages) in stratified_population(),
-        stride in 1usize..5,
-    ) {
+/// The `DirtySet` union collect dispatches on the combined density of
+/// its two bitmaps: in each band, with a share of the population in
+/// flight, `collect_counted_into` is the scalar dirty ∪ in-flight
+/// order, `collect_dirty_into` the scalar dirty order, and every
+/// forced union walk harvests the scalar word pairs.
+#[test]
+fn dirty_set_collects_agree_at_every_density() {
+    check("dirty_set_collects_agree_at_every_density", 64, |rng| {
+        let (expected, pages) = stratified_population(rng);
+        let stride = int(rng, 1..5) as usize;
         let mut ds = DirtySet::new(STRATA_PAGES);
         let mut sds = ScalarDirtySet::new(STRATA_PAGES);
         for (n, &p) in pages.iter().enumerate() {
@@ -490,7 +513,7 @@ proptest! {
                 sds.states[p] = PageState::InFlight;
             }
         }
-        prop_assert_eq!(
+        assert_eq!(
             Bitmap2L::path_for(
                 ds.dirty_bits().count() + ds.in_flight_bits().count(),
                 STRATA_PAGES
@@ -499,34 +522,37 @@ proptest! {
             "union dispatcher left its density band"
         );
         ds.check_invariants()
-            .map_err(|v| TestCaseError::fail(format!("bitmap invariants broke: {v}")))?;
+            .unwrap_or_else(|v| panic!("bitmap invariants broke: {v}"));
 
         let mut counted = Vec::new();
         ds.collect_counted_into(&mut counted);
-        prop_assert_eq!(
+        assert_eq!(
             counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
             sds.iter_counted(),
             "counted collection order diverged"
         );
         let mut dirty = Vec::new();
         ds.collect_dirty_into(&mut dirty);
-        prop_assert_eq!(
+        assert_eq!(
             dirty.iter().map(|p| p.index()).collect::<Vec<_>>(),
             sds.iter_dirty(),
             "dirty collection order diverged"
         );
 
         let want = scalar_words(
-            pages.iter().map(|&p| (p, sds.states[p] == PageState::InFlight)),
+            pages
+                .iter()
+                .map(|&p| (p, sds.states[p] == PageState::InFlight)),
         );
         for path in ALL_PATHS {
             let mut words = Vec::new();
-            ds.dirty_bits().for_each_word_union_with(ds.in_flight_bits(), path, |w, d, f| {
-                words.push((w, d, f));
-            });
-            prop_assert_eq!(&words, &want, "union harvest diverged on {:?}", path);
+            ds.dirty_bits()
+                .for_each_word_union_with(ds.in_flight_bits(), path, |w, d, f| {
+                    words.push((w, d, f));
+                });
+            assert_eq!(&words, &want, "union harvest diverged on {:?}", path);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -669,7 +695,7 @@ fn tlb_page(i: u64) -> PageId {
 /// `(sets, ways)`: direct-mapped, fully associative, and in between.
 const TLB_GEOMETRIES: [(usize, usize); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 4)];
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum TlbOp {
     /// Look `page` up and, on a hit, OR the two bits into the cached dirty
     /// and shadow flags through the returned entry, as `Mmu::write` does.
@@ -693,16 +719,29 @@ enum TlbOp {
     Flush,
 }
 
-fn tlb_op_strategy() -> impl Strategy<Value = TlbOp> {
-    let flags = || (any::<bool>(), any::<bool>(), any::<bool>());
-    prop_oneof![
-        8 => (0..TLB_PAGES, any::<bool>(), any::<bool>())
-            .prop_map(|(page, dirty, shadow)| TlbOp::Lookup { page, dirty, shadow }),
-        6 => (0..TLB_PAGES, flags()).prop_map(|(page, flags)| TlbOp::Translate { page, flags }),
-        2 => (0..TLB_PAGES, flags()).prop_map(|(page, flags)| TlbOp::Fill { page, flags }),
-        2 => (0..TLB_PAGES).prop_map(|page| TlbOp::Invalidate { page }),
-        1 => Just(TlbOp::Flush),
-    ]
+fn gen_tlb_op(rng: &mut SplitMix64) -> TlbOp {
+    fn flags(rng: &mut SplitMix64) -> (bool, bool, bool) {
+        (rng.chance(0.5), rng.chance(0.5), rng.chance(0.5))
+    }
+    let arm = weighted(rng, &[8, 6, 2, 2, 1]);
+    let page = int(rng, 0..TLB_PAGES);
+    match arm {
+        0 => TlbOp::Lookup {
+            page,
+            dirty: rng.chance(0.5),
+            shadow: rng.chance(0.5),
+        },
+        1 => TlbOp::Translate {
+            page,
+            flags: flags(rng),
+        },
+        2 => TlbOp::Fill {
+            page,
+            flags: flags(rng),
+        },
+        3 => TlbOp::Invalidate { page },
+        _ => TlbOp::Flush,
+    }
 }
 
 fn pte_flags((writable, dirty, shadow): (bool, bool, bool)) -> PteFlags {
@@ -729,9 +768,9 @@ fn lookup_both(
     page: PageId,
     dirty: bool,
     shadow: bool,
-) -> Result<bool, TestCaseError> {
+) -> bool {
     let (got, want) = (tlb.lookup(page), model.lookup(page));
-    prop_assert_eq!(
+    assert_eq!(
         got.as_deref().map(seen),
         want.as_deref().map(seen_by_scan),
         "lookup of {} diverged",
@@ -744,32 +783,32 @@ fn lookup_both(
         want.dirty |= dirty;
         want.shadow |= shadow;
     }
-    Ok(hit)
+    hit
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The tagged, memoised TLB and the scan-only one are indistinguishable
-    /// under any op sequence: every lookup's outcome, the counters, and
-    /// after every op — a flush included — what each page's `peek` shows,
-    /// so every eviction took the same victim, and how many ways are
-    /// occupied.
-    #[test]
-    fn tlb_memo_replays_the_set_scan(
-        geometry in 0..TLB_GEOMETRIES.len(),
-        ops in prop::collection::vec(tlb_op_strategy(), 1..400),
-    ) {
-        let (sets, ways) = TLB_GEOMETRIES[geometry];
+/// The tagged, memoised TLB and the scan-only one are indistinguishable
+/// under any op sequence: every lookup's outcome, the counters, and
+/// after every op — a flush included — what each page's `peek` shows,
+/// so every eviction took the same victim, and how many ways are
+/// occupied.
+#[test]
+fn tlb_memo_replays_the_set_scan() {
+    check("tlb_memo_replays_the_set_scan", 128, |rng| {
+        let (sets, ways) = TLB_GEOMETRIES[int(rng, 0..TLB_GEOMETRIES.len() as u64) as usize];
+        let ops = vec_of(rng, 1..400, gen_tlb_op);
         let mut tlb = Tlb::new(sets, ways);
         let mut model = ScanTlb::new(sets, ways);
         for op in &ops {
             match *op {
-                TlbOp::Lookup { page, dirty, shadow } => {
-                    lookup_both(&mut tlb, &mut model, tlb_page(page), dirty, shadow)?;
+                TlbOp::Lookup {
+                    page,
+                    dirty,
+                    shadow,
+                } => {
+                    lookup_both(&mut tlb, &mut model, tlb_page(page), dirty, shadow);
                 }
                 TlbOp::Translate { page, flags } => {
-                    if !lookup_both(&mut tlb, &mut model, tlb_page(page), false, false)? {
+                    if !lookup_both(&mut tlb, &mut model, tlb_page(page), false, false) {
                         tlb.fill(tlb_page(page), pte_flags(flags));
                         model.fill(tlb_page(page), pte_flags(flags));
                     }
@@ -787,17 +826,19 @@ proptest! {
                     model.flush();
                 }
             }
-            prop_assert_eq!(tlb.stats(), model.stats, "counters diverged after {:?}", op);
-            prop_assert_eq!(tlb.occupancy(), model.entries.iter().flatten().count());
+            assert_eq!(tlb.stats(), model.stats, "counters diverged after {:?}", op);
+            assert_eq!(tlb.occupancy(), model.entries.iter().flatten().count());
             for page in (0..TLB_PAGES).map(tlb_page) {
-                prop_assert_eq!(
+                assert_eq!(
                     tlb.peek(page).as_ref().map(seen),
                     model.peek(page).as_ref().map(seen_by_scan),
-                    "{} cached differently after {:?}", page, op
+                    "{} cached differently after {:?}",
+                    page,
+                    op
                 );
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
+use propcheck::{check_seeds, replayed_seed};
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
@@ -42,21 +43,6 @@ const BUDGET: u64 = 32;
 const WRITES: u64 = 1_024;
 const STORM_RATE: f64 = 0.02;
 const SEEDS_PER_PROPERTY: u64 = 16;
-
-/// The single seed named by `FAULT_SEED`, when replaying a reported
-/// failure or running one leg of CI's seed matrix.
-fn replayed_seed() -> Option<u64> {
-    let seed = std::env::var("FAULT_SEED").ok()?;
-    Some(seed.parse().expect("FAULT_SEED must be a u64"))
-}
-
-/// Seeds to sweep: the fixed default set, or the one being replayed.
-fn seeds() -> Vec<u64> {
-    match replayed_seed() {
-        Some(seed) => vec![seed],
-        None => (0..SEEDS_PER_PROPERTY).collect(),
-    }
-}
 
 /// Every seam must fire somewhere in the full sweep (a seam no seed reaches
 /// is dead instrumentation, not a passing test). One replayed seed owes
@@ -208,10 +194,10 @@ fn check_bounded_loss(run: &CrashRun) {
 
 /// Sweeps `points` over the seed set on backend `B`, checking the oracle
 /// on every run and that every seam is reachable.
-fn sweep_engine_crashpoints<B: DirtyTracker>(points: &[Crashpoint]) {
+fn sweep_engine_crashpoints<B: DirtyTracker>(name: &str, points: &[Crashpoint]) {
     for &point in points {
         let mut fired = 0u32;
-        for seed in seeds() {
+        check_seeds(name, 0..SEEDS_PER_PROPERTY, |seed| {
             // Deep retries are rarer than walks; always take the first.
             let hit = if point == Crashpoint::EmergencyRetry {
                 1
@@ -227,23 +213,29 @@ fn sweep_engine_crashpoints<B: DirtyTracker>(points: &[Crashpoint]) {
                 fired += 1;
             }
             check_bounded_loss(&run);
-        }
+        });
         assert_reachable(point, fired);
     }
 }
 
 #[test]
 fn software_walk_bounds_loss_at_every_reachable_crashpoint() {
-    sweep_engine_crashpoints::<SoftwareWalk>(&[
-        Crashpoint::EpochWalk,
-        Crashpoint::FlushInFlight,
-        Crashpoint::EmergencyRetry,
-    ]);
+    sweep_engine_crashpoints::<SoftwareWalk>(
+        "software_walk_bounds_loss_at_every_reachable_crashpoint",
+        &[
+            Crashpoint::EpochWalk,
+            Crashpoint::FlushInFlight,
+            Crashpoint::EmergencyRetry,
+        ],
+    );
 }
 
 #[test]
 fn mmu_assisted_bounds_loss_at_discovery_and_walk_crashpoints() {
-    sweep_engine_crashpoints::<MmuAssisted>(&[Crashpoint::DiscoveryScan, Crashpoint::EpochWalk]);
+    sweep_engine_crashpoints::<MmuAssisted>(
+        "mmu_assisted_bounds_loss_at_discovery_and_walk_crashpoints",
+        &[Crashpoint::DiscoveryScan, Crashpoint::EpochWalk],
+    );
 }
 
 /// One crash-armed life on the sequential sharded frontend, where the
@@ -304,7 +296,8 @@ fn sharded_crash_scenario(
 fn sharded_survives_rebalance_and_shrink_grow_crashes() {
     for &point in &[Crashpoint::Rebalance, Crashpoint::BudgetShrinkGrow] {
         let mut fired = 0u32;
-        for seed in seeds() {
+        let name = "sharded_survives_rebalance_and_shrink_grow_crashes";
+        check_seeds(name, 0..SEEDS_PER_PROPERTY, |seed| {
             let hit = 1 + seed % 3;
             let (signal, report, violation) = sharded_crash_scenario(seed, point, hit);
             let ctx = format!("[seed {seed} point {}]", point.name());
@@ -324,7 +317,7 @@ fn sharded_survives_rebalance_and_shrink_grow_crashes() {
                 "{ctx} aggregate loss must respect the global budget: {} > {BUDGET}",
                 report.pages_lost
             );
-        }
+        });
         assert_reachable(point, fired);
     }
 }

@@ -11,14 +11,13 @@
 //! always copied whole pages would hold, and compares the real one against
 //! it after every step, next to `durable_state_consistent`.
 //!
-//! Hand-rolled property loops in the shape of `fault_recovery_prop.rs`:
-//! every life is a pure function of a `u64` seed through `SplitMix64`. A
-//! failure prints its seed; `FAULT_SEED=<n>` replays that seed alone.
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+//! Seed sweeps in the shape of `fault_recovery_prop.rs`: every life is a
+//! pure function of a `u64` seed through `SplitMix64`. A failure names
+//! its seed; `FAULT_SEED=<n>` replays that seed alone.
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::{PageId, PAGE_SIZE};
+use propcheck::check_seeds;
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
@@ -38,19 +37,6 @@ const WRITE_ERROR_RATE: f64 = 0.2;
 /// than 64 sectors, or the property compared whole-page copies to
 /// whole-page copies.
 const MIN_PARTIAL_COPIES: u64 = 32;
-
-fn for_each_seed(life: impl Fn(u64)) {
-    let seeds: Vec<u64> = match std::env::var("FAULT_SEED") {
-        Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
-        Err(_) => (0..SEEDS_PER_BACKEND).collect(),
-    };
-    for seed in seeds {
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| life(seed))) {
-            eprintln!("delta_copy_prop: seed {seed} failed; replay with FAULT_SEED={seed}");
-            resume_unwind(panic);
-        }
-    }
-}
 
 struct Life<B: DirtyTracker> {
     nv: Engine<B>,
@@ -285,8 +271,8 @@ impl<B: DirtyTracker> Life<B> {
     }
 }
 
-fn delta_copies_leave_the_whole_page_image<B: DirtyTracker>() {
-    for_each_seed(|seed| {
+fn delta_copies_leave_the_whole_page_image<B: DirtyTracker>(name: &str) {
+    check_seeds(name, 0..SEEDS_PER_BACKEND, |seed| {
         let partial = Life::<B>::new(seed).run();
         assert!(
             partial >= MIN_PARTIAL_COPIES,
@@ -297,15 +283,21 @@ fn delta_copies_leave_the_whole_page_image<B: DirtyTracker>() {
 
 #[test]
 fn software_walk_delta_copies_leave_the_whole_page_image() {
-    delta_copies_leave_the_whole_page_image::<SoftwareWalk>();
+    delta_copies_leave_the_whole_page_image::<SoftwareWalk>(
+        "software_walk_delta_copies_leave_the_whole_page_image",
+    );
 }
 
 #[test]
 fn mmu_assisted_delta_copies_leave_the_whole_page_image() {
-    delta_copies_leave_the_whole_page_image::<MmuAssisted>();
+    delta_copies_leave_the_whole_page_image::<MmuAssisted>(
+        "mmu_assisted_delta_copies_leave_the_whole_page_image",
+    );
 }
 
 #[test]
 fn full_dirty_delta_copies_leave_the_whole_page_image() {
-    delta_copies_leave_the_whole_page_image::<FullDirty>();
+    delta_copies_leave_the_whole_page_image::<FullDirty>(
+        "full_dirty_delta_copies_leave_the_whole_page_image",
+    );
 }

@@ -3,8 +3,8 @@
 //! budget, and a power failure at *any* instant loses no data.
 
 use mem_sim::PAGE_SIZE;
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel, SimDuration};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{NvHeap, TargetPolicy, Viyojit, ViyojitConfig};
 
@@ -12,7 +12,7 @@ const PAGE: u64 = PAGE_SIZE as u64;
 const REGION_PAGES: u64 = 24;
 
 /// One step of a random workload.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Write `len` bytes of `fill` at `offset`.
     Write { offset: u64, len: u16, fill: u8 },
@@ -22,14 +22,22 @@ enum Op {
     Idle { micros: u16 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn gen_op(rng: &mut SplitMix64) -> Op {
     let max_off = REGION_PAGES * PAGE - u16::MAX as u64;
-    prop_oneof![
-        4 => (0..max_off, 1..2048u16, any::<u8>())
-            .prop_map(|(offset, len, fill)| Op::Write { offset, len, fill }),
-        2 => (0..max_off, 1..2048u16).prop_map(|(offset, len)| Op::Read { offset, len }),
-        1 => (1..2000u16).prop_map(|micros| Op::Idle { micros }),
-    ]
+    match weighted(rng, &[4, 2, 1]) {
+        0 => Op::Write {
+            offset: int(rng, 0..max_off),
+            len: int(rng, 1..2048) as u16,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Read {
+            offset: int(rng, 0..max_off),
+            len: int(rng, 1..2048) as u16,
+        },
+        _ => Op::Idle {
+            micros: int(rng, 1..2000) as u16,
+        },
+    }
 }
 
 fn build(budget: u64, policy: TargetPolicy) -> Viyojit {
@@ -94,50 +102,57 @@ fn run_and_crash(budget: u64, policy: TargetPolicy, ops: &[Op]) {
     assert_eq!(after, model, "data lost across the power cycle");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u32 = 48;
 
-    #[test]
-    fn durability_holds_for_any_workload_lru(
-        ops in prop::collection::vec(op_strategy(), 1..120),
-        budget in 1..16u64,
-    ) {
+#[test]
+fn durability_holds_for_any_workload_lru() {
+    check("durability_holds_for_any_workload_lru", CASES, |rng| {
+        let ops = vec_of(rng, 1..120, gen_op);
+        let budget = int(rng, 1..16);
         run_and_crash(budget, TargetPolicy::LeastRecentlyUpdated, &ops);
-    }
+    });
+}
 
-    #[test]
-    fn durability_holds_for_any_workload_random_policy(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        budget in 1..8u64,
-    ) {
-        run_and_crash(budget, TargetPolicy::Random, &ops);
-    }
+#[test]
+fn durability_holds_for_any_workload_random_policy() {
+    check(
+        "durability_holds_for_any_workload_random_policy",
+        CASES,
+        |rng| {
+            let ops = vec_of(rng, 1..80, gen_op);
+            let budget = int(rng, 1..8);
+            run_and_crash(budget, TargetPolicy::Random, &ops);
+        },
+    );
+}
 
-    #[test]
-    fn durability_holds_for_any_workload_fifo(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        budget in 1..8u64,
-    ) {
+#[test]
+fn durability_holds_for_any_workload_fifo() {
+    check("durability_holds_for_any_workload_fifo", CASES, |rng| {
+        let ops = vec_of(rng, 1..80, gen_op);
+        let budget = int(rng, 1..8);
         run_and_crash(budget, TargetPolicy::Fifo, &ops);
-    }
+    });
+}
 
-    #[test]
-    fn crash_at_any_point_preserves_prior_writes(
-        prefix in prop::collection::vec(op_strategy(), 1..60),
-        crash_after in 0..60usize,
-    ) {
+#[test]
+fn crash_at_any_point_preserves_prior_writes() {
+    check("crash_at_any_point_preserves_prior_writes", CASES, |rng| {
+        let prefix = vec_of(rng, 1..60, gen_op);
+        let crash_after = int(rng, 0..60) as usize;
         // Crash mid-workload rather than at the end: replay the prefix up
         // to the crash point against the model, crash, recover, verify.
         let cut = crash_after.min(prefix.len());
         run_and_crash(4, TargetPolicy::LeastRecentlyUpdated, &prefix[..cut.max(1)]);
-    }
+    });
+}
 
-    #[test]
-    fn budget_shrink_is_always_safe(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        first_budget in 4..16u64,
-        second_budget in 1..4u64,
-    ) {
+#[test]
+fn budget_shrink_is_always_safe() {
+    check("budget_shrink_is_always_safe", CASES, |rng| {
+        let ops = vec_of(rng, 1..60, gen_op);
+        let first_budget = int(rng, 4..16);
+        let second_budget = int(rng, 1..4);
         let mut v = build(first_budget, TargetPolicy::LeastRecentlyUpdated);
         let r = v.map(REGION_PAGES * PAGE).unwrap();
         for op in &ops {
@@ -146,9 +161,9 @@ proptest! {
             }
         }
         v.set_dirty_budget(second_budget);
-        prop_assert!(v.dirty_count() <= second_budget);
+        assert!(v.dirty_count() <= second_budget);
         v.validate();
         let report = v.power_failure();
-        prop_assert!(report.dirty_pages <= second_budget);
-    }
+        assert!(report.dirty_pages <= second_budget);
+    });
 }

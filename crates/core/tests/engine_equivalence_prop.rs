@@ -8,8 +8,8 @@
 //! exceeds what the battery provisions.
 
 use mem_sim::PAGE_SIZE;
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel, SimDuration};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
     DegradationConfig, DegradationGovernor, DirtyTracker, MmuAssisted, MmuAssistedViyojit, NvHeap,
@@ -21,7 +21,7 @@ use viyojit::{
 const PAGE: u64 = PAGE_SIZE as u64;
 const REGION_PAGES: u64 = 24;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Write {
         offset: u64,
@@ -54,194 +54,225 @@ enum Op {
     },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn gen_op(rng: &mut SplitMix64) -> Op {
     let max_off = REGION_PAGES * PAGE - u16::MAX as u64;
-    prop_oneof![
-        12 => (0..max_off, 1..2048u16, any::<u8>())
-            .prop_map(|(offset, len, fill)| Op::Write { offset, len, fill }),
-        4 => (1..2000u16).prop_map(|micros| Op::Idle { micros }),
-        2 => (2..14u64).prop_map(|pages| Op::SetBudget { pages }),
-        3 => (0..max_off, 1..2048u16).prop_map(|(offset, len)| Op::Read { offset, len }),
-        1 => (1..64u16).prop_map(|past| Op::OutOfRange { past }),
-        1 => any::<u8>().prop_map(|fill| Op::Remap { fill }),
-        1 => (0..3usize, 0..24u64)
-            .prop_map(|(tenant, cap)| Op::Throttle { tenant, cap: (cap > 0).then_some(cap) }),
-    ]
+    match weighted(rng, &[12, 4, 2, 3, 1, 1, 1]) {
+        0 => Op::Write {
+            offset: int(rng, 0..max_off),
+            len: int(rng, 1..2048) as u16,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Idle {
+            micros: int(rng, 1..2000) as u16,
+        },
+        2 => Op::SetBudget {
+            pages: int(rng, 2..14),
+        },
+        3 => Op::Read {
+            offset: int(rng, 0..max_off),
+            len: int(rng, 1..2048) as u16,
+        },
+        4 => Op::OutOfRange {
+            past: int(rng, 1..64) as u16,
+        },
+        5 => Op::Remap {
+            fill: rng.next_u64() as u8,
+        },
+        _ => {
+            let (tenant, cap) = (int(rng, 0..3) as usize, int(rng, 0..24));
+            Op::Throttle {
+                tenant,
+                cap: (cap > 0).then_some(cap),
+            }
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The cross-backend equivalence property: with writes free and the
-    /// SSD instant, the same operation sequence must produce *identical*
-    /// dirty counts for as long as neither backend has flushed anything —
-    /// first-write detection by trap and by hardware counter are the same
-    /// observation. Once the copier acts the mechanisms legitimately
-    /// diverge (the walker feeds fault-time recency and pressure into
-    /// victim choice, the hardware backend only walk-time discovery —
-    /// §5.4's coarser observability), so past that point the property
-    /// weakens to what the *policy* guarantees both backends: the bound
-    /// holds at every step, budgets re-derive identically, and a crash at
-    /// the end loses nothing on either.
-    #[test]
-    fn software_and_mmu_backends_are_policy_equivalent(
-        ops in prop::collection::vec(op_strategy(), 1..100),
-        budget in 2..16u64,
-    ) {
-        let mut sw = Viyojit::new(
-            32,
-            ViyojitConfig::with_budget_pages(budget),
-            Clock::new(),
-            CostModel::free(),
-            SsdConfig::instant(),
-        );
-        let mut hw = MmuAssistedViyojit::new(
-            32,
-            ViyojitConfig::with_budget_pages(budget),
-            Clock::new(),
-            CostModel::free(),
-            SsdConfig::instant(),
-        );
-        let rs = sw.map(REGION_PAGES * PAGE).unwrap();
-        let rh = hw.map(REGION_PAGES * PAGE).unwrap();
-        let mut model = vec![0u8; (REGION_PAGES * PAGE) as usize];
-
-        for op in &ops {
-            match *op {
-                Op::Write { offset, len, fill } => {
-                    let data = vec![fill; len as usize];
-                    sw.write(rs, offset, &data).unwrap();
-                    hw.write(rh, offset, &data).unwrap();
-                    model[offset as usize..offset as usize + len as usize].fill(fill);
-                }
-                Op::Idle { micros } => {
-                    sw.clock().advance(SimDuration::from_micros(micros as u64));
-                    hw.clock().advance(SimDuration::from_micros(micros as u64));
-                }
-                Op::SetBudget { pages } => {
-                    sw.set_dirty_budget(pages);
-                    hw.set_dirty_budget(pages);
-                }
-                Op::Read { offset, len } => {
-                    let (mut a, mut b) = (vec![0u8; len as usize], vec![0u8; len as usize]);
-                    sw.read(rs, offset, &mut a).unwrap();
-                    hw.read(rh, offset, &mut b).unwrap();
-                    let want = &model[offset as usize..offset as usize + len as usize];
-                    prop_assert_eq!(&a[..], want, "software read diverged from the model");
-                    prop_assert_eq!(&b[..], want, "hardware read diverged from the model");
-                }
-                Op::OutOfRange { past } => {
-                    let offset = REGION_PAGES * PAGE - 1;
-                    let data = vec![0xEE; past as usize + 1];
-                    let len = data.len();
-                    let refused = |region| Err(ViyojitError::OutOfRange { region, offset, len });
-                    prop_assert_eq!(sw.write(rs, offset, &data), refused(rs));
-                    prop_assert_eq!(hw.write(rh, offset, &data), refused(rh));
-                }
-                // Routing and tenancy exist only on the sharded frontend.
-                Op::Remap { .. } | Op::Throttle { .. } => {}
-            }
-            if sw.stats().flushes_issued() == 0 && hw.stats().flushes_issued() == 0 {
-                prop_assert_eq!(
-                    sw.dirty_count(),
-                    hw.dirty_count(),
-                    "backends disagree on the dirty population after {:?}",
-                    op
-                );
-            }
-            prop_assert_eq!(sw.dirty_budget(), hw.dirty_budget());
-            prop_assert!(sw.dirty_count() <= sw.dirty_budget());
-            prop_assert!(hw.dirty_count() <= hw.dirty_budget());
-            sw.check_invariants().unwrap();
-            hw.check_invariants().unwrap();
-        }
-
-        let (sr, hr) = (sw.power_failure(), hw.power_failure());
-        prop_assert!(sr.dirty_pages <= sw.dirty_budget());
-        prop_assert!(hr.dirty_pages <= hw.dirty_budget());
-
-        sw.recover();
-        hw.recover();
-        prop_assert!(sw.durable_state_consistent());
-        prop_assert!(hw.durable_state_consistent());
-        let mut a = vec![0u8; model.len()];
-        let mut b = a.clone();
-        sw.read(rs, 0, &mut a).unwrap();
-        hw.read(rh, 0, &mut b).unwrap();
-        prop_assert_eq!(&a, &model, "software contents survive the power cycle");
-        prop_assert_eq!(&b, &model, "hardware contents survive the power cycle");
-    }
-
-    /// The sharded frontend's global invariant: across routing, epoch
-    /// processing, and arbiter rebalances, the *sum* of per-shard dirty
-    /// pages never exceeds the single global budget, reads agree with a
-    /// flat model, and the power-failure obligation stays inside the
-    /// battery's provisioning.
-    #[test]
-    fn sharded_dirty_population_stays_inside_the_global_budget(
-        ops in prop::collection::vec(op_strategy(), 1..120),
-        shards in 1..5usize,
-        budget in 8..40u64,
-    ) {
-        let mut nv: ShardedViyojit =
-            ShardedViyojitBuilder::new(shards, 64, ViyojitConfig::with_budget_pages(budget))
-                .min_per_shard(2)
-                .rebalance_period(SimDuration::from_micros(500))
-                .build_sequential()
-                .unwrap();
-        let regions: Vec<_> = (0..4)
-            .map(|_| nv.map(REGION_PAGES / 4 * PAGE).unwrap())
-            .collect();
-        let region_bytes = (REGION_PAGES / 4 * PAGE) as usize;
-        let mut model = vec![vec![0u8; region_bytes]; regions.len()];
-
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Write { offset, len, fill } => {
-                    let region = i % regions.len();
-                    let off = offset as usize % (region_bytes - len as usize);
-                    nv.write(regions[region], off as u64, &vec![fill; len as usize])
-                        .unwrap();
-                    model[region][off..off + len as usize].fill(fill);
-                }
-                Op::Idle { micros } => {
-                    nv.clock().advance(SimDuration::from_micros(micros as u64));
-                }
-                Op::Read { offset, len } => {
-                    let region = i % regions.len();
-                    let off = offset as usize % (region_bytes - len as usize);
-                    let mut buf = vec![0u8; len as usize];
-                    nv.read(regions[region], off as u64, &mut buf).unwrap();
-                    prop_assert_eq!(&buf[..], &model[region][off..off + len as usize]);
-                }
-                // The sharded frontend owns its shards' budgets; a burst
-                // of idle time triggers rebalances instead (the mode
-                // equivalence property below drives the remaining ops).
-                Op::SetBudget { .. }
-                | Op::OutOfRange { .. }
-                | Op::Remap { .. }
-                | Op::Throttle { .. } => {
-                    nv.clock().advance(SimDuration::from_micros(700));
-                }
-            }
-            prop_assert!(
-                nv.dirty_count() <= budget,
-                "shard dirty sum {} exceeded the global budget {}",
-                nv.dirty_count(),
-                budget
+/// The cross-backend equivalence property: with writes free and the
+/// SSD instant, the same operation sequence must produce *identical*
+/// dirty counts for as long as neither backend has flushed anything —
+/// first-write detection by trap and by hardware counter are the same
+/// observation. Once the copier acts the mechanisms legitimately
+/// diverge (the walker feeds fault-time recency and pressure into
+/// victim choice, the hardware backend only walk-time discovery —
+/// §5.4's coarser observability), so past that point the property
+/// weakens to what the *policy* guarantees both backends: the bound
+/// holds at every step, budgets re-derive identically, and a crash at
+/// the end loses nothing on either.
+#[test]
+fn software_and_mmu_backends_are_policy_equivalent() {
+    check(
+        "software_and_mmu_backends_are_policy_equivalent",
+        40,
+        |rng| {
+            let ops = vec_of(rng, 1..100, gen_op);
+            let budget = int(rng, 2..16);
+            let mut sw = Viyojit::new(
+                32,
+                ViyojitConfig::with_budget_pages(budget),
+                Clock::new(),
+                CostModel::free(),
+                SsdConfig::instant(),
             );
-            nv.check_invariants().unwrap();
-        }
+            let mut hw = MmuAssistedViyojit::new(
+                32,
+                ViyojitConfig::with_budget_pages(budget),
+                Clock::new(),
+                CostModel::free(),
+                SsdConfig::instant(),
+            );
+            let rs = sw.map(REGION_PAGES * PAGE).unwrap();
+            let rh = hw.map(REGION_PAGES * PAGE).unwrap();
+            let mut model = vec![0u8; (REGION_PAGES * PAGE) as usize];
 
-        let report = nv.power_failure();
-        prop_assert!(report.dirty_pages <= budget);
-        nv.recover();
-        for (region, contents) in regions.iter().zip(&model) {
-            let mut buf = vec![0u8; region_bytes];
-            nv.read(*region, 0, &mut buf).unwrap();
-            prop_assert_eq!(&buf, contents, "region contents survive the power cycle");
-        }
-    }
+            for op in &ops {
+                match *op {
+                    Op::Write { offset, len, fill } => {
+                        let data = vec![fill; len as usize];
+                        sw.write(rs, offset, &data).unwrap();
+                        hw.write(rh, offset, &data).unwrap();
+                        model[offset as usize..offset as usize + len as usize].fill(fill);
+                    }
+                    Op::Idle { micros } => {
+                        sw.clock().advance(SimDuration::from_micros(micros as u64));
+                        hw.clock().advance(SimDuration::from_micros(micros as u64));
+                    }
+                    Op::SetBudget { pages } => {
+                        sw.set_dirty_budget(pages);
+                        hw.set_dirty_budget(pages);
+                    }
+                    Op::Read { offset, len } => {
+                        let (mut a, mut b) = (vec![0u8; len as usize], vec![0u8; len as usize]);
+                        sw.read(rs, offset, &mut a).unwrap();
+                        hw.read(rh, offset, &mut b).unwrap();
+                        let want = &model[offset as usize..offset as usize + len as usize];
+                        assert_eq!(&a[..], want, "software read diverged from the model");
+                        assert_eq!(&b[..], want, "hardware read diverged from the model");
+                    }
+                    Op::OutOfRange { past } => {
+                        let offset = REGION_PAGES * PAGE - 1;
+                        let data = vec![0xEE; past as usize + 1];
+                        let len = data.len();
+                        let refused = |region| {
+                            Err(ViyojitError::OutOfRange {
+                                region,
+                                offset,
+                                len,
+                            })
+                        };
+                        assert_eq!(sw.write(rs, offset, &data), refused(rs));
+                        assert_eq!(hw.write(rh, offset, &data), refused(rh));
+                    }
+                    // Routing and tenancy exist only on the sharded frontend.
+                    Op::Remap { .. } | Op::Throttle { .. } => {}
+                }
+                if sw.stats().flushes_issued() == 0 && hw.stats().flushes_issued() == 0 {
+                    assert_eq!(
+                        sw.dirty_count(),
+                        hw.dirty_count(),
+                        "backends disagree on the dirty population after {:?}",
+                        op
+                    );
+                }
+                assert_eq!(sw.dirty_budget(), hw.dirty_budget());
+                assert!(sw.dirty_count() <= sw.dirty_budget());
+                assert!(hw.dirty_count() <= hw.dirty_budget());
+                sw.check_invariants().unwrap();
+                hw.check_invariants().unwrap();
+            }
+
+            let (sr, hr) = (sw.power_failure(), hw.power_failure());
+            assert!(sr.dirty_pages <= sw.dirty_budget());
+            assert!(hr.dirty_pages <= hw.dirty_budget());
+
+            sw.recover();
+            hw.recover();
+            assert!(sw.durable_state_consistent());
+            assert!(hw.durable_state_consistent());
+            let mut a = vec![0u8; model.len()];
+            let mut b = a.clone();
+            sw.read(rs, 0, &mut a).unwrap();
+            hw.read(rh, 0, &mut b).unwrap();
+            assert_eq!(&a, &model, "software contents survive the power cycle");
+            assert_eq!(&b, &model, "hardware contents survive the power cycle");
+        },
+    );
+}
+
+/// The sharded frontend's global invariant: across routing, epoch
+/// processing, and arbiter rebalances, the *sum* of per-shard dirty
+/// pages never exceeds the single global budget, reads agree with a
+/// flat model, and the power-failure obligation stays inside the
+/// battery's provisioning.
+#[test]
+fn sharded_dirty_population_stays_inside_the_global_budget() {
+    check(
+        "sharded_dirty_population_stays_inside_the_global_budget",
+        40,
+        |rng| {
+            let ops = vec_of(rng, 1..120, gen_op);
+            let shards = int(rng, 1..5) as usize;
+            let budget = int(rng, 8..40);
+            let mut nv: ShardedViyojit =
+                ShardedViyojitBuilder::new(shards, 64, ViyojitConfig::with_budget_pages(budget))
+                    .min_per_shard(2)
+                    .rebalance_period(SimDuration::from_micros(500))
+                    .build_sequential()
+                    .unwrap();
+            let regions: Vec<_> = (0..4)
+                .map(|_| nv.map(REGION_PAGES / 4 * PAGE).unwrap())
+                .collect();
+            let region_bytes = (REGION_PAGES / 4 * PAGE) as usize;
+            let mut model = vec![vec![0u8; region_bytes]; regions.len()];
+
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Write { offset, len, fill } => {
+                        let region = i % regions.len();
+                        let off = offset as usize % (region_bytes - len as usize);
+                        nv.write(regions[region], off as u64, &vec![fill; len as usize])
+                            .unwrap();
+                        model[region][off..off + len as usize].fill(fill);
+                    }
+                    Op::Idle { micros } => {
+                        nv.clock().advance(SimDuration::from_micros(micros as u64));
+                    }
+                    Op::Read { offset, len } => {
+                        let region = i % regions.len();
+                        let off = offset as usize % (region_bytes - len as usize);
+                        let mut buf = vec![0u8; len as usize];
+                        nv.read(regions[region], off as u64, &mut buf).unwrap();
+                        assert_eq!(&buf[..], &model[region][off..off + len as usize]);
+                    }
+                    // The sharded frontend owns its shards' budgets; a burst
+                    // of idle time triggers rebalances instead (the mode
+                    // equivalence property below drives the remaining ops).
+                    Op::SetBudget { .. }
+                    | Op::OutOfRange { .. }
+                    | Op::Remap { .. }
+                    | Op::Throttle { .. } => {
+                        nv.clock().advance(SimDuration::from_micros(700));
+                    }
+                }
+                assert!(
+                    nv.dirty_count() <= budget,
+                    "shard dirty sum {} exceeded the global budget {}",
+                    nv.dirty_count(),
+                    budget
+                );
+                nv.check_invariants().unwrap();
+            }
+
+            let report = nv.power_failure();
+            assert!(report.dirty_pages <= budget);
+            nv.recover();
+            for (region, contents) in regions.iter().zip(&model) {
+                let mut buf = vec![0u8; region_bytes];
+                nv.read(*region, 0, &mut buf).unwrap();
+                assert_eq!(&buf, contents, "region contents survive the power cycle");
+            }
+        },
+    );
 }
 
 /// One sharded deployment in either execution mode, seen through the
@@ -470,13 +501,13 @@ fn drive_cluster<B: DirtyTracker + Send + 'static>(
 fn check_modes_agree<B: DirtyTracker + Send + 'static>(
     builder: impl Fn() -> ShardedViyojitBuilder<B>,
     ops: &[Op],
-) -> Result<(), TestCaseError> {
+) {
     let seq = drive_cluster(
         Cluster::sequential_from(builder()).expect("a valid sequential configuration"),
         ops,
     )
     .expect("the sequential run must not fail");
-    prop_assert_eq!(
+    assert_eq!(
         &seq.contents,
         &seq.model,
         "{}: sequential contents must survive the power cycle",
@@ -488,7 +519,7 @@ fn check_modes_agree<B: DirtyTracker + Send + 'static>(
             ops,
         )
         .expect("the parallel run must not fail");
-        prop_assert_eq!(
+        assert_eq!(
             &par,
             &seq,
             "{}: {} threads must replay the sequential outcome exactly",
@@ -496,31 +527,31 @@ fn check_modes_agree<B: DirtyTracker + Send + 'static>(
             threads
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The execution-mode equivalence property: the thread-parallel
-    /// runtime is an *implementation* of the sharded frontend, not a
-    /// variant of it. With writes free and the SSD instant, the same
-    /// operation sequence driven through [`ShardDataPlane`] /
-    /// [`ShardControlPlane`] must produce identical aggregated and
-    /// per-tenant stats, dirty populations, rebalance counts, placements,
-    /// typed refusals, power-failure reports, and post-recovery memory
-    /// images at every thread count, on both tracking backends, with and
-    /// without declared tenants.
-    #[test]
-    fn parallel_and_sequential_sharding_are_equivalent(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        shards in 1..5usize,
-        budget in 8..40u64,
-        tenants in any::<bool>(),
-    ) {
-        check_modes_agree::<SoftwareWalk>(|| tenanted_builder(tenants, shards, budget), &ops)?;
-        check_modes_agree::<MmuAssisted>(|| tenanted_builder(tenants, shards, budget), &ops)?;
-    }
+/// The execution-mode equivalence property: the thread-parallel
+/// runtime is an *implementation* of the sharded frontend, not a
+/// variant of it. With writes free and the SSD instant, the same
+/// operation sequence driven through [`ShardDataPlane`] /
+/// [`ShardControlPlane`] must produce identical aggregated and
+/// per-tenant stats, dirty populations, rebalance counts, placements,
+/// typed refusals, power-failure reports, and post-recovery memory
+/// images at every thread count, on both tracking backends, with and
+/// without declared tenants.
+#[test]
+fn parallel_and_sequential_sharding_are_equivalent() {
+    check(
+        "parallel_and_sequential_sharding_are_equivalent",
+        24,
+        |rng| {
+            let ops = vec_of(rng, 1..80, gen_op);
+            let shards = int(rng, 1..5) as usize;
+            let budget = int(rng, 8..40);
+            let tenants = rng.chance(0.5);
+            check_modes_agree::<SoftwareWalk>(|| tenanted_builder(tenants, shards, budget), &ops);
+            check_modes_agree::<MmuAssisted>(|| tenanted_builder(tenants, shards, budget), &ops);
+        },
+    );
 }
 
 /// One explicitly declared tenant spanning every shard, with its
@@ -535,51 +566,50 @@ fn whole_machine_tenant_builder(shards: usize, budget: u64) -> ShardedViyojitBui
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The hierarchy equivalence property: routing the budget through the
-    /// machine → tenant → shard tree with a single whole-machine tenant
-    /// must replay the flat arbiter byte-for-byte — identical stats,
-    /// dirty populations, rebalance counts, floor rejections,
-    /// power-failure reports, and post-recovery contents — in both
-    /// execution modes. This is what keeps every pre-hierarchy golden
-    /// valid.
-    #[test]
-    fn a_single_declared_tenant_replays_the_flat_arbiter(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        shards in 1..5usize,
-        budget in 8..40u64,
-    ) {
-        let flat = drive_cluster(
-            Cluster::sequential_from(equivalence_builder::<SoftwareWalk>(shards, budget))
-                .expect("a valid flat configuration"),
-            &ops,
-        )
-        .expect("the flat run must not fail");
-        let tree_seq = drive_cluster(
-            Cluster::sequential_from(whole_machine_tenant_builder(shards, budget))
-                .expect("a valid single-tenant configuration"),
-            &ops,
-        )
-        .expect("the single-tenant sequential run must not fail");
-        prop_assert_eq!(
-            &tree_seq,
-            &flat,
-            "the single-tenant tree must replay the flat arbiter (sequential)"
-        );
-        let tree_par = drive_cluster(
-            Cluster::parallel_from(whole_machine_tenant_builder(shards, budget), 2)
-                .expect("a valid single-tenant parallel configuration"),
-            &ops,
-        )
-        .expect("the single-tenant parallel run must not fail");
-        prop_assert_eq!(
-            &tree_par,
-            &flat,
-            "the single-tenant tree must replay the flat arbiter (parallel)"
-        );
-    }
+/// The hierarchy equivalence property: routing the budget through the
+/// machine → tenant → shard tree with a single whole-machine tenant
+/// must replay the flat arbiter byte-for-byte — identical stats,
+/// dirty populations, rebalance counts, floor rejections,
+/// power-failure reports, and post-recovery contents — in both
+/// execution modes. This is what keeps every pre-hierarchy golden
+/// valid.
+#[test]
+fn a_single_declared_tenant_replays_the_flat_arbiter() {
+    check(
+        "a_single_declared_tenant_replays_the_flat_arbiter",
+        16,
+        |rng| {
+            let ops = vec_of(rng, 1..80, gen_op);
+            let shards = int(rng, 1..5) as usize;
+            let budget = int(rng, 8..40);
+            let flat = drive_cluster(
+                Cluster::sequential_from(equivalence_builder::<SoftwareWalk>(shards, budget))
+                    .expect("a valid flat configuration"),
+                &ops,
+            )
+            .expect("the flat run must not fail");
+            let tree_seq = drive_cluster(
+                Cluster::sequential_from(whole_machine_tenant_builder(shards, budget))
+                    .expect("a valid single-tenant configuration"),
+                &ops,
+            )
+            .expect("the single-tenant sequential run must not fail");
+            assert_eq!(
+                &tree_seq, &flat,
+                "the single-tenant tree must replay the flat arbiter (sequential)"
+            );
+            let tree_par = drive_cluster(
+                Cluster::parallel_from(whole_machine_tenant_builder(shards, budget), 2)
+                    .expect("a valid single-tenant parallel configuration"),
+                &ops,
+            )
+            .expect("the single-tenant parallel run must not fail");
+            assert_eq!(
+                &tree_par, &flat,
+                "the single-tenant tree must replay the flat arbiter (parallel)"
+            );
+        },
+    );
 }
 
 /// The tenant control surface must behave identically in both execution

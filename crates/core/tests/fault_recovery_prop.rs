@@ -3,13 +3,11 @@
 //! durable state exactly, across every tracking backend and the sharded
 //! manager.
 //!
-//! These are hand-rolled property loops (no external property-testing
-//! framework): every scenario is a pure function of a `u64` seed, driven
-//! through the same splitmix64 generator the fault plans use. Set
-//! `FAULT_SEED=<n>` to replay a single seed; on any violation the run's
-//! full telemetry trace is dumped to
-//! `target/fault-telemetry/seed-<n>.jsonl` and the failing seed is printed
-//! in the panic message.
+//! Every scenario is a pure function of a `u64` seed, driven through the
+//! same splitmix64 generator the fault plans use, and `propcheck` sweeps
+//! the seeds: a failure names its seed, `FAULT_SEED=<n>` replays it alone.
+//! On any violation the run's full telemetry trace is dumped to
+//! `target/fault-telemetry/seed-<n>.jsonl`.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,6 +15,7 @@ use std::path::PathBuf;
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
+use propcheck::check_seeds;
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
@@ -33,15 +32,6 @@ const WRITES: u64 = 1_024;
 const STORM_RATE: f64 = 0.02;
 const SEEDS_PER_PROPERTY: u64 = 16;
 
-/// Seeds to sweep: the fixed default set, or the single seed named by
-/// `FAULT_SEED` when replaying a reported failure.
-fn seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED") {
-        Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
-        Err(_) => (0..SEEDS_PER_PROPERTY).collect(),
-    }
-}
-
 /// Everything one storm scenario produced, kept around so a failed check
 /// can dump the telemetry trace before panicking.
 struct Run {
@@ -55,7 +45,7 @@ struct Run {
 
 impl Run {
     /// Dumps the trace to `target/fault-telemetry/seed-<n>.jsonl` and
-    /// panics with the seed and the replay instructions.
+    /// panics with the seed and where the trace is.
     fn fail(&self, why: &str) -> ! {
         let dir =
             PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
@@ -66,10 +56,9 @@ impl Run {
         let mut sink = JsonlSink::new(file);
         self.telemetry.drain_into(&mut sink);
         panic!(
-            "[seed {}] {why}\nreport: {:?}\nreplay with FAULT_SEED={} (trace at {})",
+            "[seed {}] {why}\nreport: {:?}\ntrace at {}",
             self.seed,
             self.report,
-            self.seed,
             path.display()
         );
     }
@@ -181,44 +170,60 @@ fn check_recovery(run: &Run) {
 
 #[test]
 fn software_walk_recovers_durable_state_under_faults() {
-    for seed in seeds() {
-        check_recovery(&storm_scenario::<SoftwareWalk>(seed, BUDGET));
-    }
+    check_seeds(
+        "software_walk_recovers_durable_state_under_faults",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            check_recovery(&storm_scenario::<SoftwareWalk>(seed, BUDGET));
+        },
+    );
 }
 
 #[test]
 fn mmu_assisted_recovers_durable_state_under_faults() {
-    for seed in seeds() {
-        check_recovery(&storm_scenario::<MmuAssisted>(seed, BUDGET));
-    }
+    check_seeds(
+        "mmu_assisted_recovers_durable_state_under_faults",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            check_recovery(&storm_scenario::<MmuAssisted>(seed, BUDGET));
+        },
+    );
 }
 
 #[test]
 fn full_dirty_baseline_recovers_durable_state_under_faults() {
     // The baseline's obligation is the whole DRAM, so its battery is
     // sized against every page, not the budget.
-    for seed in seeds() {
-        check_recovery(&storm_scenario::<FullDirty>(seed, TOTAL_PAGES as u64));
-    }
+    check_seeds(
+        "full_dirty_baseline_recovers_durable_state_under_faults",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            check_recovery(&storm_scenario::<FullDirty>(seed, TOTAL_PAGES as u64));
+        },
+    );
 }
 
 #[test]
 fn same_seed_reproduces_the_same_partial_flush() {
-    for seed in seeds() {
-        let a = storm_scenario::<SoftwareWalk>(seed, BUDGET);
-        let b = storm_scenario::<SoftwareWalk>(seed, BUDGET);
-        a.check(
-            a.report == b.report,
-            &format!(
-                "same seed must reproduce the same report: {:?} vs {:?}",
-                a.report, b.report
-            ),
-        );
-        a.check(
-            a.post == b.post,
-            "same seed must reproduce the same post-recovery memory",
-        );
-    }
+    check_seeds(
+        "same_seed_reproduces_the_same_partial_flush",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            let a = storm_scenario::<SoftwareWalk>(seed, BUDGET);
+            let b = storm_scenario::<SoftwareWalk>(seed, BUDGET);
+            a.check(
+                a.report == b.report,
+                &format!(
+                    "same seed must reproduce the same report: {:?} vs {:?}",
+                    a.report, b.report
+                ),
+            );
+            a.check(
+                a.post == b.post,
+                "same seed must reproduce the same post-recovery memory",
+            );
+        },
+    );
 }
 
 /// One crash-armed storm life: the seeded [`CrashSchedule`] picks its own
@@ -278,150 +283,164 @@ fn crash_storm_scenario(seed: u64) -> (Option<CrashSignal>, PowerFailureReport, 
 
 #[test]
 fn same_seed_fires_the_same_crashpoint_and_report() {
-    for seed in seeds() {
-        let (fired_a, report_a, post_a) = crash_storm_scenario(seed);
-        let (fired_b, report_b, post_b) = crash_storm_scenario(seed);
-        assert_eq!(
-            fired_a, fired_b,
-            "[seed {seed}] the same FAULT_SEED must fire the same crashpoint"
-        );
-        assert_eq!(
-            report_a, report_b,
-            "[seed {seed}] the same FAULT_SEED must reproduce the same report"
-        );
-        assert_eq!(
-            post_a, post_b,
-            "[seed {seed}] the same FAULT_SEED must reproduce the same durable state"
-        );
-    }
+    check_seeds(
+        "same_seed_fires_the_same_crashpoint_and_report",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            let (fired_a, report_a, post_a) = crash_storm_scenario(seed);
+            let (fired_b, report_b, post_b) = crash_storm_scenario(seed);
+            assert_eq!(
+                fired_a, fired_b,
+                "[seed {seed}] the same FAULT_SEED must fire the same crashpoint"
+            );
+            assert_eq!(
+                report_a, report_b,
+                "[seed {seed}] the same FAULT_SEED must reproduce the same report"
+            );
+            assert_eq!(
+                post_a, post_b,
+                "[seed {seed}] the same FAULT_SEED must reproduce the same durable state"
+            );
+        },
+    );
 }
 
 #[test]
 fn sharded_aggregate_accounts_every_page_under_faults() {
-    for seed in seeds() {
-        let clock = Clock::new();
-        let telemetry = Telemetry::recording(clock.clone());
-        let ssd_config = SsdConfig::datacenter();
-        let mut nv = ShardedViyojitBuilder::new(4, 64, ViyojitConfig::with_budget_pages(BUDGET))
-            .backend::<SoftwareWalk>()
-            .min_per_shard(4)
-            .rebalance_period(SimDuration::from_millis(10))
-            .clock(clock)
-            .cost_model(CostModel::calibrated())
-            .ssd(ssd_config.clone())
-            .telemetry(telemetry.clone())
-            .faults(FaultPlan::seeded(seed, FaultConfig::storm(STORM_RATE)))
-            .build_sequential()
-            .expect("a valid sharded configuration");
-        let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
+    check_seeds(
+        "sharded_aggregate_accounts_every_page_under_faults",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            let clock = Clock::new();
+            let telemetry = Telemetry::recording(clock.clone());
+            let ssd_config = SsdConfig::datacenter();
+            let mut nv =
+                ShardedViyojitBuilder::new(4, 64, ViyojitConfig::with_budget_pages(BUDGET))
+                    .backend::<SoftwareWalk>()
+                    .min_per_shard(4)
+                    .rebalance_period(SimDuration::from_millis(10))
+                    .clock(clock)
+                    .cost_model(CostModel::calibrated())
+                    .ssd(ssd_config.clone())
+                    .telemetry(telemetry.clone())
+                    .faults(FaultPlan::seeded(seed, FaultConfig::storm(STORM_RATE)))
+                    .build_sequential()
+                    .expect("a valid sharded configuration");
+            let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
 
-        let mut rng = SplitMix64::new(seed);
-        for _ in 0..WRITES {
-            let region = regions[rng.below(4) as usize];
-            let page = rng.below(32);
-            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
-                .expect("write");
-        }
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..WRITES {
+                let region = regions[rng.below(4) as usize];
+                let page = rng.below(32);
+                nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
+                    .expect("write");
+            }
 
-        let power = PowerModel::datacenter_server(0.064);
-        let margin = 1.0 + (seed % 4) as f64;
-        let needed = ssd_config.drain_time(BUDGET * PAGE).as_secs_f64() * power.total_watts();
-        let battery = Battery::new(
-            BatteryConfig::with_capacity_joules(needed * margin).with_depth_of_discharge(1.0),
-        );
-        let report = nv.power_failure_powered(&battery, &power);
-        nv.recover();
-        let run = Run {
-            seed,
-            report,
-            pre: Vec::new(),
-            post: Vec::new(),
-            invariant_violation: nv.check_invariants().err().map(|v| v.to_string()),
-            telemetry,
-        };
-        run.check(
-            run.report.all_pages_accounted(),
-            "the sharded aggregate must account for every dirty page",
-        );
-        if let Some(violation) = &run.invariant_violation {
-            run.fail(&format!("post-recovery invariant violated: {violation}"));
-        }
-        run.check(
-            (run.report.outcome == FlushOutcome::Complete) == (run.report.pages_lost == 0),
-            "the aggregated outcome must agree with the aggregated losses",
-        );
-    }
+            let power = PowerModel::datacenter_server(0.064);
+            let margin = 1.0 + (seed % 4) as f64;
+            let needed = ssd_config.drain_time(BUDGET * PAGE).as_secs_f64() * power.total_watts();
+            let battery = Battery::new(
+                BatteryConfig::with_capacity_joules(needed * margin).with_depth_of_discharge(1.0),
+            );
+            let report = nv.power_failure_powered(&battery, &power);
+            nv.recover();
+            let run = Run {
+                seed,
+                report,
+                pre: Vec::new(),
+                post: Vec::new(),
+                invariant_violation: nv.check_invariants().err().map(|v| v.to_string()),
+                telemetry,
+            };
+            run.check(
+                run.report.all_pages_accounted(),
+                "the sharded aggregate must account for every dirty page",
+            );
+            if let Some(violation) = &run.invariant_violation {
+                run.fail(&format!("post-recovery invariant violated: {violation}"));
+            }
+            run.check(
+                (run.report.outcome == FlushOutcome::Complete) == (run.report.pages_lost == 0),
+                "the aggregated outcome must agree with the aggregated losses",
+            );
+        },
+    );
 }
 
 #[test]
 fn governor_restores_budget_invariant_after_capacity_drop() {
-    for seed in seeds() {
-        let clock = Clock::new();
-        let telemetry = Telemetry::recording(clock.clone());
-        let mut nv = Engine::<SoftwareWalk>::new(
-            TOTAL_PAGES,
-            ViyojitConfig::with_budget_pages(BUDGET),
-            clock,
-            CostModel::calibrated(),
-            SsdConfig::datacenter(),
-        );
-        nv.attach_telemetry(telemetry.clone());
-        let region = nv.map(REGION_PAGES * PAGE).expect("map");
-        let mut rng = SplitMix64::new(seed);
-        for _ in 0..WRITES {
-            let page = rng.below(REGION_PAGES);
-            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
-                .expect("write");
-        }
+    check_seeds(
+        "governor_restores_budget_invariant_after_capacity_drop",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            let clock = Clock::new();
+            let telemetry = Telemetry::recording(clock.clone());
+            let mut nv = Engine::<SoftwareWalk>::new(
+                TOTAL_PAGES,
+                ViyojitConfig::with_budget_pages(BUDGET),
+                clock,
+                CostModel::calibrated(),
+                SsdConfig::datacenter(),
+            );
+            nv.attach_telemetry(telemetry.clone());
+            let region = nv.map(REGION_PAGES * PAGE).expect("map");
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..WRITES {
+                let page = rng.below(REGION_PAGES);
+                nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
+                    .expect("write");
+            }
 
-        // The injected 50% capacity drop fires on the first poll.
-        let mut config = FaultConfig::none();
-        config.capacity_drop_rate = 1.0;
-        config.capacity_drop_factor = 0.5;
-        let plan = FaultPlan::seeded(seed, config);
-        let mut battery =
-            Battery::new(BatteryConfig::with_capacity_joules(12.0).with_depth_of_discharge(1.0));
-        battery
-            .apply_capacity_drop(&plan)
-            .expect("the plan always fires a capacity drop");
+            // The injected 50% capacity drop fires on the first poll.
+            let mut config = FaultConfig::none();
+            config.capacity_drop_rate = 1.0;
+            config.capacity_drop_factor = 0.5;
+            let plan = FaultPlan::seeded(seed, config);
+            let mut battery = Battery::new(
+                BatteryConfig::with_capacity_joules(12.0).with_depth_of_discharge(1.0),
+            );
+            battery
+                .apply_capacity_drop(&plan)
+                .expect("the plan always fires a capacity drop");
 
-        let mut governor = DegradationGovernor::new(BUDGET, DegradationConfig::default());
-        let applied = nv.govern_degradation(&mut governor, battery.reported_health(&plan));
-        let run = Run {
-            seed,
-            report: PowerFailureReport {
-                dirty_pages: 0,
-                pages_flushed: 0,
-                pages_lost: 0,
-                retries: 0,
-                bytes_flushed: 0,
-                flush_time: SimDuration::ZERO,
-                energy_margin_joules: f64::INFINITY,
-                outcome: FlushOutcome::Complete,
-            },
-            pre: Vec::new(),
-            post: Vec::new(),
-            invariant_violation: nv.check_invariants().err().map(|v| v.to_string()),
-            telemetry,
-        };
-        run.check(
-            applied == Some(BUDGET / 2),
-            &format!("a 50% capacity drop must halve the budget, got {applied:?}"),
-        );
-        run.check(
-            matches!(governor.mode(), DegradedMode::Degraded(_)),
-            "the governor must report degraded mode",
-        );
-        run.check(
-            nv.dirty_count() <= BUDGET / 2,
-            &format!(
-                "the shrink must stall until dirty_count ({}) fits the halved budget ({})",
-                nv.dirty_count(),
-                BUDGET / 2
-            ),
-        );
-        if let Some(violation) = &run.invariant_violation {
-            run.fail(&format!("degraded-mode invariant violated: {violation}"));
-        }
-    }
+            let mut governor = DegradationGovernor::new(BUDGET, DegradationConfig::default());
+            let applied = nv.govern_degradation(&mut governor, battery.reported_health(&plan));
+            let run = Run {
+                seed,
+                report: PowerFailureReport {
+                    dirty_pages: 0,
+                    pages_flushed: 0,
+                    pages_lost: 0,
+                    retries: 0,
+                    bytes_flushed: 0,
+                    flush_time: SimDuration::ZERO,
+                    energy_margin_joules: f64::INFINITY,
+                    outcome: FlushOutcome::Complete,
+                },
+                pre: Vec::new(),
+                post: Vec::new(),
+                invariant_violation: nv.check_invariants().err().map(|v| v.to_string()),
+                telemetry,
+            };
+            run.check(
+                applied == Some(BUDGET / 2),
+                &format!("a 50% capacity drop must halve the budget, got {applied:?}"),
+            );
+            run.check(
+                matches!(governor.mode(), DegradedMode::Degraded(_)),
+                "the governor must report degraded mode",
+            );
+            run.check(
+                nv.dirty_count() <= BUDGET / 2,
+                &format!(
+                    "the shrink must stall until dirty_count ({}) fits the halved budget ({})",
+                    nv.dirty_count(),
+                    BUDGET / 2
+                ),
+            );
+            if let Some(violation) = &run.invariant_violation {
+                run.fail(&format!("degraded-mode invariant violated: {violation}"));
+            }
+        },
+    );
 }

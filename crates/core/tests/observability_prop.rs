@@ -22,8 +22,8 @@ use std::path::PathBuf;
 use std::sync::Once;
 
 use mem_sim::PAGE_SIZE;
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel, SimDuration};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use telemetry::{FlightRecorder, RunMeta};
 use viyojit::{
@@ -38,7 +38,7 @@ const FAULT_SEED: u64 = 42;
 
 /// Injected crashes unwind worker threads with a [`CrashSignal`]
 /// payload; the supervisor absorbs them, so their backtraces are noise.
-/// Genuine panics (including proptest failures) keep the default hook.
+/// Genuine panics (a failing property among them) keep the default hook.
 fn suppress_crash_signal_backtraces() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -51,21 +51,28 @@ fn suppress_crash_signal_backtraces() {
     });
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Write { offset: u64, len: u16, fill: u8 },
     Idle { micros: u16 },
     SetBudget { pages: u64 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn gen_op(rng: &mut SplitMix64) -> Op {
     let max_off = REGION_PAGES * PAGE - u16::MAX as u64;
-    prop_oneof![
-        6 => (0..max_off, 1..2048u16, any::<u8>())
-            .prop_map(|(offset, len, fill)| Op::Write { offset, len, fill }),
-        2 => (1..2000u16).prop_map(|micros| Op::Idle { micros }),
-        1 => (2..14u64).prop_map(|pages| Op::SetBudget { pages }),
-    ]
+    match weighted(rng, &[6, 2, 1]) {
+        0 => Op::Write {
+            offset: int(rng, 0..max_off),
+            len: int(rng, 1..2048) as u16,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Idle {
+            micros: int(rng, 1..2000) as u16,
+        },
+        _ => Op::SetBudget {
+            pages: int(rng, 2..14),
+        },
+    }
 }
 
 /// One sharded deployment in either execution mode, seen through the
@@ -192,44 +199,43 @@ fn drive_observed(
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The merge-fidelity property: whatever the workload, the merged
-    /// multi-thread registry replays the sequential shared registry —
-    /// every counter exactly (engine `Cumulative` publications saturate
-    /// to the same max, driver `Sum` counters add to the same total)
-    /// and every histogram bucket-for-bucket.
-    #[test]
-    fn merged_parallel_metrics_replay_the_sequential_registry(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        shards in 2..5usize,
-        budget in 8..40u64,
-    ) {
-        let seq = drive_observed(None, shards, budget, &ops)
-            .expect("the sequential run must not fail");
-        prop_assert_eq!(
-            seq.counters.get("driver.ops").copied(),
-            Some(ops.len() as u64),
-            "the driver's Sum counter must total the op count"
-        );
-        for &threads in &[2usize, 4] {
-            let par = drive_observed(Some(threads), shards, budget, &ops)
-                .expect("the parallel run must not fail");
-            prop_assert_eq!(
-                &par.counters,
-                &seq.counters,
-                "{} threads: merged counters must replay the shared registry",
-                threads
+/// The merge-fidelity property: whatever the workload, the merged
+/// multi-thread registry replays the sequential shared registry —
+/// every counter exactly (engine `Cumulative` publications saturate
+/// to the same max, driver `Sum` counters add to the same total)
+/// and every histogram bucket-for-bucket.
+#[test]
+fn merged_parallel_metrics_replay_the_sequential_registry() {
+    check(
+        "merged_parallel_metrics_replay_the_sequential_registry",
+        16,
+        |rng| {
+            let ops = vec_of(rng, 1..60, gen_op);
+            let shards = int(rng, 2..5) as usize;
+            let budget = int(rng, 8..40);
+            let seq = drive_observed(None, shards, budget, &ops)
+                .expect("the sequential run must not fail");
+            assert_eq!(
+                seq.counters.get("driver.ops").copied(),
+                Some(ops.len() as u64),
+                "the driver's Sum counter must total the op count"
             );
-            prop_assert_eq!(
-                &par.histograms,
-                &seq.histograms,
-                "{} threads: merged histograms must agree bucket-for-bucket",
-                threads
-            );
-        }
-    }
+            for &threads in &[2usize, 4] {
+                let par = drive_observed(Some(threads), shards, budget, &ops)
+                    .expect("the parallel run must not fail");
+                assert_eq!(
+                    &par.counters, &seq.counters,
+                    "{} threads: merged counters must replay the shared registry",
+                    threads
+                );
+                assert_eq!(
+                    &par.histograms, &seq.histograms,
+                    "{} threads: merged histograms must agree bucket-for-bucket",
+                    threads
+                );
+            }
+        },
+    );
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

@@ -3,12 +3,13 @@
 //! span (the conservation invariant behind the folded-stack export), and
 //! attaching a profiler must never change what the engine computes.
 //!
-//! Hand-rolled property loops like `fault_recovery_prop`: every scenario
-//! is a pure function of a `u64` seed through splitmix64. Set
-//! `FAULT_SEED=<n>` to replay a single seed.
+//! Seed sweeps like `fault_recovery_prop`: every scenario is a pure
+//! function of a `u64` seed through splitmix64. Set `FAULT_SEED=<n>` to
+//! replay a single seed.
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
 use mem_sim::PAGE_SIZE;
+use propcheck::check_seeds;
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{
@@ -23,13 +24,6 @@ const BUDGET: u64 = 32;
 const OPS: u64 = 768;
 const STORM_RATE: f64 = 0.02;
 const SEEDS_PER_PROPERTY: u64 = 12;
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED") {
-        Ok(s) => vec![s.parse().expect("FAULT_SEED must be a u64")],
-        Err(_) => (0..SEEDS_PER_PROPERTY).collect(),
-    }
-}
 
 /// What one engine scenario produced: the final virtual instant, the
 /// runtime counters, and the attribution report when profiling was on.
@@ -124,100 +118,121 @@ fn check_conserved(seed: u64, outcome: &Outcome) {
 
 #[test]
 fn software_walk_attributes_every_nanosecond() {
-    for seed in seeds() {
-        check_conserved(seed, &engine_scenario::<SoftwareWalk>(seed, true, false));
-        check_conserved(seed, &engine_scenario::<SoftwareWalk>(seed, true, true));
-    }
+    check_seeds(
+        "software_walk_attributes_every_nanosecond",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            check_conserved(seed, &engine_scenario::<SoftwareWalk>(seed, true, false));
+            check_conserved(seed, &engine_scenario::<SoftwareWalk>(seed, true, true));
+        },
+    );
 }
 
 #[test]
 fn mmu_assisted_attributes_every_nanosecond() {
-    for seed in seeds() {
-        check_conserved(seed, &engine_scenario::<MmuAssisted>(seed, true, false));
-        check_conserved(seed, &engine_scenario::<MmuAssisted>(seed, true, true));
-    }
+    check_seeds(
+        "mmu_assisted_attributes_every_nanosecond",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            check_conserved(seed, &engine_scenario::<MmuAssisted>(seed, true, false));
+            check_conserved(seed, &engine_scenario::<MmuAssisted>(seed, true, true));
+        },
+    );
 }
 
 #[test]
 fn full_dirty_baseline_attributes_every_nanosecond() {
-    for seed in seeds() {
-        check_conserved(seed, &engine_scenario::<FullDirty>(seed, true, false));
-    }
+    check_seeds(
+        "full_dirty_baseline_attributes_every_nanosecond",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            check_conserved(seed, &engine_scenario::<FullDirty>(seed, true, false));
+        },
+    );
 }
 
 #[test]
 fn profiling_never_changes_virtual_time_or_stats() {
-    for seed in seeds() {
-        for faults in [false, true] {
-            let off = engine_scenario::<SoftwareWalk>(seed, false, faults);
-            let on = engine_scenario::<SoftwareWalk>(seed, true, faults);
-            assert_eq!(
-                off.end_nanos, on.end_nanos,
-                "[seed {seed}] profiling must not move the virtual clock"
-            );
-            assert_eq!(
-                off.stats, on.stats,
-                "[seed {seed}] profiling must not change the control loop"
-            );
-            assert!(off.report.is_none(), "a disabled profiler reports nothing");
-        }
-    }
+    check_seeds(
+        "profiling_never_changes_virtual_time_or_stats",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            for faults in [false, true] {
+                let off = engine_scenario::<SoftwareWalk>(seed, false, faults);
+                let on = engine_scenario::<SoftwareWalk>(seed, true, faults);
+                assert_eq!(
+                    off.end_nanos, on.end_nanos,
+                    "[seed {seed}] profiling must not move the virtual clock"
+                );
+                assert_eq!(
+                    off.stats, on.stats,
+                    "[seed {seed}] profiling must not change the control loop"
+                );
+                assert!(off.report.is_none(), "a disabled profiler reports nothing");
+            }
+        },
+    );
 }
 
 #[test]
 fn sharded_manager_attributes_every_nanosecond_per_shard() {
-    for seed in seeds() {
-        let clock = Clock::new();
-        let profiler = Profiler::enabled(clock.clone());
-        let mut nv = ShardedViyojitBuilder::new(4, 64, ViyojitConfig::with_budget_pages(BUDGET))
-            .backend::<SoftwareWalk>()
-            .min_per_shard(4)
-            .rebalance_period(SimDuration::from_millis(10))
-            .clock(clock.clone())
-            .cost_model(CostModel::calibrated())
-            .ssd(SsdConfig::datacenter())
-            .profiler(profiler.clone())
-            .build_sequential()
-            .expect("a valid sharded configuration");
-        // Construction charged the initial protection pass to the clock
-        // before any shard scope existed; that time stays at the root.
-        let setup_nanos = clock.now().as_nanos();
-        let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
-        let mut rng = SplitMix64::new(seed);
-        for _ in 0..OPS {
-            let region = regions[rng.below(4) as usize];
-            let page = rng.below(32);
-            nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
-                .expect("write");
-        }
-        let report = profiler.report().expect("enabled profiler reports");
-        assert_eq!(report.elapsed.as_nanos(), clock.now().as_nanos());
-        assert!(
-            report.is_conserved(),
-            "[seed {seed}] sharded attribution must conserve: {} of {} ns\n{}",
-            report.attributed.as_nanos(),
-            report.elapsed.as_nanos(),
-            report.render_folded()
-        );
-        // Per-shard attribution: everything after construction descends
-        // into a shard frame, so the flamegraph splits by shard.
-        let shard_time: u64 = report
-            .folded
-            .iter()
-            .filter(|(path, _)| path.starts_with("app;shard"))
-            .map(|&(_, nanos)| nanos)
-            .sum();
-        assert_eq!(
-            report.nanos_for("app"),
-            setup_nanos,
-            "[seed {seed}] only construction time stays at the root\n{}",
-            report.render_folded()
-        );
-        assert_eq!(
-            shard_time + setup_nanos,
-            report.attributed.as_nanos(),
-            "[seed {seed}] all post-setup time routes through shard scopes\n{}",
-            report.render_folded()
-        );
-    }
+    check_seeds(
+        "sharded_manager_attributes_every_nanosecond_per_shard",
+        0..SEEDS_PER_PROPERTY,
+        |seed| {
+            let clock = Clock::new();
+            let profiler = Profiler::enabled(clock.clone());
+            let mut nv =
+                ShardedViyojitBuilder::new(4, 64, ViyojitConfig::with_budget_pages(BUDGET))
+                    .backend::<SoftwareWalk>()
+                    .min_per_shard(4)
+                    .rebalance_period(SimDuration::from_millis(10))
+                    .clock(clock.clone())
+                    .cost_model(CostModel::calibrated())
+                    .ssd(SsdConfig::datacenter())
+                    .profiler(profiler.clone())
+                    .build_sequential()
+                    .expect("a valid sharded configuration");
+            // Construction charged the initial protection pass to the clock
+            // before any shard scope existed; that time stays at the root.
+            let setup_nanos = clock.now().as_nanos();
+            let regions: Vec<_> = (0..4).map(|_| nv.map(32 * PAGE).expect("map")).collect();
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..OPS {
+                let region = regions[rng.below(4) as usize];
+                let page = rng.below(32);
+                nv.write(region, page * PAGE, &[rng.next_u64() as u8; 8])
+                    .expect("write");
+            }
+            let report = profiler.report().expect("enabled profiler reports");
+            assert_eq!(report.elapsed.as_nanos(), clock.now().as_nanos());
+            assert!(
+                report.is_conserved(),
+                "[seed {seed}] sharded attribution must conserve: {} of {} ns\n{}",
+                report.attributed.as_nanos(),
+                report.elapsed.as_nanos(),
+                report.render_folded()
+            );
+            // Per-shard attribution: everything after construction descends
+            // into a shard frame, so the flamegraph splits by shard.
+            let shard_time: u64 = report
+                .folded
+                .iter()
+                .filter(|(path, _)| path.starts_with("app;shard"))
+                .map(|&(_, nanos)| nanos)
+                .sum();
+            assert_eq!(
+                report.nanos_for("app"),
+                setup_nanos,
+                "[seed {seed}] only construction time stays at the root\n{}",
+                report.render_folded()
+            );
+            assert_eq!(
+                shard_time + setup_nanos,
+                report.attributed.as_nanos(),
+                "[seed {seed}] all post-setup time routes through shard scopes\n{}",
+                report.render_folded()
+            );
+        },
+    );
 }

@@ -7,8 +7,8 @@
 //! 2. **Snapshot conservation** — per-epoch metric snapshot deltas sum
 //!    exactly to the end-of-run counter totals.
 
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel, SimDuration};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{CsvSink, NvHeap, Telemetry, Viyojit, ViyojitConfig, ViyojitStats};
 
@@ -16,7 +16,7 @@ const PAGE: u64 = 4096;
 const REGION_PAGES: u64 = 24;
 
 /// One step of a random workload.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Dirty a page.
     Write { page: u64, fill: u8 },
@@ -24,11 +24,16 @@ enum Op {
     Idle { micros: u16 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0..REGION_PAGES, any::<u8>()).prop_map(|(page, fill)| Op::Write { page, fill }),
-        1 => (1..1500u16).prop_map(|micros| Op::Idle { micros }),
-    ]
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    match weighted(rng, &[4, 1]) {
+        0 => Op::Write {
+            page: int(rng, 0..REGION_PAGES),
+            fill: rng.next_u64() as u8,
+        },
+        _ => Op::Idle {
+            micros: int(rng, 1..1500) as u16,
+        },
+    }
 }
 
 /// Runs `ops` on a tight-budget Viyojit; returns the final virtual time,
@@ -66,34 +71,37 @@ fn run(ops: &[Op], record: bool) -> (u64, ViyojitStats, Telemetry) {
     (clock.now().as_nanos(), v.stats(), telemetry)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+const CASES: u32 = 32;
 
-    #[test]
-    fn recording_telemetry_never_perturbs_the_run(
-        ops in prop::collection::vec(op_strategy(), 1..120)
-    ) {
+#[test]
+fn recording_telemetry_never_perturbs_the_run() {
+    check("recording_telemetry_never_perturbs_the_run", CASES, |rng| {
+        let ops = vec_of(rng, 1..120, gen_op);
         let (plain_nanos, plain_stats, _) = run(&ops, false);
         let (recorded_nanos, recorded_stats, telemetry) = run(&ops, true);
 
-        prop_assert_eq!(plain_nanos, recorded_nanos,
-            "virtual time diverged under recording telemetry");
-        prop_assert_eq!(plain_stats, recorded_stats,
-            "runtime counters diverged under recording telemetry");
+        assert_eq!(
+            plain_nanos, recorded_nanos,
+            "virtual time diverged under recording telemetry"
+        );
+        assert_eq!(
+            plain_stats, recorded_stats,
+            "runtime counters diverged under recording telemetry"
+        );
 
         // Draining through a CSV sink is pure observation too. Counters
         // publish at epoch boundaries, so the registry can only lag the
         // live stats, never exceed them.
         let mut sink = CsvSink::new(Vec::new());
         telemetry.drain_into(&mut sink);
-        prop_assert!(telemetry.counter("viyojit.faults_handled")
-            <= recorded_stats.faults_handled);
-    }
+        assert!(telemetry.counter("viyojit.faults_handled") <= recorded_stats.faults_handled);
+    });
+}
 
-    #[test]
-    fn epoch_snapshot_deltas_sum_to_final_totals(
-        ops in prop::collection::vec(op_strategy(), 1..120)
-    ) {
+#[test]
+fn epoch_snapshot_deltas_sum_to_final_totals() {
+    check("epoch_snapshot_deltas_sum_to_final_totals", CASES, |rng| {
+        let ops = vec_of(rng, 1..120, gen_op);
         let (_, _, telemetry) = run(&ops, true);
         // Close the run with one final snapshot so any counters advanced
         // since the last epoch boundary are captured.
@@ -106,9 +114,12 @@ proptest! {
                 .iter()
                 .filter_map(|s| s.counter(name).map(|c| c.delta))
                 .sum();
-            prop_assert_eq!(summed, final_sample.total,
-                "snapshot deltas of {} do not sum to its total", name);
-            prop_assert_eq!(telemetry.counter(name), final_sample.total);
+            assert_eq!(
+                summed, final_sample.total,
+                "snapshot deltas of {} do not sum to its total",
+                name
+            );
+            assert_eq!(telemetry.counter(name), final_sample.total);
         }
-    }
+    });
 }

@@ -6,12 +6,12 @@ use std::collections::HashMap;
 
 use kvstore::{KvError, KvStore};
 use pheap::PHeap;
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{Viyojit, ViyojitConfig};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Set { key: u8, val_len: usize, fill: u8 },
     Get { key: u8 },
@@ -19,28 +19,32 @@ enum Op {
     PowerCycle,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (any::<u8>(), 1..1500usize, any::<u8>())
-            .prop_map(|(key, val_len, fill)| Op::Set { key, val_len, fill }),
-        3 => any::<u8>().prop_map(|key| Op::Get { key }),
-        2 => any::<u8>().prop_map(|key| Op::Delete { key }),
-        1 => Just(Op::PowerCycle),
-    ]
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    match weighted(rng, &[5, 3, 2, 1]) {
+        0 => Op::Set {
+            key: rng.next_u64() as u8,
+            val_len: int(rng, 1..1500) as usize,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Get {
+            key: rng.next_u64() as u8,
+        },
+        2 => Op::Delete {
+            key: rng.next_u64() as u8,
+        },
+        _ => Op::PowerCycle,
+    }
 }
 
 fn key_bytes(key: u8) -> Vec<u8> {
     format!("key-{key:03}").into_bytes()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn store_matches_hashmap_across_power_cycles(
-        ops in prop::collection::vec(op_strategy(), 1..100),
-        budget in 2..24u64,
-    ) {
+#[test]
+fn store_matches_hashmap_across_power_cycles() {
+    check("store_matches_hashmap_across_power_cycles", 24, |rng| {
+        let ops = vec_of(rng, 1..100, gen_op);
+        let budget = int(rng, 2..24);
         let nv = Viyojit::new(
             512,
             ViyojitConfig::with_budget_pages(budget),
@@ -59,24 +63,26 @@ proptest! {
                     let k = key_bytes(key);
                     let v = vec![fill; val_len];
                     match kv.set(&k, &v) {
-                        Ok(()) => { model.insert(k, v); }
+                        Ok(()) => {
+                            model.insert(k, v);
+                        }
                         Err(KvError::Heap(pheap::PHeapError::OutOfMemory)) => {}
-                        Err(e) => return Err(TestCaseError::fail(format!("set: {e}"))),
+                        Err(e) => panic!("set: {e}"),
                     }
                 }
                 Op::Get { key } => {
                     let k = key_bytes(key);
-                    prop_assert_eq!(kv.get(&k).unwrap(), model.get(&k).cloned());
+                    assert_eq!(kv.get(&k).unwrap(), model.get(&k).cloned());
                 }
                 Op::Delete { key } => {
                     let k = key_bytes(key);
                     let was = kv.delete(&k).unwrap();
-                    prop_assert_eq!(was, model.remove(&k).is_some());
+                    assert_eq!(was, model.remove(&k).is_some());
                 }
                 Op::PowerCycle => {
                     let mut nv = kv.into_heap().into_inner();
                     let report = nv.power_failure();
-                    prop_assert!(report.dirty_pages <= budget);
+                    assert!(report.dirty_pages <= budget);
                     nv.recover();
                     let heap = PHeap::open(nv, region).unwrap();
                     kv = KvStore::open(heap).unwrap();
@@ -85,10 +91,10 @@ proptest! {
         }
 
         // Full final audit.
-        prop_assert_eq!(kv.len().unwrap(), model.len() as u64);
+        assert_eq!(kv.len().unwrap(), model.len() as u64);
         for (k, v) in &model {
             let got = kv.get(k).unwrap();
-            prop_assert_eq!(got.as_ref(), Some(v));
+            assert_eq!(got.as_ref(), Some(v));
         }
-    }
+    });
 }

@@ -5,43 +5,43 @@ use std::collections::BTreeMap;
 
 use kvstore::KvStore;
 use pheap::PHeap;
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::NvdramBaseline;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Set { key: u8, val: u8 },
     Delete { key: u8 },
     Scan { start: u8, limit: u8 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (any::<u8>(), any::<u8>()).prop_map(|(key, val)| Op::Set { key, val }),
-        2 => any::<u8>().prop_map(|key| Op::Delete { key }),
-        3 => (any::<u8>(), 1..40u8).prop_map(|(start, limit)| Op::Scan { start, limit }),
-    ]
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    match weighted(rng, &[4, 2, 3]) {
+        0 => Op::Set {
+            key: rng.next_u64() as u8,
+            val: rng.next_u64() as u8,
+        },
+        1 => Op::Delete {
+            key: rng.next_u64() as u8,
+        },
+        _ => Op::Scan {
+            start: rng.next_u64() as u8,
+            limit: int(rng, 1..40) as u8,
+        },
+    }
 }
 
 fn key_bytes(key: u8) -> Vec<u8> {
     format!("row-{key:03}").into_bytes()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn scans_agree_with_btreemap_ranges(
-        ops in prop::collection::vec(op_strategy(), 1..120)
-    ) {
-        let nv = NvdramBaseline::new(
-            512,
-            Clock::new(),
-            CostModel::free(),
-            SsdConfig::instant(),
-        );
+#[test]
+fn scans_agree_with_btreemap_ranges() {
+    check("scans_agree_with_btreemap_ranges", 32, |rng| {
+        let ops = vec_of(rng, 1..120, gen_op);
+        let nv = NvdramBaseline::new(512, Clock::new(), CostModel::free(), SsdConfig::instant());
         let heap = PHeap::format(nv, 480 * 4096).unwrap();
         let mut kv = KvStore::create(heap, 64).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -56,7 +56,7 @@ proptest! {
                 }
                 Op::Delete { key } => {
                     let k = key_bytes(key);
-                    prop_assert_eq!(kv.delete(&k).unwrap(), model.remove(&k).is_some());
+                    assert_eq!(kv.delete(&k).unwrap(), model.remove(&k).is_some());
                 }
                 Op::Scan { start, limit } => {
                     let s = key_bytes(start);
@@ -66,11 +66,11 @@ proptest! {
                         .take(limit as usize)
                         .map(|(k, v)| (k.clone(), v.clone()))
                         .collect();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
         }
         // The index must still agree with the hash table exactly.
-        prop_assert_eq!(kv.audit_index().unwrap(), model.len() as u64);
-    }
+        assert_eq!(kv.audit_index().unwrap(), model.len() as u64);
+    });
 }

@@ -5,13 +5,13 @@
 //! nothing it charges or returns.
 
 use mem_sim::{AccessError, Mmu, PageId, WalkOptions, PAGE_SIZE};
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SplitMix64};
 use telemetry::Profiler;
 
 const PAGES: usize = 16;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Write { addr: u64, len: u16, fill: u8 },
     Read { addr: u64, len: u16 },
@@ -21,107 +21,131 @@ enum Op {
     WalkStale,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn gen_op(rng: &mut SplitMix64) -> Op {
     let max_addr = (PAGES * PAGE_SIZE) as u64 - 256;
-    prop_oneof![
-        4 => (0..max_addr, 1..=255u16, any::<u8>())
-            .prop_map(|(addr, len, fill)| Op::Write { addr, len, fill }),
-        3 => (0..max_addr, 1..=255u16).prop_map(|(addr, len)| Op::Read { addr, len }),
-        1 => (0..PAGES as u8).prop_map(|page| Op::Protect { page }),
-        1 => (0..PAGES as u8).prop_map(|page| Op::Unprotect { page }),
-        1 => Just(Op::WalkExact),
-        1 => Just(Op::WalkStale),
-    ]
+    match weighted(rng, &[4, 3, 1, 1, 1, 1]) {
+        0 => Op::Write {
+            addr: int(rng, 0..max_addr),
+            len: int(rng, 1..=255) as u16,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Read {
+            addr: int(rng, 0..max_addr),
+            len: int(rng, 1..=255) as u16,
+        },
+        2 => Op::Protect {
+            page: int(rng, 0..PAGES as u64) as u8,
+        },
+        3 => Op::Unprotect {
+            page: int(rng, 0..PAGES as u64) as u8,
+        },
+        4 => Op::WalkExact,
+        _ => Op::WalkStale,
+    }
 }
 
 /// Reads on each side of the condition `Mmu::read`'s one-page path tests:
 /// inside a page, ending on a page's last byte, one byte longer than that,
 /// and running on into the next page or the one after.
-fn read_shape_strategy() -> impl Strategy<Value = Op> {
+fn gen_read_shape(rng: &mut SplitMix64) -> Op {
     const PAGE: u64 = PAGE_SIZE as u64;
     // The longest read starts on `page` and ends on `page + 2`.
-    let page = || 0..PAGES as u64 - 2;
-    prop_oneof![
-        (page(), 0..PAGE, 1..=PAGE as u16).prop_map(|(page, at, len)| Op::Read {
-            addr: page * PAGE + at,
-            len: len.min((PAGE - at) as u16),
-        }),
-        (page(), 1..=PAGE as u16).prop_map(|(page, len)| Op::Read {
-            addr: (page + 1) * PAGE - len as u64,
-            len,
-        }),
-        (page(), 1..=300u16).prop_map(|(page, before)| Op::Read {
-            addr: (page + 1) * PAGE - before as u64,
-            len: before + 1,
-        }),
-        (page(), 1..=300u16, 1..=PAGE as u16 + 100).prop_map(|(page, before, past)| Op::Read {
-            addr: (page + 1) * PAGE - before as u64,
-            len: before + past,
-        }),
-    ]
+    let page = int(rng, 0..PAGES as u64 - 2);
+    let (before, len) = match int(rng, 0..4) {
+        0 => {
+            let at = int(rng, 0..PAGE);
+            (PAGE - at, int(rng, 1..=PAGE).min(PAGE - at))
+        }
+        1 => {
+            let len = int(rng, 1..=PAGE);
+            (len, len)
+        }
+        2 => {
+            let before = int(rng, 1..=300);
+            (before, before + 1)
+        }
+        _ => {
+            let before = int(rng, 1..=300);
+            (before, before + int(rng, 1..=PAGE + 100))
+        }
+    };
+    Op::Read {
+        addr: (page + 1) * PAGE - before,
+        len: len as u16,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u32 = 64;
 
-    #[test]
-    fn memory_matches_model_and_protection_is_exact(
-        ops in prop::collection::vec(op_strategy(), 1..150)
-    ) {
-        let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
-        let mut model = vec![0u8; PAGES * PAGE_SIZE];
-        let mut protected = [false; PAGES];
-        let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
+#[test]
+fn memory_matches_model_and_protection_is_exact() {
+    check(
+        "memory_matches_model_and_protection_is_exact",
+        CASES,
+        |rng| {
+            let ops = vec_of(rng, 1..150, gen_op);
+            let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
+            let mut model = vec![0u8; PAGES * PAGE_SIZE];
+            let mut protected = [false; PAGES];
+            let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
 
-        for op in &ops {
-            match *op {
-                Op::Write { addr, len, fill } => {
-                    // Clamp the chunk to its page, like the NV region layer.
-                    let in_page = PAGE_SIZE - (addr as usize % PAGE_SIZE);
-                    let n = (len as usize).min(in_page);
-                    let data = vec![fill; n];
-                    let page = PageId::containing(addr);
-                    match mmu.write(addr, &data) {
-                        Ok(()) => {
-                            prop_assert!(!protected[page.index()],
-                                "write through protection succeeded");
-                            model[addr as usize..addr as usize + n].fill(fill);
+            for op in &ops {
+                match *op {
+                    Op::Write { addr, len, fill } => {
+                        // Clamp the chunk to its page, like the NV region layer.
+                        let in_page = PAGE_SIZE - (addr as usize % PAGE_SIZE);
+                        let n = (len as usize).min(in_page);
+                        let data = vec![fill; n];
+                        let page = PageId::containing(addr);
+                        match mmu.write(addr, &data) {
+                            Ok(()) => {
+                                assert!(
+                                    !protected[page.index()],
+                                    "write through protection succeeded"
+                                );
+                                model[addr as usize..addr as usize + n].fill(fill);
+                            }
+                            Err(AccessError::WriteProtected(p)) => {
+                                assert_eq!(p, page);
+                                assert!(protected[page.index()], "spurious fault on writable page");
+                            }
+                            Err(e) => panic!("write: {e}"),
                         }
-                        Err(AccessError::WriteProtected(p)) => {
-                            prop_assert_eq!(p, page);
-                            prop_assert!(protected[page.index()],
-                                "spurious fault on writable page");
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("write: {e}"))),
+                    }
+                    Op::Read { addr, len } => {
+                        let mut buf = vec![0u8; len as usize];
+                        mmu.read(addr, &mut buf).unwrap();
+                        assert_eq!(
+                            &buf[..],
+                            &model[addr as usize..addr as usize + len as usize]
+                        );
+                    }
+                    Op::Protect { page } => {
+                        mmu.protect_page(PageId(page as u64));
+                        protected[page as usize] = true;
+                    }
+                    Op::Unprotect { page } => {
+                        mmu.unprotect_page(PageId(page as u64));
+                        protected[page as usize] = false;
+                    }
+                    Op::WalkExact => {
+                        let _ = mmu.walk_and_clear_dirty(&all_pages, WalkOptions::exact());
+                    }
+                    Op::WalkStale => {
+                        let _ = mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
                     }
                 }
-                Op::Read { addr, len } => {
-                    let mut buf = vec![0u8; len as usize];
-                    mmu.read(addr, &mut buf).unwrap();
-                    prop_assert_eq!(&buf[..], &model[addr as usize..addr as usize + len as usize]);
-                }
-                Op::Protect { page } => {
-                    mmu.protect_page(PageId(page as u64));
-                    protected[page as usize] = true;
-                }
-                Op::Unprotect { page } => {
-                    mmu.unprotect_page(PageId(page as u64));
-                    protected[page as usize] = false;
-                }
-                Op::WalkExact => {
-                    let _ = mmu.walk_and_clear_dirty(&all_pages, WalkOptions::exact());
-                }
-                Op::WalkStale => {
-                    let _ = mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
-                }
             }
-        }
-    }
+        },
+    );
+}
 
-    #[test]
-    fn exact_walks_never_lose_dirty_pages(
-        writes in prop::collection::vec((0..PAGES as u64, any::<u8>()), 1..60)
-    ) {
+#[test]
+fn exact_walks_never_lose_dirty_pages() {
+    check("exact_walks_never_lose_dirty_pages", CASES, |rng| {
+        let writes = vec_of(rng, 1..60, |rng| {
+            (int(rng, 0..PAGES as u64), rng.next_u64() as u8)
+        });
         // After any write sequence, an exact walk must report exactly the
         // set of pages written since the previous exact walk.
         let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
@@ -138,102 +162,130 @@ proptest! {
             .into_iter()
             .map(|p| p.0)
             .collect();
-        prop_assert_eq!(dirty, written);
-    }
+        assert_eq!(dirty, written);
+    });
+}
 
-    #[test]
-    fn hardware_counter_equals_pte_dirty_population(
-        writes in prop::collection::vec(0..PAGES as u64, 1..100),
-        limit in 1..=PAGES as u64,
-        credits in prop::collection::vec(0..PAGES as u64, 0..20),
-    ) {
-        let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
-        mmu.set_dirty_limit(Some(limit));
-        for &page in &writes {
-            match mmu.write(page * PAGE_SIZE as u64, &[1]) {
-                Ok(()) => {}
-                Err(AccessError::DirtyLimitReached(_)) => {
-                    prop_assert_eq!(mmu.dirty_counted(), limit,
-                        "interrupt must fire exactly at the limit");
+#[test]
+fn hardware_counter_equals_pte_dirty_population() {
+    check(
+        "hardware_counter_equals_pte_dirty_population",
+        CASES,
+        |rng| {
+            let writes = vec_of(rng, 1..100, |rng| int(rng, 0..PAGES as u64));
+            let limit = int(rng, 1..=PAGES as u64);
+            let credits = vec_of(rng, 0..20, |rng| int(rng, 0..PAGES as u64));
+            let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
+            mmu.set_dirty_limit(Some(limit));
+            for &page in &writes {
+                match mmu.write(page * PAGE_SIZE as u64, &[1]) {
+                    Ok(()) => {}
+                    Err(AccessError::DirtyLimitReached(_)) => {
+                        assert_eq!(
+                            mmu.dirty_counted(),
+                            limit,
+                            "interrupt must fire exactly at the limit"
+                        );
+                    }
+                    Err(e) => panic!("write: {e}"),
                 }
-                Err(e) => return Err(TestCaseError::fail(format!("write: {e}"))),
+                assert!(mmu.dirty_counted() <= limit);
+                assert_eq!(
+                    mmu.dirty_counted(),
+                    mmu.page_table().dirty_count() as u64,
+                    "counter must track PTE ground truth"
+                );
             }
-            prop_assert!(mmu.dirty_counted() <= limit);
-            prop_assert_eq!(
-                mmu.dirty_counted(),
-                mmu.page_table().dirty_count() as u64,
-                "counter must track PTE ground truth"
-            );
-        }
-        for &page in &credits {
-            if mmu.page_table().flags(PageId(page)).is_dirty() {
-                mmu.credit_dirty_page(PageId(page));
+            for &page in &credits {
+                if mmu.page_table().flags(PageId(page)).is_dirty() {
+                    mmu.credit_dirty_page(PageId(page));
+                }
+                assert_eq!(mmu.dirty_counted(), mmu.page_table().dirty_count() as u64);
             }
-            prop_assert_eq!(
-                mmu.dirty_counted(),
-                mmu.page_table().dirty_count() as u64
-            );
-        }
-    }
+        },
+    );
+}
 
-    /// An access settles its costs with one clock charge when no profiler
-    /// is attached and class by class when one is, and a read that fits one
-    /// page skips the chunking loop only while none is: the profiled `Mmu`
-    /// is the slow model of the plain one. The same stream — faults,
-    /// dirty-limit interrupts, and reads inside a page, up to its last byte
-    /// and across pages — must return the same bytes and end both ways on
-    /// the same instant, counters and PTE bits, and the profiled run must
-    /// attribute every nanosecond it charged.
-    #[test]
-    fn profiled_and_unprofiled_accesses_charge_the_same(
-        ops in prop::collection::vec(prop_oneof![op_strategy(), read_shape_strategy()], 1..150),
-        limit in prop_oneof![Just(None), (1..=PAGES as u64).prop_map(Some)],
-    ) {
-        let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
-        // Each op's outcome and, for a read, the bytes it returned.
-        let drive = |mmu: &mut Mmu| -> Vec<(Result<(), AccessError>, Vec<u8>)> {
-            mmu.set_dirty_limit(limit);
-            ops.iter().map(|op| match *op {
-                Op::Write { addr, len, fill } => {
-                    let in_page = PAGE_SIZE - (addr as usize % PAGE_SIZE);
-                    (mmu.write(addr, &vec![fill; (len as usize).min(in_page)]), Vec::new())
+/// An access settles its costs with one clock charge when no profiler
+/// is attached and class by class when one is, and a read that fits one
+/// page skips the chunking loop only while none is: the profiled `Mmu`
+/// is the slow model of the plain one. The same stream — faults,
+/// dirty-limit interrupts, and reads inside a page, up to its last byte
+/// and across pages — must return the same bytes and end both ways on
+/// the same instant, counters and PTE bits, and the profiled run must
+/// attribute every nanosecond it charged.
+#[test]
+fn profiled_and_unprofiled_accesses_charge_the_same() {
+    check(
+        "profiled_and_unprofiled_accesses_charge_the_same",
+        CASES,
+        |rng| {
+            let ops = vec_of(rng, 1..150, |rng| {
+                if rng.chance(0.5) {
+                    gen_op(rng)
+                } else {
+                    gen_read_shape(rng)
                 }
-                Op::Read { addr, len } => {
-                    let mut buf = vec![0u8; len as usize];
-                    (mmu.read(addr, &mut buf), buf)
-                }
-                Op::Protect { page } => { mmu.protect_page(PageId(page as u64)); (Ok(()), Vec::new()) }
-                Op::Unprotect { page } => { mmu.unprotect_page(PageId(page as u64)); (Ok(()), Vec::new()) }
-                Op::WalkExact => {
-                    mmu.walk_and_clear_dirty(&all_pages, WalkOptions::exact_foreground());
-                    (Ok(()), Vec::new())
-                }
-                Op::WalkStale => {
-                    mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
-                    (Ok(()), Vec::new())
-                }
-            }).collect()
-        };
-        let mut plain = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
-        let clock = Clock::new();
-        let mut profiled = Mmu::new(PAGES, clock.clone(), CostModel::calibrated());
-        let profiler = Profiler::enabled(clock);
-        profiled.attach_profiler(profiler.clone());
+            });
+            let limit = rng.chance(0.5).then(|| int(rng, 1..=PAGES as u64));
+            let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
+            // Each op's outcome and, for a read, the bytes it returned.
+            let drive = |mmu: &mut Mmu| -> Vec<(Result<(), AccessError>, Vec<u8>)> {
+                mmu.set_dirty_limit(limit);
+                ops.iter()
+                    .map(|op| match *op {
+                        Op::Write { addr, len, fill } => {
+                            let in_page = PAGE_SIZE - (addr as usize % PAGE_SIZE);
+                            (
+                                mmu.write(addr, &vec![fill; (len as usize).min(in_page)]),
+                                Vec::new(),
+                            )
+                        }
+                        Op::Read { addr, len } => {
+                            let mut buf = vec![0u8; len as usize];
+                            (mmu.read(addr, &mut buf), buf)
+                        }
+                        Op::Protect { page } => {
+                            mmu.protect_page(PageId(page as u64));
+                            (Ok(()), Vec::new())
+                        }
+                        Op::Unprotect { page } => {
+                            mmu.unprotect_page(PageId(page as u64));
+                            (Ok(()), Vec::new())
+                        }
+                        Op::WalkExact => {
+                            mmu.walk_and_clear_dirty(&all_pages, WalkOptions::exact_foreground());
+                            (Ok(()), Vec::new())
+                        }
+                        Op::WalkStale => {
+                            mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
+                            (Ok(()), Vec::new())
+                        }
+                    })
+                    .collect()
+            };
+            let mut plain = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
+            let clock = Clock::new();
+            let mut profiled = Mmu::new(PAGES, clock.clone(), CostModel::calibrated());
+            let profiler = Profiler::enabled(clock);
+            profiled.attach_profiler(profiler.clone());
 
-        prop_assert_eq!(drive(&mut plain), drive(&mut profiled));
-        prop_assert_eq!(plain.clock().now(), profiled.clock().now());
-        prop_assert_eq!(plain.stats(), profiled.stats());
-        prop_assert_eq!(plain.tlb_stats(), profiled.tlb_stats());
-        prop_assert_eq!(plain.dirty_counted(), profiled.dirty_counted());
-        for &page in &all_pages {
-            prop_assert_eq!(
-                plain.page_table().flags(page),
-                profiled.page_table().flags(page),
-                "PTE bits of {} diverged", page
-            );
-        }
-        let report = profiler.report().expect("the profiler is enabled");
-        prop_assert!(report.is_conserved());
-        prop_assert_eq!(report.elapsed.as_nanos(), profiled.clock().now().as_nanos());
-    }
+            assert_eq!(drive(&mut plain), drive(&mut profiled));
+            assert_eq!(plain.clock().now(), profiled.clock().now());
+            assert_eq!(plain.stats(), profiled.stats());
+            assert_eq!(plain.tlb_stats(), profiled.tlb_stats());
+            assert_eq!(plain.dirty_counted(), profiled.dirty_counted());
+            for &page in &all_pages {
+                assert_eq!(
+                    plain.page_table().flags(page),
+                    profiled.page_table().flags(page),
+                    "PTE bits of {} diverged",
+                    page
+                );
+            }
+            let report = profiler.report().expect("the profiler is enabled");
+            assert!(report.is_conserved());
+            assert_eq!(report.elapsed.as_nanos(), profiled.clock().now().as_nanos());
+        },
+    );
 }

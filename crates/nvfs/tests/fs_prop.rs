@@ -6,12 +6,12 @@ use std::collections::HashMap;
 
 use nvfs::{FsError, NvFileSystem};
 use pheap::PHeap;
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{Viyojit, ViyojitConfig};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Write {
         file: u8,
@@ -30,29 +30,35 @@ enum Op {
     PowerCycle,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0..6u8, 0..200_000u32, 1..4_096u16, any::<u8>())
-            .prop_map(|(file, offset, len, fill)| Op::Write { file, offset, len, fill }),
-        3 => (0..6u8, 0..200_000u32, 1..4_096u16)
-            .prop_map(|(file, offset, len)| Op::Read { file, offset, len }),
-        1 => (0..6u8).prop_map(|file| Op::Delete { file }),
-        1 => Just(Op::PowerCycle),
-    ]
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    match weighted(rng, &[5, 3, 1, 1]) {
+        0 => Op::Write {
+            file: int(rng, 0..6) as u8,
+            offset: int(rng, 0..200_000) as u32,
+            len: int(rng, 1..4_096) as u16,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Read {
+            file: int(rng, 0..6) as u8,
+            offset: int(rng, 0..200_000) as u32,
+            len: int(rng, 1..4_096) as u16,
+        },
+        2 => Op::Delete {
+            file: int(rng, 0..6) as u8,
+        },
+        _ => Op::PowerCycle,
+    }
 }
 
 fn path(file: u8) -> Vec<u8> {
     format!("/vol/file{file}").into_bytes()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn file_system_matches_model_across_power_cycles(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        budget in 4..32u64,
-    ) {
+#[test]
+fn file_system_matches_model_across_power_cycles() {
+    check("file_system_matches_model_across_power_cycles", 24, |rng| {
+        let ops = vec_of(rng, 1..60, gen_op);
+        let budget = int(rng, 4..32);
         let nv = Viyojit::new(
             1024,
             ViyojitConfig::with_budget_pages(budget),
@@ -68,7 +74,12 @@ proptest! {
 
         for op in &ops {
             match *op {
-                Op::Write { file, offset, len, fill } => {
+                Op::Write {
+                    file,
+                    offset,
+                    len,
+                    fill,
+                } => {
                     let p = path(file);
                     let handle = fs.open_or_create(&p).unwrap();
                     let data = vec![fill; len as usize];
@@ -92,41 +103,41 @@ proptest! {
                             }
                             model.insert(p, content);
                         }
-                        Err(e) => return Err(TestCaseError::fail(format!("write: {e}"))),
+                        Err(e) => panic!("write: {e}"),
                     }
                 }
                 Op::Read { file, offset, len } => {
                     let p = path(file);
                     let Some(handle) = fs.lookup(&p).unwrap() else {
-                        prop_assert!(!model.contains_key(&p));
+                        assert!(!model.contains_key(&p));
                         continue;
                     };
                     let content = &model[&p];
                     let mut buf = vec![0u8; len as usize];
                     let end = offset as usize + len as usize;
                     if end > content.len() {
-                        prop_assert_eq!(
+                        assert_eq!(
                             fs.read(handle, offset as u64, &mut buf),
                             Err(FsError::PastEndOfFile)
                         );
                     } else {
                         fs.read(handle, offset as u64, &mut buf).unwrap();
-                        prop_assert_eq!(&buf[..], &content[offset as usize..end]);
+                        assert_eq!(&buf[..], &content[offset as usize..end]);
                     }
                 }
                 Op::Delete { file } => {
                     let p = path(file);
                     let existed = model.remove(&p).is_some();
                     match fs.delete(&p) {
-                        Ok(()) => prop_assert!(existed),
-                        Err(FsError::NotFound) => prop_assert!(!existed),
-                        Err(e) => return Err(TestCaseError::fail(format!("delete: {e}"))),
+                        Ok(()) => assert!(existed),
+                        Err(FsError::NotFound) => assert!(!existed),
+                        Err(e) => panic!("delete: {e}"),
                     }
                 }
                 Op::PowerCycle => {
                     let mut nv = fs.into_heap().into_inner();
                     let report = nv.power_failure();
-                    prop_assert!(report.dirty_pages <= budget);
+                    assert!(report.dirty_pages <= budget);
                     nv.recover();
                     fs = NvFileSystem::open(PHeap::open(nv, region).unwrap()).unwrap();
                 }
@@ -136,12 +147,12 @@ proptest! {
         // Final audit: sizes and full contents.
         for (p, content) in &model {
             let handle = fs.lookup(p).unwrap().expect("modelled file exists");
-            prop_assert_eq!(fs.len(handle).unwrap(), content.len() as u64);
+            assert_eq!(fs.len(handle).unwrap(), content.len() as u64);
             let mut buf = vec![0u8; content.len()];
             if !content.is_empty() {
                 fs.read(handle, 0, &mut buf).unwrap();
             }
-            prop_assert_eq!(&buf, content);
+            assert_eq!(&buf, content);
         }
-    }
+    });
 }

@@ -12,8 +12,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use pheap::{class_size, size_class, PHeap, PHeapError, PPtr, MAX_ALLOC};
-use proptest::prelude::*;
-use sim_clock::{Clock, CostModel};
+use propcheck::{check, int, vec_of, weighted};
+use sim_clock::{Clock, CostModel, SplitMix64};
 use ssd_sim::SsdConfig;
 use viyojit::{NvHeap, NvdramBaseline, Viyojit, ViyojitConfig};
 
@@ -35,14 +35,25 @@ enum Op {
     PowerCycle,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let len = prop_oneof![9 => 1..2048usize, 1 => 4096..20_000usize];
-    prop_oneof![
-        5 => (len, any::<u8>()).prop_map(|(len, fill)| Op::Alloc { len, fill }),
-        2 => any::<usize>().prop_map(|nth| Op::Free { nth }),
-        3 => (any::<usize>(), any::<u8>()).prop_map(|(nth, fill)| Op::Rewrite { nth, fill }),
-        1 => Just(Op::PowerCycle),
-    ]
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    match weighted(rng, &[5, 2, 3, 1]) {
+        0 => Op::Alloc {
+            // One request in ten is of a multi-page class.
+            len: match weighted(rng, &[9, 1]) {
+                0 => int(rng, 1..2048),
+                _ => int(rng, 4096..20_000),
+            } as usize,
+            fill: rng.next_u64() as u8,
+        },
+        1 => Op::Free {
+            nth: rng.next_u64() as usize,
+        },
+        2 => Op::Rewrite {
+            nth: rng.next_u64() as usize,
+            fill: rng.next_u64() as u8,
+        },
+        _ => Op::PowerCycle,
+    }
 }
 
 /// Every case opens with these, so that none is vacuous: a block of a
@@ -123,25 +134,25 @@ fn audit<H: NvHeap>(
     heap: &mut PHeap<H>,
     ever: &BTreeSet<PPtr>,
     model: &HashMap<PPtr, (usize, u8)>,
-) -> Result<(), TestCaseError> {
+) {
     for &ptr in ever {
         let volatile = heap.usable_size(ptr).ok();
         let modelled = model
             .get(&ptr)
             .map(|&(len, _)| class_size(size_class(len).expect("allocated")));
-        prop_assert_eq!(
+        assert_eq!(
             volatile,
             header_says(heap, ptr),
             "{} against its header",
             ptr
         );
-        prop_assert_eq!(volatile, modelled, "{} against the model", ptr);
+        assert_eq!(volatile, modelled, "{} against the model", ptr);
         // The header, the second word (the smallest block has one) and,
         // of a live block, the middle.
         let middle = modelled.unwrap_or(16) as u64 / 2;
         for near in [ptr.offset() - 8, ptr.offset() + 8, ptr.offset() + middle] {
             let near = PPtr::from_offset(near);
-            prop_assert_eq!(
+            assert_eq!(
                 heap.usable_size(near),
                 Err(PHeapError::BadPointer),
                 "{} beside {} is not a payload start",
@@ -153,104 +164,126 @@ fn audit<H: NvHeap>(
     for (&ptr, &(len, fill)) in model {
         let mut buf = vec![0u8; len];
         heap.read(ptr, 0, &mut buf).unwrap();
-        prop_assert!(
+        assert!(
             buf.iter().all(|&b| b == fill),
             "allocation {ptr} corrupted (expected fill {fill})"
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+const CASES: u32 = 32;
 
-    #[test]
-    fn allocator_matches_model_across_power_cycles(
-        ops in prop::collection::vec(op_strategy(), 1..80)
-    ) {
-        const REGION: u64 = 80 * 4096;
-        let baseline = || NvdramBaseline::new(96, Clock::new(), CostModel::free(), SsdConfig::instant());
-        let mut on_viyojit = PHeap::format(
-            Viyojit::new(
-                96,
-                ViyojitConfig::with_budget_pages(8),
-                Clock::new(),
-                CostModel::free(),
-                SsdConfig::instant(),
-            ),
-            REGION,
-        )
-        .unwrap();
-        let mut on_baseline = PHeap::format(baseline(), REGION).unwrap();
-        // Never reopened: its maps are the ones `alloc` and `free` kept.
-        let mut lived = PHeap::format(baseline(), REGION).unwrap();
+#[test]
+fn allocator_matches_model_across_power_cycles() {
+    check(
+        "allocator_matches_model_across_power_cycles",
+        CASES,
+        |rng| {
+            let ops = vec_of(rng, 1..80, gen_op);
+            const REGION: u64 = 80 * 4096;
+            let baseline =
+                || NvdramBaseline::new(96, Clock::new(), CostModel::free(), SsdConfig::instant());
+            let mut on_viyojit = PHeap::format(
+                Viyojit::new(
+                    96,
+                    ViyojitConfig::with_budget_pages(8),
+                    Clock::new(),
+                    CostModel::free(),
+                    SsdConfig::instant(),
+                ),
+                REGION,
+            )
+            .unwrap();
+            let mut on_baseline = PHeap::format(baseline(), REGION).unwrap();
+            // Never reopened: its maps are the ones `alloc` and `free` kept.
+            let mut lived = PHeap::format(baseline(), REGION).unwrap();
 
-        // Model: live pointer -> (requested len, fill byte).
-        let mut model: HashMap<PPtr, (usize, u8)> = HashMap::new();
-        let mut order: Vec<PPtr> = Vec::new();
-        let mut ever: BTreeSet<PPtr> = BTreeSet::new();
-        let (mut reuses, mut multi_page, mut reopens) = (0u32, 0u32, 0u32);
+            // Model: live pointer -> (requested len, fill byte).
+            let mut model: HashMap<PPtr, (usize, u8)> = HashMap::new();
+            let mut order: Vec<PPtr> = Vec::new();
+            let mut ever: BTreeSet<PPtr> = BTreeSet::new();
+            let (mut reuses, mut multi_page, mut reopens) = (0u32, 0u32, 0u32);
 
-        for op in prologue().iter().chain(&ops) {
-            let step = match *op {
-                Op::Alloc { len, fill } => Step::Alloc { len, fill },
-                Op::Free { .. } | Op::Rewrite { .. } if order.is_empty() => continue,
-                Op::Free { nth } => Step::Free(order.swap_remove(nth % order.len())),
-                Op::Rewrite { nth, fill } => {
-                    let ptr = order[nth % order.len()];
-                    Step::Rewrite { ptr, len: model[&ptr].0, fill }
+            for op in prologue().iter().chain(&ops) {
+                let step = match *op {
+                    Op::Alloc { len, fill } => Step::Alloc { len, fill },
+                    Op::Free { .. } | Op::Rewrite { .. } if order.is_empty() => continue,
+                    Op::Free { nth } => Step::Free(order.swap_remove(nth % order.len())),
+                    Op::Rewrite { nth, fill } => {
+                        let ptr = order[nth % order.len()];
+                        Step::Rewrite {
+                            ptr,
+                            len: model[&ptr].0,
+                            fill,
+                        }
+                    }
+                    Op::PowerCycle => {
+                        on_viyojit = Store::reopened(on_viyojit);
+                        on_baseline = Store::reopened(on_baseline);
+                        reopens += 1;
+                        audit(&mut on_viyojit, &ever, &model);
+                        audit(&mut on_baseline, &ever, &model);
+                        continue;
+                    }
+                };
+                let outcome = take(&mut lived, step);
+                assert_eq!(
+                    take(&mut on_viyojit, step),
+                    outcome,
+                    "{:?} on Viyojit",
+                    step
+                );
+                assert_eq!(
+                    take(&mut on_baseline, step),
+                    outcome,
+                    "{:?} on the baseline",
+                    step
+                );
+                match (step, outcome) {
+                    (Step::Alloc { len, fill }, Ok(Some(ptr))) => {
+                        assert!(
+                            model.insert(ptr, (len, fill)).is_none(),
+                            "allocator returned a live pointer twice"
+                        );
+                        order.push(ptr);
+                        reuses += u32::from(!ever.insert(ptr));
+                        multi_page += u32::from(len > 4096);
+                    }
+                    (Step::Alloc { .. }, Err(PHeapError::OutOfMemory)) => {}
+                    (Step::Free(ptr), Ok(None)) => {
+                        model.remove(&ptr);
+                    }
+                    (Step::Rewrite { ptr, len, fill }, Ok(None)) => {
+                        model.insert(ptr, (len, fill));
+                    }
+                    (step, outcome) => panic!("{step:?}: {outcome:?}"),
                 }
-                Op::PowerCycle => {
-                    on_viyojit = Store::reopened(on_viyojit);
-                    on_baseline = Store::reopened(on_baseline);
-                    reopens += 1;
-                    audit(&mut on_viyojit, &ever, &model)?;
-                    audit(&mut on_baseline, &ever, &model)?;
-                    continue;
-                }
-            };
-            let outcome = take(&mut lived, step);
-            prop_assert_eq!(take(&mut on_viyojit, step), outcome, "{:?} on Viyojit", step);
-            prop_assert_eq!(take(&mut on_baseline, step), outcome, "{:?} on the baseline", step);
-            match (step, outcome) {
-                (Step::Alloc { len, fill }, Ok(Some(ptr))) => {
-                    prop_assert!(model.insert(ptr, (len, fill)).is_none(),
-                        "allocator returned a live pointer twice");
-                    order.push(ptr);
-                    reuses += u32::from(!ever.insert(ptr));
-                    multi_page += u32::from(len > 4096);
-                }
-                (Step::Alloc { .. }, Err(PHeapError::OutOfMemory)) => {}
-                (Step::Free(ptr), Ok(None)) => {
-                    model.remove(&ptr);
-                }
-                (Step::Rewrite { ptr, len, fill }, Ok(None)) => {
-                    model.insert(ptr, (len, fill));
-                }
-                (step, outcome) => {
-                    return Err(TestCaseError::fail(format!("{step:?}: {outcome:?}")));
-                }
+                audit(&mut lived, &ever, &model);
+                audit(&mut on_viyojit, &ever, &model);
+                audit(&mut on_baseline, &ever, &model);
             }
-            audit(&mut lived, &ever, &model)?;
-            audit(&mut on_viyojit, &ever, &model)?;
-            audit(&mut on_baseline, &ever, &model)?;
-        }
 
-        for stats in [lived.stats(), on_viyojit.stats(), on_baseline.stats()] {
-            prop_assert_eq!(stats.unwrap().live_allocs, model.len() as u64);
-        }
-        prop_assert!(
-            reuses >= 1 && multi_page >= 1 && reopens >= 1,
-            "vacuous case: {} reuses, {} multi-page blocks, {} reopens",
-            reuses, multi_page, reopens
-        );
-    }
+            for stats in [lived.stats(), on_viyojit.stats(), on_baseline.stats()] {
+                assert_eq!(stats.unwrap().live_allocs, model.len() as u64);
+            }
+            assert!(
+                reuses >= 1 && multi_page >= 1 && reopens >= 1,
+                "vacuous case: {} reuses, {} multi-page blocks, {} reopens",
+                reuses,
+                multi_page,
+                reopens
+            );
+        },
+    );
+}
 
-    #[test]
-    fn size_class_bounds_every_request(len in 1..=MAX_ALLOC) {
+#[test]
+fn size_class_bounds_every_request() {
+    check("size_class_bounds_every_request", CASES, |rng| {
+        let len = int(rng, 1..=MAX_ALLOC as u64) as usize;
         let class = pheap::size_class(len).expect("within max");
         let size = pheap::class_size(class);
-        prop_assert!(size >= len, "class too small");
-        prop_assert!(size < len.max(16) * 2, "class wastes more than 2x");
-    }
+        assert!(size >= len, "class too small");
+        assert!(size < len.max(16) * 2, "class wastes more than 2x");
+    });
 }

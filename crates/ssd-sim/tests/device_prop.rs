@@ -2,19 +2,20 @@
 //! sanity, and wear accounting.
 
 use mem_sim::{PageId, PAGE_SIZE};
-use proptest::prelude::*;
+use propcheck::{check, int, vec_of};
 use sim_clock::{Clock, SimDuration, SimTime};
 use ssd_sim::{Ssd, SsdConfig};
 
 const PAGES: usize = 32;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u32 = 48;
 
-    #[test]
-    fn latest_write_wins_per_page(
-        writes in prop::collection::vec((0..PAGES as u64, any::<u8>()), 1..80)
-    ) {
+#[test]
+fn latest_write_wins_per_page() {
+    check("latest_write_wins_per_page", CASES, |rng| {
+        let writes = vec_of(rng, 1..80, |rng| {
+            (int(rng, 0..PAGES as u64), rng.next_u64() as u8)
+        });
         let clock = Clock::new();
         let mut ssd = Ssd::new(PAGES, SsdConfig::datacenter(), clock.clone());
         let mut last = std::collections::HashMap::new();
@@ -23,60 +24,76 @@ proptest! {
             last.insert(page, fill);
         }
         for (&page, &fill) in &last {
-            prop_assert_eq!(
+            assert_eq!(
                 ssd.page_data(PageId(page)).expect("written page"),
                 &vec![fill; PAGE_SIZE][..]
             );
         }
-        prop_assert_eq!(ssd.stats().writes, writes.len() as u64);
-    }
+        assert_eq!(ssd.stats().writes, writes.len() as u64);
+    });
+}
 
-    #[test]
-    fn completions_are_never_before_submission_and_respect_latency(
-        pages in prop::collection::vec(0..PAGES as u64, 1..40),
-        advance_us in 0..500u64,
-    ) {
-        let clock = Clock::new();
-        let cfg = SsdConfig::datacenter();
-        let latency = cfg.write_latency;
-        let mut ssd = Ssd::new(PAGES, cfg, clock.clone());
-        for &page in &pages {
-            clock.advance(SimDuration::from_micros(advance_us));
-            let submitted = clock.now();
-            let done = ssd.submit_write(PageId(page), &vec![1u8; PAGE_SIZE]);
-            prop_assert!(done >= submitted + latency,
-                "completion {done} earlier than latency allows");
-        }
-    }
+#[test]
+fn completions_are_never_before_submission_and_respect_latency() {
+    check(
+        "completions_are_never_before_submission_and_respect_latency",
+        CASES,
+        |rng| {
+            let pages = vec_of(rng, 1..40, |rng| int(rng, 0..PAGES as u64));
+            let advance_us = int(rng, 0..500);
+            let clock = Clock::new();
+            let cfg = SsdConfig::datacenter();
+            let latency = cfg.write_latency;
+            let mut ssd = Ssd::new(PAGES, cfg, clock.clone());
+            for &page in &pages {
+                clock.advance(SimDuration::from_micros(advance_us));
+                let submitted = clock.now();
+                let done = ssd.submit_write(PageId(page), &vec![1u8; PAGE_SIZE]);
+                assert!(
+                    done >= submitted + latency,
+                    "completion {done} earlier than latency allows"
+                );
+            }
+        },
+    );
+}
 
-    #[test]
-    fn outstanding_never_exceeds_submissions_and_drains_to_zero(
-        pages in prop::collection::vec(0..PAGES as u64, 1..40)
-    ) {
-        let clock = Clock::new();
-        let mut ssd = Ssd::new(PAGES, SsdConfig::datacenter(), clock.clone());
-        let mut latest = SimTime::ZERO;
-        for &page in &pages {
-            let done = ssd.submit_write(PageId(page), &vec![1u8; PAGE_SIZE]);
-            latest = latest.max(done);
-            prop_assert!(ssd.outstanding() <= pages.len());
-        }
-        clock.advance_to(latest);
-        prop_assert_eq!(ssd.outstanding(), 0);
-    }
+#[test]
+fn outstanding_never_exceeds_submissions_and_drains_to_zero() {
+    check(
+        "outstanding_never_exceeds_submissions_and_drains_to_zero",
+        CASES,
+        |rng| {
+            let pages = vec_of(rng, 1..40, |rng| int(rng, 0..PAGES as u64));
+            let clock = Clock::new();
+            let mut ssd = Ssd::new(PAGES, SsdConfig::datacenter(), clock.clone());
+            let mut latest = SimTime::ZERO;
+            for &page in &pages {
+                let done = ssd.submit_write(PageId(page), &vec![1u8; PAGE_SIZE]);
+                latest = latest.max(done);
+                assert!(ssd.outstanding() <= pages.len());
+            }
+            clock.advance_to(latest);
+            assert_eq!(ssd.outstanding(), 0);
+        },
+    );
+}
 
-    #[test]
-    fn wear_is_conserved(
-        writes in prop::collection::vec(0..PAGES as u64, 1..100)
-    ) {
+#[test]
+fn wear_is_conserved() {
+    check("wear_is_conserved", CASES, |rng| {
+        let writes = vec_of(rng, 1..100, |rng| int(rng, 0..PAGES as u64));
         let clock = Clock::new();
         let mut ssd = Ssd::new(PAGES, SsdConfig::datacenter(), clock);
         for &page in &writes {
             ssd.submit_write(PageId(page), &vec![0u8; PAGE_SIZE]);
         }
         let wear = ssd.wear();
-        prop_assert_eq!(wear.logical_bytes_written(), writes.len() as u64 * PAGE_SIZE as u64);
-        prop_assert!(wear.physical_bytes_written() >= wear.logical_bytes_written());
-        prop_assert!(wear.max_block_erases() <= wear.total_erases());
-    }
+        assert_eq!(
+            wear.logical_bytes_written(),
+            writes.len() as u64 * PAGE_SIZE as u64
+        );
+        assert!(wear.physical_bytes_written() >= wear.logical_bytes_written());
+        assert!(wear.max_block_erases() <= wear.total_erases());
+    });
 }

@@ -8,8 +8,10 @@
 # benchmark/ and the working tree's into two target directories of their
 # own, and then, per workload, runs N pairs of end-to-end runs — which side
 # goes first alternates from pair to pair — before handing the two result
-# files to `viyojit-benchmark compare` (a = parent, b = working tree). It
-# edits nothing under benchmark/. Run nothing else on the machine meanwhile.
+# files to `viyojit-benchmark compare` (a = parent, b = working tree), which
+# prints medians and quartiles, and counting from the same two files how
+# many pairs the working tree won on `host_ops_per_s`. It edits nothing
+# under benchmark/. Run nothing else on the machine meanwhile.
 #
 #   scripts/ab_benchmark.sh [-n pairs] [-s seed] [-t 0|1] [-d dir] <parent-rev> [workload...]
 #
@@ -18,7 +20,8 @@
 #       while the change was written, e.g. 1000)
 #   -t  1 for traced runs: the per-layer table instead of the end-to-end one
 #   -d  where the clone, the two target directories and the result files
-#       go (default: a fresh `mktemp -d`; name one to reuse its builds)
+#       go (default: the git-ignored .bench_build/ab of this checkout,
+#       whose builds the next call reuses)
 #
 # No workload named means all of BENCHMARK.json's (that lookup needs `jq`).
 set -euo pipefail
@@ -50,10 +53,7 @@ else
 fi
 [ ${#workloads[@]} -gt 0 ] || { echo "ab: no workloads to run" >&2; exit 1; }
 
-if [ -z "$dir" ]; then
-    dir=$(mktemp -d)
-fi
-mkdir -p "$dir"
+mkdir -p "${dir:=$repo/.bench_build/ab}"
 dir="$(cd "$dir" && pwd)"
 
 [ -d "$dir/parent/.git" ] || git clone --quiet "$repo" "$dir/parent"
@@ -102,4 +102,32 @@ done
 
 echo "ab: a = $rev_a ($out_a)"
 echo "ab: b = $rev_b ($out_b)"
+# The i-th run of a workload in one file and the i-th in the other are a
+# pair; a traced run records no host_ops_per_s and so counts none.
+awk -v file_a="$out_a" '
+    function field(key,    m) {
+        if (!match($0, "\"" key "\":\"?[^\",}]*")) return ""
+        m = substr($0, RSTART, RLENGTH)
+        sub("^\"" key "\":\"?", "", m)
+        return m
+    }
+    field("record") == "metric" && field("name") == "host_ops_per_s" {
+        w = field("workload")
+        side = FILENAME == file_a ? "a" : "b"
+        if (!((w) in seen)) { seen[w]; order[++workloads] = w }
+        value[side, w, ++runs[side, w]] = field("value") + 0
+    }
+    END {
+        for (i = 1; i <= workloads; i++) {
+            w = order[i]
+            pairs = runs["a", w] < runs["b", w] ? runs["a", w] : runs["b", w]
+            won = ties = 0
+            for (p = 1; p <= pairs; p++) {
+                won += value["b", w, p] > value["a", w, p]
+                ties += value["b", w, p] == value["a", w, p]
+            }
+            printf "ab: %s b won %d of %d pairs (ties %d)\n", w, won, pairs, ties
+        }
+    }
+' "$out_a" "$out_b"
 "$dir/target-b/release/viyojit-benchmark" compare --a "$out_a" --b "$out_b"

@@ -14,8 +14,8 @@
 # `--bless` rewrites results/ from this run instead of comparing (only
 # after an *intentional* semantic change; refresh the numbers EXPERIMENTS.md,
 # README.md and DESIGN.md quote in the same commit). Anything else is handed
-# to `cargo build`, e.g. `--offline --config 'patch.crates-io….path="…"'`
-# in a container with no registry. CARGO_TARGET_DIR is honoured.
+# to `cargo build`, e.g. `--locked --offline` as CI does (the workspace has
+# no external crate to fetch). CARGO_TARGET_DIR is honoured.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
