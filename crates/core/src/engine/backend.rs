@@ -223,11 +223,12 @@ impl DirtyTracker for SoftwareWalk {
     }
 
     /// The physical payload one page flush costs under the configured §7
-    /// reductions: sector-granular shipping (when a durable base exists to
-    /// patch), compression, or a dedup reference when the whole content is
-    /// already durable. When both sector flushing and a codec are enabled,
-    /// the cheaper of the two applies. Pricing a page also clears its §7
-    /// sector mask: the next flush ships what is written from here on.
+    /// reductions: sector-granular shipping (when the device holds a base
+    /// copy to patch), compression, or a dedup reference when the whole
+    /// content is already durable. When both sector flushing and a codec
+    /// are enabled, the cheaper of the two applies. Pricing a page also
+    /// clears its §7 sector mask: the next flush ships what is written from
+    /// here on.
     fn flush_payload(core: &mut EngineCore, sw: &mut Self, page: PageId) -> usize {
         let data = core.mmu.page_data(page);
         let codec_bytes = match core.config.flush_codec {
@@ -242,7 +243,7 @@ impl DirtyTracker for SoftwareWalk {
                 }
             }
         };
-        let physical = if core.config.sector_flush && core.ssd.contains(page) {
+        let physical = if core.config.sector_flush && core.mmu.is_held(page) {
             // Clean sectors already match the durable base copy, so only
             // the modified sectors (plus an 8 B mask) need shipping.
             let sector_bytes = core.mmu.dirty_sector_bytes(page) + 8;
@@ -309,7 +310,7 @@ impl DirtyTracker for SoftwareWalk {
     fn recover_memory(core: &mut EngineCore, backend: &mut Self) {
         for i in 0..core.mmu.pages() {
             let page = PageId(i as u64);
-            reload_page(core, page);
+            core.mmu.restore_durable(page);
             core.mmu.protect_page(page);
             core.mmu.clear_sector_mask(page);
         }
@@ -353,7 +354,7 @@ impl DirtyTracker for SoftwareWalk {
                 counted_dirty,
             });
         }
-        Ok(())
+        check_undo(core, self.dirty.in_flight_bits())
     }
 
     fn durable_state_consistent(&self, core: &EngineCore) -> bool {
@@ -379,7 +380,7 @@ fn page_range(maps: &[&Bitmap2L], start: usize, end: usize) -> Vec<PageId> {
     pages.into_iter().map(|i| PageId(i as u64)).collect()
 }
 
-/// Checks [`page_matches_durable`] for every page of `info` whose bit is
+/// Checks [`Mmu::matches_durable`] for every page of `info` whose bit is
 /// *clear* in the word-level `skip_word` mask (bit `b` of `skip_word(w)`
 /// covers page `w * 64 + b`), returning `false` on the first mismatch.
 /// The mask lets callers exclude legitimately-ahead pages 64 at a time.
@@ -401,7 +402,7 @@ fn clean_pages_match(
         while bits != 0 {
             let b = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if !page_matches_durable(core, PageId((w * 64 + b) as u64)) {
+            if !core.mmu.matches_durable(PageId((w * 64 + b) as u64)) {
                 return false;
             }
         }
@@ -410,29 +411,12 @@ fn clean_pages_match(
     true
 }
 
-/// `true` if the in-memory contents of `page` match its durable SSD copy
-/// (or are all zero when never written).
-fn page_matches_durable(core: &EngineCore, page: PageId) -> bool {
-    let mem = core.mmu.page_data(page);
-    match core.ssd.page_data(page) {
-        Some(durable) => durable == mem,
-        None => is_zero(mem),
-    }
-}
-
-fn is_zero(bytes: &[u8]) -> bool {
-    bytes.iter().all(|&b| b == 0)
-}
-
-/// Recovery's reload of one page: the device's copy, which leaves the page
-/// in sync with the device, or zeroes for a page never flushed. A page
-/// that is zero already is only read, so recovery does not first-touch
-/// memory the run never did.
-fn reload_page(core: &mut EngineCore, page: PageId) {
-    match core.ssd.page_data(page) {
-        Some(durable) => core.mmu.load_page(page, durable),
-        None if is_zero(core.mmu.page_data(page)) => {}
-        None => core.mmu.page_data_mut(page).fill(0),
+/// Checks the undo log behind the device image: a slot exactly for each
+/// held page with unsynced sectors, and none for a page in `in_flight`.
+fn check_undo(core: &EngineCore, in_flight: &Bitmap2L) -> Result<(), InvariantViolation> {
+    match core.mmu.undo_violation(in_flight) {
+        Some((page, what)) => Err(InvariantViolation::UndoLog { page: page.0, what }),
+        None => Ok(()),
     }
 }
 
@@ -666,7 +650,7 @@ impl DirtyTracker for MmuAssisted {
     fn recover_memory(core: &mut EngineCore, backend: &mut Self) {
         for i in 0..core.mmu.pages() {
             let page = PageId(i as u64);
-            reload_page(core, page);
+            core.mmu.restore_durable(page);
             core.mmu.unprotect_page(page);
         }
         core.mmu.set_dirty_limit(None);
@@ -717,7 +701,7 @@ impl DirtyTracker for MmuAssisted {
                 recorded: self.known_dirty.count() as u64,
             });
         }
-        Ok(())
+        check_undo(core, &self.in_flight)
     }
 
     fn durable_state_consistent(&self, core: &EngineCore) -> bool {
@@ -813,7 +797,7 @@ impl DirtyTracker for FullDirty {
 
     fn recover_memory(core: &mut EngineCore, _backend: &mut Self) {
         for i in 0..core.mmu.pages() {
-            reload_page(core, PageId(i as u64));
+            core.mmu.restore_durable(PageId(i as u64));
         }
     }
 

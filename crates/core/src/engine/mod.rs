@@ -243,6 +243,14 @@ impl<B: DirtyTracker> Engine<B> {
         &self.core.ssd
     }
 
+    /// The MMU over NV-DRAM, which also holds what the SSD holds: its
+    /// [`Mmu::durable_page`] is the device image a recovery would bring
+    /// back, and [`Mmu::undo_stats`] counts how the undo log behind it was
+    /// used.
+    pub fn mmu(&self) -> &Mmu {
+        &self.core.mmu
+    }
+
     /// Attaches a telemetry handle (shared with the backing SSD). The
     /// manager then emits the Fig. 6 trace events and publishes its
     /// counters into the registry at every epoch boundary. Telemetry only
@@ -413,8 +421,9 @@ impl<B: DirtyTracker> Engine<B> {
         Some(budget)
     }
 
-    /// Rebuilds NV-DRAM from the SSD after a power cycle: every page is
-    /// reloaded from its durable copy (zeroes if never written), the
+    /// Rebuilds NV-DRAM from the SSD after a power cycle: every page
+    /// returns to its durable copy (zeroes if never written) — only the
+    /// sectors written since their last hand-over are restored — the
     /// backend re-arms its tracking, and the trackers restart empty.
     /// Region mappings survive (their metadata lives in the flushed
     /// superblock).
@@ -673,33 +682,29 @@ pub(crate) fn issue_proactive_down_to<B: DirtyTracker>(
     }
 }
 
-/// Hands `page`'s bytes to the device, in place — the one point where
-/// NV-DRAM contents reach the SSD, for the copier and the emergency flush
-/// alike — and returns the write's completion instant. The page's
-/// unsynced sectors are taken here, once: the device copies those and
-/// already holds the rest.
+/// Hands `page` to the device — the one point where NV-DRAM contents
+/// become durable, for the copier and the emergency flush alike — and
+/// returns the write's completion instant. Nothing is copied: the page's
+/// bytes in memory become its device image ([`Mmu::take_unsynced`]
+/// releases the page's undo), and the `Ssd` is charged for the write.
 ///
 /// The first `fallible_attempts` submissions consult the fault plan; each
 /// injected error occupies its channel (naturally serialising the retry
-/// behind it), and every retry carries the same sectors, since a failed
-/// attempt copied none. After them the write is forced through — a copy
-/// that is handed over must land. The emergency executor passes 0: it has
-/// drawn the page's faults on its own timeline before it gets here. With
-/// an inactive plan the fallible submit never errs and is byte-identical
-/// to the plain one.
+/// behind it). After them the write is forced through — a copy that is
+/// handed over must land, which is why the hand-over can be taken before
+/// the first attempt. The emergency executor passes 0: it has drawn the
+/// page's faults on its own timeline before it gets here. With an
+/// inactive plan the fallible submit never errs and is identical to the
+/// plain one.
 pub(crate) fn hand_to_device(
     core: &mut EngineCore,
     page: PageId,
     physical: usize,
     fallible_attempts: u32,
 ) -> SimTime {
-    let unsynced = core.mmu.take_unsynced(page);
-    let data = core.mmu.page_data(page);
+    core.mmu.take_unsynced(page);
     for attempt in 1..=fallible_attempts {
-        match core
-            .ssd
-            .try_submit_write_sized(page, data, physical, unsynced)
-        {
+        match core.ssd.try_submit_write_sized(page, physical) {
             Ok(done) => return done,
             Err(err) => {
                 core.stats.flush_retries += 1;
@@ -712,7 +717,7 @@ pub(crate) fn hand_to_device(
             }
         }
     }
-    core.ssd.submit_write_sized(page, data, physical, unsynced)
+    core.ssd.submit_write_sized(page, physical)
 }
 
 /// Re-protects `victim` and submits its flush (Fig. 6 steps 6-7).
@@ -996,6 +1001,77 @@ mod tests {
     #[test]
     fn next_due_is_sound_on_the_mmu_assisted_backend() {
         next_due_is_never_later_than_the_earliest_due_event::<MmuAssisted>();
+    }
+
+    /// A recovery lays back what a power failure lost and nothing else: a
+    /// loss-free cycle restores no sector, and a cycle that loses pages
+    /// restores exactly the sectors written since their last hand-over.
+    fn recovery_restores_exactly_the_lost_sectors<B: DirtyTracker>() {
+        let (mut nv, region) = engine::<B>(8);
+        let page_bytes = PAGE_SIZE as u64;
+        let restored = |nv: &Engine<B>| nv.core.mmu.undo_stats().sectors_restored;
+        for page in 0..4u64 {
+            nv.write(region, page * page_bytes, &[0xA0 + page as u8; PAGE_SIZE])
+                .unwrap();
+        }
+        assert_eq!(nv.power_failure().pages_lost, 0);
+        nv.recover();
+        assert_eq!(restored(&nv), 0, "a loss-free cycle restores nothing");
+
+        // Page p rewrites its first p + 1 sectors, and nothing is in flight.
+        for page in 0..4u64 {
+            nv.write(
+                region,
+                page * page_bytes,
+                &vec![0xB0; 64 * (page as usize + 1)],
+            )
+            .unwrap();
+        }
+        retire_all(&mut nv);
+        // Hold-up for two and a half page flushes, in ascending page order:
+        // pages 0 and 1 land, and of what is lost only pages 2 and 3 were
+        // written since their hand-over.
+        let power = PowerModel::datacenter_server(0.064);
+        let drain = nv.ssd().config().drain_time(5 * page_bytes / 2);
+        let battery = Battery::new(
+            battery_sim::BatteryConfig::with_capacity_joules(
+                drain.as_secs_f64() * power.total_watts(),
+            )
+            .with_depth_of_discharge(1.0),
+        );
+        let report = nv.power_failure_powered(&battery, &power);
+        assert_eq!(report.bytes_flushed, 2 * page_bytes, "{report:?}");
+        nv.recover();
+        assert_eq!(restored(&nv), 3 + 4, "pages 2 and 3's unsynced sectors");
+        for page in 0..4u64 {
+            let mut byte = [0u8; 1];
+            nv.peek(region, page * page_bytes + 64 * 4, &mut byte)
+                .unwrap();
+            assert_eq!(
+                byte[0],
+                0xA0 + page as u8,
+                "page {page}'s sector 4 was never rewritten"
+            );
+            nv.peek(region, page * page_bytes, &mut byte).unwrap();
+            let lost = page >= 2;
+            assert_eq!(byte[0] == 0xB0, !lost, "page {page} lost: {lost}");
+        }
+        nv.validate();
+    }
+
+    #[test]
+    fn recovery_restores_exactly_the_lost_sectors_on_the_software_walk() {
+        recovery_restores_exactly_the_lost_sectors::<SoftwareWalk>();
+    }
+
+    #[test]
+    fn recovery_restores_exactly_the_lost_sectors_on_the_mmu_assisted_backend() {
+        recovery_restores_exactly_the_lost_sectors::<MmuAssisted>();
+    }
+
+    #[test]
+    fn recovery_restores_exactly_the_lost_sectors_on_the_baseline() {
+        recovery_restores_exactly_the_lost_sectors::<FullDirty>();
     }
 
     #[test]

@@ -97,6 +97,14 @@ pub enum InvariantViolation {
         /// The hardware counter's value.
         counted: u64,
     },
+    /// The undo log behind the device image is out of step with the
+    /// pages it serves: a slot leaked, went stale, or is missing.
+    UndoLog {
+        /// The offending page number.
+        page: u64,
+        /// What is wrong with its slot.
+        what: &'static str,
+    },
     /// A budget arbiter handed out more pages than the shared battery
     /// provisions.
     OverCommit {
@@ -137,6 +145,9 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "hardware counter out of sync with PTE dirty bits: {pte_dirty} set vs {counted} counted"
             ),
+            InvariantViolation::UndoLog { page, what } => {
+                write!(f, "undo log out of step at page {page}: {what}")
+            }
             InvariantViolation::OverCommit {
                 assigned,
                 provisioned,

@@ -1,15 +1,17 @@
-//! Seeded property test for the host-side delta copy: the device image
-//! after sector-masked copies must be the image whole-page copies would
-//! have left.
+//! Seeded property test for the host's one copy of NV-DRAM: the device
+//! image the `Mmu` keeps as memory plus an undo log must be the image
+//! whole-page copies would have left.
 //!
-//! A flush hands `Ssd` the page's bytes in place plus the `Mmu`'s
-//! unsynced-sector mask, and only the masked 64 B sectors are copied into
-//! the image. The slow model is the copy that ignores the mask. Debug
-//! builds run it inside `Ssd` after every delta copy; this test runs it
-//! from outside, in release builds too: it keeps its own image of NV-DRAM
-//! and, from the `SsdSubmit` events of each step, the image a device that
-//! always copied whole pages would hold, and compares the real one against
-//! it after every step, next to `durable_state_consistent`.
+//! A flush copies nothing: the page's bytes in memory become its device
+//! image, and every later write saves the sectors it is about to change
+//! into the page's undo slot first, so that memory ⊕ undo is what the
+//! device holds and a recovery lays the undo back. The slow model is a
+//! device that copies the whole page at every submit. This test keeps its
+//! own image of NV-DRAM and, from the `SsdSubmit` events of each step, the
+//! image that device would hold, and compares the engine's
+//! (`Mmu::durable_page`) against it after every step, next to
+//! `durable_state_consistent` and the invariant check, which covers the
+//! undo log's slots.
 //!
 //! Seed sweeps in the shape of `fault_recovery_prop.rs`: every life is a
 //! pure function of a `u64` seed through `SplitMix64`. A failure names
@@ -33,10 +35,12 @@ const BUDGET: u64 = 8;
 const STEPS: usize = 160;
 const SEEDS_PER_BACKEND: u64 = 24;
 const WRITE_ERROR_RATE: f64 = 0.2;
-/// Non-vacuity: every life must make at least this many copies of fewer
-/// than 64 sectors, or the property compared whole-page copies to
-/// whole-page copies.
-const MIN_PARTIAL_COPIES: u64 = 32;
+/// Non-vacuity: every life must save fewer than 64 sectors at least this
+/// many times, or the undo log only ever held whole pages...
+const MIN_PARTIAL_SAVES: u64 = 32;
+/// ...and lay back at least one sector in a recovery that followed a loss,
+/// or no lost write was ever undone.
+const MIN_SECTORS_RESTORED: u64 = 1;
 
 struct Life<B: DirtyTracker> {
     nv: Engine<B>,
@@ -50,6 +54,8 @@ struct Life<B: DirtyTracker> {
     memory: Vec<u8>,
     /// What a device that copied the whole page at every submit holds.
     reference: Vec<Option<Vec<u8>>>,
+    /// Sectors restored by recoveries after a power failure that lost pages.
+    restored_after_loss: u64,
     step: usize,
 }
 
@@ -91,6 +97,7 @@ impl<B: DirtyTracker> Life<B> {
             regions,
             memory: vec![0; TOTAL_PAGES * PAGE_SIZE],
             reference: vec![None; TOTAL_PAGES],
+            restored_after_loss: 0,
             step: 0,
         }
     }
@@ -121,6 +128,11 @@ impl<B: DirtyTracker> Life<B> {
         fresh
     }
 
+    /// The engine's image of `page` on the device: memory ⊕ undo.
+    fn durable(&self, page: usize) -> Option<Vec<u8>> {
+        self.nv.mmu().durable_page(PageId(page as u64))
+    }
+
     /// Closes one step: brings the reference up to date with what the step
     /// submitted and checks the device image against it. `written` names
     /// the one page the step changed in memory and its bytes before: a
@@ -131,18 +143,17 @@ impl<B: DirtyTracker> Life<B> {
         let step = self.step;
         for page in self.submitted() {
             let now = page_of(&self.memory, page);
-            let held = self.nv.ssd().page_data(PageId(page as u64));
+            let held = self.durable(page);
             self.reference[page] = match written {
-                Some((changed, before)) if changed == page && held == Some(before) => {
+                Some((changed, before)) if changed == page && held.as_deref() == Some(before) => {
                     Some(before.to_vec())
                 }
                 _ => Some(now.to_vec()),
             };
         }
         for page in 0..TOTAL_PAGES {
-            let held = self.nv.ssd().page_data(PageId(page as u64));
             assert!(
-                held == self.reference[page].as_deref(),
+                self.durable(page) == self.reference[page],
                 "step {step} ({what}): the device's page {page} is not what whole-page copies leave"
             );
         }
@@ -184,28 +195,44 @@ impl<B: DirtyTracker> Life<B> {
         self.settle("write", Some((frame, &before)));
     }
 
+    /// A power failure, unpowered or, half the time, on a battery that
+    /// holds up fewer pages than may be owed, so some are lost.
     fn power_cycle(&mut self) {
-        let report = if self.rng.chance(0.5) {
-            self.nv.power_failure()
+        let owed = if B::HAS_CONTROL_LOOP {
+            BUDGET
         } else {
-            // Hold-up for fewer pages than may be owed, so some are lost.
-            let owed = if B::HAS_CONTROL_LOOP {
-                BUDGET
-            } else {
-                TOTAL_PAGES as u64
-            };
-            let power = PowerModel::datacenter_server(0.064);
-            let pages = 1 + self.rng.below(owed);
-            let drain = self.nv.ssd().config().drain_time(pages * PAGE);
-            let joules = drain.as_secs_f64() * power.total_watts();
-            let battery = Battery::new(
-                BatteryConfig::with_capacity_joules(joules).with_depth_of_discharge(1.0),
-            );
-            self.nv.power_failure_powered(&battery, &power)
+            TOTAL_PAGES as u64
+        };
+        let hold_up = if self.rng.chance(0.5) {
+            None
+        } else {
+            Some(1 + self.rng.below(owed))
+        };
+        self.fail_and_recover(hold_up);
+    }
+
+    /// A power failure whose battery holds up the flush of `hold_up` pages
+    /// (no battery: every page), then the recovery.
+    fn fail_and_recover(&mut self, hold_up: Option<u64>) {
+        let report = match hold_up {
+            None => self.nv.power_failure(),
+            Some(pages) => {
+                let power = PowerModel::datacenter_server(0.064);
+                let drain = self.nv.ssd().config().drain_time(pages * PAGE);
+                let joules = drain.as_secs_f64() * power.total_watts();
+                let battery = Battery::new(
+                    BatteryConfig::with_capacity_joules(joules).with_depth_of_discharge(1.0),
+                );
+                self.nv.power_failure_powered(&battery, &power)
+            }
         };
         assert!(report.all_pages_accounted(), "{report:?}");
         self.settle("power_failure", None);
+        let restored = self.nv.mmu().undo_stats().sectors_restored;
         self.nv.recover();
+        if report.pages_lost > 0 {
+            self.restored_after_loss += self.nv.mmu().undo_stats().sectors_restored - restored;
+        }
         // Memory is now the device image: a lost page is back at its last
         // snapshot, a page never flushed at zeroes.
         for page in 0..TOTAL_PAGES {
@@ -229,7 +256,9 @@ impl<B: DirtyTracker> Life<B> {
         }
     }
 
-    fn run(mut self) -> u64 {
+    /// Runs the life; returns its partial undo saves and the sectors its
+    /// recoveries after a loss restored.
+    fn run(mut self) -> (u64, u64) {
         for step in 0..STEPS {
             self.step = step;
             let region = self.rng.below(REGIONS as u64) as usize;
@@ -258,25 +287,38 @@ impl<B: DirtyTracker> Life<B> {
             }
             self.assert_clean_pages_are_durable("after the step");
         }
-        // A loss-free failure brings every page home: the last `settle`
-        // finds memory as the test's image had it before the failure.
+        // A battery short of the dirty pages loses some whatever the life
+        // did, so every life restores lost sectors at least once...
         self.step = STEPS;
+        for page in 0..REGION_PAGES {
+            self.write_in_page(0, page, 64);
+        }
+        self.fail_and_recover(Some(1));
+        // ...and a loss-free failure brings every page home: the last
+        // `settle` finds memory as the test's image had it before it.
         let report = self.nv.power_failure();
         assert_eq!(report.pages_lost, 0, "{report:?}");
         self.settle("the last power_failure", None);
         self.nv.recover();
         self.settle("the last recover", None);
         self.assert_clean_pages_are_durable("after the last recovery");
-        self.nv.ssd().partial_copies()
+        (
+            self.nv.mmu().undo_stats().partial_saves,
+            self.restored_after_loss,
+        )
     }
 }
 
 fn delta_copies_leave_the_whole_page_image<B: DirtyTracker>(name: &str) {
     check_seeds(name, 0..SEEDS_PER_BACKEND, |seed| {
-        let partial = Life::<B>::new(seed).run();
+        let (partial, restored) = Life::<B>::new(seed).run();
         assert!(
-            partial >= MIN_PARTIAL_COPIES,
-            "only {partial} copies of fewer than 64 sectors: the property went vacuous"
+            partial >= MIN_PARTIAL_SAVES,
+            "only {partial} undo saves of fewer than 64 sectors: the property went vacuous"
+        );
+        assert!(
+            restored >= MIN_SECTORS_RESTORED,
+            "only {restored} sectors restored after a loss: the property went vacuous"
         );
     });
 }

@@ -42,7 +42,7 @@ mod tlb;
 
 pub use bitmap::{Bitmap2L, ScanPath};
 pub use dispatch::DispatchCounts;
-pub use mmu::{AccessError, Mmu, MmuStats, WalkOptions, SECTOR_BYTES};
+pub use mmu::{AccessError, Mmu, MmuStats, UndoStats, WalkOptions, SECTOR_BYTES};
 pub use page::{page_count, PageId, PAGE_SIZE};
 pub use page_table::{PageTable, PteFlags};
 pub use tlb::{Tlb, TlbEntry, TlbStats};

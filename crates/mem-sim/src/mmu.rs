@@ -134,9 +134,13 @@ impl MmuStats {
 /// All application accesses go through [`Mmu::read`] / [`Mmu::write`];
 /// privileged software (Viyojit) manipulates protection with
 /// [`Mmu::protect_page`] / [`Mmu::unprotect_page`] and performs epoch walks
-/// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style access for the flusher and
-/// recovery bypasses translation via [`Mmu::page_data`] /
-/// [`Mmu::page_data_mut`] / [`Mmu::load_page`].
+/// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style access bypasses
+/// translation via [`Mmu::page_data`] / [`Mmu::page_data_mut`].
+///
+/// The MMU also holds the host's only copy of what the device holds: the
+/// device image of a page is its memory with the sectors written since
+/// its last hand-over ([`Mmu::take_unsynced`]) replaced by their saved
+/// pre-write bytes, which recovery lays back ([`Mmu::restore_durable`]).
 ///
 /// # Examples
 ///
@@ -166,18 +170,26 @@ pub struct Mmu {
     /// to dirty a new page at the limit.
     dirty_limit: Option<u64>,
     dirty_counted: u64,
-    /// Two bits per 64 B sector per page, both set by every write: the §7
-    /// model mask and the host's copy shortcut (see [`SectorMasks`]).
+    /// Two bits per 64 B sector per page, both set by every write, and the
+    /// page's place in the device image (see [`SectorMasks`]).
     sector_masks: Vec<SectorMasks>,
+    /// The pre-write bytes of every held page's unsynced sectors.
+    undo: UndoPool,
+    undo_stats: UndoStats,
     /// The pages the last masked epoch walk found updated, kept between
     /// walks so each one refills the buffer instead of allocating it.
     walk_hits: Vec<PageId>,
 }
 
-/// One page's sector masks: bit *i* covers the page's *i*-th 64 B sector.
-/// [`Mmu::write`] sets the same bits in both; they differ in who clears
-/// them.
-#[derive(Debug, Clone, Copy, Default)]
+/// One page's sector masks — bit *i* covers the page's *i*-th 64 B sector;
+/// [`Mmu::write`] sets the same bits in both, and they differ in who clears
+/// them — and where the device image of the page lies.
+///
+/// The device image is host-side state, no part of the simulated system:
+/// the `Ssd` models time and wear, not bytes. A page the device holds
+/// (`held`) is memory with its `unsynced` sectors replaced by the bytes in
+/// its undo slot, and a page it does not hold is zeroes.
+#[derive(Debug, Clone, Copy)]
 struct SectorMasks {
     /// Mondrian-style sub-page tracking (§7), part of the simulated system:
     /// what a sector-granular flush would *ship*. Cleared by policy — when
@@ -185,12 +197,91 @@ struct SectorMasks {
     /// is discarded.
     shipped: u64,
     /// Host-side only: sectors whose bytes may differ from what was last
-    /// handed to the device, so the simulator's own copy of a flushed page
-    /// can skip the rest. Cleared only by handing the bytes over
-    /// ([`Mmu::take_unsynced`]) or loading the device's
-    /// ([`Mmu::load_page`]), never by policy: a discarded page's garbage is
-    /// still in memory.
+    /// handed to the device. Cleared only by handing the bytes over
+    /// ([`Mmu::take_unsynced`]) or laying the device's back
+    /// ([`Mmu::restore_durable`]), never by policy: a discarded page's
+    /// garbage is still in memory.
     unsynced: u64,
+    /// The page's slot in the undo pool, or [`NO_SLOT`]. A held page has
+    /// one exactly while `unsynced` is nonzero; a page never held has none.
+    slot: u32,
+    /// The page has been handed to the device at least once.
+    held: bool,
+}
+
+impl SectorMasks {
+    const NEW: SectorMasks = SectorMasks {
+        shipped: 0,
+        unsynced: 0,
+        slot: NO_SLOT,
+        held: false,
+    };
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// The device image of every page never handed over.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// Page-sized undo slots, recycled through a free list. Sector *i* of a
+/// page's slot holds the page's sector *i* as last handed to the device,
+/// for exactly the sectors in its unsynced mask: a write saves the fresh
+/// sectors of its run with one copy per contiguous stretch.
+#[derive(Debug, Default)]
+struct UndoPool {
+    bytes: Vec<u8>,
+    free: Vec<u32>,
+}
+
+impl UndoPool {
+    fn alloc(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let slot = (self.bytes.len() / PAGE_SIZE) as u32;
+            self.bytes.resize(self.bytes.len() + PAGE_SIZE, 0);
+            slot
+        })
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    fn slot(&self, slot: u32) -> &[u8] {
+        let at = slot as usize * PAGE_SIZE;
+        &self.bytes[at..at + PAGE_SIZE]
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut [u8] {
+        let at = slot as usize * PAGE_SIZE;
+        &mut self.bytes[at..at + PAGE_SIZE]
+    }
+}
+
+/// Host-side counters of the undo log: how the simulator keeps its one
+/// copy of NV-DRAM, not anything the simulated system did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UndoStats {
+    /// Saves of fewer than 64 sectors: a write or a DMA hand-out that
+    /// found part of its page unsynced already or touched only part of it.
+    pub partial_saves: u64,
+    /// Sectors [`Mmu::restore_durable`] laid back over memory: the bytes a
+    /// power failure lost.
+    pub sectors_restored: u64,
+}
+
+/// The byte ranges of `mask`'s maximal runs of set bits, one 64 B sector
+/// per bit, ascending.
+fn sector_runs(mut mask: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let first = mask.trailing_zeros();
+        let len = (mask >> first).trailing_ones();
+        // `len` is 1..=64, so the right shift is by 0..=63.
+        mask &= !((u64::MAX >> (64 - len)) << first);
+        Some(first as usize * SECTOR_BYTES..(first + len) as usize * SECTOR_BYTES)
+    })
 }
 
 impl Mmu {
@@ -239,7 +330,9 @@ impl Mmu {
             stats: MmuStats::default(),
             dirty_limit: None,
             dirty_counted: 0,
-            sector_masks: vec![SectorMasks::default(); pages],
+            sector_masks: vec![SectorMasks::NEW; pages],
+            undo: UndoPool::default(),
+            undo_stats: UndoStats::default(),
             walk_hits: Vec::new(),
         }
     }
@@ -495,17 +588,24 @@ impl Mmu {
                     entry.shadow = true;
                 }
             }
-            self.memory[addr as usize..addr as usize + data.len()].copy_from_slice(data);
             // Mark every 64 B sector the write touched, for the §7 model
-            // and for the host's copy shortcut alike. `span` is 1..=64, so
-            // the right shift is by 0..=63.
+            // and for the device image alike. `span` is 1..=64, so the
+            // right shift is by 0..=63.
             let first_sector = (addr as usize % PAGE_SIZE) / SECTOR_BYTES;
             let last_sector = ((addr as usize + data.len() - 1) % PAGE_SIZE) / SECTOR_BYTES;
             let span = last_sector - first_sector + 1;
             let touched = (u64::MAX >> (64 - span)) << first_sector;
             let masks = &mut self.sector_masks[page.index()];
             masks.shipped |= touched;
+            // A sector of a held page that is in sync is part of the device
+            // image until this store lands on it: keep its bytes first.
+            // Most writes find their sectors unsynced already.
+            let fresh = touched & !masks.unsynced;
             masks.unsynced |= touched;
+            if fresh != 0 && masks.held {
+                self.save_undo(page, fresh);
+            }
+            self.memory[addr as usize..addr as usize + data.len()].copy_from_slice(data);
             let cost = self.costs.dram_access(data.len());
             self.account(&mut owed, CostClass::DramAccess, cost);
             self.stats.writes += 1;
@@ -542,18 +642,151 @@ impl Mmu {
         self.sector_mask(page).count_ones() as usize * SECTOR_BYTES
     }
 
-    /// Reads and clears the host-side mask of `page`: bit *i* set means
-    /// sector *i* may differ from the bytes last handed to the device, so
-    /// whoever takes the mask must hand over at least those sectors of
-    /// [`Mmu::page_data`]. Unlike [`Mmu::sector_mask`] this is no part of
-    /// the simulated system: it only spares the simulator copying bytes
-    /// the device image already holds.
+    /// Saves the bytes of `page`'s `fresh` sectors — held, in sync until
+    /// now, about to change — into its undo slot, taking a slot if it has
+    /// none. Out of line: most writes find their sectors unsynced already.
+    #[inline(never)]
+    fn save_undo(&mut self, page: PageId, fresh: u64) {
+        let masks = &mut self.sector_masks[page.index()];
+        if masks.slot == NO_SLOT {
+            masks.slot = self.undo.alloc();
+        }
+        let undo = self.undo.slot_mut(masks.slot);
+        let start = page.base_addr() as usize;
+        let memory = &self.memory[start..start + PAGE_SIZE];
+        for run in sector_runs(fresh) {
+            undo[run.clone()].copy_from_slice(&memory[run]);
+        }
+        if fresh != u64::MAX {
+            self.undo_stats.partial_saves += 1;
+        }
+    }
+
+    /// Hands `page` over to the device: its bytes in memory become the
+    /// device image, so its undo slot is released and the page counts as
+    /// held. Returns the sectors that were unsynced — the ones whose bytes
+    /// the hand-over changed in the image. Copies nothing.
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range.
     pub fn take_unsynced(&mut self, page: PageId) -> u64 {
-        std::mem::take(&mut self.sector_masks[page.index()].unsynced)
+        let masks = &mut self.sector_masks[page.index()];
+        masks.held = true;
+        if masks.slot != NO_SLOT {
+            self.undo
+                .release(std::mem::replace(&mut masks.slot, NO_SLOT));
+        }
+        std::mem::take(&mut masks.unsynced)
+    }
+
+    /// `true` if `page` has been handed to the device at least once
+    /// ([`Mmu::take_unsynced`]), so the device holds a copy to patch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn is_held(&self, page: PageId) -> bool {
+        self.sector_masks[page.index()].held
+    }
+
+    /// `true` if `page`'s memory equals its device image — the bytes last
+    /// handed over, or zeroes if it never was. Only the unsynced sectors
+    /// can differ, so only they are compared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn matches_durable(&self, page: PageId) -> bool {
+        let masks = self.sector_masks[page.index()];
+        let (memory, undo) = (self.page_data(page), self.undo_bytes(masks));
+        sector_runs(masks.unsynced).all(|run| memory[run.clone()] == undo[run])
+    }
+
+    /// The device image of `page`, assembled from memory and the undo
+    /// log: what a recovery would bring back. `None` for a page never
+    /// handed over, which recovery brings back as zeroes. The slow,
+    /// allocating view, for checks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn durable_page(&self, page: PageId) -> Option<Vec<u8>> {
+        let masks = self.sector_masks[page.index()];
+        if !masks.held {
+            return None;
+        }
+        let (mut image, undo) = (self.page_data(page).to_vec(), self.undo_bytes(masks));
+        for run in sector_runs(masks.unsynced) {
+            image[run.clone()].copy_from_slice(&undo[run]);
+        }
+        Some(image)
+    }
+
+    /// What the unsynced sectors of the page `masks` describes hold on the
+    /// device, at their offsets in the page: its undo slot if it is held,
+    /// zeroes if it never was. (A held page in sync has no slot and no
+    /// unsynced sector to read.)
+    fn undo_bytes(&self, masks: SectorMasks) -> &[u8] {
+        if masks.held && masks.unsynced != 0 {
+            self.undo.slot(masks.slot)
+        } else {
+            &ZERO_PAGE
+        }
+    }
+
+    /// Recovery's reload of `page`: lays its undo back over the unsynced
+    /// sectors — zeroes for a page never handed over — so memory returns
+    /// to the device image and the page ends in sync. Sectors in sync are
+    /// not touched. Returns how many sectors were restored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn restore_durable(&mut self, page: PageId) -> u32 {
+        let masks = &mut self.sector_masks[page.index()];
+        let lost = std::mem::take(&mut masks.unsynced);
+        if lost == 0 {
+            return 0;
+        }
+        let start = page.base_addr() as usize;
+        let memory = &mut self.memory[start..start + PAGE_SIZE];
+        let undo = if masks.held {
+            self.undo.slot(masks.slot)
+        } else {
+            &ZERO_PAGE
+        };
+        for run in sector_runs(lost) {
+            memory[run.clone()].copy_from_slice(&undo[run]);
+        }
+        if masks.held {
+            self.undo
+                .release(std::mem::replace(&mut masks.slot, NO_SLOT));
+        }
+        self.undo_stats.sectors_restored += lost.count_ones() as u64;
+        lost.count_ones()
+    }
+
+    /// Host-side counters of the undo log.
+    pub fn undo_stats(&self) -> UndoStats {
+        self.undo_stats
+    }
+
+    /// The first page that breaks the undo log's invariant, with what is
+    /// wrong: a page has an undo slot exactly when it is held and has
+    /// unsynced sectors, and no page in `in_flight` (write-protected since
+    /// its hand-over) has one. O(pages); for checks.
+    pub fn undo_violation(&self, in_flight: &Bitmap2L) -> Option<(PageId, &'static str)> {
+        self.sector_masks.iter().enumerate().find_map(|(i, masks)| {
+            let why = match (masks.slot != NO_SLOT, masks.held, masks.unsynced != 0) {
+                (true, false, _) => "a page never handed over has an undo slot",
+                (true, true, false) => "a page in sync has an undo slot",
+                (false, true, true) => "a held page's unsynced sectors have no undo slot",
+                (true, true, true) if in_flight.test(i) => "a page in flight has an undo slot",
+                _ => return None,
+            };
+            Some((PageId(i as u64), why))
+        })
     }
 
     /// Write-protects `page`, invalidating its TLB entry (the paper's
@@ -702,27 +935,20 @@ impl Mmu {
 
     /// Direct (DMA-style) write of one page's bytes, bypassing translation,
     /// permission checks, and dirty tracking. The caller may change any
-    /// byte, so the whole page counts as unsynced afterwards.
+    /// byte, so the sectors still in sync are saved to the undo log first
+    /// and the whole page counts as unsynced afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range.
     pub fn page_data_mut(&mut self, page: PageId) -> &mut [u8] {
-        self.sector_masks[page.index()].unsynced = u64::MAX;
+        let masks = &mut self.sector_masks[page.index()];
+        let fresh = !std::mem::replace(&mut masks.unsynced, u64::MAX);
+        if fresh != 0 && masks.held {
+            self.save_undo(page, fresh);
+        }
         let start = page.base_addr() as usize;
         &mut self.memory[start..start + PAGE_SIZE]
-    }
-
-    /// Recovery's reload of `page` from `durable`, the device's copy of
-    /// it: [`Mmu::page_data_mut`], except that the page ends in sync with
-    /// the device instead of wholly unsynced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range or `durable` is not one page.
-    pub fn load_page(&mut self, page: PageId, durable: &[u8]) {
-        self.page_data_mut(page).copy_from_slice(durable);
-        self.sector_masks[page.index()].unsynced = 0;
     }
 }
 
@@ -1132,15 +1358,179 @@ mod tests {
         assert_eq!(m.sector_mask(page), u64::MAX);
         assert_eq!(m.take_unsynced(page), u64::MAX);
 
-        // DMA may change any byte; a load from the device changes every
-        // byte to what the device holds.
+        // DMA may change any byte; a restore lays the device's bytes back.
         m.page_data_mut(page)[0] = 5;
         assert_eq!(m.take_unsynced(page), u64::MAX);
-        m.write(base, &[6]).unwrap();
-        m.load_page(page, &[7; PAGE_SIZE]);
-        assert_eq!(m.page_data(page), &[7; PAGE_SIZE]);
+        m.clear_sector_mask(page);
+        m.page_data_mut(page)[0] = 6;
+        assert_eq!(m.restore_durable(page), 64);
+        assert_eq!(m.page_data(page)[0], 5);
         assert_eq!(m.take_unsynced(page), 0);
-        assert_eq!(m.sector_mask(page), u64::MAX, "DMA is outside the §7 model");
+        assert_eq!(m.sector_mask(page), 0, "DMA is outside the §7 model");
+    }
+
+    /// `m`'s undo log holds exactly the slots its pages need.
+    #[track_caller]
+    fn assert_undo_sound(m: &Mmu) {
+        assert_eq!(m.undo_violation(&Bitmap2L::new(m.pages())), None);
+        let live = m.sector_masks.iter().filter(|s| s.slot != NO_SLOT).count();
+        let pooled = m.undo.bytes.len() / PAGE_SIZE;
+        assert_eq!(live + m.undo.free.len(), pooled, "a slot leaked");
+    }
+
+    /// `m` with `page` handed over holding `fill` in every byte.
+    fn held(pages: usize, page: PageId, fill: u8) -> Mmu {
+        let mut m = mmu(pages);
+        m.write(page.base_addr(), &[fill; PAGE_SIZE]).unwrap();
+        m.take_unsynced(page);
+        m
+    }
+
+    #[test]
+    fn the_image_keeps_the_bytes_of_the_last_hand_over() {
+        let page = PageId(1);
+        let base = page.base_addr();
+        let mut m = held(2, page, 1);
+        assert_eq!(m.durable_page(page), Some(vec![1; PAGE_SIZE]));
+        m.write(base + 70, &[2; 100]).unwrap(); // sectors 1..=2
+        let first = m.durable_page(page);
+        assert_eq!(first, Some(vec![1; PAGE_SIZE]));
+        assert!(!m.matches_durable(page));
+        m.write(base + 64, &[3; 64]).unwrap(); // sector 1 again
+        assert_eq!(
+            m.durable_page(page),
+            first,
+            "a re-save overwrote older undo"
+        );
+        assert_eq!(m.undo_stats().partial_saves, 1);
+        assert_undo_sound(&m);
+
+        // The next hand-over makes memory the image and frees the slot.
+        assert_eq!(m.take_unsynced(page), 0b110);
+        assert_eq!(m.durable_page(page).as_deref(), Some(m.page_data(page)));
+        assert!(m.matches_durable(page));
+        assert_eq!(m.undo.free.len(), 1);
+        m.write(base, &[4]).unwrap();
+        assert_eq!(m.undo.bytes.len(), PAGE_SIZE, "the slot was recycled");
+        assert_eq!(
+            m.durable_page(page).unwrap()[..70],
+            [&[1; 64][..], &[3; 6]].concat()
+        );
+        assert_undo_sound(&m);
+
+        // Writing the image's own bytes back matches it again.
+        m.write(base, &[1]).unwrap();
+        assert!(m.matches_durable(page));
+    }
+
+    #[test]
+    fn a_run_across_unsynced_sectors_saves_only_the_fresh_ones() {
+        let page = PageId(0);
+        let mut m = held(1, page, 1);
+        m.write(2 * 64, &[2; 64]).unwrap(); // sector 2
+        m.write(5 * 64 + 3, &[3; 1]).unwrap(); // sector 5
+                                               // Sectors 1..=6, of which 2 and 5 hold newer bytes than the image.
+        m.write(64, &[4; 6 * 64]).unwrap();
+        assert_eq!(m.undo_stats().partial_saves, 3);
+        assert_eq!(m.durable_page(page), Some(vec![1; PAGE_SIZE]));
+        assert_eq!(m.take_unsynced(page), 0b111_1110);
+        let mut image = vec![1; PAGE_SIZE];
+        image[64..7 * 64].fill(4);
+        assert_eq!(m.durable_page(page), Some(image));
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn dma_saves_every_sector_in_sync_first() {
+        let page = PageId(0);
+        let mut m = held(1, page, 7);
+        m.write(0, &[8; 64]).unwrap(); // sector 0 unsynced, saved
+        m.page_data_mut(page).fill(9);
+        assert_eq!(m.durable_page(page), Some(vec![7; PAGE_SIZE]));
+        assert_eq!(m.undo_stats().partial_saves, 2, "1 sector, then 63");
+        assert_undo_sound(&m);
+        // A second hand-out finds everything unsynced and saves nothing.
+        m.page_data_mut(page)[0] = 10;
+        assert_eq!(m.undo_stats().partial_saves, 2);
+        assert_eq!(m.restore_durable(page), 64);
+        assert_eq!(m.page_data(page), &[7; PAGE_SIZE]);
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn restore_lays_back_only_what_was_lost() {
+        let (a, b, c) = (PageId(0), PageId(1), PageId(2));
+        let mut m = held(3, a, 1);
+        m.write(b.base_addr(), &[2; PAGE_SIZE]).unwrap();
+        m.take_unsynced(b);
+        m.write(a.base_addr() + 64, &[5; 128]).unwrap(); // a: sectors 1..=2
+        m.write(c.base_addr() + 100, &[6; 8]).unwrap(); // c, never held: sector 1
+        assert_eq!(m.restore_durable(a), 2);
+        assert_eq!(m.restore_durable(b), 0, "in sync: untouched");
+        assert_eq!(m.restore_durable(c), 1);
+        assert_eq!(m.page_data(a), &[1; PAGE_SIZE]);
+        assert_eq!(m.page_data(b), &[2; PAGE_SIZE]);
+        assert_eq!(m.page_data(c), &[0; PAGE_SIZE]);
+        assert_eq!(m.undo_stats().sectors_restored, 3);
+        for page in [a, b, c] {
+            assert!(m.matches_durable(page));
+            assert_eq!(m.restore_durable(page), 0, "{page} ends in sync");
+        }
+        assert_eq!((m.is_held(a), m.is_held(c)), (true, false));
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn a_page_never_held_never_takes_a_slot() {
+        let mut m = mmu(4);
+        for i in 0..4u64 {
+            m.write(i * PAGE_SIZE as u64 + 8, &[1; 200]).unwrap();
+            m.page_data_mut(PageId(i))[0] = 2;
+            assert!(!m.matches_durable(PageId(i)), "its image is zeroes");
+        }
+        assert_eq!(m.durable_page(PageId(0)), None);
+        assert!(m.undo.bytes.is_empty());
+        assert_eq!(m.undo_stats(), UndoStats::default());
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn sector_runs_are_maximal_and_ascending() {
+        let runs = |mask| sector_runs(mask).collect::<Vec<_>>();
+        assert_eq!(runs(0), vec![]);
+        assert_eq!(runs(u64::MAX), vec![0..PAGE_SIZE]);
+        assert_eq!(runs(1 << 63), vec![63 * 64..PAGE_SIZE]);
+        assert_eq!(
+            runs(0b1101_1001),
+            vec![0..64, 3 * 64..5 * 64, 6 * 64..8 * 64]
+        );
+    }
+
+    #[test]
+    fn undo_violations_name_the_page() {
+        let mut m = held(3, PageId(2), 1);
+        m.write(2 * PAGE_SIZE as u64, &[2]).unwrap();
+        let mut in_flight = Bitmap2L::new(3);
+        assert_eq!(m.undo_violation(&in_flight), None);
+        in_flight.set(2);
+        assert_eq!(
+            m.undo_violation(&in_flight),
+            Some((PageId(2), "a page in flight has an undo slot"))
+        );
+        m.sector_masks[2].unsynced = 0;
+        assert_eq!(
+            m.undo_violation(&in_flight),
+            Some((PageId(2), "a page in sync has an undo slot"))
+        );
+        m.sector_masks[1].unsynced = 1;
+        m.sector_masks[1].held = true;
+        assert_eq!(
+            m.undo_violation(&in_flight),
+            Some((
+                PageId(1),
+                "a held page's unsynced sectors have no undo slot"
+            ))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The SSD device: content store, service-time model, and statistics.
+//! The SSD device: service-time model, wear, and statistics.
 
 use fault_sim::FaultPlan;
-use mem_sim::{PageId, PAGE_SIZE, SECTOR_BYTES};
+use mem_sim::{PageId, PAGE_SIZE};
 use sim_clock::{Clock, SimDuration, SimTime};
 use telemetry::{CostClass, Profiler, Telemetry, TraceEvent};
 
@@ -21,8 +21,6 @@ use crate::WearTracker;
 pub struct SsdConfig {
     /// Fixed device latency of one page write.
     pub write_latency: SimDuration,
-    /// Fixed device latency of one page read.
-    pub read_latency: SimDuration,
     /// Sustained sequential bandwidth in bytes per second, shared across
     /// channels.
     pub bandwidth_bytes_per_sec: u64,
@@ -36,12 +34,11 @@ pub struct SsdConfig {
 
 impl SsdConfig {
     /// A datacenter NVMe-class device like the paper's Azure VM SSD
-    /// (625 K-IOPS class): ~30 us program latency, ~25 us read latency,
-    /// 2 GB/s sustained, 8 channels.
+    /// (625 K-IOPS class): ~30 us program latency, 2 GB/s sustained,
+    /// 8 channels.
     pub fn datacenter() -> Self {
         SsdConfig {
             write_latency: SimDuration::from_micros(30),
-            read_latency: SimDuration::from_micros(25),
             bandwidth_bytes_per_sec: 2_000_000_000,
             channels: 8,
             pages_per_block: 256,
@@ -53,7 +50,6 @@ impl SsdConfig {
     pub fn instant() -> Self {
         SsdConfig {
             write_latency: SimDuration::ZERO,
-            read_latency: SimDuration::ZERO,
             bandwidth_bytes_per_sec: u64::MAX,
             channels: 1,
             pages_per_block: 256,
@@ -134,10 +130,13 @@ pub struct SsdWriteError {
 
 /// The simulated SSD backing one NV-DRAM region.
 ///
-/// Content written here is what survives a power failure; recovery reads
-/// pages back with [`Ssd::page_data`]. Service times are computed against
-/// the shared virtual clock: a submission returns its completion instant,
-/// and the caller decides whether to block (advance the clock) or proceed.
+/// The device models what a write costs — channel time, queuing, wear and
+/// IO counters — and holds no bytes: which bytes a write made durable is
+/// the caller's to keep (the engine's `Mmu` keeps NV-DRAM and an undo log
+/// of what was last handed over, and recovery lays that back). Service
+/// times are computed against the shared virtual clock: a submission
+/// returns its completion instant, and the caller decides whether to block
+/// (advance the clock) or proceed.
 ///
 /// # Examples
 ///
@@ -146,13 +145,10 @@ pub struct SsdWriteError {
 pub struct Ssd {
     config: SsdConfig,
     clock: Clock,
-    store: Vec<u8>,
-    page_present: Vec<bool>,
+    pages: usize,
     channel_free: Vec<SimTime>,
     inflight: Vec<SimTime>,
     stats: SsdStats,
-    /// Host-side: submissions that copied fewer than 64 sectors.
-    partial_copies: u64,
     wear: WearTracker,
     telemetry: Telemetry,
     profiler: Profiler,
@@ -167,11 +163,9 @@ impl Ssd {
             channel_free: vec![SimTime::ZERO; config.channels.max(1)],
             config,
             clock,
-            store: vec![0u8; pages * PAGE_SIZE],
-            page_present: vec![false; pages],
+            pages,
             inflight: Vec::new(),
             stats: SsdStats::default(),
-            partial_copies: 0,
             wear,
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
@@ -181,7 +175,7 @@ impl Ssd {
 
     /// Device capacity in pages.
     pub fn pages(&self) -> usize {
-        self.page_present.len()
+        self.pages
     }
 
     /// The device configuration.
@@ -197,13 +191,6 @@ impl Ssd {
     /// Wear accounting.
     pub fn wear(&self) -> &WearTracker {
         &self.wear
-    }
-
-    /// Writes whose `unsynced` mask spared the simulator part of the copy
-    /// into the image. A host-side figure, not a device statistic: what
-    /// the simulated device was charged is in [`Ssd::stats`].
-    pub fn partial_copies(&self) -> u64 {
-        self.partial_copies
     }
 
     /// Attaches a telemetry handle; subsequent submissions emit
@@ -322,45 +309,32 @@ impl Ssd {
         done
     }
 
-    /// Submits a page write; the content is durable from the returned
-    /// completion instant onward. The caller is responsible for the
-    /// write-protect-before-flush ordering (Fig. 6 step 6) that makes the
-    /// submitted snapshot safe.
+    /// Submits a page write; the page is durable from the returned
+    /// completion instant onward. `data` is the page's content, checked for
+    /// size and not kept: the device models the write's cost, not its
+    /// bytes. The caller is responsible for the write-protect-before-flush
+    /// ordering (Fig. 6 step 6) that makes the submitted snapshot safe.
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range or `data` is not exactly one page.
     pub fn submit_write(&mut self, page: PageId, data: &[u8]) -> SimTime {
-        self.submit_write_sized(page, data, PAGE_SIZE, u64::MAX)
+        assert_eq!(data.len(), PAGE_SIZE, "SSD writes are page-granularity");
+        self.submit_write_sized(page, PAGE_SIZE)
     }
 
-    /// Submits a page write whose on-wire/programmed payload is only
+    /// Submits a write of one page whose on-wire/programmed payload is only
     /// `physical_bytes` (compressed, deduplicated, or partial-sector
-    /// flushes — the §7 traffic reductions). The full logical snapshot is
-    /// stored; bandwidth, byte counters, and wear are charged for the
-    /// physical payload.
-    ///
-    /// `unsynced` is the caller's promise about the snapshot, and changes
-    /// nothing the device is charged: every 64 B sector of `data` whose bit
-    /// is clear equals what this device already holds for `page`, so only
-    /// the set sectors are copied into the image. All ones promises
-    /// nothing; a page the device does not hold yet is copied whole
-    /// whatever the mask. Debug builds check the promise against the whole
-    /// page.
+    /// flushes — the §7 traffic reductions): bandwidth, byte counters, and
+    /// wear are charged for the physical payload.
     ///
     /// # Panics
     ///
-    /// Panics if `page` is out of range, `data` is not exactly one page,
-    /// or `physical_bytes` exceeds a page.
-    pub fn submit_write_sized(
-        &mut self,
-        page: PageId,
-        data: &[u8],
-        physical_bytes: usize,
-        unsynced: u64,
-    ) -> SimTime {
+    /// Panics if `page` is out of range or `physical_bytes` exceeds a page.
+    pub fn submit_write_sized(&mut self, page: PageId, physical_bytes: usize) -> SimTime {
+        self.check_write(page, physical_bytes);
         let latency = self.config.write_latency;
-        self.submit_with_latency(page, data, physical_bytes, unsynced, latency)
+        self.submit_with_latency(page, physical_bytes, latency)
     }
 
     /// Fault-aware submission: consults the attached [`FaultPlan`] for a
@@ -373,20 +347,13 @@ impl Ssd {
     ///
     /// # Panics
     ///
-    /// Panics if `page` is out of range, `data` is not exactly one page,
-    /// or `physical_bytes` exceeds a page.
+    /// Panics if `page` is out of range or `physical_bytes` exceeds a page.
     pub fn try_submit_write_sized(
         &mut self,
         page: PageId,
-        data: &[u8],
         physical_bytes: usize,
-        unsynced: u64,
     ) -> Result<SimTime, SsdWriteError> {
-        assert_eq!(data.len(), PAGE_SIZE, "SSD writes are page-granularity");
-        assert!(
-            physical_bytes <= PAGE_SIZE,
-            "physical payload cannot exceed the logical page"
-        );
+        self.check_write(page, physical_bytes);
         let fault = self.faults.ssd_write_fault(page.0);
         if !fault.stall.is_zero() {
             let now = self.clock.now();
@@ -405,40 +372,27 @@ impl Ssd {
                 retry_after,
             });
         }
-        Ok(self.submit_with_latency(page, data, physical_bytes, unsynced, latency))
+        Ok(self.submit_with_latency(page, physical_bytes, latency))
+    }
+
+    fn check_write(&self, page: PageId, physical_bytes: usize) {
+        assert!(
+            page.index() < self.pages,
+            "{page} is past the device's {} pages",
+            self.pages
+        );
+        assert!(
+            physical_bytes <= PAGE_SIZE,
+            "physical payload cannot exceed the logical page"
+        );
     }
 
     fn submit_with_latency(
         &mut self,
         page: PageId,
-        data: &[u8],
         physical_bytes: usize,
-        unsynced: u64,
         latency: SimDuration,
     ) -> SimTime {
-        assert_eq!(data.len(), PAGE_SIZE, "SSD writes are page-granularity");
-        assert!(
-            physical_bytes <= PAGE_SIZE,
-            "physical payload cannot exceed the logical page"
-        );
-        let start = page.base_addr() as usize;
-        let held = &mut self.store[start..start + PAGE_SIZE];
-        if unsynced == u64::MAX || !self.page_present[page.index()] {
-            held.copy_from_slice(data);
-            self.page_present[page.index()] = true;
-        } else {
-            let mut rest = unsynced;
-            while rest != 0 {
-                let at = rest.trailing_zeros() as usize * SECTOR_BYTES;
-                held[at..at + SECTOR_BYTES].copy_from_slice(&data[at..at + SECTOR_BYTES]);
-                rest &= rest - 1;
-            }
-            self.partial_copies += 1;
-            debug_assert!(
-                held == data,
-                "{page}: a sector outside {unsynced:#018x} differs from the image"
-            );
-        }
         self.stats.writes += 1;
         self.stats.bytes_written += physical_bytes as u64;
         self.wear
@@ -452,40 +406,6 @@ impl Ssd {
             .emit_at(done, || TraceEvent::SsdComplete { page: page.0 });
         done
     }
-
-    /// Submits a page read into `buf`, returning the completion instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range, `buf` is not one page, or the page
-    /// has never been written.
-    pub fn submit_read(&mut self, page: PageId, buf: &mut [u8]) -> SimTime {
-        assert_eq!(buf.len(), PAGE_SIZE, "SSD reads are page-granularity");
-        assert!(
-            self.page_present[page.index()],
-            "read of never-written SSD {page}"
-        );
-        let start = page.base_addr() as usize;
-        buf.copy_from_slice(&self.store[start..start + PAGE_SIZE]);
-        self.stats.reads += 1;
-        self.stats.bytes_read += PAGE_SIZE as u64;
-        self.service(self.config.read_latency, PAGE_SIZE)
-    }
-
-    /// Zero-time view of a page's durable content (recovery / verification
-    /// path). Returns `None` if the page was never written.
-    pub fn page_data(&self, page: PageId) -> Option<&[u8]> {
-        if !self.page_present[page.index()] {
-            return None;
-        }
-        let start = page.base_addr() as usize;
-        Some(&self.store[start..start + PAGE_SIZE])
-    }
-
-    /// `true` if `page` has durable content.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.page_present[page.index()]
-    }
 }
 
 #[cfg(test)]
@@ -494,6 +414,18 @@ mod tests {
 
     fn page(fill: u8) -> Vec<u8> {
         vec![fill; PAGE_SIZE]
+    }
+
+    /// `channels` channels of `latency_us` program latency each, and no
+    /// bandwidth term.
+    fn timed(latency_us: u64, channels: usize) -> SsdConfig {
+        SsdConfig {
+            write_latency: SimDuration::from_micros(latency_us),
+            bandwidth_bytes_per_sec: u64::MAX,
+            channels,
+            pages_per_block: 64,
+            write_amplification: 1.0,
+        }
     }
 
     #[test]
@@ -521,25 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn write_then_read_round_trips() {
-        let clock = Clock::new();
-        let mut ssd = Ssd::new(4, SsdConfig::instant(), clock.clone());
-        ssd.submit_write(PageId(2), &page(9));
-        let mut buf = page(0);
-        ssd.submit_read(PageId(2), &mut buf);
-        assert_eq!(buf, page(9));
-    }
-
-    #[test]
     fn completion_reflects_latency_and_bandwidth() {
         let clock = Clock::new();
         let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(100),
-            read_latency: SimDuration::from_micros(50),
             bandwidth_bytes_per_sec: PAGE_SIZE as u64 * 1_000, // 1 page per ms
-            channels: 1,
-            pages_per_block: 64,
-            write_amplification: 1.0,
+            ..timed(100, 1)
         };
         let mut ssd = Ssd::new(4, cfg, clock.clone());
         let done = ssd.submit_write(PageId(0), &page(1));
@@ -549,15 +467,7 @@ mod tests {
     #[test]
     fn single_channel_serializes_requests() {
         let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 1,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(4, cfg, clock.clone());
+        let mut ssd = Ssd::new(4, timed(10, 1), clock.clone());
         let d1 = ssd.submit_write(PageId(0), &page(1));
         let d2 = ssd.submit_write(PageId(1), &page(2));
         assert_eq!(d1.as_micros(), 10);
@@ -567,15 +477,7 @@ mod tests {
     #[test]
     fn channels_service_in_parallel() {
         let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 2,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(4, cfg, clock.clone());
+        let mut ssd = Ssd::new(4, timed(10, 2), clock.clone());
         let d1 = ssd.submit_write(PageId(0), &page(1));
         let d2 = ssd.submit_write(PageId(1), &page(2));
         assert_eq!(d1, d2, "two channels overlap two IOs fully");
@@ -584,15 +486,7 @@ mod tests {
     #[test]
     fn outstanding_tracks_the_clock() {
         let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 4,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(8, cfg, clock.clone());
+        let mut ssd = Ssd::new(8, timed(10, 4), clock.clone());
         for i in 0..3 {
             ssd.submit_write(PageId(i), &page(i as u8));
         }
@@ -626,15 +520,7 @@ mod tests {
     #[test]
     fn profiler_splits_queue_wait_from_device_busy_time() {
         let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 1,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(4, cfg, clock.clone());
+        let mut ssd = Ssd::new(4, timed(10, 1), clock.clone());
         let profiler = Profiler::enabled(clock.clone());
         ssd.attach_profiler(profiler.clone());
         ssd.submit_write(PageId(0), &page(1)); // starts immediately
@@ -650,19 +536,10 @@ mod tests {
     }
 
     #[test]
-    fn never_written_pages_are_absent() {
-        let ssd = Ssd::new(2, SsdConfig::instant(), Clock::new());
-        assert!(ssd.page_data(PageId(0)).is_none());
-        assert!(!ssd.contains(PageId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "never-written")]
-    fn reading_absent_page_panics() {
-        let clock = Clock::new();
-        let mut ssd = Ssd::new(2, SsdConfig::instant(), clock);
-        let mut buf = page(0);
-        let _ = ssd.submit_read(PageId(0), &mut buf);
+    #[should_panic(expected = "past the device's 2 pages")]
+    fn writing_past_the_last_page_panics() {
+        let mut ssd = Ssd::new(2, SsdConfig::instant(), Clock::new());
+        ssd.submit_write_sized(PageId(2), 64);
     }
 
     #[test]
@@ -671,139 +548,45 @@ mod tests {
         let mut ssd = Ssd::new(4, SsdConfig::instant(), clock);
         ssd.submit_write(PageId(0), &page(1));
         ssd.submit_write(PageId(0), &page(2));
-        let mut buf = page(0);
-        ssd.submit_read(PageId(0), &mut buf);
         assert_eq!(ssd.stats().writes, 2);
-        assert_eq!(ssd.stats().reads, 1);
+        assert_eq!(ssd.stats().reads, 0, "no read path is modelled");
         assert_eq!(ssd.stats().bytes_written, 2 * PAGE_SIZE as u64);
         assert_eq!(ssd.wear().logical_bytes_written(), 2 * PAGE_SIZE as u64);
     }
 
-    /// `data` with sector `i` filled with `fill` for each set bit `i`.
-    fn patched(data: &[u8], fill: u8, sectors: u64) -> Vec<u8> {
-        let mut data = data.to_vec();
-        for (i, sector) in data.chunks_mut(SECTOR_BYTES).enumerate() {
-            if sectors >> i & 1 == 1 {
-                sector.fill(fill);
-            }
-        }
-        data
-    }
-
     #[test]
-    fn an_absent_page_is_copied_whole_whatever_the_mask() {
-        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
-        ssd.submit_write_sized(PageId(1), &page(9), PAGE_SIZE, 0);
-        assert_eq!(ssd.page_data(PageId(1)), Some(&page(9)[..]));
-        ssd.submit_write_sized(PageId(2), &page(8), PAGE_SIZE, 1 << 5);
-        assert_eq!(ssd.page_data(PageId(2)), Some(&page(8)[..]));
-        assert_eq!(ssd.partial_copies(), 0);
-    }
-
-    #[test]
-    fn a_held_page_takes_only_the_sectors_in_the_mask() {
-        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
-        ssd.submit_write(PageId(0), &page(1));
-        for (copies, sectors) in [1, 1 << 63, 1 | 1 << 63, 0b0110 << 20, u64::MAX >> 1]
-            .into_iter()
-            .enumerate()
-        {
-            let held = ssd.page_data(PageId(0)).unwrap();
-            let next = patched(held, 10 + copies as u8, sectors);
-            ssd.submit_write_sized(PageId(0), &next, PAGE_SIZE, sectors);
-            assert_eq!(ssd.page_data(PageId(0)), Some(&next[..]), "{sectors:#x}");
-            assert_eq!(ssd.partial_copies(), copies as u64 + 1);
-        }
-        // All 64 bits is the whole-page copy, and promises nothing about
-        // what the device held.
-        ssd.submit_write_sized(PageId(0), &page(77), PAGE_SIZE, u64::MAX);
-        assert_eq!(ssd.page_data(PageId(0)), Some(&page(77)[..]));
-        assert_eq!(ssd.partial_copies(), 5);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "differs from the image")]
-    fn a_mask_that_misses_a_changed_sector_is_caught_in_debug_builds() {
-        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
-        ssd.submit_write(PageId(0), &page(1));
-        ssd.submit_write_sized(PageId(0), &patched(&page(1), 2, 0b11), PAGE_SIZE, 0b01);
-    }
-
-    #[test]
-    fn an_empty_mask_copies_nothing_and_is_charged_like_any_write() {
+    fn a_partial_payload_is_charged_for_its_physical_bytes() {
         let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(100),
-            read_latency: SimDuration::from_micros(50),
             bandwidth_bytes_per_sec: PAGE_SIZE as u64 * 1_000, // 1 page per ms
-            channels: 1,
-            pages_per_block: 64,
-            write_amplification: 1.0,
+            ..timed(100, 1)
         };
-        let mut whole = Ssd::new(4, cfg.clone(), Clock::new());
-        let mut empty = Ssd::new(4, cfg, Clock::new());
-        for ssd in [&mut whole, &mut empty] {
-            ssd.submit_write(PageId(3), &page(4));
-        }
-        let done_whole = whole.submit_write_sized(PageId(3), &page(4), 2048, u64::MAX);
-        let done_empty = empty.submit_write_sized(PageId(3), &page(4), 2048, 0);
+        let mut ssd = Ssd::new(4, cfg, Clock::new());
+        ssd.submit_write(PageId(3), &page(4));
+        let done = ssd.submit_write_sized(PageId(3), 2048);
         assert_eq!(
-            done_empty, done_whole,
-            "channel time follows physical_bytes"
+            done.as_micros(),
+            2 * 100 + 1_000 + 500,
+            "channel time follows the payload"
         );
-        assert_eq!(done_empty.as_micros(), 2 * 100 + 1_000 + 500);
-        assert_eq!(empty.stats(), whole.stats());
-        assert_eq!(empty.stats().bytes_written, PAGE_SIZE as u64 + 2048);
-        assert_eq!(
-            empty.wear().logical_bytes_written(),
-            whole.wear().logical_bytes_written()
-        );
-        assert_eq!(empty.wear().total_erases(), whole.wear().total_erases());
-        assert_eq!(empty.page_data(PageId(3)), whole.page_data(PageId(3)));
-        assert_eq!((empty.partial_copies(), whole.partial_copies()), (1, 0));
-    }
-
-    #[test]
-    fn a_failed_attempt_leaves_the_image_for_the_retry() {
-        use fault_sim::FaultConfig;
-        let mut ssd = Ssd::new(4, SsdConfig::instant(), Clock::new());
-        ssd.submit_write(PageId(0), &page(1));
-        let mut config = FaultConfig::none();
-        config.ssd_write_error_rate = 1.0;
-        ssd.attach_faults(FaultPlan::seeded(3, config));
-        let next = patched(&page(1), 2, 1 << 7);
-        ssd.try_submit_write_sized(PageId(0), &next, PAGE_SIZE, 1 << 7)
-            .unwrap_err();
-        assert_eq!(ssd.page_data(PageId(0)), Some(&page(1)[..]));
-        // The retry must carry the same sectors: the failure copied none.
-        ssd.submit_write_sized(PageId(0), &next, PAGE_SIZE, 1 << 7);
-        assert_eq!(ssd.page_data(PageId(0)), Some(&next[..]));
+        assert_eq!(ssd.stats().writes, 2);
+        assert_eq!(ssd.stats().bytes_written, PAGE_SIZE as u64 + 2048);
+        assert_eq!(ssd.wear().logical_bytes_written(), PAGE_SIZE as u64 + 2048);
     }
 
     #[test]
     fn faulty_submit_errors_occupy_channel_and_charge_wear() {
         use fault_sim::FaultConfig;
-        let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 1,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(4, cfg, clock);
+        let mut ssd = Ssd::new(4, timed(10, 1), Clock::new());
         let mut config = FaultConfig::none();
         config.ssd_write_error_rate = 1.0;
         ssd.attach_faults(FaultPlan::seeded(3, config));
         let err = ssd
-            .try_submit_write_sized(PageId(0), &page(7), PAGE_SIZE, u64::MAX)
+            .try_submit_write_sized(PageId(0), PAGE_SIZE)
             .unwrap_err();
         assert_eq!(err.page, 0);
         assert_eq!(err.retry_after.as_micros(), 10, "error held the channel");
-        assert!(!ssd.contains(PageId(0)), "failed write is not durable");
         assert_eq!(ssd.stats().write_errors, 1);
-        assert_eq!(ssd.stats().writes, 0);
+        assert_eq!(ssd.stats().writes, 0, "failed write is not durable");
         assert_eq!(ssd.wear().logical_bytes_written(), PAGE_SIZE as u64);
     }
 
@@ -813,59 +596,38 @@ mod tests {
         let clock_b = Clock::new();
         let mut a = Ssd::new(4, SsdConfig::datacenter(), clock_a);
         let mut b = Ssd::new(4, SsdConfig::datacenter(), clock_b);
-        let done_a = a
-            .try_submit_write_sized(PageId(1), &page(5), 512, 1)
-            .unwrap();
-        let done_b = b.submit_write_sized(PageId(1), &page(5), 512, 1);
+        let done_a = a.try_submit_write_sized(PageId(1), 512).unwrap();
+        let done_b = b.submit_write_sized(PageId(1), 512);
         assert_eq!(done_a, done_b);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.page_data(PageId(1)), b.page_data(PageId(1)));
+        assert_eq!(
+            a.wear().logical_bytes_written(),
+            b.wear().logical_bytes_written()
+        );
     }
 
     #[test]
     fn latency_spike_multiplies_service_time() {
         use fault_sim::FaultConfig;
-        let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 1,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(4, cfg, clock);
+        let mut ssd = Ssd::new(4, timed(10, 1), Clock::new());
         let mut config = FaultConfig::none();
         config.ssd_latency_spike_rate = 1.0;
         config.ssd_latency_spike_factor = 4;
         ssd.attach_faults(FaultPlan::seeded(9, config));
-        let done = ssd
-            .try_submit_write_sized(PageId(0), &page(1), PAGE_SIZE, u64::MAX)
-            .unwrap();
+        let done = ssd.try_submit_write_sized(PageId(0), PAGE_SIZE).unwrap();
         assert_eq!(done.as_micros(), 40);
-        assert!(ssd.contains(PageId(0)));
+        assert_eq!(ssd.stats().writes, 1);
     }
 
     #[test]
     fn stall_pushes_every_channel_back() {
         use fault_sim::FaultConfig;
-        let clock = Clock::new();
-        let cfg = SsdConfig {
-            write_latency: SimDuration::from_micros(10),
-            read_latency: SimDuration::from_micros(10),
-            bandwidth_bytes_per_sec: u64::MAX,
-            channels: 2,
-            pages_per_block: 64,
-            write_amplification: 1.0,
-        };
-        let mut ssd = Ssd::new(4, cfg, clock);
+        let mut ssd = Ssd::new(4, timed(10, 2), Clock::new());
         let mut config = FaultConfig::none();
         config.ssd_stall_rate = 1.0;
         config.ssd_stall = SimDuration::from_millis(1);
         ssd.attach_faults(FaultPlan::seeded(2, config));
-        let done = ssd
-            .try_submit_write_sized(PageId(0), &page(1), PAGE_SIZE, u64::MAX)
-            .unwrap();
+        let done = ssd.try_submit_write_sized(PageId(0), PAGE_SIZE).unwrap();
         assert_eq!(
             done.as_micros(),
             1_010,
