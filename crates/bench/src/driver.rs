@@ -6,7 +6,8 @@ use pheap::PHeap;
 use sim_clock::{Clock, CostModel, Histogram, SimDuration};
 use ssd_sim::SsdConfig;
 use viyojit::{
-    MmuAssistedViyojit, NvStore, NvdramBaseline, TargetPolicy, Viyojit, ViyojitConfig, ViyojitStats,
+    DirtyTracker, Engine, MmuAssisted, NvStore, NvdramBaseline, SoftwareWalk, TargetPolicy,
+    ViyojitConfig, ViyojitStats,
 };
 use workloads::{YcsbGenerator, YcsbOp, YcsbWorkload};
 
@@ -194,7 +195,6 @@ pub fn run_on<H: NvStore>(cfg: &ExperimentConfig, nv: H, budget: Option<u64>) ->
     // Opt-in profiling capture (VIYOJIT_PROFILE=<dir>); constructs
     // nothing and attaches nothing when the variable is unset.
     let capture = ProfileCapture::from_env(
-        &crate::profile::bench_name(),
         &format!(
             "{system}-{}-b{}",
             cfg.workload.name(),
@@ -288,42 +288,37 @@ pub fn run_on<H: NvStore>(cfg: &ExperimentConfig, nv: H, budget: Option<u64>) ->
     }
 }
 
-/// Builds the validated store configuration for one experiment run.
-fn store_config(cfg: &ExperimentConfig, dirty_budget_pages: u64) -> ViyojitConfig {
-    ViyojitConfig::builder(dirty_budget_pages)
+/// Runs the experiment on a tracking engine with the given dirty budget.
+fn run_tracked<B: DirtyTracker>(
+    cfg: &ExperimentConfig,
+    dirty_budget_pages: u64,
+) -> ExperimentResult {
+    let config = ViyojitConfig::builder(dirty_budget_pages)
         .epoch(cfg.epoch)
         .tlb_flush_on_walk(cfg.tlb_flush_on_walk)
         .target_policy(cfg.policy)
         .pressure_alpha(cfg.pressure_alpha)
         .total_pages(cfg.total_nv_pages as u64)
         .build()
-        .expect("valid experiment configuration")
+        .expect("valid experiment configuration");
+    let nv = Engine::<B>::new(
+        cfg.total_nv_pages,
+        config,
+        Clock::new(),
+        cfg.costs.clone(),
+        cfg.ssd.clone(),
+    );
+    run_on(cfg, nv, Some(dirty_budget_pages))
 }
 
 /// Runs the experiment on Viyojit with the given dirty budget.
 pub fn run_viyojit(cfg: &ExperimentConfig, dirty_budget_pages: u64) -> ExperimentResult {
-    let config = store_config(cfg, dirty_budget_pages);
-    let nv = Viyojit::new(
-        cfg.total_nv_pages,
-        config,
-        Clock::new(),
-        cfg.costs.clone(),
-        cfg.ssd.clone(),
-    );
-    run_on(cfg, nv, Some(dirty_budget_pages))
+    run_tracked::<SoftwareWalk>(cfg, dirty_budget_pages)
 }
 
 /// Runs the experiment on the §5.4 MMU-assisted Viyojit variant.
 pub fn run_mmu_assisted(cfg: &ExperimentConfig, dirty_budget_pages: u64) -> ExperimentResult {
-    let config = store_config(cfg, dirty_budget_pages);
-    let nv = MmuAssistedViyojit::new(
-        cfg.total_nv_pages,
-        config,
-        Clock::new(),
-        cfg.costs.clone(),
-        cfg.ssd.clone(),
-    );
-    run_on(cfg, nv, Some(dirty_budget_pages))
+    run_tracked::<MmuAssisted>(cfg, dirty_budget_pages)
 }
 
 /// Runs the experiment on the full-battery NV-DRAM baseline.

@@ -1,7 +1,8 @@
 //! The Viyojit evaluation harness: drives YCSB workloads against the
 //! Redis-like store on either Viyojit or the full-battery baseline, and
-//! provides the shared scaling constants and reporting helpers used by the
-//! per-figure binaries (`fig1` ... `fig10`, plus the ablations).
+//! holds every experiment of the evaluation (`fig1` ... `fig10`, the
+//! ablations and the extensions) in one table that the `viyojit-bench`
+//! binary dispatches over.
 //!
 //! # Scaling
 //!
@@ -29,7 +30,8 @@
 //! ```
 
 mod driver;
-pub mod profile;
+mod experiments;
+mod profile;
 mod report;
 
 pub use driver::{
@@ -37,6 +39,4 @@ pub use driver::{
     ExperimentResult, OpLatencies, BUDGET_SWEEP_GB, DEFAULT_OPS, DEFAULT_RECORDS_PER_GB_UNIT,
     PAGES_PER_GB_UNIT, VALUE_BYTES,
 };
-pub use profile::{ProfileCapture, PROFILE_ENV};
-pub use report::{csv_stdout, meta_json, CsvSink, JsonlSink, NullSink, Report, Sink};
-pub use telemetry::{note, row};
+pub use experiments::main;

@@ -1,4 +1,4 @@
-//! Env-gated profiling capture for the bench binaries.
+//! Env-gated profiling capture for the experiments.
 //!
 //! Setting `VIYOJIT_PROFILE=<dir>` makes an instrumented run write, per
 //! experiment, a JSONL trace (`<dir>/<bench>-<n>-<label>.jsonl`: the
@@ -13,32 +13,35 @@ use std::fs::{self, File};
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use sim_clock::Clock;
 use telemetry::{JsonlSink, Profiler, RunMeta, Sink, Telemetry};
 use viyojit::NvStore;
 
 /// The environment variable naming the capture output directory.
-pub const PROFILE_ENV: &str = "VIYOJIT_PROFILE";
+const PROFILE_ENV: &str = "VIYOJIT_PROFILE";
 
 /// Per-process run counter, so sweeps that repeat a configuration still
 /// get distinct trace files.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The bench name for trace headers: the binary's file stem.
-pub fn bench_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .and_then(|argv0| Path::new(argv0).file_stem()?.to_str().map(str::to_string))
-        .unwrap_or_else(|| "bench".to_string())
+/// The experiment this process runs: the `bench` of every trace header
+/// and the stem of every trace file.
+static EXPERIMENT: OnceLock<&'static str> = OnceLock::new();
+
+/// Names the process's experiment, once, before it runs.
+pub(crate) fn name_the_process(experiment: &'static str) {
+    EXPERIMENT
+        .set(experiment)
+        .expect("one process runs one experiment");
 }
 
 /// One experiment's worth of capture state: a recording telemetry handle
 /// and an enabled profiler over the experiment's clock, plus the output
 /// paths and identity header for [`ProfileCapture::finish`].
 #[derive(Debug)]
-pub struct ProfileCapture {
+pub(crate) struct ProfileCapture {
     stem: PathBuf,
     meta: RunMeta,
     telemetry: Telemetry,
@@ -48,15 +51,15 @@ pub struct ProfileCapture {
 impl ProfileCapture {
     /// Builds a capture when `VIYOJIT_PROFILE` is set, creating the
     /// output directory if needed; `None` (and no construction at all)
-    /// otherwise.
+    /// otherwise. The trace is named for the process's experiment
+    /// (`bench` when none was named: a test or another library caller).
     ///
-    /// `label` distinguishes runs within one binary's sweep;
+    /// `label` distinguishes runs within one experiment's sweep;
     /// `config_text` is any stable rendering of the run's configuration
     /// (hashed into the header so `viyojit-trace diff` can refuse
     /// incomparable traces); `fault_seed` is the fault-injection seed,
     /// when the run injects faults.
-    pub fn from_env(
-        bench: &str,
+    pub(crate) fn from_env(
         label: &str,
         backend: &str,
         config_text: &str,
@@ -65,6 +68,7 @@ impl ProfileCapture {
     ) -> Option<ProfileCapture> {
         let dir = PathBuf::from(std::env::var_os(PROFILE_ENV)?);
         fs::create_dir_all(&dir).expect("VIYOJIT_PROFILE directory must be creatable");
+        let bench = EXPERIMENT.get().copied().unwrap_or("bench");
         let n = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
         Some(ProfileCapture {
             stem: dir.join(format!("{bench}-{n:03}-{label}")),
@@ -75,27 +79,14 @@ impl ProfileCapture {
     }
 
     /// Attaches the recording telemetry and the profiler to a store.
-    pub fn attach<H: NvStore>(&self, nv: &mut H) {
+    pub(crate) fn attach<H: NvStore>(&self, nv: &mut H) {
         nv.attach_telemetry(self.telemetry.clone());
         nv.attach_profiler(self.profiler.clone());
     }
 
-    /// The capture's profiler handle, for instrumenting non-store code.
-    pub fn profiler(&self) -> Profiler {
-        self.profiler.clone()
-    }
-
-    /// The capture's recording telemetry handle, for builders that
-    /// consume attachments up front (the sharded builder's
-    /// `telemetry(..)`/`profiler(..)` setters) instead of exposing the
-    /// mutable [`NvStore`] attachment surface.
-    pub fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
-    }
-
     /// Writes the JSONL trace and the `.folded` flamegraph input,
     /// returning the trace path.
-    pub fn finish(self) -> PathBuf {
+    pub(crate) fn finish(self) -> PathBuf {
         let report = self
             .profiler
             .report()

@@ -801,8 +801,16 @@ impl DirtyTracker for FullDirty {
         }
     }
 
-    fn check_invariants(&self, _core: &EngineCore) -> Result<(), InvariantViolation> {
-        Ok(())
+    fn check_invariants(&self, core: &EngineCore) -> Result<(), InvariantViolation> {
+        // No copier: outside an emergency flush no IO is pending and no
+        // page is in flight.
+        if !core.inflight.is_empty() {
+            return Err(InvariantViolation::InFlightListMismatch {
+                ios: core.inflight.len() as u64,
+                pages: 0,
+            });
+        }
+        check_undo(core, &Bitmap2L::new(core.mmu.pages()))
     }
 
     fn durable_state_consistent(&self, _core: &EngineCore) -> bool {

@@ -134,8 +134,8 @@ impl MmuStats {
 /// All application accesses go through [`Mmu::read`] / [`Mmu::write`];
 /// privileged software (Viyojit) manipulates protection with
 /// [`Mmu::protect_page`] / [`Mmu::unprotect_page`] and performs epoch walks
-/// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style access bypasses
-/// translation via [`Mmu::page_data`] / [`Mmu::page_data_mut`].
+/// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style reads bypass
+/// translation via [`Mmu::page_data`].
 ///
 /// The MMU also holds the host's only copy of what the device holds: the
 /// device image of a page is its memory with the sectors written since
@@ -261,8 +261,8 @@ impl UndoPool {
 /// copy of NV-DRAM, not anything the simulated system did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UndoStats {
-    /// Saves of fewer than 64 sectors: a write or a DMA hand-out that
-    /// found part of its page unsynced already or touched only part of it.
+    /// Saves of fewer than 64 sectors: a write that found part of its page
+    /// unsynced already or touched only part of it.
     pub partial_saves: u64,
     /// Sectors [`Mmu::restore_durable`] laid back over memory: the bytes a
     /// power failure lost.
@@ -932,24 +932,6 @@ impl Mmu {
         let start = page.base_addr() as usize;
         &self.memory[start..start + PAGE_SIZE]
     }
-
-    /// Direct (DMA-style) write of one page's bytes, bypassing translation,
-    /// permission checks, and dirty tracking. The caller may change any
-    /// byte, so the sectors still in sync are saved to the undo log first
-    /// and the whole page counts as unsynced afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn page_data_mut(&mut self, page: PageId) -> &mut [u8] {
-        let masks = &mut self.sector_masks[page.index()];
-        let fresh = !std::mem::replace(&mut masks.unsynced, u64::MAX);
-        if fresh != 0 && masks.held {
-            self.save_undo(page, fresh);
-        }
-        let start = page.base_addr() as usize;
-        &mut self.memory[start..start + PAGE_SIZE]
-    }
 }
 
 #[cfg(test)]
@@ -1357,16 +1339,6 @@ mod tests {
         m.write(base, &[4; PAGE_SIZE]).unwrap();
         assert_eq!(m.sector_mask(page), u64::MAX);
         assert_eq!(m.take_unsynced(page), u64::MAX);
-
-        // DMA may change any byte; a restore lays the device's bytes back.
-        m.page_data_mut(page)[0] = 5;
-        assert_eq!(m.take_unsynced(page), u64::MAX);
-        m.clear_sector_mask(page);
-        m.page_data_mut(page)[0] = 6;
-        assert_eq!(m.restore_durable(page), 64);
-        assert_eq!(m.page_data(page)[0], 5);
-        assert_eq!(m.take_unsynced(page), 0);
-        assert_eq!(m.sector_mask(page), 0, "DMA is outside the §7 model");
     }
 
     /// `m`'s undo log holds exactly the slots its pages need.
@@ -1441,16 +1413,16 @@ mod tests {
     }
 
     #[test]
-    fn dma_saves_every_sector_in_sync_first() {
+    fn a_whole_page_write_saves_every_sector_in_sync_first() {
         let page = PageId(0);
         let mut m = held(1, page, 7);
         m.write(0, &[8; 64]).unwrap(); // sector 0 unsynced, saved
-        m.page_data_mut(page).fill(9);
+        m.write(0, &[9; PAGE_SIZE]).unwrap();
         assert_eq!(m.durable_page(page), Some(vec![7; PAGE_SIZE]));
         assert_eq!(m.undo_stats().partial_saves, 2, "1 sector, then 63");
         assert_undo_sound(&m);
-        // A second hand-out finds everything unsynced and saves nothing.
-        m.page_data_mut(page)[0] = 10;
+        // A second write finds everything unsynced and saves nothing.
+        m.write(0, &[10]).unwrap();
         assert_eq!(m.undo_stats().partial_saves, 2);
         assert_eq!(m.restore_durable(page), 64);
         assert_eq!(m.page_data(page), &[7; PAGE_SIZE]);
@@ -1485,7 +1457,6 @@ mod tests {
         let mut m = mmu(4);
         for i in 0..4u64 {
             m.write(i * PAGE_SIZE as u64 + 8, &[1; 200]).unwrap();
-            m.page_data_mut(PageId(i))[0] = 2;
             assert!(!m.matches_durable(PageId(i)), "its image is zeroes");
         }
         assert_eq!(m.durable_page(PageId(0)), None);
@@ -1531,14 +1502,5 @@ mod tests {
                 "a held page's unsynced sectors have no undo slot"
             ))
         );
-    }
-
-    #[test]
-    fn dma_access_bypasses_protection() {
-        let mut m = mmu(1);
-        m.protect_page(PageId(0));
-        m.page_data_mut(PageId(0))[0] = 0xAB;
-        assert_eq!(m.page_data(PageId(0))[0], 0xAB);
-        assert!(!m.page_table().flags(PageId(0)).is_dirty());
     }
 }

@@ -91,12 +91,8 @@ impl Default for SsdConfig {
 pub struct SsdStats {
     /// Page writes submitted.
     pub writes: u64,
-    /// Page reads submitted.
-    pub reads: u64,
     /// Logical bytes written.
     pub bytes_written: u64,
-    /// Logical bytes read.
-    pub bytes_read: u64,
     /// Transient write errors (injected or modelled); each occupied a
     /// channel and charged wear without making its page durable.
     pub write_errors: u64,
@@ -108,9 +104,7 @@ impl SsdStats {
     /// goes through.
     pub fn accumulate(&mut self, other: &SsdStats) {
         self.writes += other.writes;
-        self.reads += other.reads;
         self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
         self.write_errors += other.write_errors;
     }
 }
@@ -249,9 +243,7 @@ impl Ssd {
         let queue = self.outstanding() as f64;
         self.telemetry.metrics(|m| {
             m.counter_set("ssd.writes", stats.writes);
-            m.counter_set("ssd.reads", stats.reads);
             m.counter_set("ssd.bytes_written", stats.bytes_written);
-            m.counter_set("ssd.bytes_read", stats.bytes_read);
             m.counter_set("ssd.logical_bytes_written", logical);
             m.counter_set("ssd.physical_bytes_written", physical);
             m.counter_set("ssd.erases", erases);
@@ -432,9 +424,7 @@ mod tests {
     fn accumulate_sums_every_counter() {
         let a = SsdStats {
             writes: 1,
-            reads: 2,
             bytes_written: 3,
-            bytes_read: 4,
             write_errors: 5,
         };
         let mut total = a;
@@ -444,9 +434,7 @@ mod tests {
             total,
             SsdStats {
                 writes: 2,
-                reads: 4,
                 bytes_written: 6,
-                bytes_read: 8,
                 write_errors: 10,
             }
         );
@@ -549,7 +537,6 @@ mod tests {
         ssd.submit_write(PageId(0), &page(1));
         ssd.submit_write(PageId(0), &page(2));
         assert_eq!(ssd.stats().writes, 2);
-        assert_eq!(ssd.stats().reads, 0, "no read path is modelled");
         assert_eq!(ssd.stats().bytes_written, 2 * PAGE_SIZE as u64);
         assert_eq!(ssd.wear().logical_bytes_written(), 2 * PAGE_SIZE as u64);
     }

@@ -4,10 +4,12 @@
 # Every figure and extension experiment is a deterministic function of
 # seeded `sim_clock::SplitMix64` streams, so any host-side change to the
 # simulator must be observationally invisible: same virtual time, same
-# victim order, same stats. This script reruns every binary whose stdout is
-# committed under results/ and fails on any byte difference, on a file in
-# results/ that no run produces, and on a run whose file is missing.
-# EXPERIMENTS.md compares each output with the paper.
+# victim order, same stats. This script reruns every experiment whose
+# stdout is committed under results/ — the rows `viyojit-bench list`
+# prints with a golden, from the one experiment table in
+# crates/bench/src/experiments/mod.rs — and fails on any byte difference,
+# on a file in results/ that no run produces, and on a run whose file is
+# missing. EXPERIMENTS.md compares each output with the paper.
 #
 #   scripts/regression_gate.sh [--bless] [cargo build arguments...]
 #
@@ -26,35 +28,18 @@ if [[ "${1:-}" == "--bless" ]]; then
     shift
 fi
 
-# The one (csv, binary, arguments) table, longest first: fig7-10, ycsb_e
-# and trace_replay take 15-20 s each, the rest a few seconds or less.
-runs=(
-    "fig7.csv fig7"
-    "fig8.csv fig8"
-    "fig9.csv fig9"
-    "fig10.csv fig10"
-    "ycsb_e.csv ycsb_e"
-    "trace_replay.csv trace_replay"
-    "fs_replay.csv fs_replay"
-    "fig1.csv fig1"
-    "fig2.csv fig2"
-    "fig3.csv fig3"
-    "fig4.csv fig4"
-    "fig5.csv fig5"
-    "ablation_tlb.csv ablation_tlb"
-    "ablation_pressure.csv ablation_pressure"
-    "ablation_mmu.csv ablation_mmu"
-    "ablation_codec.csv ablation_codec"
-    "ballooning.csv ballooning"
-    "battery_fluctuation.csv battery_fluctuation"
-    "shutdown_time.csv shutdown_time"
-    "fault_storm_5.csv fault_storm 5"
-    "shard_scaling.csv shard_scaling"
-    "tenant_storm.csv tenant_storm 42 --check"
-)
+cargo build --release -p viyojit-bench "$@"
+bench="${CARGO_TARGET_DIR:-target}/release/viyojit-bench"
 
-cargo build --release -p viyojit-bench --bins "$@"
-bin="${CARGO_TARGET_DIR:-target}/release"
+# (csv, experiment, arguments) for every experiment with a golden, longest
+# first: `list` prints `<experiment> [<csv> [arguments...]]` per row.
+runs=()
+while read -r name csv args; do
+    if [[ -n "$csv" ]]; then
+        runs+=("$csv $name $args")
+    fi
+done < <("$bench" list)
+(( ${#runs[@]} > 0 )) || { echo "gate: viyojit-bench list names no golden" >&2; exit 1; }
 
 # The committed wall-clock artifact must carry the density sweep the
 # CI gate compares against: the high-density cells and the uniform-runs
@@ -66,7 +51,7 @@ for needle in '"schema_version": 2' '"layout": "uniform_runs"' '"density": 0.5' 
               '"fault_flush_ns_optimized"' '"epoch_walk_speedup"'; do
     if ! grep -qF "$needle" "$artifact"; then
         echo "gate: $artifact lacks $needle — re-bless with" \
-             "'cargo run --release -p viyojit-bench --bin wallclock -- --out $artifact'" >&2
+             "'cargo run --release -p viyojit-bench -- wallclock --out $artifact'" >&2
         exit 1
     fi
 done
@@ -83,7 +68,7 @@ for run in "${runs[@]}"; do
         wait -n || true
     done
     # shellcheck disable=SC2086 # args is a word list by construction
-    ( "$bin/$name" $args >"$out/$csv" 2>"$out/$csv.err" || echo "exit $?" >"$out/$csv.failed" ) &
+    ( "$bench" "$name" $args >"$out/$csv" 2>"$out/$csv.err" || echo "exit $?" >"$out/$csv.failed" ) &
 done
 wait
 
