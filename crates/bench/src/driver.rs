@@ -6,8 +6,8 @@ use pheap::PHeap;
 use sim_clock::{Clock, CostModel, Histogram, SimDuration};
 use ssd_sim::SsdConfig;
 use viyojit::{
-    DirtyTracker, Engine, MmuAssisted, NvStore, NvdramBaseline, SoftwareWalk, TargetPolicy,
-    ViyojitConfig, ViyojitStats,
+    DirtyTracker, Engine, MmuAssisted, NvStore, NvdramBaseline, SoftwareWalk, ViyojitConfig,
+    ViyojitStats,
 };
 use workloads::{YcsbGenerator, YcsbOp, YcsbWorkload};
 
@@ -53,10 +53,6 @@ pub struct ExperimentConfig {
     pub epoch: SimDuration,
     /// TLB flush on epoch walks (disable for the §6.3 ablation).
     pub tlb_flush_on_walk: bool,
-    /// Victim-selection policy (LRU in the paper; others for ablations).
-    pub policy: TargetPolicy,
-    /// EWMA weight of the dirty-page-pressure predictor (§5.3: 0.75).
-    pub pressure_alpha: f64,
 }
 
 impl ExperimentConfig {
@@ -79,8 +75,6 @@ impl ExperimentConfig {
             ssd: SsdConfig::datacenter(),
             epoch: SimDuration::from_millis(1),
             tlb_flush_on_walk: true,
-            policy: TargetPolicy::LeastRecentlyUpdated,
-            pressure_alpha: 0.75,
         }
     }
 
@@ -296,8 +290,6 @@ fn run_tracked<B: DirtyTracker>(
     let config = ViyojitConfig::builder(dirty_budget_pages)
         .epoch(cfg.epoch)
         .tlb_flush_on_walk(cfg.tlb_flush_on_walk)
-        .target_policy(cfg.policy)
-        .pressure_alpha(cfg.pressure_alpha)
         .total_pages(cfg.total_nv_pages as u64)
         .build()
         .expect("valid experiment configuration");

@@ -3,7 +3,7 @@
 use battery_sim::{Battery, DirtyBudget, PowerModel};
 use sim_clock::SimDuration;
 
-use crate::{FlushCodec, TargetPolicy, ViyojitError};
+use crate::{FlushCodec, ViyojitError};
 
 /// How the proactive-copy threshold is derived from the dirty budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,9 +21,10 @@ pub enum ThresholdPolicy {
 /// Configuration of a [`Viyojit`](crate::Viyojit) instance.
 ///
 /// The defaults mirror the paper's evaluation setup (§6.1): a 1 ms epoch,
-/// at most 16 outstanding IO requests, TLB flushes on every epoch walk,
-/// an EWMA weight of 0.75 on the newest observation, a 64-epoch update
-/// history, and least-recently-updated target selection.
+/// TLB flushes on every epoch walk and the adaptive threshold. What the
+/// paper fixes is fixed in the engine, not here: least-recently-updated
+/// victims (§5.2), an EWMA weight of 0.75 on the newest observation
+/// (§5.3) and at most 16 outstanding IO requests (§6.1).
 ///
 /// # Examples
 ///
@@ -32,7 +33,7 @@ pub enum ThresholdPolicy {
 ///
 /// let cfg = ViyojitConfig::with_budget_pages(512);
 /// assert_eq!(cfg.dirty_budget_pages, 512);
-/// assert_eq!(cfg.max_outstanding_ios, 16);
+/// assert!(cfg.tlb_flush_on_walk);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViyojitConfig {
@@ -41,21 +42,12 @@ pub struct ViyojitConfig {
     pub dirty_budget_pages: u64,
     /// Length of the dirty-bit sampling epoch (§5.2).
     pub epoch: SimDuration,
-    /// Maximum IO requests outstanding at the SSD (§6.1: 16).
-    pub max_outstanding_ios: usize,
     /// Flush the TLB before each epoch walk so dirty bits are exact.
     /// Disabling this reproduces the §6.3 ablation.
     pub tlb_flush_on_walk: bool,
-    /// EWMA weight given to the newest per-epoch new-dirty-page count when
-    /// predicting dirty-page pressure (§5.3: 0.75).
-    pub pressure_alpha: f64,
     /// How the proactive-copy threshold is derived (§5.3's adaptive
     /// algorithm by default; fixed slack for the ablation).
     pub threshold_policy: ThresholdPolicy,
-    /// Number of epochs of per-page update history retained (§5.2: 64).
-    pub history_epochs: u32,
-    /// Policy used to pick copy-out victims.
-    pub target_policy: TargetPolicy,
     /// Payload treatment for copy-out writes (§7: compression/dedup).
     pub flush_codec: FlushCodec,
     /// Mondrian-style sub-page flushing (§7): ship only the 64 B sectors
@@ -75,7 +67,7 @@ impl ViyojitConfig {
     /// ```
     /// use viyojit::ViyojitConfig;
     ///
-    /// let cfg = ViyojitConfig::builder(512).pressure_alpha(0.5).build()?;
+    /// let cfg = ViyojitConfig::builder(512).sector_flush(true).build()?;
     /// assert_eq!(cfg.dirty_budget_pages, 512);
     ///
     /// assert!(ViyojitConfig::builder(0).build().is_err());
@@ -86,12 +78,8 @@ impl ViyojitConfig {
             cfg: ViyojitConfig {
                 dirty_budget_pages,
                 epoch: SimDuration::from_millis(1),
-                max_outstanding_ios: 16,
                 tlb_flush_on_walk: true,
-                pressure_alpha: 0.75,
                 threshold_policy: ThresholdPolicy::Adaptive,
-                history_epochs: 64,
-                target_policy: TargetPolicy::LeastRecentlyUpdated,
                 flush_codec: FlushCodec::Raw,
                 sector_flush: false,
             },
@@ -134,8 +122,7 @@ impl ViyojitConfig {
 /// Setters never panic; every constraint is checked once in
 /// [`ViyojitConfigBuilder::build`], which rejects a zero budget, a budget
 /// exceeding the NV-DRAM capacity (when [`ViyojitConfigBuilder::total_pages`]
-/// is supplied), a zero epoch, an EWMA weight outside `(0, 1]`, a zero
-/// outstanding-IO cap, and a zero-length history.
+/// is supplied) and a zero epoch.
 #[derive(Debug, Clone)]
 pub struct ViyojitConfigBuilder {
     cfg: ViyojitConfig,
@@ -165,13 +152,6 @@ impl ViyojitConfigBuilder {
         self
     }
 
-    /// Sets the outstanding-IO cap (§6.1: 16).
-    #[must_use]
-    pub fn max_outstanding_ios(mut self, ios: usize) -> Self {
-        self.cfg.max_outstanding_ios = ios;
-        self
-    }
-
     /// Enables or disables TLB flushing on epoch walks (§6.3 ablation).
     #[must_use]
     pub fn tlb_flush_on_walk(mut self, flush: bool) -> Self {
@@ -179,31 +159,10 @@ impl ViyojitConfigBuilder {
         self
     }
 
-    /// Sets the EWMA weight of the pressure predictor (§5.3: 0.75).
-    #[must_use]
-    pub fn pressure_alpha(mut self, alpha: f64) -> Self {
-        self.cfg.pressure_alpha = alpha;
-        self
-    }
-
     /// Sets the proactive-copy threshold policy.
     #[must_use]
     pub fn threshold_policy(mut self, policy: ThresholdPolicy) -> Self {
         self.cfg.threshold_policy = policy;
-        self
-    }
-
-    /// Sets the per-page update-history depth (§5.2: 64 epochs).
-    #[must_use]
-    pub fn history_epochs(mut self, epochs: u32) -> Self {
-        self.cfg.history_epochs = epochs;
-        self
-    }
-
-    /// Sets the victim-selection policy.
-    #[must_use]
-    pub fn target_policy(mut self, policy: TargetPolicy) -> Self {
-        self.cfg.target_policy = policy;
         self
     }
 
@@ -239,21 +198,6 @@ impl ViyojitConfigBuilder {
         if cfg.epoch.is_zero() {
             return Err(ViyojitError::InvalidConfig("epoch must be positive"));
         }
-        if !(cfg.pressure_alpha > 0.0 && cfg.pressure_alpha <= 1.0) {
-            return Err(ViyojitError::InvalidConfig(
-                "pressure alpha must be in (0,1]",
-            ));
-        }
-        if cfg.max_outstanding_ios == 0 {
-            return Err(ViyojitError::InvalidConfig(
-                "at least one outstanding IO is required to flush",
-            ));
-        }
-        if cfg.history_epochs == 0 {
-            return Err(ViyojitError::InvalidConfig(
-                "at least one epoch of update history is required",
-            ));
-        }
         Ok(cfg)
     }
 }
@@ -267,12 +211,8 @@ mod tests {
     fn defaults_match_the_papers_evaluation_setup() {
         let cfg = ViyojitConfig::with_budget_pages(100);
         assert_eq!(cfg.epoch, SimDuration::from_millis(1));
-        assert_eq!(cfg.max_outstanding_ios, 16);
         assert!(cfg.tlb_flush_on_walk);
-        assert_eq!(cfg.pressure_alpha, 0.75);
         assert_eq!(cfg.threshold_policy, ThresholdPolicy::Adaptive);
-        assert_eq!(cfg.history_epochs, 64);
-        assert_eq!(cfg.target_policy, TargetPolicy::LeastRecentlyUpdated);
     }
 
     #[test]
@@ -304,23 +244,6 @@ mod tests {
             .epoch(SimDuration::ZERO)
             .build()
             .is_err());
-        assert!(ViyojitConfig::builder(1)
-            .pressure_alpha(0.0)
-            .build()
-            .is_err());
-        assert!(ViyojitConfig::builder(1)
-            .pressure_alpha(1.5)
-            .build()
-            .is_err());
-        assert!(ViyojitConfig::builder(1)
-            .pressure_alpha(f64::NAN)
-            .build()
-            .is_err());
-        assert!(ViyojitConfig::builder(1)
-            .max_outstanding_ios(0)
-            .build()
-            .is_err());
-        assert!(ViyojitConfig::builder(1).history_epochs(0).build().is_err());
     }
 
     #[test]

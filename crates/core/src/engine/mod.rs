@@ -63,14 +63,27 @@ use telemetry::{CostClass, FlushReason, Profiler, Telemetry, TraceEvent};
 
 use crate::{
     InvariantViolation, NvHeap, PowerFailureReport, PressureEstimator, RegionId, RegionInfo,
-    RegionTable, ThresholdPolicy, UpdateHistory, VictimSelector, ViyojitConfig, ViyojitError,
-    ViyojitStats,
+    RegionTable, TargetPolicy, ThresholdPolicy, UpdateHistory, VictimSelector, ViyojitConfig,
+    ViyojitError, ViyojitStats,
 };
 
 /// Wall-plane histograms (`Telemetry::record_wall`): host time of one
 /// flush issue and of one emergency flush.
 const WALL_FLUSH_NANOS: &str = "viyojit.wall.flush_nanos";
 const WALL_EMERGENCY_NANOS: &str = "viyojit.wall.emergency_nanos";
+
+/// EWMA weight of the newest per-epoch new-dirty-page count in the
+/// pressure prediction (§5.3).
+const PRESSURE_ALPHA: f64 = 0.75;
+
+/// Flush IOs outstanding at the SSD at most (§6.1).
+const MAX_OUTSTANDING_IOS: usize = 16;
+
+/// Epochs the fast-forward still runs one by one beyond the copier's drain
+/// time (see [`cross_epoch_boundaries`]): the paper's 64-epoch history
+/// depth (§5.2). Nothing reads a 64-epoch window, but a smaller margin
+/// would change which epochs a run crosses and reports.
+const FAST_FORWARD_MARGIN_EPOCHS: u64 = 64;
 
 /// The backend-independent state of one NV-DRAM manager: the simulated
 /// substrates (MMU, SSD, clock), the region table, the recency/pressure
@@ -175,9 +188,9 @@ impl<B: DirtyTracker> Engine<B> {
         let next_epoch_at = clock.now() + config.epoch;
         Engine {
             core: EngineCore {
-                history: UpdateHistory::new(total_pages, config.history_epochs),
-                selector: VictimSelector::new(total_pages, config.target_policy, 0x5eed),
-                pressure: PressureEstimator::new(config.pressure_alpha),
+                history: UpdateHistory::new(total_pages, 64),
+                selector: VictimSelector::new(total_pages, TargetPolicy::LeastRecentlyUpdated, 0),
+                pressure: PressureEstimator::new(PRESSURE_ALPHA),
                 regions: RegionTable::new(total_pages as u64),
                 inflight: Vec::new(),
                 next_epoch_at,
@@ -600,13 +613,13 @@ fn cross_epoch_boundaries<B: DirtyTracker>(core: &mut EngineCore, backend: &mut 
     // Fast-forward long idle gaps. Only the first epoch after the gap
     // observes new dirty bits, and the copier needs at most
     // budget/outstanding epochs to drain to its threshold, so epochs
-    // beyond `cap` before "now" are no-ops: age the recency history in
+    // beyond `cap` before "now" are no-ops: advance the epoch count in
     // one step and let the pressure prediction decay to zero, exactly
     // as processing them individually would.
     let now = core.clock.now();
     let pending = (now - core.next_epoch_at).as_nanos() / core.config.epoch.as_nanos() + 1;
-    let cap = core.config.history_epochs as u64
-        + core.config.dirty_budget_pages / core.config.max_outstanding_ios as u64
+    let cap = FAST_FORWARD_MARGIN_EPOCHS
+        + core.config.dirty_budget_pages / MAX_OUTSTANDING_IOS as u64
         + 2;
     if pending > cap {
         let skipped = pending - cap;
@@ -673,7 +686,7 @@ pub(crate) fn issue_proactive_down_to<B: DirtyTracker>(
         .dirty_count(core)
         .saturating_sub(backend.in_flight_pages())
         > threshold
-        && core.inflight.len() < core.config.max_outstanding_ios
+        && core.inflight.len() < MAX_OUTSTANDING_IOS
     {
         let Some(victim) = core.selector.peek() else {
             break; // everything dirty is already in flight

@@ -1,18 +1,18 @@
-//! Per-page update-recency history (§5.2).
+//! Per-page update recency (§5.2).
 //!
 //! Viyojit walks the page-table dirty bits of known-dirty pages at every
-//! epoch boundary and stores "a history of the last 64 epochs for all the
-//! pages". This module keeps that history as a lazily-shifted 64-bit mask
-//! per page (bit *i* set means the page was updated *i* epochs ago), plus
-//! the epoch of the most recent observed update, which drives the
-//! least-recently-updated ordering.
+//! epoch boundary and records which pages were updated. The victim policy
+//! needs only the order of the most recent observations, so this module
+//! keeps two numbers per page: a stamp from one counter that only grows,
+//! which orders every observation (the least-recently-updated key), and
+//! the epoch of the most recent observed update, which the trace reports.
 
 use mem_sim::PageId;
 
 /// Sentinel for "never updated".
 const NEVER: u64 = u64::MAX;
 
-/// Rolling per-page update history over the last `retain` epochs.
+/// Per-page record of the most recent observed update.
 ///
 /// # Examples
 ///
@@ -23,44 +23,30 @@ const NEVER: u64 = u64::MAX;
 /// let mut h = UpdateHistory::new(4, 64);
 /// h.touch(PageId(1));
 /// h.advance_epoch();
-/// h.touch(PageId(1));
-/// assert_eq!(h.update_count(PageId(1)), 2);
-/// assert_eq!(h.epochs_since_update(PageId(1)), Some(0));
+/// h.touch(PageId(2));
+/// assert_eq!(h.last_update_epoch(PageId(1)), Some(0));
+/// assert_eq!(h.last_update_epoch(PageId(2)), Some(1));
+/// assert!(h.last_touch_seq(PageId(1)) < h.last_touch_seq(PageId(2)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct UpdateHistory {
-    /// Update mask per page, anchored at `mask_epoch`: bit 0 = updated in
-    /// epoch `mask_epoch`, bit 1 = the epoch before, ...
-    masks: Vec<u64>,
-    mask_epoch: Vec<u64>,
     last_update: Vec<u64>,
     /// Monotonic per-observation stamp: total order over touches, so the
     /// least-recently-updated ordering has no ties even within an epoch.
     last_seq: Vec<u64>,
     next_seq: u64,
     epoch: u64,
-    retain: u32,
 }
 
 impl UpdateHistory {
-    /// Creates a history over `pages` pages retaining `retain` epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retain` is zero or exceeds 64.
-    pub fn new(pages: usize, retain: u32) -> Self {
-        assert!(
-            (1..=64).contains(&retain),
-            "history must retain 1..=64 epochs, got {retain}"
-        );
+    /// Creates a history over `pages` pages. `_retain` is ignored: only
+    /// the most recent update of a page is kept.
+    pub fn new(pages: usize, _retain: u32) -> Self {
         UpdateHistory {
-            masks: vec![0; pages],
-            mask_epoch: vec![0; pages],
             last_update: vec![NEVER; pages],
             last_seq: vec![0; pages],
             next_seq: 1,
             epoch: 0,
-            retain,
         }
     }
 
@@ -69,32 +55,15 @@ impl UpdateHistory {
         self.epoch
     }
 
-    /// Number of epochs of history retained.
-    pub fn retain_epochs(&self) -> u32 {
-        self.retain
-    }
-
-    /// Moves to the next epoch. Per-page masks are shifted lazily on their
-    /// next touch or query, so this is O(1).
+    /// Moves to the next epoch.
     pub fn advance_epoch(&mut self) {
         self.epoch += 1;
     }
 
-    /// Ages the history by `n` epochs at once — used to fast-forward
-    /// across long idle gaps. O(1): masks shift lazily.
+    /// Moves `n` epochs on at once — used to fast-forward across long idle
+    /// gaps.
     pub fn advance_epochs(&mut self, n: u64) {
         self.epoch += n;
-    }
-
-    fn normalized_mask(&self, page: PageId) -> u64 {
-        let i = page.index();
-        let age = self.epoch - self.mask_epoch[i];
-        let mask = if age >= 64 { 0 } else { self.masks[i] << age };
-        if self.retain == 64 {
-            mask
-        } else {
-            mask & ((1u64 << self.retain) - 1)
-        }
     }
 
     /// Records that `page` was observed updated during the current epoch
@@ -105,10 +74,7 @@ impl UpdateHistory {
     ///
     /// Panics if `page` is out of range.
     pub fn touch(&mut self, page: PageId) {
-        let normalized = self.normalized_mask(page);
         let i = page.index();
-        self.masks[i] = normalized | 1;
-        self.mask_epoch[i] = self.epoch;
         self.last_update[i] = self.epoch;
         self.last_seq[i] = self.next_seq;
         self.next_seq += 1;
@@ -128,22 +94,8 @@ impl UpdateHistory {
         (e != NEVER).then_some(e)
     }
 
-    /// How many epochs ago the page was last updated (0 = this epoch), or
-    /// `None` if never.
-    pub fn epochs_since_update(&self, page: PageId) -> Option<u64> {
-        self.last_update_epoch(page).map(|e| self.epoch - e)
-    }
-
-    /// Number of distinct epochs within the retained window in which the
-    /// page was updated — the page's recent write popularity.
-    pub fn update_count(&self, page: PageId) -> u32 {
-        self.normalized_mask(page).count_ones()
-    }
-
     /// Resets all history (used after recovery).
     pub fn reset(&mut self) {
-        self.masks.fill(0);
-        self.mask_epoch.fill(0);
         self.last_update.fill(NEVER);
         self.last_seq.fill(0);
         self.next_seq = 1;
@@ -159,8 +111,7 @@ mod tests {
     fn untouched_pages_have_no_history() {
         let h = UpdateHistory::new(2, 64);
         assert_eq!(h.last_update_epoch(PageId(0)), None);
-        assert_eq!(h.epochs_since_update(PageId(0)), None);
-        assert_eq!(h.update_count(PageId(0)), 0);
+        assert_eq!(h.last_touch_seq(PageId(0)), 0);
     }
 
     #[test]
@@ -170,46 +121,11 @@ mod tests {
         h.advance_epoch();
         h.touch(PageId(1));
         assert_eq!(h.last_update_epoch(PageId(1)), Some(2));
-        assert_eq!(h.epochs_since_update(PageId(1)), Some(0));
-    }
-
-    #[test]
-    fn update_count_tracks_distinct_epochs() {
-        let mut h = UpdateHistory::new(1, 64);
-        for _ in 0..5 {
-            h.touch(PageId(0)); // repeated touches in one epoch count once
-        }
-        assert_eq!(h.update_count(PageId(0)), 1);
-        h.advance_epoch();
+        h.advance_epochs(1_000);
         h.touch(PageId(0));
-        assert_eq!(h.update_count(PageId(0)), 2);
-    }
-
-    #[test]
-    fn history_ages_out_beyond_retained_window() {
-        let mut h = UpdateHistory::new(1, 8);
-        h.touch(PageId(0));
-        for _ in 0..7 {
-            h.advance_epoch();
-        }
-        assert_eq!(h.update_count(PageId(0)), 1, "still inside the window");
-        h.advance_epoch();
-        assert_eq!(h.update_count(PageId(0)), 0, "aged out after 8 epochs");
-        // last_update is lifetime information and survives the window.
-        assert_eq!(h.epochs_since_update(PageId(0)), Some(8));
-    }
-
-    #[test]
-    fn lazy_shift_handles_long_idle_gaps() {
-        let mut h = UpdateHistory::new(1, 64);
-        h.touch(PageId(0));
-        for _ in 0..1_000 {
-            h.advance_epoch();
-        }
-        assert_eq!(h.update_count(PageId(0)), 0);
-        h.touch(PageId(0));
-        assert_eq!(h.update_count(PageId(0)), 1);
-        assert_eq!(h.epochs_since_update(PageId(0)), Some(0));
+        assert_eq!(h.last_update_epoch(PageId(0)), Some(1_002));
+        assert_eq!(h.last_update_epoch(PageId(1)), Some(2));
+        assert!(h.last_touch_seq(PageId(1)) < h.last_touch_seq(PageId(0)));
     }
 
     #[test]
@@ -220,12 +136,6 @@ mod tests {
         h.reset();
         assert_eq!(h.current_epoch(), 0);
         assert_eq!(h.last_update_epoch(PageId(0)), None);
-        assert_eq!(h.update_count(PageId(0)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64")]
-    fn oversized_retention_panics() {
-        let _ = UpdateHistory::new(1, 65);
+        assert_eq!(h.last_touch_seq(PageId(0)), 0);
     }
 }

@@ -3,50 +3,36 @@
 //! Viyojit chooses flush victims with a *least recently updated* policy:
 //! the write-only analogue of LRU, justified by the observation that
 //! NV-DRAM always retains a readable copy of every page, so only write
-//! recency matters. This module implements that policy plus three
-//! alternatives used by the ablation benches: least *frequently* updated
-//! (popularity within the 64-epoch history window), FIFO (dirtied order),
-//! and seeded-random.
+//! recency matters.
 //!
-//! All four run on one index, [`VictimSelector`]: a lazy-deletion queue of
-//! `(key, page)` entries kept in ascending order. The epoch walk re-keys
+//! The policy runs on one index, [`VictimSelector`]: a lazy-deletion queue
+//! of `(key, page)` entries kept in ascending order. The epoch walk re-keys
 //! every page it finds updated, far more often than a victim is picked, so
 //! a re-key only appends; stale entries are dropped when they reach the
 //! front.
 //!
-//! Appending is exact, not approximate, for the paper's policy. Its key is
-//! [`UpdateHistory::last_touch_seq`], a stamp drawn from one counter that
-//! only grows, and both callers stamp the page before they index it — so
-//! every key handed in is the largest the queue has seen and the back *is*
-//! its sorted position. FIFO's key is a counter of its own and arrives in
-//! order for the same reason. Nothing relies on that: a key that arrives
-//! out of order (a least-frequently-updated or random key, or a caller that
-//! indexes a page without stamping it first) is inserted where it sorts,
-//! which costs a shift of the shorter side of the queue — `O(n)` — instead
-//! of `O(1)`. The two policies that pay it run in tests, on tens of pages;
-//! DESIGN.md ("Victim selection") has what it costs at scale.
+//! Appending is exact, not approximate: the key,
+//! [`UpdateHistory::last_touch_seq`], is a stamp drawn from one counter
+//! that only grows, and both engine callers stamp the page before they
+//! index it — so every key they hand in is the largest the queue has seen
+//! and the back *is* its sorted position. Nothing relies on that: a page indexed
+//! without a fresh stamp (re-dirtied under a key it held before) is
+//! inserted where it sorts, which costs a shift of the shorter side of the
+//! queue — `O(n)` — instead of `O(1)`.
 
 use std::collections::VecDeque;
 
 use mem_sim::PageId;
-use sim_clock::SplitMix64;
 
 use crate::UpdateHistory;
 
-/// Which victim-selection policy the proactive copier uses.
+/// The victim-selection policy the proactive copier uses: the paper's,
+/// and the only one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TargetPolicy {
-    /// Copy out the page whose last observed update is oldest (the paper's
-    /// policy).
+    /// Copy out the page whose last observed update is oldest.
     #[default]
     LeastRecentlyUpdated,
-    /// Copy out the page updated in the fewest epochs of the retained
-    /// history window, breaking ties by recency.
-    LeastFrequentlyUpdated,
-    /// Copy out pages in the order they were dirtied.
-    Fifo,
-    /// Copy out a pseudo-random dirty page (deterministic, seeded).
-    Random,
 }
 
 /// Stale queue entries tolerated beyond one per live page before the queue
@@ -60,13 +46,13 @@ const STALE_SLACK: usize = 64;
 /// of `(key, page)` entries in ascending order. `key_of[page]` is the
 /// truth: a queue entry is live iff it carries its page's current key.
 /// Indexing and re-keying a page add an entry at its sorted position — the
-/// back, `O(1)`, whenever keys arrive in order, as the paper's policy and
-/// FIFO hand them in (see the module docs) — without searching for the old
-/// one; removing a page only forgets its key (`O(1)`);
-/// [`VictimSelector::peek`] discards stale entries as they reach the front,
-/// so each entry added pays for at most one later pop. The victim is the
-/// minimum live `(key, page)` — the sequence an ordered set of the same
-/// tuples would give, under every policy and every call sequence. Memory
+/// back, `O(1)`, whenever keys arrive in order, as the engine hands them in
+/// (see the module docs) — without searching for the old one; removing a
+/// page only forgets its key (`O(1)`); [`VictimSelector::peek`] discards
+/// stale entries as they reach the front, so each entry added pays for at
+/// most one later pop. The victim is the minimum live `(key, page)` — the
+/// sequence an ordered set of the same tuples would give, under every call
+/// sequence. Memory
 /// stays proportional to the live population: once the queue holds more
 /// than `2 * len() + 64` entries its stale ones are dropped in one pass.
 ///
@@ -88,33 +74,22 @@ const STALE_SLACK: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct VictimSelector {
-    policy: TargetPolicy,
     /// Ascending by `(key, page)`, stale entries included.
     queue: VecDeque<(u64, PageId)>,
     key_of: Vec<Option<u64>>,
     /// Pages with a key, i.e. live queue entries up to duplicates.
     live: usize,
-    fifo_seq: u64,
-    rng: SplitMix64,
 }
 
 impl VictimSelector {
-    /// Creates a selector over `pages` pages with the given policy. `seed`
-    /// only affects [`TargetPolicy::Random`].
-    pub fn new(pages: usize, policy: TargetPolicy, seed: u64) -> Self {
+    /// Creates a selector over `pages` pages. `_policy` has one value and
+    /// `_seed` is ignored.
+    pub fn new(pages: usize, _policy: TargetPolicy, _seed: u64) -> Self {
         VictimSelector {
-            policy,
             queue: VecDeque::new(),
             key_of: vec![None; pages],
             live: 0,
-            fifo_seq: 0,
-            rng: SplitMix64::new(seed),
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> TargetPolicy {
-        self.policy
     }
 
     /// Number of candidate pages currently indexed.
@@ -125,22 +100,6 @@ impl VictimSelector {
     /// `true` if no candidates are indexed.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    fn key(&mut self, page: PageId, history: &UpdateHistory) -> u64 {
-        match self.policy {
-            TargetPolicy::LeastRecentlyUpdated => history.last_touch_seq(page),
-            TargetPolicy::LeastFrequentlyUpdated => {
-                let popularity = history.update_count(page) as u64;
-                let recency = history.last_touch_seq(page) & ((1 << 56) - 1);
-                (popularity << 56) | recency
-            }
-            TargetPolicy::Fifo => {
-                self.fifo_seq += 1;
-                self.fifo_seq
-            }
-            TargetPolicy::Random => self.rng.next_u64(),
-        }
     }
 
     /// Gives `page` the key `key` and queues its entry where it sorts;
@@ -201,23 +160,17 @@ impl VictimSelector {
             self.key_of[page.index()].is_none(),
             "{page} indexed twice by the victim selector"
         );
-        let key = self.key(page, history);
         self.live += 1;
-        self.push(page, key);
+        self.push(page, history.last_touch_seq(page));
     }
 
     /// Re-keys a page after the epoch walker observed a fresh update.
-    /// No-op for policies whose key does not depend on update history, or
-    /// if the page is not indexed.
+    /// No-op if the page is not indexed.
     pub fn on_touch(&mut self, page: PageId, history: &UpdateHistory) {
         let Some(old_key) = self.key_of[page.index()] else {
             return;
         };
-        match self.policy {
-            TargetPolicy::Fifo | TargetPolicy::Random => return,
-            TargetPolicy::LeastRecentlyUpdated | TargetPolicy::LeastFrequentlyUpdated => {}
-        }
-        let key = self.key(page, history);
+        let key = history.last_touch_seq(page);
         if key != old_key {
             self.push(page, key);
         }
@@ -249,7 +202,6 @@ impl VictimSelector {
         self.queue.clear();
         self.key_of.fill(None);
         self.live = 0;
-        self.fifo_seq = 0;
     }
 }
 
@@ -258,6 +210,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use propcheck::{check, int, vec_of, weighted};
+    use sim_clock::SplitMix64;
 
     use super::*;
 
@@ -298,57 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn lfu_prefers_least_popular() {
-        let mut h = UpdateHistory::new(4, 64);
-        let mut s = VictimSelector::new(4, TargetPolicy::LeastFrequentlyUpdated, 1);
-        // Page 0: updated in 3 epochs. Page 1: updated in 1 epoch (latest).
-        h.touch(PageId(0));
-        h.advance_epoch();
-        h.touch(PageId(0));
-        h.advance_epoch();
-        h.touch(PageId(0));
-        h.touch(PageId(1));
-        s.on_dirty(PageId(0), &h);
-        s.on_dirty(PageId(1), &h);
-        assert_eq!(s.peek(), Some(PageId(1)));
-    }
-
-    #[test]
-    fn fifo_ignores_touches() {
-        let mut h = UpdateHistory::new(4, 64);
-        let mut s = VictimSelector::new(4, TargetPolicy::Fifo, 1);
-        h.touch(PageId(2));
-        s.on_dirty(PageId(2), &h);
-        h.advance_epoch();
-        h.touch(PageId(3));
-        s.on_dirty(PageId(3), &h);
-        // Page 2 is touched again, but FIFO still evicts it first.
-        h.touch(PageId(2));
-        s.on_touch(PageId(2), &h);
-        assert_eq!(s.peek(), Some(PageId(2)));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let order = |seed: u64| {
-            let mut h = UpdateHistory::new(8, 64);
-            let mut s = VictimSelector::new(8, TargetPolicy::Random, seed);
-            for i in 0..8u64 {
-                h.touch(PageId(i));
-                s.on_dirty(PageId(i), &h);
-            }
-            let mut out = Vec::new();
-            while let Some(p) = s.peek() {
-                out.push(p);
-                s.on_removed(p);
-            }
-            out
-        };
-        assert_eq!(order(7), order(7), "same seed, same order");
-        assert_ne!(order(7), order(8), "different seeds diverge");
-    }
-
-    #[test]
     #[should_panic(expected = "indexed twice")]
     fn double_indexing_panics() {
         let (h, mut s) = lru_setup();
@@ -368,51 +270,26 @@ mod tests {
     /// every operation searches and moves the page's one `(key, page)`
     /// entry, so its first entry is by construction the live minimum.
     struct OrderedModel {
-        policy: TargetPolicy,
         ordered: BTreeSet<(u64, PageId)>,
         key_of: Vec<Option<u64>>,
-        fifo_seq: u64,
-        rng: SplitMix64,
     }
 
     impl OrderedModel {
-        fn new(pages: usize, policy: TargetPolicy, seed: u64) -> Self {
+        fn new(pages: usize) -> Self {
             OrderedModel {
-                policy,
                 ordered: BTreeSet::new(),
                 key_of: vec![None; pages],
-                fifo_seq: 0,
-                rng: SplitMix64::new(seed),
-            }
-        }
-
-        fn key(&mut self, page: PageId, history: &UpdateHistory) -> u64 {
-            match self.policy {
-                TargetPolicy::LeastRecentlyUpdated => history.last_touch_seq(page),
-                TargetPolicy::LeastFrequentlyUpdated => {
-                    let recency = history.last_touch_seq(page) & ((1 << 56) - 1);
-                    ((history.update_count(page) as u64) << 56) | recency
-                }
-                TargetPolicy::Fifo => {
-                    self.fifo_seq += 1;
-                    self.fifo_seq
-                }
-                TargetPolicy::Random => self.rng.next_u64(),
             }
         }
 
         fn on_dirty(&mut self, page: PageId, history: &UpdateHistory) {
-            let key = self.key(page, history);
+            let key = history.last_touch_seq(page);
             self.ordered.insert((key, page));
             self.key_of[page.index()] = Some(key);
         }
 
         fn on_touch(&mut self, page: PageId, history: &UpdateHistory) {
-            let history_keyed = matches!(
-                self.policy,
-                TargetPolicy::LeastRecentlyUpdated | TargetPolicy::LeastFrequentlyUpdated
-            );
-            if let (Some(old_key), true) = (self.key_of[page.index()], history_keyed) {
+            if let Some(old_key) = self.key_of[page.index()] {
                 self.ordered.remove(&(old_key, page));
                 self.on_dirty(page, history);
             }
@@ -424,11 +301,9 @@ mod tests {
             }
         }
 
-        /// Recovery restarts FIFO order but not the random stream.
         fn reset(&mut self) {
             self.ordered.clear();
             self.key_of.fill(None);
-            self.fifo_seq = 0;
         }
     }
 
@@ -478,15 +353,15 @@ mod tests {
         }
     }
 
-    /// Replays `ops` on the lazy queue and on the ordered set under
-    /// `policy`: the same victim after every step, `len()` the live count,
-    /// and a queue that never outgrows `2 * len() + 64` entries. Returns
-    /// how many entries had to be inserted in front of a larger one.
-    fn replay(ops: &[Op], policy: TargetPolicy, seed: u64) -> usize {
+    /// Replays `ops` on the lazy queue and on the ordered set: the same
+    /// victim after every step, `len()` the live count, and a queue that
+    /// never outgrows `2 * len() + 64` entries. Returns how many entries
+    /// had to be inserted in front of a larger one.
+    fn replay(ops: &[Op]) -> usize {
         let pages = PROP_PAGES as usize;
         let mut history = UpdateHistory::new(pages, 8);
-        let mut lazy = VictimSelector::new(pages, policy, seed);
-        let mut model = OrderedModel::new(pages, policy, seed);
+        let mut lazy = VictimSelector::new(pages, TargetPolicy::LeastRecentlyUpdated, 0);
+        let mut model = OrderedModel::new(pages);
         let mut out_of_order = 0;
         for op in ops {
             // The entry an index or a re-key adds is out of order if it
@@ -543,9 +418,7 @@ mod tests {
             assert_eq!(
                 lazy.clone().peek(),
                 model.ordered.first().map(|&(_, p)| p),
-                "victims diverged under {:?} after {:?}",
-                policy,
-                op
+                "victims diverged after {op:?}"
             );
             assert_eq!(lazy.len(), model.ordered.len());
             assert_eq!(lazy.is_empty(), model.ordered.is_empty());
@@ -562,29 +435,22 @@ mod tests {
     const PROP_CASES: u32 = 48;
 
     /// The lazy queue against the ordered set under random
-    /// index/re-key/remove/evict/reset sequences, each replayed under all
-    /// four policies. The paper's policy must not only agree but be
-    /// *tested off its fast path*: an unobserved `Dirty` brings a page back
-    /// under a key older than the queue's back, and half of the cases at
-    /// least must have done that. FIFO's counter never can.
+    /// index/re-key/remove/evict/reset sequences. It must not only agree
+    /// but be *tested off its fast path*: an unobserved `Dirty` brings a
+    /// page back under a key older than the queue's back, and half of the
+    /// cases at least must have done that.
     #[test]
     fn lazy_queue_matches_an_ordered_set() {
-        let mut lru_cases_out_of_order = 0u32;
+        let mut cases_out_of_order = 0u32;
         check("lazy_queue_matches_an_ordered_set", PROP_CASES, |rng| {
             let ops = vec_of(rng, 1..1500, gen_op);
-            let seed = rng.next_u64();
-            let lru = replay(&ops, TargetPolicy::LeastRecentlyUpdated, seed);
-            lru_cases_out_of_order += u32::from(lru > 0);
-            replay(&ops, TargetPolicy::LeastFrequentlyUpdated, seed);
-            let fifo = replay(&ops, TargetPolicy::Fifo, seed);
-            assert_eq!(fifo, 0, "a FIFO key arrived out of order");
-            replay(&ops, TargetPolicy::Random, seed);
+            cases_out_of_order += u32::from(replay(&ops) > 0);
         });
         // One replayed case owes only the agreement, not the sweep's share.
         assert!(
-            lru_cases_out_of_order >= PROP_CASES / 2 || propcheck::replayed_seed().is_some(),
-            "only {lru_cases_out_of_order} of {PROP_CASES} cases queued a \
-             least-recently-updated key out of order: the sorted insert went untested"
+            cases_out_of_order >= PROP_CASES / 2 || propcheck::replayed_seed().is_some(),
+            "only {cases_out_of_order} of {PROP_CASES} cases queued a key out of order: \
+             the sorted insert went untested"
         );
     }
 }

@@ -6,7 +6,7 @@ use mem_sim::PAGE_SIZE;
 use propcheck::{check, int, vec_of, weighted};
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
-use viyojit::{NvHeap, TargetPolicy, Viyojit, ViyojitConfig};
+use viyojit::{NvHeap, Viyojit, ViyojitConfig};
 
 const PAGE: u64 = PAGE_SIZE as u64;
 const REGION_PAGES: u64 = 24;
@@ -40,13 +40,10 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
     }
 }
 
-fn build(budget: u64, policy: TargetPolicy) -> Viyojit {
+fn build(budget: u64) -> Viyojit {
     Viyojit::new(
         32,
-        ViyojitConfig::builder(budget)
-            .target_policy(policy)
-            .build()
-            .unwrap(),
+        ViyojitConfig::with_budget_pages(budget),
         Clock::new(),
         CostModel::calibrated(),
         SsdConfig::datacenter(),
@@ -56,8 +53,8 @@ fn build(budget: u64, policy: TargetPolicy) -> Viyojit {
 /// Runs `ops` against both Viyojit and a plain in-memory model, checking
 /// the budget invariant after every step, then crashes at the end and
 /// verifies recovery restores exactly the model's contents.
-fn run_and_crash(budget: u64, policy: TargetPolicy, ops: &[Op]) {
-    let mut v = build(budget, policy);
+fn run_and_crash(budget: u64, ops: &[Op]) {
+    let mut v = build(budget);
     let r = v.map(REGION_PAGES * PAGE).unwrap();
     let mut model = vec![0u8; (REGION_PAGES * PAGE) as usize];
 
@@ -109,29 +106,7 @@ fn durability_holds_for_any_workload_lru() {
     check("durability_holds_for_any_workload_lru", CASES, |rng| {
         let ops = vec_of(rng, 1..120, gen_op);
         let budget = int(rng, 1..16);
-        run_and_crash(budget, TargetPolicy::LeastRecentlyUpdated, &ops);
-    });
-}
-
-#[test]
-fn durability_holds_for_any_workload_random_policy() {
-    check(
-        "durability_holds_for_any_workload_random_policy",
-        CASES,
-        |rng| {
-            let ops = vec_of(rng, 1..80, gen_op);
-            let budget = int(rng, 1..8);
-            run_and_crash(budget, TargetPolicy::Random, &ops);
-        },
-    );
-}
-
-#[test]
-fn durability_holds_for_any_workload_fifo() {
-    check("durability_holds_for_any_workload_fifo", CASES, |rng| {
-        let ops = vec_of(rng, 1..80, gen_op);
-        let budget = int(rng, 1..8);
-        run_and_crash(budget, TargetPolicy::Fifo, &ops);
+        run_and_crash(budget, &ops);
     });
 }
 
@@ -143,7 +118,7 @@ fn crash_at_any_point_preserves_prior_writes() {
         // Crash mid-workload rather than at the end: replay the prefix up
         // to the crash point against the model, crash, recover, verify.
         let cut = crash_after.min(prefix.len());
-        run_and_crash(4, TargetPolicy::LeastRecentlyUpdated, &prefix[..cut.max(1)]);
+        run_and_crash(4, &prefix[..cut.max(1)]);
     });
 }
 
@@ -153,7 +128,7 @@ fn budget_shrink_is_always_safe() {
         let ops = vec_of(rng, 1..60, gen_op);
         let first_budget = int(rng, 4..16);
         let second_budget = int(rng, 1..4);
-        let mut v = build(first_budget, TargetPolicy::LeastRecentlyUpdated);
+        let mut v = build(first_budget);
         let r = v.map(REGION_PAGES * PAGE).unwrap();
         for op in &ops {
             if let Op::Write { offset, len, fill } = *op {
