@@ -1087,6 +1087,28 @@ mod tests {
         recovery_restores_exactly_the_lost_sectors::<FullDirty>();
     }
 
+    /// The undo log holds what was written, not whole pages. Only dirty
+    /// pages have unsynced sectors, so 64 B rewrites of pages the copier
+    /// has handed over, cycling over four times the budget's pages, hold
+    /// at most one 512 B chunk and its 32 B table per page of the budget.
+    #[test]
+    fn sector_writes_hold_at_most_a_chunk_per_budget_page() {
+        let budget = 8;
+        let (mut nv, region) = engine::<SoftwareWalk>(budget);
+        for _ in 0..8 {
+            for page in 0..4 * budget {
+                write_page(&mut nv, region, page);
+            }
+        }
+        let undo = nv.core.mmu.undo_stats();
+        assert!(
+            undo.partial_saves > 0,
+            "no rewrite of a held page: {undo:?}"
+        );
+        assert!(undo.peak_bytes <= budget * (512 + 32), "{undo:?}");
+        nv.validate();
+    }
+
     #[test]
     fn the_baseline_never_has_anything_due() {
         let (mut nv, region) = engine::<FullDirty>(4);

@@ -187,8 +187,8 @@ pub struct Mmu {
 ///
 /// The device image is host-side state, no part of the simulated system:
 /// the `Ssd` models time and wear, not bytes. A page the device holds
-/// (`held`) is memory with its `unsynced` sectors replaced by the bytes in
-/// its undo slot, and a page it does not hold is zeroes.
+/// (`held`) is memory with its `unsynced` sectors replaced by the bytes
+/// its undo slot saved, and a page it does not hold is zeroes.
 #[derive(Debug, Clone, Copy)]
 struct SectorMasks {
     /// Mondrian-style sub-page tracking (§7), part of the simulated system:
@@ -202,8 +202,10 @@ struct SectorMasks {
     /// ([`Mmu::restore_durable`]), never by policy: a discarded page's
     /// garbage is still in memory.
     unsynced: u64,
-    /// The page's slot in the undo pool, or [`NO_SLOT`]. A held page has
-    /// one exactly while `unsynced` is nonzero; a page never held has none.
+    /// The page's slot in the undo pool — its table of eighth-page
+    /// chunks — or [`NO_SLOT`]. A held page has one exactly while
+    /// `unsynced` is nonzero, with a chunk for exactly the eighths of the
+    /// page `unsynced` touches; a page never held has none.
     slot: u32,
     /// The page has been handed to the device at least once.
     held: bool,
@@ -220,41 +222,126 @@ impl SectorMasks {
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// The device image of every page never handed over.
-static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+/// Sectors per undo chunk: an eighth of a page, 512 B.
+const CHUNK_SECTORS: usize = 8;
+const CHUNK_BYTES: usize = CHUNK_SECTORS * SECTOR_BYTES;
 
-/// Page-sized undo slots, recycled through a free list. Sector *i* of a
-/// page's slot holds the page's sector *i* as last handed to the device,
-/// for exactly the sectors in its unsynced mask: a write saves the fresh
-/// sectors of its run with one copy per contiguous stretch.
+/// A table entry for an eighth of the page with nothing saved.
+const NO_CHUNK: u32 = u32::MAX;
+
+/// One undo slot: the chunk that holds each eighth of a page.
+type Table = [u32; PAGE_SIZE / CHUNK_BYTES];
+
+/// What the device holds in every sector of a page never handed over.
+static ZERO_CHUNK: [u8; CHUNK_BYTES] = [0; CHUNK_BYTES];
+
+/// The undo log: a slot is a table of eight chunk ids, one per eighth of
+/// its page, and a chunk is eight sectors in one arena. Tables and chunks
+/// are each recycled through a LIFO free list, and the arenas never
+/// shrink.
+///
+/// Sector *s* of a page's chunk *e* holds the page's sector *8e + s* as
+/// last handed to the device, for exactly the sectors in its unsynced
+/// mask, and the table has a chunk for exactly the eighths that mask
+/// touches: a 64 B write to a held page holds 512 B, not a page. A write
+/// saves the fresh sectors of its run with one copy per eighth the run
+/// touches, into a line the store is about to make hot anyway.
 #[derive(Debug, Default)]
 struct UndoPool {
-    bytes: Vec<u8>,
-    free: Vec<u32>,
+    tables: Vec<Table>,
+    free_tables: Vec<u32>,
+    chunks: Vec<[u8; CHUNK_BYTES]>,
+    free_chunks: Vec<u32>,
 }
 
 impl UndoPool {
+    /// Takes a table with no chunk.
     fn alloc(&mut self) -> u32 {
-        self.free.pop().unwrap_or_else(|| {
-            let slot = (self.bytes.len() / PAGE_SIZE) as u32;
-            self.bytes.resize(self.bytes.len() + PAGE_SIZE, 0);
-            slot
+        self.free_tables.pop().unwrap_or_else(|| {
+            self.tables.push([NO_CHUNK; PAGE_SIZE / CHUNK_BYTES]);
+            (self.tables.len() - 1) as u32
         })
     }
 
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
+    /// The chunk of `slot`'s eighth `eighth`, taken if it has none.
+    fn chunk_mut(&mut self, slot: u32, eighth: usize) -> &mut [u8; CHUNK_BYTES] {
+        let entry = &mut self.tables[slot as usize][eighth];
+        if *entry == NO_CHUNK {
+            *entry = self.free_chunks.pop().unwrap_or_else(|| {
+                self.chunks.push([0; CHUNK_BYTES]);
+                (self.chunks.len() - 1) as u32
+            });
+        }
+        &mut self.chunks[*entry as usize]
     }
 
-    fn slot(&self, slot: u32) -> &[u8] {
-        let at = slot as usize * PAGE_SIZE;
-        &self.bytes[at..at + PAGE_SIZE]
+    /// Returns `slot` and the chunks of the eighths `unsynced` touches —
+    /// all the table holds.
+    fn release(&mut self, slot: u32, unsynced: u64) {
+        let table = &mut self.tables[slot as usize];
+        for eighth in eighths(unsynced) {
+            self.free_chunks
+                .push(std::mem::replace(&mut table[eighth], NO_CHUNK));
+        }
+        self.free_tables.push(slot);
     }
 
-    fn slot_mut(&mut self, slot: u32) -> &mut [u8] {
-        let at = slot as usize * PAGE_SIZE;
-        &mut self.bytes[at..at + PAGE_SIZE]
+    /// What the device holds in the unsynced sectors of the page `masks`
+    /// describes, one run of sectors within one eighth at a time: the
+    /// run's byte range in the page and its saved bytes, or zeroes for a
+    /// page never handed over.
+    fn saved(&self, masks: SectorMasks) -> impl Iterator<Item = (std::ops::Range<usize>, &[u8])> {
+        eighths(masks.unsynced).flat_map(move |eighth| {
+            let chunk: &[u8] = if masks.held {
+                &self.chunks[self.tables[masks.slot as usize][eighth] as usize]
+            } else {
+                &ZERO_CHUNK
+            };
+            let base = eighth * CHUNK_BYTES;
+            sector_runs(sectors_in(masks.unsynced, eighth))
+                .map(move |run| (base + run.start..base + run.end, &chunk[run]))
+        })
     }
+
+    /// What is wrong with `slot`'s table for a page whose unsynced mask is
+    /// `unsynced`, if anything.
+    fn table_violation(&self, slot: u32, unsynced: u64) -> Option<&'static str> {
+        let table = &self.tables[slot as usize];
+        (0..table.len()).find_map(|eighth| {
+            match (table[eighth] != NO_CHUNK, sectors_in(unsynced, eighth) != 0) {
+                (true, false) => Some("an undo table has a chunk for an eighth in sync"),
+                (false, true) => Some("an undo table has no chunk for an unsynced eighth"),
+                _ => None,
+            }
+        })
+    }
+
+    /// Host bytes the arenas hold: the most the log has held at once.
+    fn bytes(&self) -> u64 {
+        (self.chunks.len() * CHUNK_BYTES + self.tables.len() * std::mem::size_of::<Table>()) as u64
+    }
+}
+
+/// The eighths of a page that `mask` has a sector in, ascending, read off
+/// a summary with one bit per eighth — so a release visits only the
+/// chunks it frees.
+fn eighths(mask: u64) -> impl Iterator<Item = usize> {
+    let mut any = mask | mask >> 1;
+    any |= any >> 2;
+    any |= any >> 4;
+    // Bit 8e of `any` is now the OR of eighth e's eight sectors.
+    let mut summary = any & 0x0101_0101_0101_0101;
+    std::iter::from_fn(move || {
+        let eighth = (summary != 0).then(|| summary.trailing_zeros() as usize / CHUNK_SECTORS);
+        summary &= summary.wrapping_sub(1);
+        eighth
+    })
+}
+
+/// `mask`'s sectors in eighth `eighth`, as the low bits of a mask over
+/// that eighth's chunk.
+fn sectors_in(mask: u64, eighth: usize) -> u64 {
+    mask >> (eighth * CHUNK_SECTORS) & 0xFF
 }
 
 /// Host-side counters of the undo log: how the simulator keeps its one
@@ -267,6 +354,9 @@ pub struct UndoStats {
     /// Sectors [`Mmu::restore_durable`] laid back over memory: the bytes a
     /// power failure lost.
     pub sectors_restored: u64,
+    /// High-water mark of the host memory the undo log held at once, in
+    /// bytes: its 512 B chunks plus the 32 B tables that index them.
+    pub peak_bytes: u64,
 }
 
 /// The byte ranges of `mask`'s maximal runs of set bits, one 64 B sector
@@ -644,18 +734,21 @@ impl Mmu {
 
     /// Saves the bytes of `page`'s `fresh` sectors — held, in sync until
     /// now, about to change — into its undo slot, taking a slot if it has
-    /// none. Out of line: most writes find their sectors unsynced already.
+    /// none and a chunk for each eighth of the page first saved. Out of
+    /// line: most writes find their sectors unsynced already.
     #[inline(never)]
     fn save_undo(&mut self, page: PageId, fresh: u64) {
         let masks = &mut self.sector_masks[page.index()];
         if masks.slot == NO_SLOT {
             masks.slot = self.undo.alloc();
         }
-        let undo = self.undo.slot_mut(masks.slot);
         let start = page.base_addr() as usize;
-        let memory = &self.memory[start..start + PAGE_SIZE];
-        for run in sector_runs(fresh) {
-            undo[run.clone()].copy_from_slice(&memory[run]);
+        for eighth in eighths(fresh) {
+            let chunk = self.undo.chunk_mut(masks.slot, eighth);
+            let memory = &self.memory[start + eighth * CHUNK_BYTES..][..CHUNK_BYTES];
+            for run in sector_runs(sectors_in(fresh, eighth)) {
+                chunk[run.clone()].copy_from_slice(&memory[run]);
+            }
         }
         if fresh != u64::MAX {
             self.undo_stats.partial_saves += 1;
@@ -675,7 +768,7 @@ impl Mmu {
         masks.held = true;
         if masks.slot != NO_SLOT {
             self.undo
-                .release(std::mem::replace(&mut masks.slot, NO_SLOT));
+                .release(std::mem::replace(&mut masks.slot, NO_SLOT), masks.unsynced);
         }
         std::mem::take(&mut masks.unsynced)
     }
@@ -698,9 +791,10 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn matches_durable(&self, page: PageId) -> bool {
-        let masks = self.sector_masks[page.index()];
-        let (memory, undo) = (self.page_data(page), self.undo_bytes(masks));
-        sector_runs(masks.unsynced).all(|run| memory[run.clone()] == undo[run])
+        let memory = self.page_data(page);
+        self.undo
+            .saved(self.sector_masks[page.index()])
+            .all(|(run, saved)| memory[run] == *saved)
     }
 
     /// The device image of `page`, assembled from memory and the undo
@@ -716,23 +810,11 @@ impl Mmu {
         if !masks.held {
             return None;
         }
-        let (mut image, undo) = (self.page_data(page).to_vec(), self.undo_bytes(masks));
-        for run in sector_runs(masks.unsynced) {
-            image[run.clone()].copy_from_slice(&undo[run]);
+        let mut image = self.page_data(page).to_vec();
+        for (run, saved) in self.undo.saved(masks) {
+            image[run].copy_from_slice(saved);
         }
         Some(image)
-    }
-
-    /// What the unsynced sectors of the page `masks` describes hold on the
-    /// device, at their offsets in the page: its undo slot if it is held,
-    /// zeroes if it never was. (A held page in sync has no slot and no
-    /// unsynced sector to read.)
-    fn undo_bytes(&self, masks: SectorMasks) -> &[u8] {
-        if masks.held && masks.unsynced != 0 {
-            self.undo.slot(masks.slot)
-        } else {
-            &ZERO_PAGE
-        }
     }
 
     /// Recovery's reload of `page`: lays its undo back over the unsynced
@@ -744,38 +826,42 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn restore_durable(&mut self, page: PageId) -> u32 {
-        let masks = &mut self.sector_masks[page.index()];
-        let lost = std::mem::take(&mut masks.unsynced);
+        let masks = self.sector_masks[page.index()];
+        let lost = masks.unsynced;
         if lost == 0 {
             return 0;
         }
         let start = page.base_addr() as usize;
         let memory = &mut self.memory[start..start + PAGE_SIZE];
-        let undo = if masks.held {
-            self.undo.slot(masks.slot)
-        } else {
-            &ZERO_PAGE
-        };
-        for run in sector_runs(lost) {
-            memory[run.clone()].copy_from_slice(&undo[run]);
+        for (run, saved) in self.undo.saved(masks) {
+            memory[run].copy_from_slice(saved);
         }
         if masks.held {
-            self.undo
-                .release(std::mem::replace(&mut masks.slot, NO_SLOT));
+            self.undo.release(masks.slot, lost);
         }
+        self.sector_masks[page.index()] = SectorMasks {
+            unsynced: 0,
+            slot: NO_SLOT,
+            ..masks
+        };
         self.undo_stats.sectors_restored += lost.count_ones() as u64;
         lost.count_ones()
     }
 
     /// Host-side counters of the undo log.
     pub fn undo_stats(&self) -> UndoStats {
-        self.undo_stats
+        UndoStats {
+            peak_bytes: self.undo.bytes(),
+            ..self.undo_stats
+        }
     }
 
     /// The first page that breaks the undo log's invariant, with what is
     /// wrong: a page has an undo slot exactly when it is held and has
-    /// unsynced sectors, and no page in `in_flight` (write-protected since
-    /// its hand-over) has one. O(pages); for checks.
+    /// unsynced sectors, the slot's table has a chunk for exactly the
+    /// eighths of the page with an unsynced sector, and no page in
+    /// `in_flight` (write-protected since its hand-over) has a slot.
+    /// O(pages); for checks.
     pub fn undo_violation(&self, in_flight: &Bitmap2L) -> Option<(PageId, &'static str)> {
         self.sector_masks.iter().enumerate().find_map(|(i, masks)| {
             let why = match (masks.slot != NO_SLOT, masks.held, masks.unsynced != 0) {
@@ -783,6 +869,7 @@ impl Mmu {
                 (true, true, false) => "a page in sync has an undo slot",
                 (false, true, true) => "a held page's unsynced sectors have no undo slot",
                 (true, true, true) if in_flight.test(i) => "a page in flight has an undo slot",
+                (true, true, true) => self.undo.table_violation(masks.slot, masks.unsynced)?,
                 _ => return None,
             };
             Some((PageId(i as u64), why))
@@ -1341,13 +1428,33 @@ mod tests {
         assert_eq!(m.take_unsynced(page), u64::MAX);
     }
 
-    /// `m`'s undo log holds exactly the slots its pages need.
+    /// `m`'s undo log holds exactly the slots and chunks its pages need,
+    /// and every other one is on a free list.
     #[track_caller]
     fn assert_undo_sound(m: &Mmu) {
         assert_eq!(m.undo_violation(&Bitmap2L::new(m.pages())), None);
-        let live = m.sector_masks.iter().filter(|s| s.slot != NO_SLOT).count();
-        let pooled = m.undo.bytes.len() / PAGE_SIZE;
-        assert_eq!(live + m.undo.free.len(), pooled, "a slot leaked");
+        let slots: Vec<u32> = m
+            .sector_masks
+            .iter()
+            .map(|s| s.slot)
+            .filter(|&s| s != NO_SLOT)
+            .collect();
+        let undo = &m.undo;
+        assert_eq!(
+            slots.len() + undo.free_tables.len(),
+            undo.tables.len(),
+            "a slot leaked"
+        );
+        let live = slots
+            .iter()
+            .flat_map(|&s| undo.tables[s as usize])
+            .filter(|&c| c != NO_CHUNK)
+            .count();
+        assert_eq!(
+            live + undo.free_chunks.len(),
+            undo.chunks.len(),
+            "a chunk leaked"
+        );
     }
 
     /// `m` with `page` handed over holding `fill` in every byte.
@@ -1381,9 +1488,13 @@ mod tests {
         assert_eq!(m.take_unsynced(page), 0b110);
         assert_eq!(m.durable_page(page).as_deref(), Some(m.page_data(page)));
         assert!(m.matches_durable(page));
-        assert_eq!(m.undo.free.len(), 1);
+        assert_eq!((m.undo.free_tables.len(), m.undo.free_chunks.len()), (1, 1));
         m.write(base, &[4]).unwrap();
-        assert_eq!(m.undo.bytes.len(), PAGE_SIZE, "the slot was recycled");
+        assert_eq!(
+            (m.undo.tables.len(), m.undo.chunks.len()),
+            (1, 1),
+            "the slot and its chunk were recycled"
+        );
         assert_eq!(
             m.durable_page(page).unwrap()[..70],
             [&[1; 64][..], &[3; 6]].concat()
@@ -1460,9 +1571,91 @@ mod tests {
             assert!(!m.matches_durable(PageId(i)), "its image is zeroes");
         }
         assert_eq!(m.durable_page(PageId(0)), None);
-        assert!(m.undo.bytes.is_empty());
+        assert!(m.undo.tables.is_empty() && m.undo.chunks.is_empty());
         assert_eq!(m.undo_stats(), UndoStats::default());
         assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn a_run_straddling_two_eighths_takes_two_chunks() {
+        let page = PageId(1);
+        let base = page.base_addr();
+        let mut m = held(2, page, 1);
+        let mut image = vec![1; PAGE_SIZE];
+        image[6 * 64..10 * 64].fill(2);
+        m.write(base + 6 * 64, &[3; 4 * 64]).unwrap(); // sectors 6..=9
+        assert_eq!(m.undo.chunks.len(), 2, "eighths 0 and 1");
+        assert_undo_sound(&m);
+        m.take_unsynced(page);
+        m.write(base + 6 * 64, &[2; 4 * 64]).unwrap();
+        m.take_unsynced(page);
+        assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
+
+        // The lost run comes back byte-exact, both halves, through
+        // recycled chunks that held other bytes before.
+        m.write(base + 6 * 64 + 5, &[9; 4 * 64 - 10]).unwrap();
+        assert_eq!(m.undo.chunks.len(), 2);
+        assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
+        assert_eq!(m.restore_durable(page), 4);
+        assert_eq!(m.page_data(page), &image[..]);
+        assert_eq!(m.undo.free_chunks.len(), 2);
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn a_whole_page_save_takes_eight_chunks_and_the_hand_over_frees_them() {
+        let page = PageId(0);
+        let mut m = held(1, page, 1);
+        m.write(0, &[2; PAGE_SIZE]).unwrap();
+        assert_eq!(m.undo.chunks.len(), 8);
+        assert!(m.undo.tables[0].iter().all(|&c| c != NO_CHUNK));
+        assert_undo_sound(&m);
+        m.take_unsynced(page);
+        assert_eq!(m.undo.free_chunks.len(), 8, "all eight freed");
+        assert_eq!(m.undo.tables[0], [NO_CHUNK; 8]);
+        m.write(0, &[3; PAGE_SIZE]).unwrap();
+        assert_eq!(m.undo.chunks.len(), 8, "the next save reused them");
+        assert!(m.undo.free_chunks.is_empty());
+        assert_eq!(m.durable_page(page), Some(vec![2; PAGE_SIZE]));
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn sector_writes_to_n_held_pages_hold_n_chunks() {
+        let n = 16;
+        let mut m = mmu(n);
+        for i in 0..n as u64 {
+            m.write(i * PAGE_SIZE as u64, &[1; PAGE_SIZE]).unwrap();
+            m.take_unsynced(PageId(i));
+        }
+        for i in 0..n as u64 {
+            // Each in its own sector, from the first eighth to the last.
+            m.write(i * PAGE_SIZE as u64 + i * 4 * 64, &[2; 64])
+                .unwrap();
+        }
+        assert_eq!((m.undo.tables.len(), m.undo.chunks.len()), (n, n));
+        assert_eq!(m.undo_stats().peak_bytes, n as u64 * (512 + 32));
+        assert_undo_sound(&m);
+        for i in 0..n as u64 {
+            assert_eq!(m.durable_page(PageId(i)), Some(vec![1; PAGE_SIZE]));
+        }
+        // The arenas keep their high-water mark once everything is freed.
+        for i in 0..n as u64 {
+            m.take_unsynced(PageId(i));
+        }
+        assert_eq!(m.undo_stats().peak_bytes, n as u64 * (512 + 32));
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn eighths_names_each_eighth_with_a_sector_once() {
+        let eighths = |mask| eighths(mask).collect::<Vec<_>>();
+        assert_eq!(eighths(0), vec![]);
+        assert_eq!(eighths(u64::MAX), (0..8).collect::<Vec<_>>());
+        assert_eq!(eighths(1 << 63), vec![7]);
+        assert_eq!(eighths(0b11 << 7), vec![0, 1]);
+        assert_eq!(eighths(0x8000_0001_0000_0080), vec![0, 4, 7]);
+        assert_eq!(sectors_in(0x8000_0001_0000_0080, 7), 0x80);
     }
 
     #[test]
@@ -1501,6 +1694,25 @@ mod tests {
                 PageId(1),
                 "a held page's unsynced sectors have no undo slot"
             ))
+        );
+
+        // A slot's table must match its page's unsynced eighths.
+        let mut m = held(1, PageId(0), 1);
+        m.write(0, &[2]).unwrap(); // eighth 0
+        let none = Bitmap2L::new(1);
+        assert_eq!(m.undo_violation(&none), None);
+        m.sector_masks[0].unsynced |= 1 << 8;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((
+                PageId(0),
+                "an undo table has no chunk for an unsynced eighth"
+            ))
+        );
+        m.sector_masks[0].unsynced = 1 << 8;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((PageId(0), "an undo table has a chunk for an eighth in sync"))
         );
     }
 }

@@ -10,8 +10,10 @@
 # goes first alternates from pair to pair — before handing the two result
 # files to `viyojit-benchmark compare` (a = parent, b = working tree), which
 # prints medians and quartiles, and counting from the same two files how
-# many pairs the working tree won on `host_ops_per_s`. It edits nothing
-# under benchmark/. Run nothing else on the machine meanwhile.
+# many pairs the working tree won on each end-to-end metric, in the
+# direction BENCHMARK.json calls better — so a memory claim and its
+# host-time guards come from one run. It edits nothing under benchmark/.
+# Run nothing else on the machine meanwhile.
 #
 #   scripts/ab_benchmark.sh [-n pairs] [-s seed] [-t 0|1] [-d dir] <parent-rev> [workload...]
 #
@@ -23,7 +25,8 @@
 #       go (default: the git-ignored .bench_build/ab of this checkout,
 #       whose builds the next call reuses)
 #
-# No workload named means all of BENCHMARK.json's (that lookup needs `jq`).
+# No workload named means all of BENCHMARK.json's. Needs `jq`, which reads
+# the end-to-end metrics from there too.
 set -euo pipefail
 usage="usage: $0 [-n pairs] [-s seed] [-t 0|1] [-d dir] <parent-rev> [workload...]"
 
@@ -52,6 +55,8 @@ else
     mapfile -t workloads < <(jq -r '.workloads[].name' "$repo/BENCHMARK.json")
 fi
 [ ${#workloads[@]} -gt 0 ] || { echo "ab: no workloads to run" >&2; exit 1; }
+# "name better" per end-to-end metric, space-separated, in file order.
+metrics="$(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$repo/BENCHMARK.json" | tr '\n' ' ')"
 
 mkdir -p "${dir:=$repo/.bench_build/ab}"
 dir="$(cd "$dir" && pwd)"
@@ -85,7 +90,9 @@ run() { # <a|b> <workload>
     BENCH_GIT_REV=$rev "$dir/target-$1/release/viyojit-benchmark" \
         --workload "$2" --seed "$seed" --seconds 10 --trace "$trace" --out "$out" |
         awk -v side="$1" -v w="$2" \
-            '$1 == "host_ops_per_s" || $1 == "untraced_op_ns" { print "ab:", side, w, $1, $2 }'
+            '$1 == "host_ops_per_s" || $1 == "peak_rss_mib" || $1 == "untraced_op_ns" {
+                print "ab:", side, w, $1, $2
+            }'
 }
 
 for workload in "${workloads[@]}"; do
@@ -103,30 +110,44 @@ done
 echo "ab: a = $rev_a ($out_a)"
 echo "ab: b = $rev_b ($out_b)"
 # The i-th run of a workload in one file and the i-th in the other are a
-# pair; a traced run records no host_ops_per_s and so counts none.
-awk -v file_a="$out_a" '
+# pair; b wins it on a metric if its value is better in that metric's
+# direction. A metric a traced run does not record (host_ops_per_s) counts
+# no pairs and prints no line.
+awk -v file_a="$out_a" -v metrics="$metrics" '
     function field(key,    m) {
         if (!match($0, "\"" key "\":\"?[^\",}]*")) return ""
         m = substr($0, RSTART, RLENGTH)
         sub("^\"" key "\":\"?", "", m)
         return m
     }
-    field("record") == "metric" && field("name") == "host_ops_per_s" {
+    BEGIN {
+        n = split(metrics, spec, " ")
+        for (i = 1; i < n; i += 2) { names[++nmetrics] = spec[i]; better[spec[i]] = spec[i + 1] }
+    }
+    field("record") == "metric" && (field("name") in better) {
         w = field("workload")
+        m = field("name")
         side = FILENAME == file_a ? "a" : "b"
         if (!((w) in seen)) { seen[w]; order[++workloads] = w }
-        value[side, w, ++runs[side, w]] = field("value") + 0
+        value[side, w, m, ++runs[side, w, m]] = field("value") + 0
     }
     END {
         for (i = 1; i <= workloads; i++) {
             w = order[i]
-            pairs = runs["a", w] < runs["b", w] ? runs["a", w] : runs["b", w]
-            won = ties = 0
-            for (p = 1; p <= pairs; p++) {
-                won += value["b", w, p] > value["a", w, p]
-                ties += value["b", w, p] == value["a", w, p]
+            for (j = 1; j <= nmetrics; j++) {
+                m = names[j]
+                pairs = runs["a", w, m] < runs["b", w, m] ? runs["a", w, m] : runs["b", w, m]
+                if (pairs == 0) continue
+                won = ties = 0
+                for (p = 1; p <= pairs; p++) {
+                    a = value["a", w, m, p]
+                    b = value["b", w, m, p]
+                    if (a == b) ties++
+                    else won += (better[m] == "higher") == (b > a)
+                }
+                printf "ab: %s %s (%s is better) b won %d of %d pairs (ties %d)\n",
+                    w, m, better[m], won, pairs, ties
             }
-            printf "ab: %s b won %d of %d pairs (ties %d)\n", w, won, pairs, ties
         }
     }
 ' "$out_a" "$out_b"
