@@ -1090,7 +1090,8 @@ mod tests {
     /// The undo log holds what was written, not whole pages. Only dirty
     /// pages have unsynced sectors, so 64 B rewrites of pages the copier
     /// has handed over, cycling over four times the budget's pages, hold
-    /// at most one 512 B chunk and its 32 B table per page of the budget.
+    /// at most one saved 64 B sector and its 32 B table per page of the
+    /// budget.
     #[test]
     fn sector_writes_hold_at_most_a_chunk_per_budget_page() {
         let budget = 8;
@@ -1105,7 +1106,7 @@ mod tests {
             undo.partial_saves > 0,
             "no rewrite of a held page: {undo:?}"
         );
-        assert!(undo.peak_bytes <= budget * (512 + 32), "{undo:?}");
+        assert!(undo.peak_bytes <= budget * (64 + 32), "{undo:?}");
         nv.validate();
     }
 

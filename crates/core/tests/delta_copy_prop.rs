@@ -18,7 +18,7 @@
 //! its seed; `FAULT_SEED=<n>` replays that seed alone.
 
 use battery_sim::{Battery, BatteryConfig, PowerModel};
-use mem_sim::{PageId, PAGE_SIZE};
+use mem_sim::{PageId, UndoStats, PAGE_SIZE};
 use propcheck::check_seeds;
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
 use ssd_sim::SsdConfig;
@@ -38,6 +38,9 @@ const WRITE_ERROR_RATE: f64 = 0.2;
 /// Non-vacuity: every life must save fewer than 64 sectors at least this
 /// many times, or the undo log only ever held whole pages...
 const MIN_PARTIAL_SAVES: u64 = 32;
+/// ...merge fresh sectors into an eighth of a page holding saved ones at
+/// least this many times, or no save ever met an earlier one's block...
+const MIN_MERGES: u64 = 32;
 /// ...and lay back at least one sector in a recovery that followed a loss,
 /// or no lost write was ever undone.
 const MIN_SECTORS_RESTORED: u64 = 1;
@@ -182,7 +185,30 @@ impl<B: DirtyTracker> Life<B> {
     /// One write of 1..=`longest` bytes that stays inside `page`.
     fn write_in_page(&mut self, region: usize, page: u64, longest: u64) {
         let offset = self.rng.below(PAGE);
-        let len = (1 + self.rng.below(longest)).min(PAGE - offset) as usize;
+        let len = 1 + self.rng.below(longest);
+        self.write_at(region, page, offset, len);
+    }
+
+    /// Two to five writes of 1..=8 bytes into distinct sectors of one
+    /// eighth of a page, as an LRU clock stamps the metadata it keeps on a
+    /// page: on a held page in sync there, the first saves its sector and
+    /// each later one merges into that eighth's block.
+    fn stamp(&mut self, region: usize) {
+        let page = self.rng.below(REGION_PAGES);
+        // The eighth's first sector, and the first sector stamped in it.
+        let (base, first) = (self.rng.below(8) * 8, self.rng.below(8));
+        for i in 0..2 + self.rng.below(4) {
+            // Steps of three visit all eight sectors before repeating one.
+            let sector = base + (first + 3 * i) % 8;
+            let offset = sector * 64 + self.rng.below(64 - 8);
+            let len = 1 + self.rng.below(8);
+            self.write_at(region, page, offset, len);
+        }
+    }
+
+    /// One write of `len` bytes at `offset` in `page`, cut at its end.
+    fn write_at(&mut self, region: usize, page: u64, offset: u64, len: u64) {
+        let len = len.min(PAGE - offset) as usize;
         let fill = self.rng.next_u64() as u8;
         let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
         let frame = self.first_page(region) + page as usize;
@@ -256,14 +282,15 @@ impl<B: DirtyTracker> Life<B> {
         }
     }
 
-    /// Runs the life; returns its partial undo saves and the sectors its
+    /// Runs the life; returns its undo counters and the sectors its
     /// recoveries after a loss restored.
-    fn run(mut self) -> (u64, u64) {
+    fn run(mut self) -> (UndoStats, u64) {
         for step in 0..STEPS {
             self.step = step;
             let region = self.rng.below(REGIONS as u64) as usize;
             match self.rng.below(100) {
-                0..=69 => {
+                0..=19 => self.stamp(region),
+                20..=69 => {
                     let longest = [64, 64, 512, PAGE][self.rng.below(4) as usize];
                     let page = self.rng.below(REGION_PAGES);
                     self.write_in_page(region, page, longest);
@@ -302,19 +329,21 @@ impl<B: DirtyTracker> Life<B> {
         self.nv.recover();
         self.settle("the last recover", None);
         self.assert_clean_pages_are_durable("after the last recovery");
-        (
-            self.nv.mmu().undo_stats().partial_saves,
-            self.restored_after_loss,
-        )
+        (self.nv.mmu().undo_stats(), self.restored_after_loss)
     }
 }
 
 fn delta_copies_leave_the_whole_page_image<B: DirtyTracker>(name: &str) {
     check_seeds(name, 0..SEEDS_PER_BACKEND, |seed| {
-        let (partial, restored) = Life::<B>::new(seed).run();
+        let (undo, restored) = Life::<B>::new(seed).run();
+        let (partial, merges) = (undo.partial_saves, undo.merges);
         assert!(
             partial >= MIN_PARTIAL_SAVES,
             "only {partial} undo saves of fewer than 64 sectors: the property went vacuous"
+        );
+        assert!(
+            merges >= MIN_MERGES,
+            "only {merges} undo merges: the property went vacuous"
         );
         assert!(
             restored >= MIN_SECTORS_RESTORED,

@@ -3,6 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use sim_clock::{Clock, CostModel, SimDuration};
 use telemetry::{CostClass, Profiler};
@@ -203,8 +204,8 @@ struct SectorMasks {
     /// garbage is still in memory.
     unsynced: u64,
     /// The page's slot in the undo pool — its table of eighth-page
-    /// chunks — or [`NO_SLOT`]. A held page has one exactly while
-    /// `unsynced` is nonzero, with a chunk for exactly the eighths of the
+    /// blocks — or [`NO_SLOT`]. A held page has one exactly while
+    /// `unsynced` is nonzero, with a block for exactly the eighths of the
     /// page `unsynced` touches; a page never held has none.
     slot: u32,
     /// The page has been handed to the device at least once.
@@ -222,66 +223,101 @@ impl SectorMasks {
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// Sectors per undo chunk: an eighth of a page, 512 B.
-const CHUNK_SECTORS: usize = 8;
-const CHUNK_BYTES: usize = CHUNK_SECTORS * SECTOR_BYTES;
+/// Sectors in an eighth of a page: 512 B, the most one undo block holds.
+const EIGHTH_SECTORS: usize = 8;
+const EIGHTH_BYTES: usize = EIGHTH_SECTORS * SECTOR_BYTES;
 
 /// A table entry for an eighth of the page with nothing saved.
-const NO_CHUNK: u32 = u32::MAX;
+const NO_BLOCK: u32 = u32::MAX;
 
-/// One undo slot: the chunk that holds each eighth of a page.
-type Table = [u32; PAGE_SIZE / CHUNK_BYTES];
+/// One undo slot: the block that holds each eighth of a page.
+type Table = [u32; PAGE_SIZE / EIGHTH_BYTES];
 
 /// What the device holds in every sector of a page never handed over.
-static ZERO_CHUNK: [u8; CHUNK_BYTES] = [0; CHUNK_BYTES];
+static ZERO_EIGHTH: [u8; EIGHTH_BYTES] = [0; EIGHTH_BYTES];
 
-/// The undo log: a slot is a table of eight chunk ids, one per eighth of
-/// its page, and a chunk is eight sectors in one arena. Tables and chunks
-/// are each recycled through a LIFO free list, and the arenas never
-/// shrink.
+/// The undo log: a slot is a table of eight block ids, one per eighth of
+/// its page, and a block is a run of 1 to 8 sectors in one arena of 64 B
+/// sectors, named by its first. Tables are recycled through a LIFO free
+/// list and blocks through one per size, and the arenas never shrink.
 ///
-/// Sector *s* of a page's chunk *e* holds the page's sector *8e + s* as
-/// last handed to the device, for exactly the sectors in its unsynced
-/// mask, and the table has a chunk for exactly the eighths that mask
-/// touches: a 64 B write to a held page holds 512 B, not a page. A write
-/// saves the fresh sectors of its run with one copy per eighth the run
-/// touches, into a line the store is about to make hot anyway.
+/// An eighth's block holds exactly that eighth's unsynced sectors as last
+/// handed to the device, packed in sector order, and the table has a
+/// block for exactly the eighths the unsynced mask touches. So a block's
+/// size is the popcount of its eighth's unsynced bits, and the eighth's
+/// sector *s* lives at `rank(mask, s)` in it: a 64 B write to a held page
+/// holds 64 B, not an eighth or a page, and a run of unsynced sectors is
+/// one contiguous slice of its block.
 #[derive(Debug, Default)]
 struct UndoPool {
     tables: Vec<Table>,
     free_tables: Vec<u32>,
-    chunks: Vec<[u8; CHUNK_BYTES]>,
-    free_chunks: Vec<u32>,
+    /// The sector arena, in bytes.
+    sectors: Vec<u8>,
+    /// `free[k]`: the free blocks of `k` sectors (`free[0]` stays empty).
+    free: [Vec<u32>; EIGHTH_SECTORS + 1],
 }
 
 impl UndoPool {
-    /// Takes a table with no chunk.
+    /// Takes a table with no block.
     fn alloc(&mut self) -> u32 {
         self.free_tables.pop().unwrap_or_else(|| {
-            self.tables.push([NO_CHUNK; PAGE_SIZE / CHUNK_BYTES]);
+            self.tables.push([NO_BLOCK; PAGE_SIZE / EIGHTH_BYTES]);
             (self.tables.len() - 1) as u32
         })
     }
 
-    /// The chunk of `slot`'s eighth `eighth`, taken if it has none.
-    fn chunk_mut(&mut self, slot: u32, eighth: usize) -> &mut [u8; CHUNK_BYTES] {
-        let entry = &mut self.tables[slot as usize][eighth];
-        if *entry == NO_CHUNK {
-            *entry = self.free_chunks.pop().unwrap_or_else(|| {
-                self.chunks.push([0; CHUNK_BYTES]);
-                (self.chunks.len() - 1) as u32
-            });
+    /// Takes a block of `size` sectors: a free one of that size, else the
+    /// front of the smallest larger free block, whose rest is filed under
+    /// its own size, else new sectors at the end of the arena.
+    fn take(&mut self, size: usize) -> u32 {
+        if let Some(block) = self.free[size].pop() {
+            return block;
         }
-        &mut self.chunks[*entry as usize]
+        let larger =
+            (size + 1..=EIGHTH_SECTORS).find_map(|larger| Some((larger, self.free[larger].pop()?)));
+        if let Some((larger, block)) = larger {
+            self.free[larger - size].push(block + size as u32);
+            return block;
+        }
+        let block = self.sectors.len() / SECTOR_BYTES;
+        self.sectors.resize((block + size) * SECTOR_BYTES, 0);
+        block as u32
     }
 
-    /// Returns `slot` and the chunks of the eighths `unsynced` touches —
-    /// all the table holds.
+    /// Saves the `fresh` sectors of `memory`, one eighth of a page, into
+    /// `slot`'s block for that eighth, which holds its `old` sectors so
+    /// far. Returns whether there were old sectors, which are then merged
+    /// with the fresh ones into a block of their combined size and their
+    /// block is freed.
+    fn save(&mut self, slot: u32, eighth: usize, old: u64, fresh: u64, memory: &[u8]) -> bool {
+        let all = old | fresh;
+        let block = self.take(all.count_ones() as usize);
+        let at = |sector: usize| (block as usize + rank(all, sector)) * SECTOR_BYTES;
+        for run in sector_runs(fresh) {
+            let bytes = byte_range(run.clone());
+            self.sectors[at(run.start)..][..bytes.len()].copy_from_slice(&memory[bytes]);
+        }
+        let was = std::mem::replace(&mut self.tables[slot as usize][eighth], block);
+        if old == 0 {
+            return false;
+        }
+        for run in sector_runs(old) {
+            let from = (was as usize + rank(old, run.start)) * SECTOR_BYTES;
+            let len = run.len() * SECTOR_BYTES;
+            self.sectors.copy_within(from..from + len, at(run.start));
+        }
+        self.free[old.count_ones() as usize].push(was);
+        true
+    }
+
+    /// Returns `slot` and the blocks of the eighths `unsynced` touches —
+    /// all the table holds — each to the free list of its size.
     fn release(&mut self, slot: u32, unsynced: u64) {
         let table = &mut self.tables[slot as usize];
         for eighth in eighths(unsynced) {
-            self.free_chunks
-                .push(std::mem::replace(&mut table[eighth], NO_CHUNK));
+            let size = sectors_in(unsynced, eighth).count_ones() as usize;
+            self.free[size].push(std::mem::replace(&mut table[eighth], NO_BLOCK));
         }
         self.free_tables.push(slot);
     }
@@ -290,16 +326,23 @@ impl UndoPool {
     /// describes, one run of sectors within one eighth at a time: the
     /// run's byte range in the page and its saved bytes, or zeroes for a
     /// page never handed over.
-    fn saved(&self, masks: SectorMasks) -> impl Iterator<Item = (std::ops::Range<usize>, &[u8])> {
+    fn saved(&self, masks: SectorMasks) -> impl Iterator<Item = (Range<usize>, &[u8])> {
         eighths(masks.unsynced).flat_map(move |eighth| {
-            let chunk: &[u8] = if masks.held {
-                &self.chunks[self.tables[masks.slot as usize][eighth] as usize]
+            let mask = sectors_in(masks.unsynced, eighth);
+            let block: &[u8] = if masks.held {
+                let at = self.tables[masks.slot as usize][eighth] as usize * SECTOR_BYTES;
+                &self.sectors[at..][..mask.count_ones() as usize * SECTOR_BYTES]
             } else {
-                &ZERO_CHUNK
+                &ZERO_EIGHTH
             };
-            let base = eighth * CHUNK_BYTES;
-            sector_runs(sectors_in(masks.unsynced, eighth))
-                .map(move |run| (base + run.start..base + run.end, &chunk[run]))
+            let base = eighth * EIGHTH_SECTORS;
+            sector_runs(mask).map(move |run| {
+                let packed = rank(mask, run.start);
+                (
+                    byte_range(base + run.start..base + run.end),
+                    &block[byte_range(packed..packed + run.len())],
+                )
+            })
         })
     }
 
@@ -308,9 +351,14 @@ impl UndoPool {
     fn table_violation(&self, slot: u32, unsynced: u64) -> Option<&'static str> {
         let table = &self.tables[slot as usize];
         (0..table.len()).find_map(|eighth| {
-            match (table[eighth] != NO_CHUNK, sectors_in(unsynced, eighth) != 0) {
-                (true, false) => Some("an undo table has a chunk for an eighth in sync"),
-                (false, true) => Some("an undo table has no chunk for an unsynced eighth"),
+            let size = sectors_in(unsynced, eighth).count_ones() as usize;
+            match (table[eighth], size) {
+                (NO_BLOCK, 0) => None,
+                (NO_BLOCK, _) => Some("an undo table has no block for an unsynced eighth"),
+                (_, 0) => Some("an undo table has a block for an eighth in sync"),
+                (block, size) if (block as usize + size) * SECTOR_BYTES > self.sectors.len() => {
+                    Some("an undo block runs past the arena")
+                }
                 _ => None,
             }
         })
@@ -318,13 +366,13 @@ impl UndoPool {
 
     /// Host bytes the arenas hold: the most the log has held at once.
     fn bytes(&self) -> u64 {
-        (self.chunks.len() * CHUNK_BYTES + self.tables.len() * std::mem::size_of::<Table>()) as u64
+        (self.sectors.len() + self.tables.len() * std::mem::size_of::<Table>()) as u64
     }
 }
 
 /// The eighths of a page that `mask` has a sector in, ascending, read off
 /// a summary with one bit per eighth — so a release visits only the
-/// chunks it frees.
+/// blocks it frees.
 fn eighths(mask: u64) -> impl Iterator<Item = usize> {
     let mut any = mask | mask >> 1;
     any |= any >> 2;
@@ -332,16 +380,22 @@ fn eighths(mask: u64) -> impl Iterator<Item = usize> {
     // Bit 8e of `any` is now the OR of eighth e's eight sectors.
     let mut summary = any & 0x0101_0101_0101_0101;
     std::iter::from_fn(move || {
-        let eighth = (summary != 0).then(|| summary.trailing_zeros() as usize / CHUNK_SECTORS);
+        let eighth = (summary != 0).then(|| summary.trailing_zeros() as usize / EIGHTH_SECTORS);
         summary &= summary.wrapping_sub(1);
         eighth
     })
 }
 
 /// `mask`'s sectors in eighth `eighth`, as the low bits of a mask over
-/// that eighth's chunk.
+/// that eighth.
 fn sectors_in(mask: u64, eighth: usize) -> u64 {
-    mask >> (eighth * CHUNK_SECTORS) & 0xFF
+    mask >> (eighth * EIGHTH_SECTORS) & 0xFF
+}
+
+/// How many of `mask`'s sectors come before sector `sector`: where that
+/// sector lies in a block packed from `mask`.
+fn rank(mask: u64, sector: usize) -> usize {
+    (mask & !(u64::MAX << sector)).count_ones() as usize
 }
 
 /// Host-side counters of the undo log: how the simulator keeps its one
@@ -351,17 +405,20 @@ pub struct UndoStats {
     /// Saves of fewer than 64 sectors: a write that found part of its page
     /// unsynced already or touched only part of it.
     pub partial_saves: u64,
+    /// Saves into an eighth of a page that held saved sectors already:
+    /// its old block's sectors and the fresh ones were copied into one
+    /// block of their combined size.
+    pub merges: u64,
     /// Sectors [`Mmu::restore_durable`] laid back over memory: the bytes a
     /// power failure lost.
     pub sectors_restored: u64,
     /// High-water mark of the host memory the undo log held at once, in
-    /// bytes: its 512 B chunks plus the 32 B tables that index them.
+    /// bytes: its 64 B sectors plus the 32 B tables that index them.
     pub peak_bytes: u64,
 }
 
-/// The byte ranges of `mask`'s maximal runs of set bits, one 64 B sector
-/// per bit, ascending.
-fn sector_runs(mut mask: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
+/// `mask`'s maximal runs of set bits, as ranges of sectors, ascending.
+fn sector_runs(mut mask: u64) -> impl Iterator<Item = Range<usize>> {
     std::iter::from_fn(move || {
         if mask == 0 {
             return None;
@@ -370,8 +427,13 @@ fn sector_runs(mut mask: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
         let len = (mask >> first).trailing_ones();
         // `len` is 1..=64, so the right shift is by 0..=63.
         mask &= !((u64::MAX >> (64 - len)) << first);
-        Some(first as usize * SECTOR_BYTES..(first + len) as usize * SECTOR_BYTES)
+        Some(first as usize..(first + len) as usize)
     })
+}
+
+/// The bytes of a range of 64 B sectors.
+fn byte_range(sectors: Range<usize>) -> Range<usize> {
+    sectors.start * SECTOR_BYTES..sectors.end * SECTOR_BYTES
 }
 
 impl Mmu {
@@ -734,20 +796,23 @@ impl Mmu {
 
     /// Saves the bytes of `page`'s `fresh` sectors — held, in sync until
     /// now, about to change — into its undo slot, taking a slot if it has
-    /// none and a chunk for each eighth of the page first saved. Out of
-    /// line: most writes find their sectors unsynced already.
+    /// none and, for each eighth of the page they touch, a block sized to
+    /// that eighth's saved sectors. Out of line: most writes find their
+    /// sectors unsynced already.
     #[inline(never)]
     fn save_undo(&mut self, page: PageId, fresh: u64) {
         let masks = &mut self.sector_masks[page.index()];
         if masks.slot == NO_SLOT {
             masks.slot = self.undo.alloc();
         }
+        // The write has marked `fresh` unsynced already.
+        let (slot, old) = (masks.slot, masks.unsynced & !fresh);
         let start = page.base_addr() as usize;
         for eighth in eighths(fresh) {
-            let chunk = self.undo.chunk_mut(masks.slot, eighth);
-            let memory = &self.memory[start + eighth * CHUNK_BYTES..][..CHUNK_BYTES];
-            for run in sector_runs(sectors_in(fresh, eighth)) {
-                chunk[run.clone()].copy_from_slice(&memory[run]);
+            let memory = &self.memory[start + eighth * EIGHTH_BYTES..][..EIGHTH_BYTES];
+            let (old, fresh) = (sectors_in(old, eighth), sectors_in(fresh, eighth));
+            if self.undo.save(slot, eighth, old, fresh, memory) {
+                self.undo_stats.merges += 1;
             }
         }
         if fresh != u64::MAX {
@@ -858,10 +923,10 @@ impl Mmu {
 
     /// The first page that breaks the undo log's invariant, with what is
     /// wrong: a page has an undo slot exactly when it is held and has
-    /// unsynced sectors, the slot's table has a chunk for exactly the
-    /// eighths of the page with an unsynced sector, and no page in
-    /// `in_flight` (write-protected since its hand-over) has a slot.
-    /// O(pages); for checks.
+    /// unsynced sectors, the slot's table has a block inside the arena
+    /// for exactly the eighths of the page with an unsynced sector, and
+    /// no page in `in_flight` (write-protected since its hand-over) has a
+    /// slot. O(pages); for checks.
     pub fn undo_violation(&self, in_flight: &Bitmap2L) -> Option<(PageId, &'static str)> {
         self.sector_masks.iter().enumerate().find_map(|(i, masks)| {
             let why = match (masks.slot != NO_SLOT, masks.held, masks.unsynced != 0) {
@@ -1428,33 +1493,53 @@ mod tests {
         assert_eq!(m.take_unsynced(page), u64::MAX);
     }
 
-    /// `m`'s undo log holds exactly the slots and chunks its pages need,
-    /// and every other one is on a free list.
+    /// `m`'s undo log holds exactly the slots and blocks its pages need,
+    /// every other one is on a free list, and the blocks, live and free,
+    /// tile the sector arena.
     #[track_caller]
     fn assert_undo_sound(m: &Mmu) {
         assert_eq!(m.undo_violation(&Bitmap2L::new(m.pages())), None);
-        let slots: Vec<u32> = m
+        let live: Vec<SectorMasks> = m
             .sector_masks
             .iter()
-            .map(|s| s.slot)
-            .filter(|&s| s != NO_SLOT)
+            .copied()
+            .filter(|s| s.slot != NO_SLOT)
             .collect();
         let undo = &m.undo;
         assert_eq!(
-            slots.len() + undo.free_tables.len(),
+            live.len() + undo.free_tables.len(),
             undo.tables.len(),
             "a slot leaked"
         );
-        let live = slots
-            .iter()
-            .flat_map(|&s| undo.tables[s as usize])
-            .filter(|&c| c != NO_CHUNK)
-            .count();
+        // Every block as (first sector, size).
+        let live = live.iter().flat_map(|s| {
+            eighths(s.unsynced).map(|eighth| {
+                let size = sectors_in(s.unsynced, eighth).count_ones() as usize;
+                (undo.tables[s.slot as usize][eighth] as usize, size)
+            })
+        });
+        let free = (0..undo.free.len()).flat_map(|size| {
+            undo.free[size]
+                .iter()
+                .map(move |&block| (block as usize, size))
+        });
+        let blocks: Vec<(usize, usize)> = live.chain(free).collect();
+        let arena = undo.sectors.len() / SECTOR_BYTES;
         assert_eq!(
-            live + undo.free_chunks.len(),
-            undo.chunks.len(),
-            "a chunk leaked"
+            blocks.iter().map(|&(_, size)| size).sum::<usize>(),
+            arena,
+            "live plus free sectors are not the arena"
         );
+        let mut claimed = vec![false; arena];
+        for (block, size) in blocks {
+            for (i, claim) in claimed[block..block + size].iter_mut().enumerate() {
+                assert!(
+                    !std::mem::replace(claim, true),
+                    "sector {} of the arena is in two blocks",
+                    block + i
+                );
+            }
+        }
     }
 
     /// `m` with `page` handed over holding `fill` in every byte.
@@ -1463,6 +1548,17 @@ mod tests {
         m.write(page.base_addr(), &[fill; PAGE_SIZE]).unwrap();
         m.take_unsynced(page);
         m
+    }
+
+    /// `m` with `page` handed over holding sector *s*'s number *s* in each
+    /// of its bytes, so a sector saved in the wrong place shows; and that
+    /// image.
+    fn held_striped(pages: usize, page: PageId) -> (Mmu, Vec<u8>) {
+        let image: Vec<u8> = (0..PAGE_SIZE).map(|i| (i / SECTOR_BYTES) as u8).collect();
+        let mut m = mmu(pages);
+        m.write(page.base_addr(), &image).unwrap();
+        m.take_unsynced(page);
+        (m, image)
     }
 
     #[test]
@@ -1488,13 +1584,14 @@ mod tests {
         assert_eq!(m.take_unsynced(page), 0b110);
         assert_eq!(m.durable_page(page).as_deref(), Some(m.page_data(page)));
         assert!(m.matches_durable(page));
-        assert_eq!((m.undo.free_tables.len(), m.undo.free_chunks.len()), (1, 1));
+        assert_eq!((m.undo.free_tables.len(), m.undo.free[2].len()), (1, 1));
         m.write(base, &[4]).unwrap();
         assert_eq!(
-            (m.undo.tables.len(), m.undo.chunks.len()),
-            (1, 1),
-            "the slot and its chunk were recycled"
+            (m.undo.tables.len(), m.undo.sectors.len()),
+            (1, 2 * SECTOR_BYTES),
+            "the slot and half its block were recycled"
         );
+        assert_eq!(m.undo.free[1].len(), 1, "the other half is free");
         assert_eq!(
             m.durable_page(page).unwrap()[..70],
             [&[1; 64][..], &[3; 6]].concat()
@@ -1571,7 +1668,7 @@ mod tests {
             assert!(!m.matches_durable(PageId(i)), "its image is zeroes");
         }
         assert_eq!(m.durable_page(PageId(0)), None);
-        assert!(m.undo.tables.is_empty() && m.undo.chunks.is_empty());
+        assert!(m.undo.tables.is_empty() && m.undo.sectors.is_empty());
         assert_eq!(m.undo_stats(), UndoStats::default());
         assert_undo_sound(&m);
     }
@@ -1584,7 +1681,11 @@ mod tests {
         let mut image = vec![1; PAGE_SIZE];
         image[6 * 64..10 * 64].fill(2);
         m.write(base + 6 * 64, &[3; 4 * 64]).unwrap(); // sectors 6..=9
-        assert_eq!(m.undo.chunks.len(), 2, "eighths 0 and 1");
+        assert_eq!(
+            m.undo.sectors.len(),
+            4 * SECTOR_BYTES,
+            "two sectors in each of eighths 0 and 1"
+        );
         assert_undo_sound(&m);
         m.take_unsynced(page);
         m.write(base + 6 * 64, &[2; 4 * 64]).unwrap();
@@ -1592,13 +1693,13 @@ mod tests {
         assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
 
         // The lost run comes back byte-exact, both halves, through
-        // recycled chunks that held other bytes before.
+        // recycled blocks that held other bytes before.
         m.write(base + 6 * 64 + 5, &[9; 4 * 64 - 10]).unwrap();
-        assert_eq!(m.undo.chunks.len(), 2);
+        assert_eq!(m.undo.sectors.len(), 4 * SECTOR_BYTES);
         assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
         assert_eq!(m.restore_durable(page), 4);
         assert_eq!(m.page_data(page), &image[..]);
-        assert_eq!(m.undo.free_chunks.len(), 2);
+        assert_eq!(m.undo.free[2].len(), 2);
         assert_undo_sound(&m);
     }
 
@@ -1607,15 +1708,15 @@ mod tests {
         let page = PageId(0);
         let mut m = held(1, page, 1);
         m.write(0, &[2; PAGE_SIZE]).unwrap();
-        assert_eq!(m.undo.chunks.len(), 8);
-        assert!(m.undo.tables[0].iter().all(|&c| c != NO_CHUNK));
+        assert_eq!(m.undo.sectors.len(), PAGE_SIZE);
+        assert!(m.undo.tables[0].iter().all(|&b| b != NO_BLOCK));
         assert_undo_sound(&m);
         m.take_unsynced(page);
-        assert_eq!(m.undo.free_chunks.len(), 8, "all eight freed");
-        assert_eq!(m.undo.tables[0], [NO_CHUNK; 8]);
+        assert_eq!(m.undo.free[8].len(), 8, "all eight freed");
+        assert_eq!(m.undo.tables[0], [NO_BLOCK; 8]);
         m.write(0, &[3; PAGE_SIZE]).unwrap();
-        assert_eq!(m.undo.chunks.len(), 8, "the next save reused them");
-        assert!(m.undo.free_chunks.is_empty());
+        assert_eq!(m.undo.sectors.len(), PAGE_SIZE, "the next save reused them");
+        assert!(m.undo.free[8].is_empty());
         assert_eq!(m.durable_page(page), Some(vec![2; PAGE_SIZE]));
         assert_undo_sound(&m);
     }
@@ -1633,8 +1734,11 @@ mod tests {
             m.write(i * PAGE_SIZE as u64 + i * 4 * 64, &[2; 64])
                 .unwrap();
         }
-        assert_eq!((m.undo.tables.len(), m.undo.chunks.len()), (n, n));
-        assert_eq!(m.undo_stats().peak_bytes, n as u64 * (512 + 32));
+        assert_eq!(
+            (m.undo.tables.len(), m.undo.sectors.len()),
+            (n, n * SECTOR_BYTES)
+        );
+        assert_eq!(m.undo_stats().peak_bytes, n as u64 * (64 + 32));
         assert_undo_sound(&m);
         for i in 0..n as u64 {
             assert_eq!(m.durable_page(PageId(i)), Some(vec![1; PAGE_SIZE]));
@@ -1643,7 +1747,79 @@ mod tests {
         for i in 0..n as u64 {
             m.take_unsynced(PageId(i));
         }
-        assert_eq!(m.undo_stats().peak_bytes, n as u64 * (512 + 32));
+        assert_eq!(m.undo_stats().peak_bytes, n as u64 * (64 + 32));
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn a_merge_keeps_the_bytes_the_first_save_took() {
+        let page = PageId(0);
+        let (mut m, image) = held_striped(1, page);
+        m.write(3 * 64, &[0xAA; 64]).unwrap(); // sector 3: a block of one
+        m.write(64 + 10, &[0xBB; 8]).unwrap(); // sector 1: merged, two
+        m.write(2 * 64 + 1, &[0xCC; 4 * 64]).unwrap(); // 2..=6 around 3: six
+        assert_eq!(m.undo_stats().merges, 2);
+        assert_eq!(
+            m.durable_page(page).as_deref(),
+            Some(&image[..]),
+            "a merge lost or moved a sector an earlier save took"
+        );
+        // Blocks of one and two freed by the merges, and the six.
+        assert_eq!(m.undo.sectors.len(), 9 * SECTOR_BYTES);
+        assert_eq!((m.undo.free[1].len(), m.undo.free[2].len()), (1, 1));
+        assert_undo_sound(&m);
+        assert_eq!(m.restore_durable(page), 6);
+        assert_eq!(m.page_data(page), &image[..]);
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn a_freed_block_is_split_before_the_arena_grows() {
+        let page = PageId(0);
+        let mut m = held(1, page, 1);
+        m.write(0, &[2; 8 * 64]).unwrap(); // eighth 0: a block of eight
+        m.take_unsynced(page);
+        let image = m.page_data(page).to_vec();
+        m.write(9 * 64, &[3]).unwrap(); // one sector of eighth 1
+        assert_eq!(
+            m.undo.sectors.len(),
+            8 * SECTOR_BYTES,
+            "the block of eight was split, not the arena grown"
+        );
+        assert_eq!(m.undo.free[7], [1], "its last seven are free");
+        m.write(16 * 64, &[4; 7 * 64]).unwrap(); // seven sectors of eighth 2
+        assert_eq!(m.undo.sectors.len(), 8 * SECTOR_BYTES);
+        assert!(m.undo.free.iter().all(Vec::is_empty));
+        assert_eq!(m.durable_page(page), Some(image));
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn line_stamps_on_held_pages_hold_their_sectors_not_eighths() {
+        // What re-reading every key of a KV store after a recovery leaves:
+        // one 64 B stamp in every other 128 B block of each held page.
+        let n = 16u64;
+        let mut m = mmu(n as usize);
+        for i in 0..n {
+            m.write(i * PAGE_SIZE as u64, &[1; PAGE_SIZE]).unwrap();
+            m.take_unsynced(PageId(i));
+        }
+        for i in 0..n {
+            for block in (0..PAGE_SIZE as u64 / 128).step_by(2) {
+                m.write(i * PAGE_SIZE as u64 + block * 128, &[2; 64])
+                    .unwrap();
+            }
+        }
+        // Two stamps an eighth: the second merges into a block of two, and
+        // the next eighth's first takes the one it freed. One free sector
+        // is left over.
+        let undo = m.undo_stats();
+        assert_eq!(undo.merges, n * 8);
+        assert_eq!(undo.peak_bytes, n * (16 * 64 + 32) + 64);
+        assert!(undo.peak_bytes < n * 8 * 512 / 3, "{undo:?}");
+        for i in 0..n {
+            assert_eq!(m.durable_page(PageId(i)), Some(vec![1; PAGE_SIZE]));
+        }
         assert_undo_sound(&m);
     }
 
@@ -1662,12 +1838,18 @@ mod tests {
     fn sector_runs_are_maximal_and_ascending() {
         let runs = |mask| sector_runs(mask).collect::<Vec<_>>();
         assert_eq!(runs(0), vec![]);
-        assert_eq!(runs(u64::MAX), vec![0..PAGE_SIZE]);
-        assert_eq!(runs(1 << 63), vec![63 * 64..PAGE_SIZE]);
-        assert_eq!(
-            runs(0b1101_1001),
-            vec![0..64, 3 * 64..5 * 64, 6 * 64..8 * 64]
-        );
+        assert_eq!(runs(u64::MAX), vec![0..64]);
+        assert_eq!(runs(1 << 63), vec![63..64]);
+        assert_eq!(runs(0b1101_1001), vec![0..1, 3..5, 6..8]);
+        assert_eq!(byte_range(3..5), 3 * 64..5 * 64);
+    }
+
+    #[test]
+    fn rank_counts_the_sectors_packed_before_one() {
+        assert_eq!(rank(0b1101_1001, 0), 0);
+        assert_eq!(rank(0b1101_1001, 3), 1);
+        assert_eq!(rank(0b1101_1001, 7), 4);
+        assert_eq!(rank(0xFF, 7), 7);
     }
 
     #[test]
@@ -1706,13 +1888,19 @@ mod tests {
             m.undo_violation(&none),
             Some((
                 PageId(0),
-                "an undo table has no chunk for an unsynced eighth"
+                "an undo table has no block for an unsynced eighth"
             ))
         );
         m.sector_masks[0].unsynced = 1 << 8;
         assert_eq!(
             m.undo_violation(&none),
-            Some((PageId(0), "an undo table has a chunk for an eighth in sync"))
+            Some((PageId(0), "an undo table has a block for an eighth in sync"))
+        );
+        // A block must lie inside the arena, which holds one sector here.
+        m.sector_masks[0].unsynced = 0b11;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((PageId(0), "an undo block runs past the arena"))
         );
     }
 }

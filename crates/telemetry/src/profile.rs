@@ -341,12 +341,6 @@ impl Profiler {
         }
     }
 
-    fn lock(&self) -> Option<std::sync::MutexGuard<'_, ProfilerState>> {
-        self.state
-            .as_ref()
-            .map(|s| s.lock().expect("profiler poisoned"))
-    }
-
     /// Opens a span for `class`; the span closes when the guard drops.
     ///
     /// Time elapsed before the span opens is credited to the enclosing
@@ -362,12 +356,11 @@ impl Profiler {
     /// Used for grouping frames that are not cost classes, e.g. the
     /// per-shard `shard<N>` frames of the sharded manager.
     #[must_use = "the span closes when the guard is dropped"]
+    #[inline]
     pub fn scope(&self, name: &'static str) -> SpanGuard {
-        if let Some(mut state) = self.lock() {
-            state.push(name);
-        }
-        SpanGuard {
-            state: self.state.clone(),
+        match &self.state {
+            None => SpanGuard { state: None },
+            Some(state) => open(state, name),
         }
     }
 
@@ -379,8 +372,8 @@ impl Profiler {
     /// exact without requiring every site to open a span.
     #[inline]
     pub fn charge(&self, class: CostClass, d: SimDuration) {
-        if let Some(mut state) = self.lock() {
-            state.charge(class, d);
+        if let Some(state) = &self.state {
+            locked(state).charge(class, d);
         }
     }
 
@@ -388,31 +381,31 @@ impl Profiler {
     /// `class` in the auxiliary table. Does not affect conservation.
     #[inline]
     pub fn aux_charge(&self, class: CostClass, d: SimDuration) {
-        if let Some(mut state) = self.lock() {
-            state.aux_charge(class, d);
+        if let Some(state) = &self.state {
+            locked(state).aux_charge(class, d);
         }
     }
 
     /// Switches the per-epoch attribution bucket, crediting time up to
     /// "now" to the previous epoch.
     pub fn set_epoch(&self, epoch: u64) {
-        if let Some(mut state) = self.lock() {
-            state.set_epoch(epoch);
+        if let Some(state) = &self.state {
+            locked(state).set_epoch(epoch);
         }
     }
 
     /// Moves the watermark to "now", crediting elapsed time to the
     /// current span.
     pub fn sync(&self) {
-        if let Some(mut state) = self.lock() {
-            state.sync();
+        if let Some(state) = &self.state {
+            locked(state).sync();
         }
     }
 
     /// Snapshots attribution into a [`ProfileReport`] (`None` when
     /// disabled). Syncs first, so the report is conserved as of "now".
     pub fn report(&self) -> Option<ProfileReport> {
-        self.lock().map(|mut state| state.report())
+        self.state.as_ref().map(|state| locked(state).report())
     }
 }
 
@@ -423,10 +416,27 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if let Some(state) = &self.state {
-            state.lock().expect("profiler poisoned").pop();
+            locked(state).pop();
         }
+    }
+}
+
+/// The attribution state behind an enabled handle, locked: out of line,
+/// so a disabled handle's hooks stay one inlined branch.
+#[inline(never)]
+fn locked(state: &Mutex<ProfilerState>) -> std::sync::MutexGuard<'_, ProfilerState> {
+    state.lock().expect("profiler poisoned")
+}
+
+/// Opens a span named `name` on an enabled handle's state.
+#[inline(never)]
+fn open(state: &Arc<Mutex<ProfilerState>>, name: &'static str) -> SpanGuard {
+    locked(state).push(name);
+    SpanGuard {
+        state: Some(Arc::clone(state)),
     }
 }
 

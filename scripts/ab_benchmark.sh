@@ -111,14 +111,31 @@ echo "ab: a = $rev_a ($out_a)"
 echo "ab: b = $rev_b ($out_b)"
 # The i-th run of a workload in one file and the i-th in the other are a
 # pair; b wins it on a metric if its value is better in that metric's
-# direction. A metric a traced run does not record (host_ops_per_s) counts
-# no pairs and prints no line.
+# direction. Each line also says where b's median lies against a's q1..q3
+# (quartiles as `compare` computes them): a claimed gain needs b to win
+# nine pairs in ten *and* its median outside that range on the better
+# side. A metric a traced run does not record (host_ops_per_s) counts no
+# pairs and prints no line.
 awk -v file_a="$out_a" -v metrics="$metrics" '
     function field(key,    m) {
         if (!match($0, "\"" key "\":\"?[^\",}]*")) return ""
         m = substr($0, RSTART, RLENGTH)
         sub("^\"" key "\":\"?", "", m)
         return m
+    }
+    # Quartile i (1..3) of side s, workload w, metric m, over its first
+    # n >= 2 runs, by the exclusive method of benchmark/src/stats.rs.
+    function quartile(s, w, m, n, i,    k, l, v, sorted, j, delta) {
+        for (k = 1; k <= n; k++) {
+            v = value[s, w, m, k]
+            for (l = k - 1; l >= 1 && sorted[l] > v; l--) sorted[l + 1] = sorted[l]
+            sorted[l + 1] = v
+        }
+        j = int(i * (n + 1) / 4)
+        if (j < 1) j = 1
+        if (j > n - 1) j = n - 1
+        delta = i * (n + 1) - j * 4
+        return (sorted[j] * (4 - delta) + sorted[j + 1] * delta) / 4
     }
     BEGIN {
         n = split(metrics, spec, " ")
@@ -145,8 +162,16 @@ awk -v file_a="$out_a" -v metrics="$metrics" '
                     if (a == b) ties++
                     else won += (better[m] == "higher") == (b > a)
                 }
-                printf "ab: %s %s (%s is better) b won %d of %d pairs (ties %d)\n",
+                printf "ab: %s %s (%s is better) b won %d of %d pairs (ties %d)",
                     w, m, better[m], won, pairs, ties
+                if (pairs < 2) { print ""; continue }
+                median = quartile("b", w, m, pairs, 2)
+                q1 = quartile("a", w, m, pairs, 1)
+                q3 = quartile("a", w, m, pairs, 3)
+                if (median >= q1 && median <= q3) where = "inside"
+                else if ((better[m] == "higher") == (median > q3)) where = "outside, better"
+                else where = "outside, worse"
+                printf "; b median %.6g %s a q1..q3 %.6g..%.6g\n", median, where, q1, q3
             }
         }
     }
