@@ -230,14 +230,19 @@ impl DirtyTracker for SoftwareWalk {
     /// clears its §7 sector mask: the next flush ships what is written from
     /// here on.
     fn flush_payload(core: &mut EngineCore, sw: &mut Self, page: PageId) -> usize {
-        let data = core.mmu.page_data(page);
+        let page_bytes = || {
+            let mut data = [0; PAGE_SIZE];
+            core.mmu.peek(page.base_addr(), &mut data);
+            data
+        };
         let codec_bytes = match core.config.flush_codec {
             FlushCodec::Raw => PAGE_SIZE,
-            FlushCodec::Rle => encoded_page_bytes(FlushCodec::Rle, data),
+            FlushCodec::Rle => encoded_page_bytes(FlushCodec::Rle, &page_bytes()),
             FlushCodec::RleDedup => {
-                let hash = page_content_hash(data);
+                let data = page_bytes();
+                let hash = page_content_hash(&data);
                 if sw.dedup_hashes.insert(hash) {
-                    encoded_page_bytes(FlushCodec::Rle, data)
+                    encoded_page_bytes(FlushCodec::Rle, &data)
                 } else {
                     DEDUP_RECORD_BYTES
                 }

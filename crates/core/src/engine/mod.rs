@@ -327,16 +327,7 @@ impl<B: DirtyTracker> Engine<B> {
     /// The same range errors as [`NvHeap::read`].
     pub fn peek(&self, region: RegionId, offset: u64, buf: &mut [u8]) -> Result<(), ViyojitError> {
         let addr = self.core.regions.resolve(region, offset, buf.len())?;
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let at = addr + pos as u64;
-            let page = PageId(at / PAGE_SIZE as u64);
-            let in_page = (at % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - pos);
-            let data = self.core.mmu.page_data(page);
-            buf[pos..pos + n].copy_from_slice(&data[in_page..in_page + n]);
-            pos += n;
-        }
+        self.core.mmu.peek(addr, buf);
         Ok(())
     }
 

@@ -136,7 +136,7 @@ impl MmuStats {
 /// privileged software (Viyojit) manipulates protection with
 /// [`Mmu::protect_page`] / [`Mmu::unprotect_page`] and performs epoch walks
 /// with [`Mmu::walk_and_clear_dirty_in`]. DMA-style reads bypass
-/// translation via [`Mmu::page_data`].
+/// translation via [`Mmu::peek`].
 ///
 /// The MMU also holds the host's only copy of what the device holds: the
 /// device image of a page is its memory with the sectors written since
@@ -160,7 +160,7 @@ impl MmuStats {
 pub struct Mmu {
     page_table: PageTable,
     tlb: Tlb,
-    memory: Vec<u8>,
+    memory: Planes,
     clock: Clock,
     costs: CostModel,
     /// Attribution of the costs this MMU charges; disabled by default.
@@ -180,6 +180,119 @@ pub struct Mmu {
     /// The pages the last masked epoch walk found updated, kept between
     /// walks so each one refills the buffer instead of allocating it.
     walk_hits: Vec<PageId>,
+}
+
+/// The width of a plane: half a page, and a whole number of the undo
+/// log's eighths, so an eighth is one contiguous run. Quarter pages held
+/// less host memory but cost the dense KV heaps more host time
+/// (DESIGN.md, "Where the bytes lie").
+const PLANE: usize = PAGE_SIZE / 2;
+
+// At most two planes to a page: a range inside one page crosses at most
+// one plane boundary, which is all `Planes::load` and `Planes::store` split.
+const _: () = assert!(PAGE_SIZE % PLANE == 0 && PAGE_SIZE / PLANE <= 2);
+const _: () = assert!(PLANE % EIGHTH_BYTES == 0);
+
+/// NV-DRAM's bytes, laid out plane-major: byte `o` of page `p` lives at
+/// `(o / PLANE) · pages · PLANE + p · PLANE + o % PLANE`, so plane *q*
+/// holds the *q*-th `PLANE` bytes of every page, in page order.
+///
+/// A write then costs the host the host page that holds its part of the
+/// page, shared with the same part of the neighbouring pages, not a host
+/// page per simulated page it touches; and a part no write reaches is
+/// never mapped, because the bytes are allocated zeroed and a large
+/// zeroed allocation is untouched mappings that read as zeroes. Where a
+/// byte lies in host memory is no part of the simulated system.
+#[derive(Debug)]
+struct Planes {
+    bytes: Vec<u8>,
+}
+
+impl Planes {
+    fn new(pages: usize) -> Self {
+        Planes {
+            bytes: vec![0; pages * PAGE_SIZE],
+        }
+    }
+
+    /// The bytes of one plane: `pages · PLANE`.
+    #[inline]
+    fn plane_bytes(&self) -> usize {
+        self.bytes.len() / (PAGE_SIZE / PLANE)
+    }
+
+    /// Where byte `addr` of the region lies.
+    #[inline]
+    fn at(&self, addr: u64) -> usize {
+        let (page, offset) = (addr as usize / PAGE_SIZE, addr as usize % PAGE_SIZE);
+        offset / PLANE * self.plane_bytes() + page * PLANE + offset % PLANE
+    }
+
+    /// Bytes `addr..addr + len` of the region, which lie in one plane of
+    /// one page.
+    fn run(&self, addr: u64, len: usize) -> &[u8] {
+        let at = self.at(addr);
+        &self.bytes[at..at + len]
+    }
+
+    /// [`Planes::run`], writable.
+    fn run_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let at = self.at(addr);
+        &mut self.bytes[at..at + len]
+    }
+
+    /// Where the part of a range of one page that lies past its first
+    /// plane starts: `at`, where the range starts, plus `room`, its bytes
+    /// in that plane, lands on the start of the page's slot in the next.
+    #[inline]
+    fn next_plane(&self, at: usize, room: usize) -> usize {
+        at + room + self.plane_bytes() - PLANE
+    }
+
+    /// Copies bytes `addr..addr + buf.len()` of one page into `buf`: one
+    /// slice inside a plane, two across the page's one plane boundary.
+    fn load(&self, addr: u64, buf: &mut [u8]) {
+        let room = PLANE - addr as usize % PLANE;
+        if buf.len() <= room {
+            buf.copy_from_slice(self.run(addr, buf.len()));
+        } else {
+            debug_assert!(buf.len() <= room + PLANE, "a load past its page");
+            let at = self.at(addr);
+            let next = self.next_plane(at, room);
+            let (head, tail) = buf.split_at_mut(room);
+            head.copy_from_slice(&self.bytes[at..at + room]);
+            tail.copy_from_slice(&self.bytes[next..next + tail.len()]);
+        }
+    }
+
+    /// [`Planes::load`] of any range of the region, a plane at a time.
+    fn load_planes(&self, addr: u64, buf: &mut [u8]) {
+        let room = (PLANE - addr as usize % PLANE).min(buf.len());
+        let (head, tail) = buf.split_at_mut(room);
+        head.copy_from_slice(self.run(addr, room));
+        let mut addr = addr + room as u64;
+        for chunk in tail.chunks_mut(PLANE) {
+            chunk.copy_from_slice(self.run(addr, chunk.len()));
+            addr += PLANE as u64;
+        }
+    }
+
+    /// Copies `data` over bytes `addr..addr + data.len()` of one page, as
+    /// [`Planes::load`] reads them.
+    #[inline]
+    fn store(&mut self, addr: u64, data: &[u8]) {
+        let room = PLANE - addr as usize % PLANE;
+        if data.len() <= room {
+            self.run_mut(addr, data.len()).copy_from_slice(data);
+        } else {
+            debug_assert!(data.len() <= room + PLANE, "a store past its page");
+            let at = self.at(addr);
+            let next = self.next_plane(at, room);
+            let (head, tail) = data.split_at(room);
+            self.bytes[at..at + room].copy_from_slice(head);
+            self.bytes[next..next + tail.len()].copy_from_slice(tail);
+        }
+    }
 }
 
 /// One page's sector masks — bit *i* covers the page's *i*-th 64 B sector;
@@ -475,7 +588,7 @@ impl Mmu {
         Mmu {
             page_table,
             tlb: Tlb::new(tlb_sets, tlb_ways),
-            memory: vec![0u8; pages * PAGE_SIZE],
+            memory: Planes::new(pages),
             clock,
             costs,
             profiler: Profiler::disabled(),
@@ -631,17 +744,18 @@ impl Mmu {
     #[inline]
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), AccessError> {
         self.check_range(addr, buf.len())?;
-        let start = addr as usize;
-        let one_page = (1..=PAGE_SIZE - start % PAGE_SIZE).contains(&buf.len());
-        if !one_page || self.profiler.is_enabled() {
+        // A plane lies inside one page, so this is also the one-page test.
+        let one_plane = (1..=PLANE - addr as usize % PLANE).contains(&buf.len());
+        if !one_plane || self.profiler.is_enabled() {
             self.read_chunked(addr, buf);
             return Ok(());
         }
-        // Within one page and nobody attributing per class: the chunking
-        // loop would run exactly once, so do its one pass directly — one
-        // translation, one copy, one charge of the two costs summed.
+        // Within one plane and nobody attributing per class: the chunking
+        // loop would run exactly once and copy one slice, so do its one
+        // pass directly — one translation, one copy, one charge of the two
+        // costs summed.
         let (_, _, tlb_cost) = self.translate(PageId::containing(addr));
-        buf.copy_from_slice(&self.memory[start..start + buf.len()]);
+        buf.copy_from_slice(self.memory.run(addr, buf.len()));
         self.clock
             .advance(tlb_cost + self.costs.dram_access(buf.len()));
         self.stats.reads += 1;
@@ -662,7 +776,7 @@ impl Mmu {
             let (_, class, cost) = self.translate(page);
             self.account(&mut owed, class, cost);
             let (chunk, rest) = remaining.split_at_mut(in_page);
-            chunk.copy_from_slice(&self.memory[off as usize..off as usize + in_page]);
+            self.memory.load(off, chunk);
             let cost = self.costs.dram_access(in_page);
             self.account(&mut owed, CostClass::DramAccess, cost);
             remaining = rest;
@@ -757,7 +871,7 @@ impl Mmu {
             if fresh != 0 && masks.held {
                 self.save_undo(page, fresh);
             }
-            self.memory[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+            self.memory.store(addr, data);
             let cost = self.costs.dram_access(data.len());
             self.account(&mut owed, CostClass::DramAccess, cost);
             self.stats.writes += 1;
@@ -807,9 +921,9 @@ impl Mmu {
         }
         // The write has marked `fresh` unsynced already.
         let (slot, old) = (masks.slot, masks.unsynced & !fresh);
-        let start = page.base_addr() as usize;
         for eighth in eighths(fresh) {
-            let memory = &self.memory[start + eighth * EIGHTH_BYTES..][..EIGHTH_BYTES];
+            let eighth_addr = page.base_addr() + (eighth * EIGHTH_BYTES) as u64;
+            let memory = self.memory.run(eighth_addr, EIGHTH_BYTES);
             let (old, fresh) = (sectors_in(old, eighth), sectors_in(fresh, eighth));
             if self.undo.save(slot, eighth, old, fresh, memory) {
                 self.undo_stats.merges += 1;
@@ -856,10 +970,10 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn matches_durable(&self, page: PageId) -> bool {
-        let memory = self.page_data(page);
+        let base = page.base_addr();
         self.undo
             .saved(self.sector_masks[page.index()])
-            .all(|(run, saved)| memory[run] == *saved)
+            .all(|(run, saved)| self.memory.run(base + run.start as u64, run.len()) == saved)
     }
 
     /// The device image of `page`, assembled from memory and the undo
@@ -875,7 +989,8 @@ impl Mmu {
         if !masks.held {
             return None;
         }
-        let mut image = self.page_data(page).to_vec();
+        let mut image = vec![0; PAGE_SIZE];
+        self.peek(page.base_addr(), &mut image);
         for (run, saved) in self.undo.saved(masks) {
             image[run].copy_from_slice(saved);
         }
@@ -896,10 +1011,11 @@ impl Mmu {
         if lost == 0 {
             return 0;
         }
-        let start = page.base_addr() as usize;
-        let memory = &mut self.memory[start..start + PAGE_SIZE];
+        let base = page.base_addr();
         for (run, saved) in self.undo.saved(masks) {
-            memory[run].copy_from_slice(saved);
+            self.memory
+                .run_mut(base + run.start as u64, run.len())
+                .copy_from_slice(saved);
         }
         if masks.held {
             self.undo.release(masks.slot, lost);
@@ -1073,16 +1189,19 @@ impl Mmu {
         self.page_table.take_dirty(page)
     }
 
-    /// Direct (DMA-style) read of one page's bytes, bypassing translation
-    /// and cost accounting. Used by the flusher to hand pages to the SSD
-    /// and by tests to inspect memory.
+    /// Direct (DMA-style) read of `buf.len()` bytes from byte offset
+    /// `addr`, across pages if it must, bypassing translation, tracking
+    /// and cost accounting: what the flush path's codecs price and what
+    /// checks inspect.
     ///
     /// # Panics
     ///
-    /// Panics if `page` is out of range.
-    pub fn page_data(&self, page: PageId) -> &[u8] {
-        let start = page.base_addr() as usize;
-        &self.memory[start..start + PAGE_SIZE]
+    /// Panics if the range exceeds the region.
+    pub fn peek(&self, addr: u64, buf: &mut [u8]) {
+        if let Err(e) = self.check_range(addr, buf.len()) {
+            panic!("Mmu::peek: {e}");
+        }
+        self.memory.load_planes(addr, buf);
     }
 }
 
@@ -1093,6 +1212,13 @@ mod tests {
 
     fn mmu(pages: usize) -> Mmu {
         Mmu::new(pages, Clock::new(), CostModel::free())
+    }
+
+    /// `page`'s bytes in memory, read without a charge.
+    fn memory(m: &Mmu, page: PageId) -> Vec<u8> {
+        let mut bytes = vec![0; PAGE_SIZE];
+        m.peek(page.base_addr(), &mut bytes);
+        bytes
     }
 
     #[test]
@@ -1582,7 +1708,7 @@ mod tests {
 
         // The next hand-over makes memory the image and frees the slot.
         assert_eq!(m.take_unsynced(page), 0b110);
-        assert_eq!(m.durable_page(page).as_deref(), Some(m.page_data(page)));
+        assert_eq!(m.durable_page(page), Some(memory(&m, page)));
         assert!(m.matches_durable(page));
         assert_eq!((m.undo.free_tables.len(), m.undo.free[2].len()), (1, 1));
         m.write(base, &[4]).unwrap();
@@ -1633,7 +1759,7 @@ mod tests {
         m.write(0, &[10]).unwrap();
         assert_eq!(m.undo_stats().partial_saves, 2);
         assert_eq!(m.restore_durable(page), 64);
-        assert_eq!(m.page_data(page), &[7; PAGE_SIZE]);
+        assert_eq!(memory(&m, page), [7; PAGE_SIZE]);
         assert_undo_sound(&m);
     }
 
@@ -1648,9 +1774,9 @@ mod tests {
         assert_eq!(m.restore_durable(a), 2);
         assert_eq!(m.restore_durable(b), 0, "in sync: untouched");
         assert_eq!(m.restore_durable(c), 1);
-        assert_eq!(m.page_data(a), &[1; PAGE_SIZE]);
-        assert_eq!(m.page_data(b), &[2; PAGE_SIZE]);
-        assert_eq!(m.page_data(c), &[0; PAGE_SIZE]);
+        assert_eq!(memory(&m, a), [1; PAGE_SIZE]);
+        assert_eq!(memory(&m, b), [2; PAGE_SIZE]);
+        assert_eq!(memory(&m, c), [0; PAGE_SIZE]);
         assert_eq!(m.undo_stats().sectors_restored, 3);
         for page in [a, b, c] {
             assert!(m.matches_durable(page));
@@ -1698,7 +1824,7 @@ mod tests {
         assert_eq!(m.undo.sectors.len(), 4 * SECTOR_BYTES);
         assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
         assert_eq!(m.restore_durable(page), 4);
-        assert_eq!(m.page_data(page), &image[..]);
+        assert_eq!(memory(&m, page), image);
         assert_eq!(m.undo.free[2].len(), 2);
         assert_undo_sound(&m);
     }
@@ -1769,7 +1895,7 @@ mod tests {
         assert_eq!((m.undo.free[1].len(), m.undo.free[2].len()), (1, 1));
         assert_undo_sound(&m);
         assert_eq!(m.restore_durable(page), 6);
-        assert_eq!(m.page_data(page), &image[..]);
+        assert_eq!(memory(&m, page), image);
         assert_undo_sound(&m);
     }
 
@@ -1779,7 +1905,7 @@ mod tests {
         let mut m = held(1, page, 1);
         m.write(0, &[2; 8 * 64]).unwrap(); // eighth 0: a block of eight
         m.take_unsynced(page);
-        let image = m.page_data(page).to_vec();
+        let image = memory(&m, page);
         m.write(9 * 64, &[3]).unwrap(); // one sector of eighth 1
         assert_eq!(
             m.undo.sectors.len(),

@@ -1,7 +1,7 @@
 //! Property tests of the MMU model: memory behaves like flat bytes, write
 //! protection is exact, the hardware dirty counter never diverges from
 //! the page-table ground truth, and an attached profiler changes how an
-//! access is charged (and keeps a one-page read in the chunking loop) but
+//! access is charged (and keeps a one-plane read in the chunking loop) but
 //! nothing it charges or returns.
 
 use mem_sim::{AccessError, Mmu, PageId, WalkOptions, PAGE_SIZE};
@@ -44,9 +44,9 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
     }
 }
 
-/// Reads on each side of the condition `Mmu::read`'s one-page path tests:
-/// inside a page, ending on a page's last byte, one byte longer than that,
-/// and running on into the next page or the one after.
+/// Reads on each side of a page edge, which `Mmu::read`'s one-plane path
+/// must not cross: inside a page, ending on a page's last byte, one byte
+/// longer than that, and running on into the next page or the one after.
 fn gen_read_shape(rng: &mut SplitMix64) -> Op {
     const PAGE: u64 = PAGE_SIZE as u64;
     // The longest read starts on `page` and ends on `page + 2`.
@@ -75,15 +75,65 @@ fn gen_read_shape(rng: &mut SplitMix64) -> Op {
     }
 }
 
+/// The finest width the planes of `Mmu`'s memory may take: the undo
+/// log's eighth of a page. Every plane edge of a width it divides is one
+/// of its multiples, so the shapes below land on the layout's edges.
+const EDGE: u64 = 512;
+
+/// Accesses at the edges of the planes `Mmu`'s memory is laid out in:
+/// ending on a plane's last byte, ending one byte past it, spanning three
+/// or more planes, and whole pages. A write is clamped to its page where
+/// it is applied; a read runs on into the next pages.
+fn gen_plane_shape(rng: &mut SplitMix64) -> Op {
+    const PAGE: u64 = PAGE_SIZE as u64;
+    let (start, len) = match int(rng, 0..4) {
+        0 => {
+            let end = int(rng, 1..=PAGE / EDGE) * EDGE;
+            let len = int(rng, 1..=end);
+            (end - len, len)
+        }
+        1 => {
+            let end = int(rng, 1..=PAGE / EDGE) * EDGE + 1;
+            let len = int(rng, 2..=end);
+            (end - len, len)
+        }
+        // Longer than a page: three planes or more, at any width up to
+        // half a page.
+        2 => (int(rng, 0..PAGE), int(rng, PAGE + 1..=2 * PAGE)),
+        _ => (0, PAGE),
+    };
+    // A read may end two pages on, so it never starts in the last two.
+    let addr = int(rng, 0..PAGES as u64 - 2) * PAGE + start;
+    let len = len as u16;
+    if rng.chance(0.5) {
+        Op::Write {
+            addr,
+            len,
+            fill: rng.next_u64() as u8,
+        }
+    } else {
+        Op::Read { addr, len }
+    }
+}
+
 const CASES: u32 = 64;
 
+/// Memory reads back what was written, as flat bytes would, through the
+/// plane-major layout's edges; bytes no write reached read as zeroes,
+/// which a read and a peek of the whole region check last.
 #[test]
 fn memory_matches_model_and_protection_is_exact() {
     check(
         "memory_matches_model_and_protection_is_exact",
         CASES,
         |rng| {
-            let ops = vec_of(rng, 1..150, gen_op);
+            let ops = vec_of(rng, 1..150, |rng| {
+                if rng.chance(0.5) {
+                    gen_op(rng)
+                } else {
+                    gen_plane_shape(rng)
+                }
+            });
             let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
             let mut model = vec![0u8; PAGES * PAGE_SIZE];
             let mut protected = [false; PAGES];
@@ -136,6 +186,12 @@ fn memory_matches_model_and_protection_is_exact() {
                     }
                 }
             }
+            let mut all = vec![0u8; PAGES * PAGE_SIZE];
+            mmu.read(0, &mut all).unwrap();
+            assert!(all == model, "memory is not the bytes written");
+            all.fill(0xA5);
+            mmu.peek(0, &mut all);
+            assert!(all == model, "a peek is not the bytes written");
         },
     );
 }
@@ -208,24 +264,22 @@ fn hardware_counter_equals_pte_dirty_population() {
 
 /// An access settles its costs with one clock charge when no profiler
 /// is attached and class by class when one is, and a read that fits one
-/// page skips the chunking loop only while none is: the profiled `Mmu`
+/// plane skips the chunking loop only while none is: the profiled `Mmu`
 /// is the slow model of the plain one. The same stream — faults,
-/// dirty-limit interrupts, and reads inside a page, up to its last byte
-/// and across pages — must return the same bytes and end both ways on
-/// the same instant, counters and PTE bits, and the profiled run must
-/// attribute every nanosecond it charged.
+/// dirty-limit interrupts, and reads inside a plane or a page, up to
+/// their last byte and across them — must return the same bytes and end
+/// both ways on the same instant, counters and PTE bits, and the profiled
+/// run must attribute every nanosecond it charged.
 #[test]
 fn profiled_and_unprofiled_accesses_charge_the_same() {
     check(
         "profiled_and_unprofiled_accesses_charge_the_same",
         CASES,
         |rng| {
-            let ops = vec_of(rng, 1..150, |rng| {
-                if rng.chance(0.5) {
-                    gen_op(rng)
-                } else {
-                    gen_read_shape(rng)
-                }
+            let ops = vec_of(rng, 1..150, |rng| match int(rng, 0..3) {
+                0 => gen_op(rng),
+                1 => gen_read_shape(rng),
+                _ => gen_plane_shape(rng),
             });
             let limit = rng.chance(0.5).then(|| int(rng, 1..=PAGES as u64));
             let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
