@@ -7,7 +7,7 @@
 //! which orders every observation (the least-recently-updated key), and
 //! the epoch of the most recent observed update, which the trace reports.
 
-use mem_sim::PageId;
+use mem_sim::{PageId, PageVec};
 
 /// Sentinel for "never updated".
 const NEVER: u64 = u64::MAX;
@@ -30,10 +30,10 @@ const NEVER: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct UpdateHistory {
-    last_update: Vec<u64>,
+    last_update: PageVec<u64>,
     /// Monotonic per-observation stamp: total order over touches, so the
     /// least-recently-updated ordering has no ties even within an epoch.
-    last_seq: Vec<u64>,
+    last_seq: PageVec<u64>,
     next_seq: u64,
     epoch: u64,
 }
@@ -43,8 +43,8 @@ impl UpdateHistory {
     /// the most recent update of a page is kept.
     pub fn new(pages: usize, _retain: u32) -> Self {
         UpdateHistory {
-            last_update: vec![NEVER; pages],
-            last_seq: vec![0; pages],
+            last_update: PageVec::new(pages, NEVER),
+            last_seq: PageVec::new(pages, 0),
             next_seq: 1,
             epoch: 0,
         }
@@ -74,9 +74,8 @@ impl UpdateHistory {
     ///
     /// Panics if `page` is out of range.
     pub fn touch(&mut self, page: PageId) {
-        let i = page.index();
-        self.last_update[i] = self.epoch;
-        self.last_seq[i] = self.next_seq;
+        *self.last_update.get_mut(page) = self.epoch;
+        *self.last_seq.get_mut(page) = self.next_seq;
         self.next_seq += 1;
     }
 
@@ -84,20 +83,20 @@ impl UpdateHistory {
     /// Totally ordered across all pages, so it breaks intra-epoch ties in
     /// least-recently-updated selection.
     pub fn last_touch_seq(&self, page: PageId) -> u64 {
-        self.last_seq[page.index()]
+        self.last_seq.get(page)
     }
 
     /// Epoch of the most recent observed update, or `None` if the page was
     /// never updated within the program's lifetime.
     pub fn last_update_epoch(&self, page: PageId) -> Option<u64> {
-        let e = self.last_update[page.index()];
+        let e = self.last_update.get(page);
         (e != NEVER).then_some(e)
     }
 
     /// Resets all history (used after recovery).
     pub fn reset(&mut self) {
-        self.last_update.fill(NEVER);
-        self.last_seq.fill(0);
+        self.last_update.clear();
+        self.last_seq.clear();
         self.next_seq = 1;
         self.epoch = 0;
     }
@@ -126,6 +125,33 @@ mod tests {
         assert_eq!(h.last_update_epoch(PageId(0)), Some(1_002));
         assert_eq!(h.last_update_epoch(PageId(1)), Some(2));
         assert!(h.last_touch_seq(PageId(1)) < h.last_touch_seq(PageId(0)));
+    }
+
+    #[test]
+    fn pages_past_the_highest_touched_read_never() {
+        let mut h = UpdateHistory::new(1024, 64);
+        h.touch(PageId(3));
+        for page in [PageId(2), PageId(4), PageId(1023)] {
+            assert_eq!(h.last_update_epoch(page), None, "{page}");
+            assert_eq!(h.last_touch_seq(page), 0, "{page}");
+        }
+        h.touch(PageId(1023));
+        h.reset();
+        for page in [PageId(3), PageId(1023)] {
+            assert_eq!(h.last_update_epoch(page), None, "{page} after reset");
+            assert_eq!(h.last_touch_seq(page), 0, "{page} after reset");
+        }
+        h.touch(PageId(0));
+        assert_eq!(
+            (h.last_update_epoch(PageId(0)), h.last_touch_seq(PageId(0))),
+            (Some(0), 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn touching_a_page_past_the_capacity_panics() {
+        UpdateHistory::new(4, 64).touch(PageId(4));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use mem_sim::PageId;
+use mem_sim::{PageId, PageVec};
 
 use crate::UpdateHistory;
 
@@ -76,7 +76,7 @@ const STALE_SLACK: usize = 64;
 pub struct VictimSelector {
     /// Ascending by `(key, page)`, stale entries included.
     queue: VecDeque<(u64, PageId)>,
-    key_of: Vec<Option<u64>>,
+    key_of: PageVec<Option<u64>>,
     /// Pages with a key, i.e. live queue entries up to duplicates.
     live: usize,
 }
@@ -87,7 +87,7 @@ impl VictimSelector {
     pub fn new(pages: usize, _policy: TargetPolicy, _seed: u64) -> Self {
         VictimSelector {
             queue: VecDeque::new(),
-            key_of: vec![None; pages],
+            key_of: PageVec::new(pages, None),
             live: 0,
         }
     }
@@ -106,7 +106,7 @@ impl VictimSelector {
     /// whatever entry carried the page's previous key is stale from here
     /// on.
     fn push(&mut self, page: PageId, key: u64) {
-        self.key_of[page.index()] = Some(key);
+        *self.key_of.get_mut(page) = Some(key);
         let entry = (key, page);
         if self.queue.back().is_none_or(|&back| back <= entry) {
             self.queue.push_back(entry);
@@ -118,7 +118,7 @@ impl VictimSelector {
     }
 
     fn is_live(&self, key: u64, page: PageId) -> bool {
-        self.key_of[page.index()] == Some(key)
+        self.key_of.get(page) == Some(key)
     }
 
     /// Keeps the queue within `2 * len() + 64` entries by dropping every
@@ -136,7 +136,7 @@ impl VictimSelector {
         // as stale. Every kept entry then puts its key back.
         let key_of = &mut self.key_of;
         self.queue.retain(|&(key, page)| {
-            let slot = &mut key_of[page.index()];
+            let slot = key_of.get_mut(page);
             let first_live = *slot == Some(key);
             if first_live {
                 *slot = None;
@@ -144,7 +144,7 @@ impl VictimSelector {
             first_live
         });
         for &(key, page) in &self.queue {
-            key_of[page.index()] = Some(key);
+            *key_of.get_mut(page) = Some(key);
         }
         debug_assert_eq!(self.queue.len(), self.live);
     }
@@ -157,7 +157,7 @@ impl VictimSelector {
     /// Panics if the page is already indexed.
     pub fn on_dirty(&mut self, page: PageId, history: &UpdateHistory) {
         assert!(
-            self.key_of[page.index()].is_none(),
+            self.key_of.get(page).is_none(),
             "{page} indexed twice by the victim selector"
         );
         self.live += 1;
@@ -167,7 +167,7 @@ impl VictimSelector {
     /// Re-keys a page after the epoch walker observed a fresh update.
     /// No-op if the page is not indexed.
     pub fn on_touch(&mut self, page: PageId, history: &UpdateHistory) {
-        let Some(old_key) = self.key_of[page.index()] else {
+        let Some(old_key) = self.key_of.get(page) else {
             return;
         };
         let key = history.last_touch_seq(page);
@@ -179,7 +179,8 @@ impl VictimSelector {
     /// Removes a page from the index (flush issued, or page unmapped).
     /// No-op if the page is not indexed.
     pub fn on_removed(&mut self, page: PageId) {
-        if self.key_of[page.index()].take().is_some() {
+        if self.key_of.get(page).is_some() {
+            *self.key_of.get_mut(page) = None;
             self.live -= 1;
             self.bound_queue();
         }
@@ -200,7 +201,7 @@ impl VictimSelector {
     /// Clears the index (recovery).
     pub fn reset(&mut self) {
         self.queue.clear();
-        self.key_of.fill(None);
+        self.key_of.clear();
         self.live = 0;
     }
 }
@@ -268,7 +269,9 @@ mod tests {
 
     /// The ordered-set index the lazy queue replaced, kept as the oracle:
     /// every operation searches and moves the page's one `(key, page)`
-    /// entry, so its first entry is by construction the live minimum.
+    /// entry, so its first entry is by construction the live minimum. Its
+    /// `key_of` covers every page from the start, the reference for the
+    /// selector's, which holds keys only up to the highest page indexed.
     struct OrderedModel {
         ordered: BTreeSet<(u64, PageId)>,
         key_of: Vec<Option<u64>>,
@@ -371,7 +374,7 @@ mod tests {
                 Op::Dirty { page, .. } | Op::Touch { page, .. } => Some(PageId(page)),
                 _ => None,
             };
-            let old_key = keyed.and_then(|page| lazy.key_of[page.index()]);
+            let old_key = keyed.and_then(|page| lazy.key_of.get(page));
             match *op {
                 Op::Dirty { page, observe } => {
                     let page = PageId(page);
@@ -408,7 +411,7 @@ mod tests {
                 }
             }
             if let Some(page) = keyed {
-                let key = lazy.key_of[page.index()];
+                let key = lazy.key_of.get(page);
                 let behind = key.zip(back).is_some_and(|(key, back)| (key, page) < back);
                 out_of_order += usize::from(key != old_key && behind);
             }
@@ -421,6 +424,13 @@ mod tests {
                 "victims diverged after {op:?}"
             );
             assert_eq!(lazy.len(), model.ordered.len());
+            for (i, &key) in model.key_of.iter().enumerate() {
+                assert_eq!(
+                    lazy.key_of.get(PageId(i as u64)),
+                    key,
+                    "page {i} after {op:?}"
+                );
+            }
             assert_eq!(lazy.is_empty(), model.ordered.is_empty());
             assert!(
                 lazy.queue.len() <= 2 * lazy.len() + STALE_SLACK,
@@ -443,7 +453,19 @@ mod tests {
     fn lazy_queue_matches_an_ordered_set() {
         let mut cases_out_of_order = 0u32;
         check("lazy_queue_matches_an_ordered_set", PROP_CASES, |rng| {
-            let ops = vec_of(rng, 1..1500, gen_op);
+            let mut ops = vec_of(rng, 1..1500, gen_op);
+            // In a third of the cases the highest page is indexed first,
+            // so the selector's keys cover every page from the first op.
+            if rng.chance(1.0 / 3.0) {
+                let page = PROP_PAGES - 1;
+                ops.insert(
+                    0,
+                    Op::Dirty {
+                        page,
+                        observe: true,
+                    },
+                );
+            }
             cases_out_of_order += u32::from(replay(&ops) > 0);
         });
         // One replayed case owes only the agreement, not the sweep's share.

@@ -38,6 +38,7 @@ pub mod dispatch;
 mod mmu;
 mod page;
 mod page_table;
+mod page_vec;
 mod tlb;
 
 pub use bitmap::{Bitmap2L, ScanPath};
@@ -45,4 +46,5 @@ pub use dispatch::DispatchCounts;
 pub use mmu::{AccessError, Mmu, MmuStats, UndoStats, WalkOptions, SECTOR_BYTES};
 pub use page::{page_count, PageId, PAGE_SIZE};
 pub use page_table::{PageTable, PteFlags};
+pub use page_vec::PageVec;
 pub use tlb::{Tlb, TlbEntry, TlbStats};

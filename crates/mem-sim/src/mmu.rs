@@ -8,7 +8,7 @@ use std::ops::Range;
 use sim_clock::{Clock, CostModel, SimDuration};
 use telemetry::{CostClass, Profiler};
 
-use crate::{Bitmap2L, PageId, PageTable, Tlb, PAGE_SIZE};
+use crate::{Bitmap2L, PageId, PageTable, PageVec, Tlb, PAGE_SIZE};
 
 /// Sub-page tracking granularity (§7's Mondrian-style extension): one
 /// cache line.
@@ -172,8 +172,9 @@ pub struct Mmu {
     dirty_limit: Option<u64>,
     dirty_counted: u64,
     /// Two bits per 64 B sector per page, both set by every write, and the
-    /// page's place in the device image (see [`SectorMasks`]).
-    sector_masks: Vec<SectorMasks>,
+    /// page's place in the device image (see [`SectorMasks`]); held for the
+    /// pages written so far.
+    sector_masks: PageVec<SectorMasks>,
     /// The pre-write bytes of every held page's unsynced sectors.
     undo: UndoPool,
     undo_stats: UndoStats,
@@ -595,7 +596,7 @@ impl Mmu {
             stats: MmuStats::default(),
             dirty_limit: None,
             dirty_counted: 0,
-            sector_masks: vec![SectorMasks::NEW; pages],
+            sector_masks: PageVec::new(pages, SectorMasks::NEW),
             undo: UndoPool::default(),
             undo_stats: UndoStats::default(),
             walk_hits: Vec::new(),
@@ -861,7 +862,7 @@ impl Mmu {
             let last_sector = ((addr as usize + data.len() - 1) % PAGE_SIZE) / SECTOR_BYTES;
             let span = last_sector - first_sector + 1;
             let touched = (u64::MAX >> (64 - span)) << first_sector;
-            let masks = &mut self.sector_masks[page.index()];
+            let masks = self.sector_masks.get_mut(page);
             masks.shipped |= touched;
             // A sector of a held page that is in sync is part of the device
             // image until this store lands on it: keep its bytes first.
@@ -889,17 +890,21 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn sector_mask(&self, page: PageId) -> u64 {
-        self.sector_masks[page.index()].shipped
+        self.sector_masks.get(page).shipped
     }
 
     /// Clears the sector mask of `page` (the flush path does this when it
-    /// snapshots the page).
+    /// snapshots the page). A mask that is clear already is left alone, so
+    /// recovery's pass over every page grows no state for pages never
+    /// written.
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range.
     pub fn clear_sector_mask(&mut self, page: PageId) {
-        self.sector_masks[page.index()].shipped = 0;
+        if self.sector_masks.get(page).shipped != 0 {
+            self.sector_masks.get_mut(page).shipped = 0;
+        }
     }
 
     /// Bytes of `page` modified since its mask was cleared (sector
@@ -915,7 +920,7 @@ impl Mmu {
     /// sectors unsynced already.
     #[inline(never)]
     fn save_undo(&mut self, page: PageId, fresh: u64) {
-        let masks = &mut self.sector_masks[page.index()];
+        let masks = self.sector_masks.get_mut(page);
         if masks.slot == NO_SLOT {
             masks.slot = self.undo.alloc();
         }
@@ -943,7 +948,7 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn take_unsynced(&mut self, page: PageId) -> u64 {
-        let masks = &mut self.sector_masks[page.index()];
+        let masks = self.sector_masks.get_mut(page);
         masks.held = true;
         if masks.slot != NO_SLOT {
             self.undo
@@ -959,7 +964,7 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn is_held(&self, page: PageId) -> bool {
-        self.sector_masks[page.index()].held
+        self.sector_masks.get(page).held
     }
 
     /// `true` if `page`'s memory equals its device image — the bytes last
@@ -972,7 +977,7 @@ impl Mmu {
     pub fn matches_durable(&self, page: PageId) -> bool {
         let base = page.base_addr();
         self.undo
-            .saved(self.sector_masks[page.index()])
+            .saved(self.sector_masks.get(page))
             .all(|(run, saved)| self.memory.run(base + run.start as u64, run.len()) == saved)
     }
 
@@ -985,7 +990,7 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn durable_page(&self, page: PageId) -> Option<Vec<u8>> {
-        let masks = self.sector_masks[page.index()];
+        let masks = self.sector_masks.get(page);
         if !masks.held {
             return None;
         }
@@ -1006,7 +1011,7 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn restore_durable(&mut self, page: PageId) -> u32 {
-        let masks = self.sector_masks[page.index()];
+        let masks = self.sector_masks.get(page);
         let lost = masks.unsynced;
         if lost == 0 {
             return 0;
@@ -1020,7 +1025,7 @@ impl Mmu {
         if masks.held {
             self.undo.release(masks.slot, lost);
         }
-        self.sector_masks[page.index()] = SectorMasks {
+        *self.sector_masks.get_mut(page) = SectorMasks {
             unsynced: 0,
             slot: NO_SLOT,
             ..masks
@@ -1044,7 +1049,8 @@ impl Mmu {
     /// no page in `in_flight` (write-protected since its hand-over) has a
     /// slot. O(pages); for checks.
     pub fn undo_violation(&self, in_flight: &Bitmap2L) -> Option<(PageId, &'static str)> {
-        self.sector_masks.iter().enumerate().find_map(|(i, masks)| {
+        let reached = self.sector_masks.reached().iter();
+        reached.enumerate().find_map(|(i, masks)| {
             let why = match (masks.slot != NO_SLOT, masks.held, masks.unsynced != 0) {
                 (true, false, _) => "a page never handed over has an undo slot",
                 (true, true, false) => "a page in sync has an undo slot",
@@ -1627,6 +1633,7 @@ mod tests {
         assert_eq!(m.undo_violation(&Bitmap2L::new(m.pages())), None);
         let live: Vec<SectorMasks> = m
             .sector_masks
+            .reached()
             .iter()
             .copied()
             .filter(|s| s.slot != NO_SLOT)
@@ -1989,13 +1996,13 @@ mod tests {
             m.undo_violation(&in_flight),
             Some((PageId(2), "a page in flight has an undo slot"))
         );
-        m.sector_masks[2].unsynced = 0;
+        m.sector_masks.get_mut(PageId(2)).unsynced = 0;
         assert_eq!(
             m.undo_violation(&in_flight),
             Some((PageId(2), "a page in sync has an undo slot"))
         );
-        m.sector_masks[1].unsynced = 1;
-        m.sector_masks[1].held = true;
+        m.sector_masks.get_mut(PageId(1)).unsynced = 1;
+        m.sector_masks.get_mut(PageId(1)).held = true;
         assert_eq!(
             m.undo_violation(&in_flight),
             Some((
@@ -2009,7 +2016,7 @@ mod tests {
         m.write(0, &[2]).unwrap(); // eighth 0
         let none = Bitmap2L::new(1);
         assert_eq!(m.undo_violation(&none), None);
-        m.sector_masks[0].unsynced |= 1 << 8;
+        m.sector_masks.get_mut(PageId(0)).unsynced |= 1 << 8;
         assert_eq!(
             m.undo_violation(&none),
             Some((
@@ -2017,13 +2024,13 @@ mod tests {
                 "an undo table has no block for an unsynced eighth"
             ))
         );
-        m.sector_masks[0].unsynced = 1 << 8;
+        m.sector_masks.get_mut(PageId(0)).unsynced = 1 << 8;
         assert_eq!(
             m.undo_violation(&none),
             Some((PageId(0), "an undo table has a block for an eighth in sync"))
         );
         // A block must lie inside the arena, which holds one sector here.
-        m.sector_masks[0].unsynced = 0b11;
+        m.sector_masks.get_mut(PageId(0)).unsynced = 0b11;
         assert_eq!(
             m.undo_violation(&none),
             Some((PageId(0), "an undo block runs past the arena"))

@@ -1,10 +1,11 @@
 //! Property tests of the MMU model: memory behaves like flat bytes, write
 //! protection is exact, the hardware dirty counter never diverges from
-//! the page-table ground truth, and an attached profiler changes how an
-//! access is charged (and keeps a one-plane read in the chunking loop) but
-//! nothing it charges or returns.
+//! the page-table ground truth, pages past the highest one written read as
+//! never written, and an attached profiler changes how an access is
+//! charged (and keeps a one-plane read in the chunking loop) but nothing
+//! it charges or returns.
 
-use mem_sim::{AccessError, Mmu, PageId, WalkOptions, PAGE_SIZE};
+use mem_sim::{AccessError, Bitmap2L, Mmu, PageId, WalkOptions, PAGE_SIZE};
 use propcheck::{check, int, vec_of, weighted};
 use sim_clock::{Clock, CostModel, SplitMix64};
 use telemetry::Profiler;
@@ -192,6 +193,60 @@ fn memory_matches_model_and_protection_is_exact() {
             all.fill(0xA5);
             mmu.peek(0, &mut all);
             assert!(all == model, "a peek is not the bytes written");
+        },
+    );
+}
+
+/// The `Mmu` keeps per-page state only up to the highest page written, so
+/// a page past that prefix must read as one never written: zero bytes
+/// through `read` and `peek`, no sector mask, not held, its zero image
+/// matched and nothing to restore, and no undo violation anywhere. Half
+/// the cases write the highest page first, so the prefix is the whole
+/// region at once; pages are handed over as they go, so held pages sit
+/// beside pages never reached.
+#[test]
+fn pages_never_written_read_as_new_whichever_page_comes_first() {
+    check(
+        "pages_never_written_read_as_new_whichever_page_comes_first",
+        CASES,
+        |rng| {
+            let first = if rng.chance(0.5) {
+                PAGES as u64 - 1
+            } else {
+                int(rng, 0..PAGES as u64)
+            };
+            let mut pages = vec![first];
+            pages.extend(vec_of(rng, 0..12, |rng| int(rng, 0..PAGES as u64)));
+            let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
+            let mut written = [false; PAGES];
+            for &page in &pages {
+                let page = PageId(page);
+                let offset = int(rng, 0..PAGE_SIZE as u64);
+                let len = int(rng, 1..=PAGE_SIZE as u64 - offset) as usize;
+                mmu.write(page.base_addr() + offset, &vec![0xC3; len])
+                    .unwrap();
+                written[page.index()] = true;
+                if rng.chance(0.5) {
+                    mmu.take_unsynced(page);
+                }
+                assert_eq!(mmu.undo_violation(&Bitmap2L::new(PAGES)), None);
+                for never in (0..PAGES as u64)
+                    .map(PageId)
+                    .filter(|p| !written[p.index()])
+                {
+                    let mut bytes = vec![0xA5; PAGE_SIZE];
+                    mmu.peek(never.base_addr(), &mut bytes);
+                    assert!(bytes.iter().all(|&b| b == 0), "a peek of {never}");
+                    bytes.fill(0xA5);
+                    mmu.read(never.base_addr(), &mut bytes).unwrap();
+                    assert!(bytes.iter().all(|&b| b == 0), "a read of {never}");
+                    assert_eq!(mmu.sector_mask(never), 0, "{never}");
+                    assert!(!mmu.is_held(never), "{never} reads as held");
+                    assert!(mmu.matches_durable(never), "{never}");
+                    assert_eq!(mmu.durable_page(never), None, "{never}");
+                    assert_eq!(mmu.restore_durable(never), 0, "{never}");
+                }
+            }
         },
     );
 }
