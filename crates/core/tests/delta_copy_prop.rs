@@ -143,6 +143,9 @@ impl<B: DirtyTracker> Life<B> {
     /// after, and the events do not say which, so either whole page is
     /// accepted — a page made of some sectors of each is not.
     fn settle(&mut self, what: &str, written: Option<(usize, &[u8])>) {
+        // The undo log's and the store's invariants first, so that a
+        // broken one names itself before the bytes it garbles do.
+        self.nv.validate();
         let step = self.step;
         for page in self.submitted() {
             let now = page_of(&self.memory, page);
@@ -171,7 +174,6 @@ impl<B: DirtyTracker> Life<B> {
                 "step {step} ({what}): the test's image of region {region} went stale"
             );
         }
-        self.nv.validate();
     }
 
     fn assert_clean_pages_are_durable(&self, what: &str) {

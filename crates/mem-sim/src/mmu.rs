@@ -160,7 +160,7 @@ impl MmuStats {
 pub struct Mmu {
     page_table: PageTable,
     tlb: Tlb,
-    memory: Planes,
+    memory: Store,
     clock: Clock,
     costs: CostModel,
     /// Attribution of the costs this MMU charges; disabled by default.
@@ -171,9 +171,9 @@ pub struct Mmu {
     /// to dirty a new page at the limit.
     dirty_limit: Option<u64>,
     dirty_counted: u64,
-    /// Two bits per 64 B sector per page, both set by every write, and the
-    /// page's place in the device image (see [`SectorMasks`]); held for the
-    /// pages written so far.
+    /// Two bits per 64 B sector per page, both set by every write, where
+    /// the page's bytes lie, and its place in the device image (see
+    /// [`SectorMasks`]); held for the pages written so far.
     sector_masks: PageVec<SectorMasks>,
     /// The pre-write bytes of every held page's unsynced sectors.
     undo: UndoPool,
@@ -183,127 +183,238 @@ pub struct Mmu {
     walk_hits: Vec<PageId>,
 }
 
-/// The width of a plane: half a page, and a whole number of the undo
-/// log's eighths, so an eighth is one contiguous run. Quarter pages held
-/// less host memory but cost the dense KV heaps more host time
-/// (DESIGN.md, "Where the bytes lie").
-const PLANE: usize = PAGE_SIZE / 2;
-
-// At most two planes to a page: a range inside one page crosses at most
-// one plane boundary, which is all `Planes::load` and `Planes::store` split.
-const _: () = assert!(PAGE_SIZE % PLANE == 0 && PAGE_SIZE / PLANE <= 2);
-const _: () = assert!(PLANE % EIGHTH_BYTES == 0);
-
-/// NV-DRAM's bytes, laid out plane-major: byte `o` of page `p` lives at
-/// `(o / PLANE) · pages · PLANE + p · PLANE + o % PLANE`, so plane *q*
-/// holds the *q*-th `PLANE` bytes of every page, in page order.
+/// NV-DRAM's bytes, where each page's lie as the sectors written to it
+/// say (its [`SectorMasks::place`]): an untouched page has none and reads
+/// as zeroes; a sparse page is one block of the arena packed from its
+/// resident sectors, sector *s* at `rank(resident, s)`, named by its
+/// [`Sparse`] record; a dense page is its flat frame at `p · PAGE_SIZE`.
 ///
-/// A write then costs the host the host page that holds its part of the
-/// page, shared with the same part of the neighbouring pages, not a host
-/// page per simulated page it touches; and a part no write reaches is
-/// never mapped, because the bytes are allocated zeroed and a large
-/// zeroed allocation is untouched mappings that read as zeroes. Where a
-/// byte lies in host memory is no part of the simulated system.
+/// A page is promoted from sparse to dense by the write that would take
+/// it past [`SPARSE_SECTORS`], and stays dense. The frames are one zeroed
+/// reservation as large as the region, and a large zeroed allocation is
+/// untouched mappings that read as zeroes, so only dense pages' frames are
+/// ever mapped. Where a byte lies in host memory is no part of the
+/// simulated system.
 #[derive(Debug)]
-struct Planes {
-    bytes: Vec<u8>,
+struct Store {
+    frames: Vec<u8>,
+    /// The sparse pages' records; a free one is on `free_records`.
+    records: Vec<Sparse>,
+    free_records: Vec<u32>,
+    /// The sparse pages' blocks.
+    arena: SectorArena,
 }
 
-impl Planes {
+/// A sparse page's resident sectors — every sector ever written to it —
+/// and the block of the arena that holds them, packed: the sparse mask
+/// beside its block.
+#[derive(Debug, Clone, Copy)]
+struct Sparse {
+    resident: u64,
+    block: u32,
+}
+
+impl Sparse {
+    /// What an untouched page holds.
+    const NONE: Sparse = Sparse {
+        resident: 0,
+        block: 0,
+    };
+
+    /// Where sector `sector`, resident, lies in the arena's bytes.
+    #[inline]
+    fn at(self, sector: usize) -> usize {
+        at_sector(self.block, rank(self.resident, sector))
+    }
+}
+
+/// The most sectors a sparse page holds: one block of the arena, an
+/// eighth of a page. The write that would make a ninth resident promotes
+/// the page to its frame (DESIGN.md, "Why eight sectors").
+const SPARSE_SECTORS: usize = EIGHTH_SECTORS;
+
+impl Store {
     fn new(pages: usize) -> Self {
-        Planes {
-            bytes: vec![0; pages * PAGE_SIZE],
+        Store {
+            frames: vec![0; pages * PAGE_SIZE],
+            records: Vec::new(),
+            free_records: Vec::new(),
+            arena: SectorArena::default(),
         }
     }
 
-    /// The bytes of one plane: `pages · PLANE`.
+    /// Bytes `addr..addr + len` of a dense page's frame.
     #[inline]
-    fn plane_bytes(&self) -> usize {
-        self.bytes.len() / (PAGE_SIZE / PLANE)
+    fn frame(&self, addr: u64, len: usize) -> &[u8] {
+        &self.frames[addr as usize..][..len]
     }
 
-    /// Where byte `addr` of the region lies.
-    #[inline]
-    fn at(&self, addr: u64) -> usize {
-        let (page, offset) = (addr as usize / PAGE_SIZE, addr as usize % PAGE_SIZE);
-        offset / PLANE * self.plane_bytes() + page * PLANE + offset % PLANE
+    /// The record of a page whose bytes lie at `place`, which is not
+    /// [`DENSE`]: its own, or [`Sparse::NONE`] for an untouched page.
+    fn sparse(&self, place: u32) -> Sparse {
+        match place {
+            UNTOUCHED => Sparse::NONE,
+            record => self.records[record as usize],
+        }
     }
 
-    /// Bytes `addr..addr + len` of the region, which lie in one plane of
-    /// one page.
-    fn run(&self, addr: u64, len: usize) -> &[u8] {
-        let at = self.at(addr);
-        &self.bytes[at..at + len]
-    }
-
-    /// [`Planes::run`], writable.
-    fn run_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
-        let at = self.at(addr);
-        &mut self.bytes[at..at + len]
-    }
-
-    /// Where the part of a range of one page that lies past its first
-    /// plane starts: `at`, where the range starts, plus `room`, its bytes
-    /// in that plane, lands on the start of the page's slot in the next.
-    #[inline]
-    fn next_plane(&self, at: usize, room: usize) -> usize {
-        at + room + self.plane_bytes() - PLANE
-    }
-
-    /// Copies bytes `addr..addr + buf.len()` of one page into `buf`: one
-    /// slice inside a plane, two across the page's one plane boundary.
-    fn load(&self, addr: u64, buf: &mut [u8]) {
-        let room = PLANE - addr as usize % PLANE;
-        if buf.len() <= room {
-            buf.copy_from_slice(self.run(addr, buf.len()));
+    /// Copies bytes `addr..addr + buf.len()` of one page, whose bytes lie
+    /// at `place`, into `buf`.
+    fn load(&self, place: u32, addr: u64, buf: &mut [u8]) {
+        if place == DENSE {
+            buf.copy_from_slice(self.frame(addr, buf.len()));
         } else {
-            debug_assert!(buf.len() <= room + PLANE, "a load past its page");
-            let at = self.at(addr);
-            let next = self.next_plane(at, room);
-            let (head, tail) = buf.split_at_mut(room);
-            head.copy_from_slice(&self.bytes[at..at + room]);
-            tail.copy_from_slice(&self.bytes[next..next + tail.len()]);
+            self.gather(self.sparse(place), addr as usize % PAGE_SIZE, buf);
         }
     }
 
-    /// [`Planes::load`] of any range of the region, a plane at a time.
-    fn load_planes(&self, addr: u64, buf: &mut [u8]) {
-        let room = (PLANE - addr as usize % PLANE).min(buf.len());
-        let (head, tail) = buf.split_at_mut(room);
-        head.copy_from_slice(self.run(addr, room));
-        let mut addr = addr + room as u64;
-        for chunk in tail.chunks_mut(PLANE) {
-            chunk.copy_from_slice(self.run(addr, chunk.len()));
-            addr += PLANE as u64;
+    /// [`Store::load`] of a page that is not dense: a sector at a time,
+    /// each resident one from its place in the block and every other one
+    /// zeroes. Out of line: the dense heaps' reads never take it.
+    #[inline(never)]
+    fn gather(&self, sparse: Sparse, offset: usize, buf: &mut [u8]) {
+        if sparse.resident == 0 {
+            buf.fill(0);
+            return;
+        }
+        let mut done = 0;
+        while done < buf.len() {
+            let at = offset + done;
+            let (sector, within) = (at / SECTOR_BYTES, at % SECTOR_BYTES);
+            let end = (done + SECTOR_BYTES - within).min(buf.len());
+            let out = &mut buf[done..end];
+            if sparse.resident >> sector & 1 == 1 {
+                let from = sparse.at(sector) + within;
+                out.copy_from_slice(&self.arena.bytes[from..][..out.len()]);
+            } else {
+                out.fill(0);
+            }
+            done += out.len();
         }
     }
 
-    /// Copies `data` over bytes `addr..addr + data.len()` of one page, as
-    /// [`Planes::load`] reads them.
-    #[inline]
-    fn store(&mut self, addr: u64, data: &[u8]) {
-        let room = PLANE - addr as usize % PLANE;
-        if data.len() <= room {
-            self.run_mut(addr, data.len()).copy_from_slice(data);
+    /// Where a run of sectors of `page` starting at `sector` lies, all of
+    /// them resident if the page is not dense: in its frame, or in the
+    /// arena.
+    fn run_at(&self, page: PageId, place: u32, sector: usize) -> usize {
+        if place == DENSE {
+            page.base_addr() as usize + sector * SECTOR_BYTES
         } else {
-            debug_assert!(data.len() <= room + PLANE, "a store past its page");
-            let at = self.at(addr);
-            let next = self.next_plane(at, room);
-            let (head, tail) = data.split_at(room);
-            self.bytes[at..at + room].copy_from_slice(head);
-            self.bytes[next..next + tail.len()].copy_from_slice(tail);
+            self.sparse(place).at(sector)
+        }
+    }
+
+    /// The bytes of such a run: one slice of the frame or of the block.
+    fn run(&self, page: PageId, place: u32, sectors: Range<usize>) -> &[u8] {
+        let at = self.run_at(page, place, sectors.start);
+        let bytes = if place == DENSE {
+            &self.frames
+        } else {
+            &self.arena.bytes
+        };
+        &bytes[at..][..sectors.len() * SECTOR_BYTES]
+    }
+
+    /// Copies a run of sectors of `page` into `out`, resident ones from
+    /// the block and any other as zeroes: the undo log's save of them.
+    fn save_run(&self, page: PageId, place: u32, sectors: Range<usize>, out: &mut [u8]) {
+        if place == DENSE {
+            let from = page.base_addr() as usize + sectors.start * SECTOR_BYTES;
+            out.copy_from_slice(&self.frames[from..][..out.len()]);
+            return;
+        }
+        let sparse = self.sparse(place);
+        for (sector, out) in sectors.zip(out.chunks_mut(SECTOR_BYTES)) {
+            if sparse.resident >> sector & 1 == 1 {
+                out.copy_from_slice(&self.arena.bytes[sparse.at(sector)..][..SECTOR_BYTES]);
+            } else {
+                out.fill(0);
+            }
+        }
+    }
+
+    /// [`Store::run`], writable.
+    fn run_mut(&mut self, page: PageId, place: u32, sectors: Range<usize>) -> &mut [u8] {
+        let at = self.run_at(page, place, sectors.start);
+        let bytes = if place == DENSE {
+            &mut self.frames
+        } else {
+            &mut self.arena.bytes
+        };
+        &mut bytes[at..][..sectors.len() * SECTOR_BYTES]
+    }
+
+    /// Copies `data` over bytes `addr..addr + data.len()` of a page that
+    /// is not dense, whose bytes lie at `place`, and whose write touched
+    /// the sectors `touched`; returns where they lie now. Sectors new to
+    /// the page first take a block sized for all its sectors, the new ones
+    /// zeroed in it, or, past [`SPARSE_SECTORS`], move the page to its
+    /// frame. Out of line: the dense heaps' writes never take it.
+    #[inline(never)]
+    fn store_sparse(&mut self, mut place: u32, addr: u64, data: &[u8], touched: u64) -> u32 {
+        let mut sparse = self.sparse(place);
+        let (old, all) = (sparse.resident, sparse.resident | touched);
+        if all != old {
+            if all.count_ones() as usize > SPARSE_SECTORS {
+                self.promote(PageId::containing(addr), place);
+                self.frames[addr as usize..][..data.len()].copy_from_slice(data);
+                return DENSE;
+            }
+            let block = self.arena.take(all.count_ones() as usize);
+            for run in sector_runs(all & !old) {
+                let at = at_sector(block, rank(all, run.start));
+                self.arena.bytes[at..][..run.len() * SECTOR_BYTES].fill(0);
+            }
+            if old != 0 {
+                self.arena.repack(sparse.block, old, block, all);
+                self.arena.give(sparse.block, old.count_ones() as usize);
+            } else {
+                place = self.free_records.pop().unwrap_or_else(|| {
+                    self.records.push(Sparse::NONE);
+                    (self.records.len() - 1) as u32
+                });
+            }
+            sparse = Sparse {
+                resident: all,
+                block,
+            };
+            self.records[place as usize] = sparse;
+        }
+        // `touched` is one run of resident sectors: one run of the block.
+        let at = sparse.at(touched.trailing_zeros() as usize) + addr as usize % SECTOR_BYTES;
+        self.arena.bytes[at..][..data.len()].copy_from_slice(data);
+        place
+    }
+
+    /// Moves the resident sectors of `page`, whose bytes lie at `place`,
+    /// into its frame, which holds zeroes until now, and frees its block
+    /// and record: the page is dense from here on.
+    fn promote(&mut self, page: PageId, place: u32) {
+        let sparse = self.sparse(place);
+        for run in sector_runs(sparse.resident) {
+            let from = sparse.at(run.start);
+            let to = page.base_addr() as usize + run.start * SECTOR_BYTES;
+            let len = run.len() * SECTOR_BYTES;
+            self.frames[to..][..len].copy_from_slice(&self.arena.bytes[from..][..len]);
+        }
+        if place != UNTOUCHED {
+            self.arena
+                .give(sparse.block, sparse.resident.count_ones() as usize);
+            self.free_records.push(place);
         }
     }
 }
 
 /// One page's sector masks — bit *i* covers the page's *i*-th 64 B sector;
-/// [`Mmu::write`] sets the same bits in both, and they differ in who clears
-/// them — and where the device image of the page lies.
+/// [`Mmu::write`] sets the same bits in `shipped` and `unsynced`, and they
+/// differ in who clears them — where its bytes lie, and where the device
+/// image of the page lies.
 ///
 /// The device image is host-side state, no part of the simulated system:
 /// the `Ssd` models time and wear, not bytes. A page the device holds
-/// (`held`) is memory with its `unsynced` sectors replaced by the bytes
-/// its undo slot saved, and a page it does not hold is zeroes.
+/// (handed over at least once) is memory with its `unsynced` sectors
+/// replaced by the bytes its undo slot saved, and a page it does not hold
+/// is zeroes.
 #[derive(Debug, Clone, Copy)]
 struct SectorMasks {
     /// Mondrian-style sub-page tracking (§7), part of the simulated system:
@@ -317,27 +428,55 @@ struct SectorMasks {
     /// ([`Mmu::restore_durable`]), never by policy: a discarded page's
     /// garbage is still in memory.
     unsynced: u64,
+    /// Where the page's bytes lie: [`UNTOUCHED`], [`DENSE`], or its
+    /// [`Sparse`] record, whose resident sectors hold `unsynced` and
+    /// `shipped`.
+    place: u32,
     /// The page's slot in the undo pool — its table of eighth-page
-    /// blocks — or [`NO_SLOT`]. A held page has one exactly while
-    /// `unsynced` is nonzero, with a block for exactly the eighths of the
-    /// page `unsynced` touches; a page never held has none.
+    /// blocks — or [`NO_SLOT`], or [`NEVER_HELD`] for a page never handed
+    /// to the device. A held page has a slot exactly while `unsynced` is
+    /// nonzero, with a block for exactly the eighths of the page
+    /// `unsynced` touches.
     slot: u32,
-    /// The page has been handed to the device at least once.
-    held: bool,
 }
+
+// Every byte here is paid many times over: a KV run builds several `Mmu`s
+// that each reach thousands of pages, and `PageVec` keeps spare capacity
+// past them.
+const _: () = assert!(std::mem::size_of::<SectorMasks>() <= 24);
 
 impl SectorMasks {
     const NEW: SectorMasks = SectorMasks {
         shipped: 0,
         unsynced: 0,
-        slot: NO_SLOT,
-        held: false,
+        place: UNTOUCHED,
+        slot: NEVER_HELD,
     };
+
+    /// The page has been handed to the device at least once.
+    #[inline]
+    fn held(self) -> bool {
+        self.slot != NEVER_HELD
+    }
+
+    /// The page has an undo slot.
+    fn has_slot(self) -> bool {
+        self.slot < NO_SLOT
+    }
 }
 
-const NO_SLOT: u32 = u32::MAX;
+/// The place of a page no write has reached: it has no bytes and reads as
+/// zeroes.
+const UNTOUCHED: u32 = u32::MAX;
+/// The place of a page whose bytes are its frame.
+const DENSE: u32 = u32::MAX - 1;
 
-/// Sectors in an eighth of a page: 512 B, the most one undo block holds.
+/// A held page whose sectors are all in sync.
+const NO_SLOT: u32 = u32::MAX - 1;
+/// A page never handed to the device.
+const NEVER_HELD: u32 = u32::MAX;
+
+/// Sectors in an eighth of a page: 512 B, the most one arena block holds.
 const EIGHTH_SECTORS: usize = 8;
 const EIGHTH_BYTES: usize = EIGHTH_SECTORS * SECTOR_BYTES;
 
@@ -350,10 +489,62 @@ type Table = [u32; PAGE_SIZE / EIGHTH_BYTES];
 /// What the device holds in every sector of a page never handed over.
 static ZERO_EIGHTH: [u8; EIGHTH_BYTES] = [0; EIGHTH_BYTES];
 
+/// An arena of 64 B sectors handed out in blocks of 1 to 8, each named by
+/// its first sector: the sparse pages have one and the undo log another.
+/// Freed blocks are recycled through one LIFO list per size; the arena
+/// never shrinks.
+#[derive(Debug, Default)]
+struct SectorArena {
+    bytes: Vec<u8>,
+    /// `free[k]`: the free blocks of `k` sectors (`free[0]` stays empty).
+    free: [Vec<u32>; EIGHTH_SECTORS + 1],
+}
+
+impl SectorArena {
+    /// Takes a block of `size` sectors: a free one of that size, else the
+    /// front of the smallest larger free block, whose rest is filed under
+    /// its own size, else new sectors at the end of the arena.
+    fn take(&mut self, size: usize) -> u32 {
+        if let Some(block) = self.free[size].pop() {
+            return block;
+        }
+        let larger =
+            (size + 1..=EIGHTH_SECTORS).find_map(|larger| Some((larger, self.free[larger].pop()?)));
+        if let Some((larger, block)) = larger {
+            self.give(block + size as u32, larger - size);
+            return block;
+        }
+        let block = self.bytes.len() / SECTOR_BYTES;
+        self.bytes.resize((block + size) * SECTOR_BYTES, 0);
+        block as u32
+    }
+
+    /// Returns a block of `size` sectors to the free list of its size.
+    fn give(&mut self, block: u32, size: usize) {
+        self.free[size].push(block);
+    }
+
+    /// Copies the sectors of a block packed from `from_mask` into the
+    /// places a block packed from `to_mask`, a superset, keeps them.
+    fn repack(&mut self, from: u32, from_mask: u64, to: u32, to_mask: u64) {
+        for run in sector_runs(from_mask) {
+            let at = at_sector(from, rank(from_mask, run.start));
+            let len = run.len() * SECTOR_BYTES;
+            self.bytes
+                .copy_within(at..at + len, at_sector(to, rank(to_mask, run.start)));
+        }
+    }
+}
+
+/// Where sector `sector` of `block` starts in the arena's bytes.
+#[inline]
+fn at_sector(block: u32, sector: usize) -> usize {
+    (block as usize + sector) * SECTOR_BYTES
+}
+
 /// The undo log: a slot is a table of eight block ids, one per eighth of
-/// its page, and a block is a run of 1 to 8 sectors in one arena of 64 B
-/// sectors, named by its first. Tables are recycled through a LIFO free
-/// list and blocks through one per size, and the arenas never shrink.
+/// its page, and a block is a run of 1 to 8 sectors of its own
+/// [`SectorArena`]. Tables are recycled through a LIFO free list.
 ///
 /// An eighth's block holds exactly that eighth's unsynced sectors as last
 /// handed to the device, packed in sector order, and the table has a
@@ -366,10 +557,7 @@ static ZERO_EIGHTH: [u8; EIGHTH_BYTES] = [0; EIGHTH_BYTES];
 struct UndoPool {
     tables: Vec<Table>,
     free_tables: Vec<u32>,
-    /// The sector arena, in bytes.
-    sectors: Vec<u8>,
-    /// `free[k]`: the free blocks of `k` sectors (`free[0]` stays empty).
-    free: [Vec<u32>; EIGHTH_SECTORS + 1],
+    arena: SectorArena,
 }
 
 impl UndoPool {
@@ -381,71 +569,42 @@ impl UndoPool {
         })
     }
 
-    /// Takes a block of `size` sectors: a free one of that size, else the
-    /// front of the smallest larger free block, whose rest is filed under
-    /// its own size, else new sectors at the end of the arena.
-    fn take(&mut self, size: usize) -> u32 {
-        if let Some(block) = self.free[size].pop() {
-            return block;
-        }
-        let larger =
-            (size + 1..=EIGHTH_SECTORS).find_map(|larger| Some((larger, self.free[larger].pop()?)));
-        if let Some((larger, block)) = larger {
-            self.free[larger - size].push(block + size as u32);
-            return block;
-        }
-        let block = self.sectors.len() / SECTOR_BYTES;
-        self.sectors.resize((block + size) * SECTOR_BYTES, 0);
-        block as u32
-    }
-
-    /// Saves the `fresh` sectors of `memory`, one eighth of a page, into
+    /// Makes room for the `fresh` sectors of one eighth of a page in
     /// `slot`'s block for that eighth, which holds its `old` sectors so
-    /// far. Returns whether there were old sectors, which are then merged
-    /// with the fresh ones into a block of their combined size and their
-    /// block is freed.
-    fn save(&mut self, slot: u32, eighth: usize, old: u64, fresh: u64, memory: &[u8]) -> bool {
+    /// far: a block of their combined size, into which the old sectors,
+    /// if any, are merged and their block is freed. Returns the block, for
+    /// the caller to copy the fresh sectors into, each at its rank.
+    fn save(&mut self, slot: u32, eighth: usize, old: u64, fresh: u64) -> u32 {
         let all = old | fresh;
-        let block = self.take(all.count_ones() as usize);
-        let at = |sector: usize| (block as usize + rank(all, sector)) * SECTOR_BYTES;
-        for run in sector_runs(fresh) {
-            let bytes = byte_range(run.clone());
-            self.sectors[at(run.start)..][..bytes.len()].copy_from_slice(&memory[bytes]);
-        }
+        let block = self.arena.take(all.count_ones() as usize);
         let was = std::mem::replace(&mut self.tables[slot as usize][eighth], block);
-        if old == 0 {
-            return false;
+        if old != 0 {
+            self.arena.repack(was, old, block, all);
+            self.arena.give(was, old.count_ones() as usize);
         }
-        for run in sector_runs(old) {
-            let from = (was as usize + rank(old, run.start)) * SECTOR_BYTES;
-            let len = run.len() * SECTOR_BYTES;
-            self.sectors.copy_within(from..from + len, at(run.start));
-        }
-        self.free[old.count_ones() as usize].push(was);
-        true
+        block
     }
 
     /// Returns `slot` and the blocks of the eighths `unsynced` touches —
     /// all the table holds — each to the free list of its size.
     fn release(&mut self, slot: u32, unsynced: u64) {
-        let table = &mut self.tables[slot as usize];
         for eighth in eighths(unsynced) {
             let size = sectors_in(unsynced, eighth).count_ones() as usize;
-            self.free[size].push(std::mem::replace(&mut table[eighth], NO_BLOCK));
+            let block = std::mem::replace(&mut self.tables[slot as usize][eighth], NO_BLOCK);
+            self.arena.give(block, size);
         }
         self.free_tables.push(slot);
     }
 
     /// What the device holds in the unsynced sectors of the page `masks`
-    /// describes, one run of sectors within one eighth at a time: the
-    /// run's byte range in the page and its saved bytes, or zeroes for a
-    /// page never handed over.
+    /// describes, one run of sectors within one eighth at a time: the run
+    /// and its saved bytes, or zeroes for a page never handed over.
     fn saved(&self, masks: SectorMasks) -> impl Iterator<Item = (Range<usize>, &[u8])> {
         eighths(masks.unsynced).flat_map(move |eighth| {
             let mask = sectors_in(masks.unsynced, eighth);
-            let block: &[u8] = if masks.held {
-                let at = self.tables[masks.slot as usize][eighth] as usize * SECTOR_BYTES;
-                &self.sectors[at..][..mask.count_ones() as usize * SECTOR_BYTES]
+            let block: &[u8] = if masks.has_slot() {
+                let at = at_sector(self.tables[masks.slot as usize][eighth], 0);
+                &self.arena.bytes[at..][..mask.count_ones() as usize * SECTOR_BYTES]
             } else {
                 &ZERO_EIGHTH
             };
@@ -453,7 +612,7 @@ impl UndoPool {
             sector_runs(mask).map(move |run| {
                 let packed = rank(mask, run.start);
                 (
-                    byte_range(base + run.start..base + run.end),
+                    base + run.start..base + run.end,
                     &block[byte_range(packed..packed + run.len())],
                 )
             })
@@ -470,7 +629,7 @@ impl UndoPool {
                 (NO_BLOCK, 0) => None,
                 (NO_BLOCK, _) => Some("an undo table has no block for an unsynced eighth"),
                 (_, 0) => Some("an undo table has a block for an eighth in sync"),
-                (block, size) if (block as usize + size) * SECTOR_BYTES > self.sectors.len() => {
+                (block, size) if at_sector(block, size) > self.arena.bytes.len() => {
                     Some("an undo block runs past the arena")
                 }
                 _ => None,
@@ -480,7 +639,7 @@ impl UndoPool {
 
     /// Host bytes the arenas hold: the most the log has held at once.
     fn bytes(&self) -> u64 {
-        (self.sectors.len() + self.tables.len() * std::mem::size_of::<Table>()) as u64
+        (self.arena.bytes.len() + self.tables.len() * std::mem::size_of::<Table>()) as u64
     }
 }
 
@@ -589,7 +748,7 @@ impl Mmu {
         Mmu {
             page_table,
             tlb: Tlb::new(tlb_sets, tlb_ways),
-            memory: Planes::new(pages),
+            memory: Store::new(pages),
             clock,
             costs,
             profiler: Profiler::disabled(),
@@ -745,18 +904,24 @@ impl Mmu {
     #[inline]
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), AccessError> {
         self.check_range(addr, buf.len())?;
-        // A plane lies inside one page, so this is also the one-page test.
-        let one_plane = (1..=PLANE - addr as usize % PLANE).contains(&buf.len());
-        if !one_plane || self.profiler.is_enabled() {
+        let page = PageId::containing(addr);
+        let one_page = (1..=PAGE_SIZE - addr as usize % PAGE_SIZE).contains(&buf.len());
+        if !one_page || self.profiler.is_enabled() {
             self.read_chunked(addr, buf);
             return Ok(());
         }
-        // Within one plane and nobody attributing per class: the chunking
-        // loop would run exactly once and copy one slice, so do its one
-        // pass directly — one translation, one copy, one charge of the two
-        // costs summed.
-        let (_, _, tlb_cost) = self.translate(PageId::containing(addr));
-        buf.copy_from_slice(self.memory.run(addr, buf.len()));
+        // Within one page and nobody attributing per class: the chunking
+        // loop would run exactly once, so do its one pass directly — one
+        // translation, one copy, one charge of the two costs summed. The
+        // copy is one slice of a dense page's frame; any other page's
+        // bytes are gathered out of line.
+        let (_, _, tlb_cost) = self.translate(page);
+        let place = self.sector_masks.get(page).place;
+        if place == DENSE {
+            buf.copy_from_slice(self.memory.frame(addr, buf.len()));
+        } else {
+            self.memory.load(place, addr, buf);
+        }
         self.clock
             .advance(tlb_cost + self.costs.dram_access(buf.len()));
         self.stats.reads += 1;
@@ -777,7 +942,8 @@ impl Mmu {
             let (_, class, cost) = self.translate(page);
             self.account(&mut owed, class, cost);
             let (chunk, rest) = remaining.split_at_mut(in_page);
-            self.memory.load(off, chunk);
+            self.memory
+                .load(self.sector_masks.get(page).place, off, chunk);
             let cost = self.costs.dram_access(in_page);
             self.account(&mut owed, CostClass::DramAccess, cost);
             remaining = rest;
@@ -869,10 +1035,18 @@ impl Mmu {
             // Most writes find their sectors unsynced already.
             let fresh = touched & !masks.unsynced;
             masks.unsynced |= touched;
-            if fresh != 0 && masks.held {
+            let place = masks.place;
+            if fresh != 0 && masks.held() {
                 self.save_undo(page, fresh);
             }
-            self.memory.store(addr, data);
+            if place == DENSE {
+                self.memory.frames[addr as usize..][..data.len()].copy_from_slice(data);
+            } else {
+                let moved = self.memory.store_sparse(place, addr, data, touched);
+                if moved != place {
+                    self.sector_masks.get_mut(page).place = moved;
+                }
+            }
             let cost = self.costs.dram_access(data.len());
             self.account(&mut owed, CostClass::DramAccess, cost);
             self.stats.writes += 1;
@@ -924,15 +1098,20 @@ impl Mmu {
         if masks.slot == NO_SLOT {
             masks.slot = self.undo.alloc();
         }
+        let masks = *masks;
         // The write has marked `fresh` unsynced already.
-        let (slot, old) = (masks.slot, masks.unsynced & !fresh);
+        let old = masks.unsynced & !fresh;
         for eighth in eighths(fresh) {
-            let eighth_addr = page.base_addr() + (eighth * EIGHTH_BYTES) as u64;
-            let memory = self.memory.run(eighth_addr, EIGHTH_BYTES);
             let (old, fresh) = (sectors_in(old, eighth), sectors_in(fresh, eighth));
-            if self.undo.save(slot, eighth, old, fresh, memory) {
-                self.undo_stats.merges += 1;
+            let block = self.undo.save(masks.slot, eighth, old, fresh);
+            let base = eighth * EIGHTH_SECTORS;
+            for run in sector_runs(fresh) {
+                let at = at_sector(block, rank(old | fresh, run.start));
+                let out = &mut self.undo.arena.bytes[at..][..run.len() * SECTOR_BYTES];
+                let sectors = base + run.start..base + run.end;
+                self.memory.save_run(page, masks.place, sectors, out);
             }
+            self.undo_stats.merges += u64::from(old != 0);
         }
         if fresh != u64::MAX {
             self.undo_stats.partial_saves += 1;
@@ -949,11 +1128,10 @@ impl Mmu {
     /// Panics if `page` is out of range.
     pub fn take_unsynced(&mut self, page: PageId) -> u64 {
         let masks = self.sector_masks.get_mut(page);
-        masks.held = true;
-        if masks.slot != NO_SLOT {
-            self.undo
-                .release(std::mem::replace(&mut masks.slot, NO_SLOT), masks.unsynced);
+        if masks.has_slot() {
+            self.undo.release(masks.slot, masks.unsynced);
         }
+        masks.slot = NO_SLOT;
         std::mem::take(&mut masks.unsynced)
     }
 
@@ -964,7 +1142,7 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn is_held(&self, page: PageId) -> bool {
-        self.sector_masks.get(page).held
+        self.sector_masks.get(page).held()
     }
 
     /// `true` if `page`'s memory equals its device image — the bytes last
@@ -975,10 +1153,10 @@ impl Mmu {
     ///
     /// Panics if `page` is out of range.
     pub fn matches_durable(&self, page: PageId) -> bool {
-        let base = page.base_addr();
+        let masks = self.sector_masks.get(page);
         self.undo
-            .saved(self.sector_masks.get(page))
-            .all(|(run, saved)| self.memory.run(base + run.start as u64, run.len()) == saved)
+            .saved(masks)
+            .all(|(run, saved)| self.memory.run(page, masks.place, run) == saved)
     }
 
     /// The device image of `page`, assembled from memory and the undo
@@ -991,13 +1169,13 @@ impl Mmu {
     /// Panics if `page` is out of range.
     pub fn durable_page(&self, page: PageId) -> Option<Vec<u8>> {
         let masks = self.sector_masks.get(page);
-        if !masks.held {
+        if !masks.held() {
             return None;
         }
         let mut image = vec![0; PAGE_SIZE];
         self.peek(page.base_addr(), &mut image);
         for (run, saved) in self.undo.saved(masks) {
-            image[run].copy_from_slice(saved);
+            image[byte_range(run)].copy_from_slice(saved);
         }
         Some(image)
     }
@@ -1016,20 +1194,17 @@ impl Mmu {
         if lost == 0 {
             return 0;
         }
-        let base = page.base_addr();
         for (run, saved) in self.undo.saved(masks) {
             self.memory
-                .run_mut(base + run.start as u64, run.len())
+                .run_mut(page, masks.place, run)
                 .copy_from_slice(saved);
         }
-        if masks.held {
+        let masks = self.sector_masks.get_mut(page);
+        if masks.has_slot() {
             self.undo.release(masks.slot, lost);
+            masks.slot = NO_SLOT;
         }
-        *self.sector_masks.get_mut(page) = SectorMasks {
-            unsynced: 0,
-            slot: NO_SLOT,
-            ..masks
-        };
+        masks.unsynced = 0;
         self.undo_stats.sectors_restored += lost.count_ones() as u64;
         lost.count_ones()
     }
@@ -1042,25 +1217,56 @@ impl Mmu {
         }
     }
 
-    /// The first page that breaks the undo log's invariant, with what is
-    /// wrong: a page has an undo slot exactly when it is held and has
-    /// unsynced sectors, the slot's table has a block inside the arena
-    /// for exactly the eighths of the page with an unsynced sector, and
-    /// no page in `in_flight` (write-protected since its hand-over) has a
-    /// slot. O(pages); for checks.
+    /// The first page that breaks the undo log's invariant or the
+    /// store's, with what is wrong: a page has an undo slot exactly when
+    /// it is held and has unsynced sectors, the slot's table has a block
+    /// inside the arena for exactly the eighths of the page with an
+    /// unsynced sector, no page in `in_flight` (write-protected since its
+    /// hand-over) has a slot, and a page that is not dense holds each
+    /// sector its unsynced and shipped masks name, in one block of at most
+    /// eight sectors inside its arena. O(pages); for checks.
     pub fn undo_violation(&self, in_flight: &Bitmap2L) -> Option<(PageId, &'static str)> {
         let reached = self.sector_masks.reached().iter();
-        reached.enumerate().find_map(|(i, masks)| {
-            let why = match (masks.slot != NO_SLOT, masks.held, masks.unsynced != 0) {
-                (true, false, _) => "a page never handed over has an undo slot",
-                (true, true, false) => "a page in sync has an undo slot",
-                (false, true, true) => "a held page's unsynced sectors have no undo slot",
-                (true, true, true) if in_flight.test(i) => "a page in flight has an undo slot",
-                (true, true, true) => self.undo.table_violation(masks.slot, masks.unsynced)?,
-                _ => return None,
-            };
+        reached.enumerate().find_map(|(i, &masks)| {
+            let why = self.store_violation(masks).or_else(|| {
+                match (masks.has_slot(), masks.held(), masks.unsynced != 0) {
+                    (true, _, false) => Some("a page in sync has an undo slot"),
+                    (false, true, true) => Some("a held page's unsynced sectors have no undo slot"),
+                    (true, _, true) if in_flight.test(i) => {
+                        Some("a page in flight has an undo slot")
+                    }
+                    (true, _, true) => self.undo.table_violation(masks.slot, masks.unsynced),
+                    _ => None,
+                }
+            })?;
             Some((PageId(i as u64), why))
         })
+    }
+
+    /// What is wrong with where the page `masks` describes lies, if
+    /// anything.
+    fn store_violation(&self, masks: SectorMasks) -> Option<&'static str> {
+        let store = &self.memory;
+        match masks.place {
+            DENSE => return None,
+            UNTOUCHED => {}
+            record if record as usize >= store.records.len() => {
+                return Some("a sparse page's record is out of range");
+            }
+            _ => {}
+        }
+        let sparse = store.sparse(masks.place);
+        if (masks.unsynced | masks.shipped) & !sparse.resident != 0 {
+            return Some("a sparse page's written sectors are not resident");
+        }
+        let size = sparse.resident.count_ones() as usize;
+        match masks.place {
+            UNTOUCHED => None,
+            _ if size == 0 => Some("a sparse page has a record and no resident sector"),
+            _ if size > SPARSE_SECTORS => Some("a sparse page holds more sectors than a block"),
+            _ => (at_sector(sparse.block, size) > store.arena.bytes.len())
+                .then_some("a sparse page's block runs past the arena"),
+        }
     }
 
     /// Write-protects `page`, invalidating its TLB entry (the paper's
@@ -1207,7 +1413,13 @@ impl Mmu {
         if let Err(e) = self.check_range(addr, buf.len()) {
             panic!("Mmu::peek: {e}");
         }
-        self.memory.load_planes(addr, buf);
+        let mut addr = addr;
+        let (head, tail) = buf.split_at_mut((PAGE_SIZE - addr as usize % PAGE_SIZE).min(buf.len()));
+        for chunk in std::iter::once(head).chain(tail.chunks_mut(PAGE_SIZE)) {
+            let place = self.sector_masks.get(PageId::containing(addr)).place;
+            self.memory.load(place, addr, chunk);
+            addr += chunk.len() as u64;
+        }
     }
 }
 
@@ -1626,44 +1838,63 @@ mod tests {
     }
 
     /// `m`'s undo log holds exactly the slots and blocks its pages need,
-    /// every other one is on a free list, and the blocks, live and free,
-    /// tile the sector arena.
+    /// and its sparse pages exactly their records and blocks, every other
+    /// one is on a free list, and in each arena the blocks, live and free,
+    /// tile the sectors.
     #[track_caller]
     fn assert_undo_sound(m: &Mmu) {
         assert_eq!(m.undo_violation(&Bitmap2L::new(m.pages())), None);
-        let live: Vec<SectorMasks> = m
-            .sector_masks
-            .reached()
-            .iter()
-            .copied()
-            .filter(|s| s.slot != NO_SLOT)
-            .collect();
+        let reached = m.sector_masks.reached();
+        let slotted: Vec<SectorMasks> = reached.iter().copied().filter(|s| s.has_slot()).collect();
         let undo = &m.undo;
         assert_eq!(
-            live.len() + undo.free_tables.len(),
+            slotted.len() + undo.free_tables.len(),
             undo.tables.len(),
             "a slot leaked"
         );
         // Every block as (first sector, size).
-        let live = live.iter().flat_map(|s| {
+        let saved = slotted.iter().flat_map(|s| {
             eighths(s.unsynced).map(|eighth| {
                 let size = sectors_in(s.unsynced, eighth).count_ones() as usize;
                 (undo.tables[s.slot as usize][eighth] as usize, size)
             })
         });
-        let free = (0..undo.free.len()).flat_map(|size| {
-            undo.free[size]
+        assert_tiled(&undo.arena, saved);
+        let store = &m.memory;
+        let places: Vec<u32> = reached
+            .iter()
+            .map(|s| s.place)
+            .filter(|&place| place < DENSE)
+            .collect();
+        assert_eq!(
+            places.len() + store.free_records.len(),
+            store.records.len(),
+            "a sparse record leaked"
+        );
+        let sparse = places.iter().map(|&place| {
+            let sparse = store.sparse(place);
+            (sparse.block as usize, sparse.resident.count_ones() as usize)
+        });
+        assert_tiled(&store.arena, sparse);
+    }
+
+    /// `live` blocks, as (first sector, size), and `arena`'s free ones
+    /// hold each of its sectors exactly once.
+    #[track_caller]
+    fn assert_tiled(arena: &SectorArena, live: impl Iterator<Item = (usize, usize)>) {
+        let free = (0..arena.free.len()).flat_map(|size| {
+            arena.free[size]
                 .iter()
                 .map(move |&block| (block as usize, size))
         });
         let blocks: Vec<(usize, usize)> = live.chain(free).collect();
-        let arena = undo.sectors.len() / SECTOR_BYTES;
+        let sectors = arena.bytes.len() / SECTOR_BYTES;
         assert_eq!(
             blocks.iter().map(|&(_, size)| size).sum::<usize>(),
-            arena,
+            sectors,
             "live plus free sectors are not the arena"
         );
-        let mut claimed = vec![false; arena];
+        let mut claimed = vec![false; sectors];
         for (block, size) in blocks {
             for (i, claim) in claimed[block..block + size].iter_mut().enumerate() {
                 assert!(
@@ -1717,14 +1948,17 @@ mod tests {
         assert_eq!(m.take_unsynced(page), 0b110);
         assert_eq!(m.durable_page(page), Some(memory(&m, page)));
         assert!(m.matches_durable(page));
-        assert_eq!((m.undo.free_tables.len(), m.undo.free[2].len()), (1, 1));
+        assert_eq!(
+            (m.undo.free_tables.len(), m.undo.arena.free[2].len()),
+            (1, 1)
+        );
         m.write(base, &[4]).unwrap();
         assert_eq!(
-            (m.undo.tables.len(), m.undo.sectors.len()),
+            (m.undo.tables.len(), m.undo.arena.bytes.len()),
             (1, 2 * SECTOR_BYTES),
             "the slot and half its block were recycled"
         );
-        assert_eq!(m.undo.free[1].len(), 1, "the other half is free");
+        assert_eq!(m.undo.arena.free[1].len(), 1, "the other half is free");
         assert_eq!(
             m.durable_page(page).unwrap()[..70],
             [&[1; 64][..], &[3; 6]].concat()
@@ -1801,7 +2035,12 @@ mod tests {
             assert!(!m.matches_durable(PageId(i)), "its image is zeroes");
         }
         assert_eq!(m.durable_page(PageId(0)), None);
-        assert!(m.undo.tables.is_empty() && m.undo.sectors.is_empty());
+        assert!(m.undo.tables.is_empty() && m.undo.arena.bytes.is_empty());
+        assert_eq!(
+            m.memory.arena.bytes.len(),
+            4 * 4 * SECTOR_BYTES,
+            "each page's four sectors"
+        );
         assert_eq!(m.undo_stats(), UndoStats::default());
         assert_undo_sound(&m);
     }
@@ -1815,7 +2054,7 @@ mod tests {
         image[6 * 64..10 * 64].fill(2);
         m.write(base + 6 * 64, &[3; 4 * 64]).unwrap(); // sectors 6..=9
         assert_eq!(
-            m.undo.sectors.len(),
+            m.undo.arena.bytes.len(),
             4 * SECTOR_BYTES,
             "two sectors in each of eighths 0 and 1"
         );
@@ -1828,11 +2067,11 @@ mod tests {
         // The lost run comes back byte-exact, both halves, through
         // recycled blocks that held other bytes before.
         m.write(base + 6 * 64 + 5, &[9; 4 * 64 - 10]).unwrap();
-        assert_eq!(m.undo.sectors.len(), 4 * SECTOR_BYTES);
+        assert_eq!(m.undo.arena.bytes.len(), 4 * SECTOR_BYTES);
         assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
         assert_eq!(m.restore_durable(page), 4);
         assert_eq!(memory(&m, page), image);
-        assert_eq!(m.undo.free[2].len(), 2);
+        assert_eq!(m.undo.arena.free[2].len(), 2);
         assert_undo_sound(&m);
     }
 
@@ -1841,15 +2080,19 @@ mod tests {
         let page = PageId(0);
         let mut m = held(1, page, 1);
         m.write(0, &[2; PAGE_SIZE]).unwrap();
-        assert_eq!(m.undo.sectors.len(), PAGE_SIZE);
+        assert_eq!(m.undo.arena.bytes.len(), PAGE_SIZE);
         assert!(m.undo.tables[0].iter().all(|&b| b != NO_BLOCK));
         assert_undo_sound(&m);
         m.take_unsynced(page);
-        assert_eq!(m.undo.free[8].len(), 8, "all eight freed");
+        assert_eq!(m.undo.arena.free[8].len(), 8, "all eight freed");
         assert_eq!(m.undo.tables[0], [NO_BLOCK; 8]);
         m.write(0, &[3; PAGE_SIZE]).unwrap();
-        assert_eq!(m.undo.sectors.len(), PAGE_SIZE, "the next save reused them");
-        assert!(m.undo.free[8].is_empty());
+        assert_eq!(
+            m.undo.arena.bytes.len(),
+            PAGE_SIZE,
+            "the next save reused them"
+        );
+        assert!(m.undo.arena.free[8].is_empty());
         assert_eq!(m.durable_page(page), Some(vec![2; PAGE_SIZE]));
         assert_undo_sound(&m);
     }
@@ -1868,7 +2111,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            (m.undo.tables.len(), m.undo.sectors.len()),
+            (m.undo.tables.len(), m.undo.arena.bytes.len()),
             (n, n * SECTOR_BYTES)
         );
         assert_eq!(m.undo_stats().peak_bytes, n as u64 * (64 + 32));
@@ -1898,8 +2141,11 @@ mod tests {
             "a merge lost or moved a sector an earlier save took"
         );
         // Blocks of one and two freed by the merges, and the six.
-        assert_eq!(m.undo.sectors.len(), 9 * SECTOR_BYTES);
-        assert_eq!((m.undo.free[1].len(), m.undo.free[2].len()), (1, 1));
+        assert_eq!(m.undo.arena.bytes.len(), 9 * SECTOR_BYTES);
+        assert_eq!(
+            (m.undo.arena.free[1].len(), m.undo.arena.free[2].len()),
+            (1, 1)
+        );
         assert_undo_sound(&m);
         assert_eq!(m.restore_durable(page), 6);
         assert_eq!(memory(&m, page), image);
@@ -1915,14 +2161,14 @@ mod tests {
         let image = memory(&m, page);
         m.write(9 * 64, &[3]).unwrap(); // one sector of eighth 1
         assert_eq!(
-            m.undo.sectors.len(),
+            m.undo.arena.bytes.len(),
             8 * SECTOR_BYTES,
             "the block of eight was split, not the arena grown"
         );
-        assert_eq!(m.undo.free[7], [1], "its last seven are free");
+        assert_eq!(m.undo.arena.free[7], [1], "its last seven are free");
         m.write(16 * 64, &[4; 7 * 64]).unwrap(); // seven sectors of eighth 2
-        assert_eq!(m.undo.sectors.len(), 8 * SECTOR_BYTES);
-        assert!(m.undo.free.iter().all(Vec::is_empty));
+        assert_eq!(m.undo.arena.bytes.len(), 8 * SECTOR_BYTES);
+        assert!(m.undo.arena.free.iter().all(Vec::is_empty));
         assert_eq!(m.durable_page(page), Some(image));
         assert_undo_sound(&m);
     }
@@ -2001,8 +2247,8 @@ mod tests {
             m.undo_violation(&in_flight),
             Some((PageId(2), "a page in sync has an undo slot"))
         );
-        m.sector_masks.get_mut(PageId(1)).unsynced = 1;
-        m.sector_masks.get_mut(PageId(1)).held = true;
+        let masks = m.sector_masks.get_mut(PageId(1));
+        (masks.unsynced, masks.slot, masks.place) = (1, NO_SLOT, DENSE);
         assert_eq!(
             m.undo_violation(&in_flight),
             Some((
@@ -2034,6 +2280,172 @@ mod tests {
         assert_eq!(
             m.undo_violation(&none),
             Some((PageId(0), "an undo block runs past the arena"))
+        );
+    }
+
+    /// `m` with one sector written at `offset` of each of `sectors`, in
+    /// turn, of page 0, each byte its sector's number plus one.
+    fn written(sectors: &[usize]) -> Mmu {
+        let mut m = mmu(1);
+        for &s in sectors {
+            m.write((s * SECTOR_BYTES) as u64, &[s as u8 + 1; SECTOR_BYTES])
+                .unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn a_page_of_eight_sectors_is_sparse_and_the_ninth_promotes_it() {
+        let sectors = [60, 3, 17, 0, 41, 8, 9, 33];
+        let mut m = written(&sectors);
+        let place = m.sector_masks.get(PageId(0)).place;
+        assert_ne!(place, DENSE, "eight sectors stay packed");
+        assert_eq!(m.memory.sparse(place).resident.count_ones(), 8);
+        assert_eq!(
+            m.memory.arena.bytes.len(),
+            (1..=8).sum::<usize>() * SECTOR_BYTES
+        );
+        assert_undo_sound(&m);
+        let mut image = vec![0; PAGE_SIZE];
+        for s in sectors {
+            image[byte_range(s..s + 1)].fill(s as u8 + 1);
+        }
+        assert_eq!(memory(&m, PageId(0)), image);
+        // A rewrite of a resident sector takes nothing.
+        m.write(17 * 64 + 5, &[0xEE; 3]).unwrap();
+        image[17 * 64 + 5..17 * 64 + 8].fill(0xEE);
+        assert_ne!(m.sector_masks.get(PageId(0)).place, DENSE);
+
+        m.write(62 * 64 + 10, &[0xAB; 4]).unwrap();
+        image[62 * 64 + 10..62 * 64 + 14].fill(0xAB);
+        assert_eq!(
+            m.sector_masks.get(PageId(0)).place,
+            DENSE,
+            "a ninth promotes"
+        );
+        assert_eq!(m.memory.free_records, [0], "its record is free");
+        assert_eq!(memory(&m, PageId(0)), image);
+        assert_eq!(
+            m.memory.arena.free[8].len(),
+            1,
+            "its block of eight is free"
+        );
+        assert_undo_sound(&m);
+        let mut buf = [0; 100];
+        m.read(61 * 64 + 20, &mut buf).unwrap();
+        assert_eq!(buf[..], image[61 * 64 + 20..][..100]);
+    }
+
+    #[test]
+    fn a_new_sector_reads_as_zeroes_around_a_short_write() {
+        // Page 0 growing to three sectors frees a block of one and one of
+        // two, holding its old bytes; page 1 then takes both back.
+        let mut m = mmu(2);
+        for s in 1..=3u64 {
+            m.write(s * 64, &[s as u8; 64]).unwrap();
+        }
+        let base = PAGE_SIZE as u64;
+        m.write(base + 10 * 64, &[9; 64]).unwrap();
+        m.write(base + PAGE_SIZE as u64 - 70, &[7; 4]).unwrap(); // sector 62
+        assert_eq!(
+            m.memory.arena.bytes.len(),
+            6 * SECTOR_BYTES,
+            "both of page 1's blocks were recycled"
+        );
+        let mut image = vec![0; PAGE_SIZE];
+        image[byte_range(10..11)].fill(9);
+        image[PAGE_SIZE - 70..PAGE_SIZE - 66].fill(7);
+        assert_eq!(memory(&m, PageId(1)), image);
+        let mut buf = [0xA5; 3 * 64];
+        m.read(base + PAGE_SIZE as u64 - 3 * 64, &mut buf).unwrap();
+        assert_eq!(buf[..], image[PAGE_SIZE - 3 * 64..]);
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn a_whole_page_write_to_an_untouched_page_takes_no_block() {
+        let mut m = mmu(2);
+        m.write(PAGE_SIZE as u64, &[5; PAGE_SIZE]).unwrap();
+        assert_eq!(m.sector_masks.get(PageId(1)).place, DENSE);
+        assert!(m.memory.arena.bytes.is_empty());
+        assert_eq!(m.sector_masks.get(PageId(0)).place, UNTOUCHED);
+        assert_eq!(memory(&m, PageId(0)), [0; PAGE_SIZE]);
+    }
+
+    #[test]
+    fn a_sparse_page_keeps_its_image_through_promotion_and_restore() {
+        let page = PageId(0);
+        let mut m = written(&[2, 5]);
+        m.take_unsynced(page);
+        let image = memory(&m, page);
+        // Sector 5 was resident and in sync, sector 9 was not resident.
+        m.write(5 * 64, &[0xC1; 64]).unwrap();
+        m.write(9 * 64 + 1, &[0xC2; 2]).unwrap();
+        assert_ne!(m.sector_masks.get(page).place, DENSE);
+        assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
+        assert!(!m.matches_durable(page));
+        assert_undo_sound(&m);
+        // Past eight resident sectors after the hand-over: dense.
+        m.write(20 * 64, &[0xC3; 7 * 64]).unwrap();
+        assert_eq!(m.sector_masks.get(page).place, DENSE);
+        assert_eq!(m.durable_page(page).as_deref(), Some(&image[..]));
+        assert_undo_sound(&m);
+        assert_eq!(m.restore_durable(page), 9);
+        assert_eq!(memory(&m, page), image);
+        assert!(m.matches_durable(page));
+        assert_undo_sound(&m);
+
+        // A sparse page restores in place, inside its block.
+        let mut m = written(&[2, 5]);
+        m.take_unsynced(page);
+        m.write(5 * 64 + 3, &[0xD1; 10]).unwrap();
+        m.write(40 * 64, &[0xD2; 64]).unwrap();
+        assert_eq!(m.restore_durable(page), 2);
+        assert_ne!(m.sector_masks.get(page).place, DENSE);
+        assert_eq!(memory(&m, page), image);
+        assert_undo_sound(&m);
+    }
+
+    #[test]
+    fn store_violations_name_the_page() {
+        let none = Bitmap2L::new(1);
+        let mut m = written(&[4]);
+        assert_eq!(m.undo_violation(&none), None);
+        m.sector_masks.get_mut(PageId(0)).shipped |= 1 << 5;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((
+                PageId(0),
+                "a sparse page's written sectors are not resident"
+            ))
+        );
+        m.sector_masks.get_mut(PageId(0)).shipped = 0;
+        m.sector_masks.get_mut(PageId(0)).unsynced = 1 << 5;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((
+                PageId(0),
+                "a sparse page's written sectors are not resident"
+            ))
+        );
+        m.sector_masks.get_mut(PageId(0)).unsynced = 0;
+        m.memory.records[0].resident = 0b11;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((PageId(0), "a sparse page's block runs past the arena"))
+        );
+        m.memory.records[0].resident = 0;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((
+                PageId(0),
+                "a sparse page has a record and no resident sector"
+            ))
+        );
+        m.sector_masks.get_mut(PageId(0)).place = 1;
+        assert_eq!(
+            m.undo_violation(&none),
+            Some((PageId(0), "a sparse page's record is out of range"))
         );
     }
 }

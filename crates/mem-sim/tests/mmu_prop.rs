@@ -1,9 +1,10 @@
-//! Property tests of the MMU model: memory behaves like flat bytes, write
-//! protection is exact, the hardware dirty counter never diverges from
-//! the page-table ground truth, pages past the highest one written read as
-//! never written, and an attached profiler changes how an access is
-//! charged (and keeps a one-plane read in the chunking loop) but nothing
-//! it charges or returns.
+//! Property tests of the MMU model: memory and the device image behave
+//! like flat bytes whether a page is packed or flat, write protection is
+//! exact, the hardware dirty counter never diverges from the page-table
+//! ground truth, pages past the highest one written read as never
+//! written, and an attached profiler changes how an access is charged
+//! (and keeps a one-page read in the chunking loop) but nothing it
+//! charges or returns.
 
 use mem_sim::{AccessError, Bitmap2L, Mmu, PageId, WalkOptions, PAGE_SIZE};
 use propcheck::{check, int, vec_of, weighted};
@@ -12,14 +13,41 @@ use telemetry::Profiler;
 
 const PAGES: usize = 16;
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Op {
-    Write { addr: u64, len: u16, fill: u8 },
-    Read { addr: u64, len: u16 },
-    Protect { page: u8 },
-    Unprotect { page: u8 },
+    Write {
+        addr: u64,
+        len: u16,
+        fill: u8,
+    },
+    Read {
+        addr: u64,
+        len: u16,
+    },
+    Peek {
+        addr: u64,
+        len: u16,
+    },
+    Protect {
+        page: u8,
+    },
+    Unprotect {
+        page: u8,
+    },
     WalkExact,
     WalkStale,
+    /// `take_unsynced`: the page's memory becomes its device image.
+    HandOver {
+        page: u8,
+    },
+    /// `restore_durable`: the device image is laid back over memory.
+    Restore {
+        page: u8,
+    },
+    /// `durable_page` and `matches_durable` are read.
+    Image {
+        page: u8,
+    },
 }
 
 fn gen_op(rng: &mut SplitMix64) -> Op {
@@ -45,7 +73,7 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
     }
 }
 
-/// Reads on each side of a page edge, which `Mmu::read`'s one-plane path
+/// Reads on each side of a page edge, which `Mmu::read`'s one-page path
 /// must not cross: inside a page, ending on a page's last byte, one byte
 /// longer than that, and running on into the next page or the one after.
 fn gen_read_shape(rng: &mut SplitMix64) -> Op {
@@ -76,71 +104,210 @@ fn gen_read_shape(rng: &mut SplitMix64) -> Op {
     }
 }
 
-/// The finest width the planes of `Mmu`'s memory may take: the undo
-/// log's eighth of a page. Every plane edge of a width it divides is one
-/// of its multiples, so the shapes below land on the layout's edges.
-const EDGE: u64 = 512;
+/// The sectors of each page written so far, as the shape generator below
+/// counts them: every sector a generated write touches, whether or not
+/// the write faults on a protected page.
+type Written = [u64; PAGES];
 
-/// Accesses at the edges of the planes `Mmu`'s memory is laid out in:
-/// ending on a plane's last byte, ending one byte past it, spanning three
-/// or more planes, and whole pages. A write is clamped to its page where
-/// it is applied; a read runs on into the next pages.
-fn gen_plane_shape(rng: &mut SplitMix64) -> Op {
+/// The most sectors a page keeps packed: the write that would make a
+/// ninth resident moves it to its flat frame.
+const SPARSE: u32 = 8;
+
+const SECTOR: u64 = 64;
+
+/// The sectors bytes `addr..addr + len` of one page touch, for
+/// [`Written`]; a write is clamped to its page as it is applied.
+fn note(written: &mut Written, op: &Op) {
+    if let Op::Write { addr, len, .. } = *op {
+        let page = PageId::containing(addr);
+        let (at, len) = (addr % PAGE_SIZE as u64, len as u64);
+        let end = (at + len).min(PAGE_SIZE as u64);
+        for sector in at / SECTOR..end.div_ceil(SECTOR) {
+            written[page.index()] |= 1 << sector;
+        }
+    }
+}
+
+/// One of `mask`'s sectors, any of them equally likely.
+fn pick(rng: &mut SplitMix64, mask: u64) -> u64 {
+    let nth = int(rng, 0..mask.count_ones() as u64) as usize;
+    (0..64)
+        .filter(|s| mask >> s & 1 == 1)
+        .nth(nth)
+        .expect("a set bit")
+}
+
+/// A write of 1 to `longest` bytes inside one sector of `page` not
+/// written before, if it has one: the rest of the sector must read as
+/// zeroes.
+fn new_sector_write(
+    rng: &mut SplitMix64,
+    page: usize,
+    written: &mut Written,
+    longest: u64,
+) -> Option<Op> {
+    let unwritten = !written[page];
+    if unwritten == 0 {
+        return None;
+    }
+    let sector = pick(rng, unwritten);
+    let len = int(rng, 1..=longest);
+    let at = int(rng, 0..=SECTOR - len);
+    let op = Op::Write {
+        addr: PageId(page as u64).base_addr() + sector * SECTOR + at,
+        len: len as u16,
+        fill: rng.next_u64() as u8,
+    };
+    note(written, &op);
+    Some(op)
+}
+
+/// Accesses at the edges of the store behind `Mmu`'s memory, in which a
+/// page holds only the sectors written to it, packed, until a ninth would
+/// be, and from then on its flat frame:
+/// - writes that bring a page to exactly eight sectors and then nine,
+///   reading the whole page at each;
+/// - writes shorter than a sector into a sector not written before,
+///   whose rest must read as zeroes;
+/// - reads and peeks from a written sector of a packed page into one
+///   never written, or the other way;
+/// - hand-overs, restores and reads of the device image of packed pages,
+///   and of pages promoted to their frame since their hand-over.
+fn gen_store_shape(rng: &mut SplitMix64, written: &mut Written) -> Vec<Op> {
     const PAGE: u64 = PAGE_SIZE as u64;
-    let (start, len) = match int(rng, 0..4) {
+    let sparse: Vec<usize> = (0..PAGES)
+        .filter(|&p| written[p].count_ones() <= SPARSE)
+        .collect();
+    let page = if sparse.is_empty() || rng.chance(0.1) {
+        int(rng, 0..PAGES as u64) as usize
+    } else {
+        sparse[int(rng, 0..sparse.len() as u64) as usize]
+    };
+    let base = PageId(page as u64).base_addr();
+    let whole = Op::Read {
+        addr: base,
+        len: PAGE as u16,
+    };
+    let mut ops = Vec::new();
+    match int(rng, 0..4) {
         0 => {
-            let end = int(rng, 1..=PAGE / EDGE) * EDGE;
-            let len = int(rng, 1..=end);
-            (end - len, len)
+            while written[page].count_ones() < SPARSE {
+                ops.extend(new_sector_write(rng, page, written, SECTOR));
+            }
+            ops.push(whole);
+            ops.extend(new_sector_write(rng, page, written, SECTOR));
+            ops.push(whole);
         }
         1 => {
-            let end = int(rng, 1..=PAGE / EDGE) * EDGE + 1;
-            let len = int(rng, 2..=end);
-            (end - len, len)
+            if let Some(write) = new_sector_write(rng, page, written, SECTOR - 1) {
+                let Op::Write { addr, .. } = write else {
+                    unreachable!("a write")
+                };
+                // The sector and its neighbours inside the page.
+                let sector = addr - addr % SECTOR;
+                let from = sector.saturating_sub(SECTOR).max(base);
+                let to = (sector + 2 * SECTOR).min(base + PAGE);
+                ops.push(write);
+                ops.push(Op::Read {
+                    addr: from,
+                    len: (to - from) as u16,
+                });
+            }
         }
-        // Longer than a page: three planes or more, at any width up to
-        // half a page.
-        2 => (int(rng, 0..PAGE), int(rng, PAGE + 1..=2 * PAGE)),
-        _ => (0, PAGE),
-    };
-    // A read may end two pages on, so it never starts in the last two.
-    let addr = int(rng, 0..PAGES as u64 - 2) * PAGE + start;
-    let len = len as u16;
-    if rng.chance(0.5) {
-        Op::Write {
-            addr,
-            len,
-            fill: rng.next_u64() as u8,
+        2 => {
+            if written[page] == 0 {
+                ops.extend(new_sector_write(rng, page, written, SECTOR));
+            }
+            let (set, unset) = (written[page], !written[page]);
+            if set != 0 && unset != 0 {
+                let (a, b) = (pick(rng, set), pick(rng, unset));
+                let (lo, hi) = (a.min(b), a.max(b));
+                let addr = base + lo * SECTOR + int(rng, 0..SECTOR);
+                let end = base + hi * SECTOR + int(rng, 1..=SECTOR);
+                let len = (end - addr) as u16;
+                ops.push(if rng.chance(0.5) {
+                    Op::Read { addr, len }
+                } else {
+                    Op::Peek { addr, len }
+                });
+            }
         }
-    } else {
-        Op::Read { addr, len }
+        _ => {
+            let page_u8 = page as u8;
+            ops.push(Op::HandOver { page: page_u8 });
+            for _ in 0..int(rng, 1..=3) {
+                let rewrite = written[page] != 0 && rng.chance(0.5);
+                if rewrite {
+                    let sector = pick(rng, written[page]);
+                    ops.push(Op::Write {
+                        addr: base + sector * SECTOR + int(rng, 0..SECTOR / 2),
+                        len: int(rng, 1..=SECTOR / 2) as u16,
+                        fill: rng.next_u64() as u8,
+                    });
+                } else {
+                    ops.extend(new_sector_write(rng, page, written, SECTOR));
+                }
+            }
+            ops.push(Op::Image { page: page_u8 });
+            if rng.chance(0.5) {
+                // Promoted since the hand-over.
+                while written[page].count_ones() <= SPARSE {
+                    ops.extend(new_sector_write(rng, page, written, SECTOR));
+                }
+                ops.push(Op::Image { page: page_u8 });
+            }
+            ops.push(if rng.chance(0.5) {
+                Op::Restore { page: page_u8 }
+            } else {
+                Op::HandOver { page: page_u8 }
+            });
+            ops.push(Op::Image { page: page_u8 });
+        }
     }
+    ops
+}
+
+/// An op stream mixing `gen_op`'s with the store's shapes, `Written`
+/// kept across both.
+fn gen_ops(rng: &mut SplitMix64, extra: fn(&mut SplitMix64) -> Op) -> Vec<Op> {
+    let mut written = [0; PAGES];
+    let groups = vec_of(rng, 1..100, |rng| {
+        let op = match int(rng, 0..3) {
+            0 => gen_op(rng),
+            1 => extra(rng),
+            _ => return gen_store_shape(rng, &mut written),
+        };
+        note(&mut written, &op);
+        vec![op]
+    });
+    groups.into_iter().flatten().collect()
 }
 
 const CASES: u32 = 64;
 
-/// Memory reads back what was written, as flat bytes would, through the
-/// plane-major layout's edges; bytes no write reached read as zeroes,
-/// which a read and a peek of the whole region check last.
+/// Memory reads back what was written, as flat bytes would, and the
+/// device image is the bytes of the last hand-over, or zeroes before one,
+/// through the store's edges: pages packed at eight sectors and flat at
+/// nine, sectors new to a page, accesses across written and unwritten
+/// sectors, and hand-overs and restores on either side of a promotion.
+/// The store's invariant holds after every op, and bytes no write reached
+/// read as zeroes, which a read and a peek of the whole region check last.
 #[test]
 fn memory_matches_model_and_protection_is_exact() {
     check(
         "memory_matches_model_and_protection_is_exact",
         CASES,
         |rng| {
-            let ops = vec_of(rng, 1..150, |rng| {
-                if rng.chance(0.5) {
-                    gen_op(rng)
-                } else {
-                    gen_plane_shape(rng)
-                }
-            });
+            let ops = gen_ops(rng, gen_op);
             let mut mmu = Mmu::new(PAGES, Clock::new(), CostModel::calibrated());
             let mut model = vec![0u8; PAGES * PAGE_SIZE];
+            // Each page's device image: `None` before its first hand-over.
+            let mut durable: Vec<Option<Vec<u8>>> = vec![None; PAGES];
             let mut protected = [false; PAGES];
             let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
+            let bytes = |page: u8| page as usize * PAGE_SIZE..(page as usize + 1) * PAGE_SIZE;
 
-            for op in &ops {
+            for (step, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Write { addr, len, fill } => {
                         // Clamp the chunk to its page, like the NV region layer.
@@ -164,11 +331,44 @@ fn memory_matches_model_and_protection_is_exact() {
                         }
                     }
                     Op::Read { addr, len } => {
-                        let mut buf = vec![0u8; len as usize];
+                        let mut buf = vec![0xA5; len as usize];
                         mmu.read(addr, &mut buf).unwrap();
                         assert_eq!(
                             &buf[..],
-                            &model[addr as usize..addr as usize + len as usize]
+                            &model[addr as usize..addr as usize + len as usize],
+                            "step {step}: {op:?}"
+                        );
+                    }
+                    Op::Peek { addr, len } => {
+                        let mut buf = vec![0xA5; len as usize];
+                        mmu.peek(addr, &mut buf);
+                        assert_eq!(
+                            &buf[..],
+                            &model[addr as usize..addr as usize + len as usize],
+                            "step {step}: {op:?}"
+                        );
+                    }
+                    Op::HandOver { page } => {
+                        mmu.take_unsynced(PageId(page as u64));
+                        durable[page as usize] = Some(model[bytes(page)].to_vec());
+                    }
+                    Op::Restore { page } => {
+                        mmu.restore_durable(PageId(page as u64));
+                        match &durable[page as usize] {
+                            Some(image) => model[bytes(page)].copy_from_slice(image),
+                            None => model[bytes(page)].fill(0),
+                        }
+                    }
+                    Op::Image { page } => {
+                        let image = &durable[page as usize];
+                        let id = PageId(page as u64);
+                        assert_eq!(&mmu.durable_page(id), image, "step {step}: {op:?}");
+                        let zeroes = [0; PAGE_SIZE];
+                        let image = image.as_deref().unwrap_or(&zeroes);
+                        assert_eq!(
+                            mmu.matches_durable(id),
+                            model[bytes(page)] == *image,
+                            "step {step}: {op:?}"
                         );
                     }
                     Op::Protect { page } => {
@@ -186,6 +386,11 @@ fn memory_matches_model_and_protection_is_exact() {
                         let _ = mmu.walk_and_clear_dirty(&all_pages, WalkOptions::stale());
                     }
                 }
+                assert_eq!(
+                    mmu.undo_violation(&Bitmap2L::new(PAGES)),
+                    None,
+                    "step {step}: {op:?}"
+                );
             }
             let mut all = vec![0u8; PAGES * PAGE_SIZE];
             mmu.read(0, &mut all).unwrap();
@@ -318,24 +523,21 @@ fn hardware_counter_equals_pte_dirty_population() {
 }
 
 /// An access settles its costs with one clock charge when no profiler
-/// is attached and class by class when one is, and a read that fits one
-/// plane skips the chunking loop only while none is: the profiled `Mmu`
+/// is attached and class by class when one is, and a read inside one
+/// page skips the chunking loop only while none is: the profiled `Mmu`
 /// is the slow model of the plain one. The same stream — faults,
-/// dirty-limit interrupts, and reads inside a plane or a page, up to
-/// their last byte and across them — must return the same bytes and end
-/// both ways on the same instant, counters and PTE bits, and the profiled
-/// run must attribute every nanosecond it charged.
+/// dirty-limit interrupts, reads inside a page, up to its last byte and
+/// across it, and the store's shapes, which read packed and untouched
+/// pages as well as flat ones — must return the same bytes and images
+/// and end both ways on the same instant, counters and PTE bits, and the
+/// profiled run must attribute every nanosecond it charged.
 #[test]
 fn profiled_and_unprofiled_accesses_charge_the_same() {
     check(
         "profiled_and_unprofiled_accesses_charge_the_same",
         CASES,
         |rng| {
-            let ops = vec_of(rng, 1..150, |rng| match int(rng, 0..3) {
-                0 => gen_op(rng),
-                1 => gen_read_shape(rng),
-                _ => gen_plane_shape(rng),
-            });
+            let ops = gen_ops(rng, gen_read_shape);
             let limit = rng.chance(0.5).then(|| int(rng, 1..=PAGES as u64));
             let all_pages: Vec<PageId> = (0..PAGES as u64).map(PageId).collect();
             // Each op's outcome and, for a read, the bytes it returned.
@@ -353,6 +555,25 @@ fn profiled_and_unprofiled_accesses_charge_the_same() {
                         Op::Read { addr, len } => {
                             let mut buf = vec![0u8; len as usize];
                             (mmu.read(addr, &mut buf), buf)
+                        }
+                        Op::Peek { addr, len } => {
+                            let mut buf = vec![0u8; len as usize];
+                            mmu.peek(addr, &mut buf);
+                            (Ok(()), buf)
+                        }
+                        Op::HandOver { page } => {
+                            let unsynced = mmu.take_unsynced(PageId(page as u64));
+                            (Ok(()), unsynced.to_le_bytes().to_vec())
+                        }
+                        Op::Restore { page } => {
+                            let lost = mmu.restore_durable(PageId(page as u64));
+                            (Ok(()), lost.to_le_bytes().to_vec())
+                        }
+                        Op::Image { page } => {
+                            let page = PageId(page as u64);
+                            let mut image = mmu.durable_page(page).unwrap_or_default();
+                            image.push(mmu.matches_durable(page) as u8);
+                            (Ok(()), image)
                         }
                         Op::Protect { page } => {
                             mmu.protect_page(PageId(page as u64));
