@@ -14,6 +14,7 @@
 //! DRAM semantics: a power failure flushes the whole dirty image, so
 //! in-place pointer updates are safe without logging.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use pheap::{PHeap, PPtr};
@@ -25,7 +26,7 @@ use crate::{fnv1a_64, KvError};
 pub(crate) const MAX_LEVEL: usize = 12;
 
 /// Node field offsets.
-const IDX_KEY_LEN: u64 = 0; // u32, low half of the word `shape_of` reads
+const IDX_KEY_LEN: u64 = 0; // u32, low half of the shape word
 const IDX_LEVEL: u64 = 4; // u32, its high half
 const IDX_ENTRY: u64 = 8; // u64: hash-table entry header (0 = head)
 const IDX_NEXT: u64 = 16; // u64 x level
@@ -33,32 +34,10 @@ const fn key_offset(level: usize) -> u64 {
     IDX_NEXT + (level as u64) * 8
 }
 
-/// Longest stored key compared through a stack buffer.
-const INLINE_KEY: usize = 64;
-
-/// Orders the `klen` key bytes stored at byte `at` of `node` against
-/// `key`. The stored key is read where it is compared — the one read of
-/// `klen` bytes a caller fetching the key would issue — into a stack
-/// buffer, or a heap one past [`INLINE_KEY`] bytes.
-pub(crate) fn cmp_stored_key<H: NvHeap>(
-    heap: &mut PHeap<H>,
-    node: PPtr,
-    at: u64,
-    klen: usize,
-    key: &[u8],
-) -> Result<Ordering, KvError> {
-    let mut inline = [0u8; INLINE_KEY];
-    let mut spilled = Vec::new();
-    let stored = match inline.get_mut(..klen) {
-        Some(stored) => stored,
-        None => {
-            spilled.resize(klen, 0);
-            &mut spilled[..]
-        }
-    };
-    heap.read(node, at, stored)?;
-    Ok((*stored).cmp(key))
-}
+/// Bytes of a node one visit reads: enough for the shape word, the entry
+/// pointer and the tallest tower (112 B), and for the key of any node
+/// whose block is no larger.
+const IMAGE_BYTES: usize = 128;
 
 /// Deterministic tower height for `key` (p = 1/4 per extra level).
 fn level_for(key: &[u8]) -> usize {
@@ -66,6 +45,85 @@ fn level_for(key: &[u8]) -> usize {
     // independent.
     let h = fnv1a_64(key) ^ 0x9e37_79b9_7f4a_7c15;
     ((h.trailing_zeros() / 2) as usize + 1).min(MAX_LEVEL)
+}
+
+/// What one read of a node's block delivers: its first [`IMAGE_BYTES`],
+/// or the whole block when it is smaller. The tower always lies inside
+/// (`key_offset(MAX_LEVEL)` is 112); the key does when the node fits the
+/// image, and otherwise costs one more read of the key alone.
+#[derive(Clone, Copy)]
+struct Image {
+    node: PPtr,
+    len: usize,
+    bytes: [u8; IMAGE_BYTES],
+}
+
+impl Image {
+    /// Reads `node`'s block in one access, sized from the allocator's
+    /// volatile class map.
+    fn read<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr) -> Result<Self, KvError> {
+        let len = heap.usable_size(node)?.min(IMAGE_BYTES);
+        let mut bytes = [0u8; IMAGE_BYTES];
+        heap.read(node, 0, &mut bytes[..len])?;
+        Ok(Image { node, len, bytes })
+    }
+
+    fn word(&self, at: u64) -> u64 {
+        let word = self.bytes[at as usize..][..8].try_into();
+        u64::from_le_bytes(word.expect("inside the image"))
+    }
+
+    fn key_len(&self) -> usize {
+        self.word(IDX_KEY_LEN) as u32 as usize
+    }
+
+    fn level(&self) -> usize {
+        (self.word(IDX_KEY_LEN) >> 32) as usize
+    }
+
+    fn entry(&self) -> PPtr {
+        PPtr::from_offset(self.word(IDX_ENTRY))
+    }
+
+    /// The forward pointer at `level` (0: none).
+    fn next(&self, level: usize) -> u64 {
+        self.word(IDX_NEXT + (level as u64) * 8)
+    }
+
+    /// The stored key: borrowed from the image when it holds all of it,
+    /// else read, in one more access.
+    fn key<H: NvHeap>(&self, heap: &mut PHeap<H>) -> Result<Cow<'_, [u8]>, KvError> {
+        let at = key_offset(self.level());
+        let klen = self.key_len();
+        if let Some(stored) = self.bytes[..self.len].get(at as usize..at as usize + klen) {
+            return Ok(Cow::Borrowed(stored));
+        }
+        let mut key = vec![0u8; klen];
+        heap.read(self.node, at, &mut key)?;
+        Ok(Cow::Owned(key))
+    }
+
+    /// The image of the node after this one at `level`, if any.
+    fn follow<H: NvHeap>(
+        &self,
+        heap: &mut PHeap<H>,
+        level: usize,
+    ) -> Result<Option<Image>, KvError> {
+        match self.next(level) {
+            0 => Ok(None),
+            next => Image::read(heap, PPtr::from_offset(next)).map(Some),
+        }
+    }
+}
+
+/// Where a key sits in the index: at every level, the last node before
+/// it and the node after that one.
+struct Path {
+    preds: [PPtr; MAX_LEVEL],
+    succs: [u64; MAX_LEVEL],
+    /// The image of `succs[0]`, the first node at or past the key, and
+    /// whether its key is the key.
+    first: Option<(Image, bool)>,
 }
 
 /// The persistent ordered index. Holds only the head pointer; all state
@@ -96,16 +154,6 @@ impl SkipIndex {
         self.head
     }
 
-    fn node_u64<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr, field: u64) -> Result<u64, KvError> {
-        let mut buf = [0u8; 8];
-        heap.read(node, field, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn next_of<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr, level: usize) -> Result<u64, KvError> {
-        Self::node_u64(heap, node, IDX_NEXT + (level as u64) * 8)
-    }
-
     fn set_next<H: NvHeap>(
         heap: &mut PHeap<H>,
         node: PPtr,
@@ -116,60 +164,50 @@ impl SkipIndex {
         Ok(())
     }
 
-    /// `(key length, tower height)` of `node`: two `u32`s sharing one
-    /// word, read in one access.
-    fn shape_of<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr) -> Result<(usize, usize), KvError> {
-        let word = Self::node_u64(heap, node, IDX_KEY_LEN)?;
-        Ok((word as u32 as usize, (word >> 32) as usize))
-    }
-
-    fn key_of<H: NvHeap>(heap: &mut PHeap<H>, node: PPtr) -> Result<Vec<u8>, KvError> {
-        let (klen, level) = Self::shape_of(heap, node)?;
-        let mut key = vec![0u8; klen];
-        heap.read(node, key_offset(level), &mut key)?;
-        Ok(key)
-    }
-
-    /// Orders `node`'s key against `key`: [`SkipIndex::key_of`]'s two
-    /// reads, without its allocation.
-    fn cmp_key<H: NvHeap>(
-        heap: &mut PHeap<H>,
-        node: PPtr,
-        key: &[u8],
-    ) -> Result<Ordering, KvError> {
-        let (klen, level) = Self::shape_of(heap, node)?;
-        cmp_stored_key(heap, node, key_offset(level), klen, key)
-    }
-
-    /// Finds the last node strictly before `key` at every level.
+    /// Walks down to `key`, one read per node visited. The candidate a
+    /// level stops at is often the next level's successor too, so its
+    /// image and verdict are kept and that node is not read again.
     fn find_predecessors<H: NvHeap>(
         &self,
         heap: &mut PHeap<H>,
         key: &[u8],
-    ) -> Result<[PPtr; MAX_LEVEL], KvError> {
+    ) -> Result<Path, KvError> {
         let mut preds = [self.head; MAX_LEVEL];
-        let mut cur = self.head;
+        let mut succs = [0u64; MAX_LEVEL];
+        let mut cur = Image::read(heap, self.head)?;
+        let mut rejected: Option<(Image, bool)> = None;
         for level in (0..MAX_LEVEL).rev() {
             loop {
-                let next = Self::next_of(heap, cur, level)?;
-                if next == 0 {
+                let next = cur.next(level);
+                if next == 0
+                    || rejected
+                        .as_ref()
+                        .is_some_and(|(r, _)| r.node.offset() == next)
+                {
                     break;
                 }
-                let next_ptr = PPtr::from_offset(next);
-                if Self::cmp_key(heap, next_ptr, key)? == Ordering::Less {
-                    cur = next_ptr;
-                } else {
-                    break;
+                let image = Image::read(heap, PPtr::from_offset(next))?;
+                match (*image.key(heap)?).cmp(key) {
+                    Ordering::Less => cur = image,
+                    order => {
+                        rejected = Some((image, order.is_eq()));
+                        break;
+                    }
                 }
             }
-            preds[level] = cur;
+            preds[level] = cur.node;
+            succs[level] = cur.next(level);
         }
-        Ok(preds)
+        let first = rejected.filter(|(r, _)| r.node.offset() == succs[0]);
+        Ok(Path {
+            preds,
+            succs,
+            first,
+        })
     }
 
     /// Inserts `key` pointing at `entry` (the hash-table header node).
     /// The caller guarantees the key is not already present.
-    #[allow(clippy::needless_range_loop)] // preds and the node tower are indexed in lockstep
     pub(crate) fn insert<H: NvHeap>(
         &self,
         heap: &mut PHeap<H>,
@@ -177,50 +215,46 @@ impl SkipIndex {
         entry: PPtr,
     ) -> Result<(), KvError> {
         let level = level_for(key);
-        let preds = self.find_predecessors(heap, key)?;
+        let Path { preds, succs, .. } = self.find_predecessors(heap, key)?;
         let node = heap.alloc(key_offset(level) as usize + key.len())?;
 
         let mut image = Vec::with_capacity(key_offset(level) as usize + key.len());
         image.extend_from_slice(&(key.len() as u32).to_le_bytes());
         image.extend_from_slice(&(level as u32).to_le_bytes());
         image.extend_from_slice(&entry.offset().to_le_bytes());
-        for l in 0..level {
-            let succ = Self::next_of(heap, preds[l], l)?;
+        for succ in &succs[..level] {
             image.extend_from_slice(&succ.to_le_bytes());
         }
         image.extend_from_slice(key);
         heap.write(node, 0, &image)?;
 
-        for l in 0..level {
-            Self::set_next(heap, preds[l], l, node.offset())?;
+        for (l, &pred) in preds[..level].iter().enumerate() {
+            Self::set_next(heap, pred, l, node.offset())?;
         }
         Ok(())
     }
 
     /// Removes `key`, returning whether it was present.
-    #[allow(clippy::needless_range_loop)] // preds and levels are indexed in lockstep
+    #[allow(clippy::needless_range_loop)] // preds, succs and the tower are indexed in lockstep
     pub(crate) fn remove<H: NvHeap>(
         &self,
         heap: &mut PHeap<H>,
         key: &[u8],
     ) -> Result<bool, KvError> {
-        let preds = self.find_predecessors(heap, key)?;
-        let candidate = Self::next_of(heap, preds[0], 0)?;
-        if candidate == 0 {
+        let Path {
+            preds,
+            succs,
+            first,
+        } = self.find_predecessors(heap, key)?;
+        let Some((found, true)) = first else {
             return Ok(false);
-        }
-        let node = PPtr::from_offset(candidate);
-        if Self::cmp_key(heap, node, key)? != Ordering::Equal {
-            return Ok(false);
-        }
-        let (_, level) = Self::shape_of(heap, node)?;
-        for l in 0..level {
-            if Self::next_of(heap, preds[l], l)? == node.offset() {
-                let succ = Self::next_of(heap, node, l)?;
-                Self::set_next(heap, preds[l], l, succ)?;
+        };
+        for l in 0..found.level() {
+            if succs[l] == found.node.offset() {
+                Self::set_next(heap, preds[l], l, found.next(l))?;
             }
         }
-        heap.free(node)?;
+        heap.free(found.node)?;
         Ok(true)
     }
 
@@ -232,15 +266,16 @@ impl SkipIndex {
         start: &[u8],
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, PPtr)>, KvError> {
-        let preds = self.find_predecessors(heap, start)?;
         let mut out = Vec::with_capacity(limit.min(1024));
-        let mut cur = Self::next_of(heap, preds[0], 0)?;
-        while cur != 0 && out.len() < limit {
-            let node = PPtr::from_offset(cur);
-            let key = Self::key_of(heap, node)?;
-            let entry = Self::node_u64(heap, node, IDX_ENTRY)?;
-            out.push((key, PPtr::from_offset(entry)));
-            cur = Self::next_of(heap, node, 0)?;
+        let mut visit = self
+            .find_predecessors(heap, start)?
+            .first
+            .map(|(image, _)| image);
+        while let Some(image) = visit.take().filter(|_| out.len() < limit) {
+            out.push((image.key(heap)?.into_owned(), image.entry()));
+            if out.len() < limit {
+                visit = image.follow(heap, 0)?;
+            }
         }
         Ok(out)
     }
@@ -250,16 +285,15 @@ impl SkipIndex {
     pub(crate) fn audit<H: NvHeap>(&self, heap: &mut PHeap<H>) -> Result<u64, KvError> {
         let mut count = 0u64;
         let mut prev: Option<Vec<u8>> = None;
-        let mut cur = Self::next_of(heap, self.head, 0)?;
-        while cur != 0 {
-            let node = PPtr::from_offset(cur);
-            let key = Self::key_of(heap, node)?;
+        let mut visit = Image::read(heap, self.head)?.follow(heap, 0)?;
+        while let Some(image) = visit {
+            let key = image.key(heap)?.into_owned();
             if let Some(p) = &prev {
                 assert!(p < &key, "skip list out of order");
             }
             prev = Some(key);
             count += 1;
-            cur = Self::next_of(heap, node, 0)?;
+            visit = image.follow(heap, 0)?;
         }
         Ok(count)
     }
@@ -275,6 +309,91 @@ mod tests {
     fn heap(pages: usize) -> PHeap<NvdramBaseline> {
         let nv = NvdramBaseline::new(pages, Clock::new(), CostModel::free(), SsdConfig::instant());
         PHeap::format(nv, (pages as u64 - 2) * 4096).unwrap()
+    }
+
+    /// The keys linked at every level, bottom first, after checking that
+    /// each level is in key order and holds exactly the keys whose tower
+    /// reaches it.
+    fn levels(idx: &SkipIndex, h: &mut PHeap<NvdramBaseline>) -> Vec<Vec<Vec<u8>>> {
+        let head = Image::read(h, idx.head).unwrap();
+        let levels: Vec<Vec<Vec<u8>>> = (0..MAX_LEVEL)
+            .map(|level| {
+                let mut keys = Vec::new();
+                let mut visit = head.follow(h, level).unwrap();
+                while let Some(image) = visit {
+                    keys.push(image.key(h).unwrap().into_owned());
+                    visit = image.follow(h, level).unwrap();
+                }
+                assert!(keys.is_sorted(), "level {level} out of order");
+                keys
+            })
+            .collect();
+        for (level, keys) in levels.iter().enumerate() {
+            let reaching: Vec<&Vec<u8>> =
+                levels[0].iter().filter(|k| level_for(k) > level).collect();
+            assert!(
+                keys.iter().eq(reaching),
+                "level {level} links the wrong nodes"
+            );
+        }
+        levels
+    }
+
+    /// A node as tall as a tower gets, holding a 200-byte key that lies
+    /// past the image a visit reads, among keys that share its first 190
+    /// bytes: insert links it on every level, scans and the audit read its
+    /// key, remove unlinks it from every level.
+    #[test]
+    fn a_full_tower_with_a_key_past_the_image() {
+        let long = |n: u32| [vec![b't'; 190], format!("{n:010}").into_bytes()].concat();
+        let tall = long(19_628_929);
+        assert_eq!((tall.len(), level_for(&tall)), (200, MAX_LEVEL));
+        let mut h = heap(64);
+        let idx = SkipIndex::create(&mut h).unwrap();
+        let entry = h.alloc(16).unwrap();
+        let mut keys: Vec<Vec<u8>> = (0..24u32)
+            .map(|i| format!("k{i:03}").into_bytes())
+            .chain((0..8).map(|i| long(19_628_918 + 3 * i)))
+            .chain((0..24u32).map(|i| format!("z{i:03}").into_bytes()))
+            .collect();
+        for key in keys.iter().step_by(2) {
+            idx.insert(&mut h, key, entry).unwrap();
+        }
+        idx.insert(&mut h, &tall, entry).unwrap();
+        for key in keys.iter().skip(1).step_by(2) {
+            idx.insert(&mut h, key, entry).unwrap();
+        }
+        keys.push(tall.clone());
+        keys.sort();
+        let linked = levels(&idx, &mut h);
+        assert_eq!(linked[0], keys);
+        assert_eq!(linked[MAX_LEVEL - 1], std::slice::from_ref(&tall));
+        assert_eq!(idx.audit(&mut h).unwrap(), keys.len() as u64);
+
+        let scanned = |h: &mut PHeap<NvdramBaseline>, start: &[u8], limit| -> Vec<Vec<u8>> {
+            let hits = idx.scan_from(h, start, limit).unwrap();
+            hits.into_iter().map(|(k, _)| k).collect()
+        };
+        let at = keys.binary_search(&tall).unwrap();
+        assert_eq!(scanned(&mut h, &tall, 3), keys[at..at + 3]);
+        let prefix = &tall[..199];
+        let from = keys.partition_point(|k| k.as_slice() < prefix);
+        assert_eq!(scanned(&mut h, prefix, 2), keys[from..from + 2]);
+        assert_eq!(scanned(&mut h, b"", 100), keys);
+
+        let absent = long(19_628_928);
+        assert!(
+            !idx.remove(&mut h, &absent).unwrap(),
+            "differs past the image"
+        );
+        assert!(idx.remove(&mut h, &tall).unwrap());
+        assert!(!idx.remove(&mut h, &tall).unwrap(), "double remove");
+        keys.remove(at);
+        let linked = levels(&idx, &mut h);
+        assert_eq!(linked[0], keys);
+        assert!(linked[MAX_LEVEL - 1].is_empty());
+        assert_eq!(scanned(&mut h, &tall, 2), keys[at..at + 2]);
+        assert_eq!(idx.audit(&mut h).unwrap(), keys.len() as u64);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The persistent chained hash table.
 
+use std::cmp::Ordering;
+
 use pheap::{PHeap, PPtr, MAX_ALLOC};
 use viyojit::NvHeap;
 
-use crate::index::{cmp_stored_key, SkipIndex};
+use crate::index::SkipIndex;
 use crate::{fnv1a_64, KvError};
 
 /// Identifies a formatted store ("REDISNVM" in spirit).
@@ -44,6 +46,33 @@ const NODE_FLAGS: u64 = 48;
 const NODE_RESERVED: u64 = 56;
 const NODE_HEADER: usize = 128;
 
+/// Longest stored key compared through a stack buffer.
+const INLINE_KEY: usize = 64;
+
+/// Orders the `klen` key bytes stored at byte `at` of `node` against
+/// `key`. The stored key is read where it is compared — the one read of
+/// `klen` bytes a caller fetching the key would make — into a stack
+/// buffer, or a heap one past [`INLINE_KEY`] bytes.
+fn cmp_stored_key<H: NvHeap>(
+    heap: &mut PHeap<H>,
+    node: PPtr,
+    at: u64,
+    klen: usize,
+    key: &[u8],
+) -> Result<Ordering, KvError> {
+    let mut inline = [0u8; INLINE_KEY];
+    let mut spilled = Vec::new();
+    let stored = match inline.get_mut(..klen) {
+        Some(stored) => stored,
+        None => {
+            spilled.resize(klen, 0);
+            &mut spilled[..]
+        }
+    };
+    heap.read(node, at, stored)?;
+    Ok((*stored).cmp(key))
+}
+
 /// The fields of an entry header that a probe, a hit or an unlink needs,
 /// decoded from one read of `NODE_NEXT..NODE_EXPIRE`.
 #[derive(Debug, Clone, Copy)]
@@ -54,6 +83,19 @@ struct NodeHead {
     val_len: usize,
     val_ptr: PPtr,
 }
+
+/// The bucket a probe started from: the slot holding its chain head (a
+/// segment and a byte offset within it) and the head `find` read there.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    seg: PPtr,
+    slot: u64,
+    head: u64,
+}
+
+/// What [`KvStore::find`] found: the bucket it probed and, on a hit, the
+/// node's predecessor (`None` for a chain head), the node and its head.
+type Probe = (Bucket, Option<(Option<PPtr>, PPtr, NodeHead)>);
 
 /// A batch of `(key, value)` pairs returned by [`KvStore::scan`].
 pub type ScanResults = Vec<(Vec<u8>, Vec<u8>)>;
@@ -222,19 +264,21 @@ impl<H: NvHeap> KvStore<H> {
         })
     }
 
-    /// Finds the node holding `key`, returning `(predecessor, node, the
-    /// node's head)` where the predecessor is `None` for chain heads. Each
-    /// chain node costs one head read, plus one read of the stored key —
-    /// compared in place — when its hash matches.
-    fn find(
-        &mut self,
-        hash: u64,
-        key: &[u8],
-    ) -> Result<Option<(Option<PPtr>, PPtr, NodeHead)>, KvError> {
+    /// Finds the node holding `key` in its bucket's chain. Each chain node
+    /// costs one head read, plus one read of the stored key — compared in
+    /// place — when its hash matches. The bucket comes back too, so an
+    /// insert or a head unlink after the probe reads neither the
+    /// directory nor the chain head again.
+    fn find(&mut self, hash: u64, key: &[u8]) -> Result<Probe, KvError> {
         let (seg, slot) = self.bucket_slot(hash)?;
         let mut buf = [0u8; 8];
         self.heap.read(seg, slot, &mut buf)?;
-        let mut cur = u64::from_le_bytes(buf);
+        let bucket = Bucket {
+            seg,
+            slot,
+            head: u64::from_le_bytes(buf),
+        };
+        let mut cur = bucket.head;
         let mut prev: Option<PPtr> = None;
         while cur != 0 {
             let node = PPtr::from_offset(cur);
@@ -243,12 +287,12 @@ impl<H: NvHeap> KvStore<H> {
                 && cmp_stored_key(&mut self.heap, node, NODE_HEADER as u64, head.key_len, key)?
                     .is_eq()
             {
-                return Ok(Some((prev, node, head)));
+                return Ok((bucket, Some((prev, node, head))));
             }
             prev = Some(node);
             cur = head.next;
         }
-        Ok(None)
+        Ok((bucket, None))
     }
 
     #[allow(clippy::too_many_arguments)] // one serializer for the whole header layout
@@ -301,7 +345,8 @@ impl<H: NvHeap> KvStore<H> {
         let hash = fnv1a_64(key);
         let stamp = self.next_stamp()?;
 
-        if let Some((_, node, NodeHead { val_ptr, .. })) = self.find(hash, key)? {
+        let (bucket, hit) = self.find(hash, key)?;
+        if let Some((_, node, NodeHead { val_ptr, .. })) = hit {
             if value.len() <= self.heap.usable_size(val_ptr)? {
                 // In-place value overwrite; header gets length + stamp.
                 self.heap.write(val_ptr, 0, value)?;
@@ -320,15 +365,12 @@ impl<H: NvHeap> KvStore<H> {
         }
 
         // Fresh insert at the chain head: value blob first, then header.
-        let (seg, slot) = self.bucket_slot(hash)?;
-        let mut buf = [0u8; 8];
-        self.heap.read(seg, slot, &mut buf)?;
-        let head = u64::from_le_bytes(buf);
         let val_ptr = self.heap.alloc(value.len())?;
         self.heap.write(val_ptr, 0, value)?;
         let node = self.heap.alloc(NODE_HEADER + key.len())?;
-        self.write_header(node, head, hash, key, value.len(), val_ptr, stamp)?;
-        self.heap.write(seg, slot, &node.offset().to_le_bytes())?;
+        self.write_header(node, bucket.head, hash, key, value.len(), val_ptr, stamp)?;
+        self.heap
+            .write(bucket.seg, bucket.slot, &node.offset().to_le_bytes())?;
         let index = self.index;
         index.insert(&mut self.heap, key, node)?;
         let count = self.get_meta(META_COUNT)?;
@@ -346,7 +388,7 @@ impl<H: NvHeap> KvStore<H> {
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let hash = fnv1a_64(key);
         let stamp = self.next_stamp()?;
-        let Some((_, node, head)) = self.find(hash, key)? else {
+        let (_, Some((_, node, head))) = self.find(hash, key)? else {
             return Ok(None);
         };
         self.heap.write(node, NODE_STAMP, &stamp.to_le_bytes())?;
@@ -363,15 +405,15 @@ impl<H: NvHeap> KvStore<H> {
     pub fn delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
         let hash = fnv1a_64(key);
         self.next_stamp()?;
-        let Some((prev, node, NodeHead { next, val_ptr, .. })) = self.find(hash, key)? else {
+        let (bucket, Some((prev, node, NodeHead { next, val_ptr, .. }))) = self.find(hash, key)?
+        else {
             return Ok(false);
         };
         match prev {
             Some(p) => self.heap.write(p, NODE_NEXT, &next.to_le_bytes())?,
-            None => {
-                let (seg, slot) = self.bucket_slot(hash)?;
-                self.heap.write(seg, slot, &next.to_le_bytes())?;
-            }
+            None => self
+                .heap
+                .write(bucket.seg, bucket.slot, &next.to_le_bytes())?,
         }
         let index = self.index;
         index.remove(&mut self.heap, key)?;
@@ -800,9 +842,11 @@ mod tests {
     /// extra read turns this red. Eight 24-byte values over four buckets,
     /// so probes walk chains, not just their heads. The write counts and
     /// the digest of the whole write stream were captured on the allocator
-    /// that read a block header before every access: a dereference lost
-    /// that read and a node's adjacent fields are read together, but not
-    /// one write moved.
+    /// that read a block header before every access: since then a
+    /// dereference lost that read, a node's adjacent fields are read
+    /// together, a skip-list node is one read of its block, and a probe
+    /// hands its bucket to the insert or unlink after it — but not one
+    /// write moved.
     #[test]
     fn nvheap_calls_per_operation_are_pinned() {
         let nv = Counting {
@@ -827,7 +871,7 @@ mod tests {
 
         assert_eq!(
             [get_hit, get_miss, set_in_place, insert, delete, scan],
-            [(7, 2), (5, 1), (6, 4), (42, 19), (44, 19), (44, 4)],
+            [(7, 2), (5, 1), (6, 4), (21, 19), (17, 19), (14, 4)],
             "(reads, writes) of get hit, get miss, in-place set, insert, delete, 3-entry scan"
         );
         assert_eq!(

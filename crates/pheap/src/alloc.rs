@@ -257,6 +257,17 @@ impl<H: NvHeap> PHeap<H> {
         Ok(())
     }
 
+    /// The live allocation count and live bytes: adjacent superblock
+    /// words, read in one access.
+    fn live_totals(&mut self) -> Result<(u64, u64), PHeapError> {
+        const _: () = assert!(OFF_ALLOC_BYTES == OFF_ALLOC_COUNT + 8);
+        let mut buf = [0u8; 16];
+        self.heap.read(self.region, OFF_ALLOC_COUNT, &mut buf)?;
+        let (count, bytes) = buf.split_at(8);
+        let word = |half: &[u8]| u64::from_le_bytes(half.try_into().expect("8 bytes"));
+        Ok((word(count), word(bytes)))
+    }
+
     /// Allocates `len` payload bytes, reusing a freed block of the same
     /// size class when one exists.
     ///
@@ -308,9 +319,8 @@ impl<H: NvHeap> PHeap<H> {
         };
         self.put_u64(payload - HEADER_BYTES, class as u64 | ALLOC_FLAG)?;
         self.set_live(payload, true);
-        let count = self.get_u64(OFF_ALLOC_COUNT)?;
+        let (count, bytes) = self.live_totals()?;
         self.put_u64(OFF_ALLOC_COUNT, count + 1)?;
-        let bytes = self.get_u64(OFF_ALLOC_BYTES)?;
         self.put_u64(OFF_ALLOC_BYTES, bytes + class_size(class) as u64)?;
         Ok(PPtr(payload))
     }
@@ -328,9 +338,8 @@ impl<H: NvHeap> PHeap<H> {
         let head = self.get_u64(head_off)?;
         self.put_u64(ptr.0, head)?;
         self.put_u64(head_off, ptr.0)?;
-        let count = self.get_u64(OFF_ALLOC_COUNT)?;
+        let (count, bytes) = self.live_totals()?;
         self.put_u64(OFF_ALLOC_COUNT, count - 1)?;
-        let bytes = self.get_u64(OFF_ALLOC_BYTES)?;
         self.put_u64(OFF_ALLOC_BYTES, bytes - class_size(class) as u64)?;
         Ok(())
     }
