@@ -846,7 +846,12 @@ mod tests {
     /// dereference lost that read, a node's adjacent fields are read
     /// together, a skip-list node is one read of its block, and a probe
     /// hands its bucket to the insert or unlink after it — but not one
-    /// write moved.
+    /// write moved. Then the allocator's free lists left the image: each
+    /// `alloc` lost its read of a list head, each `free` the head read and
+    /// its two list writes (the next pointer into the payload, the head),
+    /// and `format` its zero heads. The digest is of that stream: the
+    /// allocator with the lists, with just those writes taken out, wrote
+    /// `0x150e_6e84_df63_79f1` too.
     #[test]
     fn nvheap_calls_per_operation_are_pinned() {
         let nv = Counting {
@@ -871,13 +876,60 @@ mod tests {
 
         assert_eq!(
             [get_hit, get_miss, set_in_place, insert, delete, scan],
-            [(7, 2), (5, 1), (6, 4), (21, 19), (17, 19), (14, 4)],
+            [(7, 2), (5, 1), (6, 4), (18, 19), (14, 13), (14, 4)],
             "(reads, writes) of get hit, get miss, in-place set, insert, delete, 3-entry scan"
         );
         assert_eq!(
             kv.heap().heap().write_digest,
-            0x7359_f2f2_561b_ccab,
+            0x150e_6e84_df63_79f1,
             "the write stream moved"
+        );
+    }
+
+    /// Churn — insert a new key or delete the oldest, in random order
+    /// around a steady live count, as `kv_churn` does — must not scatter
+    /// the store: freed blocks are reused lowest address first, so the
+    /// eighth generation of keys dirties as many pages as the second (a
+    /// generation: as many inserts as keys live). Reused most recently
+    /// freed first, the blocks of consecutive keys drift apart and the
+    /// count climbs, 400 to 1 003 here.
+    #[test]
+    fn churn_keeps_the_pages_dirtied_per_generation_flat() {
+        const LIVE: u64 = 600;
+        let nv = Viyojit::new(
+            512,
+            ViyojitConfig::with_budget_pages(64),
+            Clock::new(),
+            CostModel::free(),
+            SsdConfig::instant(),
+        );
+        let mut kv = KvStore::create(PHeap::format(nv, 480 * 4096).unwrap(), 256).unwrap();
+        let key = |id: u64| format!("churn{id:08}");
+        let value = [0x5A; 976];
+        for id in 0..LIVE {
+            kv.set(key(id).as_bytes(), &value).unwrap();
+        }
+        let (mut oldest, mut next) = (0, LIVE);
+        let mut rng = sim_clock::SplitMix64::new(42);
+        let mut dirtied = Vec::new();
+        for _generation in 0..8 {
+            let before = kv.heap().heap().stats().pages_dirtied;
+            let end = next + LIVE;
+            while next < end {
+                if rng.next_u64() % 2 == 0 || next - oldest < LIVE / 2 {
+                    kv.set(key(next).as_bytes(), &value).unwrap();
+                    next += 1;
+                } else {
+                    assert!(kv.delete(key(oldest).as_bytes()).unwrap());
+                    oldest += 1;
+                }
+            }
+            dirtied.push(kv.heap().heap().stats().pages_dirtied - before);
+        }
+        let (second, eighth) = (dirtied[1] as f64, dirtied[7] as f64);
+        assert!(
+            (eighth - second).abs() <= second * 0.1,
+            "pages dirtied per generation moved: {dirtied:?}"
         );
     }
 

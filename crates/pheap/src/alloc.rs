@@ -1,14 +1,14 @@
 //! The persistent heap allocator.
 
-use std::fmt;
+use std::{cmp::Reverse, collections::BinaryHeap, fmt};
 
 use viyojit::{NvHeap, RegionId};
 
 use crate::error::PHeapError;
 use crate::layout::{
     class_size, size_class, ALLOC_FLAG, DATA_START, HEADER_BYTES, MAGIC, NUM_CLASSES, NUM_ROOTS,
-    OFF_ALLOC_BYTES, OFF_ALLOC_COUNT, OFF_BUMP, OFF_FREE_HEADS, OFF_MAGIC, OFF_REGION_LEN,
-    OFF_ROOTS, OFF_RUN_CURSOR, OFF_RUN_END, OFF_VERSION, RUN_BYTES, VERSION,
+    OFF_ALLOC_BYTES, OFF_ALLOC_COUNT, OFF_BUMP, OFF_MAGIC, OFF_REGION_LEN, OFF_ROOTS,
+    OFF_RUN_CURSOR, OFF_RUN_END, OFF_VERSION, RUN_BYTES, VERSION,
 };
 
 /// Runs are carved and recorded in whole pages of this size.
@@ -78,10 +78,10 @@ pub struct PHeapStats {
 ///
 /// Beside the persistent image the handle keeps volatile, host-side state
 /// (as libpmemobj keeps its runtime state in DRAM): which size class each
-/// page's run belongs to and where live payloads start. Every question
-/// about a pointer — is it live, how large is it — is answered from there,
-/// so an access costs the one NV-DRAM access it asks for. [`PHeap::open`]
-/// rebuilds that state from the block headers.
+/// page's run belongs to, where live payloads start and which blocks are
+/// free. Every question about a pointer — is it live, how large is it — is
+/// answered from there, so an access costs the one NV-DRAM access it asks
+/// for. [`PHeap::open`] rebuilds that state from the block headers.
 #[derive(Debug)]
 pub struct PHeap<H> {
     heap: H,
@@ -92,6 +92,9 @@ pub struct PHeap<H> {
     /// One bit per [`LIVE_UNIT`] bytes below the bump pointer: set where
     /// the payload of a live allocation starts.
     live: Vec<u64>,
+    /// Per size class, its freed blocks' payloads: reused lowest first, so
+    /// allocations keep landing on few pages however long the heap churns.
+    freed: [BinaryHeap<Reverse<u64>>; NUM_CLASSES],
 }
 
 impl<H: NvHeap> PHeap<H> {
@@ -115,7 +118,6 @@ impl<H: NvHeap> PHeap<H> {
         this.put_u64(OFF_ALLOC_COUNT, 0)?;
         this.put_u64(OFF_ALLOC_BYTES, 0)?;
         for c in 0..NUM_CLASSES {
-            this.put_u64(OFF_FREE_HEADS + (c as u64) * 8, 0)?;
             this.put_u64(OFF_RUN_CURSOR + (c as u64) * 8, 0)?;
             this.put_u64(OFF_RUN_END + (c as u64) * 8, 0)?;
         }
@@ -128,8 +130,10 @@ impl<H: NvHeap> PHeap<H> {
     /// Opens an already-formatted heap (after recovery, or a second
     /// handle). Verifies the superblock, then rebuilds the volatile state
     /// by walking the carved runs: each run's first block header names its
-    /// class, each block header says whether the block is live. Recovery
-    /// pays those reads; the steady state reads no header again.
+    /// class, each block header says whether the block is live or freed
+    /// (every carved block lies below its class's run cursor, which tells
+    /// a freed class-0 block from a never-carved slot: both read 0).
+    /// Recovery pays those reads; the steady state reads no header again.
     ///
     /// # Errors
     ///
@@ -158,14 +162,17 @@ impl<H: NvHeap> PHeap<H> {
                 return Err(PHeapError::BadImage);
             }
             this.record_run(run, run_bytes, class);
+            let cursor = this.get_u64(OFF_RUN_CURSOR + (class as u64) * 8)?;
             for slot in 0..run_bytes / block {
                 let at = run + slot * block;
                 let header = this.get_u64(at)?;
-                if header == class as u64 | ALLOC_FLAG {
-                    this.set_live(at + HEADER_BYTES, true);
-                } else if header != class as u64 && header != 0 {
-                    // Neither a freed block of this run nor a never-carved slot.
-                    return Err(PHeapError::BadImage);
+                match (at < cursor, header ^ class as u64) {
+                    (true, ALLOC_FLAG) => this.set_live(at + HEADER_BYTES, true),
+                    (true, 0) => this.freed[class].push(Reverse(at + HEADER_BYTES)),
+                    _ if header == 0 => {} // a never-carved slot
+                    // A block of another class or with stray bits, or one
+                    // the run cursor has not reached yet.
+                    _ => return Err(PHeapError::BadImage),
                 }
             }
             run += run_bytes;
@@ -181,6 +188,7 @@ impl<H: NvHeap> PHeap<H> {
             region,
             run_class: vec![NO_RUN; (DATA_START / PAGE_BYTES) as usize],
             live: vec![0; (DATA_START / LIVE_WORD_BYTES) as usize],
+            freed: std::array::from_fn(|_| BinaryHeap::new()),
         }
     }
 
@@ -268,8 +276,8 @@ impl<H: NvHeap> PHeap<H> {
         Ok((word(count), word(bytes)))
     }
 
-    /// Allocates `len` payload bytes, reusing a freed block of the same
-    /// size class when one exists.
+    /// Allocates `len` payload bytes, reusing the lowest freed block of
+    /// the same size class when one exists.
     ///
     /// # Errors
     ///
@@ -277,22 +285,8 @@ impl<H: NvHeap> PHeap<H> {
     /// [`PHeapError::OutOfMemory`] when the region is exhausted.
     pub fn alloc(&mut self, len: usize) -> Result<PPtr, PHeapError> {
         let class = size_class(len).ok_or(PHeapError::TooLarge { requested: len })?;
-        let head_off = OFF_FREE_HEADS + (class as u64) * 8;
-        let head = self.get_u64(head_off)?;
-        let payload = if head != 0 {
-            // A head that is not a dead block in one of this class's runs
-            // comes from a stale superblock page; popping it would hand
-            // out memory that is live or not a block at all.
-            let in_class_run =
-                self.run_class.get((head / PAGE_BYTES) as usize) == Some(&(class as u8));
-            if !in_class_run || head % LIVE_UNIT != 0 || self.is_live(head) {
-                return Err(PHeapError::BadImage);
-            }
-            // Pop the free list: the freed block stores the next pointer in
-            // its first payload word.
-            let next = self.get_u64(head)?;
-            self.put_u64(head_off, next)?;
-            head
+        let payload = if let Some(Reverse(freed)) = self.freed[class].pop() {
+            freed
         } else {
             // Slab path: slice the next block off this class's current
             // run, carving a fresh page-aligned run from the wilderness
@@ -325,7 +319,8 @@ impl<H: NvHeap> PHeap<H> {
         Ok(PPtr(payload))
     }
 
-    /// Frees an allocation, making its block reusable by the same class.
+    /// Frees an allocation, making its block reusable by the same class:
+    /// the header and live totals are written, the free set is volatile.
     ///
     /// # Errors
     ///
@@ -334,10 +329,7 @@ impl<H: NvHeap> PHeap<H> {
         let class = self.live_class(ptr)?;
         self.put_u64(ptr.0 - HEADER_BYTES, class as u64)?; // clear ALLOC_FLAG
         self.set_live(ptr.0, false);
-        let head_off = OFF_FREE_HEADS + (class as u64) * 8;
-        let head = self.get_u64(head_off)?;
-        self.put_u64(ptr.0, head)?;
-        self.put_u64(head_off, ptr.0)?;
+        self.freed[class].push(Reverse(ptr.0));
         let (count, bytes) = self.live_totals()?;
         self.put_u64(OFF_ALLOC_COUNT, count - 1)?;
         self.put_u64(OFF_ALLOC_BYTES, bytes - class_size(class) as u64)?;
@@ -667,6 +659,11 @@ mod tests {
                 DATA_START + block_64,
                 6 | ALLOC_FLAG,
             ),
+            (
+                "run cursor behind a carved block",
+                OFF_RUN_CURSOR + 2 * 8,
+                DATA_START + block_64,
+            ),
         ];
         for (what, offset, word) in doctored {
             assert!(
@@ -679,19 +676,47 @@ mod tests {
         }
     }
 
-    /// A superblock page older than the block headers can name a live
-    /// block, or no block, as a free-list head.
+    /// A freed 16 B block's header reads 0, as do the never-carved slots
+    /// behind it: the run cursor alone tells them apart. Slots taken for
+    /// freed blocks come back in the cursor's own order, so the heap looks
+    /// right until they run out and the cursor hands one out again: the
+    /// run is filled to be sure.
     #[test]
-    fn alloc_rejects_a_free_list_head_that_is_not_a_dead_block() {
-        let live_64 = DATA_START + HEADER_BYTES;
-        let mid_block = live_64 + 8;
-        let in_the_1k_run = DATA_START + RUN_BYTES + HEADER_BYTES;
-        let past_bump = DOCTORED_BUMP + HEADER_BYTES;
-        for head in [live_64, mid_block + 1, in_the_1k_run, past_bump, u64::MAX] {
-            let head_of_64 = OFF_FREE_HEADS + 2 * 8;
-            let mut h = reopen_doctored(Some((head_of_64, head))).expect("heads are not walked");
-            assert_eq!(h.alloc(64), Err(PHeapError::BadImage), "head {head:#x}");
+    fn a_freed_class_0_block_is_told_from_never_carved_slots_by_the_run_cursor() {
+        let mut h = pheap_pages(16);
+        let region = h.region();
+        let (freed, live) = (h.alloc(16).unwrap(), h.alloc(1).unwrap());
+        h.free(freed).unwrap();
+        let mut h = PHeap::open(h.into_inner(), region).unwrap();
+        let block = HEADER_BYTES + 16;
+        assert_eq!(h.alloc(16), Ok(freed));
+        assert_eq!(h.alloc(16), Ok(PPtr(live.0 + block)));
+        let mut seen = std::collections::BTreeSet::from([freed, live, PPtr(live.0 + block)]);
+        // The rest of the run, then the first block of the next.
+        for _ in 3..RUN_BYTES / block + 1 {
+            let p = h.alloc(16).unwrap();
+            assert!(seen.insert(p), "{p} handed out twice");
         }
+        assert_eq!(h.stats().unwrap().bump, DATA_START + 2 * RUN_BYTES);
+    }
+
+    /// Freed blocks come back lowest address first, whatever order they
+    /// were freed in, and the order is rebuilt by a reopen.
+    #[test]
+    fn freed_blocks_are_reused_lowest_address_first() {
+        let mut h = pheap_pages(16);
+        let region = h.region();
+        let p: Vec<PPtr> = (0..4).map(|_| h.alloc(100).unwrap()).collect();
+        for i in [2, 0, 3] {
+            h.free(p[i]).unwrap();
+        }
+        assert_eq!(h.alloc(100), Ok(p[0]));
+        h.free(p[1]).unwrap();
+        let mut h = PHeap::open(h.into_inner(), region).unwrap();
+        for i in [1, 2, 3] {
+            assert_eq!(h.alloc(100), Ok(p[i]));
+        }
+        assert_eq!(h.alloc(100), Ok(PPtr(p[3].0 + HEADER_BYTES + 128)));
     }
 
     /// Pointers beside a live payload — its header, its second word, its
@@ -734,7 +759,9 @@ mod tests {
         put(32, 2);
         put(40, 64 + 1024);
         // A run of 64 B blocks (class 2, 72 B apart) at page 1: slot 0 live,
-        // slot 1 freed and heading the class's free list, the rest never carved.
+        // slot 1 freed, the rest never carved. The allocator that wrote this
+        // threaded freed blocks on a list whose head sat in the superblock;
+        // the head and the block's next pointer are now ignored.
         put(4096, 2 | ALLOCATED);
         put(4096 + 8, 0xFEED);
         put(4096 + 72, 2);
@@ -758,7 +785,7 @@ mod tests {
         assert_eq!(u64::from_le_bytes(word), 0xFEED);
         let freed = PPtr(4096 + 72 + 8);
         assert_eq!(h.usable_size(freed), Err(PHeapError::BadPointer));
-        assert_eq!(h.alloc(64), Ok(freed), "the free list is popped first");
+        assert_eq!(h.alloc(64), Ok(freed), "the freed block is reused first");
         assert_eq!(h.alloc(64), Ok(PPtr(4096 + 2 * 72 + 8)), "then the cursor");
         assert_eq!(h.alloc(1000), Ok(PPtr(20_480 + 1032 + 8)));
         assert_eq!(

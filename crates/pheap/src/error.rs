@@ -21,8 +21,8 @@ pub enum PHeapError {
     /// The access exceeds the allocation's size.
     OutOfBounds,
     /// The image did not verify: the region does not hold a formatted
-    /// heap, or its superblock, block headers or free lists contradict the
-    /// region or each other (a stale or partly lost image).
+    /// heap, or its superblock or block headers contradict the region or
+    /// each other (a stale or partly lost image).
     BadImage,
     /// The underlying NV-DRAM layer failed.
     Heap(ViyojitError),

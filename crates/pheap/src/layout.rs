@@ -8,8 +8,8 @@
 //!           │   24  bump pointer (next unallocated offset)
 //!           │   32  live allocation count
 //!           │   40  live allocated bytes
-//!           │   48  free-list heads, one u64 per size class
-//!           │  ...  root directory, 16 u64 slots
+//!           │   48  reserved (once free-list heads), one u64 per class
+//!           │  152  root directory, 16 u64 slots; then run cursors, ends
 //! page 1 ──┴─ data: [8-byte header][payload] blocks
 //! ```
 
@@ -36,8 +36,7 @@ pub(crate) const OFF_REGION_LEN: u64 = 16;
 pub(crate) const OFF_BUMP: u64 = 24;
 pub(crate) const OFF_ALLOC_COUNT: u64 = 32;
 pub(crate) const OFF_ALLOC_BYTES: u64 = 40;
-pub(crate) const OFF_FREE_HEADS: u64 = 48;
-pub(crate) const OFF_ROOTS: u64 = OFF_FREE_HEADS + (NUM_CLASSES as u64) * 8;
+pub(crate) const OFF_ROOTS: u64 = OFF_ALLOC_BYTES + 8 + (NUM_CLASSES as u64) * 8;
 /// Number of named root slots.
 pub(crate) const NUM_ROOTS: usize = 16;
 /// Per-class slab-run cursors and limits: like jemalloc, each size class

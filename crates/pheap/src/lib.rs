@@ -1,23 +1,24 @@
 //! A persistent heap allocator on battery-backed DRAM — the substitute for
 //! the Intel PMEM library the paper's modified Redis links against.
 //!
-//! All *persistent* allocator state (free lists, bump pointer, root
+//! All *persistent* allocator state (bump pointer, run cursors, root
 //! directory, per-block headers) lives *inside* the NV region and is
 //! written through the [`NvHeap`](viyojit::NvHeap) API, so every metadata
 //! update generates real NV-DRAM write traffic — this is why the paper's
 //! "read-only" YCSB-C still dirties pages (§6.2: "internally, Redis still
 //! performs several store instructions as part of the internal logic for
 //! metadata operations"). Beside it the handle keeps volatile, host-side
-//! maps — each page's size class, where live payloads start — as
-//! libpmemobj keeps its runtime state in DRAM: a pointer is validated and
-//! bounded from those, so dereferencing it costs the one NV-DRAM access
-//! the paper's Redis pays for a load, not a header read before it.
+//! state — each page's size class, where live payloads start, the freed
+//! blocks, reused lowest address first — as libpmemobj keeps its runtime
+//! state in DRAM: a pointer is validated and bounded from those, so
+//! dereferencing it costs the one NV-DRAM access the paper's Redis pays
+//! for a load, not a header read before it.
 //!
 //! Battery-backed DRAM gives a property true NVM lacks: on power failure
 //! the *entire* memory image is flushed, so naive in-place metadata updates
 //! are crash-safe by construction — no logging or fence discipline needed.
 //! Recovery is [`PHeap::open`]: verify the superblock, rebuild the volatile
-//! maps from the block headers, pick up where the image left off.
+//! state from the block headers, pick up where the image left off.
 //!
 //! # Examples
 //!

@@ -8,10 +8,15 @@
 //! rebuilt from the headers), one that lives through the whole sequence —
 //! and must hand out the same pointers and give the same answers, which
 //! must be the headers' and the model's.
+//!
+//! Where each block goes has a slow model of its own, [`Placement`]: the
+//! pointer every `alloc` returns is predicted before the heaps are asked,
+//! across power cycles — the lowest freed block of its class, else the
+//! next slot of the class's run.
 
 use std::collections::{BTreeSet, HashMap};
 
-use pheap::{class_size, size_class, PHeap, PHeapError, PPtr, MAX_ALLOC};
+use pheap::{class_size, size_class, PHeap, PHeapError, PPtr, MAX_ALLOC, NUM_CLASSES};
 use propcheck::{check, int, vec_of, weighted};
 use sim_clock::{Clock, CostModel, SplitMix64};
 use ssd_sim::SsdConfig;
@@ -57,15 +62,76 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
 }
 
 /// Every case opens with these, so that none is vacuous: a block of a
-/// multi-page class, freed, handed out again, then a reopen.
-fn prologue() -> [Op; 4] {
+/// multi-page class, freed, handed out again; two small blocks freed lower
+/// address first, a reopen, and one of them handed out again (the lower:
+/// the most recently freed is the higher).
+fn prologue() -> [Op; 9] {
     let multi_page = Op::Alloc { len: 5000, fill: 1 };
+    let small = Op::Alloc { len: 40, fill: 2 };
     [
         multi_page.clone(),
         Op::Free { nth: 0 },
         multi_page,
+        small.clone(),
+        small.clone(),
+        Op::Free { nth: 1 },
+        Op::Free { nth: 1 },
         Op::PowerCycle,
+        small,
     ]
+}
+
+/// The slow model of where blocks go: per class, the freed payloads and
+/// the `(cursor, end)` of the run being carved, and the bump pointer —
+/// the allocator's rules restated from its layout.
+struct Placement {
+    freed: Vec<BTreeSet<u64>>,
+    runs: Vec<(u64, u64)>,
+    bump: u64,
+    region_len: u64,
+}
+
+impl Placement {
+    const PAGE: u64 = 4096;
+    const HEADER: u64 = 8;
+    const RUN: u64 = 4 * Self::PAGE;
+
+    fn new(region_len: u64) -> Self {
+        Placement {
+            freed: vec![BTreeSet::new(); NUM_CLASSES],
+            runs: vec![(0, 0); NUM_CLASSES],
+            bump: Self::PAGE,
+            region_len,
+        }
+    }
+
+    /// The pointer `alloc(len)` must return.
+    fn alloc(&mut self, len: usize) -> Result<PPtr, PHeapError> {
+        let class = size_class(len).expect("requests fit a class");
+        if let Some(payload) = self.freed[class].pop_first() {
+            return Ok(PPtr::from_offset(payload));
+        }
+        let block = Self::HEADER + class_size(class) as u64;
+        let run_bytes = match block {
+            b if b <= Self::RUN => Self::RUN,
+            b => b.div_ceil(Self::PAGE) * Self::PAGE,
+        };
+        let (cursor, end) = &mut self.runs[class];
+        if *cursor == 0 || *cursor + block > *end {
+            if self.bump + run_bytes > self.region_len {
+                return Err(PHeapError::OutOfMemory);
+            }
+            (*cursor, *end) = (self.bump, self.bump + run_bytes);
+            self.bump += run_bytes;
+        }
+        *cursor += block;
+        Ok(PPtr::from_offset(*cursor - block + Self::HEADER))
+    }
+
+    fn free(&mut self, ptr: PPtr, len: usize) {
+        let class = size_class(len).expect("allocated");
+        assert!(self.freed[class].insert(ptr.offset()), "{ptr} freed twice");
+    }
 }
 
 /// A store that can lose power and come back.
@@ -202,6 +268,7 @@ fn allocator_matches_model_across_power_cycles() {
             let mut model: HashMap<PPtr, (usize, u8)> = HashMap::new();
             let mut order: Vec<PPtr> = Vec::new();
             let mut ever: BTreeSet<PPtr> = BTreeSet::new();
+            let mut placement = Placement::new(REGION);
             let (mut reuses, mut multi_page, mut reopens) = (0u32, 0u32, 0u32);
 
             for op in prologue().iter().chain(&ops) {
@@ -227,6 +294,9 @@ fn allocator_matches_model_across_power_cycles() {
                     }
                 };
                 let outcome = take(&mut lived, step);
+                if let Step::Alloc { len, .. } = step {
+                    assert_eq!(outcome, placement.alloc(len).map(Some), "{:?}", step);
+                }
                 assert_eq!(
                     take(&mut on_viyojit, step),
                     outcome,
@@ -251,7 +321,8 @@ fn allocator_matches_model_across_power_cycles() {
                     }
                     (Step::Alloc { .. }, Err(PHeapError::OutOfMemory)) => {}
                     (Step::Free(ptr), Ok(None)) => {
-                        model.remove(&ptr);
+                        let (len, _) = model.remove(&ptr).expect("freed a live pointer");
+                        placement.free(ptr, len);
                     }
                     (Step::Rewrite { ptr, len, fill }, Ok(None)) => {
                         model.insert(ptr, (len, fill));
@@ -264,7 +335,9 @@ fn allocator_matches_model_across_power_cycles() {
             }
 
             for stats in [lived.stats(), on_viyojit.stats(), on_baseline.stats()] {
-                assert_eq!(stats.unwrap().live_allocs, model.len() as u64);
+                let stats = stats.unwrap();
+                assert_eq!(stats.live_allocs, model.len() as u64);
+                assert_eq!(stats.bump, placement.bump);
             }
             assert!(
                 reuses >= 1 && multi_page >= 1 && reopens >= 1,
