@@ -1,7 +1,7 @@
-//! Comparison systems: the full-battery NV-DRAM baseline the paper
-//! evaluates against, and the flawed periodic-counting tracker §4.1 rejects.
+//! The comparison system: the full-battery NV-DRAM baseline the paper
+//! evaluates against.
 
-use mem_sim::{Mmu, MmuStats, PageId, WalkOptions};
+use mem_sim::MmuStats;
 use sim_clock::{Clock, CostModel};
 use ssd_sim::{Ssd, SsdConfig};
 
@@ -119,81 +119,6 @@ impl NvHeap for NvdramBaseline {
     }
 }
 
-/// The seemingly-plausible design §4.1 rejects: count dirty pages only at
-/// periodic check boundaries. Between two checks the dirty population can
-/// exceed the budget unobserved, so durability is *not* guaranteed — the
-/// motivation for Viyojit's synchronous fault-driven tracking.
-///
-/// # Examples
-///
-/// ```
-/// use sim_clock::{Clock, CostModel};
-/// use viyojit::PeriodicCountTracker;
-///
-/// let mut t = PeriodicCountTracker::new(64, 4, Clock::new(), CostModel::free());
-/// for page in 0..10u64 {
-///     t.write(page * 4096, b"burst");
-/// }
-/// // The instantaneous dirty population has blown through the budget,
-/// // and the tracker has no idea until its next check.
-/// assert!(t.instantaneous_dirty() > t.budget_pages());
-/// ```
-#[derive(Debug)]
-pub struct PeriodicCountTracker {
-    mmu: Mmu,
-    budget_pages: u64,
-    observed_peak: u64,
-}
-
-impl PeriodicCountTracker {
-    /// Creates a tracker over `total_pages` writable pages with the given
-    /// budget.
-    pub fn new(total_pages: usize, budget_pages: u64, clock: Clock, costs: CostModel) -> Self {
-        PeriodicCountTracker {
-            mmu: Mmu::new(total_pages, clock, costs),
-            budget_pages,
-            observed_peak: 0,
-        }
-    }
-
-    /// The budget this tracker is supposed to enforce.
-    pub fn budget_pages(&self) -> u64 {
-        self.budget_pages
-    }
-
-    /// An unhindered write (no protection, no faults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write is out of range or crosses a page boundary.
-    pub fn write(&mut self, addr: u64, data: &[u8]) {
-        self.mmu.write(addr, data).expect("unprotected write");
-    }
-
-    /// The true number of dirty pages right now — information the periodic
-    /// design does not have between checks.
-    pub fn instantaneous_dirty(&self) -> u64 {
-        self.mmu.page_table().dirty_count() as u64
-    }
-
-    /// The periodic check: walks the page table, records the observed
-    /// count, and "flushes" (clears) everything over the budget. Returns
-    /// the count it observed.
-    pub fn periodic_check(&mut self) -> u64 {
-        let pages: Vec<PageId> = (0..self.mmu.pages() as u64).map(PageId).collect();
-        let dirty = self.mmu.walk_and_clear_dirty(&pages, WalkOptions::exact());
-        let count = dirty.len() as u64;
-        self.observed_peak = self.observed_peak.max(count);
-        count
-    }
-
-    /// The largest dirty count any periodic check ever observed. Always a
-    /// *lower bound* on the true peak, which is the flaw.
-    pub fn observed_peak(&self) -> u64 {
-        self.observed_peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,30 +156,5 @@ mod tests {
         let mut buf = [0u8; 10];
         b.read(r, 100, &mut buf).unwrap();
         assert_eq!(&buf, b"survive me");
-    }
-
-    #[test]
-    fn periodic_counting_misses_transient_violations() {
-        // The §4.1 argument, executed: a burst between checks exceeds the
-        // budget, but no periodic observation ever sees a violation.
-        let mut t = PeriodicCountTracker::new(64, 4, Clock::new(), CostModel::free());
-        for round in 0..4 {
-            for p in 0..8u64 {
-                t.write((round * 8 + p) * PAGE_SIZE as u64, b"x");
-            }
-            let true_peak = t.instantaneous_dirty();
-            assert!(true_peak > t.budget_pages(), "burst exceeded the budget");
-            t.periodic_check();
-        }
-        // Every check happened *after* the burst already violated the
-        // budget; the observed peak understates nothing here (checks see 8
-        // > 4), but shift the check earlier and it sees nothing:
-        let mut t2 = PeriodicCountTracker::new(64, 4, Clock::new(), CostModel::free());
-        t2.periodic_check(); // checks when clean
-        for p in 0..8u64 {
-            t2.write(p * PAGE_SIZE as u64, b"x");
-        }
-        assert_eq!(t2.observed_peak(), 0, "violation invisible to the checker");
-        assert!(t2.instantaneous_dirty() > t2.budget_pages());
     }
 }

@@ -226,9 +226,9 @@ impl DirtyTracker for SoftwareWalk {
     /// reductions: sector-granular shipping (when the device holds a base
     /// copy to patch), compression, or a dedup reference when the whole
     /// content is already durable. When both sector flushing and a codec
-    /// are enabled, the cheaper of the two applies. Pricing a page also
-    /// clears its §7 sector mask: the next flush ships what is written from
-    /// here on.
+    /// are enabled, the cheaper of the two applies. The sectors priced are
+    /// the ones the hand-over will change in the device image
+    /// ([`Mmu::sector_mask`]).
     fn flush_payload(core: &mut EngineCore, sw: &mut Self, page: PageId) -> usize {
         let page_bytes = || {
             let mut data = [0; PAGE_SIZE];
@@ -248,16 +248,14 @@ impl DirtyTracker for SoftwareWalk {
                 }
             }
         };
-        let physical = if core.config.sector_flush && core.mmu.is_held(page) {
+        if core.config.sector_flush && core.mmu.is_held(page) {
             // Clean sectors already match the durable base copy, so only
             // the modified sectors (plus an 8 B mask) need shipping.
             let sector_bytes = core.mmu.dirty_sector_bytes(page) + 8;
             codec_bytes.min(sector_bytes.min(PAGE_SIZE))
         } else {
             codec_bytes
-        };
-        core.mmu.clear_sector_mask(page);
-        physical
+        }
     }
 
     fn on_flush_complete(_core: &mut EngineCore, backend: &mut Self, page: PageId) {
@@ -288,7 +286,6 @@ impl DirtyTracker for SoftwareWalk {
                 core.selector.on_removed(page);
                 backend.dirty.discard_dirty(page);
                 core.mmu.protect_page(page);
-                core.mmu.clear_sector_mask(page);
             }
         }
     }
@@ -317,7 +314,6 @@ impl DirtyTracker for SoftwareWalk {
             let page = PageId(i as u64);
             core.mmu.restore_durable(page);
             core.mmu.protect_page(page);
-            core.mmu.clear_sector_mask(page);
         }
         backend.dirty.reset();
         backend.new_dirty_this_epoch = 0;

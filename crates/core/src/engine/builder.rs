@@ -237,9 +237,8 @@ impl<B: DirtyTracker> ShardedViyojitBuilder<B> {
     /// Enables the live metrics exporter: a background thread
     /// periodically renders the merged telemetry registry (plus the
     /// wall-plane registry) in Prometheus text exposition format to
-    /// `config.path`, and optionally answers HTTP scrapes when
-    /// `config.listen` is set. Stops (after a final render) when the
-    /// deployment is dropped.
+    /// `config.path`. Stops (after a final render) when the deployment is
+    /// dropped.
     pub fn exporter(mut self, config: ExporterConfig) -> Self {
         self.exporter = Some(config);
         self

@@ -26,9 +26,7 @@
 //! - [`ShardedViyojit`] — N per-shard engines multiplexing one battery's
 //!   budget through the machine → tenant → shard budget hierarchy; §6.3's
 //!   ballooning between co-located tenants is the same frontend with one
-//!   single-shard tenant each ([`TenantQos`]);
-//! - [`PeriodicCountTracker`] — the flawed periodic-counting design §4.1
-//!   rejects, kept to demonstrate *why* synchronous tracking is required.
+//!   single-shard tenant each ([`TenantQos`]).
 //!
 //! # Examples
 //!
@@ -74,7 +72,7 @@ mod runtime;
 mod stats;
 mod store;
 
-pub use baseline::{NvdramBaseline, PeriodicCountTracker};
+pub use baseline::NvdramBaseline;
 pub use codec::{rle_decode, rle_encode, FlushCodec};
 pub use config::{ThresholdPolicy, ViyojitConfig, ViyojitConfigBuilder};
 pub use dirty::{DirtySet, PageState};

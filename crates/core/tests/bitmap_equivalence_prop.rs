@@ -42,8 +42,7 @@ const MODEL_PAGES: usize = 193;
 
 const S_WRITABLE: u8 = 1 << 1;
 const S_DIRTY: u8 = 1 << 2;
-const S_ACCESSED: u8 = 1 << 3;
-const S_SHADOW: u8 = 1 << 4;
+const S_SHADOW: u8 = 1 << 3;
 
 struct ScalarPageTable {
     flags: Vec<u8>,
@@ -127,7 +126,7 @@ impl ScalarDirtySet {
 
 #[derive(Debug)]
 enum ModelOp {
-    /// Toggle one PTE flag bit (writable/accessed, and the raw dirty /
+    /// Toggle one PTE flag bit (writable, and the raw dirty /
     /// shadow-dirty setters the MMU write path uses).
     SetFlag { page: usize, bit: u8, on: bool },
     /// Test-and-clear one page's dirty / shadow-dirty bit (the fault and
@@ -148,7 +147,7 @@ fn gen_model_op(rng: &mut SplitMix64) -> ModelOp {
     match arm {
         0 => ModelOp::SetFlag {
             page,
-            bit: [S_WRITABLE, S_DIRTY, S_ACCESSED, S_SHADOW][int(rng, 0..4) as usize],
+            bit: [S_WRITABLE, S_DIRTY, S_SHADOW][int(rng, 0..3) as usize],
             on: rng.chance(0.5),
         },
         1 => ModelOp::TakeDirty {
@@ -173,7 +172,6 @@ fn assert_states_agree(pt: &PageTable, spt: &ScalarPageTable, ds: &DirtySet, sds
             i
         );
         assert_eq!(flags.is_dirty(), spt.flags[i] & S_DIRTY != 0);
-        assert_eq!(flags.is_accessed(), spt.flags[i] & S_ACCESSED != 0);
         assert_eq!(flags.is_shadow_dirty(), spt.flags[i] & S_SHADOW != 0);
         assert_eq!(pt.is_dirty(PageId(i as u64)), spt.flags[i] & S_DIRTY != 0);
         assert_eq!(ds.state(PageId(i as u64)), sds.states[i]);
@@ -221,7 +219,6 @@ fn bitmap_structures_match_scalar_model() {
                     match bit {
                         S_WRITABLE => pt.set_writable(id, on),
                         S_DIRTY => pt.set_dirty(id, on),
-                        S_ACCESSED => pt.set_accessed(id, on),
                         S_SHADOW => pt.set_shadow_dirty(id, on),
                         _ => unreachable!(),
                     }

@@ -525,6 +525,51 @@ fn sector_flush_ships_only_modified_sectors() {
     );
 }
 
+/// An unmap discards a dirty page's budget slot, not its bytes: memory
+/// still differs from the device image in the discarded sectors, so the
+/// next hand-over writes them too, and a sector flush must price them.
+#[test]
+fn sector_flush_prices_the_sectors_an_unmap_discarded() {
+    let mut v = Viyojit::new(
+        4,
+        ViyojitConfig::builder(4)
+            .sector_flush(true)
+            .build()
+            .unwrap(),
+        Clock::new(),
+        CostModel::free(),
+        SsdConfig::instant(),
+    );
+    // The region takes every page, so mapping it again finds the same ones.
+    let r = v.map(PAGE * 4).unwrap();
+    v.write(r, 0, &[1; 64]).unwrap();
+    v.power_failure();
+    v.recover();
+    // Sectors A = {2, 3, 9} are written, then discarded while dirty.
+    v.write(r, 2 * 64, &[0xa; 128]).unwrap();
+    v.write(r, 9 * 64, &[0xa; 64]).unwrap();
+    v.unmap(r).unwrap();
+    assert_eq!(v.dirty_count(), 0);
+    let r = v.map(PAGE * 4).unwrap();
+    // Sector B = {5}: |A ∪ B| = 4.
+    v.write(r, 5 * 64, &[0xb; 64]).unwrap();
+    let report = v.power_failure();
+    assert_eq!(report.pages_flushed, 1);
+    assert_eq!(report.bytes_flushed, 64 * 4 + 8);
+    v.recover();
+    let mut buf = [0u8; 10 * 64];
+    v.read(r, 0, &mut buf).unwrap();
+    assert_eq!(buf[..64], [1; 64]);
+    assert_eq!(
+        buf[2 * 64..4 * 64],
+        [0xa; 128],
+        "the discarded bytes came back"
+    );
+    assert_eq!(buf[5 * 64..6 * 64], [0xb; 64]);
+    assert_eq!(buf[9 * 64..], [0xa; 64], "the discarded bytes came back");
+    v.validate();
+}
+
 #[test]
 fn repeated_power_cycles_preserve_data() {
     let mut v = viyojit(32, 4);

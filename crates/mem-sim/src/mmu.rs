@@ -405,10 +405,8 @@ impl Store {
     }
 }
 
-/// One page's sector masks — bit *i* covers the page's *i*-th 64 B sector;
-/// [`Mmu::write`] sets the same bits in `shipped` and `unsynced`, and they
-/// differ in who clears them — where its bytes lie, and where the device
-/// image of the page lies.
+/// One page's sector mask — bit *i* covers the page's *i*-th 64 B sector —
+/// where its bytes lie, and where the device image of the page lies.
 ///
 /// The device image is host-side state, no part of the simulated system:
 /// the `Ssd` models time and wear, not bytes. A page the device holds
@@ -417,20 +415,15 @@ impl Store {
 /// is zeroes.
 #[derive(Debug, Clone, Copy)]
 struct SectorMasks {
-    /// Mondrian-style sub-page tracking (§7), part of the simulated system:
-    /// what a sector-granular flush would *ship*. Cleared by policy — when
-    /// the flush path prices a page, and when a dying mapping's dirty page
-    /// is discarded.
-    shipped: u64,
-    /// Host-side only: sectors whose bytes may differ from what was last
-    /// handed to the device. Cleared only by handing the bytes over
-    /// ([`Mmu::take_unsynced`]) or laying the device's back
+    /// Sectors whose bytes may differ from what was last handed to the
+    /// device: what a sector-granular flush (§7, Mondrian-style) ships, and
+    /// what the hand-over changes in the image. Cleared only by handing the
+    /// bytes over ([`Mmu::take_unsynced`]) or laying the device's back
     /// ([`Mmu::restore_durable`]), never by policy: a discarded page's
     /// garbage is still in memory.
     unsynced: u64,
     /// Where the page's bytes lie: [`UNTOUCHED`], [`DENSE`], or its
-    /// [`Sparse`] record, whose resident sectors hold `unsynced` and
-    /// `shipped`.
+    /// [`Sparse`] record, whose resident sectors hold `unsynced`.
     place: u32,
     /// The page's slot in the undo pool — its table of eighth-page
     /// blocks — or [`NO_SLOT`], or [`NEVER_HELD`] for a page never handed
@@ -443,11 +436,10 @@ struct SectorMasks {
 // Every byte here is paid many times over: a KV run builds several `Mmu`s
 // that each reach thousands of pages, and `PageVec` keeps spare capacity
 // past them.
-const _: () = assert!(std::mem::size_of::<SectorMasks>() <= 24);
+const _: () = assert!(std::mem::size_of::<SectorMasks>() <= 16);
 
 impl SectorMasks {
     const NEW: SectorMasks = SectorMasks {
-        shipped: 0,
         unsynced: 0,
         place: UNTOUCHED,
         slot: NEVER_HELD,
@@ -867,7 +859,6 @@ impl Mmu {
             (view, CostClass::TlbHit, self.costs.tlb_hit)
         } else {
             let flags = self.page_table.flags(page);
-            self.page_table.set_accessed(page, true);
             self.tlb.fill(page, flags);
             let view = (
                 flags.is_writable(),
@@ -1021,7 +1012,7 @@ impl Mmu {
                     entry.shadow = true;
                 }
             }
-            // Mark every 64 B sector the write touched, for the §7 model
+            // Mark every 64 B sector the write touched, for the §7 flush
             // and for the device image alike. `span` is 1..=64, so the
             // right shift is by 0..=63.
             let first_sector = (addr as usize % PAGE_SIZE) / SECTOR_BYTES;
@@ -1029,7 +1020,6 @@ impl Mmu {
             let span = last_sector - first_sector + 1;
             let touched = (u64::MAX >> (64 - span)) << first_sector;
             let masks = self.sector_masks.get_mut(page);
-            masks.shipped |= touched;
             // A sector of a held page that is in sync is part of the device
             // image until this store lands on it: keep its bytes first.
             // Most writes find their sectors unsynced already.
@@ -1058,31 +1048,18 @@ impl Mmu {
     }
 
     /// The §7 sub-page dirty mask of `page`: bit *i* set means sector *i*
-    /// (64 B) was written since the mask was last cleared.
+    /// (64 B) was written since the page was last handed to the device
+    /// ([`Mmu::take_unsynced`]) or restored ([`Mmu::restore_durable`]).
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range.
     pub fn sector_mask(&self, page: PageId) -> u64 {
-        self.sector_masks.get(page).shipped
+        self.sector_masks.get(page).unsynced
     }
 
-    /// Clears the sector mask of `page` (the flush path does this when it
-    /// snapshots the page). A mask that is clear already is left alone, so
-    /// recovery's pass over every page grows no state for pages never
-    /// written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn clear_sector_mask(&mut self, page: PageId) {
-        if self.sector_masks.get(page).shipped != 0 {
-            self.sector_masks.get_mut(page).shipped = 0;
-        }
-    }
-
-    /// Bytes of `page` modified since its mask was cleared (sector
-    /// granularity).
+    /// Bytes of `page` modified since its last hand-over or restore
+    /// (sector granularity).
     pub fn dirty_sector_bytes(&self, page: PageId) -> usize {
         self.sector_mask(page).count_ones() as usize * SECTOR_BYTES
     }
@@ -1223,7 +1200,7 @@ impl Mmu {
     /// inside the arena for exactly the eighths of the page with an
     /// unsynced sector, no page in `in_flight` (write-protected since its
     /// hand-over) has a slot, and a page that is not dense holds each
-    /// sector its unsynced and shipped masks name, in one block of at most
+    /// sector its unsynced mask names, in one block of at most
     /// eight sectors inside its arena. O(pages); for checks.
     pub fn undo_violation(&self, in_flight: &Bitmap2L) -> Option<(PageId, &'static str)> {
         let reached = self.sector_masks.reached().iter();
@@ -1256,7 +1233,7 @@ impl Mmu {
             _ => {}
         }
         let sparse = store.sparse(masks.place);
-        if (masks.unsynced | masks.shipped) & !sparse.resident != 0 {
+        if masks.unsynced & !sparse.resident != 0 {
             return Some("a sparse page's written sectors are not resident");
         }
         let size = sparse.resident.count_ones() as usize;
@@ -1794,6 +1771,14 @@ mod tests {
     }
 
     #[test]
+    fn sector_masks_are_per_page() {
+        let mut m = mmu(2);
+        m.write(PAGE_SIZE as u64 + 4000, &[1u8; 96]).unwrap();
+        assert_eq!(m.sector_mask(PageId(0)), 0);
+        assert_eq!(m.dirty_sector_bytes(PageId(1)), 128);
+    }
+
+    #[test]
     fn sector_masks_track_written_ranges() {
         let mut m = mmu(2);
         m.write(0, &[1u8; 64]).unwrap(); // sector 0
@@ -1803,21 +1788,14 @@ mod tests {
         // Spanning sector boundary sets both.
         m.write(63, &[3u8; 2]).unwrap(); // sectors 0 and 1
         assert_eq!(m.sector_mask(PageId(0)), 0b111);
-        m.clear_sector_mask(PageId(0));
+        assert_eq!(m.take_unsynced(PageId(0)), 0b111);
         assert_eq!(m.dirty_sector_bytes(PageId(0)), 0);
-    }
-
-    #[test]
-    fn sector_masks_are_per_page() {
-        let mut m = mmu(2);
-        m.write(PAGE_SIZE as u64 + 4000, &[1u8; 96]).unwrap();
-        assert_eq!(m.sector_mask(PageId(0)), 0);
-        assert_eq!(m.dirty_sector_bytes(PageId(1)), 128);
     }
 
     #[test]
     fn unsynced_mask_is_cleared_by_copies_never_by_policy() {
         let mut m = mmu(2);
+        m.write(0, &[1u8; 130]).unwrap(); // page 0, sectors 0..=2
         let page = PageId(1);
         let base = page.base_addr();
         m.write(base, &[1]).unwrap(); // sector 0
@@ -1825,11 +1803,20 @@ mod tests {
         m.write(base + 100, &[3; 100]).unwrap(); // sectors 1..=3
         let touched = 1 | 1 << 63 | 0b1110;
         assert_eq!(m.sector_mask(page), touched);
-        m.clear_sector_mask(page);
-        assert_eq!(m.sector_mask(page), 0);
-        assert_eq!(m.take_unsynced(page), touched, "policy left it alone");
-        assert_eq!(m.take_unsynced(page), 0, "the take cleared it");
-        assert_eq!(m.take_unsynced(PageId(0)), 0, "masks are per page");
+        // What the flush and unmap paths do to a page is policy: an epoch
+        // walk and a write-protect leave the mask alone.
+        assert_eq!(
+            m.walk_and_clear_dirty(&[page], WalkOptions::exact_foreground()),
+            vec![page]
+        );
+        m.protect_page(page);
+        assert_eq!(m.sector_mask(page), touched, "policy left it alone");
+        m.unprotect_page(page);
+        assert_eq!(m.take_unsynced(page), touched);
+        assert_eq!(m.sector_mask(page), 0, "the take cleared it");
+        assert_eq!(m.dirty_sector_bytes(page), 0);
+        assert_eq!(m.take_unsynced(page), 0);
+        assert_eq!(m.sector_mask(PageId(0)), 0b111, "masks are per page");
 
         // A whole-page write is the span-64 case of the shift.
         m.write(base, &[4; PAGE_SIZE]).unwrap();
@@ -2411,15 +2398,6 @@ mod tests {
         let none = Bitmap2L::new(1);
         let mut m = written(&[4]);
         assert_eq!(m.undo_violation(&none), None);
-        m.sector_masks.get_mut(PageId(0)).shipped |= 1 << 5;
-        assert_eq!(
-            m.undo_violation(&none),
-            Some((
-                PageId(0),
-                "a sparse page's written sectors are not resident"
-            ))
-        );
-        m.sector_masks.get_mut(PageId(0)).shipped = 0;
         m.sector_masks.get_mut(PageId(0)).unsynced = 1 << 5;
         assert_eq!(
             m.undo_violation(&none),

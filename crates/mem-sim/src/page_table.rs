@@ -8,7 +8,8 @@ use crate::PageId;
 /// Permission and status bits of one page-table entry.
 ///
 /// Mirrors the x86-64 bits Viyojit manipulates: present, writable (the
-/// write-protection bit, inverted), dirty, and accessed.
+/// write-protection bit, inverted) and dirty, plus §5.4's shadow dirty
+/// bit.
 ///
 /// # Examples
 ///
@@ -26,8 +27,7 @@ impl PteFlags {
     const PRESENT: u8 = 1 << 0;
     const WRITABLE: u8 = 1 << 1;
     const DIRTY: u8 = 1 << 2;
-    const ACCESSED: u8 = 1 << 3;
-    const SHADOW_DIRTY: u8 = 1 << 4;
+    const SHADOW_DIRTY: u8 = 1 << 3;
 
     /// A present, read-only, clean entry.
     pub const fn present() -> Self {
@@ -54,11 +54,6 @@ impl PteFlags {
         self.0 & Self::DIRTY != 0
     }
 
-    /// `true` if the hardware accessed bit is set.
-    pub const fn is_accessed(self) -> bool {
-        self.0 & Self::ACCESSED != 0
-    }
-
     /// Returns a copy with the writable bit set to `w`.
     #[must_use]
     pub const fn with_writable(self, w: bool) -> Self {
@@ -76,16 +71,6 @@ impl PteFlags {
             PteFlags(self.0 | Self::DIRTY)
         } else {
             PteFlags(self.0 & !Self::DIRTY)
-        }
-    }
-
-    /// Returns a copy with the accessed bit set to `a`.
-    #[must_use]
-    pub const fn with_accessed(self, a: bool) -> Self {
-        if a {
-            PteFlags(self.0 | Self::ACCESSED)
-        } else {
-            PteFlags(self.0 & !Self::ACCESSED)
         }
     }
 
@@ -112,11 +97,10 @@ impl fmt::Display for PteFlags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}{}{}{}{}",
+            "{}{}{}{}",
             if self.is_present() { 'P' } else { '-' },
             if self.is_writable() { 'W' } else { '-' },
             if self.is_dirty() { 'D' } else { '-' },
-            if self.is_accessed() { 'A' } else { '-' },
             if self.is_shadow_dirty() { 'S' } else { '-' },
         )
     }
@@ -151,7 +135,6 @@ impl fmt::Display for PteFlags {
 pub struct PageTable {
     writable: Bitmap2L,
     dirty: Bitmap2L,
-    accessed: Bitmap2L,
     shadow: Bitmap2L,
 }
 
@@ -162,7 +145,6 @@ impl PageTable {
         PageTable {
             writable: Bitmap2L::new(pages),
             dirty: Bitmap2L::new(pages),
-            accessed: Bitmap2L::new(pages),
             shadow: Bitmap2L::new(pages),
         }
     }
@@ -187,7 +169,6 @@ impl PageTable {
         PteFlags::present()
             .with_writable(self.writable.test(i))
             .with_dirty(self.dirty.test(i))
-            .with_accessed(self.accessed.test(i))
             .with_shadow_dirty(self.shadow.test(i))
     }
 
@@ -215,19 +196,6 @@ impl PageTable {
             self.dirty.set(page.index());
         } else {
             self.dirty.clear(page.index());
-        }
-    }
-
-    /// Sets the accessed bit of `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn set_accessed(&mut self, page: PageId, accessed: bool) {
-        if accessed {
-            self.accessed.set(page.index());
-        } else {
-            self.accessed.clear(page.index());
         }
     }
 
@@ -362,7 +330,7 @@ mod tests {
             assert!(f.is_present());
             assert!(!f.is_writable());
             assert!(!f.is_dirty());
-            assert!(!f.is_accessed());
+            assert!(!f.is_shadow_dirty());
         }
     }
 
@@ -371,10 +339,10 @@ mod tests {
         let f = PteFlags::present()
             .with_writable(true)
             .with_dirty(true)
-            .with_accessed(true);
-        assert!(f.is_present() && f.is_writable() && f.is_dirty() && f.is_accessed());
+            .with_shadow_dirty(true);
+        assert!(f.is_present() && f.is_writable() && f.is_dirty() && f.is_shadow_dirty());
         let f2 = f.with_dirty(false);
-        assert!(f2.is_writable() && f2.is_accessed() && !f2.is_dirty());
+        assert!(f2.is_writable() && f2.is_shadow_dirty() && !f2.is_dirty());
     }
 
     #[test]
@@ -406,11 +374,11 @@ mod tests {
     #[test]
     fn display_shows_all_bits() {
         let f = PteFlags::present().with_writable(true);
-        assert_eq!(f.to_string(), "PW---");
-        assert_eq!(PteFlags::not_present().to_string(), "-----");
+        assert_eq!(f.to_string(), "PW--");
+        assert_eq!(PteFlags::not_present().to_string(), "----");
         assert_eq!(
             PteFlags::present().with_shadow_dirty(true).to_string(),
-            "P---S"
+            "P--S"
         );
     }
 

@@ -3,20 +3,18 @@
 //! A background thread periodically renders the merged view of a
 //! [`Telemetry`] handle (parent plus every forked shard) in Prometheus
 //! text exposition format (version 0.0.4) and writes it atomically to a
-//! file; optionally it also answers one HTTP connection at a time on a
-//! TCP listener, so a scraper (or `curl`) can pull the same text live.
+//! file, which a scraper can read.
 //!
 //! The exporter is read-only: it merges on demand and never touches the
 //! record path, so workers keep writing into their own uncontended
 //! shards while an export is in progress.
 
 use std::fmt::Write as _;
-use std::io::{self, Read as _, Write as _};
-use std::net::TcpListener;
+use std::io;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::{MetricsRegistry, Telemetry};
 
@@ -27,8 +25,6 @@ pub struct ExporterConfig {
     pub path: PathBuf,
     /// Render period.
     pub period: Duration,
-    /// Optional `host:port` to answer single HTTP connections on.
-    pub listen: Option<String>,
 }
 
 impl ExporterConfig {
@@ -37,7 +33,6 @@ impl ExporterConfig {
         ExporterConfig {
             path: path.into(),
             period,
-            listen: None,
         }
     }
 }
@@ -116,34 +111,15 @@ fn write_atomically(path: &PathBuf, text: &str) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Answers one already-accepted HTTP connection with `text`.
-fn serve_one(mut stream: std::net::TcpStream, text: &str) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut request = [0u8; 1024];
-    let _ = stream.read(&mut request);
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{text}",
-        text.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
-
-/// Stops the exporter thread on drop (or explicitly via
-/// [`ExporterHandle::stop`]), after one final render.
+/// Stops the exporter thread on drop, after one final render.
 #[derive(Debug)]
 pub struct ExporterHandle {
     shutdown: mpsc::Sender<()>,
     join: Option<JoinHandle<()>>,
 }
 
-impl ExporterHandle {
-    /// Stops the background thread, flushing one final render.
-    pub fn stop(mut self) {
-        self.shutdown_and_join();
-    }
-
-    fn shutdown_and_join(&mut self) {
+impl Drop for ExporterHandle {
+    fn drop(&mut self) {
         let _ = self.shutdown.send(());
         if let Some(join) = self.join.take() {
             let _ = join.join();
@@ -151,49 +127,24 @@ impl ExporterHandle {
     }
 }
 
-impl Drop for ExporterHandle {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
-    }
-}
-
 /// Spawns the exporter thread over (a clone of) `telemetry`.
 ///
-/// The thread renders every `config.period` (and once more on shutdown),
-/// writes the file atomically, and — when `config.listen` is set —
-/// answers pending HTTP connections between renders with the latest
-/// text. A bind failure disables the listener rather than killing the
-/// exporter.
+/// The thread renders every `config.period` (and once more on shutdown)
+/// and writes the file atomically.
 pub fn spawn_exporter(telemetry: Telemetry, config: ExporterConfig) -> ExporterHandle {
     let (shutdown, rx) = mpsc::channel::<()>();
     let join = thread::Builder::new()
         .name("viyojit-exporter".to_string())
         .spawn(move || {
-            let listener = config.listen.as_ref().and_then(|addr| {
-                let l = TcpListener::bind(addr).ok()?;
-                l.set_nonblocking(true).ok()?;
-                Some(l)
-            });
-            let poll = Duration::from_millis(50).min(config.period);
-            let mut last_render = Instant::now();
-            let mut text = render_prometheus(&telemetry);
-            let _ = write_atomically(&config.path, &text);
-            loop {
-                let stop = !matches!(rx.recv_timeout(poll), Err(RecvTimeoutError::Timeout));
-                if stop || last_render.elapsed() >= config.period {
-                    text = render_prometheus(&telemetry);
-                    let _ = write_atomically(&config.path, &text);
-                    last_render = Instant::now();
-                }
-                if let Some(listener) = &listener {
-                    while let Ok((stream, _)) = listener.accept() {
-                        serve_one(stream, &text);
-                    }
-                }
-                if stop {
-                    break;
-                }
+            let render = || {
+                let _ = write_atomically(&config.path, &render_prometheus(&telemetry));
+            };
+            render();
+            while let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(config.period) {
+                render();
             }
+            // The final render, on shutdown.
+            render();
         })
         .expect("failed to spawn exporter thread");
     ExporterHandle {
@@ -266,7 +217,7 @@ mod tests {
             ExporterConfig::to_file(&path, Duration::from_millis(10)),
         );
         telemetry.metrics(|m| m.counter_add("x.live", 4));
-        handle.stop();
+        drop(handle);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("x_live 5"), "final render missing: {text}");
         let _ = std::fs::remove_file(&path);

@@ -6,8 +6,6 @@ use sim_clock::SplitMix64;
 
 use crate::{LatestGenerator, ZipfGenerator};
 
-/// Standard YCSB record size: 10 fields x 100 bytes.
-pub(crate) const RECORD_BYTES: usize = 1_000;
 /// Request-distribution exponent used by YCSB's zipfian generators.
 const YCSB_THETA: f64 = 0.99;
 
@@ -149,11 +147,6 @@ impl YcsbGenerator {
     /// Records in the dataset (grows under YCSB-D inserts).
     pub fn record_count(&self) -> u64 {
         self.record_count
-    }
-
-    /// The standard YCSB record payload size in bytes.
-    pub fn record_bytes(&self) -> usize {
-        RECORD_BYTES
     }
 
     fn zipf_key(&mut self) -> u64 {
