@@ -96,8 +96,10 @@ impl ExperimentConfig {
         };
         // Per record: a 1 KiB value-class block (1032 B with its header,
         // 15 per 16 KiB slab run -> ~1.1 KiB effective), a 256 B
-        // metadata-header block (~270 B effective), and a skip-list index
-        // node (~100 B effective), with slab tail waste.
+        // metadata-header block (~270 B effective), and ~100 B of headroom
+        // (an ordered-index node's share when that index lived in the
+        // heap; the region size, and so every figure's geometry, stays),
+        // with slab tail waste.
         let nodes = (self.initial_records + expected_inserts) * (1100 + 270 + 100);
         table + nodes + nodes / 20 + 64 * 1024
     }

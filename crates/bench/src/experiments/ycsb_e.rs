@@ -2,9 +2,10 @@
 //!
 //! §6.1: "We could not run YCSB-E because it requires cross key
 //! transactions which we do not support for now. We wish to add this to
-//! our NV-DRAM based Redis in the future." This reproduction's store
-//! carries a persistent skip-list index, so the scan workload (95% short
-//! range scans, 5% inserts) runs like the other five.
+//! our NV-DRAM based Redis in the future." This reproduction's store keeps
+//! a volatile ordered index over its persistent hash table, rebuilt from
+//! the table at recovery, so the scan workload (95% short range scans, 5%
+//! inserts) runs like the other five.
 //!
 //! Expected shape: scans are read-dominated, but every scan stamps the
 //! LRU field of each visited entry header, so E dirties metadata pages

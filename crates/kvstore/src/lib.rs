@@ -8,6 +8,10 @@
 //! - a chained hash table whose bucket segments, entry nodes, and counters
 //!   are all [`pheap`] allocations, so every operation generates realistic
 //!   NV-DRAM write traffic;
+//! - an ordered index for `scan` (YCSB-E, which the paper defers to
+//!   future work) that lives in host memory and is derived from the hash
+//!   table: `open` rebuilds it from the chains, so the table is the only
+//!   persistent index and the two cannot disagree after a power cycle;
 //! - **reads update metadata**: like Redis's per-entry LRU clock, every
 //!   `get` stamps the entry's access field. This is why the paper's
 //!   "read-only" YCSB-C still dirties pages (§6.2);
@@ -39,7 +43,6 @@
 //! ```
 
 mod error;
-mod index;
 mod store;
 
 pub use error::KvError;

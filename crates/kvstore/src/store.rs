@@ -1,27 +1,28 @@
-//! The persistent chained hash table.
+//! The persistent chained hash table, and the ordered index over its keys
+//! that lives in host memory and is derived from it.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use pheap::{PHeap, PPtr, MAX_ALLOC};
 use viyojit::NvHeap;
 
-use crate::index::SkipIndex;
 use crate::{fnv1a_64, KvError};
 
 /// Identifies a formatted store ("REDISNVM" in spirit).
 const STORE_MAGIC: u64 = 0x5245_4449_534e_564d;
 
-/// Meta block field offsets.
+/// Meta block field offsets. The word after them once held the head of
+/// an ordered index kept in the heap: an image that still carries it
+/// opens, and nothing reads it.
 const META_MAGIC: u64 = 0;
 const META_BUCKETS: u64 = 8;
 const META_SEG_BUCKETS: u64 = 16;
 const META_COUNT: u64 = 24;
 const META_DIR: u64 = 32;
 const META_STAMP: u64 = 40;
-/// Head of the persistent skip-list index ordering all keys (enables
-/// `scan`, the paper's future-work cross-key capability).
-const META_INDEX: u64 = 48;
-const META_BYTES: usize = 56;
+const META_BYTES: usize = 48;
 
 /// Entry header layout, mirroring Redis's split between the small object
 /// header (dictEntry/robj: chain pointer, hash, lengths, LRU stamp, value
@@ -120,7 +121,10 @@ pub struct KvStore<H> {
     heap: PHeap<H>,
     meta: PPtr,
     dir: PPtr,
-    index: SkipIndex,
+    /// Every live key and its entry header, in key order: the index
+    /// `scan` reads. Only the hash table is persistent; `open` rebuilds
+    /// this from its chains.
+    order: BTreeMap<Box<[u8]>, PPtr>,
     num_buckets: u64,
     seg_buckets: u64,
 }
@@ -147,12 +151,11 @@ impl<H: NvHeap> KvStore<H> {
             heap.write(seg, 0, &vec![0u8; (seg_buckets * 8) as usize])?;
             heap.write(dir, s * 8, &seg.offset().to_le_bytes())?;
         }
-        let index = SkipIndex::create(&mut heap)?;
         let mut this = KvStore {
             heap,
             meta,
             dir,
-            index,
+            order: BTreeMap::new(),
             num_buckets,
             seg_buckets,
         };
@@ -162,41 +165,58 @@ impl<H: NvHeap> KvStore<H> {
         this.put_meta(META_COUNT, 0)?;
         this.put_meta(META_DIR, dir.offset())?;
         this.put_meta(META_STAMP, 0)?;
-        this.put_meta(META_INDEX, this.index.head().offset())?;
         this.heap.set_root(0, Some(meta))?;
         Ok(this)
     }
 
     /// Reopens the store in `heap`'s root slot 0 — the warm-cache restart
-    /// path after a power cycle.
+    /// path after a power cycle — and rebuilds the ordered index from the
+    /// hash chains.
     ///
     /// # Errors
     ///
-    /// [`KvError::NotAStore`] if root slot 0 is empty or the magic does
-    /// not verify.
+    /// [`KvError::NotAStore`] if root slot 0 is empty, the magic does not
+    /// verify, the table geometry is not one [`KvStore::create`] makes, or
+    /// the chains do not hold exactly the entry count of distinct keys;
+    /// heap failures (a pointer to no live block, a read past one) surface
+    /// as [`KvError::Heap`].
     pub fn open(mut heap: PHeap<H>) -> Result<Self, KvError> {
         let meta = heap.root(0)?.ok_or(KvError::NotAStore)?;
-        let mut buf = [0u8; 8];
-        heap.read(meta, META_MAGIC, &mut buf)?;
-        if u64::from_le_bytes(buf) != STORE_MAGIC {
+        let mut word = |field| -> Result<u64, KvError> {
+            let mut buf = [0u8; 8];
+            heap.read(meta, field, &mut buf)?;
+            Ok(u64::from_le_bytes(buf))
+        };
+        if word(META_MAGIC)? != STORE_MAGIC {
             return Err(KvError::NotAStore);
         }
-        heap.read(meta, META_BUCKETS, &mut buf)?;
-        let num_buckets = u64::from_le_bytes(buf);
-        heap.read(meta, META_SEG_BUCKETS, &mut buf)?;
-        let seg_buckets = u64::from_le_bytes(buf);
-        heap.read(meta, META_DIR, &mut buf)?;
-        let dir = PPtr::from_offset(u64::from_le_bytes(buf));
-        heap.read(meta, META_INDEX, &mut buf)?;
-        let index = SkipIndex::open(PPtr::from_offset(u64::from_le_bytes(buf)));
-        Ok(KvStore {
+        let num_buckets = word(META_BUCKETS)?;
+        let seg_buckets = word(META_SEG_BUCKETS)?;
+        if !num_buckets.is_power_of_two()
+            || !seg_buckets.is_power_of_two()
+            || seg_buckets > num_buckets.min(SEG_BUCKETS)
+        {
+            return Err(KvError::NotAStore);
+        }
+        let dir = PPtr::from_offset(word(META_DIR)?);
+        let count = word(META_COUNT)?;
+        let mut this = KvStore {
             heap,
             meta,
             dir,
-            index,
+            order: BTreeMap::new(),
             num_buckets,
             seg_buckets,
-        })
+        };
+        let mut order = BTreeMap::new();
+        let walked = this.walk_chains(count, |_, node, _, key| {
+            order.insert(key, node);
+        })?;
+        if walked != count || order.len() as u64 != count {
+            return Err(KvError::NotAStore);
+        }
+        this.order = order;
+        Ok(this)
     }
 
     /// Shared access to the persistent heap.
@@ -295,6 +315,47 @@ impl<H: NvHeap> KvStore<H> {
         Ok((bucket, None))
     }
 
+    /// Walks every hash chain, handing `visit` each entry's bucket,
+    /// header, probe fields and key, and returns how many it walked. A
+    /// directory segment's bucket heads are one read; each node costs its
+    /// `node_head` read and one read of its key.
+    ///
+    /// # Errors
+    ///
+    /// [`KvError::NotAStore`] when the chains hold more than `count`
+    /// entries (a cycle would otherwise never end) or a key length
+    /// overruns its node's block.
+    fn walk_chains(
+        &mut self,
+        count: u64,
+        mut visit: impl FnMut(u64, PPtr, NodeHead, Box<[u8]>),
+    ) -> Result<u64, KvError> {
+        let mut walked = 0;
+        let mut heads = vec![0u8; (self.seg_buckets * 8) as usize];
+        for seg_idx in 0..self.num_buckets / self.seg_buckets {
+            let mut buf = [0u8; 8];
+            self.heap.read(self.dir, seg_idx * 8, &mut buf)?;
+            self.heap
+                .read(PPtr::from_offset(u64::from_le_bytes(buf)), 0, &mut heads)?;
+            for (within, slot) in (0..).zip(heads.chunks_exact(8)) {
+                let mut cur = u64::from_le_bytes(slot.try_into().expect("an 8-byte slot"));
+                while cur != 0 {
+                    walked += 1;
+                    let node = PPtr::from_offset(cur);
+                    let head = self.node_head(node)?;
+                    if walked > count || NODE_HEADER + head.key_len > self.heap.usable_size(node)? {
+                        return Err(KvError::NotAStore);
+                    }
+                    let mut key = vec![0u8; head.key_len].into_boxed_slice();
+                    self.heap.read(node, NODE_HEADER as u64, &mut key)?;
+                    visit(seg_idx * self.seg_buckets + within, node, head, key);
+                    cur = head.next;
+                }
+            }
+        }
+        Ok(walked)
+    }
+
     #[allow(clippy::too_many_arguments)] // one serializer for the whole header layout
     fn write_header(
         &mut self,
@@ -371,10 +432,9 @@ impl<H: NvHeap> KvStore<H> {
         self.write_header(node, bucket.head, hash, key, value.len(), val_ptr, stamp)?;
         self.heap
             .write(bucket.seg, bucket.slot, &node.offset().to_le_bytes())?;
-        let index = self.index;
-        index.insert(&mut self.heap, key, node)?;
         let count = self.get_meta(META_COUNT)?;
         self.put_meta(META_COUNT, count + 1)?;
+        self.order.insert(key.into(), node);
         Ok(())
     }
 
@@ -415,12 +475,11 @@ impl<H: NvHeap> KvStore<H> {
                 .heap
                 .write(bucket.seg, bucket.slot, &next.to_le_bytes())?,
         }
-        let index = self.index;
-        index.remove(&mut self.heap, key)?;
         self.heap.free(val_ptr)?;
         self.heap.free(node)?;
         let count = self.get_meta(META_COUNT)?;
         self.put_meta(META_COUNT, count - 1)?;
+        self.order.remove(key);
         Ok(true)
     }
 
@@ -434,8 +493,12 @@ impl<H: NvHeap> KvStore<H> {
     /// Heap failures surface as [`KvError::Heap`].
     pub fn scan(&mut self, start: &[u8], limit: usize) -> Result<ScanResults, KvError> {
         let stamp = self.next_stamp()?;
-        let index = self.index;
-        let hits = index.scan_from(&mut self.heap, start, limit)?;
+        let hits: Vec<(Vec<u8>, PPtr)> = self
+            .order
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .take(limit)
+            .map(|(key, &node)| (key.to_vec(), node))
+            .collect();
         let mut out = Vec::with_capacity(hits.len());
         for (key, node) in hits {
             self.heap.write(node, NODE_STAMP, &stamp.to_le_bytes())?;
@@ -456,22 +519,50 @@ impl<H: NvHeap> KvStore<H> {
         self.get_meta(META_COUNT)
     }
 
-    /// Walks the ordered index asserting key order and agreement with the
-    /// entry count — a recovery audit.
+    /// Walks the hash chains as `open` does and checks them and the
+    /// ordered index derived from them: every stored hash is its key's,
+    /// every node sits in its hash's bucket, no key is stored twice, the
+    /// chains hold the entry count, and the index holds exactly the walked
+    /// keys and headers. Returns the entry count — a recovery audit.
     ///
     /// # Errors
     ///
-    /// Heap failures surface as [`KvError::Heap`].
+    /// Heap failures surface as [`KvError::Heap`]; chains longer than the
+    /// entry count as [`KvError::NotAStore`].
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of order.
+    /// Panics if any of those checks fails.
     pub fn audit_index(&mut self) -> Result<u64, KvError> {
-        let index = self.index;
-        let indexed = index.audit(&mut self.heap)?;
         let count = self.get_meta(META_COUNT)?;
-        assert_eq!(indexed, count, "index entries diverge from the hash table");
-        Ok(indexed)
+        let mask = self.num_buckets - 1;
+        let order = std::mem::take(&mut self.order);
+        // A key stored twice hashes to one bucket, so its copies share a
+        // chain: the keys of the chain being walked are all a duplicate
+        // can meet.
+        let mut chain: (u64, Vec<Box<[u8]>>) = (0, Vec::new());
+        let walked = self.walk_chains(count, |bucket, node, head, key| {
+            assert_eq!(head.hash, fnv1a_64(&key), "stored hash is not its key's");
+            assert_eq!(head.hash & mask, bucket, "node chained in another bucket");
+            assert_eq!(
+                order.get(&key),
+                Some(&node),
+                "ordered index diverges from the hash table"
+            );
+            if chain.0 != bucket {
+                chain = (bucket, Vec::new());
+            }
+            assert!(!chain.1.contains(&key), "key stored twice");
+            chain.1.push(key);
+        });
+        self.order = order;
+        assert_eq!(walked?, count, "chains diverge from the entry count");
+        assert_eq!(
+            self.order.len() as u64,
+            count,
+            "ordered index holds keys the table does not"
+        );
+        Ok(count)
     }
 
     /// `true` if the store holds no entries.
@@ -564,8 +655,8 @@ mod tests {
     /// Stored keys are compared where they are read, through a 64-byte
     /// stack buffer or a heap one: keys on both sides of that size, two of
     /// them telling apart only past their 64th byte, chained in one bucket
-    /// (every `find` compares its way past the others) and ordered by the
-    /// skip index (every insert, remove and scan start does the same).
+    /// (every `find` compares its way past the others) and in key order
+    /// for the scans.
     #[test]
     fn keys_longer_than_the_inline_compare_buffer() {
         let mut kv = store(256, 1);
@@ -600,7 +691,7 @@ mod tests {
             .into_iter()
             .map(|(k, _)| k)
             .collect();
-        assert_eq!(scanned, sorted, "skip-index order is byte order");
+        assert_eq!(scanned, sorted, "scan order is byte order");
         let from = [&shared[..], b"-m"].concat();
         let hits = kv.scan(&from, 1).unwrap();
         assert_eq!(hits[0].0, keys[4], "scan start between the two long keys");
@@ -844,14 +935,18 @@ mod tests {
     /// the digest of the whole write stream were captured on the allocator
     /// that read a block header before every access: since then a
     /// dereference lost that read, a node's adjacent fields are read
-    /// together, a skip-list node is one read of its block, and a probe
-    /// hands its bucket to the insert or unlink after it — but not one
-    /// write moved. Then the allocator's free lists left the image: each
-    /// `alloc` lost its read of a list head, each `free` the head read and
-    /// its two list writes (the next pointer into the payload, the head),
-    /// and `format` its zero heads. The digest is of that stream: the
-    /// allocator with the lists, with just those writes taken out, wrote
-    /// `0x150e_6e84_df63_79f1` too.
+    /// together, and a probe hands its bucket to the insert or unlink
+    /// after it — but not one write moved. Then the allocator's free lists
+    /// left the image: each `alloc` lost its read of a list head, each
+    /// `free` the head read and its two list writes (the next pointer into
+    /// the payload, the head), and `format` its zero heads. Then the
+    /// ordered index left the heap for host memory: an insert lost its
+    /// index node's `alloc`, image and predecessor link, a delete the
+    /// link and the node's `free`, a scan its walk, and `create` the head
+    /// sentinel and the meta word naming it. The digest is of that stream:
+    /// the store that kept its index in the heap, with the index moved to
+    /// a heap of its own and that word not written, wrote
+    /// `0x3f77_e4f1_37b1_aafc` to this one too.
     #[test]
     fn nvheap_calls_per_operation_are_pinned() {
         let nv = Counting {
@@ -876,12 +971,12 @@ mod tests {
 
         assert_eq!(
             [get_hit, get_miss, set_in_place, insert, delete, scan],
-            [(7, 2), (5, 1), (6, 4), (18, 19), (14, 13), (14, 4)],
+            [(7, 2), (5, 1), (6, 4), (12, 13), (8, 9), (7, 4)],
             "(reads, writes) of get hit, get miss, in-place set, insert, delete, 3-entry scan"
         );
         assert_eq!(
             kv.heap().heap().write_digest,
-            0x150e_6e84_df63_79f1,
+            0x3f77_e4f1_37b1_aafc,
             "the write stream moved"
         );
     }
@@ -892,7 +987,7 @@ mod tests {
     /// eighth generation of keys dirties as many pages as the second (a
     /// generation: as many inserts as keys live). Reused most recently
     /// freed first, the blocks of consecutive keys drift apart and the
-    /// count climbs, 400 to 1 003 here.
+    /// count climbs, 343 to 777 here (307 to 299 lowest first).
     #[test]
     fn churn_keeps_the_pages_dirtied_per_generation_flat() {
         const LIVE: u64 = 600;
@@ -931,6 +1026,93 @@ mod tests {
             (eighth - second).abs() <= second * 0.1,
             "pages dirtied per generation moved: {dirtied:?}"
         );
+    }
+
+    /// Writes over a store's image.
+    type Doctor = fn(&mut KvStore<NvdramBaseline>);
+
+    /// A 16-bucket store of 40 entries, reopened after `doctor` wrote
+    /// over its image.
+    fn reopen_doctored(doctor: Doctor) -> Result<KvStore<NvdramBaseline>, KvError> {
+        let mut kv = store(64, 16);
+        for i in 0..40u32 {
+            kv.set(format!("key{i}").as_bytes(), b"value").unwrap();
+        }
+        doctor(&mut kv);
+        let heap = kv.into_heap();
+        let region = heap.region();
+        KvStore::open(PHeap::open(heap.into_inner(), region).unwrap())
+    }
+
+    /// `open` sizes its walk from the meta block and follows every chain
+    /// pointer it reads, so a geometry `create` cannot make, an entry
+    /// count the chains contradict, a cycle among them, a key stored
+    /// twice or a key length past its block is an error — never a panic,
+    /// a hang, a lost entry or a buffer the size of a wild length.
+    #[test]
+    fn open_rejects_a_table_that_contradicts_its_meta() {
+        fn chain_node(kv: &KvStore<NvdramBaseline>) -> PPtr {
+            kv.order[&b"key7"[..]]
+        }
+        let doctored: [(&str, Doctor); 10] = [
+            ("no buckets", |kv| kv.put_meta(META_BUCKETS, 0).unwrap()),
+            ("buckets not a power of two", |kv| {
+                kv.put_meta(META_BUCKETS, 48).unwrap()
+            }),
+            ("segment not a power of two", |kv| {
+                kv.put_meta(META_SEG_BUCKETS, 3).unwrap()
+            }),
+            ("segment larger than the table", |kv| {
+                kv.put_meta(META_SEG_BUCKETS, 32).unwrap()
+            }),
+            ("segment larger than any create makes", |kv| {
+                kv.put_meta(META_BUCKETS, 1 << 20).unwrap();
+                kv.put_meta(META_SEG_BUCKETS, SEG_BUCKETS * 2).unwrap();
+            }),
+            ("count short of the chains", |kv| {
+                kv.put_meta(META_COUNT, 39).unwrap()
+            }),
+            ("count past the chains", |kv| {
+                kv.put_meta(META_COUNT, 41).unwrap()
+            }),
+            ("a chain that loops", |kv| {
+                let node = chain_node(kv);
+                kv.heap
+                    .write(node, NODE_NEXT, &node.offset().to_le_bytes())
+                    .unwrap();
+            }),
+            ("a key stored twice", |kv| {
+                let node = chain_node(kv);
+                kv.heap.write(node, NODE_HEADER as u64, b"key8").unwrap();
+            }),
+            ("a key length past its block", |kv| {
+                let node = chain_node(kv);
+                kv.heap
+                    .write(node, NODE_KEY_LEN, &u32::MAX.to_le_bytes())
+                    .unwrap();
+            }),
+        ];
+        for (what, doctor) in doctored {
+            assert!(
+                matches!(reopen_doctored(doctor), Err(KvError::NotAStore)),
+                "{what} must not open"
+            );
+        }
+        assert!(
+            matches!(
+                reopen_doctored(|kv| kv.put_meta(META_DIR, 8).unwrap()),
+                Err(KvError::Heap(_))
+            ),
+            "a directory pointer to no block must not open"
+        );
+        // The word after the meta fields once named an index head in the
+        // heap; an image that carries one opens all the same.
+        let mut kv = reopen_doctored(|kv| {
+            let stale = chain_node(kv).offset().to_le_bytes();
+            kv.heap.write(kv.meta, META_BYTES as u64, &stale).unwrap();
+        })
+        .expect("an image with the retired word opens");
+        assert_eq!(kv.audit_index().unwrap(), 40);
     }
 
     #[test]

@@ -36,9 +36,9 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
     }
 }
 
-/// Every fourth key is 127 bytes long: a skip-list node cannot hold it in
-/// the 128 bytes one visit reads, and the long keys share their first 124
-/// bytes, so they differ only past that image.
+/// Every fourth key is 127 bytes long, and the long keys share their first
+/// 124 bytes: a probe comparing them spills past `cmp_stored_key`'s 64-byte
+/// stack buffer, and they differ only past it.
 fn key_bytes(key: u8) -> Vec<u8> {
     if key % 4 == 0 {
         format!("key-{:~<120}{key:03}", "").into_bytes()
@@ -97,7 +97,8 @@ fn store_matches_hashmap_across_power_cycles() {
             }
         }
 
-        // Full final audit, the ordered index included.
+        // Full final audit: the hash chains, and the ordered index derived
+        // from them.
         assert_eq!(kv.len().unwrap(), model.len() as u64);
         assert_eq!(kv.audit_index().unwrap(), model.len() as u64);
         for (k, v) in &model {
