@@ -20,11 +20,11 @@
 //! on any failure: the fresh optimized epoch-walk ns/page at 0.1%
 //! density must be within [`REGRESSION_FACTOR`]× of the committed
 //! artifact; the fresh epoch walk and the fresh discovery scan must each
-//! be at least 1.0× the in-run scalar baseline at *every* cell
-//! (density-adaptive dispatch must never lose to the byte-per-page
-//! model); and the fresh fault/flush lifecycle must stay within
-//! [`FAULT_FLUSH_FACTOR`]× of the scalar baseline at 10% density (the
-//! per-page mark path must not drown in bitmap maintenance).
+//! be at least 1.0× the in-run scalar baseline at *every* cell (the
+//! one bitmap walk must never lose to the byte-per-page model); and the
+//! fresh fault/flush lifecycle must stay within [`FAULT_FLUSH_FACTOR`]×
+//! of the scalar baseline at 10% density (the per-page mark path must
+//! not drown in bitmap maintenance).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -509,7 +509,7 @@ pub(crate) fn run(args: &super::Args) {
             eprintln!("FAIL: epoch-walk hot path regressed more than {REGRESSION_FACTOR}x");
             failed = true;
         }
-        // Density-adaptive dispatch must never lose to the scalar model:
+        // The one bitmap walk must never lose to the scalar model:
         // every cell's epoch walk and discovery scan, against its own
         // in-run baseline (so runner speed cancels), must be at least
         // break-even.

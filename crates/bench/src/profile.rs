@@ -98,13 +98,12 @@ impl ProfileCapture {
         let mut sink = JsonlSink::new(BufWriter::new(file));
         sink.meta(&self.meta);
         self.telemetry.drain_into(&mut sink);
-        // Host-side scan-dispatch totals ride along as a note (wall
+        // The host-side bitmap scan total rides along as a note (wall
         // plane, not the event stream) so `viyojit-trace summary` shows
-        // which bitmap path production scans actually took.
-        let dispatch = mem_sim::dispatch::snapshot();
+        // how many scans production ran.
         sink.note(&format!(
-            "bitmap dispatch: skip={} dense={} unrolled={}",
-            dispatch.skip, dispatch.dense, dispatch.unrolled
+            "bitmap scans: {}",
+            mem_sim::dispatch::snapshot().skip
         ));
         sink.profile(&report);
         use std::io::Write;

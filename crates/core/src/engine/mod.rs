@@ -864,17 +864,12 @@ pub(crate) fn publish_metrics<B: DirtyTracker>(core: &mut EngineCore, backend: &
         m.gauge_set("viyojit.proactive_threshold", threshold as f64);
         m.gauge_set("viyojit.predicted_pressure", predicted);
     });
-    // Dispatch-path totals are host-side (which scan path a run took is a
-    // wall fact, not a virtual one), so they go to the wall-plane
+    // The bitmap scan total is host-side (how often a run scanned is a
+    // wall fact, not a virtual one), so it goes to the wall-plane
     // registry, never the virtual one — snapshots and goldens stay
     // byte-identical.
-    let dispatch = mem_sim::dispatch::snapshot();
     core.telemetry
-        .set_wall_counter("bitmap.dispatch.skip", dispatch.skip);
-    core.telemetry
-        .set_wall_counter("bitmap.dispatch.dense", dispatch.dense);
-    core.telemetry
-        .set_wall_counter("bitmap.dispatch.unrolled", dispatch.unrolled);
+        .set_wall_counter("bitmap.scans", mem_sim::dispatch::snapshot().skip);
     core.ssd.publish_metrics();
 }
 

@@ -5,10 +5,10 @@
 //! representation the bitmaps replaced) through random
 //! dirty/protect/flush/discard/epoch sequences and asserts the two stay
 //! observationally identical: same per-page states, same counts, same
-//! iteration and collection order. Part 1b pins populations to each
-//! density band and checks every forced scan path, the dispatched range
-//! collect and the dispatched union collect against the scalar order, and
-//! the masked word-level epoch walks against the per-page walk. Part 1c
+//! iteration and collection order. Part 1b draws populations from four
+//! density strata and checks the word walk, the range collect and the
+//! union walk against the scalar order, and the masked word-level epoch
+//! walks against the per-page walk. Part 1c
 //! does the same for the one fast path in `mem-sim` that is not a bitmap:
 //! the TLB's last-translation memo against a TLB that scans its set on
 //! every lookup.
@@ -21,8 +21,7 @@
 //! skipped or double-visited a page, these are the assertions that break.
 
 use mem_sim::{
-    Bitmap2L, Mmu, PageId, PageTable, PteFlags, ScanPath, Tlb, TlbEntry, TlbStats, WalkOptions,
-    PAGE_SIZE,
+    Bitmap2L, Mmu, PageId, PageTable, PteFlags, Tlb, TlbEntry, TlbStats, WalkOptions, PAGE_SIZE,
 };
 use propcheck::{btree_set, check, int, subsequence, vec_of, weighted};
 use sim_clock::{Clock, CostModel, SimDuration, SplitMix64};
@@ -268,15 +267,14 @@ fn bitmap_structures_match_scalar_model() {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1b: density-stratified scan-path equivalence.
+// Part 1b: density-stratified scan equivalence.
 //
-// The per-scan dispatcher picks Skip / Dense / Unrolled from the
-// maintained popcount, so a uniform random population would almost never
-// exercise the sparse or dense extremes. These generators stratify the
-// population by density band so every case pins the dispatcher to a known
-// path, then assert all three forced paths, the dispatched range collect
-// and (through `DirtySet`) the dispatched union collect agree with the
-// scalar model on counts and order.
+// A uniform random population would almost never reach the sparse or
+// dense extremes, where a word walk meets whole summary words of clean
+// space or runs of all-ones leaf words. These generators stratify the
+// population by density, then assert the word walk, the range collect
+// and (through `DirtySet`) the union walk agree with the scalar model on
+// counts and order.
 // ---------------------------------------------------------------------------
 
 /// An aligned 2 MiB stretch of 4 KiB pages: the whole-cluster stratum
@@ -287,31 +285,21 @@ const CLUSTER_PAGES: usize = 512;
 /// partial-last-word arithmetic is always in play.
 const STRATA_PAGES: usize = 3 * CLUSTER_PAGES + 137;
 
-const ALL_PATHS: [ScanPath; 3] = [ScanPath::Skip, ScanPath::Dense, ScanPath::Unrolled];
-
-/// A population pinned to one dispatch band. Band edges for 1673 bits:
-/// Skip below 7 ones (density < 1/256), Dense below 210 (< 1/8),
-/// Unrolled from 210 up; the random strata stay clear of the edges so
-/// the expected path is unambiguous. The last stratum dirties whole
-/// clusters: the 137-page tail alone is Dense, anything more Unrolled.
-fn stratified_population(rng: &mut SplitMix64) -> (ScanPath, Vec<usize>) {
+/// A population from one of four strata: a handful of pages (most leaf
+/// words zero), a sprinkle (a few bits per word), a dense mix (most
+/// words non-zero) and whole clusters (every touched word all-ones).
+fn stratified_population(rng: &mut SplitMix64) -> Vec<usize> {
     let all: Vec<usize> = (0..STRATA_PAGES).collect();
     match int(rng, 0..4) {
-        0 => (ScanPath::Skip, subsequence(rng, &all, 1..=6)),
-        1 => (ScanPath::Dense, subsequence(rng, &all, 8..=200)),
-        2 => (ScanPath::Unrolled, subsequence(rng, &all, 220..=800)),
+        0 => subsequence(rng, &all, 1..=6),
+        1 => subsequence(rng, &all, 8..=200),
+        2 => subsequence(rng, &all, 220..=800),
         _ => {
             let clusters = btree_set(rng, 1..=4, |rng| int(rng, 0..4) as usize);
-            let pages: Vec<usize> = clusters
+            clusters
                 .iter()
                 .flat_map(|c| c * CLUSTER_PAGES..((c + 1) * CLUSTER_PAGES).min(STRATA_PAGES))
-                .collect();
-            let path = if pages.len() < 210 {
-                ScanPath::Dense
-            } else {
-                ScanPath::Unrolled
-            };
-            (path, pages)
+                .collect()
         }
     }
 }
@@ -337,67 +325,40 @@ fn scalar_words(pages: impl IntoIterator<Item = (usize, bool)>) -> Vec<(usize, u
     words
 }
 
-/// Asserts the bitmap and the sorted scalar population are
-/// observationally identical on every scan path — same counts, same
-/// collection order, same word harvest — and that the dispatched range
-/// collect returns exactly the scalar pages inside each range.
-fn assert_paths_agree(b: &Bitmap2L, pages: &[usize], ranges: &[(usize, usize)]) {
-    assert_eq!(b.count(), pages.len());
-    assert_eq!(b.recount(), pages.len());
-    b.check_consistency()
-        .unwrap_or_else(|e| panic!("bitmap inconsistent: {e}"));
-    assert_eq!(&b.iter_ones().collect::<Vec<_>>(), pages);
-
-    let want_words = scalar_words(pages.iter().map(|&p| (p, false)));
-    for path in ALL_PATHS {
-        let mut collected = Vec::new();
-        b.collect_into_with(path, &mut collected);
-        assert_eq!(&collected, pages, "collect order diverged on {:?}", path);
-
-        let mut words = Vec::new();
-        b.for_each_word_with(path, |w, bits| words.push((w, bits, 0)));
-        assert_eq!(&words, &want_words, "word harvest diverged on {:?}", path);
-    }
-
-    for &(start, end) in ranges {
-        let want: Vec<usize> = pages
-            .iter()
-            .copied()
-            .filter(|&p| p >= start && p < end)
-            .collect();
-        let mut got = Vec::new();
-        b.collect_range_into(start, end, &mut got);
-        assert_eq!(&got, &want, "range collect {}..{} diverged", start, end);
-        assert_eq!(
-            &b.iter_ones_in(start, end).collect::<Vec<_>>(),
-            &want,
-            "range iteration {}..{} diverged",
-            start,
-            end
-        );
-    }
-}
-
-/// Stratified equivalence: each density band pins the dispatcher to
-/// its expected path; all three forced paths and the dispatched range
-/// collect (whole, mid-word, empty, inverted and past-the-end ranges)
-/// agree with the scalar model.
+/// Stratified equivalence: in each stratum the bitmap and the sorted
+/// scalar population are observationally identical — same counts, same
+/// collection order, same word harvest, and the range collect (whole,
+/// mid-word, word-aligned-end, empty, inverted and past-the-end ranges)
+/// returns exactly
+/// the scalar pages inside each range.
 #[test]
 fn scan_paths_agree_at_every_density() {
     check("scan_paths_agree_at_every_density", 64, |rng| {
-        let (expected, pages) = stratified_population(rng);
+        let pages = stratified_population(rng);
         let a = int(rng, 0..STRATA_PAGES as u64 + 70) as usize;
         let b = int(rng, 0..STRATA_PAGES as u64 + 70) as usize;
         let mut bits = Bitmap2L::new(STRATA_PAGES);
         for &p in &pages {
             bits.set(p);
         }
+        assert_eq!(bits.count(), pages.len());
+        assert_eq!(bits.recount(), pages.len());
+        bits.check_consistency()
+            .unwrap_or_else(|e| panic!("bitmap inconsistent: {e}"));
+        assert_eq!(bits.iter_ones().collect::<Vec<_>>(), pages);
+
+        let mut collected = Vec::new();
+        bits.collect_into_map(&mut collected, |i| i);
+        assert_eq!(collected, pages, "collect order diverged");
+        let mut words = Vec::new();
+        bits.for_each_word(|w, bits| words.push((w, bits, 0)));
         assert_eq!(
-            bits.scan_path(),
-            expected,
-            "dispatcher left its density band"
+            words,
+            scalar_words(pages.iter().map(|&p| (p, false))),
+            "word harvest diverged"
         );
-        let ranges = [
+
+        for (start, end) in [
             (0, STRATA_PAGES),
             (0, usize::MAX),
             (a, b),
@@ -405,14 +366,77 @@ fn scan_paths_agree_at_every_density() {
             (a, a),
             (a.min(b), a.max(b) + 1),
             (CLUSTER_PAGES - 1, 2 * CLUSTER_PAGES + 1),
-        ];
-        assert_paths_agree(&bits, &pages, &ranges);
+            (1, CLUSTER_PAGES),
+        ] {
+            let want: Vec<usize> = pages
+                .iter()
+                .copied()
+                .filter(|&p| p >= start && p < end)
+                .collect();
+            let mut got = Vec::new();
+            bits.collect_range_into(start, end, &mut got);
+            assert_eq!(got, want, "range collect {start}..{end} diverged");
+            assert_eq!(
+                bits.iter_ones_in(start, end).collect::<Vec<_>>(),
+                want,
+                "range iteration {start}..{end} diverged"
+            );
+        }
+    });
+}
+
+/// In each stratum, with a share of the population in flight, the
+/// `DirtySet` collects are the scalar dirty ∪ in-flight order and the
+/// scalar dirty order, and its union walk harvests the scalar word pairs.
+#[test]
+fn dirty_set_collects_agree_at_every_density() {
+    check("dirty_set_collects_agree_at_every_density", 64, |rng| {
+        let pages = stratified_population(rng);
+        let stride = int(rng, 1..5) as usize;
+        let mut ds = DirtySet::new(STRATA_PAGES);
+        let mut sds = ScalarDirtySet::new(STRATA_PAGES);
+        for (n, &p) in pages.iter().enumerate() {
+            ds.mark_dirty(PageId(p as u64));
+            sds.states[p] = PageState::Dirty;
+            if n % stride == 0 {
+                ds.mark_in_flight(PageId(p as u64));
+                sds.states[p] = PageState::InFlight;
+            }
+        }
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("bitmap invariants broke: {v}"));
+        let mut counted = Vec::new();
+        ds.collect_counted_into(&mut counted);
+        assert_eq!(
+            counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
+            sds.iter_counted(),
+            "counted collection order diverged"
+        );
+        let mut dirty = Vec::new();
+        ds.collect_dirty_into(&mut dirty);
+        assert_eq!(
+            dirty.iter().map(|p| p.index()).collect::<Vec<_>>(),
+            sds.iter_dirty(),
+            "dirty collection order diverged"
+        );
+        let mut words = Vec::new();
+        ds.dirty_bits()
+            .for_each_word_union(ds.in_flight_bits(), |w, d, f| words.push((w, d, f)));
+        assert_eq!(
+            words,
+            scalar_words(
+                pages
+                    .iter()
+                    .map(|&p| (p, sds.states[p] == PageState::InFlight))
+            ),
+            "union harvest diverged"
+        );
     });
 }
 
 /// The word-level epoch walks (`take_word` per non-zero word of the
 /// known-dirty mask) against the per-page walk over the collected
-/// mask, in each band: same pages in the same order, same column left
+/// mask, in each stratum: same pages in the same order, same column left
 /// behind. Only every `stride`-th known page is written, so the mask
 /// has bits the PTE columns lack, and the strays give the columns
 /// bits the mask lacks.
@@ -422,18 +446,13 @@ fn masked_walks_match_the_per_page_walk_at_every_density() {
         "masked_walks_match_the_per_page_walk_at_every_density",
         64,
         |rng| {
-            let (expected, known_pages) = stratified_population(rng);
+            let known_pages = stratified_population(rng);
             let stride = int(rng, 1..5) as usize;
             let strays = vec_of(rng, 0..40, |rng| int(rng, 0..STRATA_PAGES as u64) as usize);
             let mut known = Bitmap2L::new(STRATA_PAGES);
             for &p in &known_pages {
                 known.set(p);
             }
-            assert_eq!(
-                known.scan_path(),
-                expected,
-                "dispatcher left its density band"
-            );
             let mut mmu = Mmu::new(STRATA_PAGES, Clock::new(), CostModel::free());
             for &p in known_pages.iter().step_by(stride).chain(&strays) {
                 mmu.write((p * PAGE_SIZE) as u64, &[1]).unwrap();
@@ -488,68 +507,6 @@ fn masked_walks_match_the_per_page_walk_at_every_density() {
             }
         },
     );
-}
-
-/// The `DirtySet` union collect dispatches on the combined density of
-/// its two bitmaps: in each band, with a share of the population in
-/// flight, `collect_counted_into` is the scalar dirty ∪ in-flight
-/// order, `collect_dirty_into` the scalar dirty order, and every
-/// forced union walk harvests the scalar word pairs.
-#[test]
-fn dirty_set_collects_agree_at_every_density() {
-    check("dirty_set_collects_agree_at_every_density", 64, |rng| {
-        let (expected, pages) = stratified_population(rng);
-        let stride = int(rng, 1..5) as usize;
-        let mut ds = DirtySet::new(STRATA_PAGES);
-        let mut sds = ScalarDirtySet::new(STRATA_PAGES);
-        for (n, &p) in pages.iter().enumerate() {
-            ds.mark_dirty(PageId(p as u64));
-            sds.states[p] = PageState::Dirty;
-            if n % stride == 0 {
-                ds.mark_in_flight(PageId(p as u64));
-                sds.states[p] = PageState::InFlight;
-            }
-        }
-        assert_eq!(
-            Bitmap2L::path_for(
-                ds.dirty_bits().count() + ds.in_flight_bits().count(),
-                STRATA_PAGES
-            ),
-            expected,
-            "union dispatcher left its density band"
-        );
-        ds.check_invariants()
-            .unwrap_or_else(|v| panic!("bitmap invariants broke: {v}"));
-
-        let mut counted = Vec::new();
-        ds.collect_counted_into(&mut counted);
-        assert_eq!(
-            counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
-            sds.iter_counted(),
-            "counted collection order diverged"
-        );
-        let mut dirty = Vec::new();
-        ds.collect_dirty_into(&mut dirty);
-        assert_eq!(
-            dirty.iter().map(|p| p.index()).collect::<Vec<_>>(),
-            sds.iter_dirty(),
-            "dirty collection order diverged"
-        );
-
-        let want = scalar_words(
-            pages
-                .iter()
-                .map(|&p| (p, sds.states[p] == PageState::InFlight)),
-        );
-        for path in ALL_PATHS {
-            let mut words = Vec::new();
-            ds.dirty_bits()
-                .for_each_word_union_with(ds.in_flight_bits(), path, |w, d, f| {
-                    words.push((w, d, f));
-                });
-            assert_eq!(&words, &want, "union harvest diverged on {:?}", path);
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------

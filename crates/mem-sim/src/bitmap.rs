@@ -1,23 +1,18 @@
-//! Bit-packed two-level bitmaps for page-state tracking, with
-//! density-adaptive scan dispatch.
+//! Bit-packed two-level bitmaps for page-state tracking.
 //!
 //! The simulator's hot loops — the §5.2 epoch walk, the hardware
 //! discovery scan, dirty-set iteration — must be O(dirty), not O(DRAM):
 //! at the paper's scale (140 GB ≈ 36.7M 4 KB pages) a byte-per-page scan
 //! per simulated epoch makes the *simulator* the experiment bottleneck.
 //! [`Bitmap2L`] packs one flag per page into `u64` leaf words and keeps a
-//! second *summary* level with one bit per non-zero leaf word, so sparse
-//! scans skip clean space 64 pages at a time at the leaf level and 4096
-//! pages at a time at the summary level.
+//! second *summary* level with one bit per non-zero leaf word, so scans
+//! skip clean space 64 pages at a time at the leaf level and 4096 pages
+//! at a time at the summary level.
 //!
-//! Word-skipping is the wrong plan once most words are non-zero: the
-//! summary indirection plus `trailing_zeros`-per-bit extraction loses to
-//! a straight-line walk. Every scan primitive therefore *dispatches* on
-//! the maintained density ([`Bitmap2L::scan_path`]) between the word-skip
-//! path, a straight-line full-word walk, and a 4-wide unrolled walk whose
-//! inner loop autovectorizes (no unsafe intrinsics). All-ones words are
-//! appended as 64-page ranges ([`extend_from_word`]), which is what keeps
-//! collection cheap over uniformly set stretches.
+//! Every scan primitive runs one walk: the summary-guided word walk over
+//! a range of leaf words. All-ones words are appended as 64-page ranges
+//! ([`extend_from_word`]), which is what keeps collection cheap over
+//! uniformly set stretches.
 //!
 //! A single-bit transition touches the leaf word, the summary word only
 //! when the leaf word crosses zero, and the running popcount — nothing
@@ -36,26 +31,11 @@
 //! assert_eq!(b.next_one_from(4), Some(9_999));
 //! ```
 
-/// The scan strategy picked per scan from the maintained density.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanPath {
-    /// Summary-guided word skipping: O(ones + summary words). Wins when
-    /// most leaf words are zero.
-    Skip,
-    /// Straight-line walk over every leaf word. Wins once enough words
-    /// are non-zero that the summary indirection stops paying.
-    Dense,
-    /// Straight-line walk in 4-word chunks with a combined zero test —
-    /// autovectorizable, for scans where most words are non-zero.
-    Unrolled,
-}
-
 /// A fixed-size bitmap with a one-bit-per-word summary level.
 ///
 /// All index arguments must be `< len`; out-of-range indices panic, like
 /// slice indexing. Mutating operations keep the summary and the running
-/// popcount consistent, so [`Bitmap2L::count`] is O(1) and every scan
-/// primitive can dispatch on density.
+/// popcount consistent, so [`Bitmap2L::count`] is O(1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap2L {
     /// Number of addressable bits.
@@ -100,33 +80,6 @@ impl Bitmap2L {
     /// ground truth `count()` must agree with.
     pub fn recount(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Picks the scan strategy for the maintained density.
-    ///
-    /// Thresholds (set-bit density over `len`, measured on the wallclock
-    /// harness — see DESIGN.md):
-    ///
-    /// - below 1/256 (< ~0.4 bits/word): [`ScanPath::Skip`] — most leaf
-    ///   words are zero, summary skipping wins;
-    /// - below 1/8 (< 8 bits/word): [`ScanPath::Dense`];
-    /// - otherwise: [`ScanPath::Unrolled`].
-    #[inline]
-    pub fn scan_path(&self) -> ScanPath {
-        Self::path_for(self.ones, self.len)
-    }
-
-    /// The scan strategy for `ones` set bits over `len` — the pure
-    /// heuristic behind [`Bitmap2L::scan_path`].
-    #[inline]
-    pub fn path_for(ones: usize, len: usize) -> ScanPath {
-        if ones * 256 < len {
-            ScanPath::Skip
-        } else if ones * 8 < len {
-            ScanPath::Dense
-        } else {
-            ScanPath::Unrolled
-        }
     }
 
     #[inline]
@@ -305,67 +258,49 @@ impl Bitmap2L {
         self.ones_from(start).take_while(move |&i| i < end)
     }
 
-    /// Calls `f(word_index, word)` for every non-zero leaf word in
-    /// ascending order along the given scan path (bit `b` of the passed
-    /// word is page `word_index * 64 + b`) — the equivalence tests use
-    /// this to exercise each path regardless of density. All paths visit
-    /// the same non-zero words in the same ascending order.
-    pub fn for_each_word_with(&self, path: ScanPath, mut f: impl FnMut(usize, u64)) {
-        match path {
-            ScanPath::Skip => {
-                for (s, &sword) in self.summary.iter().enumerate() {
-                    let mut sbits = sword;
-                    while sbits != 0 {
-                        let j = sbits.trailing_zeros() as usize;
-                        sbits &= sbits - 1;
-                        let w = s * 64 + j;
-                        f(w, self.words[w]);
-                    }
-                }
+    /// The one walk behind every scan: calls `f(w)` for each leaf word
+    /// `w` in `from..to` whose bit is set in `summary(s)`, ascending.
+    /// Clean space costs one summary word per 64 leaf words; the edge
+    /// summary words are masked to the range.
+    #[inline]
+    fn walk(from: usize, to: usize, summary: impl Fn(usize) -> u64, mut f: impl FnMut(usize)) {
+        if from >= to {
+            return;
+        }
+        let last = to - 1;
+        for s in from / 64..=last / 64 {
+            let mut sbits = summary(s);
+            if s == from / 64 {
+                sbits &= !0u64 << (from % 64);
             }
-            ScanPath::Dense => {
-                for (w, &word) in self.words.iter().enumerate() {
-                    if word != 0 {
-                        f(w, word);
-                    }
-                }
+            if s == last / 64 {
+                sbits &= !0u64 >> (63 - last % 64);
             }
-            ScanPath::Unrolled => {
-                let words = &self.words;
-                let n = words.len();
-                let mut w = 0;
-                while w + 4 <= n {
-                    let (a, b, c, d) = (words[w], words[w + 1], words[w + 2], words[w + 3]);
-                    if a | b | c | d != 0 {
-                        if a != 0 {
-                            f(w, a);
-                        }
-                        if b != 0 {
-                            f(w + 1, b);
-                        }
-                        if c != 0 {
-                            f(w + 2, c);
-                        }
-                        if d != 0 {
-                            f(w + 3, d);
-                        }
-                    }
-                    w += 4;
-                }
-                while w < n {
-                    if words[w] != 0 {
-                        f(w, words[w]);
-                    }
-                    w += 1;
-                }
+            while sbits != 0 {
+                let j = sbits.trailing_zeros() as usize;
+                sbits &= sbits - 1;
+                f(s * 64 + j);
             }
         }
     }
 
+    /// Calls `f(word_index, word)` for every non-zero leaf word in
+    /// ascending order (bit `b` of the passed word is page
+    /// `word_index * 64 + b`).
+    pub fn for_each_word(&self, mut f: impl FnMut(usize, u64)) {
+        crate::dispatch::record();
+        Self::walk(
+            0,
+            self.words.len(),
+            |s| self.summary[s],
+            |w| f(w, self.words[w]),
+        );
+    }
+
     /// Calls `f(word_index, self_word, other_word)` for every leaf word
-    /// that is non-zero in *either* bitmap, in ascending order,
-    /// dispatching on the combined density. The two bitmaps must have the
-    /// same length. Words zero in both are never visited.
+    /// that is non-zero in *either* bitmap, in ascending order. The two
+    /// bitmaps must have the same length. Words zero in both are never
+    /// visited.
     ///
     /// # Panics
     ///
@@ -373,116 +308,34 @@ impl Bitmap2L {
     // Inlined so each caller's closure folds into the walk: without it a
     // second instantiation ran `DirtySet::check_invariants` 25-40% slower.
     #[inline]
-    pub fn for_each_word_union(&self, other: &Bitmap2L, f: impl FnMut(usize, u64, u64)) {
+    pub fn for_each_word_union(&self, other: &Bitmap2L, mut f: impl FnMut(usize, u64, u64)) {
         assert_eq!(self.len, other.len, "bitmap lengths differ");
-        let path = Self::path_for(self.ones + other.ones, self.len.max(1));
-        crate::dispatch::record(path);
-        self.for_each_word_union_with(other, path, f);
+        crate::dispatch::record();
+        Self::walk(
+            0,
+            self.words.len(),
+            |s| self.summary[s] | other.summary[s],
+            |w| f(w, self.words[w], other.words[w]),
+        );
     }
 
-    /// [`Bitmap2L::for_each_word_union`] with the scan path forced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn for_each_word_union_with(
-        &self,
-        other: &Bitmap2L,
-        path: ScanPath,
-        mut f: impl FnMut(usize, u64, u64),
-    ) {
-        assert_eq!(self.len, other.len, "bitmap lengths differ");
-        match path {
-            ScanPath::Skip => {
-                for (s, (&sa, &sb)) in self.summary.iter().zip(&other.summary).enumerate() {
-                    let mut sbits = sa | sb;
-                    while sbits != 0 {
-                        let j = sbits.trailing_zeros() as usize;
-                        sbits &= sbits - 1;
-                        let w = s * 64 + j;
-                        f(w, self.words[w], other.words[w]);
-                    }
-                }
-            }
-            ScanPath::Dense => {
-                for (w, (&wa, &wb)) in self.words.iter().zip(&other.words).enumerate() {
-                    if wa | wb != 0 {
-                        f(w, wa, wb);
-                    }
-                }
-            }
-            ScanPath::Unrolled => {
-                let (xs, ys) = (&self.words, &other.words);
-                let n = xs.len();
-                let mut w = 0;
-                while w + 4 <= n {
-                    let u0 = xs[w] | ys[w];
-                    let u1 = xs[w + 1] | ys[w + 1];
-                    let u2 = xs[w + 2] | ys[w + 2];
-                    let u3 = xs[w + 3] | ys[w + 3];
-                    if u0 | u1 | u2 | u3 != 0 {
-                        if u0 != 0 {
-                            f(w, xs[w], ys[w]);
-                        }
-                        if u1 != 0 {
-                            f(w + 1, xs[w + 1], ys[w + 1]);
-                        }
-                        if u2 != 0 {
-                            f(w + 2, xs[w + 2], ys[w + 2]);
-                        }
-                        if u3 != 0 {
-                            f(w + 3, xs[w + 3], ys[w + 3]);
-                        }
-                    }
-                    w += 4;
-                }
-                while w < n {
-                    if xs[w] | ys[w] != 0 {
-                        f(w, xs[w], ys[w]);
-                    }
-                    w += 1;
-                }
-            }
-        }
-    }
-
-    /// Appends every set bit position, ascending, to `out`. Dispatches on
-    /// density.
+    /// Appends every set bit position, ascending, to `out`.
     pub fn collect_into(&self, out: &mut Vec<usize>) {
         self.collect_into_map(out, |i| i);
-    }
-
-    /// [`Bitmap2L::collect_into`] with the scan path forced.
-    pub fn collect_into_with(&self, path: ScanPath, out: &mut Vec<usize>) {
-        self.collect_into_map_with(path, out, |i| i);
     }
 
     /// [`Bitmap2L::collect_into`] with each position mapped through `f`,
     /// so called collections of typed IDs need no second pass.
     pub fn collect_into_map<T>(&self, out: &mut Vec<T>, f: impl Fn(usize) -> T + Copy) {
-        let path = self.scan_path();
-        crate::dispatch::record(path);
-        self.collect_into_map_with(path, out, f);
-    }
-
-    /// [`Bitmap2L::collect_into_map`] with the scan path forced.
-    pub fn collect_into_map_with<T>(
-        &self,
-        path: ScanPath,
-        out: &mut Vec<T>,
-        f: impl Fn(usize) -> T + Copy,
-    ) {
         out.reserve(self.ones);
-        self.for_each_word_with(path, |w, bits| extend_from_word(out, w, bits, f));
+        self.for_each_word(|w, bits| extend_from_word(out, w, bits, f));
     }
 
     /// Appends every set bit in `start..end`, ascending, to `out`.
-    /// `end` is clamped to `len`. Dispatches on density like every other
-    /// scan: a sparse bitmap takes the summary-guided iterator, so the
-    /// scan is O(w/64 + d) rather than O(words in range); the two
-    /// straight-line bands share one word walk with the edge words
-    /// masked. Bit order matches `iter_ones_in` exactly.
+    /// `end` is clamped to `len`. The same word walk as a whole-bitmap
+    /// scan, from `start`'s word to `end`'s with the two edge words
+    /// masked, so a range costs O(range words / 64 + non-zero words in
+    /// range). Bit order matches `iter_ones_in` exactly.
     pub fn collect_range_into(&self, start: usize, end: usize, out: &mut Vec<usize>) {
         self.collect_range_into_map(start, end, out, |i| i);
     }
@@ -500,24 +353,24 @@ impl Bitmap2L {
         if start >= end {
             return;
         }
-        let path = self.scan_path();
-        crate::dispatch::record(path);
-        if path == ScanPath::Skip {
-            out.extend(self.iter_ones_in(start, end).map(f));
-            return;
-        }
+        crate::dispatch::record();
         let first_w = start / 64;
         let last_w = (end - 1) / 64;
-        for w in first_w..=last_w {
-            let mut bits = self.words[w];
-            if w == first_w {
-                bits &= !0u64 << (start % 64);
-            }
-            if w == last_w && end % 64 != 0 {
-                bits &= (1u64 << (end % 64)) - 1;
-            }
-            extend_from_word(out, w, bits, f);
-        }
+        Self::walk(
+            first_w,
+            last_w + 1,
+            |s| self.summary[s],
+            |w| {
+                let mut bits = self.words[w];
+                if w == first_w {
+                    bits &= !0u64 << (start % 64);
+                }
+                if w == last_w && !end.is_multiple_of(64) {
+                    bits &= (1u64 << (end % 64)) - 1;
+                }
+                extend_from_word(out, w, bits, f);
+            },
+        );
     }
 
     /// Verifies internal consistency: the summary mirrors the leaf words
@@ -561,8 +414,6 @@ pub fn extend_from_word<T>(out: &mut Vec<T>, w: usize, mut bits: u64, f: impl Fn
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ALL_PATHS: [ScanPath; 3] = [ScanPath::Skip, ScanPath::Dense, ScanPath::Unrolled];
 
     /// A 2 MiB cluster of 4 KiB pages: the stretch the dense tests fill
     /// wholesale so all-ones words sit next to sparse and empty ones.
@@ -694,31 +545,26 @@ mod tests {
     #[test]
     fn for_each_word_visits_only_nonzero_words_on_every_path() {
         let b = with_bits(64 * 100, [64 * 3 + 5, 64 * 97]);
-        for path in ALL_PATHS {
-            let mut seen = Vec::new();
-            b.for_each_word_with(path, |w, bits| seen.push((w, bits)));
-            assert_eq!(seen, vec![(3, 1 << 5), (97, 1)], "path {path:?}");
-        }
+        let mut seen = Vec::new();
+        b.for_each_word(|w, bits| seen.push((w, bits)));
+        assert_eq!(seen, vec![(3, 1 << 5), (97, 1)]);
     }
 
     #[test]
     fn union_walk_visits_words_set_in_either_on_every_path() {
         let a = with_bits(300, [2, 131]);
         let b = with_bits(300, [70, 131, 299]);
-        for path in ALL_PATHS {
-            let mut words = Vec::new();
-            a.for_each_word_union_with(&b, path, |w, wa, wb| words.push((w, wa, wb)));
-            assert_eq!(
-                words,
-                vec![
-                    (0, 1 << 2, 0),
-                    (1, 0, 1 << 6),
-                    (2, 1 << 3, 1 << 3),
-                    (4, 0, 1 << 43)
-                ],
-                "path {path:?}"
-            );
-        }
+        let mut words = Vec::new();
+        a.for_each_word_union(&b, |w, wa, wb| words.push((w, wa, wb)));
+        assert_eq!(
+            words,
+            vec![
+                (0, 1 << 2, 0),
+                (1, 0, 1 << 6),
+                (2, 1 << 3, 1 << 3),
+                (4, 0, 1 << 43)
+            ]
+        );
     }
 
     #[test]
@@ -733,28 +579,23 @@ mod tests {
         );
         let want: Vec<usize> = b.iter_ones().collect();
         assert_eq!(want.len(), b.count());
-        for path in ALL_PATHS {
-            let mut got = Vec::new();
-            b.collect_into_with(path, &mut got);
-            assert_eq!(got, want, "path {path:?}");
-        }
+        let mut got = Vec::new();
+        b.collect_into(&mut got);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn collect_range_matches_iter_ones_in() {
-        // One input per side of the range dispatch: a full cluster plus a
-        // sprinkle (word walk), and a handful of bits (`Skip` band, the
-        // summary-guided iterator).
+        // A full cluster plus a sprinkle, and a handful of bits with
+        // whole summary words of clean space between them.
         let dense = with_bits(
             4 * CLUSTER,
             (CLUSTER..2 * CLUSTER).chain((0..4 * CLUSTER).step_by(131)),
         );
         let sparse = with_bits(
-            4 * CLUSTER,
-            [5, CLUSTER + 63, CLUSTER + 64, 4 * CLUSTER - 1],
+            64 * 64 * 3,
+            [5, CLUSTER + 63, CLUSTER + 64, 64 * 64 + 1, 64 * 64 * 3 - 1],
         );
-        assert_ne!(dense.scan_path(), ScanPath::Skip);
-        assert_eq!(sparse.scan_path(), ScanPath::Skip);
         for b in [&dense, &sparse] {
             for (start, end) in [
                 (0, 4 * CLUSTER),
@@ -764,6 +605,8 @@ mod tests {
                 (CLUSTER - 1, 2 * CLUSTER + 1),
                 (CLUSTER + 63, CLUSTER + 65),
                 (CLUSTER + 64, CLUSTER + 64),
+                (64 * 64, 64 * 64 * 3),
+                (64 * 64 + 2, 64 * 64 * 3 - 1),
                 (100, 100),
                 (513, 511),
                 (0, usize::MAX),
@@ -771,7 +614,7 @@ mod tests {
                 let want: Vec<usize> = b.iter_ones_in(start, end).collect();
                 let mut got = Vec::new();
                 b.collect_range_into(start, end, &mut got);
-                assert_eq!(got, want, "range {start}..{end} on {:?}", b.scan_path());
+                assert_eq!(got, want, "range {start}..{end} over {} bits", b.len());
             }
         }
     }
@@ -789,20 +632,6 @@ mod tests {
         assert_eq!(b.next_one_from(0), Some(130));
         assert_eq!(b.count(), 1);
         b.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn scan_path_tracks_density() {
-        let mut b = Bitmap2L::new(1 << 16);
-        assert_eq!(b.scan_path(), ScanPath::Skip);
-        for i in 0..(1 << 16) / 128 {
-            b.set(i * 128);
-        }
-        assert_eq!(b.scan_path(), ScanPath::Dense, "1/128 density");
-        for i in 0..(1 << 16) / 4 {
-            b.set(i * 4 + 1);
-        }
-        assert_eq!(b.scan_path(), ScanPath::Unrolled, "over 1/8 density");
     }
 
     #[test]

@@ -41,8 +41,7 @@ mod page_table;
 mod page_vec;
 mod tlb;
 
-pub use bitmap::{Bitmap2L, ScanPath};
-pub use dispatch::DispatchCounts;
+pub use bitmap::Bitmap2L;
 pub use mmu::{AccessError, Mmu, MmuStats, UndoStats, WalkOptions, SECTOR_BYTES};
 pub use page::{page_count, PageId, PAGE_SIZE};
 pub use page_table::{PageTable, PteFlags};

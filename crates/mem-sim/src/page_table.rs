@@ -312,9 +312,7 @@ impl PageTable {
 
 /// The masked word drain behind the `take_*_in` walks.
 fn take_column_in(column: &mut Bitmap2L, known: &Bitmap2L, out: &mut Vec<PageId>) {
-    let path = known.scan_path();
-    crate::dispatch::record(path);
-    known.for_each_word_with(path, |w, mask| {
+    known.for_each_word(|w, mask| {
         extend_from_word(out, w, column.take_word(w, mask), |i| PageId(i as u64));
     });
 }

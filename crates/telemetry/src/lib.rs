@@ -366,10 +366,10 @@ impl Telemetry {
     }
 
     /// Publishes a wall-plane counter: a named monotone host-side total
-    /// (e.g. scan-dispatch counts) with [`CounterKind::Cumulative`]
+    /// (e.g. the bitmap scan count) with [`CounterKind::Cumulative`]
     /// semantics, so republishing the same process-global figure from
-    /// several shards never inflates it. Which scan paths the host took
-    /// is as invisible to virtual-time output as how long it took.
+    /// several shards never inflates it. How often the host scanned is
+    /// as invisible to virtual-time output as how long it took.
     pub fn set_wall_counter(&self, name: &'static str, value: u64) {
         if let Some(recorder) = &self.recorder {
             recorder
