@@ -262,7 +262,7 @@ pub fn run_on<H: NvStore>(cfg: &ExperimentConfig, nv: H, budget: Option<u64>) ->
     let mut nv = kv.into_heap().into_inner();
     // Fig. 9 counts the end-of-experiment whole-heap write-out too, which
     // the baseline would also perform.
-    let failure_flush_time = nv.final_flush();
+    let failure_flush_time = nv.power_failure().flush_time;
     let ssd_erases = nv.ssd_erases();
     if let Some(capture) = capture {
         capture.finish();

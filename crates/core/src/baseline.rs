@@ -79,18 +79,6 @@ impl NvdramBaseline {
         self.0.power_failure()
     }
 
-    /// Simulates a power failure racing a draining battery (see
-    /// [`Engine::power_failure_powered`]). With a battery sized for the
-    /// budget rather than the capacity, this is where the baseline's
-    /// full-capacity obligation shows its cost.
-    pub fn power_failure_powered(
-        &mut self,
-        battery: &battery_sim::Battery,
-        power: &battery_sim::PowerModel,
-    ) -> PowerFailureReport {
-        self.0.power_failure_powered(battery, power)
-    }
-
     /// Reloads NV-DRAM from the SSD after a power cycle.
     pub fn recover(&mut self) {
         self.0.recover();

@@ -295,16 +295,15 @@ impl DirtyTracker for SoftwareWalk {
         // dirty ∪ in-flight, in ascending page order.
         let mut pages: Vec<PageId> = Vec::new();
         backend.dirty.collect_counted_into(&mut pages);
-        let mut items = Vec::with_capacity(pages.len());
-        let mut physical = 0u64;
-        for &p in &pages {
-            let payload = Self::flush_payload(core, backend, p);
-            physical += payload as u64;
-            items.push(ObligationItem { page: p, payload });
-        }
+        let items: Vec<ObligationItem> = pages
+            .into_iter()
+            .map(|page| ObligationItem {
+                page,
+                payload: Self::flush_payload(core, backend, page),
+            })
+            .collect();
         FlushObligation {
-            obligation_pages: pages.len() as u64,
-            obligation_bytes: physical,
+            pages: items.len() as u64,
             items,
         }
     }
@@ -645,7 +644,10 @@ impl DirtyTracker for MmuAssisted {
                 page: PageId(i as u64),
                 payload: PAGE_SIZE,
             });
-        FlushObligation::full_pages(items)
+        FlushObligation {
+            pages: items.len() as u64,
+            items,
+        }
     }
 
     fn recover_memory(core: &mut EngineCore, backend: &mut Self) {
@@ -778,7 +780,7 @@ impl DirtyTracker for FullDirty {
         // The baseline must assume *everything* could be dirty, so the
         // battery obligation is the entire NV-DRAM capacity. Only mapped
         // pages carry content to submit; the unmapped remainder is durable
-        // as-is (all zeroes) but still part of the reported obligation.
+        // as-is (all zeroes): counted as pages, carried by no IO.
         let mut items = Vec::new();
         for (_, info) in core.regions.iter() {
             for page in info.iter_pages() {
@@ -788,10 +790,8 @@ impl DirtyTracker for FullDirty {
                 });
             }
         }
-        let obligation_pages = core.mmu.pages() as u64;
         FlushObligation {
-            obligation_pages,
-            obligation_bytes: obligation_pages * PAGE_SIZE as u64,
+            pages: core.mmu.pages() as u64,
             items,
         }
     }

@@ -1,23 +1,22 @@
 //! The executed emergency flush: page-by-page, against a possibly faulty
 //! SSD, racing a draining battery.
 //!
-//! Historically `power_failure()` was *analytical*: every backend flushed
-//! its obligation atomically and stamped `flush_time = drain_time(bytes)`,
-//! so the battery was never consulted and the flush could never fail. This
-//! module replaces that with a state machine that steps the obligation one
+//! Every power failure runs this one executor. It steps the obligation one
 //! page at a time on a **local** timeline (the shared virtual clock never
-//! advances during a power failure — the rest of the system is dead), while
-//! the battery's deliverable energy drains at `PowerModel` wattage.
+//! advances during a power failure — the rest of the system is dead),
+//! starting from the tail of the longest IO still in flight, while the
+//! battery's deliverable energy, when one is supplied, drains at
+//! `PowerModel` wattage.
 //!
-//! Determinism contract: with an inactive [`FaultPlan`] and no battery
-//! supplied, the executor submits exactly the writes the legacy analytical
-//! path submitted, in the same order, and produces the same
-//! `dirty_pages`/`bytes_flushed`/`flush_time` figures — so every historical
-//! bench output is reproduced byte for byte.
+//! The report counts the bytes an IO carried: `bytes_flushed` and the
+//! unmet remainder of a battery death are sums of item payloads. The
+//! baseline's unmapped capacity is durable as-is (all zeroes), so it counts
+//! as flushed pages but carries no bytes; battery sizing still counts it
+//! (`dirty_pages`).
 
 use battery_sim::{Battery, PowerModel};
 use fault_sim::crashpoint;
-use mem_sim::{PageId, PAGE_SIZE};
+use mem_sim::PageId;
 use sim_clock::SimDuration;
 use telemetry::{CostClass, TraceEvent};
 
@@ -45,11 +44,11 @@ pub(crate) struct ObligationItem {
 
 /// Everything a backend owes the battery at the failure instant.
 ///
-/// `obligation_pages`/`obligation_bytes` are the *reported* obligation and
-/// may exceed the submitted items: the full-battery baseline reports its
-/// entire capacity as the obligation while only mapped pages carry content
-/// to submit — the unmapped remainder is durable by construction (all
-/// zeroes) and counts as flushed without an IO.
+/// `pages` is the page count the report must account for and may exceed
+/// the submitted items: the full-battery baseline counts its entire
+/// capacity while only mapped pages carry content to submit — the
+/// unmapped remainder is durable by construction (all zeroes) and counts
+/// as flushed without an IO.
 /// Like [`EngineCore`], public only so [`DirtyTracker`] signatures can
 /// name it; opaque outside the crate.
 ///
@@ -57,31 +56,7 @@ pub(crate) struct ObligationItem {
 #[derive(Debug)]
 pub struct FlushObligation {
     pub(crate) items: Vec<ObligationItem>,
-    pub(crate) obligation_pages: u64,
-    pub(crate) obligation_bytes: u64,
-}
-
-impl FlushObligation {
-    /// An obligation whose every item ships a full page — the hardware
-    /// and baseline backends, which compute no per-page payload.
-    pub(crate) fn full_pages(items: Vec<ObligationItem>) -> Self {
-        let obligation_pages = items.len() as u64;
-        FlushObligation {
-            obligation_bytes: obligation_pages * PAGE_SIZE as u64,
-            obligation_pages,
-            items,
-        }
-    }
-
-    /// Pages the report must account for.
-    pub fn pages(&self) -> u64 {
-        self.obligation_pages
-    }
-
-    /// Bytes the battery is sized against.
-    pub fn bytes(&self) -> u64 {
-        self.obligation_bytes
-    }
+    pub(crate) pages: u64,
 }
 
 /// Exponential backoff after the `attempt`-th failure (1-based).
@@ -95,45 +70,19 @@ fn backoff_after(attempt: u32) -> SimDuration {
 /// `supply` is the powered path: the battery's deliverable energy (after
 /// any injected hold-up shortfall) buys `energy / watts` seconds of flush
 /// time on the local timeline; running out abandons every remaining page.
-/// Without a supply the flush has unbounded time (the legacy contract) and
-/// only exhausted retries can lose pages.
+/// Without a supply the flush has unbounded time and only exhausted
+/// retries can lose pages.
 ///
 /// In-flight copier IOs at the failure instant are part of the obligation:
 /// their pages are already write-protected with stable snapshots submitted
 /// to the device, so the executor charges the tail of the longest pending
-/// IO to the local timeline before stepping fresh pages (satellite fix for
-/// `power_failure()` silently dropping `core.inflight`).
+/// IO to the local timeline before stepping fresh pages.
 pub(crate) fn execute(
     core: &mut EngineCore,
     obligation: FlushObligation,
     supply: Option<(&Battery, &PowerModel)>,
 ) -> PowerFailureReport {
-    let FlushObligation {
-        items,
-        obligation_pages,
-        obligation_bytes,
-    } = obligation;
-
-    // Fast path: nothing can fail and nothing is racing, so reproduce the
-    // analytical flush exactly (same submissions, same report).
-    if supply.is_none() && !core.faults.is_active() {
-        for item in &items {
-            hand_to_device(core, item.page, item.payload, 0);
-        }
-        let flush_time = core.ssd.config().drain_time(obligation_bytes);
-        core.profiler
-            .aux_charge(CostClass::EmergencyFlush, flush_time);
-        return PowerFailureReport {
-            dirty_pages: obligation_pages,
-            pages_flushed: obligation_pages,
-            pages_lost: 0,
-            retries: 0,
-            bytes_flushed: obligation_bytes,
-            flush_time,
-            energy_margin_joules: f64::INFINITY,
-            outcome: FlushOutcome::Complete,
-        };
-    }
+    let FlushObligation { items, pages } = obligation;
 
     // Local timeline: the shared clock is frozen (the system is dead), so
     // elapsed flush time accumulates here. Seed it with the tail of any
@@ -153,9 +102,9 @@ pub(crate) fn execute(
         (SimDuration::from_secs_f64(joules / watts), joules, watts)
     });
 
-    // Pages in the reported obligation with no item to submit (the
-    // baseline's unmapped remainder) are durable as-is: count them flushed.
-    let mut pages_flushed = obligation_pages - items.len() as u64;
+    // Pages in the obligation with no item to submit (the baseline's
+    // unmapped remainder) are durable as-is: count them flushed.
+    let mut pages_flushed = pages - items.len() as u64;
     let mut pages_lost = 0u64;
     let mut retries = 0u64;
     let mut backoff_total = SimDuration::ZERO;
@@ -227,10 +176,11 @@ pub(crate) fn execute(
     let energy_margin_joules = match time_budget {
         Some((_, joules, watts)) => {
             if exhausted {
-                // Report the unmet remainder as a negative margin: energy
-                // the flush *needed* beyond what the battery delivered.
-                let unmet = obligation_bytes.saturating_sub(bytes_flushed);
-                -(drain_one(unmet as usize).as_secs_f64() * watts)
+                // Report the unmet remainder — the payloads of the items
+                // not flushed — as a negative margin: energy the flush
+                // *needed* beyond what the battery delivered.
+                let owed: u64 = items.iter().map(|item| item.payload as u64).sum();
+                -(ssd_config.drain_time(owed - bytes_flushed).as_secs_f64() * watts)
             } else {
                 joules - elapsed.as_secs_f64() * watts
             }
@@ -258,7 +208,7 @@ pub(crate) fn execute(
         elapsed.saturating_sub(backoff_total),
     );
     PowerFailureReport {
-        dirty_pages: obligation_pages,
+        dirty_pages: pages,
         pages_flushed,
         pages_lost,
         retries,

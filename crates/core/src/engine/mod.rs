@@ -365,12 +365,11 @@ impl<B: DirtyTracker> Engine<B> {
     /// backends that is every page counted dirty — by construction at most
     /// the dirty budget; for the baseline it is the entire capacity.
     ///
-    /// Without an attached battery the flush has unbounded time (the
-    /// historical analytical contract); with an active fault plan the
-    /// executed flush still steps page-by-page, retrying transient write
-    /// errors with bounded exponential backoff, and may lose pages whose
-    /// retries exhaust. Use [`Engine::power_failure_powered`] to race a
-    /// real battery.
+    /// Without a battery the flush has unbounded time; it runs the same
+    /// executor as [`Engine::power_failure_powered`], which races a real
+    /// battery: page by page after the tail of any IO in flight, retrying
+    /// transient write errors with bounded exponential backoff, and losing
+    /// only pages whose retries exhaust.
     pub fn power_failure(&mut self) -> PowerFailureReport {
         let wall = self.core.telemetry.wall_start();
         let obligation = B::failure_obligation(&mut self.core, &mut self.backend);
@@ -1002,6 +1001,71 @@ mod tests {
         next_due_is_never_later_than_the_earliest_due_event::<MmuAssisted>();
     }
 
+    /// Every power failure runs one executor: an engine failed with no
+    /// battery and its twin failed against a battery it cannot exhaust
+    /// report the same flush, and both hold the system up past the tail
+    /// of the IO in flight. The baseline maps half its capacity, so its
+    /// unmapped pages are counted but carried by no IO.
+    fn one_executor_with_or_without_a_battery<B: DirtyTracker>() {
+        let twin = || {
+            let (mut nv, region) = engine::<B>(8);
+            for page in 0..4 {
+                write_page(&mut nv, region, page);
+            }
+            if B::HAS_CONTROL_LOOP {
+                issue_one(&mut nv, region, FlushReason::Forced);
+                assert!(!nv.core.inflight.is_empty());
+            }
+            nv
+        };
+        let (mut bare, mut raced) = (twin(), twin());
+        let now = bare.core.clock.now();
+        let tail = bare
+            .core
+            .inflight
+            .iter()
+            .map(|&(done, _)| done.saturating_since(now))
+            .max()
+            .unwrap_or(SimDuration::ZERO);
+        let battery = Battery::new(battery_sim::BatteryConfig::with_capacity_joules(1e9));
+        let power = PowerModel::datacenter_server(0.064);
+        let bare = bare.power_failure();
+        let raced = raced.power_failure_powered(&battery, &power);
+        assert!(
+            raced.energy_margin_joules.is_finite() && raced.energy_margin_joules > 0.0,
+            "{raced:?}"
+        );
+        assert_eq!(
+            PowerFailureReport {
+                energy_margin_joules: bare.energy_margin_joules,
+                ..raced
+            },
+            bare
+        );
+        assert!(bare.flush_time >= tail, "{bare:?} ends inside {tail:?}");
+        let carried = if B::HAS_CONTROL_LOOP {
+            bare.dirty_pages
+        } else {
+            32
+        };
+        assert_eq!(bare.bytes_flushed, carried * PAGE_SIZE as u64, "{bare:?}");
+    }
+
+    #[test]
+    fn one_executor_with_or_without_a_battery_on_the_software_walk() {
+        one_executor_with_or_without_a_battery::<SoftwareWalk>();
+    }
+
+    #[test]
+    fn one_executor_with_or_without_a_battery_on_the_mmu_assisted_backend() {
+        one_executor_with_or_without_a_battery::<MmuAssisted>();
+    }
+
+    #[test]
+    fn one_executor_with_or_without_a_battery_on_the_baseline() {
+        one_executor_with_or_without_a_battery::<FullDirty>();
+    }
+
     /// A recovery lays back what a power failure lost and nothing else: a
     /// loss-free cycle restores no sector, and a cycle that loses pages
     /// restores exactly the sectors written since their last hand-over.
@@ -1040,6 +1104,15 @@ mod tests {
         );
         let report = nv.power_failure_powered(&battery, &power);
         assert_eq!(report.bytes_flushed, 2 * page_bytes, "{report:?}");
+        // The unmet remainder is what the lost pages' IOs would have
+        // carried: the four written pages, or every page the baseline maps.
+        let owed = if B::HAS_CONTROL_LOOP { 4 } else { 32 } * page_bytes;
+        let unmet = nv.ssd().config().drain_time(owed - report.bytes_flushed);
+        assert_eq!(
+            report.energy_margin_joules,
+            -(unmet.as_secs_f64() * power.total_watts()),
+            "{report:?}"
+        );
         nv.recover();
         assert_eq!(restored(&nv), 3 + 4, "pages 2 and 3's unsynced sectors");
         for page in 0..4u64 {

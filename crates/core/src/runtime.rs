@@ -64,14 +64,15 @@ pub struct PowerFailureReport {
     pub pages_lost: u64,
     /// Transient write errors retried during the flush.
     pub retries: u64,
-    /// Bytes flushed on battery power.
+    /// Bytes flushed on battery power: the payloads an IO carried (the
+    /// baseline's unmapped capacity carries none).
     pub bytes_flushed: u64,
     /// Time the flush held the system up, at conservative sequential
     /// bandwidth (§5.1), including fault-induced delays.
     pub flush_time: SimDuration,
     /// Deliverable battery energy left when the flush ended. Negative when
     /// the battery died first (the unmet remainder of the obligation);
-    /// infinite on the unpowered analytical path, which races no battery.
+    /// infinite when no battery is raced.
     pub energy_margin_joules: f64,
     /// How the flush ended.
     pub outcome: FlushOutcome,

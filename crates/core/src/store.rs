@@ -10,7 +10,7 @@
 //! wrapper add their own.
 
 use fault_sim::FaultPlan;
-use sim_clock::{Clock, SimDuration};
+use sim_clock::Clock;
 use telemetry::{Profiler, Telemetry};
 
 use crate::engine::{DirtyTracker, Engine, ShardedViyojit};
@@ -83,11 +83,6 @@ pub trait NvStore: NvHeap {
 
     /// Rebuilds NV-DRAM from the SSD after a power cycle.
     fn recover(&mut self);
-
-    /// The end-of-run power-failure flush time (the Fig. 9 tail write).
-    fn final_flush(&mut self) -> SimDuration {
-        self.power_failure().flush_time
-    }
 }
 
 impl<B: DirtyTracker> NvStore for Engine<B> {
@@ -195,7 +190,7 @@ impl<B: DirtyTracker> NvStore for ShardedViyojit<B> {
 mod tests {
     use super::*;
     use crate::{MmuAssistedViyojit, Viyojit, ViyojitConfig};
-    use sim_clock::CostModel;
+    use sim_clock::{CostModel, SimDuration};
     use ssd_sim::SsdConfig;
     use telemetry::TraceEvent;
 
@@ -262,7 +257,6 @@ mod tests {
 
     #[test]
     fn the_sharded_store_drives_through_the_trait() {
-        use sim_clock::SimDuration;
         let sharded = crate::ShardedViyojitBuilder::new(2, 64, ViyojitConfig::with_budget_pages(8))
             .min_per_shard(2)
             .rebalance_period(SimDuration::from_millis(1))

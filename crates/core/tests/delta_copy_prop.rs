@@ -82,8 +82,7 @@ impl<B: DirtyTracker> Life<B> {
             SsdConfig::datacenter(),
         );
         nv.attach_telemetry(telemetry.clone());
-        // One life in four runs fault-free, which is what takes the
-        // emergency flush's analytical fast path.
+        // One life in four runs fault-free.
         if seed % 4 != 0 {
             let mut faults = FaultConfig::none();
             faults.ssd_write_error_rate = WRITE_ERROR_RATE;

@@ -173,11 +173,6 @@ impl CrashSchedule {
         }
     }
 
-    /// Whether this schedule can fire at all.
-    pub fn is_active(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// The seed this schedule was drawn from, if any.
     pub fn seed(&self) -> Option<u64> {
         self.seed
@@ -266,7 +261,6 @@ mod tests {
     #[test]
     fn inactive_schedule_never_fires() {
         let s = CrashSchedule::none();
-        assert!(!s.is_active());
         for point in Crashpoint::ALL {
             for _ in 0..100 {
                 s.check(point);

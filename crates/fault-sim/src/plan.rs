@@ -231,11 +231,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// The seed this plan replays, if active.
     pub fn seed(&self) -> Option<u64> {
         self.seed
@@ -353,7 +348,6 @@ mod tests {
     #[test]
     fn inactive_plan_is_identity() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_active());
         assert_eq!(plan.seed(), None);
         assert_eq!(plan.ssd_write_fault(3), SsdWriteFault::NONE);
         assert_eq!(plan.soc_report_factor(), 1.0);

@@ -176,7 +176,8 @@ impl<H: NvHeap> KvStore<H> {
     /// # Errors
     ///
     /// [`KvError::NotAStore`] if root slot 0 is empty, the magic does not
-    /// verify, the table geometry is not one [`KvStore::create`] makes, or
+    /// verify, the table geometry is not one [`KvStore::create`] makes, a
+    /// stored hash is not its key's or sits in another bucket's chain, or
     /// the chains do not hold exactly the entry count of distinct keys;
     /// heap failures (a pointer to no live block, a read past one) surface
     /// as [`KvError::Heap`].
@@ -209,7 +210,7 @@ impl<H: NvHeap> KvStore<H> {
             seg_buckets,
         };
         let mut order = BTreeMap::new();
-        let walked = this.walk_chains(count, |_, node, _, key| {
+        let walked = this.walk_chains(count, |_, node, key| {
             order.insert(key, node);
         })?;
         if walked != count || order.len() as u64 != count {
@@ -315,20 +316,21 @@ impl<H: NvHeap> KvStore<H> {
         Ok((bucket, None))
     }
 
-    /// Walks every hash chain, handing `visit` each entry's bucket,
-    /// header, probe fields and key, and returns how many it walked. A
-    /// directory segment's bucket heads are one read; each node costs its
-    /// `node_head` read and one read of its key.
+    /// Walks every hash chain, handing `visit` each entry's bucket, header
+    /// and key, and returns how many it walked. A directory segment's
+    /// bucket heads are one read; each node costs its `node_head` read and
+    /// one read of its key.
     ///
     /// # Errors
     ///
     /// [`KvError::NotAStore`] when the chains hold more than `count`
-    /// entries (a cycle would otherwise never end) or a key length
-    /// overruns its node's block.
+    /// entries (a cycle would otherwise never end), a key length overruns
+    /// its node's block, a stored hash is not its key's, or a node is
+    /// chained in a bucket its hash does not name.
     fn walk_chains(
         &mut self,
         count: u64,
-        mut visit: impl FnMut(u64, PPtr, NodeHead, Box<[u8]>),
+        mut visit: impl FnMut(u64, PPtr, Box<[u8]>),
     ) -> Result<u64, KvError> {
         let mut walked = 0;
         let mut heads = vec![0u8; (self.seg_buckets * 8) as usize];
@@ -348,7 +350,11 @@ impl<H: NvHeap> KvStore<H> {
                     }
                     let mut key = vec![0u8; head.key_len].into_boxed_slice();
                     self.heap.read(node, NODE_HEADER as u64, &mut key)?;
-                    visit(seg_idx * self.seg_buckets + within, node, head, key);
+                    let bucket = seg_idx * self.seg_buckets + within;
+                    if head.hash != fnv1a_64(&key) || head.hash & (self.num_buckets - 1) != bucket {
+                        return Err(KvError::NotAStore);
+                    }
+                    visit(bucket, node, key);
                     cur = head.next;
                 }
             }
@@ -520,30 +526,28 @@ impl<H: NvHeap> KvStore<H> {
     }
 
     /// Walks the hash chains as `open` does and checks them and the
-    /// ordered index derived from them: every stored hash is its key's,
-    /// every node sits in its hash's bucket, no key is stored twice, the
-    /// chains hold the entry count, and the index holds exactly the walked
-    /// keys and headers. Returns the entry count — a recovery audit.
+    /// ordered index derived from them: no key is stored twice, the chains
+    /// hold the entry count, and the index holds exactly the walked keys
+    /// and headers. Returns the entry count — a recovery audit.
     ///
     /// # Errors
     ///
-    /// Heap failures surface as [`KvError::Heap`]; chains longer than the
-    /// entry count as [`KvError::NotAStore`].
+    /// Heap failures surface as [`KvError::Heap`]; whatever `open` rejects
+    /// in the chains (a chain longer than the entry count, a stored hash
+    /// that is not its key's or a node in another bucket's chain) as
+    /// [`KvError::NotAStore`].
     ///
     /// # Panics
     ///
     /// Panics if any of those checks fails.
     pub fn audit_index(&mut self) -> Result<u64, KvError> {
         let count = self.get_meta(META_COUNT)?;
-        let mask = self.num_buckets - 1;
         let order = std::mem::take(&mut self.order);
         // A key stored twice hashes to one bucket, so its copies share a
         // chain: the keys of the chain being walked are all a duplicate
         // can meet.
         let mut chain: (u64, Vec<Box<[u8]>>) = (0, Vec::new());
-        let walked = self.walk_chains(count, |bucket, node, head, key| {
-            assert_eq!(head.hash, fnv1a_64(&key), "stored hash is not its key's");
-            assert_eq!(head.hash & mask, bucket, "node chained in another bucket");
+        let walked = self.walk_chains(count, |bucket, node, key| {
             assert_eq!(
                 order.get(&key),
                 Some(&node),
@@ -1047,14 +1051,26 @@ mod tests {
     /// `open` sizes its walk from the meta block and follows every chain
     /// pointer it reads, so a geometry `create` cannot make, an entry
     /// count the chains contradict, a cycle among them, a key stored
-    /// twice or a key length past its block is an error — never a panic,
-    /// a hang, a lost entry or a buffer the size of a wild length.
+    /// twice, a key length past its block, a stored hash that is not its
+    /// key's or a node in another bucket's chain is an error — never a
+    /// panic, a hang, a lost entry or a buffer the size of a wild length.
     #[test]
     fn open_rejects_a_table_that_contradicts_its_meta() {
-        fn chain_node(kv: &KvStore<NvdramBaseline>) -> PPtr {
+        type Kv = KvStore<NvdramBaseline>;
+        fn chain_node(kv: &Kv) -> PPtr {
             kv.order[&b"key7"[..]]
         }
-        let doctored: [(&str, Doctor); 10] = [
+        fn bucket(kv: &Kv, key: &[u8]) -> u64 {
+            fnv1a_64(key) & (kv.num_buckets - 1)
+        }
+        /// Stores `key` and its hash in `node`, whose key is as long.
+        fn rekey(kv: &mut Kv, node: PPtr, key: &[u8]) {
+            kv.heap
+                .write(node, NODE_HASH, &fnv1a_64(key).to_le_bytes())
+                .unwrap();
+            kv.heap.write(node, NODE_HEADER as u64, key).unwrap();
+        }
+        let doctored: [(&str, Doctor); 12] = [
             ("no buckets", |kv| kv.put_meta(META_BUCKETS, 0).unwrap()),
             ("buckets not a power of two", |kv| {
                 kv.put_meta(META_BUCKETS, 48).unwrap()
@@ -1082,14 +1098,39 @@ mod tests {
                     .unwrap();
             }),
             ("a key stored twice", |kv| {
-                let node = chain_node(kv);
-                kv.heap.write(node, NODE_HEADER as u64, b"key8").unwrap();
+                // Two keys of one length in one chain (40 keys in 16
+                // buckets, 30 of them five bytes long, must have a pair):
+                // the copy keeps its hash and its bucket.
+                let keys: Vec<Box<[u8]>> = kv.order.keys().cloned().collect();
+                let (node, key) = keys
+                    .iter()
+                    .flat_map(|a| keys.iter().map(move |b| (a, b)))
+                    .find(|(a, b)| a != b && a.len() == b.len() && bucket(kv, a) == bucket(kv, b))
+                    .map(|(a, b)| (kv.order[a], b.clone()))
+                    .expect("two keys share a chain");
+                rekey(kv, node, &key);
             }),
             ("a key length past its block", |kv| {
                 let node = chain_node(kv);
                 kv.heap
                     .write(node, NODE_KEY_LEN, &u32::MAX.to_le_bytes())
                     .unwrap();
+            }),
+            ("a stored hash that is not its key's", |kv| {
+                // A bit above the bucket mask: the bucket stays key7's.
+                let hash = fnv1a_64(b"key7") ^ kv.num_buckets;
+                let node = chain_node(kv);
+                kv.heap.write(node, NODE_HASH, &hash.to_le_bytes()).unwrap();
+            }),
+            ("a node chained in another bucket", |kv| {
+                // A key no entry holds, stored with its own hash: only the
+                // placement is wrong.
+                let home = bucket(kv, b"key7");
+                let key = (b'a'..=b'z')
+                    .map(|c| [b'k', b'e', b'y', c])
+                    .find(|key| bucket(kv, key) != home)
+                    .expect("a key hashing elsewhere");
+                rekey(kv, chain_node(kv), &key);
             }),
         ];
         for (what, doctor) in doctored {
