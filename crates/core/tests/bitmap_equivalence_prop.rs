@@ -111,12 +111,6 @@ impl ScalarDirtySet {
             .filter(|&i| matches!(self.states[i], PageState::Dirty))
             .collect()
     }
-
-    fn iter_counted(&self) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&i| !matches!(self.states[i], PageState::Clean))
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -187,13 +181,6 @@ fn assert_states_agree(pt: &PageTable, spt: &ScalarPageTable, ds: &DirtySet, sds
         ds.iter_dirty().map(|p| p.index()).collect::<Vec<_>>(),
         sds.iter_dirty(),
         "DirtySet dirty iteration order diverged"
-    );
-    let mut counted = Vec::new();
-    ds.collect_counted_into(&mut counted);
-    assert_eq!(
-        counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
-        sds.iter_counted(),
-        "DirtySet counted collection order diverged"
     );
     ds.check_invariants()
         .unwrap_or_else(|v| panic!("bitmap invariants broke: {v}"));
@@ -386,8 +373,8 @@ fn scan_paths_agree_at_every_density() {
 }
 
 /// In each stratum, with a share of the population in flight, the
-/// `DirtySet` collects are the scalar dirty ∪ in-flight order and the
-/// scalar dirty order, and its union walk harvests the scalar word pairs.
+/// `DirtySet` dirty collect is the scalar dirty order, and its union walk
+/// harvests the scalar word pairs.
 #[test]
 fn dirty_set_collects_agree_at_every_density() {
     check("dirty_set_collects_agree_at_every_density", 64, |rng| {
@@ -405,13 +392,6 @@ fn dirty_set_collects_agree_at_every_density() {
         }
         ds.check_invariants()
             .unwrap_or_else(|v| panic!("bitmap invariants broke: {v}"));
-        let mut counted = Vec::new();
-        ds.collect_counted_into(&mut counted);
-        assert_eq!(
-            counted.iter().map(|p| p.index()).collect::<Vec<_>>(),
-            sds.iter_counted(),
-            "counted collection order diverged"
-        );
         let mut dirty = Vec::new();
         ds.collect_dirty_into(&mut dirty);
         assert_eq!(
